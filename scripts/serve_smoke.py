@@ -26,6 +26,11 @@ with ``--chaos``, replica 0 of *every* shard is killed permanently on
 its first dispatch mid-session: the replica sets must eject the dead
 replicas, fail the in-flight batches over to the surviving siblings,
 and every answer must still be bit-exact with zero queries failed.
+The healthy sharded session also counts every cipher block the servers
+compute and asserts the N shards together did at most 1.05x the blocks
+of an unsharded twin answering the same queries — each shard walks only
+the GGM window over its own rows, so a backend that falls back to
+expanding the whole tree and clipping (N trees of work) fails the smoke.
 
 With ``--steady`` the session instead exercises the persistent-kernel
 steady state: both parties serve through a shared-shape
@@ -77,6 +82,7 @@ step with only numpy installed:
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import os
 import sys
 
@@ -85,6 +91,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 import numpy as np  # noqa: E402
 
 from repro.baselines import CpuBackend  # noqa: E402
+from repro.crypto import get_prf  # noqa: E402
 from repro.exec import HybridBackend, PlanCache, SingleGpuBackend  # noqa: E402
 from repro.obs import (  # noqa: E402
     MetricsRegistry,
@@ -108,16 +115,47 @@ from repro.serve import (  # noqa: E402
 )
 
 TABLE_ENTRIES = 256
+SHARDED_TABLE_ENTRIES = 2048
+"""The sharded session's table: large enough that the ``O(log L)`` blocks
+each shard boundary adds are ~1% of a tree, so the 1.05x block bound
+separates a pruned walk (~1.01x) from expand-and-clip (Nx)."""
 CLIENTS = 24
 PRF = "chacha20"
 
 
+@contextlib.contextmanager
+def counted_blocks(prf_name: str):
+    """Count the cipher blocks computed through ``prf_name`` while active.
+
+    Wraps the PRF class's two cipher entry points, so the count is what
+    the backends really ran, whatever their ``EvalResult.cost`` claims.
+    """
+    cls = type(get_prf(prf_name))
+    pair, single = cls.expand_pair_stacked, cls.expand
+    count = {"blocks": 0}
+
+    def counted_pair(self, seeds):
+        count["blocks"] += 2 * len(seeds)
+        return pair(self, seeds)
+
+    def counted_single(self, seeds, tweak):
+        count["blocks"] += len(seeds)
+        return single(self, seeds, tweak)
+
+    cls.expand_pair_stacked, cls.expand = counted_pair, counted_single
+    try:
+        yield count
+    finally:
+        cls.expand_pair_stacked, cls.expand = pair, single
+
+
 def run_sharded(chaos: bool, shards: int) -> int:
     """The sharded session: N shards x 2 replicas, optional replica kill."""
+    entries = SHARDED_TABLE_ENTRIES
     rng = np.random.default_rng(2024)
-    table = rng.integers(0, 1 << 64, size=TABLE_ENTRIES, dtype=np.uint64)
-    indices = rng.integers(0, TABLE_ENTRIES, size=CLIENTS).tolist()
-    client = PirClient(TABLE_ENTRIES, PRF, rng=np.random.default_rng(7))
+    table = rng.integers(0, 1 << 64, size=entries, dtype=np.uint64)
+    indices = rng.integers(0, entries, size=CLIENTS).tolist()
+    client = PirClient(entries, PRF, rng=np.random.default_rng(7))
 
     def replica_backend(shard: int, replica: int):
         inner = SingleGpuBackend(A100 if replica else V100)
@@ -153,7 +191,8 @@ def run_sharded(chaos: bool, shards: int) -> int:
             report = await generate_load(client, loops, indices)
         return report, loops
 
-    report, loops = asyncio.run(session())
+    with counted_blocks(PRF) as sharded_work:
+        report, loops = asyncio.run(session())
 
     assert report.shed == 0, f"admission control shed {report.shed} queries"
     assert report.answered == CLIENTS, (
@@ -162,6 +201,25 @@ def run_sharded(chaos: bool, shards: int) -> int:
     assert np.array_equal(report.answers, table[np.array(report.indices)]), (
         "sharded answers diverged from the table — recombination is broken"
     )
+    if not chaos:  # failover re-dispatches batches, so only the healthy run is bounded
+        # The unsharded twin: the same clients' keys (generation
+        # included, as in the session) through one whole-table server
+        # per party.
+        with counted_blocks(PRF) as twin_work:
+            twins = [PirServer(table, prf_name=PRF) for _ in range(2)]
+            for batch in client.query_many(indices):
+                for twin, query in zip(twins, batch.requests):
+                    twin.handle(query)
+        ratio = sharded_work["blocks"] / twin_work["blocks"]
+        assert ratio <= 1.05, (
+            f"{shards} shards computed {sharded_work['blocks']} cipher blocks, "
+            f"{ratio:.2f}x the unsharded twin's {twin_work['blocks']} — a "
+            "backend is expanding rows its shard does not hold"
+        )
+        print(
+            f"cipher blocks: {sharded_work['blocks']} across {shards} shards "
+            f"vs {twin_work['blocks']} unsharded ({ratio:.3f}x)"
+        )
     for party, (server, loop) in enumerate(zip(servers, loops)):
         stats = loop.stats
         totals = server.stats_totals()

@@ -194,9 +194,7 @@ def eval_range(key: DpfKey, prf: Prf, lo: int, hi: int) -> np.ndarray:
         )
         # Children cover natural-order nodes [2*node_lo, 2*node_lo + 2m);
         # keep only those whose subtree intersects [lo, hi).
-        shift = n - (level + 1)
-        keep_lo = lo >> shift
-        keep_hi = ((hi - 1) >> shift) + 1
+        keep_lo, keep_hi = ggm.level_window(n, level + 1, lo, hi)
         seeds = seeds[keep_lo - 2 * node_lo : keep_hi - 2 * node_lo]
         ts = ts[keep_lo - 2 * node_lo : keep_hi - 2 * node_lo]
         node_lo = keep_lo

@@ -25,6 +25,19 @@ def log2_ceil(value: int) -> int:
     return max(int(value - 1).bit_length(), 0)
 
 
+def level_window(depth: int, level: int, lo: int, hi: int) -> tuple[int, int]:
+    """The ``level``-nodes whose subtrees meet leaves ``[lo, hi)``.
+
+    In natural index order those nodes of a depth-``depth`` tree are one
+    contiguous window ``[lo >> shift, ((hi - 1) >> shift) + 1)`` with
+    ``shift = depth - level``: a range-restricted walk keeps exactly
+    this window at every level (the root window is always ``(0, 1)``,
+    the leaf window is ``(lo, hi)`` itself).
+    """
+    shift = depth - level
+    return lo >> shift, ((hi - 1) >> shift) + 1
+
+
 def prg_expand(
     prf: Prf, seeds: np.ndarray, ts: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -141,8 +154,8 @@ def expand_level(
 
 
 def convert_to_u64(seeds: np.ndarray) -> np.ndarray:
-    """Map seeds into the output group Z_{2^64} (first 8 bytes, LE)."""
-    return np.ascontiguousarray(seeds[:, :8]).view("<u8").reshape(-1)
+    """Map ``(..., 16)`` seeds into Z_{2^64} (first 8 bytes, LE), flat."""
+    return np.ascontiguousarray(seeds[..., :8]).view("<u8").reshape(-1)
 
 
 def leaf_values(

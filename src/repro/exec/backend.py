@@ -59,7 +59,9 @@ def _single_shard_stats(
 
 
 def merged_cost(
-    stats: MultiGpuStats, strategies: dict | None = None
+    stats: MultiGpuStats,
+    strategies: dict | None = None,
+    eval_range: tuple[int, int] | None = None,
 ) -> StrategyCost:
     """Fold per-shard strategy costs into one batch-level cost.
 
@@ -75,12 +77,14 @@ def merged_cost(
             selections were made from; shards cost through *those*
             instances (their tuning parameters matter).  ``None`` means
             the registry defaults, which is what the selections used.
+        eval_range: The ``[lo, hi)`` rows the run covered (``None``:
+            the whole domain); every shard costs its pruned walk.
     """
     strategies = strategies if strategies is not None else {}
     shard_costs = [
         strategies.get(
             shard.selection.strategy, get_strategy(shard.selection.strategy)
-        ).cost(shard.batch_size, stats.table_entries)
+        ).cost(shard.batch_size, stats.table_entries, eval_range)
         for shard in stats.shards
     ]
     names = {cost.strategy for cost in shard_costs}
@@ -100,9 +104,12 @@ class ExecutionBackend(abc.ABC):
     ``plan`` never touches key cryptography beyond ingestion metadata
     (batch size, domain, PRF); ``run`` must return answers that are
     bit-identical across backends for the same keys.  A request with an
-    ``eval_range`` restriction returns the ``(B, hi - lo)`` column
-    window of the full expansion — still bit-identical across backends
-    (``tests/exec/test_backends.py``).
+    ``eval_range`` restriction returns the ``(B, hi - lo)`` shares of
+    rows ``[lo, hi)`` — bit-identical to that column window of the full
+    expansion on every backend (``tests/exec/test_backends.py``) — and
+    computes it with a walk pruned to the range: ``O((hi - lo) + log L)``
+    PRF blocks per key, which is what the strategy-costed backends'
+    ``EvalResult.cost`` reports.
     """
 
     name: str = "abstract"
@@ -114,27 +121,13 @@ class ExecutionBackend(abc.ABC):
     :class:`~repro.exec.select.HybridBackend` splits its candidate pool
     on this attribute when locating a shape's crossover batch."""
 
-    @staticmethod
-    def _apply_range(request: EvalRequest, answers: np.ndarray) -> np.ndarray:
-        """Clip a full ``(B, L)`` share matrix to the request's range.
-
-        The vectorized kernels expand whole GGM subtrees, so the range
-        restriction is a zero-copy column view of their output; the
-        simulated oracle overrides the whole path with the genuinely
-        restricted :func:`repro.dpf.dpf.eval_range` walk instead.
-        """
-        lo, hi = request.resolved_range()
-        if (lo, hi) == (0, request.arena().domain_size):
-            return answers
-        return answers[:, lo:hi]
-
     @abc.abstractmethod
     def plan(self, request: EvalRequest) -> ExecutionPlan:
         """Price the request: strategy selection plus modeled timing."""
 
     @abc.abstractmethod
     def run(self, request: EvalRequest) -> EvalResult:
-        """Evaluate the request's keys over the full domain."""
+        """Evaluate the request's keys over its ``resolved_range()``."""
 
     @property
     def plan_key(self) -> tuple:
@@ -276,15 +269,17 @@ class SingleGpuBackend(ExecutionBackend):
     ) -> EvalResult:
         name = plan.strategies[0]
         strategy = self._by_name.get(name) or get_strategy(name)
+        eval_range = request.resolved_range()
         answers = strategy.eval_batch(
             request.arena(),
             get_prf(request.resolved_prf_name),
             workspace=workspace if workspace is not None else self._workspace,
+            eval_range=eval_range,
         )
         return EvalResult(
-            answers=self._apply_range(request, answers),
+            answers=answers,
             plan=plan,
-            cost=merged_cost(plan.stats, strategies=self._by_name),
+            cost=merged_cost(plan.stats, self._by_name, eval_range),
         )
 
 
@@ -355,15 +350,17 @@ class MultiGpuBackend(ExecutionBackend):
         # so the cache's pinned workspace is unused here; reusing the
         # cached plan still skips the per-flush shard re-pricing.
         del workspace
+        eval_range = request.resolved_range()
         answers = self._executor(request.entry_bytes).eval_batch(
             request.arena(),
             get_prf(request.resolved_prf_name),
             resident_keys=request.resident,
+            eval_range=eval_range,
         )
         return EvalResult(
-            answers=self._apply_range(request, answers),
+            answers=answers,
             plan=plan,
-            cost=merged_cost(plan.stats),
+            cost=merged_cost(plan.stats, eval_range=eval_range),
         )
 
 
@@ -425,13 +422,12 @@ class SimulatedBackend(ExecutionBackend):
         if (lo, hi) == (0, request.arena().domain_size):
             rows = [eval_full(key, prf) for key in request.arena().to_keys()]
         else:
-            # Genuinely restricted: the pruned-frontier range walk never
-            # expands subtrees outside [lo, hi).
+            # The per-key reference of the strategies' windowed walk.
             rows = [
                 eval_range(key, prf, lo, hi) for key in request.arena().to_keys()
             ]
         return EvalResult(
             answers=np.stack(rows),
             plan=plan,
-            cost=merged_cost(plan.stats, strategies=self._single._by_name),
+            cost=merged_cost(plan.stats, self._single._by_name, (lo, hi)),
         )

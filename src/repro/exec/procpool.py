@@ -369,7 +369,9 @@ class MultiProcessBackend(ExecutionBackend):
         ]
         answers = parts[0] if len(parts) == 1 else np.concatenate(parts)
         return EvalResult(
-            answers=answers, plan=plan, cost=merged_cost(plan.stats)
+            answers=answers,
+            plan=plan,
+            cost=merged_cost(plan.stats, eval_range=request.resolved_range()),
         )
 
     # -- the sharded-serving fast path (duck-typed by ReplicaSet) ------

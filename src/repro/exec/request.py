@@ -25,7 +25,7 @@ import numpy as np
 
 from repro.gpu.arena import KeyArena, KeySource
 from repro.gpu.multigpu import MultiGpuStats
-from repro.gpu.strategies import StrategyCost
+from repro.gpu.strategies import StrategyCost, resolve_range
 
 
 @dataclass
@@ -56,10 +56,13 @@ class EvalRequest:
             ``[lo, hi)`` only, bit-identical to columns ``lo:hi`` of
             the unrestricted expansion; a shard server holding rows
             ``[lo, hi)`` dots that directly with its table slice.
-            ``plan`` still prices the full expansion (the modeled
-            kernels expand whole subtrees; the reference
-            :func:`repro.dpf.dpf.eval_range` walk is genuinely
-            restricted).
+            Every backend computes it with a walk pruned to the range
+            (:meth:`Strategy.eval_batch <repro.gpu.strategies.Strategy
+            .eval_batch>`'s node window, or the per-key reference
+            :func:`repro.dpf.dpf.eval_range`), and ``EvalResult.cost``
+            counts the pruned walk.  ``plan`` — strategy selection and
+            the modeled ``KernelPlan`` latency — still prices the full
+            tree: a range-aware device model is future work.
         traces: Optional per-constituent trace contexts
             (:class:`repro.obs.trace.TraceContext`), one slot per
             merge constituent — ``None`` (the default, and the
@@ -108,16 +111,7 @@ class EvalRequest:
             ValueError: If the range is empty, inverted, or falls
                 outside the keys' domain.
         """
-        domain = self.arena().domain_size
-        if self.eval_range is None:
-            return 0, domain
-        lo, hi = self.eval_range
-        if not 0 <= lo < hi <= domain:
-            raise ValueError(
-                f"eval_range [{lo}, {hi}) is not a non-empty sub-range of "
-                f"the keys' domain [0, {domain})"
-            )
-        return lo, hi
+        return resolve_range(self.arena().domain_size, self.eval_range)
 
     def restrict(self, lo: int, hi: int) -> "EvalRequest":
         """A copy of this request restricted to table rows ``[lo, hi)``.

@@ -147,13 +147,19 @@ class MultiGpuExecutor:
         )
 
     def eval_batch(
-        self, keys: KeySource, prf: Prf, resident_keys: bool = False
+        self,
+        keys: KeySource,
+        prf: Prf,
+        resident_keys: bool = False,
+        eval_range: tuple[int, int] | None = None,
     ) -> np.ndarray:
         """Functionally evaluate a key batch with the per-shard winners.
 
         Shards the keys exactly as :meth:`execute` would shard the
-        batch, runs each shard through its scheduler-selected strategy,
-        and concatenates the ``(B, L)`` share matrix in input order.
+        batch, runs each shard through its scheduler-selected strategy
+        (over rows ``eval_range`` only, when given — see
+        :meth:`Strategy.eval_batch <repro.gpu.strategies.Strategy.eval_batch>`),
+        and concatenates the ``(B, hi - lo)`` share matrix in input order.
 
         ``keys`` is anything :meth:`KeyArena.ingest` accepts (arena,
         key objects, or wire bytes); each device's shard is a zero-copy
@@ -177,5 +183,9 @@ class MultiGpuExecutor:
             start += share
             selection = scheduler.select(share, table_entries, prf.name, resident_keys)
             strategy = get_strategy(selection.strategy)
-            outputs.append(strategy.eval_batch(shard, prf, workspace=workspace))
+            outputs.append(
+                strategy.eval_batch(
+                    shard, prf, workspace=workspace, eval_range=eval_range
+                )
+            )
         return np.concatenate(outputs, axis=0)

@@ -82,24 +82,58 @@ class StrategyCost:
     parallel_width: int
 
 
-def _expand_level_batch(
+def resolve_range(
+    domain_size: int, eval_range: tuple[int, int] | None
+) -> tuple[int, int]:
+    """The validated ``[lo, hi)`` rows an evaluation covers.
+
+    ``None`` is the whole domain — the window ``(0, domain_size)``.
+
+    Raises:
+        ValueError: If the range is empty, inverted, or falls outside
+            ``[0, domain_size)``.
+    """
+    if eval_range is None:
+        return 0, domain_size
+    lo, hi = eval_range
+    if not 0 <= lo < hi <= domain_size:
+        raise ValueError(
+            f"eval_range [{lo}, {hi}) is not a non-empty sub-range of "
+            f"the keys' domain [0, {domain_size})"
+        )
+    return lo, hi
+
+
+def _level_windows(
+    depth: int, start: int, stop: int, lo: int, hi: int
+) -> list[tuple[int, int]]:
+    """The node windows of levels ``start..stop`` for leaves ``[lo, hi)``."""
+    return [ggm.level_window(depth, level, lo, hi) for level in range(start, stop + 1)]
+
+
+def _window_widths(depth: int, start: int, stop: int, lo: int, hi: int) -> list[int]:
+    """Node-window widths at levels ``start..stop`` for leaves ``[lo, hi)``."""
+    return [b - a for a, b in _level_windows(depth, start, stop, lo, hi)]
+
+
+def _expand_children_batch(
     prf: Prf,
     seeds: np.ndarray,  # (B, W, 16)
     ts: np.ndarray,  # (B, W)
     cw_seed: np.ndarray,  # (B, 16)
     cw_t_left: np.ndarray,  # (B,)
     cw_t_right: np.ndarray,  # (B,)
-    out: tuple[np.ndarray, np.ndarray] | None = None,
     stage: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Batched :func:`repro.dpf.ggm.expand_level` with per-key corrections.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Corrected ``(left, t_left, right, t_right)`` children of a frontier.
 
-    One fused cipher pass per call; seed corrections are uint64-view
-    XORs applied in place on the cipher output.  ``out``, when given,
-    receives the interleaved children (ping-pong buffers from
-    ``_expand_to_level``).  ``stage``, when given, is a reusable
-    ``(b*w, 16)`` buffer for the contiguous cipher-input copy a
-    non-contiguous frontier needs (from :class:`ExpansionWorkspace`).
+    The batched :func:`repro.dpf.ggm.expand_level` without the
+    interleave: one fused cipher pass per call; seed corrections are
+    uint64-view XORs applied in place on the cipher output.  ``stage``,
+    when given, is a reusable ``(b*w, 16)`` buffer for the contiguous
+    cipher-input copy a non-contiguous frontier needs (from
+    :class:`ExpansionWorkspace`).  Seeds come back ``(B, W, 16)``,
+    control bits ``(B, W)``.
     """
     b, w, _ = seeds.shape
     if seeds.flags.c_contiguous:
@@ -120,16 +154,7 @@ def _expand_level_batch(
     right.view(np.uint64).reshape(b, w, 2)[:] ^= corr
     t_left = (t_left ^ (ts & cw_t_left[:, np.newaxis])).astype(np.uint8)
     t_right = (t_right ^ (ts & cw_t_right[:, np.newaxis])).astype(np.uint8)
-    if out is None:
-        out_seeds = np.empty((b, 2 * w, 16), dtype=np.uint8)
-        out_ts = np.empty((b, 2 * w), dtype=np.uint8)
-    else:
-        out_seeds, out_ts = out
-    out_seeds[:, 0::2] = left.reshape(b, w, 16)
-    out_seeds[:, 1::2] = right.reshape(b, w, 16)
-    out_ts[:, 0::2] = t_left
-    out_ts[:, 1::2] = t_right
-    return out_seeds, out_ts
+    return left.reshape(b, w, 16), t_left, right.reshape(b, w, 16), t_right
 
 
 def _leaf_values_batch(
@@ -140,7 +165,7 @@ def _leaf_values_batch(
 ) -> np.ndarray:
     """Batched :func:`repro.dpf.ggm.leaf_values` (bit-identical math)."""
     b, w, _ = seeds.shape
-    values = ggm.convert_to_u64(seeds.reshape(b * w, 16)).reshape(b, w)
+    values = ggm.convert_to_u64(seeds).reshape(b, w)
     values = values + ts.astype(np.uint64) * output_cws[:, np.newaxis]
     values[negate] = np.uint64(0) - values[negate]
     return values
@@ -171,8 +196,9 @@ class Strategy(abc.ABC):
         prf: Prf,
         meter: MemoryMeter | None = None,
         workspace: ExpansionWorkspace | None = None,
+        eval_range: tuple[int, int] | None = None,
     ) -> np.ndarray:
-        """Expand a batch of same-domain keys; ``(B, L)`` uint64 shares.
+        """Expand a batch of same-domain keys; ``(B, hi - lo)`` uint64 shares.
 
         ``keys`` is anything :meth:`KeyArena.ingest` accepts — an
         already-built arena (the serving hot path, where stacking or the
@@ -181,13 +207,34 @@ class Strategy(abc.ABC):
         keeps the ping-pong frontier buffers alive across calls; the
         returned share matrix is never workspace-backed.
 
+        ``eval_range=(lo, hi)`` returns the shares of table rows
+        ``[lo, hi)`` only, bit-identical to columns ``lo:hi`` of the
+        whole-domain matrix.  The walk keeps, at every level, only the
+        node window whose subtrees meet the range
+        (:func:`repro.dpf.ggm.level_window`), so a shard holding
+        ``hi - lo`` rows pays ``O((hi - lo) + log L)`` PRF blocks per
+        key, not ``O(L)``.  ``None`` is the window ``(0, L)`` — the same
+        traversal; on a non-power-of-two domain it already prunes the
+        subtrees past ``L``.
+
         All device-side expansion buffers are reported to ``meter``; the
         meter's ``current`` returns to zero before this method returns
         (buffers are released once the answer shares leave the device).
+
+        Raises:
+            ValueError: On a PRF mismatch, or an ``eval_range`` that is
+                empty or falls outside the keys' domain.
         """
         arena = KeyArena.ingest(keys, prf_name=prf.name)
-        meter = meter if meter is not None else MemoryMeter()
-        return self._eval(arena, prf, meter, workspace)
+        lo, hi = resolve_range(arena.domain_size, eval_range)
+        return self._eval(
+            arena,
+            prf,
+            meter if meter is not None else MemoryMeter(),
+            workspace if workspace is not None else ExpansionWorkspace(),
+            lo,
+            hi,
+        )
 
     @abc.abstractmethod
     def _eval(
@@ -195,13 +242,24 @@ class Strategy(abc.ABC):
         kb: KeyArena,
         prf: Prf,
         meter: MemoryMeter,
-        workspace: ExpansionWorkspace | None = None,
+        workspace: ExpansionWorkspace,
+        lo: int,
+        hi: int,
     ) -> np.ndarray:
-        """Strategy-specific traversal over a stacked key arena."""
+        """Strategy-specific traversal of leaves ``[lo, hi)``."""
 
     @abc.abstractmethod
-    def cost(self, batch_size: int, domain_size: int) -> StrategyCost:
-        """Analytic PRF-work and peak-memory model for one invocation."""
+    def cost(
+        self,
+        batch_size: int,
+        domain_size: int,
+        eval_range: tuple[int, int] | None = None,
+    ) -> StrategyCost:
+        """Analytic PRF-work and peak-memory model for one invocation.
+
+        Exact for any ``eval_range`` (the same window arithmetic the
+        traversal uses), so a restricted call reports its pruned count.
+        """
 
     @abc.abstractmethod
     def plan(
@@ -226,6 +284,11 @@ class Strategy(abc.ABC):
         arena instead occupies device memory for the plan's lifetime
         (``resident_bytes``), which the simulator's capacity check
         accounts for.
+
+        The plan takes no ``eval_range``: the modeled device expands
+        the whole ``2**ceil(log2 L)``-leaf tree, so the simulated
+        latency of a range-restricted request stays the full-tree price
+        even though the functional walk (and :meth:`cost`) is pruned.
         """
 
     # -- shared pieces -------------------------------------------------
@@ -258,9 +321,80 @@ class Strategy(abc.ABC):
             prf_cost=get_prf(prf_name).gpu_cost,
         )
 
-    def _alloc_root(self, kb: KeyArena, meter: MemoryMeter) -> tuple[np.ndarray, np.ndarray]:
-        seeds = meter.alloc_array(kb.roots[:, np.newaxis, :].copy())
-        ts = meter.alloc_array(kb.root_ts[:, np.newaxis].copy())
+    def _expand_window(
+        self,
+        kb: KeyArena,
+        prf: Prf,
+        meter: MemoryMeter,
+        source: tuple[np.ndarray, np.ndarray],
+        start: int,
+        stop: int,
+        lo: int,
+        hi: int,
+        workspace: ExpansionWorkspace,
+        slot: str,
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Breadth-first from level ``start`` to ``stop`` inside a window.
+
+        The one traversal every strategy goes through.  ``source`` holds
+        the ``start``-level nodes whose subtrees meet leaves ``[lo, hi)``
+        (:func:`repro.dpf.ggm.level_window`); each level expands the
+        whole frontier in one fused cipher pass and then keeps only the
+        children inside the next level's window — at most one node falls
+        off each end — so the result is exactly the ``stop``-level
+        window, in natural order.  This is
+        :func:`repro.dpf.dpf.eval_range`'s pruning done once for the
+        whole ``(B, W, 16)`` frontier; for ``(lo, hi) = (0, 2**depth)``
+        the clip is a no-op and the walk is the textbook expansion.
+
+        The frontier ping-pongs between the workspace's two buffer pairs
+        (slot ``slot``): a level reads views of one and writes prefix
+        views of the other.  For ``batch > 1`` those views are
+        non-contiguous, so the cipher stages one contiguous copy of the
+        *parent* frontier per level in the workspace's staging buffer; a
+        level-major frontier layout that removes it is future work.  The
+        meter records the *live frontier* — the copied-in source, then
+        parents plus all freshly written children at each level, the
+        clipped children released right after — which is what the
+        Figure 6 analytic model describes.
+        """
+        b = kb.batch
+        windows = _level_windows(kb.depth, start, stop, lo, hi)
+        node_lo, node_hi = windows[0]
+        # Every level writes both children of each parent before the clip.
+        cap = max([node_hi - node_lo] + [2 * (z - a) for a, z in windows[:-1]])
+        back_seeds, back_ts = workspace.frontier_pair(slot, b, cap)
+        seeds = back_seeds[0][:, : node_hi - node_lo]
+        ts = back_ts[0][:, : node_hi - node_lo]
+        seeds[:] = source[0]
+        ts[:] = source[1]
+        meter.alloc(seeds.nbytes + ts.nbytes)
+        for level, (keep_lo, keep_hi) in zip(range(start, stop), windows[1:]):
+            side = (level - start + 1) % 2
+            width = seeds.shape[1]
+            new_seeds = back_seeds[side][:, : 2 * width]
+            new_ts = back_ts[side][:, : 2 * width]
+            left, t_left, right, t_right = _expand_children_batch(
+                prf,
+                seeds,
+                ts,
+                kb.cw_seeds[:, level],
+                kb.cw_t_left[:, level],
+                kb.cw_t_right[:, level],
+                stage=workspace.stage(slot, b * width),
+            )
+            # Interleave: node j's children are nodes 2j and 2j + 1.
+            new_seeds[:, 0::2] = left
+            new_seeds[:, 1::2] = right
+            new_ts[:, 0::2] = t_left
+            new_ts[:, 1::2] = t_right
+            meter.alloc_arrays(new_seeds, new_ts)
+            meter.free_arrays(seeds, ts)
+            # The children are nodes [2 * node_lo, 2 * node_lo + 2 * width).
+            seeds = new_seeds[:, keep_lo - 2 * node_lo : keep_hi - 2 * node_lo]
+            ts = new_ts[:, keep_lo - 2 * node_lo : keep_hi - 2 * node_lo]
+            meter.free(NODE_BYTES * b * (2 * width - (keep_hi - keep_lo)))
+            node_lo = keep_lo
         return seeds, ts
 
     def _expand_to_level(
@@ -268,76 +402,36 @@ class Strategy(abc.ABC):
         kb: KeyArena,
         prf: Prf,
         meter: MemoryMeter,
-        stop_level: int,
-        workspace: ExpansionWorkspace | None = None,
-        slot: str = "frontier",
+        stop: int,
+        lo: int,
+        hi: int,
+        workspace: ExpansionWorkspace,
     ) -> tuple[np.ndarray, np.ndarray]:
-        """Breadth-first expansion of the batch down to ``stop_level``.
-
-        The growing frontier ping-pongs between two preallocated buffer
-        pairs (level ``l`` reads one and writes prefix views of the
-        other), replacing the old per-level frontier allocations.  With
-        a ``workspace`` the buffer pairs (slot ``slot``) and the cipher
-        staging copy persist across calls instead of being reallocated
-        per batch.  For
-        ``batch > 1`` the prefix view is non-contiguous, so the cipher
-        still stages one contiguous copy of the *parent* frontier per
-        level inside ``_expand_level_batch`` — equivalent to the
-        pre-existing staging cost, not an extra one; a level-major
-        frontier layout that removes it is future work.  The meter
-        records the *live frontier* byte counts — parents plus freshly
-        written children at each level — which is what the Figure 6
-        analytic model describes.
-        """
-        if stop_level == 0:
-            return self._alloc_root(kb, meter)
-        b, cap = kb.batch, 1 << stop_level
-        if workspace is not None:
-            back_seeds, back_ts = workspace.frontier_pair(slot, b, cap)
-        else:
-            back_seeds = (
-                np.empty((b, cap, 16), dtype=np.uint8),
-                np.empty((b, cap, 16), dtype=np.uint8),
-            )
-            back_ts = (
-                np.empty((b, cap), dtype=np.uint8),
-                np.empty((b, cap), dtype=np.uint8),
-            )
-        seeds = back_seeds[0][:, :1]
-        ts = back_ts[0][:, :1]
-        seeds[:] = kb.roots[:, np.newaxis, :]
-        ts[:] = kb.root_ts[:, np.newaxis]
-        meter.alloc(seeds.nbytes + ts.nbytes)
-        for level in range(stop_level):
-            side = (level + 1) % 2
-            width = 2 << level
-            new_seeds = back_seeds[side][:, :width]
-            new_ts = back_ts[side][:, :width]
-            stage = None
-            if workspace is not None:
-                stage = workspace.stage(slot, b * (width >> 1))
-            _expand_level_batch(
-                prf,
-                seeds,
-                ts,
-                kb.cw_seeds[:, level],
-                kb.cw_t_left[:, level],
-                kb.cw_t_right[:, level],
-                out=(new_seeds, new_ts),
-                stage=stage,
-            )
-            meter.alloc_arrays(new_seeds, new_ts)
-            meter.free_arrays(seeds, ts)
-            seeds, ts = new_seeds, new_ts
-        return seeds, ts
+        """:meth:`_expand_window` from the batch's roots down to ``stop``."""
+        roots = (kb.roots[:, np.newaxis, :], kb.root_ts[:, np.newaxis])
+        return self._expand_window(
+            kb, prf, meter, roots, 0, stop, lo, hi, workspace, "frontier"
+        )
 
     @staticmethod
-    def _bfs_peak_bytes(batch_size: int, depth: int) -> int:
-        """Peak metered bytes of `_expand_to_level(..., depth)` alone."""
-        if depth == 0:
-            return NODE_BYTES * batch_size
-        # Parent frontier plus freshly-allocated children at the last level.
-        return NODE_BYTES * batch_size * (2 ** (depth - 1) + 2**depth)
+    def _window_blocks(depth: int, lo: int, hi: int) -> int:
+        """PRF blocks of one key's windowed walk: two per expanded node.
+
+        ``sum_l 2 * width(l)`` over the parent levels ``l < depth`` —
+        ``2 * (2**depth - 1)`` for the whole power-of-two tree.
+        """
+        return 2 * sum(_window_widths(depth, 0, depth, lo, hi)[:-1])
+
+    @staticmethod
+    def _bfs_peak_bytes(
+        batch_size: int, depth: int, start: int, stop: int, lo: int, hi: int
+    ) -> int:
+        """Peak metered bytes of one :meth:`_expand_window` call alone."""
+        widths = _window_widths(depth, start, stop, lo, hi)
+        if start == stop:
+            return NODE_BYTES * batch_size * widths[0]
+        # The widest parent frontier plus both children of each parent.
+        return NODE_BYTES * batch_size * 3 * max(widths[:-1])
 
 
 _REGISTRY: dict[str, type[Strategy]] = {}
@@ -389,19 +483,23 @@ class BranchParallel(Strategy):
         kb: KeyArena,
         prf: Prf,
         meter: MemoryMeter,
-        workspace: ExpansionWorkspace | None = None,
+        workspace: ExpansionWorkspace,
+        lo: int,
+        hi: int,
     ) -> np.ndarray:
         # No ping-pong frontier to reuse: every level's children come
         # straight out of the cipher, so the workspace is unused here.
-        b, n, domain = kb.batch, kb.depth, kb.domain_size
-        leaf_idx = np.arange(domain, dtype=np.int64)
+        b, n = kb.batch, kb.depth
+        # One lane per leaf of the window; pruning is just fewer lanes.
+        leaf_idx = np.arange(*ggm.level_window(n, n, lo, hi), dtype=np.int64)
+        width = leaf_idx.shape[0]
         seeds = meter.alloc_array(
-            np.broadcast_to(kb.roots[:, np.newaxis, :], (b, domain, 16)).copy()
+            np.broadcast_to(kb.roots[:, np.newaxis, :], (b, width, 16)).copy()
         )
-        ts = meter.alloc_array(np.broadcast_to(kb.root_ts[:, np.newaxis], (b, domain)).copy())
+        ts = meter.alloc_array(np.broadcast_to(kb.root_ts[:, np.newaxis], (b, width)).copy())
         for level in range(n):
             bits = ((leaf_idx >> (n - 1 - level)) & 1).astype(np.uint8)
-            flat = seeds.reshape(b * domain, 16)
+            flat = seeds.reshape(b * width, 16)
             children = np.empty_like(flat)
             go_left = np.tile(bits == 0, b)
             if go_left.any():
@@ -409,14 +507,14 @@ class BranchParallel(Strategy):
             go_right = ~go_left
             if go_right.any():
                 children[go_right] = prf.expand(flat[go_right], 1)
-            meter.alloc(children.nbytes + b * domain)
-            child_ts = (children[:, 0] & 1).reshape(b, domain)
-            children = children.reshape(b, domain, 16)
+            meter.alloc(children.nbytes + b * width)
+            child_ts = (children[:, 0] & 1).reshape(b, width)
+            children = children.reshape(b, width, 16)
             corr = (
                 seeds_to_u64(kb.cw_seeds[:, level])[:, np.newaxis, :]
                 * ts.astype(np.uint64)[:, :, np.newaxis]
             )
-            children.view(np.uint64).reshape(b, domain, 2)[:] ^= corr
+            children.view(np.uint64).reshape(b, width, 2)[:] ^= corr
             cw_t = np.where(
                 bits[np.newaxis, :] == 0,
                 kb.cw_t_left[:, level][:, np.newaxis],
@@ -429,16 +527,22 @@ class BranchParallel(Strategy):
         meter.free_arrays(seeds, ts)
         return values
 
-    def cost(self, batch_size: int, domain_size: int) -> StrategyCost:
+    def cost(
+        self,
+        batch_size: int,
+        domain_size: int,
+        eval_range: tuple[int, int] | None = None,
+    ) -> StrategyCost:
         n = self._depth(domain_size)
-        peak = NODE_BYTES * batch_size * domain_size * (2 if n >= 1 else 1)
+        lo, hi = resolve_range(domain_size, eval_range)
+        lanes = batch_size * (hi - lo)
         return StrategyCost(
             strategy=self.name,
             batch_size=batch_size,
             domain_size=domain_size,
-            prf_blocks=batch_size * domain_size * n,
-            peak_mem_bytes=peak,
-            parallel_width=batch_size * domain_size,
+            prf_blocks=lanes * n,
+            peak_mem_bytes=NODE_BYTES * lanes * (2 if n >= 1 else 1),
+            parallel_width=lanes,
         )
 
     def plan(
@@ -493,28 +597,35 @@ class LevelByLevel(Strategy):
         kb: KeyArena,
         prf: Prf,
         meter: MemoryMeter,
-        workspace: ExpansionWorkspace | None = None,
+        workspace: ExpansionWorkspace,
+        lo: int,
+        hi: int,
     ) -> np.ndarray:
-        seeds, ts = self._expand_to_level(kb, prf, meter, kb.depth, workspace)
+        seeds, ts = self._expand_to_level(kb, prf, meter, kb.depth, lo, hi, workspace)
         values = _leaf_values_batch(seeds, ts, kb.output_cws, kb.negate)
         meter.alloc_array(values)  # unfused: shares are materialized
         meter.free_arrays(seeds, ts)
-        result = values[:, : kb.domain_size].copy() if kb.domain_size < values.shape[1] else values
         meter.free_array(values)
-        return result
+        return values
 
-    def cost(self, batch_size: int, domain_size: int) -> StrategyCost:
+    def cost(
+        self,
+        batch_size: int,
+        domain_size: int,
+        eval_range: tuple[int, int] | None = None,
+    ) -> StrategyCost:
         n = self._depth(domain_size)
-        leaves = 2**n
+        lo, hi = resolve_range(domain_size, eval_range)
+        leaves = hi - lo
         peak = max(
-            self._bfs_peak_bytes(batch_size, n),
+            self._bfs_peak_bytes(batch_size, n, 0, n, lo, hi),
             NODE_BYTES * batch_size * leaves + 8 * batch_size * leaves,
         )
         return StrategyCost(
             strategy=self.name,
             batch_size=batch_size,
             domain_size=domain_size,
-            prf_blocks=batch_size * (2 ** (n + 1) - 2),
+            prf_blocks=batch_size * self._window_blocks(n, lo, hi),
             peak_mem_bytes=peak,
             parallel_width=batch_size * leaves,
         )
@@ -559,7 +670,8 @@ class LevelByLevel(Strategy):
         )
         return KernelPlan(
             phases=phases,
-            peak_mem_bytes=self.cost(batch_size, table_entries).peak_mem_bytes,
+            # The modeled device materializes the whole 2**n-leaf tree.
+            peak_mem_bytes=self.cost(batch_size, leaves).peak_mem_bytes,
             **self._plan_common(
                 batch_size, table_entries, entry_bytes, prf_name, resident_keys
             ),
@@ -578,8 +690,13 @@ class MemoryBoundedTree(Strategy):
     per query, and the leaf shares feed the table dot product in
     registers (fused — the paper's Table 4 kernel).
 
-    Subtrees that lie entirely outside a non-power-of-two domain are
-    never traversed.
+    Only the lanes whose subtrees meet the evaluated rows are started
+    (none past the end of a non-power-of-two domain), and inside the
+    lockstep walk the first and the last lane sit out the nodes that
+    fall outside the window, so the work is the windowed walk's exactly.
+    The meter charges each started lane its whole ``d``-deep stack of
+    sibling pairs for the length of the walk, as a device kernel
+    reserving per-lane local memory would.
 
     Args:
         log_subtrees: log2 of the per-query subtree count K (clamped to
@@ -607,76 +724,84 @@ class MemoryBoundedTree(Strategy):
         kb: KeyArena,
         prf: Prf,
         meter: MemoryMeter,
-        workspace: ExpansionWorkspace | None = None,
+        workspace: ExpansionWorkspace,
+        lo: int,
+        hi: int,
     ) -> np.ndarray:
-        b, domain = kb.batch, kb.domain_size
-        k, d, active = self._split(domain)
-        seeds, ts = self._expand_to_level(kb, prf, meter, k, workspace)
-        if active < seeds.shape[1]:
-            lane_seeds = seeds[:, :active].copy()
-            lane_ts = ts[:, :active].copy()
-            meter.alloc(lane_seeds.nbytes + lane_ts.nbytes)
-            meter.free_arrays(seeds, ts)
-        else:
-            lane_seeds, lane_ts = seeds, ts
+        b, n = kb.batch, kb.depth
+        k, d, _ = self._split(kb.domain_size)
+        lane_seeds, lane_ts = self._expand_to_level(kb, prf, meter, k, lo, hi, workspace)
+        first_lane, _ = ggm.level_window(n, k, lo, hi)
+        # Each lane owns a d-deep stack of sibling pairs for the whole
+        # walk, whether or not the window keeps it busy at every node.
+        stack_bytes = 2 * d * (lane_seeds.nbytes + lane_ts.nbytes)
+        meter.alloc(stack_bytes)
+        out = np.empty((b, hi - lo), dtype=np.uint64)
 
-        out = np.empty((b, active, 2**d), dtype=np.uint64)
-        cw64_l = [
-            seeds_to_u64(np.repeat(kb.cw_seeds[:, k + j], active, axis=0))
-            for j in range(d)
-        ]
-        cw_tl_l = [np.repeat(kb.cw_t_left[:, k + j], active) for j in range(d)]
-        cw_tr_l = [np.repeat(kb.cw_t_right[:, k + j], active) for j in range(d)]
-        next_leaf = [0]
-
-        def emit(seeds_f: np.ndarray, ts_f: np.ndarray) -> None:
-            values = ggm.convert_to_u64(seeds_f).reshape(b, active)
-            values = values + ts_f.reshape(b, active).astype(np.uint64) * kb.output_cws[
-                :, np.newaxis
-            ]
-            values[kb.negate] = np.uint64(0) - values[kb.negate]
-            out[:, :, next_leaf[0]] = values
-            next_leaf[0] += 1
-
-        def descend(seeds_f: np.ndarray, ts_f: np.ndarray, level: int) -> None:
-            if level == d:
-                emit(seeds_f, ts_f)
+        def descend(
+            seeds: np.ndarray, ts: np.ndarray, j: int, first: int, path: int
+        ) -> None:
+            """Lanes ``first..`` in lockstep at subtree node ``path`` of level ``j``."""
+            if j == d:
+                # Lane i's leaf is table row (i << d) + path.
+                out[:, (first << d) + path - lo :: 1 << d] = _leaf_values_batch(
+                    seeds, ts, kb.output_cws, kb.negate
+                )
                 return
-            left, right = prf.expand_pair(seeds_f)
-            t_left = left[:, 0] & 1
-            t_right = right[:, 0] & 1
-            corr = cw64_l[level] * ts_f.astype(np.uint64)[:, np.newaxis]
-            left = np.ascontiguousarray(left)
-            right = np.ascontiguousarray(right)
-            left.view(np.uint64)[:] ^= corr
-            right.view(np.uint64)[:] ^= corr
-            t_left = (t_left ^ (ts_f & cw_tl_l[level])).astype(np.uint8)
-            t_right = (t_right ^ (ts_f & cw_tr_l[level])).astype(np.uint8)
-            meter.alloc(left.nbytes + t_left.nbytes + right.nbytes + t_right.nbytes)
-            descend(left, t_left, level + 1)
-            meter.free(left.nbytes + t_left.nbytes)
-            descend(right, t_right, level + 1)
-            meter.free(right.nbytes + t_right.nbytes)
+            level = k + j
+            left, t_left, right, t_right = _expand_children_batch(
+                prf,
+                seeds,
+                ts,
+                kb.cw_seeds[:, level],
+                kb.cw_t_left[:, level],
+                kb.cw_t_right[:, level],
+            )
+            keep_lo, keep_hi = ggm.level_window(n, level + 1, lo, hi)
+            lanes = seeds.shape[1]
+            for child_path, child, child_ts in (
+                (2 * path, left, t_left),
+                (2 * path + 1, right, t_right),
+            ):
+                # Lane i's child is node (i << (j + 1)) + child_path, so
+                # only the first and the last lane can leave the window.
+                first_node = (first << (j + 1)) + child_path
+                last_node = ((first + lanes - 1) << (j + 1)) + child_path
+                skip = int(first_node < keep_lo)
+                stop = lanes - int(last_node >= keep_hi)
+                if skip < stop:
+                    descend(
+                        child[:, skip:stop],
+                        child_ts[:, skip:stop],
+                        j + 1,
+                        first + skip,
+                        child_path,
+                    )
 
-        descend(lane_seeds.reshape(b * active, 16), lane_ts.reshape(b * active), 0)
+        descend(lane_seeds, lane_ts, 0, first_lane, 0)
+        meter.free(stack_bytes)
         meter.free_arrays(lane_seeds, lane_ts)
-        flat = out.reshape(b, active * 2**d)
-        return flat[:, :domain].copy() if domain < flat.shape[1] else flat
+        return out
 
-    def cost(self, batch_size: int, domain_size: int) -> StrategyCost:
-        k, d, active = self._split(domain_size)
-        lanes = batch_size * active
-        candidates = [self._bfs_peak_bytes(batch_size, k)]
-        if active < 2**k:
-            candidates.append(NODE_BYTES * batch_size * (2**k + active))
-        candidates.append(NODE_BYTES * lanes * (1 + 2 * d))
-        blocks = batch_size * (2 ** (k + 1) - 2) + 2 * lanes * (2**d - 1)
+    def cost(
+        self,
+        batch_size: int,
+        domain_size: int,
+        eval_range: tuple[int, int] | None = None,
+    ) -> StrategyCost:
+        k, d, _ = self._split(domain_size)
+        lo, hi = resolve_range(domain_size, eval_range)
+        lanes = batch_size * _window_widths(k + d, k, k, lo, hi)[0]
+        peak = max(
+            self._bfs_peak_bytes(batch_size, k + d, 0, k, lo, hi),
+            NODE_BYTES * lanes * (1 + 2 * d),
+        )
         return StrategyCost(
             strategy=self.name,
             batch_size=batch_size,
             domain_size=domain_size,
-            prf_blocks=blocks,
-            peak_mem_bytes=max(candidates),
+            prf_blocks=batch_size * self._window_blocks(k + d, lo, hi),
+            peak_mem_bytes=peak,
             parallel_width=lanes,
         )
 
@@ -770,76 +895,76 @@ class CooperativeGroups(Strategy):
         kb: KeyArena,
         prf: Prf,
         meter: MemoryMeter,
-        workspace: ExpansionWorkspace | None = None,
+        workspace: ExpansionWorkspace,
+        lo: int,
+        hi: int,
     ) -> np.ndarray:
-        b, domain = kb.batch, kb.domain_size
-        m, t, active = self._split(domain)
-        frontier_seeds, frontier_ts = self._expand_to_level(kb, prf, meter, m, workspace)
-        out = np.empty((b, active * 2**t), dtype=np.uint64)
-        # Double-buffered tile expansion: the same two buffer pairs are
-        # reused for every tile and every level within a tile.  The
-        # "tile" workspace slot is distinct from the "frontier" slot the
-        # expansion above used, because the frontier views stay live
-        # across the whole tile loop.
-        tile_cap = 2**t
-        if workspace is not None:
-            tile_seeds, tile_ts = workspace.frontier_pair("tile", b, tile_cap)
-        else:
-            tile_seeds = (
-                np.empty((b, tile_cap, 16), dtype=np.uint8),
-                np.empty((b, tile_cap, 16), dtype=np.uint8),
+        b, n = kb.batch, kb.depth
+        m, t, _ = self._split(kb.domain_size)
+        frontier_seeds, frontier_ts = self._expand_to_level(
+            kb, prf, meter, m, lo, hi, workspace
+        )
+        first_tile, end_tile = ggm.level_window(n, m, lo, hi)
+        out = np.empty((b, hi - lo), dtype=np.uint64)
+        # Double-buffered tile expansion: the "tile" workspace slot is
+        # reused for every tile and every level within a tile, and is
+        # distinct from the "frontier" slot because the frontier views
+        # stay live across the whole tile loop.
+        for tile in range(first_tile, end_tile):
+            tile_lo, tile_hi = self._tile_rows(tile, t, lo, hi)
+            index = tile - first_tile
+            seeds, ts = self._expand_window(
+                kb,
+                prf,
+                meter,
+                (frontier_seeds[:, index : index + 1], frontier_ts[:, index : index + 1]),
+                m,
+                n,
+                tile_lo,
+                tile_hi,
+                workspace,
+                "tile",
             )
-            tile_ts = (
-                np.empty((b, tile_cap), dtype=np.uint8),
-                np.empty((b, tile_cap), dtype=np.uint8),
+            out[:, tile_lo - lo : tile_hi - lo] = _leaf_values_batch(
+                seeds, ts, kb.output_cws, kb.negate
             )
-        for tile in range(active):
-            seeds = tile_seeds[0][:, :1]
-            ts = tile_ts[0][:, :1]
-            seeds[:] = frontier_seeds[:, tile : tile + 1]
-            ts[:] = frontier_ts[:, tile : tile + 1]
-            meter.alloc(seeds.nbytes + ts.nbytes)
-            for j in range(t):
-                level = m + j
-                side = (j + 1) % 2
-                width = 2 << j
-                new_seeds = tile_seeds[side][:, :width]
-                new_ts = tile_ts[side][:, :width]
-                stage = None
-                if workspace is not None:
-                    stage = workspace.stage("tile", b * (width >> 1))
-                _expand_level_batch(
-                    prf,
-                    seeds,
-                    ts,
-                    kb.cw_seeds[:, level],
-                    kb.cw_t_left[:, level],
-                    kb.cw_t_right[:, level],
-                    out=(new_seeds, new_ts),
-                    stage=stage,
-                )
-                meter.alloc_arrays(new_seeds, new_ts)
-                meter.free_arrays(seeds, ts)
-                seeds, ts = new_seeds, new_ts
-            values = _leaf_values_batch(seeds, ts, kb.output_cws, kb.negate)
-            out[:, tile * 2**t : (tile + 1) * 2**t] = values
             meter.free_arrays(seeds, ts)
         meter.free_arrays(frontier_seeds, frontier_ts)
-        return out[:, :domain].copy() if domain < out.shape[1] else out
+        return out
 
-    def cost(self, batch_size: int, domain_size: int) -> StrategyCost:
-        m, t, active = self._split(domain_size)
-        frontier = NODE_BYTES * batch_size * 2**m
-        tile_peak = self._bfs_peak_bytes(batch_size, t)
-        peak = max(self._bfs_peak_bytes(batch_size, m), frontier + tile_peak)
-        blocks = batch_size * (2 ** (m + 1) - 2) + active * batch_size * 2 * (2**t - 1)
+    @staticmethod
+    def _tile_rows(tile: int, t: int, lo: int, hi: int) -> tuple[int, int]:
+        """The rows of ``[lo, hi)`` inside tile ``tile`` of ``2**t`` leaves."""
+        return max(lo, tile << t), min(hi, (tile + 1) << t)
+
+    def cost(
+        self,
+        batch_size: int,
+        domain_size: int,
+        eval_range: tuple[int, int] | None = None,
+    ) -> StrategyCost:
+        m, t, _ = self._split(domain_size)
+        n = m + t
+        lo, hi = resolve_range(domain_size, eval_range)
+        first_tile, end_tile = ggm.level_window(n, m, lo, hi)
+        tiles = end_tile - first_tile
+        # Only the two edge tiles can be clipped; every tile between
+        # them is whole, so three candidates bound the tile peak.
+        tile_peak = max(
+            self._bfs_peak_bytes(batch_size, n, m, n, *self._tile_rows(tile, t, lo, hi))
+            for tile in {first_tile, min(first_tile + 1, end_tile - 1), end_tile - 1}
+        )
+        peak = max(
+            self._bfs_peak_bytes(batch_size, n, 0, m, lo, hi),
+            NODE_BYTES * batch_size * tiles + tile_peak,
+        )
         return StrategyCost(
             strategy=self.name,
             batch_size=batch_size,
             domain_size=domain_size,
-            prf_blocks=blocks,
+            prf_blocks=batch_size * self._window_blocks(n, lo, hi),
             peak_mem_bytes=peak,
-            parallel_width=batch_size * active * 2**t,
+            parallel_width=batch_size * tiles * 2**t,
         )
 
     def plan(

@@ -7,9 +7,13 @@ real deployment needs (ROADMAP: scale-out serving):
 * **Sharding** — :class:`ShardedPirServer` splits the domain into N
   contiguous sub-ranges (:func:`shard_ranges`).  Each shard holds only
   its ``[lo, hi)`` slice of the table and evaluates each DPF key over
-  exactly that range (:meth:`~repro.exec.EvalRequest.restrict`, which
-  bottoms out in the pruned-frontier :func:`repro.dpf.dpf.eval_range`
-  walk on the reference path), answering the *partial* dot product
+  exactly that range (:meth:`~repro.exec.EvalRequest.restrict`): every
+  backend walks only the GGM node window whose subtrees meet
+  ``[lo, hi)`` — ``O((hi - lo) + log L)`` PRF blocks per key, batched
+  in :meth:`Strategy.eval_batch <repro.gpu.strategies.Strategy
+  .eval_batch>` and per key in :func:`repro.dpf.dpf.eval_range` — so N
+  shards together do one tree's worth of cipher work, not N, answering
+  the *partial* dot product
   ``sum_{i in [lo, hi)} share_k[i] * table[i] (mod 2^64)``.  The
   front-end recombines by modular addition: the full dot product is a
   sum over disjoint row ranges, so summing the shards' partials in the
@@ -362,6 +366,7 @@ class ReplicaSet:
         self.plan_cache = plan_cache
         self.stats = ShardStats()
         self._cursor = 0
+        self._tables: dict[int, np.ndarray] = {}
 
     # -- tables (installed by the owning ShardedPirServer) -------------
 
@@ -381,7 +386,6 @@ class ReplicaSet:
                 f"shard {self.shard_index} serves {self.entries} rows but "
                 f"the epoch-{epoch} slice carries {table_slice.shape}"
             )
-        self._tables = getattr(self, "_tables", {})
         self._tables[epoch] = table_slice
         for replica in self.replicas:
             install = getattr(replica.backend, "install_table", None)

@@ -405,9 +405,8 @@ class TestRunCase:
     def test_verification_catches_divergence(self, monkeypatch):
         from repro.gpu.strategies import LevelByLevel
 
-        def broken_eval(self, kb, prf, meter, workspace=None):
-            good = LevelByLevel._eval_orig(self, kb, prf, meter, workspace)
-            return good + np.uint64(1)
+        def broken_eval(self, *args):
+            return LevelByLevel._eval_orig(self, *args) + np.uint64(1)
 
         monkeypatch.setattr(
             LevelByLevel, "_eval_orig", LevelByLevel._eval, raising=False

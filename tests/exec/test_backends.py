@@ -11,11 +11,14 @@ import numpy as np
 import pytest
 
 from repro.crypto import get_prf
+from repro.crypto.prf import CountingPrf
 from repro.dpf import eval_full, gen, pack_keys
 from repro.exec import (
     EvalRequest,
     ExecutionBackend,
     MultiGpuBackend,
+    MultiProcessBackend,
+    PlanCache,
     SimulatedBackend,
     SingleGpuBackend,
     merged_cost,
@@ -132,6 +135,20 @@ class TestRangeRestriction:
         assert result.answers.shape == (BATCH, hi - lo)
         assert np.array_equal(result.answers, expected[:, lo:hi])
 
+    @pytest.mark.parametrize("lo,hi", [(0, 67), (37, 151), (199, 200)])
+    def test_restricted_run_through_the_plan_cache(
+        self, backend_name, lo, hi, reference
+    ):
+        """The serving path: a hit and a miss both run the pruned walk."""
+        keys, prf, expected = reference
+        backend = BACKEND_FACTORIES[backend_name]()
+        cache = PlanCache()
+        request = EvalRequest(keys=keys, prf_name=prf.name).restrict(lo, hi)
+        for _ in range(2):
+            result = cache.run(backend, request)
+            assert np.array_equal(result.answers, expected[:, lo:hi])
+        assert (cache.stats.misses, cache.stats.hits) == (1, 1)
+
     def test_full_range_restriction_is_identity(self, backend_name, reference):
         keys, prf, expected = reference
         request = EvalRequest(keys=keys, prf_name=prf.name).restrict(0, DOMAIN)
@@ -152,6 +169,45 @@ class TestRangeRestriction:
         for lo, hi in ((5, 5), (-1, 3), (0, DOMAIN + 1), (DOMAIN, DOMAIN)):
             with pytest.raises(ValueError, match="sub-range"):
                 request.restrict(lo, hi)
+
+
+class TestRestrictedCost:
+    """A restricted run reports the work it did, not the full tree's."""
+
+    @pytest.mark.parametrize("lo,hi", [(0, 67), (37, 151), (199, 200)])
+    def test_single_gpu_cost_is_the_pruned_count(self, lo, hi, reference):
+        keys, prf, _ = reference
+        request = EvalRequest(keys=keys, prf_name=prf.name)
+        backend = SingleGpuBackend()
+        full = backend.run(request).cost
+        restricted = backend.run(request.restrict(lo, hi)).cost
+        strategy = get_strategy(restricted.strategy)
+        counting = CountingPrf(prf)
+        strategy.eval_batch(keys, counting, eval_range=(lo, hi))
+        assert restricted.prf_blocks == counting.blocks < full.prf_blocks
+        assert restricted.peak_mem_bytes <= full.peak_mem_bytes
+
+    def test_multi_gpu_and_simulated_cost_the_range_too(self, reference):
+        keys, prf, _ = reference
+        request = EvalRequest(keys=keys, prf_name=prf.name)
+        for backend in (MultiGpuBackend([V100, V100]), SimulatedBackend()):
+            full = backend.run(request).cost.prf_blocks
+            assert backend.run(request.restrict(37, 151)).cost.prf_blocks < full
+
+    def test_worker_pool_partials_equal_the_restricted_dot(self, reference):
+        """``run_combined``: each worker re-restricts to its own rows of
+        the installed slice, so the pool's partial is the single-process
+        restricted answers dotted with that slice."""
+        keys, prf, expected = reference
+        table = np.random.default_rng(3).integers(
+            0, 1 << 64, size=DOMAIN, dtype=np.uint64
+        )
+        request = EvalRequest(keys=keys, prf_name=prf.name).restrict(37, 151)
+        with MultiProcessBackend(workers=2) as pool:
+            pool.install_table(0, 37, table[37:151])
+            partial = pool.run_combined(request, 0)
+            assert np.array_equal(pool.run(request).answers, expected[:, 37:151])
+        assert np.array_equal(partial, expected[:, 37:151] @ table[37:151])
 
 
 class TestMergedCost:

@@ -29,6 +29,7 @@ from repro.serve import (
     FlakyBackend,
     HEALTHY,
     PROBATION,
+    ReplicaSet,
     RetryPolicy,
     ShardUnavailable,
     ShardedPirServer,
@@ -545,3 +546,15 @@ class TestServerSurface:
         assert np.array_equal(server.epoch_table(0), table)
         assert np.array_equal(server.epoch_table(1), new_table)
         assert server.epoch == 1
+
+    def test_replica_set_without_an_epoch_fails_typed(self):
+        """A set nobody installed a slice on answers with the KeyError
+        its docstring promises (it used to be an AttributeError, from a
+        table map created lazily by the first ``install_epoch``)."""
+        replicas = ReplicaSet(0, 0, DOMAIN, [BACKEND_FACTORIES["single_gpu"]()])
+        replicas.drop_epoch(0)  # nothing installed: a no-op, not a crash
+        request = PirServer(_table(), prf_name=PRF).parse_query(
+            _client().query([1]).requests[0]
+        )[1]
+        with pytest.raises(KeyError):
+            replicas.answer(request, epoch=0)

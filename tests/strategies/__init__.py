@@ -14,6 +14,7 @@ from tests.strategies.dpf import (
     domain_sizes,
     dpf_cases,
     fast_prf_names,
+    key_ranges,
     prf_names,
     rng_seeds,
 )
@@ -30,6 +31,7 @@ __all__ = [
     "domain_sizes",
     "dpf_cases",
     "fast_prf_names",
+    "key_ranges",
     "prf_names",
     "rng_seeds",
 ]

@@ -43,6 +43,29 @@ def domain_sizes(max_size: int = MAX_DOMAIN) -> st.SearchStrategy[int]:
     )
 
 
+AWKWARD_DOMAINS = (1, 2, 3, 5, 7, 13, 15, 17, 31, 33, 63, 65, 127, 129, 251, 255, 256)
+"""Where window arithmetic breaks: 1, 2, primes and ``2^k +- 1``."""
+
+
+@st.composite
+def key_ranges(draw, max_domain: int = MAX_DOMAIN) -> tuple[int, int, int]:
+    """``(domain_size, lo, hi)`` with ``0 <= lo < hi <= domain_size``.
+
+    Domains skew toward :data:`AWKWARD_DOMAINS`; ranges skew toward the
+    edges of the domain (a shard's first and last rows) and toward the
+    one-row window.
+    """
+    domain = draw(
+        st.one_of(
+            st.sampled_from([d for d in AWKWARD_DOMAINS if d <= max_domain]),
+            st.integers(min_value=1, max_value=max_domain),
+        )
+    )
+    lo = draw(st.one_of(st.just(0), st.integers(0, domain - 1)))
+    hi = draw(st.one_of(st.just(lo + 1), st.just(domain), st.integers(lo + 1, domain)))
+    return domain, lo, hi
+
+
 def alphas_for_domain(domain_size: int) -> st.SearchStrategy[int]:
     """Valid secret indices for a given table size."""
     return st.integers(min_value=0, max_value=domain_size - 1)
