@@ -10,22 +10,39 @@ state viewed as four little-endian uint32 columns (byte ``j`` of column
 word ``c`` is state row ``j``), SubBytes + ShiftRows + MixColumns
 collapse into table lookups.  Writing ``S`` for the S-box and ``2S``,
 ``3S`` for its GF(2^8) multiples, ``T0[x] = 2S | S<<8 | S<<16 | 3S<<24``
-and ``Tk = rotl32(T0, 8k)``; after applying the ShiftRows byte
-permutation to the state, round output column ``c`` is::
+and ``Tk = rotl32(T0, 8k)``; round output column ``c`` is::
 
-    T0[b0(p[c])] ^ T1[b1(p[c])] ^ T2[b2(p[c])] ^ T3[b3(p[c])] ^ rk[c]
+    T0[b0(s[c])] ^ T1[b1(s[c+1])] ^ T2[b2(s[c+2])] ^ T3[b3(s[c+3])] ^ rk[c]
 
-Because the four byte indices then all come from the *same* permuted
-column, adjacent byte pairs form 16-bit indices into two fused
-65536-entry tables ``T01[b0|b1<<8] = T0[b0]^T1[b1]`` and ``T23`` —
-halving the gather count per round.  A grow-on-demand scratch
-workspace (one per thread) keeps the nine rounds free of per-call
-allocations; this matters because the DPF expansion calls the cipher
-once per tree level with geometrically growing batches.  The
-workspace is thread-*local* because overlapped serving
+(column indices mod 4: ShiftRows is the ``+j`` in row ``j``).  Adjacent
+byte pairs index two fused 65536-entry tables
+``T01[b0|b1<<8] = T0[b0]^T1[b1]`` and ``T23`` likewise, halving the
+gather count per round.
+
+The state is held **column-planar**: ``k`` blocks are four contiguous
+``(k,)`` uint32 rows of one ``(5, k)`` buffer whose row 4 repeats row
+0, so "column ``c+1``" is the contiguous row slice ``s[1:5]`` and
+ShiftRows costs no data movement at all.  One masked merge,
+``w[c] = s[c] & 0x00FF00FF | s[c+1] & 0xFF00FF00``, carries both pair
+indices: its low half is the ``T01`` index of output column ``c`` and
+its high half ``b2(s[c]) | b3(s[c+1])<<8`` is the ``T23`` index of
+output column ``c-2``, so the second gather's rows are combined two
+columns over.  The last round (no MixColumns) is the same loop body
+over one table of paired S-box bytes, its high gather shifted into the
+upper half-word.
+
+All ten rounds run over **fixed chunks** of :data:`_CHUNK` blocks.  A
+chunk's scratch (~400 KB, :class:`_Scratch`) plus the two 256 KB pair
+tables stay resident in a per-core L2 at any call size, which is what
+keeps ns/block flat from a few thousand blocks to millions; the DPF
+expansion calls the cipher once per tree level with geometrically
+growing batches, so both ends of that range are on the serving path.
+The scratch is thread-*local* because overlapped serving
 (``AsyncPirServer(overlap=True)``) runs each party's dispatch on its
-own executor thread — a shared workspace would let two concurrent
-expansions scribble over each other's round state.
+own executor thread and two concurrent expansions must not share round
+state.  The first AddRoundKey is a parameter (*whitening*): the MMO
+tweak of :class:`Aes128` is folded into it, so the fused PRG encrypts
+both tweaked copies of its seeds without ever materialising them.
 
 The pre-T-table byte pipeline (SubBytes/ShiftRows/MixColumns as
 separate numpy passes) is retained as
@@ -109,68 +126,61 @@ def _build_t_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
 T0, T1, T2, T3 = _build_t_tables()
 
 
-def _build_pair_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Fuse the T-tables pairwise over 16-bit byte-pair indices."""
+def _build_pair_tables() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """The (low-pair, high-pair) gather tables of each of the ten rounds.
+
+    Rounds 1-9 fuse the T-tables pairwise over 16-bit byte-pair indices.
+    The final round has no MixColumns: both its gathers read one table
+    of paired S-box bytes.
+    """
     pair = np.arange(65536)
     lo, hi = pair & 0xFF, pair >> 8
     s = SBOX.astype(np.uint32)
-    # Final round has no MixColumns: just paired S-box substitutions.
     fs = s[lo] | (s[hi] << np.uint32(8))
-    return T0[lo] ^ T1[hi], T2[lo] ^ T3[hi], fs
+    mix = (T0[lo] ^ T1[hi], T2[lo] ^ T3[hi])
+    return (mix,) * 9 + ((fs, fs),)
 
 
-_T01, _T23, _FS = _build_pair_tables()
+_ROUND_TABLES = _build_pair_tables()
 
+_EVEN_BYTES = np.uint32(0x00FF00FF)
+_ODD_BYTES = np.uint32(0xFF00FF00)
 _M16 = np.uint32(0xFFFF)
 _SH16 = np.uint32(16)
 
+_CHUNK = 4096
+"""Blocks encrypted per pass over the ten rounds.  Large enough that
+the ~110 numpy calls of a pass are amortised, small enough that the
+scratch and the pair tables stay L2-resident however many blocks one
+call brings."""
 
-_RETAIN_ROWS = 1 << 17
-"""Largest batch whose round buffers stay resident between calls (~14 MiB).
-Bigger batches get transient buffers: at that size the one-off
-allocation is noise next to the gathers, and a single huge query must
-not pin hundreds of megabytes for the life of the process."""
 
+class _Scratch(threading.local):
+    """One chunk's round buffers, one set per thread.
 
-class _Workspace(threading.local):
-    """Grow-on-demand round buffers shared across encrypt calls.
-
-    One instance per *thread* (``threading.local``): reusing these
-    buffers across the O(log L) per-level cipher calls removes every
-    per-round allocation from the nine-round loop, and the per-thread
-    split keeps concurrent expansions — two parties' overlapped
-    serving dispatches run on separate executor threads in one
-    process — from corrupting each other's round state.  A thread that
-    never encrypts pays nothing; ``__init__`` runs lazily per thread.
+    Flat and fixed-size: a chunk of ``k`` blocks reshapes the leading
+    ``rows * k`` elements, which keeps every buffer contiguous (a
+    ``[:, :k]`` slice of a 2-D buffer is not, and ``np.take(out=)``
+    copies through a temporary for a non-contiguous ``out``).
+    Allocated on a thread's first encryption, so a thread (or a
+    process) that never runs AES pays nothing.
     """
 
-    def __init__(self):
-        self.rows = 0
+    buffers: tuple[np.ndarray, ...] | None = None
 
-    @staticmethod
-    def _allocate(n: int) -> tuple[np.ndarray, ...]:
-        return (
-            np.empty((n, 16), dtype=np.uint8),  # permuted state
-            np.empty((n, 4), dtype=np.uint32),  # raw 16-bit pair indices
-            np.empty((n, 4), dtype=np.intp),  # pre-cast gather indices
-            np.empty((n, 4), dtype=np.uint32),  # round state (even rounds)
-            np.empty((n, 4), dtype=np.uint32),  # round state (odd rounds)
-            np.empty((n, 4), dtype=np.uint32),  # second-gather accumulator
-        )
-
-    def views(self, n: int) -> tuple[np.ndarray, ...]:
-        if n > _RETAIN_ROWS:
-            return self._allocate(n)
-        if n > self.rows:
-            # Commit rows only after allocation succeeds, or a failed
-            # grow would wedge the workspace into returning undersized
-            # slices forever after.
-            self.buffers = self._allocate(n)
-            self.rows = n
-        return tuple(buf[:n] for buf in self.buffers)
+    def get(self) -> tuple[np.ndarray, ...]:
+        if self.buffers is None:
+            self.buffers = (
+                np.empty(5 * _CHUNK, dtype=np.uint32),  # state: columns 0-3, then 0 again
+                np.empty(4 * _CHUNK, dtype=np.uint32),  # both 16-bit pair indices per word
+                np.empty(4 * _CHUNK, dtype=np.intp),  # pre-cast: take skips its own copy
+                np.empty(4 * _CHUNK, dtype=np.uint32),  # low-pair gather
+                np.empty(4 * _CHUNK, dtype=np.uint32),  # high-pair gather
+            )
+        return self.buffers
 
 
-_WS = _Workspace()
+_SCRATCH = _Scratch()
 
 
 def expand_key(key: bytes | np.ndarray) -> np.ndarray:
@@ -197,8 +207,13 @@ def expand_key(key: bytes | np.ndarray) -> np.ndarray:
 
 
 def _round_keys_to_cols(round_keys: np.ndarray) -> np.ndarray:
-    """View ``(11, 16)`` uint8 round keys as ``(11, 4)`` LE uint32 columns."""
-    return np.ascontiguousarray(round_keys).view("<u4").astype(np.uint32, copy=False)
+    """``(11, 16)`` uint8 round keys as ``(11, 4, 1)`` uint32 columns.
+
+    The trailing axis broadcasts a key column against a planar
+    ``(4, k)`` state.
+    """
+    cols = np.ascontiguousarray(round_keys).view("<u4").astype(np.uint32, copy=False)
+    return cols.reshape(11, 4, 1)
 
 
 def _mix_columns(state: np.ndarray) -> np.ndarray:
@@ -232,52 +247,88 @@ def aes128_encrypt_blocks_reference(round_keys: np.ndarray, blocks: np.ndarray) 
     return state
 
 
+def _as_columns(blocks: np.ndarray, what: str) -> np.ndarray:
+    """Check ``(N, 16)`` uint8 and view it as ``(N, 4)`` LE uint32 columns."""
+    if blocks.ndim != 2 or blocks.shape[1] != 16 or blocks.dtype != np.uint8:
+        raise ValueError(
+            f"{what} must be (N, 16) uint8, got shape {blocks.shape} dtype {blocks.dtype}"
+        )
+    return np.ascontiguousarray(blocks).view("<u4")
+
+
+def _encrypt_columns(rk: np.ndarray, cols: np.ndarray, whitening: np.ndarray) -> np.ndarray:
+    """The column-planar round loop shared by the cipher and the PRG.
+
+    Args:
+        rk: ``(11, 4, 1)`` uint32 round-key columns; ``rk[0]`` is unused
+            here, the caller folds it into ``whitening``.
+        cols: ``(N, 4)`` LE uint32 input columns (not mutated).
+        whitening: ``(M, 4, 1)`` uint32 first-round keys.
+
+    Returns:
+        ``(M * N, 4)`` LE uint32 columns, freshly allocated: row
+        ``m * N + i`` is the encryption of ``cols[i]`` with
+        ``whitening[m]`` as its first AddRoundKey.
+    """
+    n = cols.shape[0]
+    total = whitening.shape[0] * n
+    out = np.empty((total, 4), dtype="<u4")
+    state, pairs, index, low, high = _SCRATCH.get()
+    for start in range(0, total, _CHUNK):
+        k = min(_CHUNK, total - start)
+        s = state[: 5 * k].reshape(5, k)
+        w = pairs[: 4 * k].reshape(4, k)
+        idx = index[: 4 * k].reshape(4, k)
+        lo = low[: 4 * k].reshape(4, k)
+        hi = high[: 4 * k].reshape(4, k)
+        s03, s14, out_t = s[0:4], s[1:5], out[start : start + k].T
+        # hi[c] belongs to output column c - 2: combine the halves crosswise.
+        halves = ((lo[0:2], hi[2:4], s[0:2]), (lo[2:4], hi[0:2], s[2:4]))
+        s0, s4 = s[0], s[4]
+        # Load: transpose to planar under the first AddRoundKey.  A chunk
+        # may straddle the boundary between two whitened copies.
+        pos = 0
+        while pos < k:
+            part, row = divmod(start + pos, n)
+            m = min(n - row, k - pos)
+            np.bitwise_xor(cols[row : row + m].T, whitening[part], out=s03[:, pos : pos + m])
+            pos += m
+        for rnd, (low_table, high_table) in enumerate(_ROUND_TABLES, 1):
+            np.copyto(s4, s0)
+            np.bitwise_and(s03, _EVEN_BYTES, out=w)
+            np.bitwise_and(s14, _ODD_BYTES, out=lo)
+            w |= lo
+            # Indices are 16 bits by construction: "wrap" never wraps, it
+            # only spares take the bounds check and the buffered out=.
+            np.bitwise_and(w, _M16, out=idx)
+            np.take(low_table, idx, out=lo, mode="wrap")
+            np.right_shift(w, _SH16, out=idx)
+            np.take(high_table, idx, out=hi, mode="wrap")
+            if rnd == 10:
+                hi <<= _SH16  # paired S-box bytes 2-3 of the output word
+            for lo_half, hi_half, s_half in halves:
+                np.bitwise_xor(lo_half, hi_half, out=s_half)
+            np.bitwise_xor(s03, rk[rnd], out=s03 if rnd < 10 else out_t)
+    return out
+
+
 def aes128_encrypt_blocks(round_keys: np.ndarray, blocks: np.ndarray) -> np.ndarray:
-    """Encrypt a batch of 16-byte blocks (pair-table fast path).
+    """Encrypt a batch of 16-byte blocks (column-planar T-table fast path).
 
     Args:
         round_keys: ``(11, 16)`` output of :func:`expand_key`.
-        blocks: ``(N, 16)`` uint8 plaintext blocks (not mutated).
+        blocks: ``(N, 16)`` uint8 plaintext blocks (not mutated; any
+            strides, may be read-only).
 
     Returns:
         ``(N, 16)`` uint8 ciphertext blocks (freshly allocated).
-    """
-    n = blocks.shape[0]
-    if n == 0:
-        return np.empty((0, 16), dtype=np.uint8)
-    rk = _round_keys_to_cols(round_keys)
-    perm, idx32, idx, even, odd, gath = _WS.views(n)
 
-    cols = np.ascontiguousarray(blocks).view("<u4").astype(np.uint32, copy=False)
-    state = (cols ^ rk[0]).view(np.uint8)
-    bufs = (even, odd)
-    for rnd in range(1, 10):
-        t = bufs[rnd & 1]
-        np.take(state, SHIFT_ROWS_PERM, axis=1, out=perm)
-        pcols = perm.view("<u4")
-        np.bitwise_and(pcols, _M16, out=idx32)
-        np.copyto(idx, idx32)  # pre-cast so take skips an internal copy
-        np.take(_T01, idx, out=t)
-        np.right_shift(pcols, _SH16, out=idx32)
-        np.copyto(idx, idx32)
-        np.take(_T23, idx, out=gath)
-        t ^= gath
-        t ^= rk[rnd]
-        state = t.view(np.uint8)
-    # Final round: SubBytes + ShiftRows only, via the fused S-box pairs.
-    np.take(state, SHIFT_ROWS_PERM, axis=1, out=perm)
-    pcols = perm.view("<u4")
-    out = np.empty((n, 4), dtype=np.uint32)
-    np.bitwise_and(pcols, _M16, out=idx32)
-    np.copyto(idx, idx32)
-    np.take(_FS, idx, out=out)
-    np.right_shift(pcols, _SH16, out=idx32)
-    np.copyto(idx, idx32)
-    np.take(_FS, idx, out=gath)
-    gath <<= _SH16
-    out |= gath
-    out ^= rk[10]
-    return out.astype("<u4", copy=False).view(np.uint8).reshape(n, 16)
+    Raises:
+        ValueError: If ``blocks`` is not ``(N, 16)`` uint8.
+    """
+    cols = _as_columns(blocks, "blocks")
+    rk = _round_keys_to_cols(round_keys)
+    return _encrypt_columns(rk, cols, rk[:1]).view(np.uint8)
 
 
 # Fixed MMO keys; arbitrary distinct public constants (digits of pi-ish
@@ -311,32 +362,29 @@ class Aes128(prf_mod.Prf):
     standardized = True
 
     def __init__(self, key: bytes = _FIXED_KEY):
-        self._round_keys = expand_key(key)
-        self._tweak_rows: dict[int, np.ndarray] = {}
+        self._rk = _round_keys_to_cols(expand_key(key))
+        self._whitening: dict[int, np.ndarray] = {}
+        self._pair_whitening = np.concatenate([self._tweak_whitening(0), self._tweak_whitening(1)])
 
-    def _tweak_mask(self, tweak: int) -> np.ndarray:
-        row = self._tweak_rows.get(tweak)
-        if row is None:
-            row = self._tweak_rows.setdefault(tweak, _tweak_row(tweak))
-        return row
+    def _tweak_whitening(self, tweak: int) -> np.ndarray:
+        """``(1, 4, 1)`` first-round key with the tweak's XOR mask folded in."""
+        key = self._whitening.get(tweak)
+        if key is None:
+            mask = _tweak_row(tweak).view("<u4").reshape(1, 4, 1)
+            key = self._whitening.setdefault(tweak, self._rk[:1] ^ mask)
+        return key
 
     def expand(self, seeds: np.ndarray, tweak: int) -> np.ndarray:
-        if seeds.ndim != 2 or seeds.shape[1] != 16:
-            raise ValueError(f"seeds must be (N, 16) uint8, got {seeds.shape}")
-        tweaked = seeds ^ self._tweak_mask(tweak)
-        out = aes128_encrypt_blocks(self._round_keys, tweaked)
-        out ^= seeds
-        return out
+        cols = _as_columns(seeds, "seeds")
+        out = _encrypt_columns(self._rk, cols, self._tweak_whitening(tweak))
+        out ^= cols
+        return out.view(np.uint8)
 
     def expand_pair_stacked(self, seeds: np.ndarray) -> np.ndarray:
         """Fused PRG: both children from one cipher pass over 2N blocks."""
-        if seeds.ndim != 2 or seeds.shape[1] != 16:
-            raise ValueError(f"seeds must be (N, 16) uint8, got {seeds.shape}")
-        n = seeds.shape[0]
-        stacked = np.empty((2 * n, 16), dtype=np.uint8)
-        np.bitwise_xor(seeds, self._tweak_mask(0), out=stacked[:n])
-        np.bitwise_xor(seeds, self._tweak_mask(1), out=stacked[n:])
-        out = aes128_encrypt_blocks(self._round_keys, stacked)
-        out[:n] ^= seeds
-        out[n:] ^= seeds
-        return out
+        cols = _as_columns(seeds, "seeds")
+        n = cols.shape[0]
+        out = _encrypt_columns(self._rk, cols, self._pair_whitening)
+        out[:n] ^= cols
+        out[n:] ^= cols
+        return out.view(np.uint8)

@@ -47,42 +47,37 @@ def gen(
         raise ValueError(f"alpha={alpha} out of range for domain of {domain_size}")
     n = ggm.log2_ceil(domain_size)
 
-    seed_a = rng.integers(0, 256, size=(1, SEED_BYTES), dtype=np.uint8)
-    seed_b = rng.integers(0, 256, size=(1, SEED_BYTES), dtype=np.uint8)
-    t_a, t_b = np.array([0], dtype=np.uint8), np.array([1], dtype=np.uint8)
-    root_a, root_b = seed_a[0].copy(), seed_b[0].copy()
+    # Row 0 is party A's seed and row 1 party B's (two draws, in that
+    # order, so a given ``rng`` yields the same keys as it always has);
+    # both walk the path together, one fused PRG call per level.
+    seeds = np.concatenate(
+        [rng.integers(0, 256, size=(1, SEED_BYTES), dtype=np.uint8) for _ in range(2)]
+    )
+    ts = np.array([0, 1], dtype=np.uint8)
+    root_a, root_b = seeds[0].copy(), seeds[1].copy()
 
     correction_words: list[CorrectionWord] = []
     for level in range(n):
         path_bit = (alpha >> (n - 1 - level)) & 1
-        sl_a, tl_a, sr_a, tr_a = ggm.prg_expand(prf, seed_a, t_a)
-        sl_b, tl_b, sr_b, tr_b = ggm.prg_expand(prf, seed_b, t_b)
+        # (side, party, byte): left children of both parties, then right.
+        children = prf.expand_pair_stacked(seeds).reshape(2, 2, SEED_BYTES)
+        child_ts = children[:, :, 0] & 1
+        keep, lose = children[path_bit], children[1 - path_bit]
 
-        if path_bit == 0:
-            keep_a, keep_t_a, lose_a = sl_a, tl_a, sr_a
-            keep_b, keep_t_b, lose_b = sl_b, tl_b, sr_b
-        else:
-            keep_a, keep_t_a, lose_a = sr_a, tr_a, sl_a
-            keep_b, keep_t_b, lose_b = sr_b, tr_b, sl_b
-
-        cw_seed = (lose_a ^ lose_b)[0]
-        cw_t_left = int(tl_a[0] ^ tl_b[0] ^ path_bit ^ 1)
-        cw_t_right = int(tr_a[0] ^ tr_b[0] ^ path_bit)
+        cw_seed = lose[0] ^ lose[1]
+        cw_t_left = int(child_ts[0, 0] ^ child_ts[0, 1] ^ path_bit ^ 1)
+        cw_t_right = int(child_ts[1, 0] ^ child_ts[1, 1] ^ path_bit)
         correction_words.append(
             CorrectionWord(seed=cw_seed, t_left=cw_t_left, t_right=cw_t_right)
         )
         cw_t_keep = cw_t_right if path_bit else cw_t_left
 
-        seed_a = keep_a ^ (cw_seed[np.newaxis, :] * t_a[:, np.newaxis])
-        seed_b = keep_b ^ (cw_seed[np.newaxis, :] * t_b[:, np.newaxis])
-        new_t_a = np.array([keep_t_a[0] ^ (t_a[0] & cw_t_keep)], dtype=np.uint8)
-        new_t_b = np.array([keep_t_b[0] ^ (t_b[0] & cw_t_keep)], dtype=np.uint8)
-        t_a, t_b = new_t_a, new_t_b
+        seeds = keep ^ (cw_seed * ts[:, np.newaxis])
+        ts = child_ts[path_bit] ^ (ts & np.uint8(cw_t_keep))
 
-    conv_a = int(ggm.convert_to_u64(seed_a)[0])
-    conv_b = int(ggm.convert_to_u64(seed_b)[0])
+    conv_a, conv_b = (int(word) for word in ggm.convert_to_u64(seeds))
     output_cw = (beta - conv_a + conv_b) & _U64_MASK
-    if int(t_b[0]) == 1:
+    if int(ts[1]) == 1:
         output_cw = (-output_cw) & _U64_MASK
 
     common = dict(

@@ -8,6 +8,7 @@ from repro.crypto.aes import (
     SHIFT_ROWS_PERM,
     Aes128,
     aes128_encrypt_blocks,
+    aes128_encrypt_blocks_reference,
     expand_key,
 )
 
@@ -92,6 +93,23 @@ class TestBatchConsistency:
         assert np.unique(out, axis=0).shape[0] == blocks.shape[0]
 
 
+class TestInputValidation:
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.zeros((4, 8), dtype=np.uint8),
+            np.zeros(16, dtype=np.uint8),
+            np.zeros((2, 4, 16), dtype=np.uint8),
+            np.zeros((4, 16), dtype=np.uint32),
+        ],
+    )
+    def test_wrong_shape_or_dtype_is_named_at_entry(self, bad):
+        rks = expand_key(bytes(16))
+        with pytest.raises(ValueError, match=r"\(N, 16\) uint8") as info:
+            aes128_encrypt_blocks(rks, bad)
+        assert str(bad.shape) in str(info.value)
+
+
 class TestAesPrf:
     def test_expand_shape_and_dtype(self):
         prf = Aes128()
@@ -120,37 +138,48 @@ class TestAesPrf:
 
 class TestThreadSafety:
     def test_concurrent_encryption_is_bit_exact(self):
-        # The grow-on-demand scratch workspace is thread-local:
-        # overlapped serving runs each party's dispatch on its own
-        # executor thread, so two expansions encrypt concurrently in
-        # one process.  A shared workspace let those scribble over each
-        # other's round state (every answer of a two-party overlapped
-        # burst came back wrong); per-thread buffers must keep every
-        # concurrent call bit-exact.
+        # The chunk scratch is thread-local: overlapped serving runs
+        # each party's dispatch on its own executor thread, so two
+        # expansions encrypt concurrently in one process.  Shared
+        # scratch let those scribble over each other's round state
+        # (every answer of a two-party overlapped burst came back
+        # wrong); per-thread buffers must keep every concurrent call
+        # bit-exact.  5,000 and 9,000 blocks cross one and two chunk
+        # boundaries, so a thread is switched out between chunks too.
+        import sys
         import threading
 
         rng = np.random.default_rng(0)
         rks = expand_key(bytes(range(16)))
+        jobs = [(1, 50), (7, 50), (64, 50), (256, 50), (5000, 6), (9000, 6)]
         inputs = [
             rng.integers(0, 256, size=(batch, 16), dtype=np.uint8)
-            for batch in (1, 7, 64, 256)
+            for batch, _ in jobs
         ]
-        expected = [aes128_encrypt_blocks(rks, blocks) for blocks in inputs]
+        expected = [aes128_encrypt_blocks_reference(rks, blocks) for blocks in inputs]
 
         failures = []
-        barrier = threading.Barrier(4)
+        barrier = threading.Barrier(len(jobs))
 
         def worker(index):
             barrier.wait()  # maximize real overlap between threads
-            for _ in range(50):
+            for _ in range(jobs[index][1]):
                 got = aes128_encrypt_blocks(rks, inputs[index])
                 if not np.array_equal(got, expected[index]):
                     failures.append(index)
                     return
 
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
+        threads = [
+            threading.Thread(target=worker, args=(i,)) for i in range(len(jobs))
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
         assert not failures, f"threads {failures} saw corrupted ciphertext"

@@ -19,6 +19,9 @@ from hypothesis import strategies as st
 
 from repro.crypto import CountingPrf, available_prfs, get_prf
 from repro.crypto.aes import (
+    _CHUNK,
+    Aes128,
+    _tweak_row,
     aes128_encrypt_blocks,
     aes128_encrypt_blocks_reference,
     expand_key,
@@ -77,15 +80,51 @@ class TestFusedExpandPair:
 
 
 class TestTTableAes:
-    def test_matches_reference_pipeline_on_random_batches(self):
-        rng = np.random.default_rng(0)
+    @pytest.mark.parametrize(
+        "n", [1, 2, 5, 333, _CHUNK - 1, _CHUNK, _CHUNK + 1, 2 * _CHUNK + 3]
+    )
+    def test_matches_reference_pipeline_on_random_batches(self, n):
+        # Sizes straddle the chunk: a lone tail block, an exact chunk,
+        # a one-block second chunk, two full chunks and a tail.
+        rng = np.random.default_rng(n)
         rks = expand_key(bytes(range(16)))
-        for n in (1, 2, 5, 333, 4096):
-            blocks = rng.integers(0, 256, size=(n, 16), dtype=np.uint8)
-            assert np.array_equal(
-                aes128_encrypt_blocks(rks, blocks),
-                aes128_encrypt_blocks_reference(rks, blocks),
-            )
+        blocks = rng.integers(0, 256, size=(n, 16), dtype=np.uint8)
+        assert np.array_equal(
+            aes128_encrypt_blocks(rks, blocks),
+            aes128_encrypt_blocks_reference(rks, blocks),
+        )
+
+    @pytest.mark.parametrize("n", [3, _CHUNK + 1])
+    def test_strided_and_read_only_inputs(self, n):
+        rng = np.random.default_rng(n)
+        rks = expand_key(bytes(range(16)))
+        wide = rng.integers(0, 256, size=(2 * n, 32), dtype=np.uint8)
+        strided = wide[::2, 8:24]
+        assert not strided.flags["C_CONTIGUOUS"]
+        frozen = strided.copy()
+        frozen.setflags(write=False)
+        want = aes128_encrypt_blocks_reference(rks, strided)
+        for blocks in (strided, frozen):
+            before = blocks.copy()
+            got = aes128_encrypt_blocks(rks, blocks)
+            assert np.array_equal(got, want)
+            assert np.array_equal(blocks, before)
+            assert got.flags["WRITEABLE"] and not np.shares_memory(got, blocks)
+
+    def test_results_do_not_alias_the_scratch(self):
+        # Two calls on one thread reuse the same chunk scratch; a result
+        # that was a view of it would change under the second call.
+        rng = np.random.default_rng(9)
+        rks = expand_key(bytes(range(16)))
+        small = rng.integers(0, 256, size=(7, 16), dtype=np.uint8)
+        large = rng.integers(0, 256, size=(_CHUNK + 9, 16), dtype=np.uint8)
+        first = aes128_encrypt_blocks(rks, small)
+        kept = first.copy()
+        second = aes128_encrypt_blocks(rks, large)
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, kept)
+        first[:] = 0
+        assert np.array_equal(second, aes128_encrypt_blocks_reference(rks, large))
 
     def test_empty_batch(self):
         rks = expand_key(bytes(16))
@@ -137,6 +176,28 @@ class TestExpandPairStacked:
         assert left.base is not None and left.base is right.base
         assert right.ctypes.data - left.ctypes.data == 5 * 16
         assert left.flags["C_CONTIGUOUS"] and right.flags["C_CONTIGUOUS"]
+
+    @pytest.mark.parametrize(
+        "n", [1, _CHUNK // 2 - 1, _CHUNK // 2, _CHUNK // 2 + 1, 3000, _CHUNK + 5]
+    )
+    def test_aes_prg_matches_reference_cipher_across_chunks(self, n):
+        # The MMO tweak is folded into the first AddRoundKey and both
+        # tweaked copies are encrypted in one pass: a chunk of the 2n
+        # virtual blocks may end inside either copy or span their seam.
+        key = bytes(range(16, 32))
+        prf, rks = Aes128(key), expand_key(key)
+        rng = np.random.default_rng(n)
+        seeds = rng.integers(0, 256, size=(n, 16), dtype=np.uint8)
+        seeds.setflags(write=False)
+        want = [
+            aes128_encrypt_blocks_reference(rks, seeds ^ _tweak_row(tweak)) ^ seeds
+            for tweak in (0, 1)
+        ]
+        stacked = prf.expand_pair_stacked(seeds)
+        assert np.array_equal(stacked[:n], want[0])
+        assert np.array_equal(stacked[n:], want[1])
+        assert np.array_equal(prf.expand(seeds, 0), want[0])
+        assert np.array_equal(prf.expand(seeds, 1), want[1])
 
     def test_base_class_fallback_stacks_unfused_halves(self):
         class SplitPrf(Prf):

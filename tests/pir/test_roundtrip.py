@@ -10,12 +10,15 @@ whole {object, wire} x {streaming, resident} x {SingleGpu, MultiGpu,
 Simulated} cube is exercised.
 """
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.pir import PirClient, PirServer
+from repro.crypto import available_prfs
+from repro.pir import PirClient, PirQuery, PirServer
 
 from tests.strategies import BACKEND_FACTORIES, domain_sizes, fast_prf_names
 
@@ -164,6 +167,33 @@ class TestQueryMany:
             client.query_many([])
         with pytest.raises(ValueError, match="queries_per_request"):
             client.query_many([1], queries_per_request=0)
+
+
+KEY_DIGESTS = {
+    "aes128": "61dda316e665b252aaf08e51a710745894d60ad78ac9827309b5554bed5421a3",
+    "chacha20": "ff1047ae945f8f90885953302d43c3be96257e10d0e98c551d82dcb7f86b4ae3",
+    "highwayhash": "59cfbb3cb7672d863af2ddade45028feb47948eb24816d216447ecd873bb0240",
+    "sha256": "fc06eec39bdd0f87f8f64135bf6524404f058b1d7eedfbba371a80a2352fd101",
+    "siphash": "5463d7f946a9f45abd00ad6d771b4a697ca16141cd65cdd96b816070da04a932",
+}
+"""SHA-256 over every ``pack_keys`` payload of the fixed-seed batch
+below, recorded at the commit before ``dpf.gen`` began expanding both
+parties' seeds in one PRG call per level."""
+
+
+class TestKeysAreByteStable:
+    @pytest.mark.parametrize("name", available_prfs())
+    def test_fixed_seed_keys_match_recorded_digest(self, name):
+        # A given rng must keep producing the same keys: recorded
+        # request fixtures and cross-version clients depend on it.
+        client = PirClient(1000, name, rng=np.random.default_rng(20240914))
+        digest = hashlib.sha256()
+        for batch in client.query_many(
+            [0, 1, 499, 500, 731, 998, 999], queries_per_request=3
+        ):
+            for frame in batch.requests:
+                digest.update(PirQuery.from_bytes(frame).key_bytes)
+        assert digest.hexdigest() == KEY_DIGESTS[name]
 
 
 class TestServerValidation:
