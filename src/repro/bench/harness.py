@@ -380,8 +380,9 @@ class BenchResult:
 
 
 def _reference_blocks(batch: int, log_domain: int) -> int:
-    """PRF blocks of the reference walk: 2(2^n - 1) per query."""
-    return batch * (2 ** (log_domain + 1) - 2)
+    """PRF blocks of the reference walk: two per inner node of the
+    2^(n-1)-leaf word-packed tree, 2(2^(n-1) - 1) per query."""
+    return batch * (2 ** max(log_domain, 1) - 2)
 
 
 def _make_keys(case: BenchCase, seed: int = 7) -> list:

@@ -6,6 +6,11 @@ acceleration target).  ``eval_full`` here is the *reference* level-by-
 level expansion; the GPU strategies in :mod:`repro.gpu.strategies`
 provide the accelerated/instrumented traversals and are tested for
 bit-equality against this function.
+
+Leaves are word-packed (:mod:`repro.dpf.ggm`): table row ``r`` is word
+``r % 2`` of leaf ``r // 2``, so every walk here runs over the
+``ceil(L / 2)``-leaf tree and costs half the PRF blocks of a
+one-row-per-leaf tree.
 """
 
 from __future__ import annotations
@@ -45,7 +50,8 @@ def gen(
         raise ValueError(f"domain_size must be positive, got {domain_size}")
     if not 0 <= alpha < domain_size:
         raise ValueError(f"alpha={alpha} out of range for domain of {domain_size}")
-    n = ggm.log2_ceil(domain_size)
+    n = ggm.tree_depth(domain_size)
+    leaf, word = divmod(alpha, ggm.LEAF_WORDS)
 
     # Row 0 is party A's seed and row 1 party B's (two draws, in that
     # order, so a given ``rng`` yields the same keys as it always has);
@@ -58,7 +64,7 @@ def gen(
 
     correction_words: list[CorrectionWord] = []
     for level in range(n):
-        path_bit = (alpha >> (n - 1 - level)) & 1
+        path_bit = (leaf >> (n - 1 - level)) & 1
         # (side, party, byte): left children of both parties, then right.
         children = prf.expand_pair_stacked(seeds).reshape(2, 2, SEED_BYTES)
         child_ts = children[:, :, 0] & 1
@@ -75,14 +81,18 @@ def gen(
         seeds = keep ^ (cw_seed * ts[:, np.newaxis])
         ts = child_ts[path_bit] ^ (ts & np.uint8(cw_t_keep))
 
-    conv_a, conv_b = (int(word) for word in ggm.convert_to_u64(seeds))
-    output_cw = (beta - conv_a + conv_b) & _U64_MASK
-    if int(ts[1]) == 1:
-        output_cw = (-output_cw) & _U64_MASK
+    # The leaf's two words are two table rows: beta goes to alpha's
+    # word and the other row of the leaf reconstructs to 0.
+    conv_a, conv_b = ggm.convert_to_u64(seeds).tolist()
+    sign = -1 if int(ts[1]) == 1 else 1
+    output_cw = tuple(
+        sign * ((beta if w == word else 0) - conv_a[w] + conv_b[w]) & _U64_MASK
+        for w in range(ggm.LEAF_WORDS)
+    )
 
     common = dict(
         domain_size=domain_size,
-        log_domain=n,
+        log_domain=ggm.log2_ceil(domain_size),
         correction_words=correction_words,
         output_cw=output_cw,
         prf_name=prf.name,
@@ -129,7 +139,6 @@ def eval_full(key: DpfKey, prf: Prf) -> np.ndarray:
         elsewhere.
     """
     _check_prf(key, prf)
-    n = key.log_domain
     seeds = key.root_seed[np.newaxis, :].copy()
     ts = np.array([key.root_t], dtype=np.uint8)
     for cw in key.correction_words:
@@ -146,8 +155,9 @@ def eval_full(key: DpfKey, prf: Prf) -> np.ndarray:
         np.bitwise_xor(t_right, ts & np.uint8(cw.t_right), out=new_ts[width:])
         seeds, ts = new_seeds, new_ts
     values = ggm.leaf_values(seeds, ts, key.output_cw, key.party)
-    # Undo the [left | right] block layout: leaf i sits at bitrev(i).
-    return values[_bitrev_perm(n)[: key.domain_size]]
+    # Undo the [left | right] block layout: leaf i sits at bitrev(i);
+    # an odd domain leaves the last leaf's second word unused.
+    return values[_bitrev_perm(key.depth)].reshape(-1)[: key.domain_size]
 
 
 def eval_range(key: DpfKey, prf: Prf, lo: int, hi: int) -> np.ndarray:
@@ -179,7 +189,8 @@ def eval_range(key: DpfKey, prf: Prf, lo: int, hi: int) -> np.ndarray:
             f"range [{lo}, {hi}) is not a non-empty sub-range of the "
             f"domain [0, {key.domain_size})"
         )
-    n = key.log_domain
+    n = key.depth
+    leaf_lo, leaf_hi = ggm.leaf_window(lo, hi)
     seeds = key.root_seed[np.newaxis, :].copy()
     ts = np.array([key.root_t], dtype=np.uint8)
     node_lo = 0  # natural-order index of seeds[0] at the current level
@@ -188,13 +199,14 @@ def eval_range(key: DpfKey, prf: Prf, lo: int, hi: int) -> np.ndarray:
             prf, seeds, ts, cw.seed, cw.t_left, cw.t_right
         )
         # Children cover natural-order nodes [2*node_lo, 2*node_lo + 2m);
-        # keep only those whose subtree intersects [lo, hi).
-        keep_lo, keep_hi = ggm.level_window(n, level + 1, lo, hi)
+        # keep only those whose subtree meets the leaf window.
+        keep_lo, keep_hi = ggm.level_window(n, level + 1, leaf_lo, leaf_hi)
         seeds = seeds[keep_lo - 2 * node_lo : keep_hi - 2 * node_lo]
         ts = ts[keep_lo - 2 * node_lo : keep_hi - 2 * node_lo]
         node_lo = keep_lo
-    # The surviving frontier is exactly the leaves [lo, hi), in order.
-    return ggm.leaf_values(seeds, ts, key.output_cw, key.party)
+    # The surviving frontier is exactly the leaf window, in order.
+    values = ggm.leaf_values(seeds, ts, key.output_cw, key.party)
+    return ggm.window_rows(values.reshape(-1), lo, hi)
 
 
 def eval_points(key: DpfKey, prf: Prf, indices: np.ndarray) -> np.ndarray:
@@ -212,18 +224,20 @@ def eval_points(key: DpfKey, prf: Prf, indices: np.ndarray) -> np.ndarray:
     if indices.size and (indices.min() < 0 or indices.max() >= key.domain_size):
         raise ValueError("index out of domain")
     m = indices.shape[0]
+    leaves, words = np.divmod(indices, ggm.LEAF_WORDS)
     seeds = np.broadcast_to(key.root_seed, (m, 16)).copy()
     ts = np.full(m, key.root_t, dtype=np.uint8)
-    n = key.log_domain
+    n = key.depth
     for level, cw in enumerate(key.correction_words):
-        bits = ((indices >> (n - 1 - level)) & 1).astype(np.uint8)
+        bits = ((leaves >> (n - 1 - level)) & 1).astype(np.uint8)
         s_left, t_left, s_right, t_right = ggm.prg_expand(prf, seeds, ts)
         chosen_s = np.where(bits[:, np.newaxis] == 0, s_left, s_right)
         chosen_t = np.where(bits == 0, t_left, t_right)
         cw_t = np.where(bits == 0, np.uint8(cw.t_left), np.uint8(cw.t_right))
         seeds = chosen_s ^ (cw.seed[np.newaxis, :] * ts[:, np.newaxis])
         ts = (chosen_t ^ (ts & cw_t)).astype(np.uint8)
-    return ggm.leaf_values(seeds, ts, key.output_cw, key.party)
+    values = ggm.leaf_values(seeds, ts, key.output_cw, key.party)
+    return values[np.arange(m), words]
 
 
 def _check_prf(key: DpfKey, prf: Prf) -> None:

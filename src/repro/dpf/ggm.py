@@ -7,22 +7,62 @@ per-level correction applied when ``t = 1``.  These helpers implement
 that step vectorized over an arbitrary frontier of nodes, which is the
 building block every parallelization strategy in :mod:`repro.gpu`
 reuses.
+
+Leaves are *word-packed* (the early-termination form of the BGI
+construction): a 16-byte leaf seed is already pseudorandom, so its two
+64-bit words are read as the shares of two adjacent table rows.  Leaf
+``j`` answers rows ``2j`` and ``2j + 1``, the tree over ``L`` rows has
+``ceil(L / 2)`` leaves, and the last level of a one-row-per-leaf tree —
+half of its PRF blocks — is never expanded.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.crypto.prf import Prf, seeds_to_u64
+from repro.crypto.prf import SEED_BYTES, Prf, seeds_to_u64
+
+LEAF_WORDS = SEED_BYTES // 8
+"""Table rows answered by one GGM leaf: the 64-bit words of its seed."""
 
 
 def log2_ceil(value: int) -> int:
-    """GGM-tree depth for a domain: ``ceil(log2(value))``, 0 for value <= 1.
+    """``ceil(log2(value))``, 0 for value <= 1.
 
     Integer-exact (no float log), shared by key generation, key-size
     accounting, and every GPU strategy.
     """
     return max(int(value - 1).bit_length(), 0)
+
+
+def tree_depth(domain_size: int) -> int:
+    """Levels of the GGM tree over ``domain_size`` word-packed rows.
+
+    ``log2_ceil(ceil(L / LEAF_WORDS))``: one less than ``log2_ceil(L)``
+    from ``L = 2`` up, and 0 for the one- and two-row domains whose
+    root seed is the only leaf.
+    """
+    return log2_ceil(-(-domain_size // LEAF_WORDS))
+
+
+def leaf_window(lo: int, hi: int) -> tuple[int, int]:
+    """The leaves ``[lo // 2, ceil(hi / 2))`` that hold rows ``[lo, hi)``.
+
+    The window's words are rows ``[2 * (lo // 2), 2 * ceil(hi / 2))``:
+    at most one row more than asked for at each end.
+    """
+    return lo // LEAF_WORDS, -(-hi // LEAF_WORDS)
+
+
+def window_rows(words: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """Rows ``[lo, hi)`` out of the words of :func:`leaf_window` ``(lo, hi)``.
+
+    ``words`` holds, along its last axis, the flattened words of those
+    leaves — rows ``[2 * (lo // 2), 2 * ceil(hi / 2))``; the result is a
+    view that drops the at most one extra row at each end.
+    """
+    first_row = LEAF_WORDS * (lo // LEAF_WORDS)
+    return words[..., lo - first_row : hi - first_row]
 
 
 def level_window(depth: int, level: int, lo: int, hi: int) -> tuple[int, int]:
@@ -154,23 +194,29 @@ def expand_level(
 
 
 def convert_to_u64(seeds: np.ndarray) -> np.ndarray:
-    """Map ``(..., 16)`` seeds into Z_{2^64} (first 8 bytes, LE), flat."""
-    return np.ascontiguousarray(seeds[..., :8]).view("<u8").reshape(-1)
+    """View ``(..., 16)`` leaf seeds as ``(..., 2)`` words of Z_{2^64} (LE).
+
+    Zero-copy: only the last axis has to be contiguous, which holds for
+    every frontier slice the traversals produce.
+    """
+    return seeds.view("<u8")
 
 
 def leaf_values(
-    seeds: np.ndarray, ts: np.ndarray, output_cw: int, party: int
+    seeds: np.ndarray, ts: np.ndarray, output_cw: tuple[int, int], party: int
 ) -> np.ndarray:
     """Final share conversion at the leaves.
 
-    Party ``b`` outputs ``(-1)^b * (convert(s) + t * CW_out)`` mod 2^64
-    so that the two parties' leaves sum to ``beta`` at ``alpha`` and to
-    0 elsewhere.
+    Party ``b`` outputs ``(-1)^b * (convert(s) + t * CW_out)`` mod 2^64,
+    word by word, so that the two parties' leaves sum to ``beta`` in
+    row ``alpha`` and to 0 in every other row.
 
     Returns:
-        ``(N,)`` uint64 output shares.
+        ``(N, 2)`` uint64 output shares: row ``i`` holds the two table
+        rows of leaf ``i``, so flattening it yields table-row order.
     """
-    values = convert_to_u64(seeds) + ts.astype(np.uint64) * np.uint64(output_cw % (1 << 64))
+    cw = np.array([word % (1 << 64) for word in output_cw], dtype=np.uint64)
+    values = convert_to_u64(seeds) + ts.astype(np.uint64)[:, np.newaxis] * cw
     if party == 1:
-        values = np.uint64(0) - values
+        np.negative(values, out=values)
     return values

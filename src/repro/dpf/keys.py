@@ -3,8 +3,13 @@
 The client sends one key per server (paper Figure 2); the key size is
 the client->server communication the paper reports in Table 4's "Bytes"
 column.  The BGI construction used here carries one 128-bit seed plus
-two control-bit corrections per tree level, a root seed, and a 64-bit
-output correction word, giving ``O(lambda log L)`` communication.
+two control-bit corrections per tree level, a root seed, and a 128-bit
+output correction (one 64-bit word per row of the word-packed leaf, see
+:mod:`repro.dpf.ggm`), giving ``O(lambda log L)`` communication.  The
+tree over ``L`` rows has :func:`repro.dpf.ggm.tree_depth` levels — one
+fewer than ``log2_ceil(L)`` — so against the one-row-per-leaf ``DPF1``
+format a record loses one 17-byte level and gains 8 bytes of output
+correction.
 """
 
 from __future__ import annotations
@@ -15,17 +20,49 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.dpf.ggm import log2_ceil
+from repro.dpf.ggm import LEAF_WORDS, log2_ceil, tree_depth
 
-_MAGIC = b"DPF1"
+_MAGIC = b"DPF2"
+_UNPACKED_MAGIC = b"DPF1"
+"""The one-row-per-leaf format this one replaced: one more level, one
+output word.  Recognised only to be refused by name."""
 _U64_MASK = (1 << 64) - 1
 
-_HEADER_FMT = "<4sBBIQB"
+_HEADER_FMT = "<4sBBIQQB"
 HEADER_BYTES = struct.calcsize(_HEADER_FMT)
-"""Fixed-size wire header: magic, party, log_domain, domain, output_cw, prf_len."""
+"""Fixed-size wire header: magic, party, log_domain, domain, the two
+output-correction words, prf_len.  ``log_domain`` is ``log2_ceil`` of
+the table rows, not the (one shorter) tree depth."""
 
 CW_BYTES = 17
 """Per-level wire bytes: a 16-byte correction seed plus one packed bit byte."""
+
+
+def _check_domain(log_domain: int, domain_size: int, where: str = "") -> None:
+    """Reject a ``log_domain`` that does not follow from ``domain_size``."""
+    if domain_size <= 0 or log2_ceil(domain_size) != log_domain:
+        raise ValueError(
+            f"domain_size {domain_size} is inconsistent with "
+            f"log_domain {log_domain}{where}"
+        )
+
+
+def _check_header(magic: bytes, log_domain: int, domain_size: int, where: str = "") -> None:
+    """Reject a record header no key of this format can carry.
+
+    The one semantic check ``from_bytes``, ``split_wire`` and
+    :meth:`repro.gpu.arena.KeyArena.from_wire` all apply before they
+    trust a record length.
+    """
+    if magic == _UNPACKED_MAGIC:
+        raise ValueError(
+            f"bad DPF key magic {magic!r}{where}: wire version "
+            f"{magic.decode()} (one table row per leaf) is not supported; "
+            f"this build reads {_MAGIC.decode()} (word-packed leaves)"
+        )
+    if magic != _MAGIC:
+        raise ValueError(f"bad DPF key magic {magic!r}{where}")
+    _check_domain(log_domain, domain_size, where)
 
 
 def _record_size(log_domain: int, prf_len: int) -> int:
@@ -35,11 +72,11 @@ def _record_size(log_domain: int, prf_len: int) -> int:
     ``split_wire`` and :meth:`repro.gpu.arena.KeyArena.from_wire` all
     frame records through it.
     """
-    return HEADER_BYTES + prf_len + 1 + 16 + log_domain * CW_BYTES
+    return HEADER_BYTES + prf_len + 1 + 16 + tree_depth(1 << log_domain) * CW_BYTES
 
 
 def wire_size(log_domain: int, prf_name: str = "aes128") -> int:
-    """Serialized size of a key with the given tree depth and PRF name.
+    """Serialized size of a key over ``2**log_domain`` table rows.
 
     Every key of one ``(log_domain, prf_name)`` shape serializes to the
     same number of bytes, which is what makes batched wire parsing
@@ -69,13 +106,16 @@ class DpfKey:
 
     Attributes:
         party: 0 or 1 (which non-colluding server this key is for).
-        domain_size: Number of addressable indices L (may be below
+        domain_size: Number of addressable table rows L (may be below
             ``2 ** log_domain`` for non-power-of-two tables).
-        log_domain: Tree depth n = ceil(log2(L)).
+        log_domain: ``ceil(log2(L))``.
         root_seed: ``(16,)`` uint8 root seed.
         root_t: Root control bit (0 for party 0, 1 for party 1).
-        correction_words: One :class:`CorrectionWord` per level.
-        output_cw: Final output correction word in Z_{2^64}.
+        correction_words: One :class:`CorrectionWord` per tree level —
+            ``tree_depth(L)`` of them, one fewer than ``log_domain``
+            from ``L = 2`` up.
+        output_cw: The leaf's two output correction words in Z_{2^64}:
+            word ``w`` corrects row ``2 * leaf + w``.
         prf_name: Registry name of the PRF both parties must use.
     """
 
@@ -85,17 +125,29 @@ class DpfKey:
     root_seed: np.ndarray
     root_t: int
     correction_words: list[CorrectionWord] = field(default_factory=list)
-    output_cw: int = 0
+    output_cw: tuple[int, int] = (0, 0)
     prf_name: str = "aes128"
 
     def __post_init__(self):
         if self.party not in (0, 1):
             raise ValueError(f"party must be 0 or 1, got {self.party}")
-        if len(self.correction_words) != self.log_domain:
+        # The wire parsers refuse this header; an object-built key must
+        # not get further either, or it mis-indexes inside evaluation.
+        _check_domain(self.log_domain, self.domain_size)
+        if len(self.correction_words) != self.depth:
             raise ValueError(
-                f"expected {self.log_domain} correction words, "
-                f"got {len(self.correction_words)}"
+                f"a key over {self.domain_size} rows has {self.depth} "
+                f"correction words, got {len(self.correction_words)}"
             )
+        if len(self.output_cw) != LEAF_WORDS:
+            raise ValueError(
+                f"output_cw must hold {LEAF_WORDS} words, got {len(self.output_cw)}"
+            )
+
+    @property
+    def depth(self) -> int:
+        """Levels of the word-packed GGM tree over ``domain_size`` rows."""
+        return tree_depth(self.domain_size)
 
     @property
     def size_bytes(self) -> int:
@@ -116,7 +168,7 @@ class DpfKey:
             self.party,
             self.log_domain,
             self.domain_size,
-            self.output_cw & _U64_MASK,
+            *(word & _U64_MASK for word in self.output_cw),
             len(prf_bytes),
         )
         body = [header, prf_bytes, bytes([self.root_t]), self.root_seed.tobytes()]
@@ -134,25 +186,19 @@ class DpfKey:
         """
         if len(data) < HEADER_BYTES:
             raise ValueError("truncated DPF key")
-        magic, party, log_domain, domain_size, output_cw, prf_len = struct.unpack(
+        magic, party, log_domain, domain_size, cw_even, cw_odd, prf_len = struct.unpack(
             _HEADER_FMT, data[:HEADER_BYTES]
         )
-        if magic != _MAGIC:
-            raise ValueError(f"bad DPF key magic {magic!r}")
         # Validate the header semantics and total length up front: a
         # corrupted domain or a buffer truncated mid-correction-word
         # must fail here with a clear message, not deep inside
         # np.frombuffer, CorrectionWord.__post_init__, or — worse —
         # only once evaluation walks off the correction-word array.
-        if domain_size <= 0 or log2_ceil(domain_size) != log_domain:
-            raise ValueError(
-                f"domain_size {domain_size} is inconsistent with tree "
-                f"depth {log_domain}"
-            )
+        _check_header(magic, log_domain, domain_size)
         expected = _record_size(log_domain, prf_len)
         if len(data) != expected:
             raise ValueError(
-                f"DPF key with depth {log_domain} and a {prf_len}-byte PRF "
+                f"DPF key over 2^{log_domain} rows with a {prf_len}-byte PRF "
                 f"name must be exactly {expected} bytes, got {len(data)}"
             )
         offset = HEADER_BYTES
@@ -163,7 +209,7 @@ class DpfKey:
         root_seed = np.frombuffer(data[offset : offset + 16], dtype=np.uint8).copy()
         offset += 16
         cws = []
-        for _ in range(log_domain):
+        for _ in range(tree_depth(domain_size)):
             seed = np.frombuffer(data[offset : offset + 16], dtype=np.uint8).copy()
             offset += 16
             bits = data[offset]
@@ -176,7 +222,7 @@ class DpfKey:
             root_seed=root_seed,
             root_t=root_t,
             correction_words=cws,
-            output_cw=output_cw,
+            output_cw=(cw_even, cw_odd),
             prf_name=prf_name,
         )
 
@@ -222,11 +268,11 @@ def split_wire(data: bytes) -> list[bytes]:
     heterogeneous keys also frames correctly; :func:`pack_keys` output
     is the homogeneous special case.
 
-    Every header is semantically validated (magic, party, domain/depth
-    consistency) *before* its record length is trusted, so trailing
-    garbage after the last well-formed record cannot frame as an extra
-    record — it fails here rather than surviving until (or past) the
-    per-key parse.
+    Every header is semantically validated (magic and version, party,
+    ``domain_size``/``log_domain`` consistency) *before* its record
+    length is trusted, so trailing garbage after the last well-formed
+    record cannot frame as an extra record — it fails here rather than
+    surviving until (or past) the per-key parse.
 
     Raises:
         ValueError: On bad magic, an invalid or inconsistent header, or
@@ -241,18 +287,12 @@ def split_wire(data: bytes) -> list[bytes]:
                 f"wire buffer ends mid-header: {len(data) - offset} "
                 f"trailing bytes at offset {offset}"
             )
-        magic, party, log_domain, domain_size, _, prf_len = struct.unpack_from(
+        magic, party, log_domain, domain_size, _, _, prf_len = struct.unpack_from(
             _HEADER_FMT, data, offset
         )
-        if magic != _MAGIC:
-            raise ValueError(f"bad DPF key magic {magic!r} at offset {offset}")
+        _check_header(magic, log_domain, domain_size, where=f" at offset {offset}")
         if party not in (0, 1):
             raise ValueError(f"party must be 0 or 1, got {party} at offset {offset}")
-        if domain_size <= 0 or log2_ceil(domain_size) != log_domain:
-            raise ValueError(
-                f"domain_size {domain_size} is inconsistent with tree "
-                f"depth {log_domain} at offset {offset}"
-            )
         record = _record_size(log_domain, prf_len)
         if offset + record > len(data):
             raise ValueError(

@@ -34,16 +34,21 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from repro.dpf.ggm import log2_ceil
+from repro.dpf.ggm import LEAF_WORDS, log2_ceil, tree_depth
 from repro.dpf.keys import (
     CW_BYTES,
     HEADER_BYTES,
     _HEADER_FMT,
     _MAGIC,
+    _check_header,
     _record_size,
     CorrectionWord,
     DpfKey,
 )
+
+_OUTPUT_CW = slice(10, 10 + 8 * LEAF_WORDS)
+"""Header bytes of the output-correction words (after magic, party,
+log_domain and the 4-byte domain)."""
 
 KeySource = Union["KeyArena", Sequence[DpfKey], bytes, bytearray, memoryview]
 """Anything a batch entry point accepts as key material: an arena
@@ -63,15 +68,18 @@ class KeyArena:
 
     Attributes:
         batch: Number of keys B.
-        depth: Tree depth n (``log_domain`` of every key).
-        domain_size: Addressable indices L (shared by every key).
+        depth: Levels n of the word-packed tree,
+            ``tree_depth(domain_size)`` (one fewer than the keys'
+            ``log_domain`` from two rows up).
+        domain_size: Addressable table rows L (shared by every key).
         prf_name: PRF registry name (shared by every key).
         roots: ``(B, 16)`` uint8 root seeds.
         root_ts: ``(B,)`` uint8 root control bits.
         cw_seeds: ``(B, n, 16)`` uint8 correction seeds.
         cw_t_left: ``(B, n)`` uint8 left control-bit corrections.
         cw_t_right: ``(B, n)`` uint8 right control-bit corrections.
-        output_cws: ``(B,)`` uint64 output correction words.
+        output_cws: ``(B, 2)`` uint64 output correction words, one per
+            row of a leaf.
         negate: ``(B,)`` bool — party-1 rows get sign-flipped.
     """
 
@@ -112,9 +120,9 @@ class KeyArena:
                     f"key was generated for PRF {key.prf_name!r} but evaluation "
                     f"uses {want_prf!r}; the parties would not reconstruct"
                 )
-            if (key.domain_size, key.log_domain) != (first.domain_size, first.log_domain):
+            if key.domain_size != first.domain_size:
                 raise ValueError("all keys in a batch must share the same domain")
-        b, n = len(keys), first.log_domain
+        b, n = len(keys), first.depth
         if n:
             cw_seeds = np.array(
                 [[cw.seed for cw in key.correction_words] for key in keys],
@@ -165,14 +173,12 @@ class KeyArena:
         """
         if len(data) < HEADER_BYTES:
             raise ValueError("truncated DPF key batch")
-        magic, _, depth, domain_size, _, prf_len = struct.unpack_from(_HEADER_FMT, data)
-        if magic != _MAGIC:
-            raise ValueError(f"bad DPF key magic {magic!r}")
-        if domain_size <= 0 or log2_ceil(domain_size) != depth:
-            raise ValueError(
-                f"domain_size {domain_size} is inconsistent with tree depth {depth}"
-            )
-        record = _record_size(depth, prf_len)
+        magic, _, log_domain, domain_size, _, _, prf_len = struct.unpack_from(
+            _HEADER_FMT, data
+        )
+        _check_header(magic, log_domain, domain_size)
+        depth = tree_depth(domain_size)
+        record = _record_size(log_domain, prf_len)
         if len(data) % record:
             raise ValueError(
                 f"wire buffer of {len(data)} bytes is not a whole number of "
@@ -186,7 +192,7 @@ class KeyArena:
         parties = mat[:, 4]
         if not ((parties == 0) | (parties == 1)).all():
             raise ValueError("party must be 0 or 1")
-        # Homogeneity: depth + domain (header bytes 5..9) and the PRF
+        # Homogeneity: log_domain + domain (header bytes 5..9) and the PRF
         # name must match the first record, or the fixed stride (and the
         # batch itself) is meaningless.
         if not (mat[:, 5:10] == mat[0, 5:10]).all():
@@ -199,8 +205,8 @@ class KeyArena:
         prf_name = bytes(mat[0, HEADER_BYTES:name_end]).decode()
 
         output_cws = (
-            np.ascontiguousarray(mat[:, 10:18]).view(np.dtype("<u8")).reshape(b)
-        ).astype(np.uint64, copy=False)
+            np.ascontiguousarray(mat[:, _OUTPUT_CW]).view("<u8").astype(np.uint64, copy=False)
+        )
         root_ts = mat[:, name_end].copy()
         roots = np.ascontiguousarray(mat[:, name_end + 1 : name_end + 17])
         cw = mat[:, name_end + 17 :].reshape(b, depth, CW_BYTES)
@@ -364,22 +370,21 @@ class KeyArena:
         """
         prf_bytes = self.prf_name.encode()
         prf_len = len(prf_bytes)
-        record = _record_size(self.depth, prf_len)
+        log_domain = log2_ceil(self.domain_size)
+        record = _record_size(log_domain, prf_len)
         b = self.batch
         mat = np.empty((b, record), dtype=np.uint8)
         # Header template with party and output_cw zeroed; both are
         # overwritten column-wise below.
         template = struct.pack(
-            _HEADER_FMT, _MAGIC, 0, self.depth, self.domain_size, 0, prf_len
+            _HEADER_FMT, _MAGIC, 0, log_domain, self.domain_size, 0, 0, prf_len
         )
         mat[:, : HEADER_BYTES + prf_len] = np.frombuffer(
             template + prf_bytes, dtype=np.uint8
         )
         mat[:, 4] = self.negate
-        mat[:, 10:18] = (
-            np.ascontiguousarray(self.output_cws, dtype="<u8")
-            .view(np.uint8)
-            .reshape(b, 8)
+        mat[:, _OUTPUT_CW] = np.ascontiguousarray(self.output_cws, dtype="<u8").view(
+            np.uint8
         )
         name_end = HEADER_BYTES + prf_len
         mat[:, name_end] = self.root_ts
@@ -466,11 +471,11 @@ class KeyArena:
                 DpfKey(
                     party=1 if self.negate[i] else 0,
                     domain_size=self.domain_size,
-                    log_domain=self.depth,
+                    log_domain=log2_ceil(self.domain_size),
                     root_seed=self.roots[i].copy(),
                     root_t=int(self.root_ts[i]),
                     correction_words=cws,
-                    output_cw=int(self.output_cws[i]),
+                    output_cw=tuple(self.output_cws[i].tolist()),
                     prf_name=self.prf_name,
                 )
             )

@@ -21,6 +21,14 @@ against live memory (Figure 6):
   each subtree tile resident in shared memory, paying occupancy (the
   tile evicts resident blocks) instead of global-memory traffic.
 
+Leaves are word-packed (:mod:`repro.dpf.ggm`): a leaf seed's two 64-bit
+words are the shares of two adjacent table rows, so the functional
+walks below run over the ``ceil(L / 2)``-leaf tree — half the PRF
+blocks of the paper's one-row-per-leaf kernels.  :meth:`Strategy.cost`
+and the meter count that packed walk exactly; :meth:`Strategy.plan`
+keeps pricing the paper's kernel, one row per leaf, because that is
+what the device model was calibrated against (Table 4).
+
 Every strategy is implemented as a *real* vectorized-numpy traversal
 that is bit-identical to :func:`repro.dpf.dpf.eval_full`, meters its
 buffers through :class:`~repro.gpu.memory.MemoryMeter`, and can emit a
@@ -157,17 +165,23 @@ def _expand_children_batch(
     return left.reshape(b, w, 16), t_left, right.reshape(b, w, 16), t_right
 
 
-def _leaf_values_batch(
+def _leaf_shares_batch(
     seeds: np.ndarray,  # (B, W, 16)
     ts: np.ndarray,  # (B, W)
-    output_cws: np.ndarray,  # (B,) uint64
-    negate: np.ndarray,  # (B,) bool
+    kb: KeyArena,
+    out: np.ndarray | None = None,  # (B, W, 2) uint64
 ) -> np.ndarray:
-    """Batched :func:`repro.dpf.ggm.leaf_values` (bit-identical math)."""
-    b, w, _ = seeds.shape
-    values = ggm.convert_to_u64(seeds).reshape(b, w)
-    values = values + ts.astype(np.uint64) * output_cws[:, np.newaxis]
-    values[negate] = np.uint64(0) - values[negate]
+    """Batched :func:`repro.dpf.ggm.leaf_values` (bit-identical math).
+
+    Returns the leaves' ``(B, W, 2)`` uint64 words, computed in place
+    from a zero-copy view of the seeds: in ``out`` when given (any
+    window of a share matrix), else in the one array this allocates.
+    """
+    values = np.multiply(
+        ts[:, :, np.newaxis], kb.output_cws[:, np.newaxis, :], out=out
+    )
+    values += ggm.convert_to_u64(seeds)
+    np.negative(values, out=values, where=kb.negate[:, np.newaxis, np.newaxis])
     return values
 
 
@@ -209,13 +223,16 @@ class Strategy(abc.ABC):
 
         ``eval_range=(lo, hi)`` returns the shares of table rows
         ``[lo, hi)`` only, bit-identical to columns ``lo:hi`` of the
-        whole-domain matrix.  The walk keeps, at every level, only the
-        node window whose subtrees meet the range
-        (:func:`repro.dpf.ggm.level_window`), so a shard holding
-        ``hi - lo`` rows pays ``O((hi - lo) + log L)`` PRF blocks per
-        key, not ``O(L)``.  ``None`` is the window ``(0, L)`` — the same
-        traversal; on a non-power-of-two domain it already prunes the
-        subtrees past ``L``.
+        whole-domain matrix.  The rows live in the leaves
+        :func:`repro.dpf.ggm.leaf_window` ``(lo, hi)``, two to a leaf;
+        the walk keeps, at every level, only the node window whose
+        subtrees meet those leaves (:func:`repro.dpf.ggm.level_window`),
+        and at most one word is clipped off each end of the leaves'
+        words afterwards, so a shard holding ``hi - lo`` rows pays
+        ``O((hi - lo) / 2 + log L)`` PRF blocks per key, not ``O(L)``.
+        ``None`` is the window ``(0, L)`` — the same traversal; on a
+        non-power-of-two domain it already prunes the subtrees past
+        ``L``.
 
         All device-side expansion buffers are reported to ``meter``; the
         meter's ``current`` returns to zero before this method returns
@@ -227,14 +244,17 @@ class Strategy(abc.ABC):
         """
         arena = KeyArena.ingest(keys, prf_name=prf.name)
         lo, hi = resolve_range(arena.domain_size, eval_range)
-        return self._eval(
+        leaf_lo, leaf_hi = ggm.leaf_window(lo, hi)
+        words = self._eval(
             arena,
             prf,
             meter if meter is not None else MemoryMeter(),
             workspace if workspace is not None else ExpansionWorkspace(),
-            lo,
-            hi,
-        )
+            leaf_lo,
+            leaf_hi,
+        ).reshape(arena.batch, -1)
+        # An odd ``lo`` or ``hi`` drops one column (and costs one copy).
+        return np.ascontiguousarray(ggm.window_rows(words, lo, hi))
 
     @abc.abstractmethod
     def _eval(
@@ -246,7 +266,11 @@ class Strategy(abc.ABC):
         lo: int,
         hi: int,
     ) -> np.ndarray:
-        """Strategy-specific traversal of leaves ``[lo, hi)``."""
+        """Strategy-specific traversal of leaves ``[lo, hi)``.
+
+        Returns the leaves' ``(B, hi - lo, 2)`` uint64 words, which
+        flatten to the shares of table rows ``[2 * lo, 2 * hi)``.
+        """
 
     @abc.abstractmethod
     def cost(
@@ -258,7 +282,10 @@ class Strategy(abc.ABC):
         """Analytic PRF-work and peak-memory model for one invocation.
 
         Exact for any ``eval_range`` (the same window arithmetic the
-        traversal uses), so a restricted call reports its pruned count.
+        traversal uses), so a restricted call reports its pruned count:
+        ``domain_size`` and ``eval_range`` are table rows, the counts
+        are those of the word-packed walk over their leaves
+        (``2 * (2**(n-1) - 1)`` blocks per key on a ``2**n``-row table).
         """
 
     @abc.abstractmethod
@@ -285,19 +312,31 @@ class Strategy(abc.ABC):
         (``resident_bytes``), which the simulator's capacity check
         accounts for.
 
-        The plan takes no ``eval_range``: the modeled device expands
-        the whole ``2**ceil(log2 L)``-leaf tree, so the simulated
-        latency of a range-restricted request stays the full-tree price
-        even though the functional walk (and :meth:`cost`) is pruned.
+        The plan takes no ``eval_range`` and packs no leaves: the
+        modeled device expands the paper's whole ``2**ceil(log2 L)``-leaf
+        tree, one table row per leaf, so the simulated latency of a
+        request stays the calibrated full-tree price even though the
+        functional walk (and :meth:`cost`) is packed and pruned.
         """
 
     # -- shared pieces -------------------------------------------------
 
     @staticmethod
     def _depth(domain_size: int) -> int:
+        """Depth of the modeled one-row-per-leaf tree (:meth:`plan` only)."""
         if domain_size <= 0:
             raise ValueError(f"domain_size must be positive, got {domain_size}")
         return ggm.log2_ceil(domain_size)
+
+    @staticmethod
+    def _walk(
+        domain_size: int, eval_range: tuple[int, int] | None
+    ) -> tuple[int, int, int]:
+        """``(depth, leaf_lo, leaf_hi)`` of the functional packed walk."""
+        if domain_size <= 0:
+            raise ValueError(f"domain_size must be positive, got {domain_size}")
+        lo, hi = resolve_range(domain_size, eval_range)
+        return (ggm.tree_depth(domain_size), *ggm.leaf_window(lo, hi))
 
     def _plan_common(
         self,
@@ -469,7 +508,7 @@ class BranchParallel(Strategy):
     """One lane per leaf; every lane recomputes its root->leaf path.
 
     O(L log L) PRF blocks per query but no dependence between lanes:
-    the whole batch is exposed as ``B * L`` parallel work items from the
+    the whole batch is exposed as one work item per leaf from the
     first wave, and a real kernel keeps the path seed in a register.
     Wins on small tables where the per-level launch/sync overheads of
     the breadth-first strategies dominate.
@@ -523,7 +562,7 @@ class BranchParallel(Strategy):
             child_ts = (child_ts ^ (ts & cw_t)).astype(np.uint8)
             meter.free_arrays(seeds, ts)
             seeds, ts = children, child_ts
-        values = _leaf_values_batch(seeds, ts, kb.output_cws, kb.negate)
+        values = _leaf_shares_batch(seeds, ts, kb)
         meter.free_arrays(seeds, ts)
         return values
 
@@ -533,8 +572,7 @@ class BranchParallel(Strategy):
         domain_size: int,
         eval_range: tuple[int, int] | None = None,
     ) -> StrategyCost:
-        n = self._depth(domain_size)
-        lo, hi = resolve_range(domain_size, eval_range)
+        n, lo, hi = self._walk(domain_size, eval_range)
         lanes = batch_size * (hi - lo)
         return StrategyCost(
             strategy=self.name,
@@ -602,7 +640,7 @@ class LevelByLevel(Strategy):
         hi: int,
     ) -> np.ndarray:
         seeds, ts = self._expand_to_level(kb, prf, meter, kb.depth, lo, hi, workspace)
-        values = _leaf_values_batch(seeds, ts, kb.output_cws, kb.negate)
+        values = _leaf_shares_batch(seeds, ts, kb)
         meter.alloc_array(values)  # unfused: shares are materialized
         meter.free_arrays(seeds, ts)
         meter.free_array(values)
@@ -614,12 +652,11 @@ class LevelByLevel(Strategy):
         domain_size: int,
         eval_range: tuple[int, int] | None = None,
     ) -> StrategyCost:
-        n = self._depth(domain_size)
-        lo, hi = resolve_range(domain_size, eval_range)
+        n, lo, hi = self._walk(domain_size, eval_range)
         leaves = hi - lo
         peak = max(
             self._bfs_peak_bytes(batch_size, n, 0, n, lo, hi),
-            NODE_BYTES * batch_size * leaves + 8 * batch_size * leaves,
+            (NODE_BYTES + 8 * ggm.LEAF_WORDS) * batch_size * leaves,
         )
         return StrategyCost(
             strategy=self.name,
@@ -670,8 +707,11 @@ class LevelByLevel(Strategy):
         )
         return KernelPlan(
             phases=phases,
-            # The modeled device materializes the whole 2**n-leaf tree.
-            peak_mem_bytes=self.cost(batch_size, leaves).peak_mem_bytes,
+            # The modeled device materializes the whole 2**n-leaf tree:
+            # the widest parents plus their children, or the leaves plus
+            # one 8-byte share each.
+            peak_mem_bytes=batch_size
+            * max(3 * NODE_BYTES * leaves // 2, (NODE_BYTES + 8) * leaves),
             **self._plan_common(
                 batch_size, table_entries, entry_bytes, prf_name, resident_keys
             ),
@@ -686,9 +726,11 @@ class MemoryBoundedTree(Strategy):
     frontier of K subtree roots per query; the K subtrees then run as
     parallel lanes, each walking its subtree depth-first with an
     explicit stack of at most ``d = n - k`` sibling nodes.  Live memory
-    is O(B K log L) while PRF work stays at the optimal 2(L-1) blocks
-    per query, and the leaf shares feed the table dot product in
-    registers (fused — the paper's Table 4 kernel).
+    is O(B K log L) while PRF work stays at the optimal two blocks per
+    inner node (``L - 2`` per query over word-packed leaves; the
+    modeled one-row-per-leaf kernel of :meth:`plan` pays ``2(L - 1)``),
+    and the leaf shares feed the table dot product in registers (fused —
+    the paper's Table 4 kernel).
 
     Only the lanes whose subtrees meet the evaluated rows are started
     (none past the end of a non-power-of-two domain), and inside the
@@ -711,13 +753,10 @@ class MemoryBoundedTree(Strategy):
             raise ValueError("log_subtrees must be non-negative")
         self.log_subtrees = log_subtrees
 
-    def _split(self, domain_size: int) -> tuple[int, int, int]:
-        """Return (k, d, active_subtrees) for a domain."""
-        n = self._depth(domain_size)
-        k = min(self.log_subtrees, n)
-        d = n - k
-        active = _ceil_div(domain_size, 2**d)
-        return k, d, active
+    def _split(self, depth: int) -> tuple[int, int]:
+        """``(k, d)``: top levels and subtree depth of a ``depth``-level tree."""
+        k = min(self.log_subtrees, depth)
+        return k, depth - k
 
     def _eval(
         self,
@@ -729,23 +768,23 @@ class MemoryBoundedTree(Strategy):
         hi: int,
     ) -> np.ndarray:
         b, n = kb.batch, kb.depth
-        k, d, _ = self._split(kb.domain_size)
+        k, d = self._split(n)
         lane_seeds, lane_ts = self._expand_to_level(kb, prf, meter, k, lo, hi, workspace)
         first_lane, _ = ggm.level_window(n, k, lo, hi)
         # Each lane owns a d-deep stack of sibling pairs for the whole
         # walk, whether or not the window keeps it busy at every node.
         stack_bytes = 2 * d * (lane_seeds.nbytes + lane_ts.nbytes)
         meter.alloc(stack_bytes)
-        out = np.empty((b, hi - lo), dtype=np.uint64)
+        out = np.empty((b, hi - lo, ggm.LEAF_WORDS), dtype=np.uint64)
 
         def descend(
             seeds: np.ndarray, ts: np.ndarray, j: int, first: int, path: int
         ) -> None:
             """Lanes ``first..`` in lockstep at subtree node ``path`` of level ``j``."""
             if j == d:
-                # Lane i's leaf is table row (i << d) + path.
-                out[:, (first << d) + path - lo :: 1 << d] = _leaf_values_batch(
-                    seeds, ts, kb.output_cws, kb.negate
+                # Lane i's leaf is leaf (i << d) + path.
+                _leaf_shares_batch(
+                    seeds, ts, kb, out=out[:, (first << d) + path - lo :: 1 << d]
                 )
                 return
             level = k + j
@@ -789,18 +828,18 @@ class MemoryBoundedTree(Strategy):
         domain_size: int,
         eval_range: tuple[int, int] | None = None,
     ) -> StrategyCost:
-        k, d, _ = self._split(domain_size)
-        lo, hi = resolve_range(domain_size, eval_range)
-        lanes = batch_size * _window_widths(k + d, k, k, lo, hi)[0]
+        n, lo, hi = self._walk(domain_size, eval_range)
+        k, d = self._split(n)
+        lanes = batch_size * _window_widths(n, k, k, lo, hi)[0]
         peak = max(
-            self._bfs_peak_bytes(batch_size, k + d, 0, k, lo, hi),
+            self._bfs_peak_bytes(batch_size, n, 0, k, lo, hi),
             NODE_BYTES * lanes * (1 + 2 * d),
         )
         return StrategyCost(
             strategy=self.name,
             batch_size=batch_size,
             domain_size=domain_size,
-            prf_blocks=batch_size * self._window_blocks(k + d, lo, hi),
+            prf_blocks=batch_size * self._window_blocks(n, lo, hi),
             peak_mem_bytes=peak,
             parallel_width=lanes,
         )
@@ -813,8 +852,8 @@ class MemoryBoundedTree(Strategy):
         prf_name: str = "aes128",
         resident_keys: bool = False,
     ) -> KernelPlan:
-        k, d, active = self._split(table_entries)
-        lanes = batch_size * active
+        k, d = self._split(self._depth(table_entries))
+        lanes = batch_size * _ceil_div(table_entries, 2**d)
         phases = [
             KernelPhase(
                 label=f"top-level-{level}",
@@ -882,13 +921,10 @@ class CooperativeGroups(Strategy):
     def tile_leaves(self) -> int:
         return 2**self.log_tile
 
-    def _split(self, domain_size: int) -> tuple[int, int, int]:
-        """Return (top_depth m, tile_depth t, active_tiles)."""
-        n = self._depth(domain_size)
-        t = min(self.log_tile, n)
-        m = n - t
-        active = _ceil_div(domain_size, 2**t)
-        return m, t, active
+    def _split(self, depth: int) -> tuple[int, int]:
+        """``(m, t)``: top levels and tile depth of a ``depth``-level tree."""
+        t = min(self.log_tile, depth)
+        return depth - t, t
 
     def _eval(
         self,
@@ -900,18 +936,18 @@ class CooperativeGroups(Strategy):
         hi: int,
     ) -> np.ndarray:
         b, n = kb.batch, kb.depth
-        m, t, _ = self._split(kb.domain_size)
+        m, t = self._split(n)
         frontier_seeds, frontier_ts = self._expand_to_level(
             kb, prf, meter, m, lo, hi, workspace
         )
         first_tile, end_tile = ggm.level_window(n, m, lo, hi)
-        out = np.empty((b, hi - lo), dtype=np.uint64)
+        out = np.empty((b, hi - lo, ggm.LEAF_WORDS), dtype=np.uint64)
         # Double-buffered tile expansion: the "tile" workspace slot is
         # reused for every tile and every level within a tile, and is
         # distinct from the "frontier" slot because the frontier views
         # stay live across the whole tile loop.
         for tile in range(first_tile, end_tile):
-            tile_lo, tile_hi = self._tile_rows(tile, t, lo, hi)
+            tile_lo, tile_hi = self._tile_window(tile, t, lo, hi)
             index = tile - first_tile
             seeds, ts = self._expand_window(
                 kb,
@@ -925,16 +961,14 @@ class CooperativeGroups(Strategy):
                 workspace,
                 "tile",
             )
-            out[:, tile_lo - lo : tile_hi - lo] = _leaf_values_batch(
-                seeds, ts, kb.output_cws, kb.negate
-            )
+            _leaf_shares_batch(seeds, ts, kb, out=out[:, tile_lo - lo : tile_hi - lo])
             meter.free_arrays(seeds, ts)
         meter.free_arrays(frontier_seeds, frontier_ts)
         return out
 
     @staticmethod
-    def _tile_rows(tile: int, t: int, lo: int, hi: int) -> tuple[int, int]:
-        """The rows of ``[lo, hi)`` inside tile ``tile`` of ``2**t`` leaves."""
+    def _tile_window(tile: int, t: int, lo: int, hi: int) -> tuple[int, int]:
+        """The leaves of ``[lo, hi)`` inside tile ``tile`` of ``2**t`` leaves."""
         return max(lo, tile << t), min(hi, (tile + 1) << t)
 
     def cost(
@@ -943,15 +977,14 @@ class CooperativeGroups(Strategy):
         domain_size: int,
         eval_range: tuple[int, int] | None = None,
     ) -> StrategyCost:
-        m, t, _ = self._split(domain_size)
-        n = m + t
-        lo, hi = resolve_range(domain_size, eval_range)
+        n, lo, hi = self._walk(domain_size, eval_range)
+        m, t = self._split(n)
         first_tile, end_tile = ggm.level_window(n, m, lo, hi)
         tiles = end_tile - first_tile
         # Only the two edge tiles can be clipped; every tile between
         # them is whole, so three candidates bound the tile peak.
         tile_peak = max(
-            self._bfs_peak_bytes(batch_size, n, m, n, *self._tile_rows(tile, t, lo, hi))
+            self._bfs_peak_bytes(batch_size, n, m, n, *self._tile_window(tile, t, lo, hi))
             for tile in {first_tile, min(first_tile + 1, end_tile - 1), end_tile - 1}
         )
         peak = max(
@@ -975,8 +1008,9 @@ class CooperativeGroups(Strategy):
         prf_name: str = "aes128",
         resident_keys: bool = False,
     ) -> KernelPlan:
-        m, t, active = self._split(table_entries)
+        m, t = self._split(self._depth(table_entries))
         tile = 2**t
+        active = _ceil_div(table_entries, tile)
         shared = 2 * tile * NODE_BYTES  # double-buffered tile
         phases = [
             KernelPhase(

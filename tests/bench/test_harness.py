@@ -399,7 +399,8 @@ class TestRunCase:
     def test_reference_case(self):
         case = BenchCase("siphash", REFERENCE, 1, 5, repeats=1, warmup=0)
         result = run_case(case)
-        assert result.prf_blocks == _reference_blocks(1, 5) == 2 * (2**5 - 1)
+        # Two blocks per inner node of the 2^4-leaf word-packed tree.
+        assert result.prf_blocks == _reference_blocks(1, 5) == 2 * (2**4 - 1)
         assert not result.verified  # nothing to verify against itself
 
     def test_verification_catches_divergence(self, monkeypatch):

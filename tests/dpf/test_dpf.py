@@ -91,6 +91,33 @@ class TestValidation:
         with pytest.raises(ValueError, match="PRF"):
             eval_full(k0, get_prf("aes128"))
 
+    def test_object_built_key_with_an_inconsistent_shape_rejected(self):
+        """What the wire parsers refuse, the constructor refuses too:
+        such a key used to be accepted and only fail, or silently
+        mis-index, inside ``eval_full``."""
+        k0, _ = gen(3, 100, PRF, np.random.default_rng(0))
+        fields = dict(
+            party=0,
+            domain_size=100,
+            log_domain=7,
+            root_seed=k0.root_seed,
+            root_t=0,
+            correction_words=k0.correction_words,
+            output_cw=k0.output_cw,
+            prf_name=PRF.name,
+        )
+        assert DpfKey(**fields).to_bytes() == k0.to_bytes()
+        with pytest.raises(ValueError, match="inconsistent"):
+            DpfKey(**{**fields, "log_domain": 3})
+        with pytest.raises(ValueError, match="inconsistent"):
+            DpfKey(**{**fields, "domain_size": 0, "log_domain": 0})
+        # One word per level of the 50-leaf tree: 6, not log_domain = 7.
+        for cws in (k0.correction_words[:-1], k0.correction_words + k0.correction_words[:1]):
+            with pytest.raises(ValueError, match="6 correction words"):
+                DpfKey(**{**fields, "correction_words": cws})
+        with pytest.raises(ValueError, match="2 words"):
+            DpfKey(**{**fields, "output_cw": (1,)})
+
 
 class TestSecrecySanity:
     """Cheap statistical checks that one key alone looks index-independent.
@@ -148,6 +175,10 @@ class TestSerialization:
         small = key_size_bytes(1 << 10)
         large = key_size_bytes(1 << 20)
         assert large - small == 10 * 17  # 17 bytes per extra level
+
+    def test_packed_leaves_need_one_level_fewer(self):
+        k0, _ = gen(77, 1024, PRF, np.random.default_rng(1))
+        assert (k0.log_domain, k0.depth, len(k0.correction_words)) == (10, 9, 9)
 
     def test_bad_magic_rejected(self):
         with pytest.raises(ValueError):

@@ -7,6 +7,8 @@ dataclass validator); and the batched ``pack_keys`` / ``split_wire`` /
 ``unpack_keys`` framing round-trips exactly.
 """
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -22,6 +24,7 @@ from repro.dpf import (
     unpack_keys,
     wire_size,
 )
+from repro.gpu import KeyArena
 
 from tests.strategies import STANDARD_SETTINGS, dpf_cases
 
@@ -51,6 +54,28 @@ class TestSizeBytes:
     def test_wire_size_rejects_negative_depth(self):
         with pytest.raises(ValueError, match="non-negative"):
             wire_size(-1)
+
+    @pytest.mark.parametrize("prf_name", available_prfs())
+    def test_every_size_source_agrees_at_every_depth(self, prf_name):
+        """One number per (PRF, table size), whoever is asked: the
+        arithmetic, the object, its serialization and the arena."""
+        prf = get_prf(prf_name)
+        rng = np.random.default_rng(15)
+        for log_domain in range(21):
+            domain = 1 << log_domain
+            pair = gen(domain - 1, domain, prf, rng)
+            size = wire_size(log_domain, prf_name)
+            assert key_size_bytes(domain, prf_name) == size
+            assert pair[0].size_bytes == size == len(pair[1].to_bytes())
+            assert len(KeyArena.from_keys(list(pair)).to_wire()) == 2 * size
+            # One 17-byte level per doubling, from the two-row root-only
+            # tree up; a one-row table costs what a two-row one does.
+            levels = max(log_domain - 1, 0)
+            assert size == wire_size(0, prf_name) + 17 * levels
+
+    def test_benchmark_shapes(self):
+        assert wire_size(10, "aes128") == 203
+        assert wire_size(16, "siphash") == 306
 
 
 class TestFromBytesValidation:
@@ -88,6 +113,21 @@ class TestFromBytesValidation:
         data[6:10] = (0).to_bytes(4, "little")
         with pytest.raises(ValueError, match="inconsistent"):
             DpfKey.from_bytes(bytes(data))
+
+    def test_every_output_correction_bit_parses_to_that_word(self):
+        """The 16 bytes after the 10-byte magic/party/domain prefix are
+        the two output-correction words: any flip there still parses
+        and changes that word alone."""
+        key, _ = _key(100)
+        data = key.to_bytes()
+        for bit in range(128):
+            flipped = bytearray(data)
+            flipped[10 + bit // 8] ^= 1 << (bit % 8)
+            parsed = DpfKey.from_bytes(bytes(flipped))
+            want = list(key.output_cw)
+            want[bit // 64] ^= 1 << (bit % 64)
+            assert parsed.output_cw == tuple(want)
+            assert parsed.to_bytes() == bytes(flipped)
 
     def test_truncation_message_is_clear(self):
         """Mid-correction-word truncation fails at the length check, not
@@ -133,6 +173,30 @@ class TestFromBytesValidation:
             return
         with pytest.raises(ValueError, match="magic"):
             DpfKey.from_bytes(magic + data[4:])
+
+
+class TestUnpackedVersionRefused:
+    """A ``DPF1`` record (one row per leaf: one more level, one output
+    word) must be refused by name at every parser, never mis-framed."""
+
+    @staticmethod
+    def _dpf1_record(log_domain=6, prf_name=b"chacha20"):
+        header = struct.pack(
+            "<4sBBIQB", b"DPF1", 0, log_domain, 1 << log_domain, 7, len(prf_name)
+        )
+        return header + prf_name + bytes(1 + 16 + 17 * log_domain)
+
+    @pytest.mark.parametrize(
+        "parse", [DpfKey.from_bytes, split_wire, unpack_keys, KeyArena.from_wire]
+    )
+    def test_every_parser_names_the_version(self, parse):
+        with pytest.raises(ValueError, match="version DPF1"):
+            parse(self._dpf1_record())
+
+    def test_refused_after_a_current_record_too(self):
+        key, _ = _key(64)
+        with pytest.raises(ValueError, match=r"at offset \d+: wire version DPF1"):
+            split_wire(key.to_bytes() + self._dpf1_record())
 
 
 class TestBatchFraming:
@@ -188,9 +252,9 @@ class TestTrailingGarbage:
     def test_magic_prefixed_garbage_rejected(self):
         key, _ = _key(64)
         wire = pack_keys([key, key])
-        # b"DPF1" + zeros parses as a header with domain_size 0; the
+        # b"DPF2" + zeros parses as a header with domain_size 0; the
         # old framing accepted it as a 36-byte record.
-        garbage = b"DPF1" + bytes(32)
+        garbage = b"DPF2" + bytes(32)
         with pytest.raises(ValueError, match="inconsistent"):
             split_wire(wire + garbage)
         with pytest.raises(ValueError, match="inconsistent"):

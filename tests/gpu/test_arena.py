@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from repro.crypto import get_prf
 from repro.crypto.prf import CountingPrf
 from repro.dpf import eval_full, gen, pack_keys
+from repro.dpf.keys import HEADER_BYTES
 from repro.gpu import (
     V100,
     ExpansionWorkspace,
@@ -107,7 +108,7 @@ class TestWireEquivalence:
             KeyArena.from_wire(bytes(corrupt))
         record = len(wire) // 2
         bad_len = bytearray(wire)
-        bad_len[record + 18] ^= 0x02  # second record's prf_len byte
+        bad_len[record + HEADER_BYTES - 1] ^= 0x02  # second record's prf_len byte
         with pytest.raises(ValueError, match="same PRF"):
             KeyArena.from_wire(bytes(bad_len))
 

@@ -1,0 +1,135 @@
+"""A slow independent oracle for the word-packed walks at awkward domains.
+
+``eval_points`` asked for one row at a time walks one root->leaf path
+and picks one word of the leaf; nothing in it is shared with the
+breadth-first walks beyond the PRG.  Every other evaluation — the
+reference ``eval_full``, ``dpf.eval_range`` and each strategy's
+``eval_batch`` on every ingest form and range — must agree with it bit
+for bit where leaf arithmetic breaks: domains 1, 2, 3, primes and
+``2^k - 1, 2^k, 2^k + 1``, ranges with every parity of ``lo`` and
+``hi``, the one-row range inside a leaf, and an odd domain whose last
+leaf uses one word.
+"""
+
+import functools
+
+import numpy as np
+import pytest
+
+from repro.crypto import available_prfs, get_prf
+from repro.crypto.prf import CountingPrf
+from repro.dpf import eval_full, eval_points, eval_range, gen, pack_keys
+from repro.dpf.ggm import tree_depth
+from repro.gpu import KeyArena, available_strategies, get_strategy
+
+PRF = get_prf("siphash")
+ALL_STRATEGIES = available_strategies()
+BETA = 0xC0FFEE
+
+ORACLE_DOMAINS = (1, 2, 3, 4, 5, 7, 8, 9, 13, 15, 16, 17, 31, 32, 33, 63, 64, 65)
+"""1, 2, 3, primes, and ``2^k - 1, 2^k, 2^k + 1``."""
+
+EXHAUSTIVE_BELOW = 18
+"""Domains up to here get every ``(lo, hi)``; larger ones the edges."""
+
+
+def _alphas(domain):
+    """First, last, middle, and both words of the last whole leaf."""
+    return sorted({0, domain - 1, domain // 2, max(domain - 2, 0), max(domain - 3, 0)})
+
+
+def _keys(domain):
+    """One key per alpha of interest, parties alternating."""
+    rng = np.random.default_rng(domain)
+    return [
+        gen(alpha, domain, PRF, rng, beta=BETA)[index % 2]
+        for index, alpha in enumerate(_alphas(domain))
+    ]
+
+
+@functools.lru_cache(maxsize=None)
+def _oracle(domain):
+    """``_keys(domain)`` evaluated one key and one row at a time."""
+    matrix = np.array(
+        [
+            [eval_points(key, PRF, np.array([row]))[0] for row in range(domain)]
+            for key in _keys(domain)
+        ],
+        dtype=np.uint64,
+    )
+    matrix.setflags(write=False)
+    return matrix
+
+
+def _ranges(domain):
+    if domain < EXHAUSTIVE_BELOW:
+        return [(lo, hi) for lo in range(domain) for hi in range(lo + 1, domain + 1)]
+    edges = sorted({0, 1, 2, 3, domain // 2, domain // 2 + 1, domain - 3, domain - 2, domain - 1})
+    ranges = {(lo, hi) for lo in edges for hi in edges + [domain] if lo < hi}
+    # The one-row range in each word of a leaf.
+    ranges |= {(row, row + 1) for row in (domain // 2 & ~1, domain // 2 | 1)}
+    return sorted(ranges)
+
+
+@pytest.mark.parametrize("prf_name", available_prfs())
+@pytest.mark.parametrize("domain", ORACLE_DOMAINS)
+def test_both_parties_sum_to_beta_at_alpha(prf_name, domain):
+    prf = get_prf(prf_name)
+    rng = np.random.default_rng(domain)
+    for alpha in _alphas(domain):
+        key_0, key_1 = gen(alpha, domain, prf, rng, beta=BETA)
+        expected = np.zeros(domain, dtype=np.uint64)
+        expected[alpha] = BETA
+        assert np.array_equal(eval_full(key_0, prf) + eval_full(key_1, prf), expected)
+        assert len(key_0.correction_words) == tree_depth(domain)
+
+
+@pytest.mark.parametrize("domain", ORACLE_DOMAINS)
+def test_reference_walks_agree_with_the_oracle(domain):
+    for key, oracle in zip(_keys(domain), _oracle(domain)):
+        assert np.array_equal(eval_full(key, PRF), oracle)
+        for lo, hi in _ranges(domain):
+            assert np.array_equal(eval_range(key, PRF, lo, hi), oracle[lo:hi]), (lo, hi)
+
+
+@pytest.mark.parametrize("name", ALL_STRATEGIES)
+@pytest.mark.parametrize("domain", ORACLE_DOMAINS)
+def test_every_strategy_and_ingest_form_agrees_with_the_oracle(name, domain):
+    keys, oracle = _keys(domain), _oracle(domain)
+    strategy = get_strategy(name)
+    for source in (keys, pack_keys(keys), KeyArena.from_keys(keys)):
+        assert np.array_equal(strategy.eval_batch(source, PRF), oracle)
+    arena = KeyArena.from_wire(pack_keys(keys))
+    for lo, hi in _ranges(domain):
+        got = strategy.eval_batch(arena, PRF, eval_range=(lo, hi))
+        assert got.flags.c_contiguous
+        assert np.array_equal(got, oracle[:, lo:hi]), (lo, hi)
+
+
+def _odd_partition(domain, shards):
+    """``shards`` contiguous ranges whose inner boundaries are all odd."""
+    cuts = sorted({(domain * i // shards) | 1 for i in range(1, shards)} - {domain})
+    bounds = [0] + [cut for cut in cuts if 0 < cut < domain] + [domain]
+    return list(zip(bounds, bounds[1:]))
+
+
+@pytest.mark.parametrize("name", ALL_STRATEGIES)
+@pytest.mark.parametrize("shards", [1, 2, 3, 5])
+@pytest.mark.parametrize("domain", [5, 63, 64, 65, 251, 1000])
+def test_odd_boundary_shards_concatenate_and_share_one_tree(name, shards, domain):
+    """A boundary inside a leaf makes both neighbours expand that leaf:
+    one extra root->leaf path per boundary, two blocks per level (the
+    per-leaf ``branch_parallel`` pays the whole path again), no more."""
+    keys = _keys(domain)
+    strategy = get_strategy(name)
+    ranges = _odd_partition(domain, shards)
+    counting = CountingPrf(PRF)
+    parts = [strategy.eval_batch(keys, counting, eval_range=r) for r in ranges]
+    whole = np.stack([eval_full(key, PRF) for key in keys])
+    assert np.array_equal(np.concatenate(parts, axis=1), whole)
+    one_tree = strategy.cost(len(keys), domain).prf_blocks
+    extra_paths = len(keys) * (len(ranges) - 1) * 2 * tree_depth(domain)
+    assert one_tree <= counting.blocks <= one_tree + extra_paths
+    assert counting.blocks == sum(
+        strategy.cost(len(keys), domain, r).prf_blocks for r in ranges
+    )

@@ -5,7 +5,9 @@ to columns ``lo:hi`` of the reference ``eval_full`` for every strategy,
 ingest form and workspace mode; a partition of the domain concatenates
 back to the whole matrix; and the pruning is real — the PRF blocks a
 :class:`CountingPrf` sees equal the analytic ``cost(..., eval_range)``,
-which for the three O(L) walks is ``sum_l 2 * width(l)`` per key.
+which for the three O(L) walks is ``sum_l 2 * width(l)`` per key over
+the word-packed tree (rows ``[lo, hi)`` live in leaves
+``[lo // 2, ceil(hi / 2))``).
 """
 
 import numpy as np
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 from repro.crypto import get_prf
 from repro.crypto.prf import CountingPrf
 from repro.dpf import eval_full, gen, pack_keys
-from repro.dpf.ggm import level_window, log2_ceil
+from repro.dpf.ggm import leaf_window, level_window, tree_depth
 from repro.gpu import (
     ExpansionWorkspace,
     KeyArena,
@@ -123,7 +125,8 @@ class TestRangeBitIdentity:
 
 
 # (domain, lo, hi): whole, halves, one row, straddling a 2^4 tile /
-# subtree edge of the tuned variants below, prime width, prime domain.
+# subtree edge of the tuned variants below, prime width, prime domain,
+# then every parity of (lo, hi) and the root-only domains.
 COST_RANGES = [
     (1024, 0, 1024),
     (1024, 0, 512),
@@ -136,6 +139,13 @@ COST_RANGES = [
     (1000, 250, 750),
     (251, 17, 240),
     (1, 0, 1),
+    (1024, 333, 336),
+    (1024, 332, 335),
+    (1000, 1, 999),
+    (251, 0, 251),
+    (2, 0, 2),
+    (2, 1, 2),
+    (3, 2, 3),
 ]
 
 COST_VARIANTS = [
@@ -169,13 +179,31 @@ class TestExactRangeCost:
     @pytest.mark.parametrize("name", ["level_by_level", "memory_bounded", "cooperative_groups"])
     @pytest.mark.parametrize("domain,lo,hi", COST_RANGES)
     def test_linear_walks_pay_two_blocks_per_window_node(self, name, domain, lo, hi):
-        depth = log2_ceil(domain)
+        depth = tree_depth(domain)
+        leaf_lo, leaf_hi = leaf_window(lo, hi)
         per_key = 0
         for level in range(depth):
-            node_lo, node_hi = level_window(depth, level, lo, hi)
+            node_lo, node_hi = level_window(depth, level, leaf_lo, leaf_hi)
             per_key += 2 * (node_hi - node_lo)
         cost = get_strategy(name).cost(BATCH, domain, (lo, hi))
         assert cost.prf_blocks == BATCH * per_key
+
+    @pytest.mark.parametrize("name", ["level_by_level", "memory_bounded", "cooperative_groups"])
+    def test_packed_tree_block_count(self, name):
+        """The literal count CI runs by name beside the benchmark's
+        ``serve.shard_work_ratio``: a 2^10-row key costs two blocks per
+        inner node of the 2^9-leaf tree, and two half-range calls one
+        tree plus at most two blocks per level."""
+        keys = _keys(1024, batch=4)
+        strategy = get_strategy(name)
+        one_tree = 4 * 2 * (2**9 - 1)
+        whole = CountingPrf(PRF)
+        strategy.eval_batch(keys, whole)
+        assert whole.blocks == one_tree
+        halves = CountingPrf(PRF)
+        for half in shard_ranges(1024, 2):
+            strategy.eval_batch(keys, halves, eval_range=half)
+        assert one_tree <= halves.blocks <= one_tree + 4 * 2 * 9
 
     @pytest.mark.parametrize("name", ALL_STRATEGIES)
     def test_two_half_shards_cost_about_one_tree(self, name):

@@ -17,7 +17,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import available_prfs
+from repro.crypto import available_prfs, get_prf
+from repro.dpf import gen
 from repro.pir import PirClient, PirQuery, PirServer
 
 from tests.strategies import BACKEND_FACTORIES, domain_sizes, fast_prf_names
@@ -170,15 +171,15 @@ class TestQueryMany:
 
 
 KEY_DIGESTS = {
-    "aes128": "61dda316e665b252aaf08e51a710745894d60ad78ac9827309b5554bed5421a3",
-    "chacha20": "ff1047ae945f8f90885953302d43c3be96257e10d0e98c551d82dcb7f86b4ae3",
-    "highwayhash": "59cfbb3cb7672d863af2ddade45028feb47948eb24816d216447ecd873bb0240",
-    "sha256": "fc06eec39bdd0f87f8f64135bf6524404f058b1d7eedfbba371a80a2352fd101",
-    "siphash": "5463d7f946a9f45abd00ad6d771b4a697ca16141cd65cdd96b816070da04a932",
+    "aes128": "a7dd97929f7bd968fa8fb420ad166a33d5cddbacfd57754bb636e5f73995e947",
+    "chacha20": "aa360b90757e9c8dbd2a7f01edabfe03108783e4e213fb3076284604cb7b6b0e",
+    "highwayhash": "e32d0b3f669b5b128f510abfb63fbe3a60d7abdc1c6983dc1d9b5f0e39bc3997",
+    "sha256": "ed56cccfb16a9f3af7dba150579b37472f5977390ebc6dd886d06143ce732d84",
+    "siphash": "a0cbb85811ba40fba760b064c84853a14a531a9abf96147303b04d6db80920e5",
 }
 """SHA-256 over every ``pack_keys`` payload of the fixed-seed batch
-below, recorded at the commit before ``dpf.gen`` began expanding both
-parties' seeds in one PRG call per level."""
+below, recorded when the wire format became ``DPF2`` (word-packed
+leaves: one level fewer, two output-correction words)."""
 
 
 class TestKeysAreByteStable:
@@ -194,6 +195,18 @@ class TestKeysAreByteStable:
             for frame in batch.requests:
                 digest.update(PirQuery.from_bytes(frame).key_bytes)
         assert digest.hexdigest() == KEY_DIGESTS[name]
+
+    @pytest.mark.parametrize("name", available_prfs())
+    def test_gen_draws_the_two_root_seeds_first_and_in_order(self, name):
+        # What did not change with the format: party 0's root is the
+        # rng's first 16 bytes and party 1's the next 16, key after key.
+        prf = get_prf(name)
+        rng, twin = np.random.default_rng(77), np.random.default_rng(77)
+        for alpha in (0, 999):
+            key_0, key_1 = gen(alpha, 1000, prf, rng)
+            for key in (key_0, key_1):
+                want = twin.integers(0, 256, size=(1, 16), dtype=np.uint8)[0]
+                assert np.array_equal(key.root_seed, want)
 
 
 class TestServerValidation:
