@@ -325,4 +325,4 @@ class CpuBackend(ExecutionBackend):
             peak_mem_bytes=shard.selection.plan.peak_mem_bytes,
             parallel_width=min(plan.stats.batch_size, self.device.threads),
         )
-        return EvalResult(answers=np.stack(rows), plan=plan, cost=cost)
+        return EvalResult(answers=request.reduced(np.stack(rows)), plan=plan, cost=cost)

@@ -9,9 +9,24 @@ explicitly.
 The DPF uses the seed as the SipHash key and the tweak as an 8-byte
 message; two invocations with domain-separated messages produce the
 128-bit output block.
+
+The PRG path (:class:`SipHashPrf`) runs its eight rounds **in place**
+over **fixed chunks** of :data:`_CHUNK` seeds: the four state words and
+one rotate temporary of every lane live in a thread-local
+:class:`_Scratch`, every numpy call writes through ``out=``, and the
+last XOR lands straight in the freshly allocated result.  A call
+therefore allocates its result and nothing else, and ns/block is flat
+from a few thousand seeds to millions — the DPF expansion calls the PRG
+once per tree level with geometrically growing batches, so both ends of
+that range are on the serving path (as for :mod:`repro.crypto.aes`,
+whose ``_Scratch`` this mirrors, thread-local for the same reason).
+The allocating, functional :func:`_sipround` is kept for the scalar
+:func:`siphash24`, which the tests hold the in-place path against.
 """
 
 from __future__ import annotations
+
+import threading
 
 import numpy as np
 
@@ -45,38 +60,6 @@ def _sipround(v0: np.ndarray, v1: np.ndarray, v2: np.ndarray, v3: np.ndarray):
     return v0, v1, v2, v3
 
 
-def siphash24_batch(k0: np.ndarray, k1: np.ndarray, message: np.ndarray) -> np.ndarray:
-    """SipHash-2-4 of a single 8-byte message word per key.
-
-    Args:
-        k0: ``(N,)`` uint64 low key words.
-        k1: ``(N,)`` uint64 high key words.
-        message: ``(N,)`` uint64 message words (one 8-byte block each).
-
-    Returns:
-        ``(N,)`` uint64 MACs.
-    """
-    v0 = k0 ^ _V0
-    v1 = k1 ^ _V1
-    v2 = k0 ^ _V2
-    v3 = k1 ^ _V3
-    # Compression of the single message word.
-    v3 = v3 ^ message
-    for _ in range(2):
-        v0, v1, v2, v3 = _sipround(v0, v1, v2, v3)
-    v0 = v0 ^ message
-    # Finalization: length byte (8) in the top byte of the last block.
-    final_block = np.uint64(8 << 56)
-    v3 = v3 ^ final_block
-    for _ in range(2):
-        v0, v1, v2, v3 = _sipround(v0, v1, v2, v3)
-    v0 = v0 ^ final_block
-    v2 = v2 ^ np.uint64(0xFF)
-    for _ in range(4):
-        v0, v1, v2, v3 = _sipround(v0, v1, v2, v3)
-    return v0 ^ v1 ^ v2 ^ v3
-
-
 def siphash24(key: bytes, message: bytes) -> int:
     """Scalar SipHash-2-4 for arbitrary-length messages (test vectors)."""
     if len(key) != 16:
@@ -106,6 +89,115 @@ def siphash24(key: bytes, message: bytes) -> int:
     return int(v[0][0] ^ v[1][0] ^ v[2][0] ^ v[3][0])
 
 
+_FINAL_BLOCK = np.uint64(8 << 56)
+"""The padded last block of an 8-byte message: its length in the top byte."""
+
+_FF = np.uint64(0xFF)
+
+_ROTATIONS = {n: (np.uint64(n), np.uint64(64 - n)) for n in (13, 16, 17, 21, 32)}
+
+_PAIR_MESSAGES = np.arange(4, dtype=np.uint64).reshape(4, 1)
+"""Message words of the fused PRG's lanes: ``2 * tweak + word``."""
+
+_CHUNK = 4096
+"""Seeds hashed per pass over the eight rounds.  Large enough that the
+~220 numpy calls of a pass are amortised, small enough that the five
+scratch rows of a four-lane chunk (640 KB) stay cache-resident however
+many seeds one call brings."""
+
+
+class _Scratch(threading.local):
+    """One chunk's state words and rotate temporary, one set per thread.
+
+    Flat and fixed-size: a chunk of ``c`` seeds in ``m`` lanes reshapes
+    the leading ``m * c`` elements, which keeps every buffer contiguous.
+    Allocated on a thread's first hash, so a thread (or a process) that
+    never runs SipHash pays nothing.
+    """
+
+    buffers: tuple[np.ndarray, ...] | None = None
+
+    def get(self) -> tuple[np.ndarray, ...]:
+        if self.buffers is None:
+            self.buffers = tuple(
+                np.empty(len(_PAIR_MESSAGES) * _CHUNK, dtype=np.uint64) for _ in range(5)
+            )
+        return self.buffers
+
+
+_SCRATCH = _Scratch()
+
+
+def _rotl_inplace(x: np.ndarray, n: int, tmp: np.ndarray) -> None:
+    left, right = _ROTATIONS[n]
+    np.right_shift(x, right, out=tmp)
+    np.left_shift(x, left, out=x)
+    np.bitwise_or(x, tmp, out=x)
+
+
+def _sipround_inplace(v0, v1, v2, v3, tmp) -> None:
+    """:func:`_sipround` with no temporaries beyond ``tmp``."""
+    np.add(v0, v1, out=v0)
+    _rotl_inplace(v1, 13, tmp)
+    np.bitwise_xor(v1, v0, out=v1)
+    _rotl_inplace(v0, 32, tmp)
+    np.add(v2, v3, out=v2)
+    _rotl_inplace(v3, 16, tmp)
+    np.bitwise_xor(v3, v2, out=v3)
+    np.add(v0, v3, out=v0)
+    _rotl_inplace(v3, 21, tmp)
+    np.bitwise_xor(v3, v0, out=v3)
+    np.add(v2, v1, out=v2)
+    _rotl_inplace(v1, 17, tmp)
+    np.bitwise_xor(v1, v2, out=v1)
+    _rotl_inplace(v2, 32, tmp)
+
+
+def _as_words(seeds: np.ndarray) -> np.ndarray:
+    """Check ``(N, 16)`` and view it as ``(N, 2)`` LE uint64 key words."""
+    if seeds.ndim != 2 or seeds.shape[1] != 16:
+        raise ValueError(f"seeds must be (N, 16) uint8, got {seeds.shape}")
+    return prf_mod.seeds_to_u64(seeds)
+
+
+def _mac_lanes(words: np.ndarray, messages: np.ndarray, out: np.ndarray) -> None:
+    """SipHash-2-4 of one 8-byte message word per lane under every key.
+
+    Args:
+        words: ``(N, 2)`` uint64 key words (not mutated).
+        messages: ``(M, 1)`` uint64 message words, ``M <= 4``.
+        out: Any-strided uint64 view whose element count is ``M * N``
+            and whose last axis is the key axis: viewed as ``(M, N)``,
+            row ``m`` receives the MACs of ``messages[m]``.
+    """
+    lanes, n = messages.shape[0], words.shape[0]
+    buffers = _SCRATCH.get()
+    for start in range(0, n, _CHUNK):
+        c = min(_CHUNK, n - start)
+        v0, v1, v2, v3, tmp = (b[: lanes * c].reshape(lanes, c) for b in buffers)
+        k0, k1 = words[start : start + c, 0], words[start : start + c, 1]
+        for v, key, constant in ((v0, k0, _V0), (v1, k1, _V1), (v2, k0, _V2), (v3, k1, _V3)):
+            np.bitwise_xor(key, constant, out=v[0])
+            v[1:] = v[0]
+        # Compression of the single message word.
+        np.bitwise_xor(v3, messages, out=v3)
+        for _ in range(2):
+            _sipround_inplace(v0, v1, v2, v3, tmp)
+        np.bitwise_xor(v0, messages, out=v0)
+        # Finalization: the length block, then four more rounds.
+        np.bitwise_xor(v3, _FINAL_BLOCK, out=v3)
+        for _ in range(2):
+            _sipround_inplace(v0, v1, v2, v3, tmp)
+        np.bitwise_xor(v0, _FINAL_BLOCK, out=v0)
+        np.bitwise_xor(v2, _FF, out=v2)
+        for _ in range(4):
+            _sipround_inplace(v0, v1, v2, v3, tmp)
+        np.bitwise_xor(v0, v1, out=v0)
+        np.bitwise_xor(v2, v3, out=v2)
+        chunk_out = out[..., start : start + c]
+        np.bitwise_xor(v0.reshape(chunk_out.shape), v2.reshape(chunk_out.shape), out=chunk_out)
+
+
 @prf_mod.register_prf
 class SipHashPrf(prf_mod.Prf):
     """SipHash-2-4 as a 128-bit-output PRF (two domain-separated calls)."""
@@ -116,36 +208,18 @@ class SipHashPrf(prf_mod.Prf):
     security_bits = 64
     standardized = False
 
-    @staticmethod
-    def _run_lanes(k0: np.ndarray, k1: np.ndarray, messages: list[int]) -> np.ndarray:
-        """One SipHash pass over ``len(messages)`` stacked lane groups.
-
-        Returns a ``(len(messages), N)`` array whose row ``i`` is the MAC
-        of message word ``messages[i]`` under every key.
-        """
-        n = k0.shape[0]
-        m = len(messages)
-        msg = np.empty(m * n, dtype=np.uint64)
-        for i, word in enumerate(messages):
-            msg[i * n : (i + 1) * n] = np.uint64(word)
-        out = siphash24_batch(np.tile(k0, m), np.tile(k1, m), msg)
-        return out.reshape(m, n)
-
     def expand(self, seeds: np.ndarray, tweak: int) -> np.ndarray:
-        if seeds.ndim != 2 or seeds.shape[1] != 16:
-            raise ValueError(f"seeds must be (N, 16) uint8, got {seeds.shape}")
-        words = prf_mod.seeds_to_u64(seeds)
-        macs = self._run_lanes(words[:, 0], words[:, 1], [2 * tweak, 2 * tweak + 1])
-        return prf_mod.u64_to_seeds(np.stack((macs[0], macs[1]), axis=1))
+        words = _as_words(seeds)
+        out = np.empty((words.shape[0], 2), dtype=np.uint64)
+        messages = np.array([[2 * tweak], [2 * tweak + 1]], dtype=np.uint64)
+        _mac_lanes(words, messages, out.T)
+        return out.view(np.uint8)
 
     def expand_pair_stacked(self, seeds: np.ndarray) -> np.ndarray:
         """Fused PRG: all four MAC lanes (both tweaks) in one pass."""
-        if seeds.ndim != 2 or seeds.shape[1] != 16:
-            raise ValueError(f"seeds must be (N, 16) uint8, got {seeds.shape}")
-        n = seeds.shape[0]
-        words = prf_mod.seeds_to_u64(seeds)
-        macs = self._run_lanes(words[:, 0], words[:, 1], [0, 1, 2, 3])
+        words = _as_words(seeds)
+        n = words.shape[0]
         out = np.empty((2 * n, 2), dtype=np.uint64)
-        out[:n, 0], out[:n, 1] = macs[0], macs[1]
-        out[n:, 0], out[n:, 1] = macs[2], macs[3]
-        return prf_mod.u64_to_seeds(out)
+        # Lane ``2 * tweak + word`` of seed ``i`` is ``out[tweak * n + i, word]``.
+        _mac_lanes(words, _PAIR_MESSAGES, out.reshape(2, n, 2).transpose(0, 2, 1))
+        return out.view(np.uint8)

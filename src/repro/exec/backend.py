@@ -4,7 +4,8 @@ An :class:`ExecutionBackend` answers two questions about an
 :class:`~repro.exec.request.EvalRequest`: *what would running it look
 like* (:meth:`~ExecutionBackend.plan` — strategy selection plus modeled
 timing) and *what are the answers* (:meth:`~ExecutionBackend.run` —
-the functional ``(B, L)`` share matrix plus the plan and merged cost).
+the functional ``(B, L)`` share matrix, or the reduced answers of a
+request that carries a reducer, plus the plan and merged cost).
 Three adapters reuse the existing substrate rather than duplicating it:
 
 * :class:`SingleGpuBackend` — one device; scheduler-selected strategy,
@@ -109,7 +110,12 @@ class ExecutionBackend(abc.ABC):
     expansion on every backend (``tests/exec/test_backends.py``) — and
     computes it with a walk pruned to the range: ``O((hi - lo) + log L)``
     PRF blocks per key, which is what the strategy-costed backends'
-    ``EvalResult.cost`` reports.
+    ``EvalResult.cost`` reports.  A request with a reducer returns
+    ``reduce(that matrix, lo, hi)`` summed over however many windows the
+    backend cut it into — again bit-identical on every backend
+    (``tests/gpu/test_packed_oracle.py``); the strategy-running backends
+    hand the reducer to the walk, the rest reduce their matrix once
+    (:meth:`EvalRequest.reduced <repro.exec.request.EvalRequest.reduced>`).
     """
 
     name: str = "abstract"
@@ -275,6 +281,7 @@ class SingleGpuBackend(ExecutionBackend):
             get_prf(request.resolved_prf_name),
             workspace=workspace if workspace is not None else self._workspace,
             eval_range=eval_range,
+            reduce=request.reduce,
         )
         return EvalResult(
             answers=answers,
@@ -356,6 +363,7 @@ class MultiGpuBackend(ExecutionBackend):
             get_prf(request.resolved_prf_name),
             resident_keys=request.resident,
             eval_range=eval_range,
+            reduce=request.reduce,
         )
         return EvalResult(
             answers=answers,
@@ -427,7 +435,7 @@ class SimulatedBackend(ExecutionBackend):
                 eval_range(key, prf, lo, hi) for key in request.arena().to_keys()
             ]
         return EvalResult(
-            answers=np.stack(rows),
+            answers=request.reduced(np.stack(rows)),
             plan=plan,
             cost=merged_cost(plan.stats, self._single._by_name, (lo, hi)),
         )

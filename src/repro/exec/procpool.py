@@ -345,7 +345,9 @@ class MultiProcessBackend(ExecutionBackend):
         plan cache.  Row independence of DPF evaluation makes the
         concatenation bit-exact to a single-process run; the property
         tests pin that against :class:`SingleGpuBackend` across
-        ingest / residency / range combinations.
+        ingest / residency / range combinations.  A reducer is a
+        callable and cannot cross the pipe: the workers return their
+        share matrices and it runs once, here, on the whole of them.
         """
         self._ensure_started()
         arena = request.arena()
@@ -369,7 +371,7 @@ class MultiProcessBackend(ExecutionBackend):
         ]
         answers = parts[0] if len(parts) == 1 else np.concatenate(parts)
         return EvalResult(
-            answers=answers,
+            answers=request.reduced(answers),
             plan=plan,
             cost=merged_cost(plan.stats, eval_range=request.resolved_range()),
         )

@@ -12,8 +12,9 @@ request/plan/result vocabulary:
 * :class:`ExecutionPlan` — what a backend would do for the request and
   what the performance model predicts for it, expressed as per-device
   shards (a single-device backend emits one shard).
-* :class:`EvalResult` — the evaluated ``(B, L)`` share matrix plus the
-  plan it ran under and the merged functional cost.
+* :class:`EvalResult` — the evaluated ``(B, L)`` share matrix (or, for
+  a request that carries a reducer, the ``(B,)`` reduced answers) plus
+  the plan it ran under and the merged functional cost.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ import numpy as np
 
 from repro.gpu.arena import KeyArena, KeySource
 from repro.gpu.multigpu import MultiGpuStats
-from repro.gpu.strategies import StrategyCost, resolve_range
+from repro.gpu.strategies import Reducer, StrategyCost, resolve_range
 
 
 @dataclass
@@ -63,6 +64,19 @@ class EvalRequest:
             counts the pruned walk.  ``plan`` — strategy selection and
             the modeled ``KernelPlan`` latency — still prices the full
             tree: a range-aware device model is future work.
+        reduce: Optional reducer (:data:`~repro.gpu.strategies.Reducer`,
+            ``reduce(shares, lo, hi)`` — for a PIR server
+            ``shares @ table[lo:hi]``).  When set, ``run`` hands it the
+            shares of rows ``[lo, hi)`` window by window and
+            ``EvalResult.answers`` is the sum mod 2^64 of what it
+            returned, ``(B,)`` or ``(B, W)``, instead of the matrix; see
+            :meth:`Strategy.eval_batch <repro.gpu.strategies.Strategy
+            .eval_batch>` for who reduces when.  Its presence is the
+            only switch: planning, pricing and ``EvalResult.cost`` do
+            not look at it.  Row indices are the table's, so
+            :meth:`restrict`, :meth:`padded`, :meth:`merge` and
+            :meth:`unmerge` carry it along unchanged.  Excluded from
+            ``repr``/comparison, like ``traces``.
         traces: Optional per-constituent trace contexts
             (:class:`repro.obs.trace.TraceContext`), one slot per
             merge constituent — ``None`` (the default, and the
@@ -83,6 +97,7 @@ class EvalRequest:
     resident: bool = False
     slo_latency_s: float | None = None
     eval_range: tuple[int, int] | None = None
+    reduce: Reducer | None = field(default=None, repr=False, compare=False)
     traces: tuple | None = field(default=None, repr=False, compare=False)
     _arena: KeyArena | None = field(default=None, repr=False, compare=False)
 
@@ -113,6 +128,18 @@ class EvalRequest:
         """
         return resolve_range(self.arena().domain_size, self.eval_range)
 
+    def reduced(self, shares: np.ndarray) -> np.ndarray:
+        """``shares`` as this request's answers: reduced once, if asked.
+
+        For the backends that materialise the whole ``(B, hi - lo)``
+        matrix of :meth:`resolved_range` whatever the request says (the
+        reference walks, the worker pool): the reducer sees it as one
+        window.
+        """
+        if self.reduce is None:
+            return shares
+        return self.reduce(shares, *self.resolved_range())
+
     def restrict(self, lo: int, hi: int) -> "EvalRequest":
         """A copy of this request restricted to table rows ``[lo, hi)``.
 
@@ -128,6 +155,7 @@ class EvalRequest:
             resident=self.resident,
             slo_latency_s=self.slo_latency_s,
             eval_range=(lo, hi),
+            reduce=self.reduce,
             traces=self.traces,
             _arena=self.arena(),
         )
@@ -158,6 +186,7 @@ class EvalRequest:
             resident=self.resident,
             slo_latency_s=self.slo_latency_s,
             eval_range=self.eval_range,
+            reduce=self.reduce,
             traces=self.traces,
             _arena=grown,
         )
@@ -191,8 +220,8 @@ class EvalRequest:
 
         Raises:
             ValueError: On an empty sequence, mismatched
-                ``entry_bytes``/``resident``/PRF settings, or arenas
-                whose domains disagree.
+                ``entry_bytes``/``resident``/PRF/``eval_range``/
+                ``reduce`` settings, or arenas whose domains disagree.
         """
         if not requests:
             raise ValueError("need at least one request to merge")
@@ -215,6 +244,8 @@ class EvalRequest:
                     "cannot merge requests with different eval_range "
                     f"restrictions ({request.eval_range} vs {first.eval_range})"
                 )
+            if request.reduce != first.reduce:
+                raise ValueError("cannot merge requests with different reducers")
         arenas = [request.arena() for request in requests]
         slos = [r.slo_latency_s for r in requests if r.slo_latency_s is not None]
         # One trace slot per constituent: a single-query request
@@ -233,6 +264,7 @@ class EvalRequest:
             resident=first.resident,
             slo_latency_s=min(slos) if slos else None,
             eval_range=first.eval_range,
+            reduce=first.reduce,
             traces=trace_slots if any(t is not None for t in trace_slots) else None,
         )
         return merged, tuple(arena.batch for arena in arenas)
@@ -292,6 +324,7 @@ class EvalRequest:
                     resident=merged.resident,
                     slo_latency_s=merged.slo_latency_s,
                     eval_range=merged.eval_range,
+                    reduce=merged.reduce,
                     traces=(slot,) if slot is not None else None,
                 )
             )
@@ -358,7 +391,8 @@ class EvalResult:
     Attributes:
         answers: ``(B, L)`` uint64 share matrix in request key order;
             adding both parties' matrices mod 2^64 reconstructs the
-            scaled one-hot rows.
+            scaled one-hot rows.  For a request with a reducer, the
+            ``(B,)`` (or ``(B, W)``) sum of the reducer's partials.
         plan: The :class:`ExecutionPlan` the batch ran under.
         cost: Merged functional :class:`StrategyCost` across shards —
             ``prf_blocks``/``parallel_width`` sum over shards and

@@ -491,7 +491,10 @@ class ExpansionWorkspace:
     buffers are reallocated on every call; a server evaluating batch
     after batch against the same arena passes one workspace instead and
     the buffers persist, growing monotonically to the largest shape
-    seen.
+    seen.  A call with a reducer also takes its leaf windows from here
+    (:meth:`window`): one buffer the size of the largest window (a tile,
+    or a group of subtrees), reused for every window of every call, in
+    place of a share matrix per call.
 
     Buffers are handed out as prefix views, and every expansion loop
     fully overwrites a view before reading it, so reuse cannot leak
@@ -506,12 +509,14 @@ class ExpansionWorkspace:
     def __init__(self):
         self._pairs: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
         self._stages: dict[str, np.ndarray] = {}
+        self._window = np.empty(0, dtype=np.uint64)
 
     @property
     def nbytes(self) -> int:
         """Total bytes currently retained across all slots."""
         total = sum(sum(a.nbytes for a in bufs) for bufs in self._pairs.values())
-        return total + sum(a.nbytes for a in self._stages.values())
+        total += sum(a.nbytes for a in self._stages.values())
+        return total + self._window.nbytes
 
     def frontier_pair(
         self, name: str, batch: int, cap: int
@@ -555,3 +560,14 @@ class ExpansionWorkspace:
             buf = np.empty((grow, 16), dtype=np.uint8)
             self._stages[name] = buf
         return buf[:rows]
+
+    def window(self, batch: int, leaves: int) -> np.ndarray:
+        """A contiguous ``(batch, leaves, 2)`` uint64 leaf-word window.
+
+        Every call returns a view of the same flat buffer: a window is
+        dead once the next one is asked for.
+        """
+        size = batch * leaves * LEAF_WORDS
+        if self._window.size < size:
+            self._window = np.empty(size, dtype=np.uint64)
+        return self._window[:size].reshape(batch, leaves, LEAF_WORDS)

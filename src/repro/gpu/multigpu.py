@@ -22,7 +22,7 @@ from repro.crypto.prf import Prf
 from repro.gpu.arena import ExpansionWorkspace, KeyArena, KeySource
 from repro.gpu.device import DeviceSpec
 from repro.gpu.scheduler import Scheduler, Selection
-from repro.gpu.strategies import get_strategy
+from repro.gpu.strategies import Reducer, get_strategy
 
 
 @dataclass(frozen=True)
@@ -152,6 +152,7 @@ class MultiGpuExecutor:
         prf: Prf,
         resident_keys: bool = False,
         eval_range: tuple[int, int] | None = None,
+        reduce: Reducer | None = None,
     ) -> np.ndarray:
         """Functionally evaluate a key batch with the per-shard winners.
 
@@ -159,7 +160,8 @@ class MultiGpuExecutor:
         batch, runs each shard through its scheduler-selected strategy
         (over rows ``eval_range`` only, when given — see
         :meth:`Strategy.eval_batch <repro.gpu.strategies.Strategy.eval_batch>`),
-        and concatenates the ``(B, hi - lo)`` share matrix in input order.
+        and concatenates the ``(B, hi - lo)`` share matrix in input order
+        (with ``reduce``, each shard's reduced answers instead).
 
         ``keys`` is anything :meth:`KeyArena.ingest` accepts (arena,
         key objects, or wire bytes); each device's shard is a zero-copy
@@ -185,7 +187,11 @@ class MultiGpuExecutor:
             strategy = get_strategy(selection.strategy)
             outputs.append(
                 strategy.eval_batch(
-                    shard, prf, workspace=workspace, eval_range=eval_range
+                    shard,
+                    prf,
+                    workspace=workspace,
+                    eval_range=eval_range,
+                    reduce=reduce,
                 )
             )
         return np.concatenate(outputs, axis=0)

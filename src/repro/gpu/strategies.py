@@ -38,6 +38,15 @@ for the fused strategies the converted output shares are accumulated
 straight into the dot product on a real device and are therefore not
 metered (the Figure 6 bounds concern the expansion working set).
 
+That accumulation is functional, not only modeled: ``eval_batch(...,
+reduce=r)`` hands every finished window of leaves to the reducer and
+returns the sum of what it gave back, so the ``(B, L)`` share matrix
+never exists.  :class:`CooperativeGroups` reduces tile by tile and
+:class:`MemoryBoundedTree` by groups of whole subtrees, both out of one
+reusable window buffer; :class:`LevelByLevel` and
+:class:`BranchParallel` stay the unfused comparison — they materialise
+their leaves and reduce once.
+
 A registry mirrors :mod:`repro.crypto.prf`:
 :func:`available_strategies` / :func:`get_strategy`.
 """
@@ -46,6 +55,7 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -110,6 +120,78 @@ def resolve_range(
             f"the keys' domain [0, {domain_size})"
         )
     return lo, hi
+
+
+Reducer = Callable[[np.ndarray, int, int], np.ndarray]
+"""``reduce(shares, lo, hi)``: fold the ``(B, hi - lo)`` uint64 shares of
+table rows ``[lo, hi)`` into a ``(B,)`` (or ``(B, W)``) partial answer —
+``shares @ table[lo:hi]`` for a PIR server.  ``shares`` is a view of a
+buffer the walk reuses: consume it before returning."""
+
+
+class _ShareMatrix:
+    """Where leaves go without a reducer: the ``(B, hi - lo, 2)`` words."""
+
+    streaming = False
+
+    def __init__(self, batch: int, lo: int, hi: int):
+        self._shape = (batch, hi - lo, ggm.LEAF_WORDS)
+        self._lo = lo
+        self.words: np.ndarray | None = None
+
+    def window(self, lo: int, hi: int) -> np.ndarray:
+        """The slot of leaves ``[lo, hi)``, to be filled in place."""
+        if self.words is None:
+            self.words = np.empty(self._shape, dtype=np.uint64)
+        return self.words[:, lo - self._lo : hi - self._lo]
+
+    def commit(self, words: np.ndarray, lo: int, hi: int) -> None:
+        if self.words is None:
+            # An unfused walk materialised all its leaves itself.
+            self.words = words
+
+
+class _Reduction:
+    """Where leaves go with a reducer: into its running sum mod 2^64.
+
+    Windows are views of the workspace's one reusable buffer, so a walk
+    that commits each window before asking for the next holds
+    ``O(B * window)`` share bytes however large the table is.
+    """
+
+    streaming = True
+
+    def __init__(
+        self,
+        reduce: Reducer,
+        batch: int,
+        row_lo: int,
+        row_hi: int,
+        workspace: ExpansionWorkspace,
+    ):
+        self._reduce = reduce
+        self._batch = batch
+        self._rows = (row_lo, row_hi)
+        self._workspace = workspace
+        self.total: np.ndarray | None = None
+
+    def window(self, lo: int, hi: int) -> np.ndarray:
+        return self._workspace.window(self._batch, hi - lo)
+
+    def commit(self, words: np.ndarray, lo: int, hi: int) -> None:
+        """Reduce the rows of leaves ``[lo, hi)`` that were asked for.
+
+        The leaves' words are rows ``[2 * lo, 2 * hi)``; only the first
+        and the last window of a walk can hold a row outside the range.
+        """
+        row_lo = max(self._rows[0], ggm.LEAF_WORDS * lo)
+        row_hi = min(self._rows[1], ggm.LEAF_WORDS * hi)
+        shares = ggm.window_rows(words.reshape(self._batch, -1), row_lo, row_hi)
+        part = self._reduce(shares, row_lo, row_hi)
+        if self.total is None:
+            self.total = np.array(part, dtype=np.uint64)
+        else:
+            self.total += part
 
 
 def _level_windows(
@@ -211,6 +293,7 @@ class Strategy(abc.ABC):
         meter: MemoryMeter | None = None,
         workspace: ExpansionWorkspace | None = None,
         eval_range: tuple[int, int] | None = None,
+        reduce: Reducer | None = None,
     ) -> np.ndarray:
         """Expand a batch of same-domain keys; ``(B, hi - lo)`` uint64 shares.
 
@@ -234,9 +317,20 @@ class Strategy(abc.ABC):
         non-power-of-two domain it already prunes the subtrees past
         ``L``.
 
+        ``reduce``, when given, is handed every finished window of
+        leaves exactly once, as ``reduce(shares, a, z)`` with ``shares``
+        the ``(B, z - a)`` view of exactly rows ``[a, z)`` — the windows
+        partition ``[lo, hi)`` — and the call returns the sum mod 2^64
+        of what it gave back, ``(B,)`` or ``(B, W)``, instead of the
+        matrix.  It is the same walk, cipher call for cipher call except
+        that :class:`MemoryBoundedTree` runs its lanes a group at a
+        time; the fused strategies then never hold more than one window
+        of shares (see the class docstrings for who reduces when).
+
         All device-side expansion buffers are reported to ``meter``; the
-        meter's ``current`` returns to zero before this method returns
-        (buffers are released once the answer shares leave the device).
+        meter's ``current`` is back where it was before this method
+        returns or raises (buffers are released once the answer shares
+        leave the device), whether the PRF or the reducer raised.
 
         Raises:
             ValueError: On a PRF mismatch, or an ``eval_range`` that is
@@ -245,15 +339,25 @@ class Strategy(abc.ABC):
         arena = KeyArena.ingest(keys, prf_name=prf.name)
         lo, hi = resolve_range(arena.domain_size, eval_range)
         leaf_lo, leaf_hi = ggm.leaf_window(lo, hi)
-        words = self._eval(
-            arena,
-            prf,
-            meter if meter is not None else MemoryMeter(),
-            workspace if workspace is not None else ExpansionWorkspace(),
-            leaf_lo,
-            leaf_hi,
-        ).reshape(arena.batch, -1)
+        meter = meter if meter is not None else MemoryMeter()
+        workspace = workspace if workspace is not None else ExpansionWorkspace()
+        if reduce is None:
+            sink = _ShareMatrix(arena.batch, leaf_lo, leaf_hi)
+        else:
+            sink = _Reduction(reduce, arena.batch, lo, hi, workspace)
+        live = meter.current
+        try:
+            self._eval(arena, prf, meter, workspace, leaf_lo, leaf_hi, sink)
+        except BaseException:
+            # Whatever the walk still held when the PRF or the reducer
+            # raised.  Not ``finally``: a walk that returns must have
+            # released every byte itself, and the tests hold it to that.
+            meter.free(meter.current - live)
+            raise
+        if reduce is not None:
+            return sink.total
         # An odd ``lo`` or ``hi`` drops one column (and costs one copy).
+        words = sink.words.reshape(arena.batch, -1)
         return np.ascontiguousarray(ggm.window_rows(words, lo, hi))
 
     @abc.abstractmethod
@@ -265,11 +369,15 @@ class Strategy(abc.ABC):
         workspace: ExpansionWorkspace,
         lo: int,
         hi: int,
-    ) -> np.ndarray:
+        sink: _ShareMatrix | _Reduction,
+    ) -> None:
         """Strategy-specific traversal of leaves ``[lo, hi)``.
 
-        Returns the leaves' ``(B, hi - lo, 2)`` uint64 words, which
-        flatten to the shares of table rows ``[2 * lo, 2 * hi)``.
+        Every leaf goes to ``sink`` exactly once, as the ``(B, z - a, 2)``
+        uint64 words of a window of leaves ``[a, z)`` (they flatten to
+        the shares of table rows ``[2 * a, 2 * z)``): either computed in
+        place in ``sink.window(a, z)`` and then committed, or — the
+        unfused walks — committed as one array of all of them.
         """
 
     @abc.abstractmethod
@@ -525,7 +633,8 @@ class BranchParallel(Strategy):
         workspace: ExpansionWorkspace,
         lo: int,
         hi: int,
-    ) -> np.ndarray:
+        sink: _ShareMatrix | _Reduction,
+    ) -> None:
         # No ping-pong frontier to reuse: every level's children come
         # straight out of the cipher, so the workspace is unused here.
         b, n = kb.batch, kb.depth
@@ -564,7 +673,7 @@ class BranchParallel(Strategy):
             seeds, ts = children, child_ts
         values = _leaf_shares_batch(seeds, ts, kb)
         meter.free_arrays(seeds, ts)
-        return values
+        sink.commit(values, lo, hi)
 
     def cost(
         self,
@@ -638,13 +747,14 @@ class LevelByLevel(Strategy):
         workspace: ExpansionWorkspace,
         lo: int,
         hi: int,
-    ) -> np.ndarray:
+        sink: _ShareMatrix | _Reduction,
+    ) -> None:
         seeds, ts = self._expand_to_level(kb, prf, meter, kb.depth, lo, hi, workspace)
         values = _leaf_shares_batch(seeds, ts, kb)
         meter.alloc_array(values)  # unfused: shares are materialized
         meter.free_arrays(seeds, ts)
+        sink.commit(values, lo, hi)
         meter.free_array(values)
-        return values
 
     def cost(
         self,
@@ -740,6 +850,10 @@ class MemoryBoundedTree(Strategy):
     sibling pairs for the length of the walk, as a device kernel
     reserving per-lane local memory would.
 
+    With a reducer the lanes run a group at a time (:meth:`_group_lanes`)
+    and each group's leaves — whole subtrees, so contiguous rows — are
+    reduced as soon as the group finishes.
+
     Args:
         log_subtrees: log2 of the per-query subtree count K (clamped to
             the tree depth).
@@ -758,6 +872,22 @@ class MemoryBoundedTree(Strategy):
         k = min(self.log_subtrees, depth)
         return k, depth - k
 
+    @staticmethod
+    def _group_lanes(k: int, d: int) -> int:
+        """Lanes walked in lockstep between two hand-overs to a reducer.
+
+        Whole subtrees filling a window of ``8 K`` leaves (64 KB of
+        shares per key at the default K): the same order as the
+        sibling stacks the lanes hold anyway, and fixed as the table
+        grows.  The price is call size — a group's cipher calls carry
+        ``B * lanes`` seeds, and ``lanes`` halves each time the table
+        doubles — which is why the window is not smaller: at ``8 K`` a
+        batch of 16 loses nothing up to 2^16 rows (1.5x at 2^18), and
+        at the batches of hundreds the scheduler gives this strategy
+        the grouped walk is the faster one (``docs/performance.md``).
+        """
+        return max(1, (8 << k) >> d)
+
     def _eval(
         self,
         kb: KeyArena,
@@ -766,25 +896,29 @@ class MemoryBoundedTree(Strategy):
         workspace: ExpansionWorkspace,
         lo: int,
         hi: int,
-    ) -> np.ndarray:
-        b, n = kb.batch, kb.depth
+        sink: _ShareMatrix | _Reduction,
+    ) -> None:
+        n = kb.depth
         k, d = self._split(n)
         lane_seeds, lane_ts = self._expand_to_level(kb, prf, meter, k, lo, hi, workspace)
-        first_lane, _ = ggm.level_window(n, k, lo, hi)
+        first_lane, end_lane = ggm.level_window(n, k, lo, hi)
         # Each lane owns a d-deep stack of sibling pairs for the whole
         # walk, whether or not the window keeps it busy at every node.
         stack_bytes = 2 * d * (lane_seeds.nbytes + lane_ts.nbytes)
         meter.alloc(stack_bytes)
-        out = np.empty((b, hi - lo, ggm.LEAF_WORDS), dtype=np.uint64)
 
         def descend(
             seeds: np.ndarray, ts: np.ndarray, j: int, first: int, path: int
         ) -> None:
-            """Lanes ``first..`` in lockstep at subtree node ``path`` of level ``j``."""
+            """Lanes ``first..`` in lockstep at subtree node ``path`` of level ``j``.
+
+            Leaves land in ``words``, the window of leaves from
+            ``group_lo`` on that the loop below holds at the time.
+            """
             if j == d:
                 # Lane i's leaf is leaf (i << d) + path.
                 _leaf_shares_batch(
-                    seeds, ts, kb, out=out[:, (first << d) + path - lo :: 1 << d]
+                    seeds, ts, kb, out=words[:, (first << d) + path - group_lo :: 1 << d]
                 )
                 return
             level = k + j
@@ -817,10 +951,19 @@ class MemoryBoundedTree(Strategy):
                         child_path,
                     )
 
-        descend(lane_seeds, lane_ts, 0, first_lane, 0)
+        # A reducer takes the leaves a group of whole subtrees at a
+        # time; a share matrix is one window, so every lane runs in
+        # lockstep.
+        group = self._group_lanes(k, d) if sink.streaming else end_lane - first_lane
+        for start in range(first_lane, end_lane, group):
+            stop = min(start + group, end_lane)
+            group_lo, group_hi = max(lo, start << d), min(hi, stop << d)
+            words = sink.window(group_lo, group_hi)
+            index = slice(start - first_lane, stop - first_lane)
+            descend(lane_seeds[:, index], lane_ts[:, index], 0, start, 0)
+            sink.commit(words, group_lo, group_hi)
         meter.free(stack_bytes)
         meter.free_arrays(lane_seeds, lane_ts)
-        return out
 
     def cost(
         self,
@@ -904,6 +1047,9 @@ class CooperativeGroups(Strategy):
     tile's shared-memory demand evicts resident blocks, which the
     simulator prices as reduced occupancy.
 
+    With a reducer each tile's leaves are reduced as the tile finishes,
+    out of one ``(B, T, 2)`` window that every tile reuses.
+
     Args:
         log_tile: log2 of the tile's leaf count T (clamped to the tree
             depth).
@@ -934,14 +1080,14 @@ class CooperativeGroups(Strategy):
         workspace: ExpansionWorkspace,
         lo: int,
         hi: int,
-    ) -> np.ndarray:
-        b, n = kb.batch, kb.depth
+        sink: _ShareMatrix | _Reduction,
+    ) -> None:
+        n = kb.depth
         m, t = self._split(n)
         frontier_seeds, frontier_ts = self._expand_to_level(
             kb, prf, meter, m, lo, hi, workspace
         )
         first_tile, end_tile = ggm.level_window(n, m, lo, hi)
-        out = np.empty((b, hi - lo, ggm.LEAF_WORDS), dtype=np.uint64)
         # Double-buffered tile expansion: the "tile" workspace slot is
         # reused for every tile and every level within a tile, and is
         # distinct from the "frontier" slot because the frontier views
@@ -961,10 +1107,11 @@ class CooperativeGroups(Strategy):
                 workspace,
                 "tile",
             )
-            _leaf_shares_batch(seeds, ts, kb, out=out[:, tile_lo - lo : tile_hi - lo])
+            words = sink.window(tile_lo, tile_hi)
+            _leaf_shares_batch(seeds, ts, kb, out=words)
             meter.free_arrays(seeds, ts)
+            sink.commit(words, tile_lo, tile_hi)
         meter.free_arrays(frontier_seeds, frontier_ts)
-        return out
 
     @staticmethod
     def _tile_window(tile: int, t: int, lo: int, hi: int) -> tuple[int, int]:

@@ -18,18 +18,22 @@ was built with — single-GPU, multi-GPU, or the simulated oracle — so
 the serving code is identical across deployment shapes; only the
 backend object changes.  The answer share for key ``k`` is the table
 dot product ``sum_i share_k[i] * table[i] (mod 2^64)``: the O(L) pass
-over every row that keeps the query oblivious.
+over every row that keeps the query oblivious.  The server never sees
+the ``(B, L)`` share matrix: it sends :meth:`PirServer.combine` down
+with the request as its reducer, and the backend's walk feeds it the
+shares a window at a time (``docs/architecture.md``, "Reducing as you
+go").
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Sequence
 
 import numpy as np
 
 from repro.exec import (
     EvalRequest,
-    EvalResult,
     ExecutionBackend,
     PlanCache,
     SingleGpuBackend,
@@ -126,17 +130,16 @@ class PirServer:
             )
         return request
 
-    def combine(self, shares: np.ndarray) -> np.ndarray:
-        """The table dot product mod 2^64 — uint64 wrap-around is the
-        ring.  The one place the combine lives; matmul reduces without
-        materializing the ``(B, L)`` product array.  Public because the
-        serving loop combines one *merged* share matrix and slices the
-        result per request."""
-        return shares @ self.table
-
-    def evaluate(self, keys: KeySource) -> EvalResult:
-        """Run one key batch through the backend; full result object."""
-        return self.backend.run(self.build_request(keys))
+    def combine(
+        self, shares: np.ndarray, lo: int = 0, hi: int | None = None
+    ) -> np.ndarray:
+        """The dot product of rows ``[lo, hi)`` mod 2^64 — uint64
+        wrap-around is the ring.  The one place the combine lives, and
+        the server's :data:`~repro.gpu.strategies.Reducer`: ``shares``
+        is the ``(B, hi - lo)`` shares of those rows (the whole table by
+        default); matmul reduces without materializing the product
+        array."""
+        return shares @ self.table[lo:hi]
 
     def answer_shares(self, keys: KeySource) -> np.ndarray:
         """Answer one key batch; ``(B,)`` uint64 shares in key order.
@@ -145,7 +148,8 @@ class PirServer:
         bytes; the wire form is the serving hot path (one vectorized
         parse, zero per-key objects).
         """
-        return self.combine(self.evaluate(keys).answers)
+        request = replace(self.build_request(keys), reduce=self.combine)
+        return self.backend.run(request).answers
 
     def ingest_query(self, query: PirQuery) -> EvalRequest:
         """Ingest and validate one parsed query's key payload.
@@ -232,9 +236,14 @@ class PirServer:
         """
         self.check_epoch(epoch)
         backend = backend if backend is not None else self.backend
-        if self.plan_cache is not None:
-            return self.combine(self.plan_cache.run(backend, request).answers)
-        return self.combine(backend.run(request).answers)
+        # Looked up per dispatch, not at construction: a subclass or an
+        # instrumenting wrapper that replaces ``combine`` is honoured.
+        request = replace(request, reduce=self.combine)
+        return (
+            self.plan_cache.run(backend, request)
+            if self.plan_cache is not None
+            else backend.run(request)
+        ).answers
 
     def handle(self, request_bytes: bytes) -> bytes:
         """Serve one framed request: query frame in, reply frame out.

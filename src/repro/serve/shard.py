@@ -58,7 +58,7 @@ wall-clock seconds — so every chaos scenario in
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Sequence
 
 import numpy as np
@@ -456,7 +456,12 @@ class ReplicaSet:
         partial dot product on success, :class:`_ReplicaExhausted` when
         the budget is spent (probation replicas have none)."""
         table = self._tables[epoch]
-        restricted = request.restrict(self.lo, self.hi)
+        # The partial sum the front-end adds up: the walk over rows
+        # [lo, hi) dots each window of shares with this shard's slice.
+        restricted = replace(
+            request.restrict(self.lo, self.hi),
+            reduce=lambda shares, lo, hi: shares @ table[lo - self.lo : hi - self.lo],
+        )
         combined = getattr(replica.backend, "run_combined", None)
         attempts = 0
         while True:
@@ -466,17 +471,17 @@ class ReplicaSet:
                     # Worker-pool fast path: the backend holds this
                     # shard's resident slice per worker and returns the
                     # (B,) partial directly — domain-parallel, tiny IPC.
+                    # A reducer cannot cross the pipe, so this probe
+                    # stays until ROADMAP's earn-or-delete item judges
+                    # the pool.
                     return combined(restricted, epoch)
-                if self.plan_cache is not None:
-                    # Zero-dispatch path: memoized plan + pinned
-                    # workspace, keyed per backend identity.
-                    return (
-                        self.plan_cache.run(replica.backend, restricted).answers
-                        @ table
-                    )
-                # (B, hi-lo) range-restricted shares dotted with this
-                # shard's slice: the partial sum the front-end adds up.
-                return replica.backend.run(restricted).answers @ table
+                # Through the cache when there is one: memoized plan
+                # and pinned workspace, keyed per backend identity.
+                return (
+                    self.plan_cache.run(replica.backend, restricted)
+                    if self.plan_cache is not None
+                    else replica.backend.run(restricted)
+                ).answers
             except Exception as exc:
                 if replica.state == PROBATION or not self.retry.allows_retry(
                     attempts, 0.0

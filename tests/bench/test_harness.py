@@ -404,15 +404,12 @@ class TestRunCase:
         assert not result.verified  # nothing to verify against itself
 
     def test_verification_catches_divergence(self, monkeypatch):
-        from repro.gpu.strategies import LevelByLevel
+        from repro.gpu.strategies import LevelByLevel, Strategy
 
-        def broken_eval(self, *args):
-            return LevelByLevel._eval_orig(self, *args) + np.uint64(1)
+        def broken_eval_batch(self, *args, **kwargs):
+            return Strategy.eval_batch(self, *args, **kwargs) + np.uint64(1)
 
-        monkeypatch.setattr(
-            LevelByLevel, "_eval_orig", LevelByLevel._eval, raising=False
-        )
-        monkeypatch.setattr(LevelByLevel, "_eval", broken_eval)
+        monkeypatch.setattr(LevelByLevel, "eval_batch", broken_eval_batch)
         case = BenchCase("siphash", "level_by_level", 1, 4, repeats=1, warmup=0)
         with pytest.raises(ValueError, match="diverged"):
             run_case(case)

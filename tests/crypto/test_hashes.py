@@ -8,6 +8,7 @@ import pytest
 from repro.crypto.chacha20 import ChaCha20Prf, chacha20_keystream, quarter_round
 from repro.crypto.highwayhash import HighwayHashPrf
 from repro.crypto.sha256 import Sha256Prf, sha256
+from repro.crypto import siphash
 from repro.crypto.siphash import SipHashPrf, siphash24
 
 
@@ -99,6 +100,121 @@ class TestSipHash:
             hi = siphash24(seeds[i].tobytes(), (11).to_bytes(8, "little"))
             expected = lo.to_bytes(8, "little") + hi.to_bytes(8, "little")
             assert out[i].tobytes() == expected
+
+    @staticmethod
+    def _scalar_block(seed, tweak):
+        """One PRF block through the scalar KAT path."""
+        return b"".join(
+            siphash24(seed.tobytes(), word.to_bytes(8, "little")).to_bytes(8, "little")
+            for word in (2 * tweak, 2 * tweak + 1)
+        )
+
+    @staticmethod
+    def _allocating_blocks(seeds, tweak):
+        """The scalar path's own round function over all seeds at once:
+        no chunks, no scratch, a fresh array per step."""
+        k0, k1 = seeds.view("<u8")[:, 0], seeds.view("<u8")[:, 1]
+        macs = []
+        for word in (np.uint64(2 * tweak), np.uint64(2 * tweak + 1)):
+            v = [k0 ^ siphash._V0, k1 ^ siphash._V1, k0 ^ siphash._V2, k1 ^ siphash._V3]
+            for block in (word, np.uint64(8 << 56)):
+                v[3] = v[3] ^ block
+                v = list(siphash._sipround(*siphash._sipround(*v)))
+                v[0] = v[0] ^ block
+            v[2] = v[2] ^ np.uint64(0xFF)
+            for _ in range(4):
+                v = list(siphash._sipround(*v))
+            macs.append(v[0] ^ v[1] ^ v[2] ^ v[3])
+        return np.stack(macs, axis=1).view(np.uint8)
+
+    @pytest.mark.parametrize("count", [1, 4095, 4096, 4097, 8195])
+    def test_in_place_prg_matches_the_scalar_path_around_the_chunk(self, count):
+        # One seed, the chunk boundary on both sides, and two chunks
+        # plus a ragged tail.  ``siphash24`` itself costs ~0.3 ms a block,
+        # so it checks the rows where a chunking bug would show (the
+        # ends of the call, both sides of every seam) and its round
+        # function, run over whole arrays, checks every row.
+        assert siphash._CHUNK == 4096
+        prf = SipHashPrf()
+        seeds = np.random.default_rng(count).integers(0, 256, size=(count, 16), dtype=np.uint8)
+        expected = [self._allocating_blocks(seeds, tweak) for tweak in (0, 1)]
+        stacked = prf.expand_pair_stacked(seeds)
+        assert stacked.dtype == np.uint8
+        assert np.array_equal(stacked, np.concatenate(expected))
+        for tweak in (0, 1):
+            assert np.array_equal(prf.expand(seeds, tweak), expected[tweak])
+        seams = {0, count - 1} | {
+            row for seam in (4096, 8192) for row in (seam - 1, seam) if row < count
+        }
+        for row in sorted(seams):
+            for tweak in (0, 1):
+                assert stacked[tweak * count + row].tobytes() == self._scalar_block(
+                    seeds[row], tweak
+                )
+
+    def test_seeds_may_be_read_only_or_strided_and_are_not_mutated(self):
+        prf = SipHashPrf()
+        rng = np.random.default_rng(8)
+        wide = rng.integers(0, 256, size=(600, 2, 16), dtype=np.uint8)
+        strided = wide[:, 1]  # every other 16-byte block
+        assert not strided.flags.c_contiguous
+        frozen = strided.copy()
+        frozen.setflags(write=False)
+        before = wide.copy()
+        for call in (prf.expand_pair_stacked, lambda s: prf.expand(s, 3)):
+            assert np.array_equal(call(strided), call(frozen))
+            assert np.array_equal(call(frozen), call(strided.copy()))
+        assert np.array_equal(wide, before)
+
+    def test_output_is_fresh_and_writable(self):
+        # ``expand_pair`` callers correct the children in place, and the
+        # scratch is reused by the next call: neither may alias a result.
+        prf = SipHashPrf()
+        seeds = np.random.default_rng(9).integers(0, 256, size=(100, 16), dtype=np.uint8)
+        first = prf.expand_pair_stacked(seeds)
+        kept = first.copy()
+        second = prf.expand_pair_stacked(seeds[::-1])
+        assert first.flags.writeable and first.flags.c_contiguous
+        assert not np.shares_memory(first, second)
+        assert np.array_equal(first, kept)
+        first[:] = 0
+        assert np.array_equal(prf.expand_pair_stacked(seeds), kept)
+
+    def test_concurrent_expansion_is_bit_exact(self):
+        # The round scratch is thread-local for the reason AES's is:
+        # overlapped serving runs each party's dispatch on its own
+        # thread.  5,000 and 9,000 seeds cross one and two chunk seams,
+        # so a thread is switched out between chunks too.
+        import sys
+        import threading
+
+        prf = SipHashPrf()
+        rng = np.random.default_rng(10)
+        jobs = [(7, 40), (300, 40), (5000, 5), (9000, 5)]
+        inputs = [rng.integers(0, 256, size=(n, 16), dtype=np.uint8) for n, _ in jobs]
+        expected = [prf.expand_pair_stacked(seeds) for seeds in inputs]
+        failures = []
+        barrier = threading.Barrier(len(jobs))
+
+        def worker(index):
+            barrier.wait()
+            for _ in range(jobs[index][1]):
+                if not np.array_equal(prf.expand_pair_stacked(inputs[index]), expected[index]):
+                    failures.append(index)
+                    return
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(jobs))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert not failures, f"threads {failures} saw corrupted blocks"
 
 
 class TestHighwayHash:

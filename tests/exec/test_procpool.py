@@ -99,6 +99,22 @@ class TestRunBitIdentity:
         assert result.answers.shape == (5, 100)
         np.testing.assert_array_equal(result.answers, expected[:, 50:150])
 
+    def test_a_reducer_runs_once_on_the_parent_side(self, pool, reference):
+        # A callable cannot cross the pipe: the workers return their
+        # share matrices and the reducer sees the whole range once.
+        keys, expected = reference
+        table = np.arange(1, DOMAIN + 1, dtype=np.uint64) * np.uint64(0x9E3779B97F4A7C15)
+        windows = []
+
+        def reduce(shares, lo, hi):
+            windows.append((shares.shape, lo, hi))
+            return shares @ table[lo:hi]
+
+        request = EvalRequest(keys=keys, prf_name=PRF_NAME, reduce=reduce).restrict(50, 150)
+        result = pool.run(request)
+        np.testing.assert_array_equal(result.answers, expected[:, 50:150] @ table[50:150])
+        assert windows == [((5, 100), 50, 150)]
+
     def test_workers_accumulate_cache_hits(self, pool, reference):
         keys, _ = reference
         before = pool.worker_cache_stats()

@@ -1,0 +1,83 @@
+"""Fixed memory, asserted: a reducing walk never holds the share matrix.
+
+``tracemalloc`` sees every numpy allocation, so the peak of one
+``eval_batch(..., reduce=r)`` on a fresh workspace is the walk's whole
+footprint: frontier, staging, cipher output, the one leaf window.  For
+the two fused strategies it must not grow with the table.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+
+from repro.crypto import get_prf
+from repro.dpf import gen, pack_keys
+from repro.gpu import ExpansionWorkspace, KeyArena, get_strategy
+from repro.pir import PirQuery, PirServer
+
+PRF = get_prf("siphash")
+BATCH = 16
+MB = 1 << 20
+
+
+def _inputs(log_domain):
+    domain = 1 << log_domain
+    rng = np.random.default_rng(log_domain)
+    keys = [gen(int(rng.integers(domain)), domain, PRF, rng)[i % 2] for i in range(BATCH)]
+    return keys, rng.integers(0, 1 << 64, size=domain, dtype=np.uint64)
+
+
+def _traced_peak(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("name", ["cooperative_groups", "memory_bounded"])
+def test_reducing_walk_peaks_under_2mb_whatever_the_table(name):
+    strategy = get_strategy(name)
+    # The cipher's chunk scratch is per thread, not per call.
+    PRF.expand_pair_stacked(np.zeros((1, 16), dtype=np.uint8))
+    peaks = {}
+    for log_domain in (12, 16):
+        keys, table = _inputs(log_domain)
+        arena = KeyArena.from_keys(keys)
+        expected = strategy.eval_batch(arena, PRF) @ table
+        got = []
+        peaks[log_domain] = _traced_peak(
+            lambda: got.append(
+                strategy.eval_batch(
+                    arena,
+                    PRF,
+                    workspace=ExpansionWorkspace(),
+                    reduce=lambda shares, lo, hi: shares @ table[lo:hi],
+                )
+            )
+        )
+        assert np.array_equal(got[0], expected)
+    matrix_bytes = BATCH * (1 << 16) * 8
+    assert matrix_bytes == 8 * MB
+    assert peaks[16] < 2 * MB, peaks
+    assert peaks[16] <= 1.25 * peaks[12], peaks
+
+
+def test_serving_twice_allocates_no_second_window():
+    keys, table = _inputs(14)
+    frame = PirQuery(request_id=1, count=BATCH, key_bytes=pack_keys(keys)).to_bytes()
+    server = PirServer(table, prf_name="siphash")
+    first = server.handle(frame)  # sizes the workspace, window included
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert server.handle(frame) == first
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # Nothing is kept (the reply is a few hundred bytes), and the
+    # transient peak is cipher output, never the 2 MB share matrix.
+    assert held - before < 16 << 10
+    assert peak - before < BATCH * (1 << 14) * 8 // 2

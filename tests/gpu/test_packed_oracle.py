@@ -9,18 +9,36 @@ for bit where leaf arithmetic breaks: domains 1, 2, 3, primes and
 ``2^k - 1, 2^k, 2^k + 1``, ranges with every parity of ``lo`` and
 ``hi``, the one-row range inside a leaf, and an odd domain whose last
 leaf uses one word.
+
+The same holds one step further: a walk that is handed a reducer never
+shows the matrix, so its sum has to equal the oracle's columns times
+the table, its windows have to cover the range once each, and every
+backend has to agree with its own unreduced run.
 """
 
 import functools
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.crypto import available_prfs, get_prf
 from repro.crypto.prf import CountingPrf
 from repro.dpf import eval_full, eval_points, eval_range, gen, pack_keys
 from repro.dpf.ggm import tree_depth
+from repro.exec import EvalRequest, PlanCache
 from repro.gpu import KeyArena, available_strategies, get_strategy
+
+from tests.strategies import (
+    BACKEND_FACTORIES,
+    STANDARD_SETTINGS,
+    batch_sizes,
+    fast_prf_names,
+    key_ranges,
+    rng_seeds,
+)
 
 PRF = get_prf("siphash")
 ALL_STRATEGIES = available_strategies()
@@ -133,3 +151,118 @@ def test_odd_boundary_shards_concatenate_and_share_one_tree(name, shards, domain
     assert counting.blocks == sum(
         strategy.cost(len(keys), domain, r).prf_blocks for r in ranges
     )
+
+
+def _table(domain, width=None):
+    """A seeded table over ``domain`` rows, ``width`` words wide."""
+    shape = (domain,) if width is None else (domain, width)
+    return np.random.default_rng(1000 + domain).integers(0, 1 << 64, size=shape, dtype=np.uint64)
+
+
+class _Recording:
+    """``shares @ table[lo:hi]`` that keeps the windows it was handed."""
+
+    def __init__(self, table, batch):
+        self.table, self.batch, self.windows = table, batch, []
+
+    def __call__(self, shares, lo, hi):
+        assert shares.shape == (self.batch, hi - lo) and shares.dtype == np.uint64
+        self.windows.append((lo, hi))
+        return shares @ self.table[lo:hi]
+
+    def covers_once(self, lo, hi):
+        """The windows are ``[lo, hi)`` cut into consecutive pieces."""
+        edges = [lo] + [z for _, z in self.windows]
+        return self.windows == list(zip(edges, edges[1:])) and edges[-1] == hi
+
+
+@pytest.mark.parametrize("name", ALL_STRATEGIES)
+@pytest.mark.parametrize("domain", ORACLE_DOMAINS)
+def test_every_strategy_reduces_to_the_oracle_times_the_table(name, domain):
+    keys, oracle, table = _keys(domain), _oracle(domain), _table(domain)
+    strategy = get_strategy(name)
+    sources = (keys, pack_keys(keys), KeyArena.from_keys(keys))
+    for lo, hi in _ranges(domain):
+        expected = oracle[:, lo:hi] @ table[lo:hi]
+        # Every parity of (lo, hi) on every ingest form; the arena
+        # alone carries the rest of the ranges.
+        edge = lo <= 1 or hi >= domain - 1
+        for source in sources if edge else sources[2:]:
+            reducer = _Recording(table, len(keys))
+            got = strategy.eval_batch(source, PRF, eval_range=(lo, hi), reduce=reducer)
+            assert np.array_equal(got, expected), (lo, hi)
+            assert reducer.covers_once(lo, hi), (lo, hi, reducer.windows)
+
+
+@pytest.mark.parametrize("name", ALL_STRATEGIES)
+@pytest.mark.parametrize("domain", ORACLE_DOMAINS)
+def test_a_wide_reducer_sums_to_the_wide_answer(name, domain):
+    """Three words per record: the reducer returns ``(B, 3)``, the walk
+    does not know."""
+    keys, oracle, table = _keys(domain), _oracle(domain), _table(domain, width=3)
+    strategy = get_strategy(name)
+    for lo, hi in [(0, domain)] + [r for r in _ranges(domain) if r[0] % 2 and r[1] % 2][:3]:
+        got = strategy.eval_batch(
+            keys, PRF, eval_range=(lo, hi), reduce=lambda shares, a, z: shares @ table[a:z]
+        )
+        assert got.shape == (len(keys), 3)
+        assert np.array_equal(got, oracle[:, lo:hi] @ table[lo:hi]), (lo, hi)
+
+
+@pytest.mark.parametrize("name", ["cooperative_groups", "memory_bounded"])
+def test_fused_walks_reduce_window_by_window(name):
+    """Past one tile (or one group of subtrees) the reducer is called
+    more than once, on whole tiles except at the clipped ends."""
+    domain, (lo, hi) = 1 << 16, (1001, (1 << 16) - 3)
+    rng = np.random.default_rng(16)
+    keys = [gen(int(rng.integers(domain)), domain, PRF, rng)[i % 2] for i in range(2)]
+    table = _table(domain)
+    strategy = get_strategy(name)
+    reducer = _Recording(table, len(keys))
+    got = strategy.eval_batch(keys, PRF, eval_range=(lo, hi), reduce=reducer)
+    assert np.array_equal(got, strategy.eval_batch(keys, PRF, eval_range=(lo, hi)) @ table[lo:hi])
+    assert reducer.covers_once(lo, hi)
+    widths = {z - a for a, z in reducer.windows[1:-1]}
+    assert len(reducer.windows) > 2 and len(widths) == 1 and widths.pop() % 1024 == 0
+
+
+@pytest.mark.parametrize("backend_name", sorted(BACKEND_FACTORIES))
+@STANDARD_SETTINGS
+@given(
+    shape=key_ranges(),
+    batch=batch_sizes,
+    prf_name=fast_prf_names,
+    seed=rng_seeds,
+    cached=st.booleans(),
+)
+def test_every_backend_reduces_to_its_own_matrix_times_the_table(
+    backend_name, shape, batch, prf_name, seed, cached
+):
+    """``run(request with a reducer)`` is ``run(request) @ table[lo:hi]``:
+    restricted, through a ``PlanCache`` (whose bucket plan is priced on
+    a padded batch), and merged from one-key requests and split again."""
+    domain, lo, hi = shape
+    prf = get_prf(prf_name)
+    rng = np.random.default_rng(seed)
+    keys = [gen(int(rng.integers(domain)), domain, prf, rng)[i % 2] for i in range(batch)]
+    table = rng.integers(0, 1 << 64, size=domain, dtype=np.uint64)
+    backend = BACKEND_FACTORIES[backend_name]()
+    cache = PlanCache()
+
+    def run(request):
+        return cache.run(backend, request) if cached else backend.run(request)
+
+    def reduce(shares, a, z):
+        return shares @ table[a:z]
+
+    plain = EvalRequest(keys=pack_keys(keys), prf_name=prf_name).restrict(lo, hi)
+    expected = run(plain).answers @ table[lo:hi]
+    assert np.array_equal(run(replace(plain, reduce=reduce)).answers, expected)
+    # The reducer survives restrict(), padded() and merge()/unmerge().
+    whole = EvalRequest(keys=keys, prf_name=prf_name, reduce=reduce)
+    assert np.array_equal(run(whole.restrict(lo, hi).padded(batch + 2)).answers[:batch], expected)
+    singles = EvalRequest.unmerge(whole.restrict(lo, hi), [1] * batch)
+    merged, sizes = EvalRequest.merge(singles)
+    pieces = run(merged).split(sizes)
+    assert [piece.shape for piece in pieces] == [(1,)] * batch
+    assert np.array_equal(np.concatenate(pieces), expected)

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from repro.crypto import available_prfs, get_prf
 from repro.crypto.prf import CountingPrf
 from repro.dpf import eval_full, gen
-from repro.gpu import MemoryMeter, available_strategies, get_strategy
+from repro.gpu import ExpansionWorkspace, MemoryMeter, available_strategies, get_strategy
 from repro.gpu.strategies import NODE_BYTES
 
 from tests.strategies import STANDARD_SETTINGS, batch_sizes, dpf_cases, fast_prf_names
@@ -96,6 +96,81 @@ class TestBitEquality:
         k0, _ = _keys(64)
         with pytest.raises(ValueError, match="reconstruct"):
             get_strategy("branch_parallel").eval_full(k0, get_prf("siphash"))
+
+
+class _Boom(Exception):
+    pass
+
+
+class _RaisingPrf(CountingPrf):
+    """A PRF whose ``fail_on``-th cipher call raises ``error``."""
+
+    def __init__(self, inner, fail_on):
+        super().__init__(inner)
+        self.fail_on, self.error = fail_on, _Boom("prf")
+
+    def _tick(self):
+        if self.calls + 1 == self.fail_on:
+            raise self.error
+
+    def expand(self, seeds, tweak):
+        self._tick()
+        return super().expand(seeds, tweak)
+
+    def expand_pair_stacked(self, seeds):
+        self._tick()
+        return super().expand_pair_stacked(seeds)
+
+
+class TestFailureReleasesTheMeter:
+    """ROADMAP invariant 3: metered memory returns to zero — also when
+    the PRF, or a reducer (caller code, run mid-walk), raises."""
+
+    DOMAIN = 200  # deep enough that every variant has tiles or a DFS
+
+    def _clean(self, strategy, keys, workspace, meter, expected):
+        """The workspace a failed call left behind serves the next one."""
+        assert np.array_equal(strategy.eval_batch(keys, PRF, meter, workspace), expected)
+        assert meter.current == 0
+
+    @pytest.mark.parametrize("name, params", VARIANTS)
+    @pytest.mark.parametrize("fail_on", [1, 5])
+    def test_prf_that_raises(self, name, params, fail_on):
+        strategy = get_strategy(name, **params)
+        keys = list(_keys(self.DOMAIN))
+        expected = strategy.eval_batch(keys, PRF)
+        meter, workspace = MemoryMeter(), ExpansionWorkspace()
+        prf = _RaisingPrf(PRF, fail_on)
+        with pytest.raises(_Boom) as caught:
+            strategy.eval_batch(keys, prf, meter, workspace)
+        assert caught.value is prf.error
+        assert meter.current == 0 and meter.peak > 0
+        self._clean(strategy, keys, workspace, meter, expected)
+
+    @pytest.mark.parametrize("name, params", VARIANTS)
+    def test_reducer_that_raises(self, name, params):
+        strategy = get_strategy(name, **params)
+        keys = list(_keys(self.DOMAIN))
+        expected = strategy.eval_batch(keys, PRF)
+        meter, workspace = MemoryMeter(), ExpansionWorkspace()
+        windows = []
+        strategy.eval_batch(
+            keys, PRF, meter, workspace, reduce=lambda s, lo, hi: windows.append(lo) or s.sum(axis=1)
+        )
+        for fail_on in {1, len(windows)}:
+            error, seen = _Boom("reducer"), []
+
+            def reduce(shares, lo, hi):
+                seen.append(lo)
+                if len(seen) == fail_on:
+                    raise error
+                return shares.sum(axis=1)
+
+            with pytest.raises(_Boom) as caught:
+                strategy.eval_batch(keys, PRF, meter, workspace, reduce=reduce)
+            assert caught.value is error and seen == windows[:fail_on]
+            assert meter.current == 0
+            self._clean(strategy, keys, workspace, meter, expected)
 
 
 class TestAnalyticCosts:
