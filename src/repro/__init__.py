@@ -19,20 +19,20 @@ Layers, bottom to top:
 * :mod:`repro.serve` — the SLO-aware async serving layer: batch
   aggregation under latency deadlines, bounded-queue admission
   control, and model-priced fleet routing.
-* :mod:`repro.bench` — the wall-clock benchmark harness behind
-  ``BENCH_dpf.json`` (QPS, ns per PRF block, peak metered bytes,
-  PIR round-trip and serving-session latency).
+
+:mod:`repro.bench` (the wall-clock harness behind ``BENCH_dpf.json``)
+is imported by name by whoever uses it, not by ``import repro``: a
+serving process does not pay for a benchmark harness.
 
 See ``docs/architecture.md`` for the layer diagram and a PIR
 quickstart.
 """
 
-from repro import bench, crypto, dpf, exec, gpu, pir, serve
+from repro import crypto, dpf, exec, gpu, pir, serve
 
 __version__ = "1.0.0"
 
 __all__ = [
-    "bench",
     "crypto",
     "dpf",
     "exec",

@@ -140,11 +140,13 @@ class CountingPrf(Prf):
 
 
 _REGISTRY: dict[str, type[Prf]] = {}
+_INSTANCES: dict[str, Prf] = {}
 
 
 def register_prf(cls: type[Prf]) -> type[Prf]:
     """Class decorator adding a PRF implementation to the registry."""
     _REGISTRY[cls.name] = cls
+    _INSTANCES.pop(cls.name, None)
     return cls
 
 
@@ -155,15 +157,23 @@ def available_prfs() -> list[str]:
 
 
 def get_prf(name: str) -> Prf:
-    """Instantiate a registered PRF by name.
+    """The registered PRF of that name: one shared instance per name.
+
+    Every registered PRF is fixed-key, so an instance is a constant
+    (for AES, the expanded key schedule) and callers on any thread
+    share it; treat it as read-only.  Wrap it (:class:`CountingPrf`)
+    rather than mutate it.
 
     Raises:
         KeyError: If ``name`` is not a registered PRF.
     """
-    _ensure_loaded()
-    if name not in _REGISTRY:
-        raise KeyError(f"unknown PRF {name!r}; available: {available_prfs()}")
-    return _REGISTRY[name]()
+    prf = _INSTANCES.get(name)
+    if prf is None:
+        _ensure_loaded()
+        if name not in _REGISTRY:
+            raise KeyError(f"unknown PRF {name!r}; available: {available_prfs()}")
+        prf = _INSTANCES.setdefault(name, _REGISTRY[name]())
+    return prf
 
 
 def _ensure_loaded() -> None:

@@ -12,15 +12,16 @@ O(lambda L) evaluation:
   ``Eval`` and every GPU parallelization strategy.
 * :mod:`repro.dpf.keys` — key material and wire serialization (the
   "Bytes" column of the paper's Table 4).
-* :mod:`repro.dpf.dpf` — ``gen`` / ``eval_full`` / ``eval_range`` /
-  ``eval_points``.
+* :mod:`repro.dpf.dpf` — ``gen`` / ``gen_batch`` / ``eval_full`` /
+  ``eval_range`` / ``eval_points``.
 """
 
-from repro.dpf.dpf import eval_full, eval_points, eval_range, gen
+from repro.dpf.dpf import eval_full, eval_points, eval_range, gen, gen_batch
 from repro.dpf.ggm import convert_to_u64, expand_level, prg_expand
 from repro.dpf.keys import (
     CorrectionWord,
     DpfKey,
+    KeyBatch,
     key_size_bytes,
     pack_keys,
     split_wire,
@@ -30,10 +31,12 @@ from repro.dpf.keys import (
 
 __all__ = [
     "gen",
+    "gen_batch",
     "eval_full",
     "eval_range",
     "eval_points",
     "DpfKey",
+    "KeyBatch",
     "CorrectionWord",
     "key_size_bytes",
     "wire_size",

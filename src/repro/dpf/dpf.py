@@ -1,6 +1,8 @@
 """DPF key generation and evaluation (paper Section 3.1).
 
-``gen`` runs on the client (cheap, O(log L) PRF calls — Figure 3);
+``gen_batch`` runs on the client (cheap, O(log L) PRF blocks per key —
+Figure 3 — and one PRF *call* per tree level for all the keys of a
+request together; ``gen`` is its batch of one);
 ``eval_full`` runs on the servers (O(L) PRF calls, the paper's
 acceleration target).  ``eval_full`` here is the *reference* level-by-
 level expansion; the GPU strategies in :mod:`repro.gpu.strategies`
@@ -15,11 +17,13 @@ one-row-per-leaf tree.
 
 from __future__ import annotations
 
+from typing import Sequence
+
 import numpy as np
 
 from repro.crypto.prf import Prf, SEED_BYTES
 from repro.dpf import ggm
-from repro.dpf.keys import CorrectionWord, DpfKey
+from repro.dpf.keys import DpfKey, KeyBatch
 
 _U64_MASK = (1 << 64) - 1
 
@@ -32,6 +36,8 @@ def gen(
     beta: int = 1,
 ) -> tuple[DpfKey, DpfKey]:
     """Generate the two DPF keys encoding ``f(alpha) = beta``.
+
+    The batch-of-one call of :func:`gen_batch`, returned as key objects.
 
     Args:
         alpha: Secret index in ``[0, domain_size)``.
@@ -46,60 +52,105 @@ def gen(
     Raises:
         ValueError: If ``alpha`` is out of range or the domain is empty.
     """
+    return gen_batch([alpha], domain_size, prf, rng, beta).pair(0)
+
+
+def gen_batch(
+    alphas: Sequence[int] | np.ndarray,
+    domain_size: int,
+    prf: Prf,
+    rng: np.random.Generator,
+    beta: int | Sequence[int] | np.ndarray = 1,
+) -> KeyBatch:
+    """Generate the key pairs of ``K`` points in one walk down the tree.
+
+    All ``2K`` party seeds descend together: one
+    :meth:`~repro.crypto.prf.Prf.expand_pair_stacked` call per level,
+    with the path bits, the keep/lose selection, the correction words
+    and the control-bit fixes computed for every key at once.  A PRF
+    call costs about the same for 512 seeds as for 2, so ``K`` keys
+    cost little more than one.
+
+    The root seeds are one key-major ``(K, 2, 16)`` draw, which leaves
+    ``rng`` exactly where ``K`` successive :func:`gen` calls would; key
+    ``i`` is byte-identical to the ``i``-th of those calls.
+
+    Args:
+        alphas: The ``K`` secret indices, each in ``[0, domain_size)``.
+        domain_size: Table size L.
+        prf: PRF shared with the evaluating servers.
+        rng: Source of the random root seeds.  Not touched unless every
+            argument is valid.
+        beta: Output value at each ``alpha`` (mod 2^64), one for all
+            keys or one per key; PIR uses 1.
+
+    Raises:
+        ValueError: If ``alphas`` is empty, any alpha is out of range,
+            or the domain is empty.
+    """
     if domain_size <= 0:
         raise ValueError(f"domain_size must be positive, got {domain_size}")
-    if not 0 <= alpha < domain_size:
-        raise ValueError(f"alpha={alpha} out of range for domain of {domain_size}")
-    n = ggm.tree_depth(domain_size)
-    leaf, word = divmod(alpha, ggm.LEAF_WORDS)
-
-    # Row 0 is party A's seed and row 1 party B's (two draws, in that
-    # order, so a given ``rng`` yields the same keys as it always has);
-    # both walk the path together, one fused PRG call per level.
-    seeds = np.concatenate(
-        [rng.integers(0, 256, size=(1, SEED_BYTES), dtype=np.uint8) for _ in range(2)]
-    )
-    ts = np.array([0, 1], dtype=np.uint8)
-    root_a, root_b = seeds[0].copy(), seeds[1].copy()
-
-    correction_words: list[CorrectionWord] = []
-    for level in range(n):
-        path_bit = (leaf >> (n - 1 - level)) & 1
-        # (side, party, byte): left children of both parties, then right.
-        children = prf.expand_pair_stacked(seeds).reshape(2, 2, SEED_BYTES)
-        child_ts = children[:, :, 0] & 1
-        keep, lose = children[path_bit], children[1 - path_bit]
-
-        cw_seed = lose[0] ^ lose[1]
-        cw_t_left = int(child_ts[0, 0] ^ child_ts[0, 1] ^ path_bit ^ 1)
-        cw_t_right = int(child_ts[1, 0] ^ child_ts[1, 1] ^ path_bit)
-        correction_words.append(
-            CorrectionWord(seed=cw_seed, t_left=cw_t_left, t_right=cw_t_right)
+    alphas = np.asarray(alphas)
+    if alphas.ndim != 1 or alphas.size == 0:
+        raise ValueError(
+            f"alphas must be a non-empty 1-D sequence, got shape {alphas.shape}"
         )
-        cw_t_keep = cw_t_right if path_bit else cw_t_left
+    out_of_range = (alphas < 0) | (alphas >= domain_size)
+    if out_of_range.any():
+        raise ValueError(
+            f"alpha={int(alphas[out_of_range][0])} out of range for domain "
+            f"of {domain_size}"
+        )
+    count = alphas.shape[0]
+    # Reduced as Python integers, so any sign or magnitude wraps mod 2^64.
+    betas = np.atleast_1d(np.asarray(beta, dtype=object)) & _U64_MASK
+    betas = np.broadcast_to(betas.astype(np.uint64), (count,))
+    n = ggm.tree_depth(domain_size)
+    leaves, words = np.divmod(alphas.astype(np.int64), ggm.LEAF_WORDS)
+    rows = np.arange(count)
 
-        seeds = keep ^ (cw_seed * ts[:, np.newaxis])
-        ts = child_ts[path_bit] ^ (ts & np.uint8(cw_t_keep))
+    # (key, party, byte): party A's seed then party B's, key by key.
+    roots = rng.integers(0, 256, size=(count, 2, SEED_BYTES), dtype=np.uint8)
+    seeds = roots
+    ts = np.tile(np.array([0, 1], dtype=np.uint8), (count, 1))
+    cw_seeds = np.empty((count, n, SEED_BYTES), dtype=np.uint8)
+    cw_ts = np.empty((2, count, n), dtype=np.uint8)  # [left, right]
+    for level in range(n):
+        path_bits = ((leaves >> (n - 1 - level)) & 1).astype(np.uint8)
+        # (side, key, party, byte): every left child, then every right.
+        children = prf.expand_pair_stacked(
+            seeds.reshape(2 * count, SEED_BYTES)
+        ).reshape(2, count, 2, SEED_BYTES)
+        child_ts = children[..., 0] & 1
+        keep, lose = children[path_bits, rows], children[path_bits ^ 1, rows]
+
+        cw_seed = lose[:, 0] ^ lose[:, 1]
+        cw_seeds[:, level] = cw_seed
+        # The kept side's two control bits must differ, the lost side's agree.
+        cw_t = child_ts[:, :, 0] ^ child_ts[:, :, 1] ^ path_bits
+        cw_t[0] ^= 1
+        cw_ts[:, :, level] = cw_t
+
+        seeds = keep ^ (cw_seed[:, np.newaxis] * ts[:, :, np.newaxis])
+        ts = child_ts[path_bits, rows] ^ (ts & cw_t[path_bits, rows, np.newaxis])
 
     # The leaf's two words are two table rows: beta goes to alpha's
     # word and the other row of the leaf reconstructs to 0.
-    conv_a, conv_b = ggm.convert_to_u64(seeds).tolist()
-    sign = -1 if int(ts[1]) == 1 else 1
-    output_cw = tuple(
-        sign * ((beta if w == word else 0) - conv_a[w] + conv_b[w]) & _U64_MASK
-        for w in range(ggm.LEAF_WORDS)
-    )
+    conv = ggm.convert_to_u64(seeds)
+    output_cws = conv[:, 1] - conv[:, 0]
+    output_cws[rows, words] += betas
+    flip = ts[:, 1] == 1
+    output_cws[flip] = -output_cws[flip]
 
-    common = dict(
+    return KeyBatch(
         domain_size=domain_size,
-        log_domain=ggm.log2_ceil(domain_size),
-        correction_words=correction_words,
-        output_cw=output_cw,
         prf_name=prf.name,
+        roots=roots,
+        cw_seeds=cw_seeds,
+        cw_t_left=cw_ts[0],
+        cw_t_right=cw_ts[1],
+        output_cws=output_cws,
     )
-    key_0 = DpfKey(party=0, root_seed=root_a, root_t=0, **common)
-    key_1 = DpfKey(party=1, root_seed=root_b, root_t=1, **common)
-    return key_0, key_1
 
 
 _BITREV_CACHE: dict[int, np.ndarray] = {}

@@ -227,6 +227,62 @@ class DpfKey:
         )
 
 
+@dataclass(frozen=True, eq=False)
+class KeyBatch:
+    """Both parties' keys for ``K`` points, as stacked arrays.
+
+    What :func:`repro.dpf.dpf.gen_batch` returns.  The two parties of
+    one point differ only in their root seed and root control bit
+    (party ``p`` starts at ``t = p``); everything else is shared, so it
+    is stored once.
+
+    Attributes:
+        domain_size: Addressable table rows L (shared by every key).
+        prf_name: Registry name of the PRF both parties must use.
+        roots: ``(K, 2, 16)`` uint8 — ``roots[i, p]`` is party ``p``'s
+            root seed for point ``i``.
+        cw_seeds: ``(K, n, 16)`` uint8 correction seeds,
+            ``n = tree_depth(L)``.
+        cw_t_left: ``(K, n)`` uint8 left control-bit corrections.
+        cw_t_right: ``(K, n)`` uint8 right control-bit corrections.
+        output_cws: ``(K, 2)`` uint64 output correction words, one per
+            row of a leaf.
+    """
+
+    domain_size: int
+    prf_name: str
+    roots: np.ndarray
+    cw_seeds: np.ndarray
+    cw_t_left: np.ndarray
+    cw_t_right: np.ndarray
+    output_cws: np.ndarray
+
+    def __len__(self) -> int:
+        return self.roots.shape[0]
+
+    def pair(self, i: int) -> tuple[DpfKey, DpfKey]:
+        """Point ``i``'s ``(key_0, key_1)`` as key objects."""
+        correction_words = [
+            CorrectionWord(seed=seed, t_left=int(t_left), t_right=int(t_right))
+            for seed, t_left, t_right in zip(
+                self.cw_seeds[i], self.cw_t_left[i], self.cw_t_right[i]
+            )
+        ]
+        return tuple(
+            DpfKey(
+                party=party,
+                domain_size=self.domain_size,
+                log_domain=log2_ceil(self.domain_size),
+                root_seed=self.roots[i, party],
+                root_t=party,
+                correction_words=correction_words,
+                output_cw=tuple(self.output_cws[i].tolist()),
+                prf_name=self.prf_name,
+            )
+            for party in (0, 1)
+        )
+
+
 def key_size_bytes(domain_size: int, prf_name: str = "aes128") -> int:
     """Size of a serialized key for a given table size, without generating one.
 

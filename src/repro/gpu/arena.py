@@ -8,6 +8,10 @@ vectorized work can start.  :class:`KeyArena` removes all three:
 
 * :meth:`KeyArena.from_keys` stacks key objects once (the former
   private ``_stack_keys`` in :mod:`repro.gpu.strategies`).
+* :meth:`KeyArena.generate` is the client's side of the same idea: one
+  batched tree walk (:func:`repro.dpf.dpf.gen_batch`) lands both
+  parties' keys in arenas, and :meth:`KeyArena.to_wire` frames them —
+  no key object on the way out either.
 * :meth:`KeyArena.from_wire` parses a concatenated wire buffer
   (:func:`repro.dpf.keys.pack_keys`) with one ``np.frombuffer`` and a
   fixed-stride reshape — zero per-key Python object construction.
@@ -34,6 +38,8 @@ from typing import Sequence, Union
 
 import numpy as np
 
+from repro.crypto.prf import Prf
+from repro.dpf.dpf import gen_batch
 from repro.dpf.ggm import LEAF_WORDS, log2_ceil, tree_depth
 from repro.dpf.keys import (
     CW_BYTES,
@@ -153,6 +159,41 @@ class KeyArena:
             cw_t_right=cw_tr,
             output_cws=np.array([k.output_cw for k in keys], dtype=np.uint64),
             negate=np.array([k.party == 1 for k in keys]),
+        )
+
+    @classmethod
+    def generate(
+        cls,
+        alphas: Sequence[int] | np.ndarray,
+        domain_size: int,
+        prf: Prf,
+        rng: np.random.Generator,
+        beta: int | Sequence[int] | np.ndarray = 1,
+    ) -> tuple["KeyArena", "KeyArena"]:
+        """Generate keys for ``alphas`` straight into the two parties' arenas.
+
+        One :func:`repro.dpf.dpf.gen_batch` walk (same arguments, same
+        errors); arena ``p`` is server ``p``'s and row ``i`` of each is
+        the key for ``alphas[i]``.  No per-key object is built: the
+        correction arrays are shared by both arenas.
+        """
+        batch = gen_batch(alphas, domain_size, prf, rng, beta)
+        count = len(batch)
+        return tuple(
+            cls(
+                batch=count,
+                depth=batch.cw_seeds.shape[1],
+                domain_size=domain_size,
+                prf_name=batch.prf_name,
+                roots=np.ascontiguousarray(batch.roots[:, party]),
+                root_ts=np.full(count, party, dtype=np.uint8),
+                cw_seeds=batch.cw_seeds,
+                cw_t_left=batch.cw_t_left,
+                cw_t_right=batch.cw_t_right,
+                output_cws=batch.output_cws,
+                negate=np.full(count, party == 1),
+            )
+            for party in (0, 1)
         )
 
     @classmethod
@@ -456,7 +497,7 @@ class KeyArena:
             )
 
     def to_keys(self) -> list[DpfKey]:
-        """Reconstruct the per-key objects (tests and debugging only)."""
+        """The per-key objects (object-ingest callers, tests, debugging)."""
         keys = []
         for i in range(self.batch):
             cws = [

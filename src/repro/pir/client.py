@@ -1,12 +1,17 @@
 """The PIR client: query generation and answer reconstruction.
 
 The client side of the paper's protocol is cheap by construction
-(Figure 3): generating a query is ``O(log L)`` PRF calls per index via
-:func:`repro.dpf.dpf.gen`, and reconstruction is one ring addition per
-query.  :class:`PirClient` batches both: one :meth:`~PirClient.query`
-call turns a set of secret indices into the two framed request buffers
-(one per non-colluding server), and :meth:`~PirClient.reconstruct`
-combines the two reply frames into the retrieved table entries —
+(Figure 3): a key costs ``O(log L)`` PRF blocks, and reconstruction is
+one ring addition per query.  :class:`PirClient` batches both.  All the
+indices of a call walk the GGM tree together
+(:func:`repro.dpf.dpf.gen_batch` through
+:meth:`repro.gpu.arena.KeyArena.generate`): one PRF call per tree level
+however many keys there are, and the keys go from arrays to wire bytes
+without a per-key object.  One :meth:`~PirClient.query` call turns a
+set of secret indices into the two framed request buffers (one per
+non-colluding server), :meth:`~PirClient.query_many` cuts many requests
+out of one walk, and :meth:`~PirClient.reconstruct` combines the two
+reply frames into the retrieved table entries —
 ``share_0 + share_1 (mod 2^64)``, which telescopes to ``table[alpha]``
 because the servers' expansion shares sum to the one-hot vector.
 """
@@ -19,8 +24,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.crypto.prf import Prf, get_prf
-from repro.dpf.dpf import gen
-from repro.dpf.keys import DpfKey, pack_keys
+from repro.dpf.keys import DpfKey
+from repro.gpu.arena import KeyArena
 from repro.pir.wire import PirQuery, PirReply
 
 
@@ -91,6 +96,30 @@ class PirClient:
         self.epoch = epoch
         self._next_request_id = 0
 
+    def _generate(self, index_list: list[int]) -> tuple[KeyArena, KeyArena]:
+        """One tree walk for every index; raises before ``rng`` is drawn from."""
+        return KeyArena.generate(index_list, self.table_entries, self.prf, self.rng)
+
+    def _frame(self, indices: list[int], wires: tuple[bytes, bytes]) -> QueryBatch:
+        """Frame one request's two key buffers under the next request id."""
+        request_id = self._next_request_id
+        self._next_request_id += 1
+        requests = tuple(
+            PirQuery(
+                request_id=request_id,
+                count=len(indices),
+                key_bytes=wire,
+                epoch=self.epoch,
+            ).to_bytes()
+            for wire in wires
+        )
+        return QueryBatch(
+            request_id=request_id,
+            indices=tuple(indices),
+            requests=requests,
+            epoch=self.epoch,
+        )
+
     def generate_keys(
         self, indices: Sequence[int] | int | np.ndarray
     ) -> tuple[list[DpfKey], list[DpfKey]]:
@@ -99,41 +128,21 @@ class PirClient:
         Returns:
             ``(keys_0, keys_1)`` — key ``i`` of each list encodes
             ``f(indices[i]) = 1``; list ``p`` goes to server ``p``.
-            This is the object-ingest form; :meth:`query` wraps it in
-            the wire protocol.
+            This is the object-ingest form; :meth:`query` frames the
+            same keys for the wire without building the objects.
         """
-        index_list = _as_index_list(indices)
-        keys_0, keys_1 = [], []
-        for alpha in index_list:
-            k0, k1 = gen(alpha, self.table_entries, self.prf, self.rng, beta=1)
-            keys_0.append(k0)
-            keys_1.append(k1)
-        return keys_0, keys_1
+        arena_0, arena_1 = self._generate(_as_index_list(indices))
+        return arena_0.to_keys(), arena_1.to_keys()
 
     def query(self, indices: Sequence[int] | int | np.ndarray) -> QueryBatch:
         """Build the two framed request buffers for a batch of indices.
 
         Both frames are pinned to the client's current :attr:`epoch`.
+        A bad index raises before any randomness or request id is used.
         """
         indices = _as_index_list(indices)
-        keys_0, keys_1 = self.generate_keys(indices)
-        request_id = self._next_request_id
-        self._next_request_id += 1
-        requests = tuple(
-            PirQuery(
-                request_id=request_id,
-                count=len(keys),
-                key_bytes=pack_keys(keys),
-                epoch=self.epoch,
-            ).to_bytes()
-            for keys in (keys_0, keys_1)
-        )
-        return QueryBatch(
-            request_id=request_id,
-            indices=tuple(indices),
-            requests=requests,
-            epoch=self.epoch,
-        )
+        arenas = self._generate(indices)
+        return self._frame(indices, tuple(arena.to_wire() for arena in arenas))
 
     def query_many(
         self,
@@ -148,7 +157,11 @@ class PirClient:
         becomes its own :class:`QueryBatch` with its own correlation id
         and wire frames (a trailing short group keeps the remainder).
         This is what the serving load generator fires at the async
-        batch-aggregation loop — callers no longer loop per index.
+        batch-aggregation loop.
+
+        Every index's keys come out of one tree walk, and the requests
+        are cut from its wire buffer; the frames are byte-identical to
+        calling :meth:`query` once per group.
 
         Args:
             indices: Secret indices, split into per-request groups in
@@ -156,18 +169,27 @@ class PirClient:
             queries_per_request: Indices per generated request (>= 1).
 
         Raises:
-            ValueError: On an empty index list or a non-positive group
-                size.
+            ValueError: On an empty index list, an out-of-range index or
+                a non-positive group size — in every case before any
+                randomness or request id is used.
         """
         index_list = _as_index_list(indices)
         if queries_per_request <= 0:
             raise ValueError(
                 f"queries_per_request must be positive, got {queries_per_request}"
             )
-        return [
-            self.query(index_list[start : start + queries_per_request])
-            for start in range(0, len(index_list), queries_per_request)
-        ]
+        wires = [arena.to_wire() for arena in self._generate(index_list)]
+        record = len(wires[0]) // len(index_list)
+        batches = []
+        for start in range(0, len(index_list), queries_per_request):
+            stop = start + queries_per_request
+            batches.append(
+                self._frame(
+                    index_list[start:stop],
+                    tuple(wire[start * record : stop * record] for wire in wires),
+                )
+            )
+        return batches
 
     def reconstruct(
         self,

@@ -18,6 +18,13 @@ class TestRegistry:
         with pytest.raises(KeyError):
             get_prf("des")
 
+    @pytest.mark.parametrize("name", ALL_PRFS)
+    def test_one_shared_instance_per_name(self, name):
+        # The MMO key is fixed, so an instance is a constant: a dispatch
+        # must not pay for a new key schedule.  Counters wrap, per use.
+        assert get_prf(name) is get_prf(name)
+        assert CountingPrf(get_prf(name)).inner is get_prf(name)
+
     def test_cost_metadata_reflects_table5_ordering(self):
         # Table 5 (GPU, 1M entries): SipHash > ChaCha20 > HighwayHash >
         # AES-128 ~ SHA-256.  Lower cost = faster.

@@ -9,6 +9,7 @@ from tests.strategies.backends import BACKEND_FACTORIES
 from tests.strategies.dpf import (
     DpfCase,
     alphas_for_domain,
+    awkward_domain_sizes,
     batch_sizes,
     betas,
     domain_sizes,
@@ -26,6 +27,7 @@ __all__ = [
     "STANDARD_SETTINGS",
     "DpfCase",
     "alphas_for_domain",
+    "awkward_domain_sizes",
     "batch_sizes",
     "betas",
     "domain_sizes",

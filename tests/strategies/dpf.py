@@ -47,6 +47,14 @@ AWKWARD_DOMAINS = (1, 2, 3, 5, 7, 13, 15, 17, 31, 33, 63, 65, 127, 129, 251, 255
 """Where window arithmetic breaks: 1, 2, primes and ``2^k +- 1``."""
 
 
+def awkward_domain_sizes(max_domain: int = MAX_DOMAIN) -> st.SearchStrategy[int]:
+    """Table sizes skewed toward :data:`AWKWARD_DOMAINS`."""
+    return st.one_of(
+        st.sampled_from([d for d in AWKWARD_DOMAINS if d <= max_domain]),
+        st.integers(min_value=1, max_value=max_domain),
+    )
+
+
 @st.composite
 def key_ranges(draw, max_domain: int = MAX_DOMAIN) -> tuple[int, int, int]:
     """``(domain_size, lo, hi)`` with ``0 <= lo < hi <= domain_size``.
@@ -55,12 +63,7 @@ def key_ranges(draw, max_domain: int = MAX_DOMAIN) -> tuple[int, int, int]:
     edges of the domain (a shard's first and last rows) and toward the
     one-row window.
     """
-    domain = draw(
-        st.one_of(
-            st.sampled_from([d for d in AWKWARD_DOMAINS if d <= max_domain]),
-            st.integers(min_value=1, max_value=max_domain),
-        )
-    )
+    domain = draw(awkward_domain_sizes(max_domain))
     lo = draw(st.one_of(st.just(0), st.integers(0, domain - 1)))
     hi = draw(st.one_of(st.just(lo + 1), st.just(domain), st.integers(lo + 1, domain)))
     return domain, lo, hi
