@@ -356,6 +356,7 @@ class Aes128(prf_mod.Prf):
     """
 
     name = "aes128"
+    wire_id = 1
     gpu_cost = 1.0  # Table 5 reference point: 965 QPS.
     cpu_cost = 1.0  # AES-NI accelerated.
     security_bits = 128

@@ -105,6 +105,7 @@ class ChaCha20Prf(prf_mod.Prf):
     """
 
     name = "chacha20"
+    wire_id = 3
     gpu_cost = 965.0 / 3640.0  # Table 5: 3,640 QPS vs AES's 965.
     cpu_cost = 4.0  # No hardware assist on the CPU baseline.
     security_bits = 128

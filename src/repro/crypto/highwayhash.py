@@ -58,6 +58,7 @@ class HighwayHashPrf(prf_mod.Prf):
     """HighwayHash-style 128-bit PRF over 16-byte seeds."""
 
     name = "highwayhash"
+    wire_id = 5
     gpu_cost = 965.0 / 1973.0  # Table 5: 1,973 QPS vs AES's 965.
     cpu_cost = 1.0
     security_bits = 64

@@ -38,6 +38,9 @@ class Prf(abc.ABC):
 
     Attributes:
         name: Registry key, e.g. ``"aes128"``.
+        wire_id: The one byte a ``DPF3`` key record names this PRF by
+            (:mod:`repro.dpf.keys`).  Fixed per PRF and unique in the
+            registry; 0 is reserved and never registered.
         gpu_cost: Relative per-call cost on a GPU (AES-128 = 1.0).
         cpu_cost: Relative per-call cost on a CPU with crypto
             acceleration available (AES-128 via AES-NI = 1.0).
@@ -48,6 +51,7 @@ class Prf(abc.ABC):
     """
 
     name: str = "abstract"
+    wire_id: int = 0
     gpu_cost: float = 1.0
     cpu_cost: float = 1.0
     security_bits: int = 128
@@ -112,6 +116,7 @@ class CountingPrf(Prf):
     def __init__(self, inner: Prf):
         self.inner = inner
         self.name = inner.name
+        self.wire_id = inner.wire_id
         self.gpu_cost = inner.gpu_cost
         self.cpu_cost = inner.cpu_cost
         self.security_bits = inner.security_bits
@@ -141,11 +146,35 @@ class CountingPrf(Prf):
 
 _REGISTRY: dict[str, type[Prf]] = {}
 _INSTANCES: dict[str, Prf] = {}
+_NAMES_BY_WIRE_ID: dict[int, str] = {}
 
 
 def register_prf(cls: type[Prf]) -> type[Prf]:
-    """Class decorator adding a PRF implementation to the registry."""
+    """Class decorator adding a PRF implementation to the registry.
+
+    Re-registering a name replaces the class registered under it.
+
+    Raises:
+        ValueError: If ``cls.wire_id`` is not in 1..255 or another
+            registered name already holds it (a key record would no
+            longer say which PRF it was generated for).
+    """
+    if not 1 <= cls.wire_id <= 255:
+        raise ValueError(
+            f"PRF {cls.name!r} needs a wire_id in 1..255 (0 is reserved), "
+            f"got {cls.wire_id}"
+        )
+    holder = _NAMES_BY_WIRE_ID.get(cls.wire_id, cls.name)
+    if holder != cls.name:
+        raise ValueError(
+            f"PRF {cls.name!r} declares wire_id {cls.wire_id}, which "
+            f"{holder!r} already holds"
+        )
+    previous = _REGISTRY.get(cls.name)
+    if previous is not None:
+        del _NAMES_BY_WIRE_ID[previous.wire_id]
     _REGISTRY[cls.name] = cls
+    _NAMES_BY_WIRE_ID[cls.wire_id] = cls.name
     _INSTANCES.pop(cls.name, None)
     return cls
 
@@ -174,6 +203,31 @@ def get_prf(name: str) -> Prf:
             raise KeyError(f"unknown PRF {name!r}; available: {available_prfs()}")
         prf = _INSTANCES.setdefault(name, _REGISTRY[name]())
     return prf
+
+
+def prf_wire_id(name: str) -> int:
+    """The wire id of the registered PRF ``name``.
+
+    Raises:
+        ValueError: If ``name`` is not a registered PRF (no key record
+            can carry it).
+    """
+    cls = _REGISTRY.get(name)
+    if cls is None:
+        _ensure_loaded()
+        cls = _REGISTRY.get(name)
+        if cls is None:
+            raise ValueError(f"unknown PRF {name!r}; available: {available_prfs()}")
+    return cls.wire_id
+
+
+def prf_name_for_wire_id(wire_id: int) -> str | None:
+    """The name of the registered PRF holding ``wire_id``, else ``None``."""
+    name = _NAMES_BY_WIRE_ID.get(wire_id)
+    if name is None:
+        _ensure_loaded()
+        name = _NAMES_BY_WIRE_ID.get(wire_id)
+    return name
 
 
 def _ensure_loaded() -> None:

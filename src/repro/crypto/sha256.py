@@ -118,6 +118,7 @@ class Sha256Prf(prf_mod.Prf):
     """SHA-256 as a PRF over 16-byte seeds (single-compression path)."""
 
     name = "sha256"
+    wire_id = 2
     gpu_cost = 965.0 / 921.0  # Table 5: 921 QPS vs AES's 965.
     cpu_cost = 2.5  # SHA extensions are rarer than AES-NI on server Xeons.
     security_bits = 128

@@ -203,6 +203,7 @@ class SipHashPrf(prf_mod.Prf):
     """SipHash-2-4 as a 128-bit-output PRF (two domain-separated calls)."""
 
     name = "siphash"
+    wire_id = 4
     gpu_cost = 965.0 / 7447.0  # Table 5: 7,447 QPS vs AES's 965.
     cpu_cost = 0.8
     security_bits = 64

@@ -12,9 +12,10 @@ vectorized work can start.  :class:`KeyArena` removes all three:
   batched tree walk (:func:`repro.dpf.dpf.gen_batch`) lands both
   parties' keys in arenas, and :meth:`KeyArena.to_wire` frames them —
   no key object on the way out either.
-* :meth:`KeyArena.from_wire` parses a concatenated wire buffer
-  (:func:`repro.dpf.keys.pack_keys`) with one ``np.frombuffer`` and a
-  fixed-stride reshape — zero per-key Python object construction.
+* :meth:`KeyArena.from_wire` parses a concatenated buffer of ``DPF3``
+  records (:func:`repro.dpf.keys.pack_keys`) with one ``np.frombuffer``,
+  a fixed-stride reshape and one ``np.unpackbits`` of the packed
+  control bits — zero per-key Python object construction.
 * Slicing (``arena[a:b]``) returns *views*, so
   :class:`~repro.gpu.multigpu.MultiGpuExecutor` shards a batch without
   copying a byte.
@@ -38,23 +39,36 @@ from typing import Sequence, Union
 
 import numpy as np
 
-from repro.crypto.prf import Prf
+from repro.crypto.prf import SEED_BYTES, Prf, prf_wire_id
 from repro.dpf.dpf import gen_batch
 from repro.dpf.ggm import LEAF_WORDS, log2_ceil, tree_depth
 from repro.dpf.keys import (
-    CW_BYTES,
     HEADER_BYTES,
     _HEADER_FMT,
     _MAGIC,
-    _check_header,
+    _bit_bytes,
+    _read_header,
     _record_size,
     CorrectionWord,
     DpfKey,
+    split_wire,
 )
 
 _OUTPUT_CW = slice(10, 10 + 8 * LEAF_WORDS)
-"""Header bytes of the output-correction words (after magic, party,
-log_domain and the 4-byte domain)."""
+"""Header bytes of the output-correction words (after magic, party, PRF
+id and the 4-byte domain)."""
+_ROOT = slice(HEADER_BYTES, HEADER_BYTES + SEED_BYTES)
+"""Record bytes of the root seed, right after the header."""
+
+
+def _headers_agree(mat: np.ndarray) -> bool:
+    """Every record row has party 0 or 1 and the first row's magic, PRF
+    id and domain (header bytes 0-3 and 5-9)."""
+    return bool(
+        (mat[:, 4] <= 1).all()
+        and (mat[:, :4] == mat[0, :4]).all()
+        and (mat[:, 5:10] == mat[0, 5:10]).all()
+    )
 
 KeySource = Union["KeyArena", Sequence[DpfKey], bytes, bytearray, memoryview]
 """Anything a batch entry point accepts as key material: an arena
@@ -201,68 +215,52 @@ class KeyArena:
         """Parse a concatenated wire buffer into an arena, vectorized.
 
         The buffer is :func:`repro.dpf.keys.pack_keys` output:
-        back-to-back fixed-size records (the size follows from the
-        shared domain and PRF).  The whole parse is one
-        ``np.frombuffer`` + fixed-stride reshape + column slices; no
-        per-key Python objects are built.  Per-record validation
-        (magic, party, homogeneous domain and PRF) is vectorized too.
+        back-to-back ``DPF3`` records of one fixed size (it follows from
+        the shared domain), whether they came in one frame or were
+        concatenated from several.  The whole parse is one
+        ``np.frombuffer`` + fixed-stride reshape + column slices and one
+        ``np.unpackbits`` of the control bits; no per-key Python objects
+        are built.  The checks are vectorized too: every record carries
+        the first one's magic, PRF id and domain, a party of 0 or 1 and
+        zero padding bits.  A buffer that fails them is handed to
+        :func:`repro.dpf.keys.split_wire`, which walks it record by
+        record to name the first bad one.
 
         Raises:
-            ValueError: On an empty/truncated buffer, bad magic, an
-                invalid party byte, or records that do not all share the
-                first record's domain and PRF.
+            ValueError: On an empty or truncated buffer, a bad or retired
+                magic, an invalid party byte, an unknown PRF id, non-zero
+                padding bits, or records that do not all share the first
+                record's domain and PRF.
         """
         if len(data) < HEADER_BYTES:
             raise ValueError("truncated DPF key batch")
-        magic, _, log_domain, domain_size, _, _, prf_len = struct.unpack_from(
-            _HEADER_FMT, data
-        )
-        _check_header(magic, log_domain, domain_size)
+        _, prf_name, domain_size, _, record = _read_header(data)
         depth = tree_depth(domain_size)
-        record = _record_size(log_domain, prf_len)
-        if len(data) % record:
-            raise ValueError(
-                f"wire buffer of {len(data)} bytes is not a whole number of "
-                f"{record}-byte key records"
-            )
-        b = len(data) // record
-        mat = np.frombuffer(data, dtype=np.uint8).reshape(b, record)
+        seeds_end = _ROOT.stop + SEED_BYTES * depth
+        b, tail = divmod(len(data), record)
+        mat = np.frombuffer(data, dtype=np.uint8, count=b * record).reshape(b, record)
+        bits = np.unpackbits(mat[:, seeds_end:], axis=1, bitorder="little")
+        if tail or bits[:, 2 * depth :].any() or (b > 1 and not _headers_agree(mat)):
+            split_wire(data)  # raises, naming the first bad record
+            raise ValueError("malformed DPF key batch")
 
-        if not (mat[:, :4] == np.frombuffer(_MAGIC, dtype=np.uint8)).all():
-            raise ValueError("bad DPF key magic inside batch")
         parties = mat[:, 4]
-        if not ((parties == 0) | (parties == 1)).all():
-            raise ValueError("party must be 0 or 1")
-        # Homogeneity: log_domain + domain (header bytes 5..9) and the PRF
-        # name must match the first record, or the fixed stride (and the
-        # batch itself) is meaningless.
-        if not (mat[:, 5:10] == mat[0, 5:10]).all():
-            raise ValueError("all keys in a batch must share the same domain")
-        name_end = HEADER_BYTES + prf_len
-        if not (mat[:, HEADER_BYTES - 1] == prf_len).all() or not (
-            mat[:, HEADER_BYTES:name_end] == mat[0, HEADER_BYTES:name_end]
-        ).all():
-            raise ValueError("all keys in a batch must share the same PRF")
-        prf_name = bytes(mat[0, HEADER_BYTES:name_end]).decode()
-
         output_cws = (
             np.ascontiguousarray(mat[:, _OUTPUT_CW]).view("<u8").astype(np.uint64, copy=False)
         )
-        root_ts = mat[:, name_end].copy()
-        roots = np.ascontiguousarray(mat[:, name_end + 1 : name_end + 17])
-        cw = mat[:, name_end + 17 :].reshape(b, depth, CW_BYTES)
-        cw_seeds = np.ascontiguousarray(cw[:, :, :16])
-        bits = cw[:, :, 16]
+        pairs = bits[:, : 2 * depth].reshape(b, depth, 2)
         return cls(
             batch=b,
             depth=depth,
             domain_size=domain_size,
             prf_name=prf_name,
-            roots=roots,
-            root_ts=root_ts,
-            cw_seeds=cw_seeds,
-            cw_t_left=bits & np.uint8(1),
-            cw_t_right=(bits >> np.uint8(1)) & np.uint8(1),
+            roots=np.ascontiguousarray(mat[:, _ROOT]),
+            root_ts=parties.copy(),
+            cw_seeds=np.ascontiguousarray(mat[:, _ROOT.stop : seeds_end]).reshape(
+                b, depth, SEED_BYTES
+            ),
+            cw_t_left=np.ascontiguousarray(pairs[:, :, 0]),
+            cw_t_right=np.ascontiguousarray(pairs[:, :, 1]),
             output_cws=output_cws,
             negate=parties == 1,
         )
@@ -409,30 +407,27 @@ class KeyArena:
         worker processes: wire bytes cross the pipe, not pickled arrays,
         and the worker re-parses with the vectorized ``from_wire``.
         """
-        prf_bytes = self.prf_name.encode()
-        prf_len = len(prf_bytes)
-        log_domain = log2_ceil(self.domain_size)
-        record = _record_size(log_domain, prf_len)
-        b = self.batch
-        mat = np.empty((b, record), dtype=np.uint8)
+        b, depth = self.batch, self.depth
+        seeds_end = _ROOT.stop + SEED_BYTES * depth
+        mat = np.empty((b, _record_size(depth)), dtype=np.uint8)
         # Header template with party and output_cw zeroed; both are
         # overwritten column-wise below.
-        template = struct.pack(
-            _HEADER_FMT, _MAGIC, 0, log_domain, self.domain_size, 0, 0, prf_len
-        )
-        mat[:, : HEADER_BYTES + prf_len] = np.frombuffer(
-            template + prf_bytes, dtype=np.uint8
+        mat[:, :HEADER_BYTES] = np.frombuffer(
+            struct.pack(
+                _HEADER_FMT, _MAGIC, 0, prf_wire_id(self.prf_name), self.domain_size, 0, 0
+            ),
+            dtype=np.uint8,
         )
         mat[:, 4] = self.negate
         mat[:, _OUTPUT_CW] = np.ascontiguousarray(self.output_cws, dtype="<u8").view(
             np.uint8
         )
-        name_end = HEADER_BYTES + prf_len
-        mat[:, name_end] = self.root_ts
-        mat[:, name_end + 1 : name_end + 17] = self.roots
-        cw = mat[:, name_end + 17 :].reshape(b, self.depth, CW_BYTES)
-        cw[:, :, :16] = self.cw_seeds
-        cw[:, :, 16] = self.cw_t_left | (self.cw_t_right << np.uint8(1))
+        mat[:, _ROOT] = self.roots
+        mat[:, _ROOT.stop : seeds_end] = self.cw_seeds.reshape(b, SEED_BYTES * depth)
+        bits = np.zeros((b, 8 * _bit_bytes(depth)), dtype=np.uint8)
+        bits[:, 0 : 2 * depth : 2] = self.cw_t_left
+        bits[:, 1 : 2 * depth : 2] = self.cw_t_right
+        mat[:, seeds_end:] = np.packbits(bits, axis=1, bitorder="little")
         return mat.tobytes()
 
     def __eq__(self, other: object) -> bool:

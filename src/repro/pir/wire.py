@@ -9,23 +9,25 @@ One frame format carries both directions (paper Figure 2):
 * A **reply** frame carries the server's answer shares, one uint64 per
   query, little-endian.
 
-Layout (little-endian)::
+Layout of a version-3 frame (little-endian)::
 
     magic    4s   b"PIR1"
-    version  u8   WIRE_VERSION
+    version  u8   WIRE_VERSION (3)
     kind     u8   0 = query, 1 = reply
     req_id   u64  client-chosen correlation id, echoed in the reply
     epoch    u32  table epoch the query targets, echoed in the reply
     count    u32  key records (query) / answer shares (reply)
-    length   u64  payload bytes
+    length   u32  payload bytes
     payload  ...  pack_keys output / packed uint64 shares
 
-Version 2 added the ``epoch`` field for online table updates: a query
-is generated against (and must be answered from) one specific published
-table version, so a server mid-update can keep answering old-epoch
-queries from the retained epoch instead of silently mixing tables.
-Version-1 frames (no epoch) are rejected outright — an epoch-less query
-is ambiguous the moment two table versions coexist.
+The ``epoch`` field (since version 2) pins a query to the one published
+table version it was generated against, so a server mid-update keeps
+answering old-epoch queries from the retained epoch instead of silently
+mixing tables.  Version 3 shrank ``length`` from u64 to u32, whose top
+half was always zero: a frame is one request's keys or answers, and the
+encoder refuses a payload of 4 GiB or more.  Frames of older versions
+are refused by name (a version-1 frame has no epoch, a version-2 frame
+a longer header); there is no second reader.
 
 A frame must be *exactly* header + ``length`` bytes — trailing garbage
 is rejected at the frame boundary, mirroring the strictness of
@@ -40,12 +42,13 @@ from dataclasses import dataclass
 import numpy as np
 
 MAGIC = b"PIR1"
-WIRE_VERSION = 2
+WIRE_VERSION = 3
+_RETIRED_VERSIONS = {1: "no epoch field", 2: "u64 payload length"}
 
 KIND_QUERY = 0
 KIND_REPLY = 1
 
-_FRAME_FMT = "<4sBBQIIQ"
+_FRAME_FMT = "<4sBBQIII"
 FRAME_HEADER_BYTES = struct.calcsize(_FRAME_FMT)
 
 _U32_MAX = (1 << 32) - 1
@@ -61,6 +64,8 @@ def _pack_header(
         raise ValueError(f"epoch must fit in a u32, got {epoch}")
     if not 0 < count <= _U32_MAX:
         raise ValueError(f"count must be a positive u32, got {count}")
+    if payload_len > _U32_MAX:
+        raise ValueError(f"payload of {payload_len} bytes does not fit a u32 length")
     return struct.pack(
         _FRAME_FMT, MAGIC, WIRE_VERSION, kind, request_id, epoch, count, payload_len
     )
@@ -79,9 +84,11 @@ def _unpack_header(data: bytes, expect_kind: int) -> tuple[int, int, int, bytes]
     if magic != MAGIC:
         raise ValueError(f"bad PIR frame magic {magic!r}")
     if version != WIRE_VERSION:
+        retired = _RETIRED_VERSIONS.get(version)
+        detail = f" ({retired})" if retired else ""
         raise ValueError(
-            f"unsupported PIR wire version {version} (this build speaks "
-            f"{WIRE_VERSION})"
+            f"unsupported PIR wire version {version}{detail}: this build "
+            f"speaks {WIRE_VERSION}"
         )
     if kind != expect_kind:
         want = "query" if expect_kind == KIND_QUERY else "reply"

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.crypto import CountingPrf, available_prfs, get_prf
+from repro.crypto import CountingPrf, Prf, available_prfs, get_prf, register_prf
+from repro.crypto.prf import prf_name_for_wire_id
 
 ALL_PRFS = ["aes128", "sha256", "chacha20", "siphash", "highwayhash"]
 
@@ -24,6 +25,32 @@ class TestRegistry:
         # must not pay for a new key schedule.  Counters wrap, per use.
         assert get_prf(name) is get_prf(name)
         assert CountingPrf(get_prf(name)).inner is get_prf(name)
+
+    def test_wire_ids_are_fixed(self):
+        # A key record names its PRF by this byte: changing one is a
+        # wire-format change.
+        ids = {name: get_prf(name).wire_id for name in ALL_PRFS}
+        assert ids == {"aes128": 1, "sha256": 2, "chacha20": 3, "siphash": 4, "highwayhash": 5}
+        assert {prf_name_for_wire_id(i) for i in ids.values()} == set(ALL_PRFS)
+        assert prf_name_for_wire_id(0) is None
+        assert CountingPrf(get_prf("siphash")).wire_id == 4
+
+    @pytest.mark.parametrize(
+        "name, wire_id, match",
+        [
+            ("rot13", 0, "0 is reserved"),
+            ("rot13", 256, "in 1..255"),
+            ("rot13", 4, "which 'siphash' already holds"),
+            ("aes128", 2, "which 'sha256' already holds"),
+        ],
+    )
+    def test_register_refuses_a_reserved_or_taken_wire_id(self, name, wire_id, match):
+        before = {n: type(get_prf(n)) for n in available_prfs()}
+        cls = type("Candidate", (Prf,), {"name": name, "wire_id": wire_id})
+        with pytest.raises(ValueError, match=match):
+            register_prf(cls)
+        assert {n: type(get_prf(n)) for n in available_prfs()} == before
+        assert prf_name_for_wire_id(wire_id) == {2: "sha256", 4: "siphash"}.get(wire_id)
 
     def test_cost_metadata_reflects_table5_ordering(self):
         # Table 5 (GPU, 1M entries): SipHash > ChaCha20 > HighwayHash >

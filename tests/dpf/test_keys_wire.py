@@ -1,10 +1,13 @@
 """Wire-format arithmetic, malformed-input handling, and batch framing.
 
-Three claims: ``DpfKey.size_bytes`` is pure arithmetic that always
+Four claims: ``DpfKey.size_bytes`` is pure arithmetic that always
 matches the serializer; ``from_bytes`` rejects every malformed buffer
 with a ``ValueError`` (never an exception from deep inside numpy or a
-dataclass validator); and the batched ``pack_keys`` / ``split_wire`` /
-``unpack_keys`` framing round-trips exactly.
+dataclass validator); every parser refuses non-canonical bytes and the
+retired ``DPF1`` / ``DPF2`` layouts by name, so what parses
+re-serializes to exactly the bytes it came from; and the batched
+``pack_keys`` / ``split_wire`` / ``unpack_keys`` framing round-trips
+exactly.
 """
 
 import struct
@@ -16,6 +19,7 @@ from hypothesis import strategies as st
 
 from repro.crypto import available_prfs, get_prf
 from repro.dpf import (
+    CorrectionWord,
     DpfKey,
     gen,
     key_size_bytes,
@@ -68,14 +72,19 @@ class TestSizeBytes:
             assert key_size_bytes(domain, prf_name) == size
             assert pair[0].size_bytes == size == len(pair[1].to_bytes())
             assert len(KeyArena.from_keys(list(pair)).to_wire()) == 2 * size
-            # One 17-byte level per doubling, from the two-row root-only
-            # tree up; a one-row table costs what a two-row one does.
+            # One 16-byte seed per doubling from the two-row root-only
+            # tree up, and two control bits, packed four levels a byte;
+            # a one-row table costs what a two-row one does.
             levels = max(log_domain - 1, 0)
-            assert size == wire_size(0, prf_name) + 17 * levels
+            assert size == 42 + 16 * levels + -(-levels // 4)
 
     def test_benchmark_shapes(self):
-        assert wire_size(10, "aes128") == 203
-        assert wire_size(16, "siphash") == 306
+        assert wire_size(10, "aes128") == 189
+        assert wire_size(16, "siphash") == 286
+
+    def test_wire_size_rejects_an_unregistered_prf(self):
+        with pytest.raises(ValueError, match="unknown PRF 'rot13'"):
+            wire_size(10, "rot13")
 
 
 class TestFromBytesValidation:
@@ -100,18 +109,19 @@ class TestFromBytesValidation:
 
     def test_inconsistent_domain_rejected_at_parse(self):
         """A corrupted domain_size header must fail at the parse
-        boundary, not as an IndexError inside evaluation."""
+        boundary, not as an IndexError inside evaluation: the record
+        length no longer follows from it."""
         key, _ = _key(64)
         data = bytearray(key.to_bytes())
-        data[6 + 2] ^= 0x10  # bump domain_size far beyond 2**log_domain
-        with pytest.raises(ValueError, match="inconsistent"):
+        data[6 + 2] ^= 0x10  # bump domain_size far beyond the record's depth
+        with pytest.raises(ValueError, match="must be exactly"):
             DpfKey.from_bytes(bytes(data))
 
     def test_zero_domain_rejected_at_parse(self):
         key, _ = _key(1)
         data = bytearray(key.to_bytes())
         data[6:10] = (0).to_bytes(4, "little")
-        with pytest.raises(ValueError, match="inconsistent"):
+        with pytest.raises(ValueError, match="domain_size must be positive"):
             DpfKey.from_bytes(bytes(data))
 
     def test_every_output_correction_bit_parses_to_that_word(self):
@@ -149,8 +159,10 @@ class TestFromBytesValidation:
     @given(case=dpf_cases(max_domain=64), bit=st.integers(0, 1 << 20))
     @STANDARD_SETTINGS
     def test_fuzz_bit_flips_never_escape_value_error(self, case, bit):
-        """A flipped bit either still parses (e.g. inside a seed) or
-        raises ValueError — never an unrelated exception type."""
+        """A flipped bit either raises ValueError or parses to a key
+        whose serialization is exactly the flipped bytes: every byte is
+        key material or a checked field, so no two encodings of one key
+        exist and nothing a parser accepts is dropped."""
         (key, _), _ = case.keys()
         data = bytearray(key.to_bytes())
         bit %= len(data) * 8
@@ -159,10 +171,7 @@ class TestFromBytesValidation:
             parsed = DpfKey.from_bytes(bytes(data))
         except ValueError:
             return
-        # Anything that parses (a flip in a seed, say) must yield a
-        # well-formed key whose own serialization round-trips; unused
-        # high bits of a control-bit byte are dropped by design.
-        assert DpfKey.from_bytes(parsed.to_bytes()).to_bytes() == parsed.to_bytes()
+        assert parsed.to_bytes() == bytes(data)
 
     @given(case=dpf_cases(max_domain=64), magic=st.binary(min_size=4, max_size=4))
     @STANDARD_SETTINGS
@@ -175,28 +184,163 @@ class TestFromBytesValidation:
             DpfKey.from_bytes(magic + data[4:])
 
 
-class TestUnpackedVersionRefused:
-    """A ``DPF1`` record (one row per leaf: one more level, one output
-    word) must be refused by name at every parser, never mis-framed."""
+def _dpf1_record(log_domain=6, prf_name=b"chacha20"):
+    """A ``DPF1`` record: one row per leaf, so one more level and one
+    output word; the PRF named by string."""
+    header = struct.pack(
+        "<4sBBIQB", b"DPF1", 0, log_domain, 1 << log_domain, 7, len(prf_name)
+    )
+    return header + prf_name + bytes(1 + 16 + 17 * log_domain)
+
+
+def _dpf2_record(key):
+    """``key`` as a ``DPF2`` record: the PRF named by string, a
+    ``log_domain`` byte, a root control bit and a byte per level.  Byte
+    for byte what ``to_bytes`` wrote at commit ec20625."""
+    name = key.prf_name.encode()
+    header = struct.pack(
+        "<4sBBIQQB", b"DPF2", key.party, key.log_domain, key.domain_size,
+        *key.output_cw, len(name),
+    )
+    levels = b"".join(
+        cw.seed.tobytes() + bytes([cw.t_left | cw.t_right << 1])
+        for cw in key.correction_words
+    )
+    return header + name + bytes([key.root_t]) + key.root_seed.tobytes() + levels
+
+
+RETIRED = {
+    "DPF1": lambda key: _dpf1_record(),
+    "DPF2": _dpf2_record,
+}
+
+ALL_PARSERS = [DpfKey.from_bytes, split_wire, unpack_keys, KeyArena.from_wire]
+BATCH_PARSERS = [split_wire, unpack_keys, KeyArena.from_wire]
+
+
+class TestRetiredVersionsRefused:
+    """``DPF1`` and ``DPF2`` records must be refused by name at every
+    parser, at the head of a buffer and mid-stream, never mis-framed."""
+
+    @pytest.mark.parametrize("parse", ALL_PARSERS)
+    @pytest.mark.parametrize("version", sorted(RETIRED))
+    def test_every_parser_names_the_version(self, parse, version):
+        key, _ = _key(64)
+        with pytest.raises(ValueError, match=f"version {version}"):
+            parse(RETIRED[version](key))
+
+    @pytest.mark.parametrize("parse", BATCH_PARSERS)
+    @pytest.mark.parametrize("version", sorted(RETIRED))
+    def test_refused_after_a_current_record_too(self, parse, version):
+        key, _ = _key(64)
+        with pytest.raises(ValueError, match=rf"at offset \d+: wire version {version}"):
+            parse(key.to_bytes() + RETIRED[version](key))
+
+
+class TestNonCanonicalRefused:
+    """Every byte a parser reads is key material or a checked field, so
+    each of these fails, named, at every parser that can see it."""
 
     @staticmethod
-    def _dpf1_record(log_domain=6, prf_name=b"chacha20"):
-        header = struct.pack(
-            "<4sBBIQB", b"DPF1", 0, log_domain, 1 << log_domain, 7, len(prf_name)
-        )
-        return header + prf_name + bytes(1 + 16 + 17 * log_domain)
+    def _flipped(offset, value, domain=100):
+        key, _ = _key(domain)
+        data = bytearray(key.to_bytes())
+        data[offset] = value
+        return key, bytes(data)
 
-    @pytest.mark.parametrize(
-        "parse", [DpfKey.from_bytes, split_wire, unpack_keys, KeyArena.from_wire]
-    )
-    def test_every_parser_names_the_version(self, parse):
-        with pytest.raises(ValueError, match="version DPF1"):
-            parse(self._dpf1_record())
+    @pytest.mark.parametrize("parse", ALL_PARSERS)
+    def test_party_outside_zero_and_one(self, parse):
+        _, data = self._flipped(4, 2)
+        with pytest.raises(ValueError, match="party must be 0 or 1, got 2"):
+            parse(data)
 
-    def test_refused_after_a_current_record_too(self):
+    @pytest.mark.parametrize("parse", ALL_PARSERS)
+    @pytest.mark.parametrize("wire_id", [0, 6, 255])
+    def test_unknown_prf_id(self, parse, wire_id):
+        _, data = self._flipped(5, wire_id)
+        with pytest.raises(ValueError, match=f"unknown PRF id {wire_id}"):
+            parse(data)
+
+    @pytest.mark.parametrize("parse", ALL_PARSERS)
+    @pytest.mark.parametrize("domain", [5, 37, 100, 1000])
+    def test_nonzero_padding_bits(self, parse, domain):
+        """Depth 2, 5, 6 and 9: each padding bit of the last control-bit
+        byte is refused on its own."""
+        key, _ = _key(domain)
+        data = key.to_bytes()
+        used = 2 * key.depth - 8 * (-(-key.depth // 4) - 1)
+        assert used < 8
+        for bit in range(used, 8):
+            flipped = bytearray(data)
+            flipped[-1] ^= 1 << bit
+            with pytest.raises(ValueError, match="non-zero padding bits"):
+                parse(bytes(flipped))
+
+    @pytest.mark.parametrize("parse", BATCH_PARSERS)
+    def test_padding_bits_of_a_later_record(self, parse):
+        key, _ = _key(100)
+        record = bytearray(key.to_bytes())
+        record[-1] |= 0x80
+        with pytest.raises(ValueError, match=r"non-zero padding bits .*at offset \d+"):
+            parse(key.to_bytes() * 2 + bytes(record))
+
+    @pytest.mark.parametrize("parse", BATCH_PARSERS)
+    def test_records_that_differ_in_domain(self, parse):
+        a, _ = _key(64)
+        b, _ = _key(1000)
+        with pytest.raises(ValueError, match="same domain"):
+            parse(a.to_bytes() + b.to_bytes())
+        # Same depth, same record length: only the domain field differs.
+        c, _ = _key(63)
+        assert c.size_bytes == a.size_bytes
+        with pytest.raises(ValueError, match="same domain"):
+            parse(a.to_bytes() + c.to_bytes())
+
+    @pytest.mark.parametrize("parse", BATCH_PARSERS)
+    def test_records_that_differ_in_prf(self, parse):
+        a, _ = _key(64, "chacha20")
+        b, _ = _key(64, "highwayhash")
+        with pytest.raises(ValueError, match="same PRF"):
+            parse(a.to_bytes() + b.to_bytes())
+
+    def test_object_built_key_with_root_t_not_party(self):
         key, _ = _key(64)
-        with pytest.raises(ValueError, match=r"at offset \d+: wire version DPF1"):
-            split_wire(key.to_bytes() + self._dpf1_record())
+        fields = {f: getattr(key, f) for f in key.__dataclass_fields__}
+        for root_t in (1, 7):
+            with pytest.raises(ValueError, match=f"root_t must equal party 0, got {root_t}"):
+                DpfKey(**{**fields, "root_t": root_t})
+
+    def test_correction_bits_must_be_bits(self):
+        key, _ = _key(64)
+        seed = key.correction_words[0].seed
+        with pytest.raises(ValueError, match="must be 0 or 1"):
+            CorrectionWord(seed=seed, t_left=2, t_right=0)
+
+    @pytest.mark.parametrize("domain, prf_name", [(1, "aes128"), (100, "chacha20"), (1000, "siphash")])
+    def test_every_single_bit_flip_at_every_parser(self, domain, prf_name):
+        """Exhaustive over the bits of three records: each parser raises,
+        or yields exactly the key whose serialization is the flipped
+        record — and all parsers agree on which."""
+        key, _ = _key(domain, prf_name)
+        data = key.to_bytes()
+        for bit in range(8 * len(data)):
+            flipped = bytearray(data)
+            flipped[bit // 8] ^= 1 << (bit % 8)
+            flipped = bytes(flipped)
+            outcomes = []
+            for parse in (DpfKey.from_bytes, split_wire, KeyArena.from_wire):
+                try:
+                    outcomes.append(parse(flipped))
+                except ValueError:
+                    outcomes.append(None)
+            parsed, records, arena = outcomes
+            if parsed is None:
+                assert records is None and arena is None, bit
+                continue
+            assert parsed.to_bytes() == flipped, bit
+            assert records == [flipped], bit
+            assert arena == KeyArena.from_keys([parsed]), bit
+            assert arena.to_wire() == flipped, bit
 
 
 class TestBatchFraming:
@@ -217,11 +361,13 @@ class TestBatchFraming:
         assert len(records) == 3
         assert all(r == key.to_bytes() for r in records)
 
-    def test_split_wire_handles_heterogeneous_records(self):
+    def test_split_wire_refuses_heterogeneous_records(self):
+        """A wire buffer is one batch: records of another domain or PRF
+        are refused by offset, not framed."""
         a, _ = _key(64, "chacha20")
         b, _ = _key(1000, "siphash")
-        records = split_wire(a.to_bytes() + b.to_bytes())
-        assert [len(r) for r in records] == [a.size_bytes, b.size_bytes]
+        with pytest.raises(ValueError, match=f"same domain: the record at offset {a.size_bytes}"):
+            split_wire(a.to_bytes() + b.to_bytes())
 
     def test_split_wire_rejects_truncation(self):
         key, _ = _key(64)
@@ -252,12 +398,13 @@ class TestTrailingGarbage:
     def test_magic_prefixed_garbage_rejected(self):
         key, _ = _key(64)
         wire = pack_keys([key, key])
-        # b"DPF2" + zeros parses as a header with domain_size 0; the
-        # old framing accepted it as a 36-byte record.
-        garbage = b"DPF2" + bytes(32)
-        with pytest.raises(ValueError, match="inconsistent"):
+        # b"DPF3" + zeros parses as a header with the reserved PRF id 0
+        # and domain_size 0; the first framing accepted such bytes as a
+        # record.
+        garbage = b"DPF3" + bytes(32)
+        with pytest.raises(ValueError, match="unknown PRF id 0"):
             split_wire(wire + garbage)
-        with pytest.raises(ValueError, match="inconsistent"):
+        with pytest.raises(ValueError, match="unknown PRF id 0"):
             unpack_keys(wire + garbage)
 
     def test_bad_party_byte_rejected_at_framing(self):

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from repro.crypto import get_prf
 from repro.crypto.prf import CountingPrf
 from repro.dpf import eval_full, gen, pack_keys
-from repro.dpf.keys import HEADER_BYTES
 from repro.gpu import (
     V100,
     ExpansionWorkspace,
@@ -93,31 +92,31 @@ class TestWireEquivalence:
             KeyArena.from_wire(b"")
         with pytest.raises(ValueError, match="magic"):
             KeyArena.from_wire(b"XXXX" + wire[4:])
-        with pytest.raises(ValueError, match="whole number"):
+        with pytest.raises(ValueError, match="mid-record"):
             KeyArena.from_wire(wire[:-3])
         other = _make_keys(batch=1, domain=317, seed=5)[0]
-        with pytest.raises(ValueError, match="same domain|whole number"):
+        with pytest.raises(ValueError, match="same domain"):
             KeyArena.from_wire(wire + other.to_bytes())
         mutated = bytearray(wire)
         mutated[4] = 7  # party byte of the first record
         with pytest.raises(ValueError, match="party"):
             KeyArena.from_wire(bytes(mutated))
         corrupt = bytearray(wire)
-        corrupt[8] ^= 0x01  # domain_size no longer matches the depth
-        with pytest.raises(ValueError, match="inconsistent"):
+        corrupt[8] ^= 0x01  # domain_size no longer matches the record length
+        with pytest.raises(ValueError, match="mid-record"):
             KeyArena.from_wire(bytes(corrupt))
         record = len(wire) // 2
-        bad_len = bytearray(wire)
-        bad_len[record + HEADER_BYTES - 1] ^= 0x02  # second record's prf_len byte
+        bad_prf = bytearray(wire)
+        bad_prf[record + 5] = get_prf("siphash").wire_id  # second record's PRF id
         with pytest.raises(ValueError, match="same PRF"):
-            KeyArena.from_wire(bytes(bad_len))
+            KeyArena.from_wire(bytes(bad_prf))
 
     def test_from_wire_rejects_mixed_prfs(self):
         a = _make_keys(batch=1, prf=get_prf("chacha20"))[0]
         b = _make_keys(batch=1, prf=get_prf("highwayhash"))[0]
-        # chacha20 and highwayhash have different name lengths, so the
-        # stride check fires; equal-length names hit the PRF check.
-        with pytest.raises(ValueError):
+        # The PRF is one id byte, so records of every PRF have one
+        # length and the PRF check, not the stride, refuses the mix.
+        with pytest.raises(ValueError, match="same PRF"):
             KeyArena.from_wire(a.to_bytes() + b.to_bytes())
         c = _make_keys(batch=1, prf=get_prf("aes128"))[0]
         d = _make_keys(batch=1, prf=get_prf("sha256"))[0]

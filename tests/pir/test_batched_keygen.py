@@ -2,9 +2,10 @@
 
 One tree walk now produces every key of a ``query`` / ``query_many``
 call.  What a server, a recorded fixture or a seeded benchmark can see
-of that must not have moved: the frames for a given generator are the
-bytes the per-index loop produced, a failed call consumes nothing, and
-a whole pool costs one tree's depth of cipher calls.
+of that must not have moved: the frames for a given generator are
+pinned (they carried the per-index loop's keys when recorded, and the
+keys have not moved since), a failed call consumes nothing, and a whole
+pool costs one tree's depth of cipher calls.
 """
 
 import hashlib
@@ -41,58 +42,61 @@ GOLDEN_CASES = (
 
 GOLDEN_DIGESTS = {
     "aes128": (
-        "c6c44a195a8cae9ebb8ec1596b207dbd467d6adfc372f20d9658807e7b9bd69a",
-        "fe37c14fc0d644ca3a06375e492e00f6e08d8504d7c4c04d70ab1ada3489d569",
-        "a2b679c6598d93a869416f15a63ac81da6c3d16da76629eeaddb75f85e452dae",
-        "09244ac484048b1df45aaece213499bdd539aa3de6221d70ef1aebdb731d9bf6",
-        "99bf79229338a0698d0c5e1314997758d28164c6b19d6036a21101d0378b5cb0",
-        "6387435ccdccf6ef5a06c79211ef5993fd3860335e91c4e865f48abe0027fb91",
-        "1de094fcf361a4ef99696aefc1d3b198b5bc02bebf17c70a717f6b9c67cdb5cd",
-        "a8a92e24fcb5abfd6fe15bba6780553f0b35ee4ac10f046a62e183c11b5f484a",
+        "2233ea3130e02a6ef2347a4fd1709fa798796b1e1a857c0111f458ef53dfebe9",
+        "2aa98c5032dd946a8315bc26cc8aa47ea73dcf71ac51598f63497c44294253ab",
+        "0f2ef19860af82862b500431cebe7ccba10b66a833795280df95926fe8b8b334",
+        "a072cc20c3ae63c68414aef9c079cc57991162a063670c2905677e2f0ddf7642",
+        "faab1a3e3b90d30baef0d18512e03b0525c30180bd2a19888a7ac105d6ae3221",
+        "31b3cef42ea169b62b0ac7e8d446f7f8f2be575ca7033d204a7f177790558b87",
+        "e6ac096bbbda58f3be43d2dd322af70e5b1229285aea3285afb6d07a76f42752",
+        "00771b56fadd5ab4d4b7438ef45f9e73b2b2bca6295489c5b08111b94626c23c",
     ),
     "chacha20": (
-        "e55a9555842cb3a6c1d8a7a1da9b3d7b59ee6dc25bad5e177ed0c2f72a0b358f",
-        "f47a33a89bffd088b5f8ab184b78f00d29ae35ffb4982b524f3cae855b504e94",
-        "73d2ef513ca74276e31eb2862e98796fc437c56b4568057e4bf1a00c9a6ba7d7",
-        "249261ced3d5600c8bf0195a18e1849b721ee3ff9077544b1fe57ad98bb667d0",
-        "fef8c0826e83dc1c90fe57ba987ad1894d130448f24b7719f33b05f2912618d8",
-        "8dd96322d96d1a9e0398f8df401555bd44d3006ec2ddfd2afd526af63f2d054f",
-        "01fd8c43dc482b2cf77e559dfb39a49a471a9786b74b43ec3d1a9032b564c354",
-        "db50f28ff2bbd8210cb1ea1987df44b75aa3dad134c983861bfc7d542afc9e61",
+        "679cec26de7755909076e960c0aadbd539cfef64b6f745f24b523aa763d8d9b3",
+        "37c4ae3b426ed16f3df81a71972c539fc1f475601378bad4512f203566c5919d",
+        "2d98cea25a3c51f3f93cee014f04e5fa1826dfc58b99b8a4aaca039132db96b7",
+        "b77510af7bb930c67d6cfcfe1884d75a873d7f5e26b60927863cf2da6b1bc640",
+        "b17c64b27c1d3647de4cf0d715a5555c43f623feb8ab8724a09124cf55358db1",
+        "3d1a67be5157e8a8b324f836697d5c02f13f49da1185574f74a7d125911ee001",
+        "de232fe9fe9fe3178f99d94a1397a6f5270c85aa875088b80f5f6184caf84898",
+        "6c35a19cf4dcc22046a17b6766e4c943ec14175a95b27beb7f9000b0804f5674",
     ),
     "highwayhash": (
-        "6a64390aca6591b86aba50dd7bc5d2ae461b5541b4a3ee5ff47f2ac7eb2f5a1f",
-        "ef64af02c22178536c8948a54547b61981e8a2e090bd7f8be5d7a8c05868f2f6",
-        "9a933c36c043b6be9a7b23d40c69b935400d2884ae0c8b3bd71a6cabd6379f3d",
-        "67e524e68b87db56567ca65aca86d4b574b971376ef43fd3066773a2bf29c7b4",
-        "d8dd6c6d2203b90a9e8a8ee0082226a6b91b6a761b2cab9b6691aad1def25953",
-        "dcfde64f0cc362f8145bfb0f9cbec6c4c6c705e78ba4a5c4046040f23768e4dc",
-        "42ff02e7a4ebae09ea797672917c022931358954609af2bb92ba2f69acbdde6b",
-        "ffe20bde932b4b916fa61d2088a1bae0a3e361477a3a6e4598bda56acfdf92b2",
+        "3950b4130dc34487db5afbbf7e706766c0320d6cad310582b8dce1c34d57cb44",
+        "6aef91b2ba4c64ffbe089f484d489aabe5d188208e24c2c6361274ddaf3ff067",
+        "98040014630740b0ea8060d6babba35607d7e730078dfec0a731a01475cb677f",
+        "f97ab2157ffaefb86a845be76ae4d63b111ff516aa8b18520362de58fd6ba42a",
+        "7aa07ab73a1938d8082c3350ce1189737aea1a0beabe862452d4273a250928b0",
+        "eb324c4ac755cfe03725480ca8b1fc0f1f6c6343f9720192aa11182b807a0fa4",
+        "174475fd06321be5f4fe4ee4d936927ae0a99a41876e92619632e7042bb310fc",
+        "9cae5740843e88cf80e1eb995fa4ed06d0febc0fe7f017c000ee736b5b1b9a73",
     ),
     "sha256": (
-        "4e56b4bcd981a8d8b4a2e6ae669a21ca3f06b94401e2924a41e89f6ddbb65bb7",
-        "c7cdd59ac037f9e072931db44979c04bf760e70c648109f67d35aa2580e972a4",
-        "c62c52dd96be21ab9bbfddc7f32ab2a768a3181fdd4a368a456c2fb759672a83",
-        "c639edade4ac8ac217954330f677e1680df3c88c0f5eb6c9837b11a4cffe3e6a",
-        "829d4b72321b7919ff309cae85144bc792f9a6c6d0434053c73e1d966a1729b8",
-        "ad735fd6bbd16271d8a5b7f43055c47a5ac99f4703442a39fc6d61c23c3e2085",
-        "23a9f679ef383f3ab784cf715e5bc44981b0272ee4354bd4b34a6d34ce313261",
-        "243b6e548cae10a6b1e40e459c5c45c2db2ca1fa7e8a7d0ca3ec6d1766afbdc1",
+        "0eb853b009dc4bdcfbe45feb21986b1421a26b5ba6cae7207f44455aa9679327",
+        "18dbe265780430e398595c53b01cd7f30aefbc727d94d31a1950253c1ea5382f",
+        "2d759b6a99af9ac4ec576b9d51c5932cf43c7eb7716c22523fba39e81c423000",
+        "235040a9e87825356f37147cd60db09d9da20de5d136771b41005524c9f6b5a2",
+        "207716608d91c2e694b689de18c073e3e908a60f126dc70c137bbd0b299fdbdb",
+        "b75e1bbd3468b38d8eba9d71eff9c83b4087aad4aca4a46bfcaa52a18302a032",
+        "6c80ec48fdff8f0c0ff369cf30fd5303371e2aea85f0e4cd16dfb8fe80b3eab0",
+        "5b09e24f835551378306b61f4279ca38727e6ef85d79b90ce59add385e8d3511",
     ),
     "siphash": (
-        "cb60184739e9c48c3c42c5605f46fc336f82e76257cdeccf42df9cd3199d5d3e",
-        "b11c937af3ddd248809659b7ee60d391712f8e151cb63c7c28a90b867d617513",
-        "45deb2893f521e002315ef0cf83868cafa40ee5e2b64db6a84e434c605e95b76",
-        "698d5621323bee9c21cee94e31bad85453a643a3b8e3c41180b84928d79770a8",
-        "3b998a1805ccde075c465ef8aaba31a9db2e0309242f98dcceafc61e2b23df35",
-        "ea22f3c8d5e69c49c33dbc8a6b36e51539b8b248b212843bb43ce811e0a44d1c",
-        "3f221a1987975217e41001e14138f0e8d20ed58024453b0ceeb31459023dcb1b",
-        "8c8b6a0b4c5001272aae8e0f879faa36a4ee3fb2bfa976353505d044160c8674",
+        "ff02168ba0e6419ff5c08bdbae06f00fa6bb17e6a65337fc71f3ca6f582f15e2",
+        "a06cc28102f792a691da933fadb5840fd17493bab4d62f6b834c6d21f4de9d77",
+        "a8abe2217845a7c3e7f47ff85749c552f4615d38fe8654c1e9b696f1f978f1fc",
+        "636d091999189613c322873e02b81c3420165236ffc17fbfc71229ece6b59b9c",
+        "be814c543a25f8cecbf88c08f0510867872c25229d29e336f39eca5c171be7d1",
+        "d630a30d24907fd5f366bd12fc1d01a758260987f8b0add3b3f32c666c4f361f",
+        "f9da8b21dd6d8e005b84777f000541d232f3718f242409dc88e4f20673a86357",
+        "26abfcc69e13b02d46ec85134aeb02ffb14fc7986a4dbae81c88dd37e4812e63",
     ),
 }
-"""``_pool_digest`` of each :data:`GOLDEN_CASES` row, recorded at commit
-8fd280a — the last one whose client called ``gen`` once per index."""
+"""``_pool_digest`` of each :data:`GOLDEN_CASES` row.  First recorded at
+commit 8fd280a, the last one whose client called ``gen`` once per index;
+re-recorded once when the records became ``DPF3`` in v3 frames, with
+the keys themselves pinned unchanged as arrays
+(``tests/dpf/test_key_arrays_stable.py``)."""
 
 
 def _pool_digest(prf_name, domain, keys, per_request, seed):

@@ -171,15 +171,17 @@ class TestQueryMany:
 
 
 KEY_DIGESTS = {
-    "aes128": "a7dd97929f7bd968fa8fb420ad166a33d5cddbacfd57754bb636e5f73995e947",
-    "chacha20": "aa360b90757e9c8dbd2a7f01edabfe03108783e4e213fb3076284604cb7b6b0e",
-    "highwayhash": "e32d0b3f669b5b128f510abfb63fbe3a60d7abdc1c6983dc1d9b5f0e39bc3997",
-    "sha256": "ed56cccfb16a9f3af7dba150579b37472f5977390ebc6dd886d06143ce732d84",
-    "siphash": "a0cbb85811ba40fba760b064c84853a14a531a9abf96147303b04d6db80920e5",
+    "aes128": "6a75ab52303ec89e3e9cc83b2feec3e82d98d8bc7641e828c4f07a05197dd442",
+    "chacha20": "8b3280e8b14a2844ce9add1d7053dae057c6563aab4ce9d5fbc4cce5a03d7547",
+    "highwayhash": "85e7988588be1a3f19ca541ea5e3fd85fc6778578d9f80d8a4e40f1405b3da9a",
+    "sha256": "1b712b77e15ceea2889b9c343be0878842f7194f476c4c324aa98ca39846f00e",
+    "siphash": "3904d4981b9ba14ebea7a2dc263ddec4e30d2a8ef0844f31c0871bc6c0ba8687",
 }
 """SHA-256 over every ``pack_keys`` payload of the fixed-seed batch
-below, recorded when the wire format became ``DPF2`` (word-packed
-leaves: one level fewer, two output-correction words)."""
+below, recorded when the wire format became ``DPF3`` (the PRF as a
+one-byte id, no ``log_domain`` or ``root_t`` byte, control bits packed
+four levels a byte); the keys as arrays did not change with it
+(``tests/dpf/test_key_arrays_stable.py``)."""
 
 
 class TestKeysAreByteStable:

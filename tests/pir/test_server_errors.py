@@ -96,6 +96,6 @@ class TestEmptyBatches:
         server, _ = _fixture()
         frame = PirQuery(request_id=1, count=1, key_bytes=b"x").to_bytes()
         stripped = bytearray(frame[:-1])
-        stripped[22:30] = (0).to_bytes(8, "little")  # declared payload length
+        stripped[22:26] = (0).to_bytes(4, "little")  # declared payload length
         with pytest.raises(ValueError, match="no key bytes"):
             server.handle(bytes(stripped))

@@ -6,6 +6,8 @@ must fail with a ``ValueError`` at the frame boundary, mirroring the
 strictness of the DPF key wire layer underneath.
 """
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -142,7 +144,7 @@ class TestMalformedFrames:
         frame = PirQuery(request_id=1, count=1, key_bytes=b"x").to_bytes()
         # Strip the single payload byte and fix the declared length.
         header = bytearray(frame[:-1])
-        header[22:30] = (0).to_bytes(8, "little")
+        header[22:26] = (0).to_bytes(4, "little")
         with pytest.raises(ValueError, match="no key bytes"):
             PirQuery.from_bytes(bytes(header))
 
@@ -156,8 +158,35 @@ class TestMalformedFrames:
 
     def test_header_size_is_stable(self):
         """The wire constant other layers size buffers with."""
-        assert FRAME_HEADER_BYTES == 30
+        assert FRAME_HEADER_BYTES == 26
         assert len(_query(payload=b"z").to_bytes()) == FRAME_HEADER_BYTES + 1
+
+    def test_payload_of_4_gib_refused_on_encode(self):
+        class Huge(bytes):
+            def __len__(self):
+                return 1 << 32
+
+        with pytest.raises(ValueError, match="u32 length"):
+            _query(payload=Huge(b"x")).to_bytes()
+
+    @pytest.mark.parametrize(
+        "frame, parse",
+        [
+            (lambda: _query().to_bytes(), PirQuery.from_bytes),
+            (lambda: _reply().to_bytes(), PirReply.from_bytes),
+        ],
+    )
+    def test_v2_frames_refused_by_version(self, frame, parse):
+        """A version-2 frame (u64 length, a 30-byte header) is refused by
+        its version number, in both directions, not mis-sized."""
+        v3 = frame()
+        request_id, epoch, count = struct.unpack_from("<QII", v3, 6)
+        payload = v3[FRAME_HEADER_BYTES:]
+        v2 = struct.pack(
+            "<4sBBQIIQ", b"PIR1", 2, v3[5], request_id, epoch, count, len(payload)
+        ) + payload
+        with pytest.raises(ValueError, match="wire version 2 .*speaks 3"):
+            parse(v2)
 
     def test_v1_frames_rejected(self):
         """An epoch-less v1 frame is ambiguous once table versions
