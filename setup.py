@@ -12,7 +12,6 @@ setup(
     packages=[
         "repro",
         "repro.baselines",
-        "repro.bench",
         "repro.crypto",
         "repro.dpf",
         "repro.exec",
@@ -25,9 +24,5 @@ setup(
     install_requires=["numpy>=1.23"],
     extras_require={
         "test": ["pytest>=7", "hypothesis>=6"],
-        # The bench harness (repro.bench + scripts/bench.py) needs only
-        # numpy; the extra exists so deployments can declare the intent
-        # explicitly and future bench-only deps have a home.
-        "bench": [],
     },
 )

@@ -20,10 +20,6 @@ Layers, bottom to top:
   aggregation under latency deadlines, bounded-queue admission
   control, and model-priced fleet routing.
 
-:mod:`repro.bench` (the wall-clock harness behind ``BENCH_dpf.json``)
-is imported by name by whoever uses it, not by ``import repro``: a
-serving process does not pay for a benchmark harness.
-
 See ``docs/architecture.md`` for the layer diagram and a PIR
 quickstart.
 """

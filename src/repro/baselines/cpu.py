@@ -33,8 +33,8 @@ Calibration: :data:`CPU_BASELINE`'s AES-NI block rate is set so the
 aes128 / 2^20-entry large-batch point lands at the paper's roughly
 13-14x GPU-over-CPU throughput ratio against the calibrated V100
 model, while a single-query batch still beats the V100's modeled
-per-batch overheads across the bench grid's table sizes — the two
-anchors of the Figure 10 crossover.
+per-batch overheads on 2^8- and 2^10-entry tables — the two anchors
+of the Figure 10 crossover (``scripts/paper_figures.py`` prints both).
 """
 
 from __future__ import annotations
@@ -116,7 +116,7 @@ class CpuCostModel:
     Emits the same :class:`~repro.gpu.kernel.KernelPlan` /
     :class:`~repro.gpu.kernel.KernelStats` vocabulary the GPU simulator
     does, so plans from both sides compare field-for-field in fleet
-    routing, bench artifacts, and figure sweeps.
+    routing and in ``scripts/paper_figures.py``.
 
     Args:
         spec: Socket to price against.

@@ -238,8 +238,8 @@ class Tracer:
         metrics: Optional :class:`~repro.obs.metrics.MetricsRegistry`;
             when given, every ended span feeds a fixed-bucket latency
             histogram named ``stage.<name>`` — per-stage p50/p99
-            without retaining samples, which is what the bench
-            harness's schema-10 columns read.
+            without retaining samples, which is what registry
+            snapshots and ``scripts/obs_report.py`` report.
 
     Attributes:
         enabled: ``True`` — the serving loop attaches contexts to

@@ -20,15 +20,15 @@ can absorb heavy concurrent traffic and survive backend failures:
   model, fleet-aware).
 * :mod:`repro.serve.chaos` — deterministic fault injection:
   :class:`FlakyBackend` + :class:`FaultPlan` fail chosen dispatches
-  with :class:`BackendFault` so tests, the smoke session, and the
-  chaos bench scenario can kill a backend mid-batch on demand.
+  with :class:`BackendFault` so tests and the smoke session can kill
+  a backend mid-batch on demand.
 * :mod:`repro.serve.fleet` — :class:`FleetScheduler`, routing merged
   batches across heterogeneous backends (e.g. a mixed V100 + A100
   fleet) by predicted completion time from each backend's
   :class:`~repro.exec.ExecutionPlan`.
 * :mod:`repro.serve.load` — :func:`generate_load`, the concurrent
-  client population that drives the loop in benches, tests, and the CI
-  serve-smoke session, with per-tenant latency and retry accounting.
+  client population that drives the loop in tests and the CI
+  serve-smoke session, with latency and retry accounting.
 * :mod:`repro.serve.shard` — :class:`ShardedPirServer`, the sharded,
   replicated front-end: contiguous domain sub-ranges evaluated via the
   range-restricted DPF walk, partials recombined mod 2^64, replica

@@ -24,9 +24,8 @@ bug replays it exactly:
 ``plan`` and the cost hooks always delegate — the *model* of the
 hardware is intact, only the execution is flaky, which mirrors a real
 transient fault (and keeps fleet routing and drain-time admission
-working mid-outage).  Used by ``tests/serve/test_chaos.py``,
-``scripts/serve_smoke.py --chaos``, and the ``serving`` bench family's
-chaos scenario.
+working mid-outage).  Used by ``tests/serve/test_chaos.py`` and
+``scripts/serve_smoke.py --chaos``.
 """
 
 from __future__ import annotations

@@ -5,14 +5,12 @@ this module models a population of independent clients:
 :func:`generate_load` takes the index stream, splits it into
 per-client requests (:meth:`~repro.pir.PirClient.query_many`), fires
 them at both servers' :meth:`~repro.serve.loop.AsyncPirServer.submit`
-concurrently — optionally paced to an offered QPS, optionally tagged
-with per-request tenant ids so QoS policies engage — and reconstructs
+concurrently — optionally paced to an offered QPS — and reconstructs
 every answer, recording per-request latency.  The resulting
-:class:`LoadReport` is what the ``serving`` bench family and the CI
-serve-smoke session read their QPS / p50 / p99 numbers from; it also
-carries the servers' retry/failure deltas so a chaos scenario's
-recovery cost is measurable, and per-tenant latency slices so
-interactive-vs-batch QoS separation shows up as numbers.
+:class:`LoadReport` is what the tests and ``scripts/serve_smoke.py``
+check answers, QPS and p50 / p99 against; it also carries the servers'
+retry/failure deltas so a chaos scenario's recovery cost is
+measurable.
 """
 
 from __future__ import annotations
@@ -42,8 +40,6 @@ class LoadReport:
             release time to both replies reconstructed, so late
             releases under load count as latency rather than being
             coordinated-omission blind spots.
-        request_tenants: Tenant id per *answered* request, aligned with
-            ``latencies_s`` (``None`` entries for untagged traffic).
         shed: Queries rejected by admission control.
         retried: Queries the serving loops requeued after failed batch
             dispatches during this session (summed over both parties —
@@ -57,7 +53,6 @@ class LoadReport:
     indices: tuple[int, ...]
     answers: np.ndarray
     latencies_s: tuple[float, ...]
-    request_tenants: tuple[str | None, ...]
     shed: int
     retried: int
     failed: int
@@ -81,31 +76,15 @@ class LoadReport:
         """Answered queries per second of session wall time."""
         return self.answered / self.wall_s if self.wall_s > 0 else 0.0
 
-    def latency_percentile_ms(
-        self, pct: float, tenant: str | None = ...
-    ) -> float:
+    def latency_percentile_ms(self, pct: float) -> float:
         """Latency percentile in milliseconds (0 if nothing answered).
 
         Args:
             pct: Percentile in [0, 100].
-            tenant: When given (including ``None`` for untagged
-                requests), restrict to that tenant's requests — the
-                per-class QoS comparison hook.  The default Ellipsis
-                sentinel means "all requests".
         """
-        if tenant is ...:
-            samples = self.latencies_s
-        else:
-            samples = tuple(
-                latency
-                for latency, req_tenant in zip(
-                    self.latencies_s, self.request_tenants
-                )
-                if req_tenant == tenant
-            )
-        if not samples:
+        if not self.latencies_s:
             return 0.0
-        return float(np.percentile(np.array(samples), pct) * 1e3)
+        return float(np.percentile(np.array(self.latencies_s), pct) * 1e3)
 
     @property
     def p50_ms(self) -> float:
@@ -122,7 +101,6 @@ async def generate_load(
     indices: Sequence[int],
     queries_per_request: int = 1,
     offered_qps: float = 0.0,
-    tenants: Sequence[str | None] | None = None,
 ) -> LoadReport:
     """Fire a stream of concurrent client requests and collect answers.
 
@@ -138,10 +116,6 @@ async def generate_load(
             ``i`` is released at ``i * queries_per_request /
             offered_qps``.  0 releases everything at once (a burst —
             maximum aggregation pressure).
-        tenants: Optional tenant id per *request* (one entry per group
-            of ``queries_per_request`` indices), passed to both
-            servers' ``submit`` so their QoS policies engage.  ``None``
-            leaves every request untagged.
 
     Returns:
         A :class:`LoadReport`; requests shed by admission control are
@@ -149,32 +123,24 @@ async def generate_load(
         loops' business and surface in ``retried``).
 
     Raises:
-        ValueError: If ``servers`` is not exactly the two parties, or
-            ``tenants`` does not align with the generated requests.
+        ValueError: If ``servers`` is not exactly the two parties.
     """
     if len(servers) != 2:
         raise ValueError(f"two-server PIR needs exactly 2 servers, got {len(servers)}")
     batches = client.query_many(indices, queries_per_request=queries_per_request)
-    if tenants is None:
-        tenants = [None] * len(batches)
-    elif len(tenants) != len(batches):
-        raise ValueError(
-            f"got {len(tenants)} tenant tags for {len(batches)} requests; "
-            "pass one tenant per queries_per_request group"
-        )
     retried_before = sum(server.stats.retried for server in servers)
     failed_before = sum(server.stats.failed for server in servers)
     start = time.perf_counter()
 
     async def one(
-        batch: QueryBatch, tenant: str | None, release_at: float
+        batch: QueryBatch, release_at: float
     ) -> tuple[QueryBatch, np.ndarray, float] | None:
         # Both parties are awaited to completion even when one sheds, so
         # no orphaned submission lingers in the other queue; the
         # surviving party's reply (work it cannot retract) is discarded.
         replies = await asyncio.gather(
-            servers[0].submit(batch.requests[0], tenant=tenant),
-            servers[1].submit(batch.requests[1], tenant=tenant),
+            servers[0].submit(batch.requests[0]),
+            servers[1].submit(batch.requests[1]),
             return_exceptions=True,
         )
         failures = [r for r in replies if isinstance(r, BaseException)]
@@ -192,7 +158,7 @@ async def generate_load(
 
     tasks = []
     released = 0
-    for batch, tenant in zip(batches, tenants):
+    for batch in batches:
         if offered_qps > 0:
             release_at = start + released / offered_qps
             delay = release_at - time.perf_counter()
@@ -201,16 +167,15 @@ async def generate_load(
         else:
             release_at = time.perf_counter()
         released += batch.batch_size
-        tasks.append(asyncio.create_task(one(batch, tenant, release_at)))
+        tasks.append(asyncio.create_task(one(batch, release_at)))
     outcomes = await asyncio.gather(*tasks)
     wall = time.perf_counter() - start
 
     answered_indices: list[int] = []
     answer_chunks: list[np.ndarray] = []
     latencies: list[float] = []
-    answered_tenants: list[str | None] = []
     shed = 0
-    for batch, tenant, outcome in zip(batches, tenants, outcomes):
+    for batch, outcome in zip(batches, outcomes):
         if outcome is None:
             shed += batch.batch_size
             continue
@@ -218,7 +183,6 @@ async def generate_load(
         answered_indices.extend(done_batch.indices)
         answer_chunks.append(values)
         latencies.append(latency)
-        answered_tenants.append(tenant)
     answers = (
         np.concatenate(answer_chunks)
         if answer_chunks
@@ -228,7 +192,6 @@ async def generate_load(
         indices=tuple(answered_indices),
         answers=answers,
         latencies_s=tuple(latencies),
-        request_tenants=tuple(answered_tenants),
         shed=shed,
         retried=sum(server.stats.retried for server in servers) - retried_before,
         failed=sum(server.stats.failed for server in servers) - failed_before,

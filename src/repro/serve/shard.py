@@ -573,7 +573,7 @@ class ShardedPirServer(PirServer):
     """A sharded, replicated front-end with the ``PirServer`` interface.
 
     Drop-in for :class:`~repro.pir.PirServer` everywhere the repo
-    serves — ``handle``, the async loop, the bench harness — because it
+    serves — ``handle``, the async loop, the benchmark — because it
     *is* one: construction, validation and framing are inherited, and
     only the two overridable seams change (:meth:`check_epoch` gains
     the epoch registry, :meth:`answer_request` fans out across shards

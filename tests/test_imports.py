@@ -19,7 +19,6 @@ PACKAGES = [
     "repro.pir",
     "repro.serve",
     "repro.obs",
-    "repro.bench",
     "repro.baselines",
 ]
 
