@@ -60,9 +60,7 @@ def _single_shard_stats(
 
 
 def merged_cost(
-    stats: MultiGpuStats,
-    strategies: dict | None = None,
-    eval_range: tuple[int, int] | None = None,
+    stats: MultiGpuStats, eval_range: tuple[int, int] | None = None
 ) -> StrategyCost:
     """Fold per-shard strategy costs into one batch-level cost.
 
@@ -72,20 +70,18 @@ def merged_cost(
     shared name when every shard agrees and reports ``"mixed"``
     otherwise.
 
+    Every shard ran the one executed walk, so a tuned candidate pool
+    changes which design is named and priced, never this count.
+
     Args:
         stats: Per-shard selections to fold.
-        strategies: Name -> instance mapping of the candidate pool the
-            selections were made from; shards cost through *those*
-            instances (their tuning parameters matter).  ``None`` means
-            the registry defaults, which is what the selections used.
         eval_range: The ``[lo, hi)`` rows the run covered (``None``:
             the whole domain); every shard costs its pruned walk.
     """
-    strategies = strategies if strategies is not None else {}
     shard_costs = [
-        strategies.get(
-            shard.selection.strategy, get_strategy(shard.selection.strategy)
-        ).cost(shard.batch_size, stats.table_entries, eval_range)
+        get_strategy(shard.selection.strategy).cost(
+            shard.batch_size, stats.table_entries, eval_range
+        )
         for shard in stats.shards
     ]
     names = {cost.strategy for cost in shard_costs}
@@ -199,6 +195,8 @@ class SingleGpuBackend(ExecutionBackend):
         device: Target device model.
         strategies: Candidate strategy pool shared across decisions
             (default: every registered strategy, default parameters).
+            It shapes :meth:`plan` only: every design runs the same
+            walk, so the answers and ``EvalResult.cost`` do not move.
     """
 
     name = "single_gpu"
@@ -206,12 +204,6 @@ class SingleGpuBackend(ExecutionBackend):
     def __init__(self, device: DeviceSpec = V100, strategies: list | None = None):
         self.device = device
         self._strategies = strategies
-        # The selection names resolve back to the *pool's* instances
-        # (their tuning parameters were what the scheduler priced), not
-        # to fresh registry defaults.
-        self._by_name = (
-            {s.name: s for s in strategies} if strategies is not None else {}
-        )
         self._schedulers: dict[int, Scheduler] = {}
         self._workspace = ExpansionWorkspace()
 
@@ -273,10 +265,8 @@ class SingleGpuBackend(ExecutionBackend):
         plan: ExecutionPlan,
         workspace: ExpansionWorkspace | None = None,
     ) -> EvalResult:
-        name = plan.strategies[0]
-        strategy = self._by_name.get(name) or get_strategy(name)
         eval_range = request.resolved_range()
-        answers = strategy.eval_batch(
+        answers = get_strategy(plan.strategies[0]).eval_batch(
             request.arena(),
             get_prf(request.resolved_prf_name),
             workspace=workspace if workspace is not None else self._workspace,
@@ -286,7 +276,7 @@ class SingleGpuBackend(ExecutionBackend):
         return EvalResult(
             answers=answers,
             plan=plan,
-            cost=merged_cost(plan.stats, self._by_name, eval_range),
+            cost=merged_cost(plan.stats, eval_range),
         )
 
 
@@ -437,5 +427,5 @@ class SimulatedBackend(ExecutionBackend):
         return EvalResult(
             answers=request.reduced(np.stack(rows)),
             plan=plan,
-            cost=merged_cost(plan.stats, self._single._by_name, (lo, hi)),
+            cost=merged_cost(plan.stats, (lo, hi)),
         )

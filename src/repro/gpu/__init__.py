@@ -4,11 +4,11 @@ The paper's artifact is a set of CUDA kernels on an NVIDIA V100.  This
 package substitutes that hardware with two tightly-coupled layers
 (DESIGN.md, "Substitutions"):
 
-* **Functional kernels** — every parallelization strategy
+* **One executed walk** — the four parallelization strategies
   (branch-parallel, level-by-level, memory-bounded tree traversal,
-  cooperative-groups) is implemented as a real vectorized-numpy
-  traversal whose PRF-call counts and peak live memory are metered and
-  tested against the analytic formulas (Figure 6).
+  cooperative-groups) are modeled designs; every one of them runs the
+  same tiled vectorized-numpy traversal, whose PRF-call counts and peak
+  live memory are metered and tested against its exact cost.
 * **Performance model** — a wave-level simulator of a SIMT device
   (:mod:`repro.gpu.sim`) with occupancy, shared-memory, bandwidth, and
   launch-overhead effects, calibrated against the paper's published

@@ -1,11 +1,11 @@
-"""Live-memory metering for the functional kernels.
+"""Live-memory metering for the executed walk.
 
 Figure 6 of the paper compares the *peak memory usage* of the DPF
-parallelization strategies.  The functional kernels in
-:mod:`repro.gpu.strategies` report every buffer they hold through a
-:class:`MemoryMeter`, so tests can assert the analytic bounds
-(O(BL) for level-by-level vs O(BK log L) for memory-bounded traversal)
-against actual allocations rather than trusting the formulas.
+parallelization strategies; those designs' peaks are modeled by their
+plans.  The walk every design executes (:mod:`repro.gpu.strategies`)
+reports every buffer it holds through a :class:`MemoryMeter`, so tests
+can assert its exact cost against actual allocations rather than
+trusting the formula.
 """
 
 from __future__ import annotations

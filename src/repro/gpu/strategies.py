@@ -1,4 +1,4 @@
-"""Functional GPU kernels: the paper's DPF parallelization strategies.
+"""The paper's four GPU kernel designs, modeled, and the one walk that runs.
 
 Section 3.2 of the paper explores four ways to map the GGM-tree
 expansion of a DPF onto a SIMT device, trading PRF recomputation
@@ -21,31 +21,31 @@ against live memory (Figure 6):
   each subtree tile resident in shared memory, paying occupancy (the
   tile evicts resident blocks) instead of global-memory traffic.
 
+Each design is a *model*: :meth:`Strategy.plan` emits its
+:class:`~repro.gpu.kernel.KernelPlan` — phases, PRF blocks, device
+footprint — which :mod:`repro.gpu.sim` prices and the scheduler chooses
+among.  The plan prices the paper's kernel, one table row per leaf,
+because that is what the device model was calibrated against (Table 4).
+
+What executes on this host is one walk, the same whichever design was
+chosen (:meth:`Strategy.eval_batch`): breadth-first down to the roots of
+tiles of ``T`` leaves, then each tile breadth-first in a reusable buffer
+and handed on — into a share matrix, or into a reducer, so that the
+``(B, L)`` matrix never exists.  ``T`` is 512 leaves, clamped to the
+tree; at every served shape that is the whole tree.  In numpy the O(L)
+designs differ only in how they tile, and the tile is what sets both
+the time and the memory (``docs/performance.md``), so one tiled walk
+replaces four.  It is
+bit-identical to :func:`repro.dpf.dpf.eval_full`, meters its expansion
+buffers through :class:`~repro.gpu.memory.MemoryMeter`, and
+:meth:`Strategy.cost` is its exact count.  The converted output shares
+are not metered: on a device they are accumulated straight into the dot
+product.
+
 Leaves are word-packed (:mod:`repro.dpf.ggm`): a leaf seed's two 64-bit
-words are the shares of two adjacent table rows, so the functional
-walks below run over the ``ceil(L / 2)``-leaf tree — half the PRF
-blocks of the paper's one-row-per-leaf kernels.  :meth:`Strategy.cost`
-and the meter count that packed walk exactly; :meth:`Strategy.plan`
-keeps pricing the paper's kernel, one row per leaf, because that is
-what the device model was calibrated against (Table 4).
-
-Every strategy is implemented as a *real* vectorized-numpy traversal
-that is bit-identical to :func:`repro.dpf.dpf.eval_full`, meters its
-buffers through :class:`~repro.gpu.memory.MemoryMeter`, and can emit a
-:class:`~repro.gpu.kernel.KernelPlan` for the performance model in
-:mod:`repro.gpu.sim`.  The meter tracks the *functional* working set;
-for the fused strategies the converted output shares are accumulated
-straight into the dot product on a real device and are therefore not
-metered (the Figure 6 bounds concern the expansion working set).
-
-That accumulation is functional, not only modeled: ``eval_batch(...,
-reduce=r)`` hands every finished window of leaves to the reducer and
-returns the sum of what it gave back, so the ``(B, L)`` share matrix
-never exists.  :class:`CooperativeGroups` reduces tile by tile and
-:class:`MemoryBoundedTree` by groups of whole subtrees, both out of one
-reusable window buffer; :class:`LevelByLevel` and
-:class:`BranchParallel` stay the unfused comparison — they materialise
-their leaves and reduce once.
+words are the shares of two adjacent table rows, so the walk runs over
+the ``ceil(L / 2)``-leaf tree — half the PRF blocks of the paper's
+one-row-per-leaf kernels.
 
 A registry mirrors :mod:`repro.crypto.prf`:
 :func:`available_strategies` / :func:`get_strategy`.
@@ -61,13 +61,17 @@ import numpy as np
 
 from repro.crypto.prf import Prf, get_prf, seeds_to_u64
 from repro.dpf import ggm
-from repro.dpf.keys import DpfKey, key_size_bytes
+from repro.dpf.keys import key_size_bytes
 from repro.gpu.arena import ExpansionWorkspace, KeyArena, KeySource
 from repro.gpu.kernel import KernelPhase, KernelPlan
 from repro.gpu.memory import MemoryMeter
 
 NODE_BYTES = 17
 """Metered bytes per live tree node: a 16-byte seed plus its control bit."""
+
+_LOG_TILE = 9
+"""log2 of the walk's tile leaf count, clamped to the tree: the whole
+2^9-leaf tree of a 2^10-row table, 512-leaf tiles of a larger one."""
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -76,15 +80,16 @@ def _ceil_div(a: int, b: int) -> int:
 
 @dataclass(frozen=True)
 class StrategyCost:
-    """Analytic cost of one strategy invocation (Figure 6 quantities).
+    """Exact cost of one :meth:`Strategy.eval_batch` call (Figure 6 quantities).
 
-    ``prf_blocks`` is exact — tests assert it against a
-    :class:`~repro.crypto.prf.CountingPrf`.  ``peak_mem_bytes`` is the
-    analytic working-set peak the functional kernel's
-    :class:`~repro.gpu.memory.MemoryMeter` must match exactly.
+    Tests assert ``prf_blocks`` against a
+    :class:`~repro.crypto.prf.CountingPrf` and ``peak_mem_bytes``
+    against the walk's :class:`~repro.gpu.memory.MemoryMeter` peak.  Both
+    are counts of the walk that ran, which is the same for every design;
+    a design's modeled counts are in its :class:`KernelPlan`.
 
     Attributes:
-        strategy: Registry name.
+        strategy: Registry name of the design the call was made for.
         batch_size: Queries per invocation B.
         domain_size: Table size L.
         prf_blocks: Total PRF block evaluations.
@@ -132,23 +137,13 @@ buffer the walk reuses: consume it before returning."""
 class _ShareMatrix:
     """Where leaves go without a reducer: the ``(B, hi - lo, 2)`` words."""
 
-    streaming = False
-
     def __init__(self, batch: int, lo: int, hi: int):
-        self._shape = (batch, hi - lo, ggm.LEAF_WORDS)
+        self.words = np.empty((batch, hi - lo, ggm.LEAF_WORDS), dtype=np.uint64)
         self._lo = lo
-        self.words: np.ndarray | None = None
 
     def window(self, lo: int, hi: int) -> np.ndarray:
         """The slot of leaves ``[lo, hi)``, to be filled in place."""
-        if self.words is None:
-            self.words = np.empty(self._shape, dtype=np.uint64)
         return self.words[:, lo - self._lo : hi - self._lo]
-
-    def commit(self, words: np.ndarray, lo: int, hi: int) -> None:
-        if self.words is None:
-            # An unfused walk materialised all its leaves itself.
-            self.words = words
 
 
 class _Reduction:
@@ -158,8 +153,6 @@ class _Reduction:
     that commits each window before asking for the next holds
     ``O(B * window)`` share bytes however large the table is.
     """
-
-    streaming = True
 
     def __init__(
         self,
@@ -204,6 +197,31 @@ def _level_windows(
 def _window_widths(depth: int, start: int, stop: int, lo: int, hi: int) -> list[int]:
     """Node-window widths at levels ``start..stop`` for leaves ``[lo, hi)``."""
     return [b - a for a, b in _level_windows(depth, start, stop, lo, hi)]
+
+
+def _tile_window(tile: int, t: int, lo: int, hi: int) -> tuple[int, int]:
+    """The leaves of ``[lo, hi)`` inside tile ``tile`` of ``2**t`` leaves."""
+    return max(lo, tile << t), min(hi, (tile + 1) << t)
+
+
+def _window_blocks(depth: int, lo: int, hi: int) -> int:
+    """PRF blocks of one key's windowed walk: two per expanded node.
+
+    ``sum_l 2 * width(l)`` over the parent levels ``l < depth`` —
+    ``2 * (2**depth - 1)`` for the whole power-of-two tree.
+    """
+    return 2 * sum(_window_widths(depth, 0, depth, lo, hi)[:-1])
+
+
+def _bfs_peak_bytes(
+    batch_size: int, depth: int, start: int, stop: int, lo: int, hi: int
+) -> int:
+    """Peak metered bytes of one :func:`_expand_window` call alone."""
+    widths = _window_widths(depth, start, stop, lo, hi)
+    if start == stop:
+        return NODE_BYTES * batch_size * widths[0]
+    # The widest parent frontier plus both children of each parent.
+    return NODE_BYTES * batch_size * 3 * max(widths[:-1])
 
 
 def _expand_children_batch(
@@ -251,13 +269,12 @@ def _leaf_shares_batch(
     seeds: np.ndarray,  # (B, W, 16)
     ts: np.ndarray,  # (B, W)
     kb: KeyArena,
-    out: np.ndarray | None = None,  # (B, W, 2) uint64
+    out: np.ndarray,  # (B, W, 2) uint64
 ) -> np.ndarray:
     """Batched :func:`repro.dpf.ggm.leaf_values` (bit-identical math).
 
-    Returns the leaves' ``(B, W, 2)`` uint64 words, computed in place
-    from a zero-copy view of the seeds: in ``out`` when given (any
-    window of a share matrix), else in the one array this allocates.
+    Computes the leaves' ``(B, W, 2)`` uint64 words in place in ``out``
+    (any window of a share matrix) from a zero-copy view of the seeds.
     """
     values = np.multiply(
         ts[:, :, np.newaxis], kb.output_cws[:, np.newaxis, :], out=out
@@ -267,24 +284,92 @@ def _leaf_shares_batch(
     return values
 
 
-class Strategy(abc.ABC):
-    """A DPF full-domain-evaluation parallelization strategy.
+def _expand_window(
+    kb: KeyArena,
+    prf: Prf,
+    meter: MemoryMeter,
+    source: tuple[np.ndarray, np.ndarray],
+    start: int,
+    stop: int,
+    lo: int,
+    hi: int,
+    workspace: ExpansionWorkspace,
+    slot: str,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Breadth-first from level ``start`` to ``stop`` inside a window.
 
-    Subclasses implement the functional traversal (:meth:`_eval`), the
-    analytic cost model (:meth:`cost`), and the device execution recipe
-    (:meth:`plan`).
+    ``source`` holds the ``start``-level nodes whose subtrees meet
+    leaves ``[lo, hi)`` (:func:`repro.dpf.ggm.level_window`); each level
+    expands the whole frontier in one fused cipher pass and then keeps
+    only the children inside the next level's window — at most one node
+    falls off each end — so the result is exactly the ``stop``-level
+    window, in natural order.  This is :func:`repro.dpf.dpf.eval_range`'s
+    pruning done once for the whole ``(B, W, 16)`` frontier; for
+    ``(lo, hi) = (0, 2**depth)`` the clip is a no-op and the walk is the
+    textbook expansion.
+
+    The frontier ping-pongs between the workspace's two buffer pairs
+    (slot ``slot``): a level reads views of one and writes prefix views
+    of the other.  For ``batch > 1`` those views are non-contiguous, so
+    the cipher stages one contiguous copy of the *parent* frontier per
+    level in the workspace's staging buffer; a level-major frontier
+    layout that removes it is future work.  The meter records the *live
+    frontier* — the copied-in source, then parents plus all freshly
+    written children at each level, the clipped children released right
+    after — which is what :meth:`Strategy.cost` counts.
+    """
+    b = kb.batch
+    windows = _level_windows(kb.depth, start, stop, lo, hi)
+    node_lo, node_hi = windows[0]
+    # Every level writes both children of each parent before the clip.
+    cap = max([node_hi - node_lo] + [2 * (z - a) for a, z in windows[:-1]])
+    back_seeds, back_ts = workspace.frontier_pair(slot, b, cap)
+    seeds = back_seeds[0][:, : node_hi - node_lo]
+    ts = back_ts[0][:, : node_hi - node_lo]
+    seeds[:] = source[0]
+    ts[:] = source[1]
+    meter.alloc(seeds.nbytes + ts.nbytes)
+    for level, (keep_lo, keep_hi) in zip(range(start, stop), windows[1:]):
+        side = (level - start + 1) % 2
+        width = seeds.shape[1]
+        new_seeds = back_seeds[side][:, : 2 * width]
+        new_ts = back_ts[side][:, : 2 * width]
+        left, t_left, right, t_right = _expand_children_batch(
+            prf,
+            seeds,
+            ts,
+            kb.cw_seeds[:, level],
+            kb.cw_t_left[:, level],
+            kb.cw_t_right[:, level],
+            stage=workspace.stage(slot, b * width),
+        )
+        # Interleave: node j's children are nodes 2j and 2j + 1.
+        new_seeds[:, 0::2] = left
+        new_seeds[:, 1::2] = right
+        new_ts[:, 0::2] = t_left
+        new_ts[:, 1::2] = t_right
+        meter.alloc_arrays(new_seeds, new_ts)
+        meter.free_arrays(seeds, ts)
+        # The children are nodes [2 * node_lo, 2 * node_lo + 2 * width).
+        seeds = new_seeds[:, keep_lo - 2 * node_lo : keep_hi - 2 * node_lo]
+        ts = new_ts[:, keep_lo - 2 * node_lo : keep_hi - 2 * node_lo]
+        meter.free(NODE_BYTES * b * (2 * width - (keep_hi - keep_lo)))
+        node_lo = keep_lo
+    return seeds, ts
+
+
+class Strategy(abc.ABC):
+    """One of the paper's DPF full-domain-evaluation kernel designs.
+
+    Subclasses model their design (:meth:`plan`).  Execution and its
+    exact count are shared: every design runs the tiled walk of
+    :meth:`eval_batch` and reports it through :meth:`cost`.
     """
 
     name: str = "abstract"
     fused: bool = True
     threads_per_block: int = 256
     shared_mem_per_block: int = 0
-
-    def eval_full(
-        self, key: DpfKey, prf: Prf, meter: MemoryMeter | None = None
-    ) -> np.ndarray:
-        """Expand one key over the whole domain; ``(L,)`` uint64 shares."""
-        return self.eval_batch([key], prf, meter)[0]
 
     def eval_batch(
         self,
@@ -304,6 +389,14 @@ class Strategy(abc.ABC):
         keeps the ping-pong frontier buffers alive across calls; the
         returned share matrix is never workspace-backed.
 
+        The walk is the same for every design.  The top of the tree is
+        expanded breadth-first (workspace slot ``"frontier"``) down to
+        the roots of tiles of ``T = 2**t`` leaves, ``t`` the smaller of
+        :data:`_LOG_TILE` and the tree's depth; then each tile is
+        expanded breadth-first in slot ``"tile"``, its leaves converted
+        in place into the tile's window and, with a reducer, reduced
+        before the next tile starts.
+
         ``eval_range=(lo, hi)`` returns the shares of table rows
         ``[lo, hi)`` only, bit-identical to columns ``lo:hi`` of the
         whole-domain matrix.  The rows live in the leaves
@@ -317,15 +410,14 @@ class Strategy(abc.ABC):
         non-power-of-two domain it already prunes the subtrees past
         ``L``.
 
-        ``reduce``, when given, is handed every finished window of
-        leaves exactly once, as ``reduce(shares, a, z)`` with ``shares``
-        the ``(B, z - a)`` view of exactly rows ``[a, z)`` — the windows
+        ``reduce``, when given, is handed every finished tile exactly
+        once, as ``reduce(shares, a, z)`` with ``shares`` the
+        ``(B, z - a)`` view of exactly rows ``[a, z)`` — the windows
         partition ``[lo, hi)`` — and the call returns the sum mod 2^64
         of what it gave back, ``(B,)`` or ``(B, W)``, instead of the
-        matrix.  It is the same walk, cipher call for cipher call except
-        that :class:`MemoryBoundedTree` runs its lanes a group at a
-        time; the fused strategies then never hold more than one window
-        of shares (see the class docstrings for who reduces when).
+        matrix.  It is the same walk, cipher call for cipher call, but
+        it never holds more than one tile of shares, out of one window
+        buffer that every tile reuses.
 
         All device-side expansion buffers are reported to ``meter``; the
         meter's ``current`` is back where it was before this method
@@ -345,9 +437,40 @@ class Strategy(abc.ABC):
             sink = _ShareMatrix(arena.batch, leaf_lo, leaf_hi)
         else:
             sink = _Reduction(reduce, arena.batch, lo, hi, workspace)
+        # Levels 0..m are above the tiles; a tile is t levels deep.
+        n = arena.depth
+        t = min(_LOG_TILE, n)
+        m = n - t
         live = meter.current
         try:
-            self._eval(arena, prf, meter, workspace, leaf_lo, leaf_hi, sink)
+            roots = (arena.roots[:, np.newaxis, :], arena.root_ts[:, np.newaxis])
+            tops, top_ts = _expand_window(
+                arena, prf, meter, roots, 0, m, leaf_lo, leaf_hi, workspace, "frontier"
+            )
+            first_tile, end_tile = ggm.level_window(n, m, leaf_lo, leaf_hi)
+            # The "tile" slot is reused for every tile and every level
+            # within a tile; it is distinct from the "frontier" slot
+            # because the tile roots stay live across the whole loop.
+            for index, tile in enumerate(range(first_tile, end_tile)):
+                tile_lo, tile_hi = _tile_window(tile, t, leaf_lo, leaf_hi)
+                seeds, ts = _expand_window(
+                    arena,
+                    prf,
+                    meter,
+                    (tops[:, index : index + 1], top_ts[:, index : index + 1]),
+                    m,
+                    n,
+                    tile_lo,
+                    tile_hi,
+                    workspace,
+                    "tile",
+                )
+                words = sink.window(tile_lo, tile_hi)
+                _leaf_shares_batch(seeds, ts, arena, out=words)
+                meter.free_arrays(seeds, ts)
+                if reduce is not None:
+                    sink.commit(words, tile_lo, tile_hi)
+            meter.free_arrays(tops, top_ts)
         except BaseException:
             # Whatever the walk still held when the PRF or the reducer
             # raised.  Not ``finally``: a walk that returns must have
@@ -360,41 +483,49 @@ class Strategy(abc.ABC):
         words = sink.words.reshape(arena.batch, -1)
         return np.ascontiguousarray(ggm.window_rows(words, lo, hi))
 
-    @abc.abstractmethod
-    def _eval(
-        self,
-        kb: KeyArena,
-        prf: Prf,
-        meter: MemoryMeter,
-        workspace: ExpansionWorkspace,
-        lo: int,
-        hi: int,
-        sink: _ShareMatrix | _Reduction,
-    ) -> None:
-        """Strategy-specific traversal of leaves ``[lo, hi)``.
-
-        Every leaf goes to ``sink`` exactly once, as the ``(B, z - a, 2)``
-        uint64 words of a window of leaves ``[a, z)`` (they flatten to
-        the shares of table rows ``[2 * a, 2 * z)``): either computed in
-        place in ``sink.window(a, z)`` and then committed, or — the
-        unfused walks — committed as one array of all of them.
-        """
-
-    @abc.abstractmethod
     def cost(
         self,
         batch_size: int,
         domain_size: int,
         eval_range: tuple[int, int] | None = None,
     ) -> StrategyCost:
-        """Analytic PRF-work and peak-memory model for one invocation.
+        """The exact PRF work and metered peak of one :meth:`eval_batch`.
 
         Exact for any ``eval_range`` (the same window arithmetic the
-        traversal uses), so a restricted call reports its pruned count:
+        walk uses), so a restricted call reports its pruned count:
         ``domain_size`` and ``eval_range`` are table rows, the counts
         are those of the word-packed walk over their leaves
         (``2 * (2**(n-1) - 1)`` blocks per key on a ``2**n``-row table).
+        The walk is the same for every design, so is the count; what a
+        design would cost on a device is :meth:`plan`'s
+        ``total_prf_blocks`` and ``peak_mem_bytes``.
         """
+        if domain_size <= 0:
+            raise ValueError(f"domain_size must be positive, got {domain_size}")
+        n = ggm.tree_depth(domain_size)
+        lo, hi = ggm.leaf_window(*resolve_range(domain_size, eval_range))
+        t = min(_LOG_TILE, n)
+        m = n - t
+        first_tile, end_tile = ggm.level_window(n, m, lo, hi)
+        tiles = end_tile - first_tile
+        # Only the two edge tiles can be clipped; every tile between
+        # them is whole, so three candidates bound the tile peak.
+        tile_peak = max(
+            _bfs_peak_bytes(batch_size, n, m, n, *_tile_window(tile, t, lo, hi))
+            for tile in {first_tile, min(first_tile + 1, end_tile - 1), end_tile - 1}
+        )
+        peak = max(
+            _bfs_peak_bytes(batch_size, n, 0, m, lo, hi),
+            NODE_BYTES * batch_size * tiles + tile_peak,
+        )
+        return StrategyCost(
+            strategy=self.name,
+            batch_size=batch_size,
+            domain_size=domain_size,
+            prf_blocks=batch_size * _window_blocks(n, lo, hi),
+            peak_mem_bytes=peak,
+            parallel_width=batch_size * tiles * 2**t,
+        )
 
     @abc.abstractmethod
     def plan(
@@ -407,11 +538,11 @@ class Strategy(abc.ABC):
     ) -> KernelPlan:
         """Device execution recipe for the simulator.
 
-        Unlike :meth:`cost` (which mirrors the functional kernel's
-        metered buffers), the plan's ``peak_mem_bytes`` models the real
-        device: branch-parallel path seeds live in registers and
+        The plan models this design on a real device, not the walk
+        :meth:`eval_batch` runs: its ``peak_mem_bytes`` is the device
+        footprint (branch-parallel path seeds live in registers and
         cooperative-groups tiles in shared memory, so neither occupies
-        global memory.
+        global memory), and its ``total_prf_blocks`` the design's work.
 
         With ``resident_keys=True`` the plan models serving from a
         :class:`KeyArena` already uploaded to the device: the per-batch
@@ -424,7 +555,7 @@ class Strategy(abc.ABC):
         modeled device expands the paper's whole ``2**ceil(log2 L)``-leaf
         tree, one table row per leaf, so the simulated latency of a
         request stays the calibrated full-tree price even though the
-        functional walk (and :meth:`cost`) is packed and pruned.
+        executed walk (and :meth:`cost`) is packed and pruned.
         """
 
     # -- shared pieces -------------------------------------------------
@@ -435,16 +566,6 @@ class Strategy(abc.ABC):
         if domain_size <= 0:
             raise ValueError(f"domain_size must be positive, got {domain_size}")
         return ggm.log2_ceil(domain_size)
-
-    @staticmethod
-    def _walk(
-        domain_size: int, eval_range: tuple[int, int] | None
-    ) -> tuple[int, int, int]:
-        """``(depth, leaf_lo, leaf_hi)`` of the functional packed walk."""
-        if domain_size <= 0:
-            raise ValueError(f"domain_size must be positive, got {domain_size}")
-        lo, hi = resolve_range(domain_size, eval_range)
-        return (ggm.tree_depth(domain_size), *ggm.leaf_window(lo, hi))
 
     def _plan_common(
         self,
@@ -467,118 +588,6 @@ class Strategy(abc.ABC):
             prf_name=prf_name,
             prf_cost=get_prf(prf_name).gpu_cost,
         )
-
-    def _expand_window(
-        self,
-        kb: KeyArena,
-        prf: Prf,
-        meter: MemoryMeter,
-        source: tuple[np.ndarray, np.ndarray],
-        start: int,
-        stop: int,
-        lo: int,
-        hi: int,
-        workspace: ExpansionWorkspace,
-        slot: str,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Breadth-first from level ``start`` to ``stop`` inside a window.
-
-        The one traversal every strategy goes through.  ``source`` holds
-        the ``start``-level nodes whose subtrees meet leaves ``[lo, hi)``
-        (:func:`repro.dpf.ggm.level_window`); each level expands the
-        whole frontier in one fused cipher pass and then keeps only the
-        children inside the next level's window — at most one node falls
-        off each end — so the result is exactly the ``stop``-level
-        window, in natural order.  This is
-        :func:`repro.dpf.dpf.eval_range`'s pruning done once for the
-        whole ``(B, W, 16)`` frontier; for ``(lo, hi) = (0, 2**depth)``
-        the clip is a no-op and the walk is the textbook expansion.
-
-        The frontier ping-pongs between the workspace's two buffer pairs
-        (slot ``slot``): a level reads views of one and writes prefix
-        views of the other.  For ``batch > 1`` those views are
-        non-contiguous, so the cipher stages one contiguous copy of the
-        *parent* frontier per level in the workspace's staging buffer; a
-        level-major frontier layout that removes it is future work.  The
-        meter records the *live frontier* — the copied-in source, then
-        parents plus all freshly written children at each level, the
-        clipped children released right after — which is what the
-        Figure 6 analytic model describes.
-        """
-        b = kb.batch
-        windows = _level_windows(kb.depth, start, stop, lo, hi)
-        node_lo, node_hi = windows[0]
-        # Every level writes both children of each parent before the clip.
-        cap = max([node_hi - node_lo] + [2 * (z - a) for a, z in windows[:-1]])
-        back_seeds, back_ts = workspace.frontier_pair(slot, b, cap)
-        seeds = back_seeds[0][:, : node_hi - node_lo]
-        ts = back_ts[0][:, : node_hi - node_lo]
-        seeds[:] = source[0]
-        ts[:] = source[1]
-        meter.alloc(seeds.nbytes + ts.nbytes)
-        for level, (keep_lo, keep_hi) in zip(range(start, stop), windows[1:]):
-            side = (level - start + 1) % 2
-            width = seeds.shape[1]
-            new_seeds = back_seeds[side][:, : 2 * width]
-            new_ts = back_ts[side][:, : 2 * width]
-            left, t_left, right, t_right = _expand_children_batch(
-                prf,
-                seeds,
-                ts,
-                kb.cw_seeds[:, level],
-                kb.cw_t_left[:, level],
-                kb.cw_t_right[:, level],
-                stage=workspace.stage(slot, b * width),
-            )
-            # Interleave: node j's children are nodes 2j and 2j + 1.
-            new_seeds[:, 0::2] = left
-            new_seeds[:, 1::2] = right
-            new_ts[:, 0::2] = t_left
-            new_ts[:, 1::2] = t_right
-            meter.alloc_arrays(new_seeds, new_ts)
-            meter.free_arrays(seeds, ts)
-            # The children are nodes [2 * node_lo, 2 * node_lo + 2 * width).
-            seeds = new_seeds[:, keep_lo - 2 * node_lo : keep_hi - 2 * node_lo]
-            ts = new_ts[:, keep_lo - 2 * node_lo : keep_hi - 2 * node_lo]
-            meter.free(NODE_BYTES * b * (2 * width - (keep_hi - keep_lo)))
-            node_lo = keep_lo
-        return seeds, ts
-
-    def _expand_to_level(
-        self,
-        kb: KeyArena,
-        prf: Prf,
-        meter: MemoryMeter,
-        stop: int,
-        lo: int,
-        hi: int,
-        workspace: ExpansionWorkspace,
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """:meth:`_expand_window` from the batch's roots down to ``stop``."""
-        roots = (kb.roots[:, np.newaxis, :], kb.root_ts[:, np.newaxis])
-        return self._expand_window(
-            kb, prf, meter, roots, 0, stop, lo, hi, workspace, "frontier"
-        )
-
-    @staticmethod
-    def _window_blocks(depth: int, lo: int, hi: int) -> int:
-        """PRF blocks of one key's windowed walk: two per expanded node.
-
-        ``sum_l 2 * width(l)`` over the parent levels ``l < depth`` —
-        ``2 * (2**depth - 1)`` for the whole power-of-two tree.
-        """
-        return 2 * sum(_window_widths(depth, 0, depth, lo, hi)[:-1])
-
-    @staticmethod
-    def _bfs_peak_bytes(
-        batch_size: int, depth: int, start: int, stop: int, lo: int, hi: int
-    ) -> int:
-        """Peak metered bytes of one :meth:`_expand_window` call alone."""
-        widths = _window_widths(depth, start, stop, lo, hi)
-        if start == stop:
-            return NODE_BYTES * batch_size * widths[0]
-        # The widest parent frontier plus both children of each parent.
-        return NODE_BYTES * batch_size * 3 * max(widths[:-1])
 
 
 _REGISTRY: dict[str, type[Strategy]] = {}
@@ -624,73 +633,6 @@ class BranchParallel(Strategy):
 
     name = "branch_parallel"
     fused = True
-
-    def _eval(
-        self,
-        kb: KeyArena,
-        prf: Prf,
-        meter: MemoryMeter,
-        workspace: ExpansionWorkspace,
-        lo: int,
-        hi: int,
-        sink: _ShareMatrix | _Reduction,
-    ) -> None:
-        # No ping-pong frontier to reuse: every level's children come
-        # straight out of the cipher, so the workspace is unused here.
-        b, n = kb.batch, kb.depth
-        # One lane per leaf of the window; pruning is just fewer lanes.
-        leaf_idx = np.arange(*ggm.level_window(n, n, lo, hi), dtype=np.int64)
-        width = leaf_idx.shape[0]
-        seeds = meter.alloc_array(
-            np.broadcast_to(kb.roots[:, np.newaxis, :], (b, width, 16)).copy()
-        )
-        ts = meter.alloc_array(np.broadcast_to(kb.root_ts[:, np.newaxis], (b, width)).copy())
-        for level in range(n):
-            bits = ((leaf_idx >> (n - 1 - level)) & 1).astype(np.uint8)
-            flat = seeds.reshape(b * width, 16)
-            children = np.empty_like(flat)
-            go_left = np.tile(bits == 0, b)
-            if go_left.any():
-                children[go_left] = prf.expand(flat[go_left], 0)
-            go_right = ~go_left
-            if go_right.any():
-                children[go_right] = prf.expand(flat[go_right], 1)
-            meter.alloc(children.nbytes + b * width)
-            child_ts = (children[:, 0] & 1).reshape(b, width)
-            children = children.reshape(b, width, 16)
-            corr = (
-                seeds_to_u64(kb.cw_seeds[:, level])[:, np.newaxis, :]
-                * ts.astype(np.uint64)[:, :, np.newaxis]
-            )
-            children.view(np.uint64).reshape(b, width, 2)[:] ^= corr
-            cw_t = np.where(
-                bits[np.newaxis, :] == 0,
-                kb.cw_t_left[:, level][:, np.newaxis],
-                kb.cw_t_right[:, level][:, np.newaxis],
-            ).astype(np.uint8)
-            child_ts = (child_ts ^ (ts & cw_t)).astype(np.uint8)
-            meter.free_arrays(seeds, ts)
-            seeds, ts = children, child_ts
-        values = _leaf_shares_batch(seeds, ts, kb)
-        meter.free_arrays(seeds, ts)
-        sink.commit(values, lo, hi)
-
-    def cost(
-        self,
-        batch_size: int,
-        domain_size: int,
-        eval_range: tuple[int, int] | None = None,
-    ) -> StrategyCost:
-        n, lo, hi = self._walk(domain_size, eval_range)
-        lanes = batch_size * (hi - lo)
-        return StrategyCost(
-            strategy=self.name,
-            batch_size=batch_size,
-            domain_size=domain_size,
-            prf_blocks=lanes * n,
-            peak_mem_bytes=NODE_BYTES * lanes * (2 if n >= 1 else 1),
-            parallel_width=lanes,
-        )
 
     def plan(
         self,
@@ -738,44 +680,6 @@ class LevelByLevel(Strategy):
 
     name = "level_by_level"
     fused = False
-
-    def _eval(
-        self,
-        kb: KeyArena,
-        prf: Prf,
-        meter: MemoryMeter,
-        workspace: ExpansionWorkspace,
-        lo: int,
-        hi: int,
-        sink: _ShareMatrix | _Reduction,
-    ) -> None:
-        seeds, ts = self._expand_to_level(kb, prf, meter, kb.depth, lo, hi, workspace)
-        values = _leaf_shares_batch(seeds, ts, kb)
-        meter.alloc_array(values)  # unfused: shares are materialized
-        meter.free_arrays(seeds, ts)
-        sink.commit(values, lo, hi)
-        meter.free_array(values)
-
-    def cost(
-        self,
-        batch_size: int,
-        domain_size: int,
-        eval_range: tuple[int, int] | None = None,
-    ) -> StrategyCost:
-        n, lo, hi = self._walk(domain_size, eval_range)
-        leaves = hi - lo
-        peak = max(
-            self._bfs_peak_bytes(batch_size, n, 0, n, lo, hi),
-            (NODE_BYTES + 8 * ggm.LEAF_WORDS) * batch_size * leaves,
-        )
-        return StrategyCost(
-            strategy=self.name,
-            batch_size=batch_size,
-            domain_size=domain_size,
-            prf_blocks=batch_size * self._window_blocks(n, lo, hi),
-            peak_mem_bytes=peak,
-            parallel_width=batch_size * leaves,
-        )
 
     def plan(
         self,
@@ -837,26 +741,14 @@ class MemoryBoundedTree(Strategy):
     parallel lanes, each walking its subtree depth-first with an
     explicit stack of at most ``d = n - k`` sibling nodes.  Live memory
     is O(B K log L) while PRF work stays at the optimal two blocks per
-    inner node (``L - 2`` per query over word-packed leaves; the
-    modeled one-row-per-leaf kernel of :meth:`plan` pays ``2(L - 1)``),
-    and the leaf shares feed the table dot product in registers (fused —
-    the paper's Table 4 kernel).
-
-    Only the lanes whose subtrees meet the evaluated rows are started
-    (none past the end of a non-power-of-two domain), and inside the
-    lockstep walk the first and the last lane sit out the nodes that
-    fall outside the window, so the work is the windowed walk's exactly.
-    The meter charges each started lane its whole ``d``-deep stack of
-    sibling pairs for the length of the walk, as a device kernel
-    reserving per-lane local memory would.
-
-    With a reducer the lanes run a group at a time (:meth:`_group_lanes`)
-    and each group's leaves — whole subtrees, so contiguous rows — are
-    reduced as soon as the group finishes.
+    inner node (``2(L - 1)`` per query in the modeled one-row-per-leaf
+    kernel), and the leaf shares feed the table dot product in
+    registers (fused — the paper's Table 4 kernel).
 
     Args:
         log_subtrees: log2 of the per-query subtree count K (clamped to
-            the tree depth).
+            the tree depth).  It shapes the plan only; execution is the
+            shared tiled walk.
     """
 
     name = "memory_bounded"
@@ -867,126 +759,6 @@ class MemoryBoundedTree(Strategy):
             raise ValueError("log_subtrees must be non-negative")
         self.log_subtrees = log_subtrees
 
-    def _split(self, depth: int) -> tuple[int, int]:
-        """``(k, d)``: top levels and subtree depth of a ``depth``-level tree."""
-        k = min(self.log_subtrees, depth)
-        return k, depth - k
-
-    @staticmethod
-    def _group_lanes(k: int, d: int) -> int:
-        """Lanes walked in lockstep between two hand-overs to a reducer.
-
-        Whole subtrees filling a window of ``8 K`` leaves (64 KB of
-        shares per key at the default K): the same order as the
-        sibling stacks the lanes hold anyway, and fixed as the table
-        grows.  The price is call size — a group's cipher calls carry
-        ``B * lanes`` seeds, and ``lanes`` halves each time the table
-        doubles — which is why the window is not smaller: at ``8 K`` a
-        batch of 16 loses nothing up to 2^16 rows (1.5x at 2^18), and
-        at the batches of hundreds the scheduler gives this strategy
-        the grouped walk is the faster one (``docs/performance.md``).
-        """
-        return max(1, (8 << k) >> d)
-
-    def _eval(
-        self,
-        kb: KeyArena,
-        prf: Prf,
-        meter: MemoryMeter,
-        workspace: ExpansionWorkspace,
-        lo: int,
-        hi: int,
-        sink: _ShareMatrix | _Reduction,
-    ) -> None:
-        n = kb.depth
-        k, d = self._split(n)
-        lane_seeds, lane_ts = self._expand_to_level(kb, prf, meter, k, lo, hi, workspace)
-        first_lane, end_lane = ggm.level_window(n, k, lo, hi)
-        # Each lane owns a d-deep stack of sibling pairs for the whole
-        # walk, whether or not the window keeps it busy at every node.
-        stack_bytes = 2 * d * (lane_seeds.nbytes + lane_ts.nbytes)
-        meter.alloc(stack_bytes)
-
-        def descend(
-            seeds: np.ndarray, ts: np.ndarray, j: int, first: int, path: int
-        ) -> None:
-            """Lanes ``first..`` in lockstep at subtree node ``path`` of level ``j``.
-
-            Leaves land in ``words``, the window of leaves from
-            ``group_lo`` on that the loop below holds at the time.
-            """
-            if j == d:
-                # Lane i's leaf is leaf (i << d) + path.
-                _leaf_shares_batch(
-                    seeds, ts, kb, out=words[:, (first << d) + path - group_lo :: 1 << d]
-                )
-                return
-            level = k + j
-            left, t_left, right, t_right = _expand_children_batch(
-                prf,
-                seeds,
-                ts,
-                kb.cw_seeds[:, level],
-                kb.cw_t_left[:, level],
-                kb.cw_t_right[:, level],
-            )
-            keep_lo, keep_hi = ggm.level_window(n, level + 1, lo, hi)
-            lanes = seeds.shape[1]
-            for child_path, child, child_ts in (
-                (2 * path, left, t_left),
-                (2 * path + 1, right, t_right),
-            ):
-                # Lane i's child is node (i << (j + 1)) + child_path, so
-                # only the first and the last lane can leave the window.
-                first_node = (first << (j + 1)) + child_path
-                last_node = ((first + lanes - 1) << (j + 1)) + child_path
-                skip = int(first_node < keep_lo)
-                stop = lanes - int(last_node >= keep_hi)
-                if skip < stop:
-                    descend(
-                        child[:, skip:stop],
-                        child_ts[:, skip:stop],
-                        j + 1,
-                        first + skip,
-                        child_path,
-                    )
-
-        # A reducer takes the leaves a group of whole subtrees at a
-        # time; a share matrix is one window, so every lane runs in
-        # lockstep.
-        group = self._group_lanes(k, d) if sink.streaming else end_lane - first_lane
-        for start in range(first_lane, end_lane, group):
-            stop = min(start + group, end_lane)
-            group_lo, group_hi = max(lo, start << d), min(hi, stop << d)
-            words = sink.window(group_lo, group_hi)
-            index = slice(start - first_lane, stop - first_lane)
-            descend(lane_seeds[:, index], lane_ts[:, index], 0, start, 0)
-            sink.commit(words, group_lo, group_hi)
-        meter.free(stack_bytes)
-        meter.free_arrays(lane_seeds, lane_ts)
-
-    def cost(
-        self,
-        batch_size: int,
-        domain_size: int,
-        eval_range: tuple[int, int] | None = None,
-    ) -> StrategyCost:
-        n, lo, hi = self._walk(domain_size, eval_range)
-        k, d = self._split(n)
-        lanes = batch_size * _window_widths(n, k, k, lo, hi)[0]
-        peak = max(
-            self._bfs_peak_bytes(batch_size, n, 0, k, lo, hi),
-            NODE_BYTES * lanes * (1 + 2 * d),
-        )
-        return StrategyCost(
-            strategy=self.name,
-            batch_size=batch_size,
-            domain_size=domain_size,
-            prf_blocks=batch_size * self._window_blocks(n, lo, hi),
-            peak_mem_bytes=peak,
-            parallel_width=lanes,
-        )
-
     def plan(
         self,
         batch_size: int,
@@ -995,7 +767,9 @@ class MemoryBoundedTree(Strategy):
         prf_name: str = "aes128",
         resident_keys: bool = False,
     ) -> KernelPlan:
-        k, d = self._split(self._depth(table_entries))
+        n = self._depth(table_entries)
+        k = min(self.log_subtrees, n)
+        d = n - k
         lanes = batch_size * _ceil_div(table_entries, 2**d)
         phases = [
             KernelPhase(
@@ -1047,12 +821,10 @@ class CooperativeGroups(Strategy):
     tile's shared-memory demand evicts resident blocks, which the
     simulator prices as reduced occupancy.
 
-    With a reducer each tile's leaves are reduced as the tile finishes,
-    out of one ``(B, T, 2)`` window that every tile reuses.
-
     Args:
-        log_tile: log2 of the tile's leaf count T (clamped to the tree
-            depth).
+        log_tile: log2 of the modeled tile's leaf count T (clamped to
+            the tree depth).  It shapes the plan only; the executed
+            walk's tile is :data:`_LOG_TILE`, the same default.
     """
 
     name = "cooperative_groups"
@@ -1063,90 +835,6 @@ class CooperativeGroups(Strategy):
             raise ValueError("log_tile must be non-negative")
         self.log_tile = log_tile
 
-    @property
-    def tile_leaves(self) -> int:
-        return 2**self.log_tile
-
-    def _split(self, depth: int) -> tuple[int, int]:
-        """``(m, t)``: top levels and tile depth of a ``depth``-level tree."""
-        t = min(self.log_tile, depth)
-        return depth - t, t
-
-    def _eval(
-        self,
-        kb: KeyArena,
-        prf: Prf,
-        meter: MemoryMeter,
-        workspace: ExpansionWorkspace,
-        lo: int,
-        hi: int,
-        sink: _ShareMatrix | _Reduction,
-    ) -> None:
-        n = kb.depth
-        m, t = self._split(n)
-        frontier_seeds, frontier_ts = self._expand_to_level(
-            kb, prf, meter, m, lo, hi, workspace
-        )
-        first_tile, end_tile = ggm.level_window(n, m, lo, hi)
-        # Double-buffered tile expansion: the "tile" workspace slot is
-        # reused for every tile and every level within a tile, and is
-        # distinct from the "frontier" slot because the frontier views
-        # stay live across the whole tile loop.
-        for tile in range(first_tile, end_tile):
-            tile_lo, tile_hi = self._tile_window(tile, t, lo, hi)
-            index = tile - first_tile
-            seeds, ts = self._expand_window(
-                kb,
-                prf,
-                meter,
-                (frontier_seeds[:, index : index + 1], frontier_ts[:, index : index + 1]),
-                m,
-                n,
-                tile_lo,
-                tile_hi,
-                workspace,
-                "tile",
-            )
-            words = sink.window(tile_lo, tile_hi)
-            _leaf_shares_batch(seeds, ts, kb, out=words)
-            meter.free_arrays(seeds, ts)
-            sink.commit(words, tile_lo, tile_hi)
-        meter.free_arrays(frontier_seeds, frontier_ts)
-
-    @staticmethod
-    def _tile_window(tile: int, t: int, lo: int, hi: int) -> tuple[int, int]:
-        """The leaves of ``[lo, hi)`` inside tile ``tile`` of ``2**t`` leaves."""
-        return max(lo, tile << t), min(hi, (tile + 1) << t)
-
-    def cost(
-        self,
-        batch_size: int,
-        domain_size: int,
-        eval_range: tuple[int, int] | None = None,
-    ) -> StrategyCost:
-        n, lo, hi = self._walk(domain_size, eval_range)
-        m, t = self._split(n)
-        first_tile, end_tile = ggm.level_window(n, m, lo, hi)
-        tiles = end_tile - first_tile
-        # Only the two edge tiles can be clipped; every tile between
-        # them is whole, so three candidates bound the tile peak.
-        tile_peak = max(
-            self._bfs_peak_bytes(batch_size, n, m, n, *self._tile_window(tile, t, lo, hi))
-            for tile in {first_tile, min(first_tile + 1, end_tile - 1), end_tile - 1}
-        )
-        peak = max(
-            self._bfs_peak_bytes(batch_size, n, 0, m, lo, hi),
-            NODE_BYTES * batch_size * tiles + tile_peak,
-        )
-        return StrategyCost(
-            strategy=self.name,
-            batch_size=batch_size,
-            domain_size=domain_size,
-            prf_blocks=batch_size * self._window_blocks(n, lo, hi),
-            peak_mem_bytes=peak,
-            parallel_width=batch_size * tiles * 2**t,
-        )
-
     def plan(
         self,
         batch_size: int,
@@ -1155,7 +843,9 @@ class CooperativeGroups(Strategy):
         prf_name: str = "aes128",
         resident_keys: bool = False,
     ) -> KernelPlan:
-        m, t = self._split(self._depth(table_entries))
+        n = self._depth(table_entries)
+        t = min(self.log_tile, n)
+        m = n - t
         tile = 2**t
         active = _ceil_div(table_entries, tile)
         shared = 2 * tile * NODE_BYTES  # double-buffered tile

@@ -7,9 +7,9 @@ bit-identical to the current reference"):
   (which themselves are pinned by known-answer vectors elsewhere).
 * T-table AES equals the retained byte-pipeline reference on random
   batches, beyond the FIPS-197 known answers.
-* Every GPU strategy stays bit-identical to ``repro.dpf.dpf.eval_full``
-  for every PRF under the fused path (property-based, reusing the
-  shared ``tests/strategies`` profiles).
+* The executed walk stays bit-identical to ``repro.dpf.dpf.eval_full``
+  at every tile, for every PRF under the fused path (property-based,
+  reusing the shared ``tests/strategies`` profiles).
 """
 
 import numpy as np
@@ -29,12 +29,18 @@ from repro.crypto.aes import (
 from repro.crypto.prf import Prf
 from repro.dpf import eval_full
 from repro.dpf.ggm import apply_correction, expand_level, prg_expand
-from repro.gpu import available_strategies, get_strategy
+from repro.gpu import get_strategy
 
-from tests.strategies import STANDARD_SETTINGS, dpf_cases, prf_names, rng_seeds
+from tests.strategies import (
+    STANDARD_SETTINGS,
+    dpf_cases,
+    prf_names,
+    rng_seeds,
+    tile_rules,
+    tiled,
+)
 
 ALL_PRFS = available_prfs()
-ALL_STRATEGIES = available_strategies()
 
 
 class TestFusedExpandPair:
@@ -270,13 +276,14 @@ class TestCountingPrfFusedPath:
         assert np.array_equal(got[1], want[1])
 
 
-class TestStrategiesStayBitIdentical:
+class TestTheWalkStaysBitIdentical:
     """Fused fast path vs the reference, across the full PRF matrix."""
 
-    @given(case=dpf_cases(max_domain=64), name=st.sampled_from(ALL_STRATEGIES))
+    @given(case=dpf_cases(max_domain=64), tile=tile_rules)
     @STANDARD_SETTINGS
-    def test_property_all_prfs_all_strategies(self, case, name):
+    def test_property_all_prfs_all_tiles(self, case, tile):
         (k0, k1), prf = case.keys()
-        strategy = get_strategy(name)
-        for key in (k0, k1):
-            assert np.array_equal(strategy.eval_full(key, prf), eval_full(key, prf))
+        walk = get_strategy("cooperative_groups")  # any design: one walk
+        with tiled(tile):
+            for key in (k0, k1):
+                assert np.array_equal(walk.eval_batch([key], prf)[0], eval_full(key, prf))

@@ -267,32 +267,25 @@ class TestEvalRequest:
 
 
 class TestCustomStrategyPool:
-    """A backend built with a tuned pool must *execute and cost* the
-    pool's instances, not re-instantiate registry defaults by name."""
+    """A tuned candidate pool changes what is modeled, not what runs:
+    the plan moves, the answers and ``EvalResult.cost`` do not."""
 
-    def test_run_and_cost_use_the_pool_instance(self, reference):
+    @pytest.mark.parametrize("backend_class", [SingleGpuBackend, SimulatedBackend])
+    def test_a_tuned_pool_changes_only_the_plan(self, backend_class, reference):
         from repro.gpu import MemoryBoundedTree
 
         keys, prf, expected = reference
-        tuned = MemoryBoundedTree(log_subtrees=1)
-        backend = SingleGpuBackend(strategies=[tuned])
-        result = backend.run(EvalRequest(keys=keys, prf_name=prf.name))
-        assert np.array_equal(result.answers, expected)
-        assert result.plan.strategies == ("memory_bounded",)
-        assert result.cost == tuned.cost(BATCH, DOMAIN)
-        # The default-parameter instance costs differently at this
-        # shape, so a silent fallback to the registry would show here.
-        assert result.cost != get_strategy("memory_bounded").cost(BATCH, DOMAIN)
-
-    def test_simulated_backend_costs_through_its_pool(self, reference):
-        from repro.gpu import MemoryBoundedTree
-
-        keys, prf, expected = reference
-        tuned = MemoryBoundedTree(log_subtrees=1)
-        backend = SimulatedBackend(strategies=[tuned])
-        result = backend.run(EvalRequest(keys=keys, prf_name=prf.name))
-        assert np.array_equal(result.answers, expected)
-        assert result.cost == tuned.cost(BATCH, DOMAIN)
+        request = EvalRequest(keys=keys, prf_name=prf.name)
+        default = backend_class(strategies=[MemoryBoundedTree()])
+        tuned = backend_class(strategies=[MemoryBoundedTree(log_subtrees=1)])
+        plans = [backend.plan(request).stats.shards[0].selection for backend in (default, tuned)]
+        assert [p.strategy for p in plans] == ["memory_bounded"] * 2
+        assert plans[0].plan != plans[1].plan
+        results = [backend.run(request) for backend in (default, tuned)]
+        for result in results:
+            assert np.array_equal(result.answers, expected)
+            assert result.cost == get_strategy("memory_bounded").cost(BATCH, DOMAIN)
+        assert results[0].cost == results[1].cost
 
 
 class TestProtocol:

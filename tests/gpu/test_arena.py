@@ -10,7 +10,6 @@ list-fed ``eval_batch`` == per-key ``eval_full``, and a reused
 import numpy as np
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.crypto import get_prf
 from repro.crypto.prf import CountingPrf
@@ -21,15 +20,21 @@ from repro.gpu import (
     KeyArena,
     MemoryMeter,
     MultiGpuExecutor,
-    available_strategies,
     get_strategy,
 )
 
-from tests.strategies import STANDARD_SETTINGS, batch_sizes, dpf_cases, fast_prf_names
+from tests.strategies import (
+    STANDARD_SETTINGS,
+    batch_sizes,
+    dpf_cases,
+    fast_prf_names,
+    tile_rules,
+    tiled,
+)
 
 PRF = get_prf("chacha20")
 
-ALL_STRATEGIES = available_strategies()
+WALK = get_strategy("cooperative_groups")  # any design: they all run one walk
 
 
 def _make_keys(batch=6, domain=100, prf=PRF, seed=0):
@@ -180,8 +185,7 @@ class TestPadding:
         padded = KeyArena.from_keys(keys).pad_to(4)
         assert KeyArena.from_wire(padded.to_wire()) == padded
         expected = np.stack([eval_full(k, PRF) for k in keys + [keys[-1]]])
-        strategy = get_strategy(ALL_STRATEGIES[0])
-        got = strategy.eval_batch(padded, PRF)
+        got = WALK.eval_batch(padded, PRF)
         assert np.array_equal(got, expected)
 
 
@@ -212,40 +216,34 @@ class TestSlicing:
         with pytest.raises(ValueError, match="at least one"):
             MultiGpuExecutor([V100]).eval_batch(empty, PRF)
 
-    @pytest.mark.parametrize("name", ALL_STRATEGIES)
-    def test_sliced_arena_evaluates_like_sliced_keys(self, name):
+    def test_sliced_arena_evaluates_like_sliced_keys(self, tile):
         keys = _make_keys()
         arena = KeyArena.from_wire(pack_keys(keys))
-        strategy = get_strategy(name)
-        got = strategy.eval_batch(arena[2:6], PRF)
+        got = WALK.eval_batch(arena[2:6], PRF)
         want = np.stack([eval_full(k, PRF) for k in keys[2:6]])
         assert np.array_equal(got, want)
 
 
 class TestArenaEvaluation:
-    @pytest.mark.parametrize("name", ALL_STRATEGIES)
     @pytest.mark.parametrize("domain", [1, 2, 13, 100, 257])
-    def test_arena_eval_matches_list_eval(self, name, domain):
+    def test_arena_eval_matches_list_eval(self, tile, domain):
         keys = _make_keys(batch=4, domain=domain)
-        strategy = get_strategy(name)
-        got = strategy.eval_batch(KeyArena.from_wire(pack_keys(keys)), PRF)
-        assert np.array_equal(got, strategy.eval_batch(keys, PRF))
+        got = WALK.eval_batch(KeyArena.from_wire(pack_keys(keys)), PRF)
+        assert np.array_equal(got, WALK.eval_batch(keys, PRF))
 
     def test_arena_eval_rejects_wrong_prf(self):
         arena = KeyArena.from_keys(_make_keys())
         with pytest.raises(ValueError, match="reconstruct"):
             get_strategy("memory_bounded").eval_batch(arena, get_prf("siphash"))
 
-    @pytest.mark.parametrize("name", ALL_STRATEGIES)
-    def test_arena_eval_meters_and_counts_identically(self, name):
+    def test_arena_eval_meters_and_counts_identically(self, tile):
         """The arena changes *where* key material lives, not the
         kernel: PRF-block counts and metered peaks stay exact."""
         keys = _make_keys(batch=3, domain=257)
-        strategy = get_strategy(name)
         counting = CountingPrf(PRF)
         meter = MemoryMeter()
-        strategy.eval_batch(KeyArena.from_keys(keys), counting, meter)
-        cost = strategy.cost(3, 257)
+        WALK.eval_batch(KeyArena.from_keys(keys), counting, meter)
+        cost = WALK.cost(3, 257)
         assert counting.blocks == cost.prf_blocks
         assert meter.peak == cost.peak_mem_bytes
         assert meter.current == 0
@@ -262,48 +260,40 @@ class TestArenaEvaluation:
 
 
 class TestWorkspaceReuse:
-    @pytest.mark.parametrize("name", ALL_STRATEGIES)
-    def test_workspace_reuse_is_bit_identical(self, name):
-        strategy = get_strategy(name)
+    def test_workspace_reuse_is_bit_identical(self, tile):
         workspace = ExpansionWorkspace()
         # Interleave shapes so reuse sees growth, shrinkage, and repeat
         # visits of the same shape — stale bytes must never leak.
         shapes = [(4, 100), (2, 257), (4, 100), (1, 13), (4, 100), (2, 64)]
         for seed, (batch, domain) in enumerate(shapes):
             keys = _make_keys(batch=batch, domain=domain, seed=seed)
-            fresh = strategy.eval_batch(keys, PRF)
-            reused = strategy.eval_batch(keys, PRF, workspace=workspace)
+            fresh = WALK.eval_batch(keys, PRF)
+            reused = WALK.eval_batch(keys, PRF, workspace=workspace)
             assert np.array_equal(fresh, reused), (batch, domain)
 
-    @pytest.mark.parametrize("name", ALL_STRATEGIES)
-    def test_workspace_results_survive_the_next_call(self, name):
+    def test_workspace_results_survive_the_next_call(self, tile):
         """Returned share matrices must not alias workspace storage."""
-        strategy = get_strategy(name)
         workspace = ExpansionWorkspace()
         keys = _make_keys(batch=2, domain=128)
-        first = strategy.eval_batch(keys, PRF, workspace=workspace)
+        first = WALK.eval_batch(keys, PRF, workspace=workspace)
         snapshot = first.copy()
-        strategy.eval_batch(_make_keys(batch=2, domain=128, seed=9), PRF, workspace=workspace)
+        WALK.eval_batch(_make_keys(batch=2, domain=128, seed=9), PRF, workspace=workspace)
         assert np.array_equal(first, snapshot)
 
     @given(
         case=dpf_cases(prfs=fast_prf_names),
         batch=batch_sizes,
-        name=st.sampled_from(ALL_STRATEGIES),
+        tile=tile_rules,
     )
     @STANDARD_SETTINGS
-    def test_property_workspace_reuse(self, case, batch, name):
+    def test_property_workspace_reuse(self, case, batch, tile):
         (k0, k1), prf = case.keys()
         keys = [k0 if i % 2 else k1 for i in range(batch)]
-        strategy = get_strategy(name)
         workspace = ExpansionWorkspace()
-        want = strategy.eval_batch(keys, prf)
-        assert np.array_equal(
-            strategy.eval_batch(keys, prf, workspace=workspace), want
-        )
-        assert np.array_equal(
-            strategy.eval_batch(keys, prf, workspace=workspace), want
-        )
+        with tiled(tile):
+            want = WALK.eval_batch(keys, prf)
+            assert np.array_equal(WALK.eval_batch(keys, prf, workspace=workspace), want)
+            assert np.array_equal(WALK.eval_batch(keys, prf, workspace=workspace), want)
 
     def test_workspace_grows_monotonically(self):
         workspace = ExpansionWorkspace()

@@ -2,14 +2,14 @@
 
 ``tracemalloc`` sees every numpy allocation, so the peak of one
 ``eval_batch(..., reduce=r)`` on a fresh workspace is the walk's whole
-footprint: frontier, staging, cipher output, the one leaf window.  For
-the two fused strategies it must not grow with the table.
+footprint: the tile's ping-pong frontier, staging, cipher output, the
+one leaf window.  The tile is 512 leaves whatever the table, so the
+footprint must not grow with the table.
 """
 
 import tracemalloc
 
 import numpy as np
-import pytest
 
 from repro.crypto import get_prf
 from repro.dpf import gen, pack_keys
@@ -17,14 +17,14 @@ from repro.gpu import ExpansionWorkspace, KeyArena, get_strategy
 from repro.pir import PirQuery, PirServer
 
 PRF = get_prf("siphash")
-BATCH = 16
+BATCH = 32  # the offline_batch workload's shape
 MB = 1 << 20
 
 
-def _inputs(log_domain):
+def _inputs(log_domain, batch=BATCH):
     domain = 1 << log_domain
     rng = np.random.default_rng(log_domain)
-    keys = [gen(int(rng.integers(domain)), domain, PRF, rng)[i % 2] for i in range(BATCH)]
+    keys = [gen(int(rng.integers(domain)), domain, PRF, rng)[i % 2] for i in range(batch)]
     return keys, rng.integers(0, 1 << 64, size=domain, dtype=np.uint64)
 
 
@@ -37,9 +37,8 @@ def _traced_peak(call):
         tracemalloc.stop()
 
 
-@pytest.mark.parametrize("name", ["cooperative_groups", "memory_bounded"])
-def test_reducing_walk_peaks_under_2mb_whatever_the_table(name):
-    strategy = get_strategy(name)
+def test_reducing_walk_peak_is_fixed_whatever_the_table():
+    strategy = get_strategy("cooperative_groups")  # any design: one walk
     # The cipher's chunk scratch is per thread, not per call.
     PRF.expand_pair_stacked(np.zeros((1, 16), dtype=np.uint8))
     peaks = {}
@@ -59,15 +58,13 @@ def test_reducing_walk_peaks_under_2mb_whatever_the_table(name):
             )
         )
         assert np.array_equal(got[0], expected)
-    matrix_bytes = BATCH * (1 << 16) * 8
-    assert matrix_bytes == 8 * MB
     assert peaks[16] < 2 * MB, peaks
     assert peaks[16] <= 1.25 * peaks[12], peaks
 
 
 def test_serving_twice_allocates_no_second_window():
-    keys, table = _inputs(14)
-    frame = PirQuery(request_id=1, count=BATCH, key_bytes=pack_keys(keys)).to_bytes()
+    keys, table = _inputs(14, batch=16)
+    frame = PirQuery(request_id=1, count=16, key_bytes=pack_keys(keys)).to_bytes()
     server = PirServer(table, prf_name="siphash")
     first = server.handle(frame)  # sizes the workspace, window included
     tracemalloc.start()
@@ -80,4 +77,4 @@ def test_serving_twice_allocates_no_second_window():
     # Nothing is kept (the reply is a few hundred bytes), and the
     # transient peak is cipher output, never the 2 MB share matrix.
     assert held - before < 16 << 10
-    assert peak - before < BATCH * (1 << 14) * 8 // 2
+    assert peak - before < 16 * (1 << 14) * 8 // 2

@@ -3,9 +3,10 @@
 ``eval_points`` asked for one row at a time walks one root->leaf path
 and picks one word of the leaf; nothing in it is shared with the
 breadth-first walks beyond the PRG.  Every other evaluation — the
-reference ``eval_full``, ``dpf.eval_range`` and each strategy's
-``eval_batch`` on every ingest form and range — must agree with it bit
-for bit where leaf arithmetic breaks: domains 1, 2, 3, primes and
+reference ``eval_full``, ``dpf.eval_range`` and the executed walk's
+``eval_batch`` at every tile (``tests.strategies.tiles``), on every
+ingest form and range — must agree with it bit for bit where leaf
+arithmetic breaks: domains 1, 2, 3, primes and
 ``2^k - 1, 2^k, 2^k + 1``, ranges with every parity of ``lo`` and
 ``hi``, the one-row range inside a leaf, and an odd domain whose last
 leaf uses one word.
@@ -29,7 +30,7 @@ from repro.crypto.prf import CountingPrf
 from repro.dpf import eval_full, eval_points, eval_range, gen, pack_keys
 from repro.dpf.ggm import tree_depth
 from repro.exec import EvalRequest, PlanCache
-from repro.gpu import KeyArena, available_strategies, get_strategy
+from repro.gpu import KeyArena, get_strategy
 
 from tests.strategies import (
     BACKEND_FACTORIES,
@@ -41,7 +42,7 @@ from tests.strategies import (
 )
 
 PRF = get_prf("siphash")
-ALL_STRATEGIES = available_strategies()
+WALK = get_strategy("cooperative_groups")  # any design: they all run one walk
 BETA = 0xC0FFEE
 
 ORACLE_DOMAINS = (1, 2, 3, 4, 5, 7, 8, 9, 13, 15, 16, 17, 31, 32, 33, 63, 64, 65)
@@ -110,16 +111,14 @@ def test_reference_walks_agree_with_the_oracle(domain):
             assert np.array_equal(eval_range(key, PRF, lo, hi), oracle[lo:hi]), (lo, hi)
 
 
-@pytest.mark.parametrize("name", ALL_STRATEGIES)
 @pytest.mark.parametrize("domain", ORACLE_DOMAINS)
-def test_every_strategy_and_ingest_form_agrees_with_the_oracle(name, domain):
+def test_every_tile_and_ingest_form_agrees_with_the_oracle(tile, domain):
     keys, oracle = _keys(domain), _oracle(domain)
-    strategy = get_strategy(name)
     for source in (keys, pack_keys(keys), KeyArena.from_keys(keys)):
-        assert np.array_equal(strategy.eval_batch(source, PRF), oracle)
+        assert np.array_equal(WALK.eval_batch(source, PRF), oracle)
     arena = KeyArena.from_wire(pack_keys(keys))
     for lo, hi in _ranges(domain):
-        got = strategy.eval_batch(arena, PRF, eval_range=(lo, hi))
+        got = WALK.eval_batch(arena, PRF, eval_range=(lo, hi))
         assert got.flags.c_contiguous
         assert np.array_equal(got, oracle[:, lo:hi]), (lo, hi)
 
@@ -131,25 +130,23 @@ def _odd_partition(domain, shards):
     return list(zip(bounds, bounds[1:]))
 
 
-@pytest.mark.parametrize("name", ALL_STRATEGIES)
 @pytest.mark.parametrize("shards", [1, 2, 3, 5])
 @pytest.mark.parametrize("domain", [5, 63, 64, 65, 251, 1000])
-def test_odd_boundary_shards_concatenate_and_share_one_tree(name, shards, domain):
+def test_odd_boundary_shards_concatenate_and_share_one_tree(tile, shards, domain):
     """A boundary inside a leaf makes both neighbours expand that leaf:
-    one extra root->leaf path per boundary, two blocks per level (the
-    per-leaf ``branch_parallel`` pays the whole path again), no more."""
+    one extra root->leaf path per boundary, two blocks per level, no
+    more."""
     keys = _keys(domain)
-    strategy = get_strategy(name)
     ranges = _odd_partition(domain, shards)
     counting = CountingPrf(PRF)
-    parts = [strategy.eval_batch(keys, counting, eval_range=r) for r in ranges]
+    parts = [WALK.eval_batch(keys, counting, eval_range=r) for r in ranges]
     whole = np.stack([eval_full(key, PRF) for key in keys])
     assert np.array_equal(np.concatenate(parts, axis=1), whole)
-    one_tree = strategy.cost(len(keys), domain).prf_blocks
+    one_tree = WALK.cost(len(keys), domain).prf_blocks
     extra_paths = len(keys) * (len(ranges) - 1) * 2 * tree_depth(domain)
     assert one_tree <= counting.blocks <= one_tree + extra_paths
     assert counting.blocks == sum(
-        strategy.cost(len(keys), domain, r).prf_blocks for r in ranges
+        WALK.cost(len(keys), domain, r).prf_blocks for r in ranges
     )
 
 
@@ -176,11 +173,9 @@ class _Recording:
         return self.windows == list(zip(edges, edges[1:])) and edges[-1] == hi
 
 
-@pytest.mark.parametrize("name", ALL_STRATEGIES)
 @pytest.mark.parametrize("domain", ORACLE_DOMAINS)
-def test_every_strategy_reduces_to_the_oracle_times_the_table(name, domain):
+def test_every_tile_reduces_to_the_oracle_times_the_table(tile, domain):
     keys, oracle, table = _keys(domain), _oracle(domain), _table(domain)
-    strategy = get_strategy(name)
     sources = (keys, pack_keys(keys), KeyArena.from_keys(keys))
     for lo, hi in _ranges(domain):
         expected = oracle[:, lo:hi] @ table[lo:hi]
@@ -189,41 +184,39 @@ def test_every_strategy_reduces_to_the_oracle_times_the_table(name, domain):
         edge = lo <= 1 or hi >= domain - 1
         for source in sources if edge else sources[2:]:
             reducer = _Recording(table, len(keys))
-            got = strategy.eval_batch(source, PRF, eval_range=(lo, hi), reduce=reducer)
+            got = WALK.eval_batch(source, PRF, eval_range=(lo, hi), reduce=reducer)
             assert np.array_equal(got, expected), (lo, hi)
             assert reducer.covers_once(lo, hi), (lo, hi, reducer.windows)
 
 
-@pytest.mark.parametrize("name", ALL_STRATEGIES)
 @pytest.mark.parametrize("domain", ORACLE_DOMAINS)
-def test_a_wide_reducer_sums_to_the_wide_answer(name, domain):
+def test_a_wide_reducer_sums_to_the_wide_answer(tile, domain):
     """Three words per record: the reducer returns ``(B, 3)``, the walk
     does not know."""
     keys, oracle, table = _keys(domain), _oracle(domain), _table(domain, width=3)
-    strategy = get_strategy(name)
     for lo, hi in [(0, domain)] + [r for r in _ranges(domain) if r[0] % 2 and r[1] % 2][:3]:
-        got = strategy.eval_batch(
+        got = WALK.eval_batch(
             keys, PRF, eval_range=(lo, hi), reduce=lambda shares, a, z: shares @ table[a:z]
         )
         assert got.shape == (len(keys), 3)
         assert np.array_equal(got, oracle[:, lo:hi] @ table[lo:hi]), (lo, hi)
 
 
-@pytest.mark.parametrize("name", ["cooperative_groups", "memory_bounded"])
-def test_fused_walks_reduce_window_by_window(name):
-    """Past one tile (or one group of subtrees) the reducer is called
-    more than once, on whole tiles except at the clipped ends."""
+@pytest.mark.parametrize("batch", [2, 16])
+def test_the_walk_reduces_tile_by_tile(batch):
+    """Past one tile the reducer is called more than once, on whole
+    tiles except at the clipped ends, and a whole tile is 512 leaves —
+    1,024 rows — whatever the batch."""
     domain, (lo, hi) = 1 << 16, (1001, (1 << 16) - 3)
     rng = np.random.default_rng(16)
-    keys = [gen(int(rng.integers(domain)), domain, PRF, rng)[i % 2] for i in range(2)]
+    keys = [gen(int(rng.integers(domain)), domain, PRF, rng)[i % 2] for i in range(batch)]
     table = _table(domain)
-    strategy = get_strategy(name)
     reducer = _Recording(table, len(keys))
-    got = strategy.eval_batch(keys, PRF, eval_range=(lo, hi), reduce=reducer)
-    assert np.array_equal(got, strategy.eval_batch(keys, PRF, eval_range=(lo, hi)) @ table[lo:hi])
+    got = WALK.eval_batch(keys, PRF, eval_range=(lo, hi), reduce=reducer)
+    assert np.array_equal(got, WALK.eval_batch(keys, PRF, eval_range=(lo, hi)) @ table[lo:hi])
     assert reducer.covers_once(lo, hi)
     widths = {z - a for a, z in reducer.windows[1:-1]}
-    assert len(reducer.windows) > 2 and len(widths) == 1 and widths.pop() % 1024 == 0
+    assert len(reducer.windows) > 2 and widths == {1024}
 
 
 @pytest.mark.parametrize("backend_name", sorted(BACKEND_FACTORIES))

@@ -1,30 +1,44 @@
-"""The functional GPU kernels against the reference DPF evaluation.
+"""The executed walk against the reference DPF evaluation.
 
-Three claims, per the paper's Figure 6: every parallelization strategy
-computes *exactly* the same output shares as the reference
-``eval_full``; each strategy's PRF work matches its analytic count; and
-the metered live memory matches the analytic model — in particular the
-O(B L) level-by-level vs O(B K log L) memory-bounded separation.
+Every registered design runs one tiled walk; Figure 6's four designs
+are modeled by ``plan``, not executed.  So the claims are about that
+walk, swept over its tile (``tests.strategies.tiles``): it computes
+*exactly* the reference ``eval_full`` shares; its PRF work and metered
+live memory equal ``Strategy.cost``; and metered memory returns to zero
+when the PRF or a reducer raises.  The designs' own separation — O(B L)
+level-by-level vs O(B K log L) memory-bounded — is pinned on their
+modeled plans.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.crypto import available_prfs, get_prf
 from repro.crypto.prf import CountingPrf
 from repro.dpf import eval_full, gen
 from repro.gpu import ExpansionWorkspace, MemoryMeter, available_strategies, get_strategy
-from repro.gpu.strategies import NODE_BYTES
+from repro.gpu.strategies import NODE_BYTES, Strategy
 
-from tests.strategies import STANDARD_SETTINGS, batch_sizes, dpf_cases, fast_prf_names
+from tests.strategies import (
+    STANDARD_SETTINGS,
+    batch_sizes,
+    dpf_cases,
+    fast_prf_names,
+    tile_rules,
+    tiled,
+)
 
 PRF = get_prf("chacha20")
 
 ALL_STRATEGIES = available_strategies()
 
-# Constructor variants that exercise non-default tree splits.
+WALK = get_strategy("cooperative_groups")
+"""Any design will do: they all run the one walk."""
+
+# Constructor variants that model non-default tree splits.
 VARIANTS = [
     ("branch_parallel", {}),
     ("level_by_level", {}),
@@ -42,49 +56,61 @@ def _keys(domain, alpha=None, prf=PRF, seed=0, beta=1):
     return gen(alpha if alpha is not None else domain // 2, domain, prf, rng, beta=beta)
 
 
-class TestBitEquality:
-    @pytest.mark.parametrize("name", ALL_STRATEGIES)
-    @pytest.mark.parametrize("domain", [1, 2, 3, 13, 64, 100, 257, 1000])
-    def test_matches_eval_full(self, name, domain):
-        k0, k1 = _keys(domain)
-        strategy = get_strategy(name)
-        for key in (k0, k1):
-            assert np.array_equal(strategy.eval_full(key, PRF), eval_full(key, PRF))
+def _eval_one(key, prf=PRF):
+    return WALK.eval_batch([key], prf)[0]
 
+
+class TestOneWalk:
     @pytest.mark.parametrize("name", ALL_STRATEGIES)
-    @pytest.mark.parametrize("prf_name", available_prfs())
-    def test_matches_eval_full_all_prfs(self, name, prf_name):
-        prf = get_prf(prf_name)
-        k0, k1 = _keys(37, prf=prf)  # non-power-of-two on purpose
+    def test_every_design_runs_and_costs_the_same_walk(self, name):
         strategy = get_strategy(name)
-        for key in (k0, k1):
-            assert np.array_equal(strategy.eval_full(key, prf), eval_full(key, prf))
+        assert type(strategy).eval_batch is Strategy.eval_batch
+        assert type(strategy).cost is Strategy.cost
+        keys = list(_keys(300, seed=4))
+        assert np.array_equal(strategy.eval_batch(keys, PRF), WALK.eval_batch(keys, PRF))
+        cost = strategy.cost(2, 300, (7, 211))
+        assert cost.strategy == name
+        assert replace(cost, strategy=WALK.name) == WALK.cost(2, 300, (7, 211))
 
     @pytest.mark.parametrize("name,params", VARIANTS)
-    def test_split_parameters_do_not_change_output(self, name, params):
+    def test_tuning_parameters_change_neither_output_nor_cost(self, name, params):
         k0, _ = _keys(441, seed=3)
         strategy = get_strategy(name, **params)
-        assert np.array_equal(strategy.eval_full(k0, PRF), eval_full(k0, PRF))
+        assert np.array_equal(strategy.eval_batch([k0], PRF)[0], eval_full(k0, PRF))
+        assert strategy.cost(3, 441) == get_strategy(name).cost(3, 441)
 
-    @pytest.mark.parametrize("name", ALL_STRATEGIES)
-    def test_batch_matches_per_key_loop(self, name):
+
+class TestBitEquality:
+    @pytest.mark.parametrize("domain", [1, 2, 3, 13, 64, 100, 257, 1000])
+    def test_matches_eval_full(self, tile, domain):
+        k0, k1 = _keys(domain)
+        for key in (k0, k1):
+            assert np.array_equal(_eval_one(key), eval_full(key, PRF))
+
+    @pytest.mark.parametrize("prf_name", available_prfs())
+    def test_matches_eval_full_all_prfs(self, tile, prf_name):
+        prf = get_prf(prf_name)
+        k0, k1 = _keys(37, prf=prf)  # non-power-of-two on purpose
+        for key in (k0, k1):
+            assert np.array_equal(_eval_one(key, prf), eval_full(key, prf))
+
+    def test_batch_matches_per_key_loop(self, tile):
         keys = []
         for seed in range(3):
             k0, k1 = _keys(100, alpha=17 * seed % 100, seed=seed, beta=seed + 5)
             keys.extend([k0, k1])
-        strategy = get_strategy(name)
-        batch = strategy.eval_batch(keys, PRF)
+        batch = WALK.eval_batch(keys, PRF)
         assert batch.shape == (len(keys), 100)
         for row, key in zip(batch, keys):
             assert np.array_equal(row, eval_full(key, PRF))
 
-    @given(case=dpf_cases(prfs=fast_prf_names), name=st.sampled_from(ALL_STRATEGIES))
+    @given(case=dpf_cases(prfs=fast_prf_names), tile=tile_rules)
     @STANDARD_SETTINGS
-    def test_property_matches_eval_full(self, case, name):
+    def test_property_matches_eval_full(self, case, tile):
         (k0, k1), prf = case.keys()
-        strategy = get_strategy(name)
-        for key in (k0, k1):
-            assert np.array_equal(strategy.eval_full(key, prf), eval_full(key, prf))
+        with tiled(tile):
+            for key in (k0, k1):
+                assert np.array_equal(_eval_one(key, prf), eval_full(key, prf))
 
     def test_batch_rejects_mixed_domains(self):
         k0, _ = _keys(64)
@@ -95,7 +121,7 @@ class TestBitEquality:
     def test_rejects_wrong_prf(self):
         k0, _ = _keys(64)
         with pytest.raises(ValueError, match="reconstruct"):
-            get_strategy("branch_parallel").eval_full(k0, get_prf("siphash"))
+            get_strategy("branch_parallel").eval_batch([k0], get_prf("siphash"))
 
 
 class _Boom(Exception):
@@ -126,36 +152,40 @@ class TestFailureReleasesTheMeter:
     """ROADMAP invariant 3: metered memory returns to zero — also when
     the PRF, or a reducer (caller code, run mid-walk), raises."""
 
-    DOMAIN = 200  # deep enough that every variant has tiles or a DFS
+    DOMAIN = 200  # deep enough that every tile but the whole tree repeats
 
-    def _clean(self, strategy, keys, workspace, meter, expected):
+    def _clean(self, keys, workspace, meter, expected, eval_range):
         """The workspace a failed call left behind serves the next one."""
-        assert np.array_equal(strategy.eval_batch(keys, PRF, meter, workspace), expected)
+        got = WALK.eval_batch(keys, PRF, meter, workspace, eval_range)
+        assert np.array_equal(got, expected)
         assert meter.current == 0
 
-    @pytest.mark.parametrize("name, params", VARIANTS)
+    @pytest.mark.parametrize("eval_range", [None, (37, 163)])
     @pytest.mark.parametrize("fail_on", [1, 5])
-    def test_prf_that_raises(self, name, params, fail_on):
-        strategy = get_strategy(name, **params)
+    def test_prf_that_raises(self, tile, fail_on, eval_range):
         keys = list(_keys(self.DOMAIN))
-        expected = strategy.eval_batch(keys, PRF)
+        expected = WALK.eval_batch(keys, PRF, eval_range=eval_range)
         meter, workspace = MemoryMeter(), ExpansionWorkspace()
         prf = _RaisingPrf(PRF, fail_on)
         with pytest.raises(_Boom) as caught:
-            strategy.eval_batch(keys, prf, meter, workspace)
+            WALK.eval_batch(keys, prf, meter, workspace, eval_range)
         assert caught.value is prf.error
         assert meter.current == 0 and meter.peak > 0
-        self._clean(strategy, keys, workspace, meter, expected)
+        self._clean(keys, workspace, meter, expected, eval_range)
 
-    @pytest.mark.parametrize("name, params", VARIANTS)
-    def test_reducer_that_raises(self, name, params):
-        strategy = get_strategy(name, **params)
+    @pytest.mark.parametrize("eval_range", [None, (37, 163)])
+    def test_reducer_that_raises(self, tile, eval_range):
         keys = list(_keys(self.DOMAIN))
-        expected = strategy.eval_batch(keys, PRF)
+        expected = WALK.eval_batch(keys, PRF, eval_range=eval_range)
         meter, workspace = MemoryMeter(), ExpansionWorkspace()
         windows = []
-        strategy.eval_batch(
-            keys, PRF, meter, workspace, reduce=lambda s, lo, hi: windows.append(lo) or s.sum(axis=1)
+        WALK.eval_batch(
+            keys,
+            PRF,
+            meter,
+            workspace,
+            eval_range,
+            reduce=lambda s, lo, hi: windows.append(lo) or s.sum(axis=1),
         )
         for fail_on in {1, len(windows)}:
             error, seen = _Boom("reducer"), []
@@ -167,71 +197,65 @@ class TestFailureReleasesTheMeter:
                 return shares.sum(axis=1)
 
             with pytest.raises(_Boom) as caught:
-                strategy.eval_batch(keys, PRF, meter, workspace, reduce=reduce)
+                WALK.eval_batch(keys, PRF, meter, workspace, eval_range, reduce=reduce)
             assert caught.value is error and seen == windows[:fail_on]
             assert meter.current == 0
-            self._clean(strategy, keys, workspace, meter, expected)
+            self._clean(keys, workspace, meter, expected, eval_range)
 
 
-class TestAnalyticCosts:
-    @pytest.mark.parametrize("name,params", VARIANTS)
+class TestExactCosts:
+    @pytest.mark.parametrize("batch", [1, 3])
     @pytest.mark.parametrize("domain", [1, 13, 257, 1000])
-    def test_prf_blocks_and_peak_memory_are_exact(self, name, params, domain):
-        batch = 3
+    def test_prf_blocks_and_peak_memory_are_exact(self, tile, domain, batch):
         keys = []
         for seed in range(batch):
             k0, k1 = _keys(domain, alpha=seed % domain, seed=seed)
             keys.append(k0 if seed % 2 else k1)
-        strategy = get_strategy(name, **params)
         counting = CountingPrf(PRF)
         meter = MemoryMeter()
-        strategy.eval_batch(keys, counting, meter)
-        cost = strategy.cost(batch, domain)
+        WALK.eval_batch(keys, counting, meter)
+        cost = WALK.cost(batch, domain)
         assert counting.blocks == cost.prf_blocks
         assert meter.peak == cost.peak_mem_bytes
         assert meter.current == 0  # every device buffer released
 
     def test_figure6_memory_separation(self):
-        """O(B L) level-by-level vs O(B K log L) memory-bounded."""
+        """O(B L) level-by-level vs O(B K log L) memory-bounded, as the
+        designs' modeled device footprints."""
         batch, domain = 4, 1024
         log_subtrees = 4
-        keys = [_keys(domain, seed=s)[s % 2] for s in range(batch)]
-
-        lbl_meter, mbt_meter = MemoryMeter(), MemoryMeter()
-        get_strategy("level_by_level").eval_batch(keys, PRF, lbl_meter)
+        lbl = get_strategy("level_by_level").plan(batch, domain).peak_mem_bytes
         mbt = get_strategy("memory_bounded", log_subtrees=log_subtrees)
-        mbt.eval_batch(keys, PRF, mbt_meter)
+        mbt_peak = mbt.plan(batch, domain).peak_mem_bytes
 
         # Level-by-level is Omega(B * L): the full leaf frontier lives at once.
-        assert lbl_meter.peak >= 16 * batch * domain
+        assert lbl >= 16 * batch * domain
         # Memory-bounded stays within the O(B * K * log L) analytic bound.
         subtrees = 2**log_subtrees
         depth = 10  # log2(1024)
-        assert mbt_meter.peak <= 3 * NODE_BYTES * batch * subtrees * depth
+        assert mbt_peak <= 3 * NODE_BYTES * batch * subtrees * depth
         # And the separation is material, not a constant-factor accident.
-        assert mbt_meter.peak * 4 < lbl_meter.peak
+        assert mbt_peak * 4 < lbl
 
     def test_memory_bound_tightens_with_fewer_subtrees(self):
         batch, domain = 2, 4096
-        peaks = []
-        for log_subtrees in (6, 4, 2):
-            meter = MemoryMeter()
-            keys = [_keys(domain, seed=9)[0]] * batch
-            get_strategy("memory_bounded", log_subtrees=log_subtrees).eval_batch(
-                keys, PRF, meter
-            )
-            peaks.append(meter.peak)
+        peaks = [
+            get_strategy("memory_bounded", log_subtrees=log_subtrees)
+            .plan(batch, domain)
+            .peak_mem_bytes
+            for log_subtrees in (6, 4, 2)
+        ]
         assert peaks[0] > peaks[1] > peaks[2]
 
-    @given(batch=batch_sizes)
+    @given(batch=batch_sizes, tile=tile_rules)
     @STANDARD_SETTINGS
-    def test_peak_memory_scales_linearly_in_batch(self, batch):
+    def test_peak_memory_scales_linearly_in_batch(self, batch, tile):
         domain = 256
-        for name in ALL_STRATEGIES:
-            cost_1 = get_strategy(name).cost(1, domain)
-            cost_b = get_strategy(name).cost(batch, domain)
-            assert cost_b.peak_mem_bytes == batch * cost_1.peak_mem_bytes
-            assert cost_b.prf_blocks == batch * cost_1.prf_blocks
+        with tiled(tile):
+            cost_1 = WALK.cost(1, domain)
+            cost_b = WALK.cost(batch, domain)
+        assert cost_b.peak_mem_bytes == batch * cost_1.peak_mem_bytes
+        assert cost_b.prf_blocks == batch * cost_1.prf_blocks
 
 
 class TestKernelPlans:

@@ -20,11 +20,13 @@ from tests.strategies.dpf import (
     rng_seeds,
 )
 from tests.strategies.settings import DETERMINISM_SETTINGS, STANDARD_SETTINGS
+from tests.strategies.tiles import TILES, tile_rules, tiled
 
 __all__ = [
     "BACKEND_FACTORIES",
     "DETERMINISM_SETTINGS",
     "STANDARD_SETTINGS",
+    "TILES",
     "DpfCase",
     "alphas_for_domain",
     "awkward_domain_sizes",
@@ -36,4 +38,6 @@ __all__ = [
     "key_ranges",
     "prf_names",
     "rng_seeds",
+    "tile_rules",
+    "tiled",
 ]
