@@ -17,8 +17,15 @@ asyncio request loop that does exactly that:
   fused :class:`~repro.exec.EvalRequest` and flushes when any SLO
   trigger fires: the batch reached ``max_batch`` queries, the pending
   key material reached ``max_arena_bytes``, or the *oldest* request's
-  ``max_wait_s`` deadline arrived.  Interactive-class requests are
-  taken into fused batches ahead of batch-class ones, bounded by an
+  ``max_wait_s`` deadline arrived.  The loop is work-conserving:
+  ``max_wait_s`` defaults to 0, so an idle loop dispatches whatever is
+  queued as soon as it runs, and under load batches still fill to
+  ``max_batch`` because arrivals pile up behind the dispatch that is
+  running.  Before it takes a non-full batch the loop yields once, so
+  every submission already runnable in this event-loop turn fuses into
+  that batch; while idle it arms no timer unless a positive linger, a
+  retry backoff or a snapshot is pending.  Interactive-class requests
+  are taken into fused batches ahead of batch-class ones, bounded by an
   anti-starvation age (see :class:`~repro.serve.control.QosPolicy`).
 * **Dispatch** — the merged batch runs on the wrapped server's backend
   or, when a :class:`~repro.serve.fleet.FleetScheduler` is attached, on
@@ -97,7 +104,8 @@ FLUSH_ARENA_BYTES = "arena_bytes"
 """Flush reason: pending key material reached ``max_arena_bytes``."""
 
 FLUSH_DEADLINE = "deadline"
-"""Flush reason: the oldest request's ``max_wait_s`` deadline arrived."""
+"""Flush reason: the oldest request's ``max_wait_s`` deadline arrived
+(under the default zero linger: a non-full batch dispatched at once)."""
 
 FLUSH_DRAIN = "drain"
 """Flush reason: the loop is stopping and drained its queue."""
@@ -195,8 +203,15 @@ class SloConfig:
             whole requests until adding the next would exceed it).
         max_wait_s: Deadline trigger — no admitted query waits longer
             than this for its batch to *start*, however light the
-            traffic.  This is the knob that trades latency (small
-            values) against fused-batch size (large values).
+            traffic.  The default 0 is work-conserving: a non-full batch
+            dispatches as soon as the loop runs (after one yield that
+            fuses every submission already runnable), and batches still
+            fill under load because arrivals queue behind the running
+            dispatch.  A positive linger holds a non-full batch open for
+            arrivals that are *not yet* runnable; it buys larger batches
+            only when spare capacity would otherwise go unused anyway —
+            e.g. a backend whose per-batch cost barely grows with batch
+            size — and costs up to this much latency per query.
         max_arena_bytes: Optional key-material budget — flush once the
             pending arenas reach this many bytes, and cap each merged
             batch's arena footprint (its device-upload cost) at the
@@ -205,7 +220,7 @@ class SloConfig:
     """
 
     max_batch: int = 64
-    max_wait_s: float = 2e-3
+    max_wait_s: float = 0.0
     max_arena_bytes: int | None = None
 
     def __post_init__(self):
@@ -737,12 +752,20 @@ class AsyncPirServer:
             self._promote_retries()
             self._maybe_snapshot()
             reason = self._flush_reason()
+            if reason == FLUSH_DEADLINE:
+                # A non-full batch: yield once, so every submission
+                # already runnable in this event-loop turn fuses into it
+                # (by construction, not by the depth of a wake-up chain).
+                await asyncio.sleep(0)
+                reason = self._flush_reason()
             if reason is not None:
                 await self._flush(reason)
                 await self._settle()
                 continue
             self._wake.clear()
             try:
+                # With no timeout (nothing time-based pending) wait_for
+                # awaits the event directly: no timer, no helper Task.
                 await asyncio.wait_for(self._wake.wait(), self._wait_timeout())
             except asyncio.TimeoutError:
                 pass

@@ -9,10 +9,13 @@ is exact, not racy.
 """
 
 import asyncio
+import threading
 
 import numpy as np
 import pytest
 
+import repro.serve
+import repro.serve.loop
 from repro.pir import PirClient, PirServer
 from repro.serve import (
     FLUSH_ARENA_BYTES,
@@ -22,6 +25,7 @@ from repro.serve import (
     AdmissionConfig,
     AsyncPirServer,
     PirServerOverloaded,
+    ShardedPirServer,
     SloConfig,
 )
 
@@ -391,3 +395,224 @@ class TestRestartLifecycle:
         assert replies == [server.handle(f) for f in frames]
         assert loop.stats.batches == 2
         assert loop.stats.largest_batch == 2
+
+
+def _frozen_clock() -> float:
+    """An injected clock that never advances: a flush that waited for
+    time to pass would hang (and time out) instead of passing."""
+    return 0.0
+
+
+class _GatedServer(PirServer):
+    """A server whose first dispatch blocks until the test releases it,
+    so submissions can land while a batch is provably in flight."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self.dispatching = threading.Event()
+        self.release = threading.Event()
+
+    def answer_request(self, *args, **kwargs):
+        self.dispatching.set()
+        self.release.wait(timeout=10)
+        return super().answer_request(*args, **kwargs)
+
+
+class TestWorkConserving:
+    """The default zero linger: an idle loop dispatches whatever is
+    queued as soon as it runs, after one yield that fuses every
+    submission already runnable in that event-loop turn."""
+
+    def test_default_linger_is_zero(self):
+        assert SloConfig().max_wait_s == 0.0
+
+    def test_lone_query_is_answered_without_the_clock_advancing(self):
+        table, server, client = _fixture()
+        frame = client.query([5]).requests[0]
+
+        async def run():
+            loop = AsyncPirServer(server, slo=SloConfig(), clock=_frozen_clock)
+            async with loop:
+                return loop, await asyncio.wait_for(loop.submit(frame), 10)
+
+        loop, reply = asyncio.run(run())
+        assert loop.stats.flushes == {FLUSH_DEADLINE: 1}
+        assert reply == server.handle(frame)
+
+    @pytest.mark.parametrize("k", [1, 2, 17, 64])
+    def test_one_gather_forms_one_batch(self, k):
+        table, server, client = _fixture()
+        frames = [b.requests[0] for b in client.query_many([i % 32 for i in range(k)])]
+
+        async def run():
+            loop = AsyncPirServer(server, slo=SloConfig(), clock=_frozen_clock)
+            async with loop:
+                replies = await asyncio.wait_for(
+                    asyncio.gather(*(loop.submit(f) for f in frames)), 10
+                )
+            return loop, replies
+
+        loop, replies = asyncio.run(run())
+        reason = FLUSH_MAX_BATCH if k == SloConfig().max_batch else FLUSH_DEADLINE
+        assert loop.stats.flushes == {reason: 1}
+        assert loop.stats.largest_batch == k
+        assert replies == [server.handle(f) for f in frames]
+
+    def test_submissions_runnable_after_the_wake_fuse(self):
+        """The loop is woken by the first submission, and the others
+        become runnable only after the wake-up is already queued.  The
+        one yield before a non-full flush still fuses all of them."""
+        table, server, client = _fixture()
+        frames = [b.requests[0] for b in client.query_many([1, 2, 3, 4])]
+
+        async def run():
+            loop = AsyncPirServer(server, slo=SloConfig(), clock=_frozen_clock)
+            async with loop:
+                await asyncio.sleep(0)  # the loop is idle, waiting
+                first = asyncio.create_task(loop.submit(frames[0]))
+                await asyncio.sleep(0)  # `first` ran and woke the loop
+                assert loop.pending_queries == 1
+                replies = await asyncio.wait_for(
+                    asyncio.gather(first, *(loop.submit(f) for f in frames[1:])), 10
+                )
+            return loop, replies
+
+        loop, replies = asyncio.run(run())
+        assert loop.stats.batches == 1
+        assert loop.stats.flushes == {FLUSH_DEADLINE: 1}
+        assert replies == [server.handle(f) for f in frames]
+
+    def test_idle_loop_holds_no_helper_task(self):
+        """Idle with nothing time-based pending, the loop waits on its
+        wake event directly: no ``wait_for`` Task beside its own."""
+        table, server, client = _fixture()
+        frame = client.query([7]).requests[0]
+
+        async def run():
+            loop = AsyncPirServer(server, slo=SloConfig(), clock=_frozen_clock)
+            async with loop:
+                for _ in range(5):
+                    await asyncio.sleep(0)
+                idle_before = asyncio.all_tasks()
+                await asyncio.wait_for(loop.submit(frame), 10)
+                for _ in range(5):
+                    await asyncio.sleep(0)
+                idle_after = asyncio.all_tasks()
+                expected = {asyncio.current_task(), loop._task}
+            return idle_before, idle_after, expected
+
+        idle_before, idle_after, expected = asyncio.run(run())
+        assert idle_before == expected
+        assert idle_after == expected
+
+    def test_overlap_submission_during_dispatch_joins_the_next_flush(self):
+        """Under ``overlap=True`` the event loop keeps admitting while a
+        batch expands on the dispatch thread; what arrived meanwhile is
+        exactly the next flush."""
+        rng = np.random.default_rng(0)
+        table = rng.integers(0, 1 << 64, size=32, dtype=np.uint64)
+        server = _GatedServer(table, prf_name="siphash")
+        client = PirClient(32, "siphash", rng=np.random.default_rng(1))
+        frames = [b.requests[0] for b in client.query_many([1, 2, 3])]
+
+        async def run():
+            loop = AsyncPirServer(
+                server, slo=SloConfig(), overlap=True, clock=_frozen_clock
+            )
+            async with loop:
+                first = asyncio.create_task(loop.submit(frames[0]))
+                assert await asyncio.to_thread(server.dispatching.wait, 10)
+                assert loop.stats.batches == 0  # batch one is in flight
+                later = [asyncio.create_task(loop.submit(f)) for f in frames[1:]]
+                while loop.pending_queries < 2:
+                    await asyncio.sleep(0)
+                server.release.set()
+                replies = await asyncio.wait_for(asyncio.gather(first, *later), 10)
+            return loop, replies
+
+        loop, replies = asyncio.run(run())
+        assert loop.stats.batches == 2
+        assert loop.stats.largest_batch == 2
+        assert loop.stats.overlap_flushes == 1
+        assert loop.stats.flushes == {FLUSH_DEADLINE: 2}
+        oracle = PirServer(table, prf_name="siphash")
+        assert replies == [oracle.handle(f) for f in frames]
+
+
+def _lockstep(servers, client, table, batches, rounds):
+    """Every batch is one closed-loop caller: ``rounds`` times it sends
+    its request to both parties' default loops and checks the answer
+    before sending again.  Returns the two loops."""
+    loops = [AsyncPirServer(server) for server in servers]
+
+    async def caller(batch):
+        for _ in range(rounds):
+            replies = await asyncio.gather(
+                *(loop.submit(frame) for loop, frame in zip(loops, batch.requests))
+            )
+            values = client.reconstruct(batch, *replies)
+            assert np.array_equal(values, table[list(batch.indices)])
+
+    async def run():
+        async with loops[0], loops[1]:
+            await asyncio.gather(*(caller(batch) for batch in batches))
+
+    asyncio.run(run())
+    return loops
+
+
+class TestNoFragmentation:
+    """Zero linger must not split saturated traffic: callers answered by
+    one flush resubmit together and fuse into the next full batch."""
+
+    ROUNDS = 20
+
+    def _assert_full_batches(self, loops):
+        for loop in loops:
+            assert loop.stats.flushes == {FLUSH_MAX_BATCH: self.ROUNDS}
+            assert loop.stats.mean_batch == 64
+
+    def test_64_single_query_callers_on_plain_servers(self):
+        rng = np.random.default_rng(3)
+        table = rng.integers(0, 1 << 64, size=64, dtype=np.uint64)
+        client = PirClient(64, "aes128", rng=np.random.default_rng(4))
+        batches = client.query_many(rng.integers(0, 64, size=64))
+        servers = [PirServer(table.copy(), prf_name="aes128") for _ in range(2)]
+        self._assert_full_batches(
+            _lockstep(servers, client, table, batches, self.ROUNDS)
+        )
+
+    def test_16_four_query_callers_on_two_shards(self):
+        rng = np.random.default_rng(5)
+        table = rng.integers(0, 1 << 64, size=64, dtype=np.uint64)
+        client = PirClient(64, "aes128", rng=np.random.default_rng(6))
+        batches = client.query_many(rng.integers(0, 64, size=64), 4)
+        assert len(batches) == 16
+        servers = [
+            ShardedPirServer(table.copy(), shards=2, prf_name="aes128")
+            for _ in range(2)
+        ]
+        self._assert_full_batches(
+            _lockstep(servers, client, table, batches, self.ROUNDS)
+        )
+
+
+class TestFlushReasonContract:
+    def test_exactly_the_four_reasons_the_benchmark_indexes(self):
+        """``benchmark/layers.py`` builds its flush-share table from
+        these four names and indexes it by each flush span's reason, so
+        a fifth reason would raise ``KeyError`` in every traced run."""
+        expected = {
+            "FLUSH_MAX_BATCH": "max_batch",
+            "FLUSH_DEADLINE": "deadline",
+            "FLUSH_ARENA_BYTES": "arena_bytes",
+            "FLUSH_DRAIN": "drain",
+        }
+        for module in (repro.serve, repro.serve.loop):
+            exported = {
+                name: getattr(module, name)
+                for name in dir(module)
+                if name.startswith("FLUSH_")
+            }
+            assert exported == expected
+        assert {n for n in repro.serve.__all__ if n.startswith("FLUSH_")} == set(expected)

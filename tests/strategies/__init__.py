@@ -19,12 +19,20 @@ from tests.strategies.dpf import (
     prf_names,
     rng_seeds,
 )
+from tests.strategies.serving import (
+    SLO_CONFIGS,
+    cancel_turns,
+    clock_steps,
+    picks,
+    request_indices,
+)
 from tests.strategies.settings import DETERMINISM_SETTINGS, STANDARD_SETTINGS
 from tests.strategies.tiles import TILES, tile_rules, tiled
 
 __all__ = [
     "BACKEND_FACTORIES",
     "DETERMINISM_SETTINGS",
+    "SLO_CONFIGS",
     "STANDARD_SETTINGS",
     "TILES",
     "DpfCase",
@@ -32,11 +40,15 @@ __all__ = [
     "awkward_domain_sizes",
     "batch_sizes",
     "betas",
+    "cancel_turns",
+    "clock_steps",
     "domain_sizes",
     "dpf_cases",
     "fast_prf_names",
     "key_ranges",
+    "picks",
     "prf_names",
+    "request_indices",
     "rng_seeds",
     "tile_rules",
     "tiled",
