@@ -150,9 +150,10 @@ _SH16 = np.uint32(16)
 
 _CHUNK = 4096
 """Blocks encrypted per pass over the ten rounds.  Large enough that
-the ~110 numpy calls of a pass are amortised, small enough that the
-scratch and the pair tables stay L2-resident however many blocks one
-call brings."""
+the ~112 numpy calls of a pass (eleven a round, one more in the last,
+one or two for the load) are amortised, small enough that the scratch
+and the pair tables stay L2-resident however many blocks one call
+brings."""
 
 
 class _Scratch(threading.local):
@@ -160,7 +161,7 @@ class _Scratch(threading.local):
 
     Flat and fixed-size: a chunk of ``k`` blocks reshapes the leading
     ``rows * k`` elements, which keeps every buffer contiguous (a
-    ``[:, :k]`` slice of a 2-D buffer is not, and ``np.take(out=)``
+    ``[:, :k]`` slice of a 2-D buffer is not, and ``ndarray.take``
     copies through a temporary for a non-contiguous ``out``).
     Allocated on a thread's first encryption, so a thread (or a
     process) that never runs AES pays nothing.
@@ -274,6 +275,10 @@ def _encrypt_columns(rk: np.ndarray, cols: np.ndarray, whitening: np.ndarray) ->
     total = whitening.shape[0] * n
     out = np.empty((total, 4), dtype="<u4")
     state, pairs, index, low, high = _SCRATCH.get()
+    # Every numpy call below is a ufunc or an ndarray method with ``out``
+    # passed positionally: the ``np.take`` / ``np.copyto`` wrappers and
+    # keyword parsing cost more than the work at small chunks.
+    and_, xor, shift = np.bitwise_and, np.bitwise_xor, np.right_shift
     for start in range(0, total, _CHUNK):
         k = min(_CHUNK, total - start)
         s = state[: 5 * k].reshape(5, k)
@@ -281,34 +286,34 @@ def _encrypt_columns(rk: np.ndarray, cols: np.ndarray, whitening: np.ndarray) ->
         idx = index[: 4 * k].reshape(4, k)
         lo = low[: 4 * k].reshape(4, k)
         hi = high[: 4 * k].reshape(4, k)
-        s03, s14, out_t = s[0:4], s[1:5], out[start : start + k].T
-        # hi[c] belongs to output column c - 2: combine the halves crosswise.
-        halves = ((lo[0:2], hi[2:4], s[0:2]), (lo[2:4], hi[0:2], s[2:4]))
-        s0, s4 = s[0], s[4]
+        s03, s14, s01, s23, s0, s4 = s[0:4], s[1:5], s[0:2], s[2:4], s[0], s[4]
+        lo01, lo23, hi01, hi23 = lo[0:2], lo[2:4], hi[0:2], hi[2:4]
+        out_t = out[start : start + k].T
         # Load: transpose to planar under the first AddRoundKey.  A chunk
         # may straddle the boundary between two whitened copies.
         pos = 0
         while pos < k:
             part, row = divmod(start + pos, n)
             m = min(n - row, k - pos)
-            np.bitwise_xor(cols[row : row + m].T, whitening[part], out=s03[:, pos : pos + m])
+            xor(cols[row : row + m].T, whitening[part], s03[:, pos : pos + m])
             pos += m
         for rnd, (low_table, high_table) in enumerate(_ROUND_TABLES, 1):
-            np.copyto(s4, s0)
-            np.bitwise_and(s03, _EVEN_BYTES, out=w)
-            np.bitwise_and(s14, _ODD_BYTES, out=lo)
+            s4[...] = s0
+            and_(s03, _EVEN_BYTES, w)
+            and_(s14, _ODD_BYTES, lo)
             w |= lo
             # Indices are 16 bits by construction: "wrap" never wraps, it
             # only spares take the bounds check and the buffered out=.
-            np.bitwise_and(w, _M16, out=idx)
-            np.take(low_table, idx, out=lo, mode="wrap")
-            np.right_shift(w, _SH16, out=idx)
-            np.take(high_table, idx, out=hi, mode="wrap")
+            and_(w, _M16, idx)
+            low_table.take(idx, None, lo, "wrap")
+            shift(w, _SH16, idx)
+            high_table.take(idx, None, hi, "wrap")
             if rnd == 10:
                 hi <<= _SH16  # paired S-box bytes 2-3 of the output word
-            for lo_half, hi_half, s_half in halves:
-                np.bitwise_xor(lo_half, hi_half, out=s_half)
-            np.bitwise_xor(s03, rk[rnd], out=s03 if rnd < 10 else out_t)
+            # hi[c] belongs to output column c - 2: combine crosswise.
+            xor(lo01, hi23, s01)
+            xor(lo23, hi01, s23)
+            xor(s03, rk[rnd], s03 if rnd < 10 else out_t)
     return out
 
 

@@ -94,16 +94,22 @@ _FINAL_BLOCK = np.uint64(8 << 56)
 
 _FF = np.uint64(0xFF)
 
-_ROTATIONS = {n: (np.uint64(n), np.uint64(64 - n)) for n in (13, 16, 17, 21, 32)}
+_L13, _R13 = np.uint64(13), np.uint64(64 - 13)
+_L16, _R16 = np.uint64(16), np.uint64(64 - 16)
+_L17, _R17 = np.uint64(17), np.uint64(64 - 17)
+_L21, _R21 = np.uint64(21), np.uint64(64 - 21)
+_L32 = _R32 = np.uint64(32)
+"""Shift pairs of the round's five rotations: ``rotl(x, n)`` is
+``x << Ln | x >> Rn``."""
 
 _PAIR_MESSAGES = np.arange(4, dtype=np.uint64).reshape(4, 1)
 """Message words of the fused PRG's lanes: ``2 * tweak + word``."""
 
 _CHUNK = 4096
 """Seeds hashed per pass over the eight rounds.  Large enough that the
-~220 numpy calls of a pass are amortised, small enough that the five
-scratch rows of a four-lane chunk (640 KB) stay cache-resident however
-many seeds one call brings."""
+224 numpy calls of a pass (26 a round) are amortised, small enough
+that the five scratch rows of a four-lane chunk (640 KB) stay
+cache-resident however many seeds one call brings."""
 
 
 class _Scratch(threading.local):
@@ -128,29 +134,41 @@ class _Scratch(threading.local):
 _SCRATCH = _Scratch()
 
 
-def _rotl_inplace(x: np.ndarray, n: int, tmp: np.ndarray) -> None:
-    left, right = _ROTATIONS[n]
-    np.right_shift(x, right, out=tmp)
-    np.left_shift(x, left, out=x)
-    np.bitwise_or(x, tmp, out=x)
-
-
 def _sipround_inplace(v0, v1, v2, v3, tmp) -> None:
-    """:func:`_sipround` with no temporaries beyond ``tmp``."""
-    np.add(v0, v1, out=v0)
-    _rotl_inplace(v1, 13, tmp)
-    np.bitwise_xor(v1, v0, out=v1)
-    _rotl_inplace(v0, 32, tmp)
-    np.add(v2, v3, out=v2)
-    _rotl_inplace(v3, 16, tmp)
-    np.bitwise_xor(v3, v2, out=v3)
-    np.add(v0, v3, out=v0)
-    _rotl_inplace(v3, 21, tmp)
-    np.bitwise_xor(v3, v0, out=v3)
-    np.add(v2, v1, out=v2)
-    _rotl_inplace(v1, 17, tmp)
-    np.bitwise_xor(v1, v2, out=v1)
-    _rotl_inplace(v2, 32, tmp)
+    """:func:`_sipround` with no temporaries beyond ``tmp``.
+
+    Each rotation is spelled out as its three ufunc calls, ``out``
+    passed positionally: at small chunks the Python around a call costs
+    more than the call.
+    """
+    add, xor, or_ = np.add, np.bitwise_xor, np.bitwise_or
+    shl, shr = np.left_shift, np.right_shift
+    add(v0, v1, v0)
+    shr(v1, _R13, tmp)  # v1 = rotl(v1, 13)
+    shl(v1, _L13, v1)
+    or_(v1, tmp, v1)
+    xor(v1, v0, v1)
+    shr(v0, _R32, tmp)  # v0 = rotl(v0, 32)
+    shl(v0, _L32, v0)
+    or_(v0, tmp, v0)
+    add(v2, v3, v2)
+    shr(v3, _R16, tmp)  # v3 = rotl(v3, 16)
+    shl(v3, _L16, v3)
+    or_(v3, tmp, v3)
+    xor(v3, v2, v3)
+    add(v0, v3, v0)
+    shr(v3, _R21, tmp)  # v3 = rotl(v3, 21)
+    shl(v3, _L21, v3)
+    or_(v3, tmp, v3)
+    xor(v3, v0, v3)
+    add(v2, v1, v2)
+    shr(v1, _R17, tmp)  # v1 = rotl(v1, 17)
+    shl(v1, _L17, v1)
+    or_(v1, tmp, v1)
+    xor(v1, v2, v1)
+    shr(v2, _R32, tmp)  # v2 = rotl(v2, 32)
+    shl(v2, _L32, v2)
+    or_(v2, tmp, v2)
 
 
 def _as_words(seeds: np.ndarray) -> np.ndarray:
@@ -172,30 +190,31 @@ def _mac_lanes(words: np.ndarray, messages: np.ndarray, out: np.ndarray) -> None
     """
     lanes, n = messages.shape[0], words.shape[0]
     buffers = _SCRATCH.get()
+    xor = np.bitwise_xor
     for start in range(0, n, _CHUNK):
         c = min(_CHUNK, n - start)
         v0, v1, v2, v3, tmp = (b[: lanes * c].reshape(lanes, c) for b in buffers)
         k0, k1 = words[start : start + c, 0], words[start : start + c, 1]
         for v, key, constant in ((v0, k0, _V0), (v1, k1, _V1), (v2, k0, _V2), (v3, k1, _V3)):
-            np.bitwise_xor(key, constant, out=v[0])
+            xor(key, constant, v[0])
             v[1:] = v[0]
         # Compression of the single message word.
-        np.bitwise_xor(v3, messages, out=v3)
+        xor(v3, messages, v3)
         for _ in range(2):
             _sipround_inplace(v0, v1, v2, v3, tmp)
-        np.bitwise_xor(v0, messages, out=v0)
+        xor(v0, messages, v0)
         # Finalization: the length block, then four more rounds.
-        np.bitwise_xor(v3, _FINAL_BLOCK, out=v3)
+        xor(v3, _FINAL_BLOCK, v3)
         for _ in range(2):
             _sipround_inplace(v0, v1, v2, v3, tmp)
-        np.bitwise_xor(v0, _FINAL_BLOCK, out=v0)
-        np.bitwise_xor(v2, _FF, out=v2)
+        xor(v0, _FINAL_BLOCK, v0)
+        xor(v2, _FF, v2)
         for _ in range(4):
             _sipround_inplace(v0, v1, v2, v3, tmp)
-        np.bitwise_xor(v0, v1, out=v0)
-        np.bitwise_xor(v2, v3, out=v2)
+        xor(v0, v1, v0)
+        xor(v2, v3, v2)
         chunk_out = out[..., start : start + c]
-        np.bitwise_xor(v0.reshape(chunk_out.shape), v2.reshape(chunk_out.shape), out=chunk_out)
+        xor(v0.reshape(chunk_out.shape), v2.reshape(chunk_out.shape), chunk_out)
 
 
 @prf_mod.register_prf

@@ -522,9 +522,10 @@ class ExpansionWorkspace:
     """Grow-on-demand scratch buffers for repeated ``eval_batch`` calls.
 
     The breadth-first expansion loops ping-pong the frontier between two
-    buffer pairs and stage one contiguous copy of the parent frontier
-    per level for the fused cipher pass.  Without a workspace those
-    buffers are reallocated on every call; a server evaluating batch
+    flat buffer pairs, keep each level's seed corrections in a third,
+    and stage a contiguous copy of a parent frontier for the fused
+    cipher pass when a range clip left it strided.  Without a workspace
+    those buffers are reallocated on every call; a server evaluating batch
     after batch against the same arena passes one workspace instead and
     the buffers persist, growing monotonically to the largest shape
     seen.  A call with a reducer also takes its leaf windows from here
@@ -543,50 +544,49 @@ class ExpansionWorkspace:
     """
 
     def __init__(self):
-        self._pairs: dict[str, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]] = {}
+        self._frontiers: dict[str, tuple[np.ndarray, ...]] = {}
         self._stages: dict[str, np.ndarray] = {}
         self._window = np.empty(0, dtype=np.uint64)
 
     @property
     def nbytes(self) -> int:
         """Total bytes currently retained across all slots."""
-        total = sum(sum(a.nbytes for a in bufs) for bufs in self._pairs.values())
+        total = sum(sum(a.nbytes for a in bufs) for bufs in self._frontiers.values())
         total += sum(a.nbytes for a in self._stages.values())
         return total + self._window.nbytes
 
-    def frontier_pair(
-        self, name: str, batch: int, cap: int
-    ) -> tuple[tuple[np.ndarray, np.ndarray], tuple[np.ndarray, np.ndarray]]:
-        """Ping-pong buffer pairs for one expansion loop.
+    def frontier(self, name: str, nodes: int) -> tuple[np.ndarray, ...]:
+        """Flat ping-pong buffers for one expansion loop.
+
+        Flat, so that a level's ``(B, W)`` frontier is the leading
+        ``B * W`` nodes of a buffer, reshaped: an exact-shape contiguous
+        view, which the cipher reads with no staging copy.
 
         Args:
             name: Slot name; loops that are live at the same time (the
-                cooperative-groups frontier and its tile loop) must use
-                distinct names.
-            batch: Leading batch dimension B.
-            cap: Maximum frontier width the loop will write.
+                walk's frontier and its tile loop) must use distinct
+                names.
+            nodes: The most nodes (``B`` times the widest level) the loop
+                will write.
 
         Returns:
-            ``(seed_pair, ts_pair)`` where each element of ``seed_pair``
-            is a ``(B, cap, 16)`` uint8 view and each element of
-            ``ts_pair`` a ``(B, cap)`` uint8 view.
+            ``(seeds_0, seeds_1, ts_0, ts_1, corr)``: two uint8 seed
+            buffers of at least ``16 * nodes`` bytes, two uint8
+            control-bit buffers of at least ``nodes``, and a uint64
+            buffer of at least ``nodes`` words for a level's seed
+            corrections (two words per parent).
         """
-        entry = self._pairs.get(name)
-        if entry is None or entry[0].shape[0] < batch or entry[0].shape[1] < cap:
-            grow_b = batch if entry is None else max(batch, entry[0].shape[0])
-            grow_c = cap if entry is None else max(cap, entry[0].shape[1])
+        entry = self._frontiers.get(name)
+        if entry is None or entry[4].size < nodes:
             entry = (
-                np.empty((grow_b, grow_c, 16), dtype=np.uint8),
-                np.empty((grow_b, grow_c, 16), dtype=np.uint8),
-                np.empty((grow_b, grow_c), dtype=np.uint8),
-                np.empty((grow_b, grow_c), dtype=np.uint8),
+                np.empty(16 * nodes, dtype=np.uint8),
+                np.empty(16 * nodes, dtype=np.uint8),
+                np.empty(nodes, dtype=np.uint8),
+                np.empty(nodes, dtype=np.uint8),
+                np.empty(nodes, dtype=np.uint64),
             )
-            self._pairs[name] = entry
-        s0, s1, t0, t1 = entry
-        return (
-            (s0[:batch, :cap], s1[:batch, :cap]),
-            (t0[:batch, :cap], t1[:batch, :cap]),
-        )
+            self._frontiers[name] = entry
+        return entry
 
     def stage(self, name: str, rows: int) -> np.ndarray:
         """A contiguous ``(rows, 16)`` uint8 staging buffer."""

@@ -54,12 +54,13 @@ A registry mirrors :mod:`repro.crypto.prf`:
 from __future__ import annotations
 
 import abc
+import functools
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from repro.crypto.prf import Prf, get_prf, seeds_to_u64
+from repro.crypto.prf import Prf, get_prf
 from repro.dpf import ggm
 from repro.dpf.keys import key_size_bytes
 from repro.gpu.arena import ExpansionWorkspace, KeyArena, KeySource
@@ -224,45 +225,46 @@ def _bfs_peak_bytes(
     return NODE_BYTES * batch_size * 3 * max(widths[:-1])
 
 
-def _expand_children_batch(
-    prf: Prf,
-    seeds: np.ndarray,  # (B, W, 16)
-    ts: np.ndarray,  # (B, W)
-    cw_seed: np.ndarray,  # (B, 16)
-    cw_t_left: np.ndarray,  # (B,)
-    cw_t_right: np.ndarray,  # (B,)
-    stage: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Corrected ``(left, t_left, right, t_right)`` children of a frontier.
+def _level_corrections(kb: KeyArena) -> tuple[np.ndarray, np.ndarray]:
+    """Every level's corrections, in the shapes the level step reads.
 
-    The batched :func:`repro.dpf.ggm.expand_level` without the
-    interleave: one fused cipher pass per call; seed corrections are
-    uint64-view XORs applied in place on the cipher output.  ``stage``,
-    when given, is a reusable ``(b*w, 16)`` buffer for the contiguous
-    cipher-input copy a non-contiguous frontier needs (from
-    :class:`ExpansionWorkspace`).  Seeds come back ``(B, W, 16)``,
-    control bits ``(B, W)``.
+    ``(B, n, 2)`` uint64 seed-correction words and ``(B, n, 2)`` uint8
+    control-bit corrections, left child then right child.
     """
-    b, w, _ = seeds.shape
-    if seeds.flags.c_contiguous:
-        flat = seeds.reshape(b * w, 16)
-    elif stage is not None:
-        flat = stage
-        flat.reshape(b, w, 16)[:] = seeds
-    else:
-        flat = np.ascontiguousarray(seeds).reshape(b * w, 16)
-    left, right = prf.expand_pair(flat)
-    # Control bits come from the *uncorrected* child blocks.
-    t_left = (left[:, 0] & 1).reshape(b, w)
-    t_right = (right[:, 0] & 1).reshape(b, w)
-    corr = seeds_to_u64(cw_seed)[:, np.newaxis, :] * ts.astype(np.uint64)[:, :, np.newaxis]
-    left = np.ascontiguousarray(left)
-    right = np.ascontiguousarray(right)
-    left.view(np.uint64).reshape(b, w, 2)[:] ^= corr
-    right.view(np.uint64).reshape(b, w, 2)[:] ^= corr
-    t_left = (t_left ^ (ts & cw_t_left[:, np.newaxis])).astype(np.uint8)
-    t_right = (t_right ^ (ts & cw_t_right[:, np.newaxis])).astype(np.uint8)
-    return left.reshape(b, w, 16), t_left, right.reshape(b, w, 16), t_right
+    cw_ts = np.empty((kb.batch, kb.depth, 2), dtype=np.uint8)
+    cw_ts[..., 0] = kb.cw_t_left
+    cw_ts[..., 1] = kb.cw_t_right
+    return np.ascontiguousarray(kb.cw_seeds).view(np.uint64), cw_ts
+
+
+def _expand_level(
+    prf: Prf,
+    flat: np.ndarray,  # (B * W, 16) contiguous parent seeds
+    ts: np.ndarray,  # (B, W) parent control bits
+    cw_words: np.ndarray,  # (B, 2) this level's seed correction
+    cw_ts: np.ndarray,  # (B, 2) this level's control-bit corrections
+    corr: np.ndarray,  # (B, W, 2) uint64 scratch
+    children: np.ndarray,  # (B, W, 2, 2) uint64: the next frontier's seeds
+    child_ts: np.ndarray,  # (B, W, 2) uint8: the next frontier's control bits
+) -> None:
+    """The batched :func:`repro.dpf.ggm.expand_level`, in one fused pass.
+
+    One cipher call, then six ufunc calls that write the corrected,
+    interleaved children straight into the next frontier (node ``j``'s
+    children are nodes ``2j`` and ``2j + 1``): no temporary but the
+    cipher's output, and nothing copied twice.
+    """
+    b, w = ts.shape
+    blocks = prf.expand_pair_stacked(flat)  # left blocks, then right blocks
+    kids = blocks.view(np.uint64).reshape(2, b, w, 2)
+    np.multiply(cw_words[:, np.newaxis], ts[:, :, np.newaxis], corr)
+    np.bitwise_xor(kids[0], corr, children[:, :, 0])
+    np.bitwise_xor(kids[1], corr, children[:, :, 1])
+    # A child's control bit is the low bit of its *uncorrected* block,
+    # flipped where the parent's bit selects the level's correction.
+    np.bitwise_and(ts[:, :, np.newaxis], cw_ts[:, np.newaxis], child_ts)
+    np.bitwise_xor(child_ts, blocks[:, 0].reshape(2, b, w).transpose(1, 2, 0), child_ts)
+    np.bitwise_and(child_ts, 1, child_ts)
 
 
 def _leaf_shares_batch(
@@ -286,6 +288,7 @@ def _leaf_shares_batch(
 
 def _expand_window(
     kb: KeyArena,
+    corrections: tuple[np.ndarray, np.ndarray],
     prf: Prf,
     meter: MemoryMeter,
     source: tuple[np.ndarray, np.ndarray],
@@ -306,56 +309,101 @@ def _expand_window(
     window, in natural order.  This is :func:`repro.dpf.dpf.eval_range`'s
     pruning done once for the whole ``(B, W, 16)`` frontier; for
     ``(lo, hi) = (0, 2**depth)`` the clip is a no-op and the walk is the
-    textbook expansion.
+    textbook expansion.  ``corrections`` is :func:`_level_corrections`
+    of ``kb``.
 
-    The frontier ping-pongs between the workspace's two buffer pairs
-    (slot ``slot``): a level reads views of one and writes prefix views
-    of the other.  For ``batch > 1`` those views are non-contiguous, so
-    the cipher stages one contiguous copy of the *parent* frontier per
-    level in the workspace's staging buffer; a level-major frontier
-    layout that removes it is future work.  The meter records the *live
-    frontier* — the copied-in source, then parents plus all freshly
-    written children at each level, the clipped children released right
-    after — which is what :meth:`Strategy.cost` counts.
+    The frontier ping-pongs between the workspace's two flat buffer
+    pairs (slot ``slot``): a level reads one and writes its children
+    into the leading nodes of the other, an exact-shape contiguous view
+    (:func:`_expand_level`).  An unclipped frontier is therefore the
+    cipher's input as it stands; only a window that lost a node off an
+    end, with ``batch > 1``, is strided, and that level stages one
+    contiguous copy of it in the workspace's staging buffer.  The meter
+    records the *live frontier* — the copied-in source, then parents
+    plus all freshly written children at each level, the clipped
+    children released right after — which is what :meth:`Strategy.cost`
+    counts.
     """
     b = kb.batch
+    cw_words, cw_ts = corrections
     windows = _level_windows(kb.depth, start, stop, lo, hi)
     node_lo, node_hi = windows[0]
+    width = node_hi - node_lo
     # Every level writes both children of each parent before the clip.
-    cap = max([node_hi - node_lo] + [2 * (z - a) for a, z in windows[:-1]])
-    back_seeds, back_ts = workspace.frontier_pair(slot, b, cap)
-    seeds = back_seeds[0][:, : node_hi - node_lo]
-    ts = back_ts[0][:, : node_hi - node_lo]
-    seeds[:] = source[0]
-    ts[:] = source[1]
-    meter.alloc(seeds.nbytes + ts.nbytes)
+    cap = max([width] + [2 * (z - a) for a, z in windows[:-1]])
+    seeds_0, seeds_1, ts_0, ts_1, corr = workspace.frontier(slot, b * cap)
+    back_seeds, back_ts = (seeds_0, seeds_1), (ts_0, ts_1)
+    seeds = seeds_0[: 16 * b * width].reshape(b, width, 16)
+    ts = ts_0[: b * width].reshape(b, width)
+    seeds[...] = source[0]
+    ts[...] = source[1]
+    meter.alloc(NODE_BYTES * b * width)
     for level, (keep_lo, keep_hi) in zip(range(start, stop), windows[1:]):
         side = (level - start + 1) % 2
-        width = seeds.shape[1]
-        new_seeds = back_seeds[side][:, : 2 * width]
-        new_ts = back_ts[side][:, : 2 * width]
-        left, t_left, right, t_right = _expand_children_batch(
+        if seeds.flags.c_contiguous:
+            flat = seeds.reshape(b * width, 16)
+        else:
+            flat = workspace.stage(slot, b * width)
+            flat.reshape(b, width, 16)[...] = seeds
+        children = back_seeds[side][: 32 * b * width]
+        child_ts = back_ts[side][: 2 * b * width].reshape(b, width, 2)
+        _expand_level(
             prf,
-            seeds,
+            flat,
             ts,
-            kb.cw_seeds[:, level],
-            kb.cw_t_left[:, level],
-            kb.cw_t_right[:, level],
-            stage=workspace.stage(slot, b * width),
+            cw_words[:, level],
+            cw_ts[:, level],
+            corr[: 2 * b * width].reshape(b, width, 2),
+            children.view(np.uint64).reshape(b, width, 2, 2),
+            child_ts,
         )
-        # Interleave: node j's children are nodes 2j and 2j + 1.
-        new_seeds[:, 0::2] = left
-        new_seeds[:, 1::2] = right
-        new_ts[:, 0::2] = t_left
-        new_ts[:, 1::2] = t_right
-        meter.alloc_arrays(new_seeds, new_ts)
-        meter.free_arrays(seeds, ts)
+        kept = keep_hi - keep_lo
+        meter.alloc(NODE_BYTES * b * 2 * width)
+        # The parents, and the children the clip drops.
+        meter.free(NODE_BYTES * b * (width + 2 * width - kept))
         # The children are nodes [2 * node_lo, 2 * node_lo + 2 * width).
-        seeds = new_seeds[:, keep_lo - 2 * node_lo : keep_hi - 2 * node_lo]
-        ts = new_ts[:, keep_lo - 2 * node_lo : keep_hi - 2 * node_lo]
-        meter.free(NODE_BYTES * b * (2 * width - (keep_hi - keep_lo)))
-        node_lo = keep_lo
+        first = keep_lo - 2 * node_lo
+        seeds = children.reshape(b, 2 * width, 16)[:, first : first + kept]
+        ts = child_ts.reshape(b, 2 * width)[:, first : first + kept]
+        node_lo, width = keep_lo, kept
     return seeds, ts
+
+
+@functools.lru_cache(maxsize=1024)
+def _walk_cost(
+    name: str,
+    batch_size: int,
+    domain_size: int,
+    eval_range: tuple[int, int] | None,
+    log_tile: int,
+) -> StrategyCost:
+    """:meth:`Strategy.cost`, computed (its cache key is the arguments)."""
+    if domain_size <= 0:
+        raise ValueError(f"domain_size must be positive, got {domain_size}")
+    n = ggm.tree_depth(domain_size)
+    lo, hi = ggm.leaf_window(*resolve_range(domain_size, eval_range))
+    t = min(log_tile, n)
+    m = n - t
+    first_tile, end_tile = ggm.level_window(n, m, lo, hi)
+    tiles = end_tile - first_tile
+    # Only the two edge tiles can be clipped; every tile between them is
+    # whole, so three candidates bound the tile peak.
+    tile_peak = max(
+        _bfs_peak_bytes(batch_size, n, m, n, *_tile_window(tile, t, lo, hi))
+        for tile in {first_tile, min(first_tile + 1, end_tile - 1), end_tile - 1}
+    )
+    peak = max(
+        _bfs_peak_bytes(batch_size, n, 0, m, lo, hi),
+        NODE_BYTES * batch_size * tiles + tile_peak,
+    )
+    return StrategyCost(
+        strategy=name,
+        batch_size=batch_size,
+        domain_size=domain_size,
+        prf_blocks=batch_size * _window_blocks(n, lo, hi),
+        peak_mem_bytes=peak,
+        parallel_width=batch_size * tiles * 2**t,
+    )
 
 
 class Strategy(abc.ABC):
@@ -442,10 +490,21 @@ class Strategy(abc.ABC):
         t = min(_LOG_TILE, n)
         m = n - t
         live = meter.current
+        corrections = _level_corrections(arena)
         try:
             roots = (arena.roots[:, np.newaxis, :], arena.root_ts[:, np.newaxis])
             tops, top_ts = _expand_window(
-                arena, prf, meter, roots, 0, m, leaf_lo, leaf_hi, workspace, "frontier"
+                arena,
+                corrections,
+                prf,
+                meter,
+                roots,
+                0,
+                m,
+                leaf_lo,
+                leaf_hi,
+                workspace,
+                "frontier",
             )
             first_tile, end_tile = ggm.level_window(n, m, leaf_lo, leaf_hi)
             # The "tile" slot is reused for every tile and every level
@@ -455,6 +514,7 @@ class Strategy(abc.ABC):
                 tile_lo, tile_hi = _tile_window(tile, t, leaf_lo, leaf_hi)
                 seeds, ts = _expand_window(
                     arena,
+                    corrections,
                     prf,
                     meter,
                     (tops[:, index : index + 1], top_ts[:, index : index + 1]),
@@ -499,33 +559,12 @@ class Strategy(abc.ABC):
         The walk is the same for every design, so is the count; what a
         design would cost on a device is :meth:`plan`'s
         ``total_prf_blocks`` and ``peak_mem_bytes``.
+
+        Memoised on its integer arguments (and the walk's tile): every
+        dispatch prices its shape, and serving repeats a few shapes.
         """
-        if domain_size <= 0:
-            raise ValueError(f"domain_size must be positive, got {domain_size}")
-        n = ggm.tree_depth(domain_size)
-        lo, hi = ggm.leaf_window(*resolve_range(domain_size, eval_range))
-        t = min(_LOG_TILE, n)
-        m = n - t
-        first_tile, end_tile = ggm.level_window(n, m, lo, hi)
-        tiles = end_tile - first_tile
-        # Only the two edge tiles can be clipped; every tile between
-        # them is whole, so three candidates bound the tile peak.
-        tile_peak = max(
-            _bfs_peak_bytes(batch_size, n, m, n, *_tile_window(tile, t, lo, hi))
-            for tile in {first_tile, min(first_tile + 1, end_tile - 1), end_tile - 1}
-        )
-        peak = max(
-            _bfs_peak_bytes(batch_size, n, 0, m, lo, hi),
-            NODE_BYTES * batch_size * tiles + tile_peak,
-        )
-        return StrategyCost(
-            strategy=self.name,
-            batch_size=batch_size,
-            domain_size=domain_size,
-            prf_blocks=batch_size * _window_blocks(n, lo, hi),
-            peak_mem_bytes=peak,
-            parallel_width=batch_size * tiles * 2**t,
-        )
+        rows = None if eval_range is None else (int(eval_range[0]), int(eval_range[1]))
+        return _walk_cost(self.name, int(batch_size), int(domain_size), rows, _LOG_TILE)
 
     @abc.abstractmethod
     def plan(
