@@ -521,17 +521,18 @@ class KeyArena:
 class ExpansionWorkspace:
     """Grow-on-demand scratch buffers for repeated ``eval_batch`` calls.
 
-    The breadth-first expansion loops ping-pong the frontier between two
-    flat buffer pairs, keep each level's seed corrections in a third,
-    and stage a contiguous copy of a parent frontier for the fused
-    cipher pass when a range clip left it strided.  Without a workspace
-    those buffers are reallocated on every call; a server evaluating batch
-    after batch against the same arena passes one workspace instead and
-    the buffers persist, growing monotonically to the largest shape
-    seen.  A call with a reducer also takes its leaf windows from here
-    (:meth:`window`): one buffer the size of the largest window (a tile,
-    or a group of subtrees), reused for every window of every call, in
-    place of a share matrix per call.
+    Each breadth-first expansion loop ping-pongs its frontier between
+    two flat buffer pairs of its own slot.  Every loop shares one buffer
+    for a level's seed corrections (or a tile's leaf products) and one
+    for a contiguous copy of a parent frontier that a range clip left
+    strided, because both are dead once the level is written.  Without
+    a workspace those buffers are reallocated on every call; a server
+    evaluating batch after batch against the same arena passes one
+    workspace instead and the buffers persist, growing monotonically to
+    the largest shape seen.  A call with a reducer also takes its leaf windows from here
+    (:meth:`window`): one buffer the size of the largest window (a tile),
+    reused for every window of every call, in place of a share matrix
+    per call.
 
     Buffers are handed out as prefix views, and every expansion loop
     fully overwrites a view before reading it, so reuse cannot leak
@@ -545,17 +546,17 @@ class ExpansionWorkspace:
 
     def __init__(self):
         self._frontiers: dict[str, tuple[np.ndarray, ...]] = {}
-        self._stages: dict[str, np.ndarray] = {}
+        self._scratch = np.empty(0, dtype=np.uint64)
+        self._stage = np.empty((0, 16), dtype=np.uint8)
         self._window = np.empty(0, dtype=np.uint64)
 
     @property
     def nbytes(self) -> int:
         """Total bytes currently retained across all slots."""
         total = sum(sum(a.nbytes for a in bufs) for bufs in self._frontiers.values())
-        total += sum(a.nbytes for a in self._stages.values())
-        return total + self._window.nbytes
+        return total + self._scratch.nbytes + self._stage.nbytes + self._window.nbytes
 
-    def frontier(self, name: str, nodes: int) -> tuple[np.ndarray, ...]:
+    def frontier(self, name: str, even: int, odd: int) -> tuple[np.ndarray, ...]:
         """Flat ping-pong buffers for one expansion loop.
 
         Flat, so that a level's ``(B, W)`` frontier is the leading
@@ -564,38 +565,46 @@ class ExpansionWorkspace:
 
         Args:
             name: Slot name; loops that are live at the same time (the
-                walk's frontier and its tile loop) must use distinct
-                names.
-            nodes: The most nodes (``B`` times the widest level) the loop
-                will write.
+                walk's frontier, a group of tiles and one of its tiles)
+                must use distinct names.
+            even: The most nodes (``B`` times a level's width) the loop
+                writes into buffer 0: its source, then the children of
+                every second level.
+            odd: The most nodes it writes into buffer 1.
 
         Returns:
-            ``(seeds_0, seeds_1, ts_0, ts_1, corr)``: two uint8 seed
-            buffers of at least ``16 * nodes`` bytes, two uint8
-            control-bit buffers of at least ``nodes``, and a uint64
-            buffer of at least ``nodes`` words for a level's seed
-            corrections (two words per parent).
+            ``(seeds_0, seeds_1, ts_0, ts_1)``: uint8 seed buffers of at
+            least ``16 * even`` and ``16 * odd`` bytes and uint8
+            control-bit buffers of at least ``even`` and ``odd``.
         """
         entry = self._frontiers.get(name)
-        if entry is None or entry[4].size < nodes:
+        if entry is None or entry[2].size < even or entry[3].size < odd:
+            if entry is not None:
+                even, odd = max(even, entry[2].size), max(odd, entry[3].size)
             entry = (
-                np.empty(16 * nodes, dtype=np.uint8),
-                np.empty(16 * nodes, dtype=np.uint8),
-                np.empty(nodes, dtype=np.uint8),
-                np.empty(nodes, dtype=np.uint8),
-                np.empty(nodes, dtype=np.uint64),
+                np.empty(16 * even, dtype=np.uint8),
+                np.empty(16 * odd, dtype=np.uint8),
+                np.empty(even, dtype=np.uint8),
+                np.empty(odd, dtype=np.uint8),
             )
             self._frontiers[name] = entry
         return entry
 
-    def stage(self, name: str, rows: int) -> np.ndarray:
+    def scratch(self, words: int) -> np.ndarray:
+        """A flat uint64 buffer of at least ``words``, shared by every slot.
+
+        It holds a level's seed corrections, or a tile's ``t * CW_out``
+        leaf plane: dead once the level or the leaves are written.
+        """
+        if self._scratch.size < words:
+            self._scratch = np.empty(words, dtype=np.uint64)
+        return self._scratch
+
+    def stage(self, rows: int) -> np.ndarray:
         """A contiguous ``(rows, 16)`` uint8 staging buffer."""
-        buf = self._stages.get(name)
-        if buf is None or buf.shape[0] < rows:
-            grow = rows if buf is None else max(rows, buf.shape[0])
-            buf = np.empty((grow, 16), dtype=np.uint8)
-            self._stages[name] = buf
-        return buf[:rows]
+        if self._stage.shape[0] < rows:
+            self._stage = np.empty((rows, 16), dtype=np.uint8)
+        return self._stage[:rows]
 
     def window(self, batch: int, leaves: int) -> np.ndarray:
         """A contiguous ``(batch, leaves, 2)`` uint64 leaf-word window.

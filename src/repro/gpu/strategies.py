@@ -29,7 +29,8 @@ because that is what the device model was calibrated against (Table 4).
 
 What executes on this host is one walk, the same whichever design was
 chosen (:meth:`Strategy.eval_batch`): breadth-first down to the roots of
-tiles of ``T`` leaves, then each tile breadth-first in a reusable buffer
+tiles of ``T`` leaves, then groups of tiles breadth-first through their
+first shared levels, then each tile breadth-first in a reusable buffer
 and handed on — into a share matrix, or into a reducer, so that the
 ``(B, L)`` matrix never exists.  ``T`` is 512 leaves, clamped to the
 tree; at every served shape that is the whole tree.  In numpy the O(L)
@@ -56,7 +57,7 @@ from __future__ import annotations
 import abc
 import functools
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -71,8 +72,20 @@ NODE_BYTES = 17
 """Metered bytes per live tree node: a 16-byte seed plus its control bit."""
 
 _LOG_TILE = 9
-"""log2 of the walk's tile leaf count, clamped to the tree: the whole
-2^9-leaf tree of a 2^10-row table, 512-leaf tiles of a larger one."""
+"""log2 of the walk's tile leaf count ``T``, clamped to the tree: the
+whole 2^9-leaf tree of a 2^10-row table, 512-leaf tiles of a larger
+one."""
+
+_GROUP_DEPTH = 4
+"""Levels that a group of tiles expands together before its tiles split.
+
+A group is ``2**(t - 1 - a)`` consecutive tiles, ``a`` this constant
+clamped to ``t - 1``.  Its ``a`` shared levels end at ``T / 2`` nodes a
+key, the width of a tile's widest parent level, and each tile goes on
+from its ``2**a`` of them.  At ``t = 9`` both start 16 nodes a key
+wide, so at ``offline_batch``'s B = 32, L = 2^16 no call below the tile
+roots is narrower than 512 seeds (ungrouped tiles made 390 of 582 calls
+at 1,024 seeds or fewer)."""
 
 
 def _ceil_div(a: int, b: int) -> int:
@@ -146,6 +159,9 @@ class _ShareMatrix:
         """The slot of leaves ``[lo, hi)``, to be filled in place."""
         return self.words[:, lo - self._lo : hi - self._lo]
 
+    def commit(self, words: np.ndarray, lo: int, hi: int) -> None:
+        """Nothing to do: the leaves were written in place."""
+
 
 class _Reduction:
     """Where leaves go with a reducer: into its running sum mod 2^64.
@@ -200,9 +216,64 @@ def _window_widths(depth: int, start: int, stop: int, lo: int, hi: int) -> list[
     return [b - a for a, b in _level_windows(depth, start, stop, lo, hi)]
 
 
-def _tile_window(tile: int, t: int, lo: int, hi: int) -> tuple[int, int]:
-    """The leaves of ``[lo, hi)`` inside tile ``tile`` of ``2**t`` leaves."""
-    return max(lo, tile << t), min(hi, (tile + 1) << t)
+def _window_width(depth: int, level: int, lo: int, hi: int) -> int:
+    """Node-window width at ``level`` for leaves ``[lo, hi)``."""
+    shift = depth - level
+    return ((hi - 1) >> shift) + 1 - (lo >> shift)
+
+
+def _walk_shape(depth: int, log_tile: int, group_depth: int) -> tuple[int, int, int]:
+    """``(t, a, g)``: the walk's tile depth, group depth and log2 tiles per group.
+
+    A tile is ``T = 2**t`` leaves, ``t`` the smaller of ``log_tile`` and
+    the tree's depth; a group is ``2**g = 2**(t - 1 - a)`` consecutive
+    tiles that expand ``a`` levels together, ``a`` the group depth
+    clamped to ``t - 1`` (both 0 for a one-leaf tile).
+    """
+    t = min(log_tile, depth)
+    a = min(group_depth, max(t - 1, 0))
+    return t, a, max(t - 1 - a, 0)
+
+
+def _chunk_window(chunk: int, log_span: int, lo: int, hi: int) -> tuple[int, int]:
+    """The leaves of ``[lo, hi)`` inside aligned chunk ``chunk`` of ``2**log_span``."""
+    return max(lo, chunk << log_span), min(hi, (chunk + 1) << log_span)
+
+
+def _edge_chunks(lo: int, hi: int, log_span: int) -> set[tuple[int, int]]:
+    """The first, second and last chunk windows of leaves ``[lo, hi)``.
+
+    Only the first and the last chunk can be clipped; every chunk between
+    them is whole, and walks like the second.
+    """
+    first, last = lo >> log_span, (hi - 1) >> log_span
+    return {
+        _chunk_window(chunk, log_span, lo, hi)
+        for chunk in (first, min(first + 1, last), last)
+    }
+
+
+def _split(
+    nodes: tuple[np.ndarray, np.ndarray],
+    depth: int,
+    level: int,
+    lo: int,
+    hi: int,
+    log_span: int,
+) -> Iterator[tuple[int, int, tuple[np.ndarray, np.ndarray]]]:
+    """Cut a level-``level`` node window over leaves ``[lo, hi)`` into chunks.
+
+    Yields ``(c_lo, c_hi, (seeds, ts))`` for each aligned chunk of
+    ``2**log_span`` leaves that meets ``[lo, hi)``, in order: the
+    chunk's leaves and the views of ``nodes`` whose subtrees hold them.
+    """
+    seeds, ts = nodes
+    shift = depth - level
+    base = lo >> shift
+    for chunk in range(lo >> log_span, ((hi - 1) >> log_span) + 1):
+        c_lo, c_hi = _chunk_window(chunk, log_span, lo, hi)
+        part = slice((c_lo >> shift) - base, ((c_hi - 1) >> shift) + 1 - base)
+        yield c_lo, c_hi, (seeds[:, part], ts[:, part])
 
 
 def _window_blocks(depth: int, lo: int, hi: int) -> int:
@@ -228,13 +299,15 @@ def _bfs_peak_bytes(
 def _level_corrections(kb: KeyArena) -> tuple[np.ndarray, np.ndarray]:
     """Every level's corrections, in the shapes the level step reads.
 
-    ``(B, n, 2)`` uint64 seed-correction words and ``(B, n, 2)`` uint8
-    control-bit corrections, left child then right child.
+    ``(B, n, 2)`` uint64 seed-correction words and ``(B, n, 1)`` uint16
+    control-bit correction pairs, the left child's bit in the first
+    byte and the right child's in the second; a level's are the
+    ``[:, level]`` rows.
     """
     cw_ts = np.empty((kb.batch, kb.depth, 2), dtype=np.uint8)
     cw_ts[..., 0] = kb.cw_t_left
     cw_ts[..., 1] = kb.cw_t_right
-    return np.ascontiguousarray(kb.cw_seeds).view(np.uint64), cw_ts
+    return np.ascontiguousarray(kb.cw_seeds).view(np.uint64), cw_ts.view(np.uint16)
 
 
 def _expand_level(
@@ -242,29 +315,42 @@ def _expand_level(
     flat: np.ndarray,  # (B * W, 16) contiguous parent seeds
     ts: np.ndarray,  # (B, W) parent control bits
     cw_words: np.ndarray,  # (B, 2) this level's seed correction
-    cw_ts: np.ndarray,  # (B, 2) this level's control-bit corrections
-    corr: np.ndarray,  # (B, W, 2) uint64 scratch
-    children: np.ndarray,  # (B, W, 2, 2) uint64: the next frontier's seeds
-    child_ts: np.ndarray,  # (B, W, 2) uint8: the next frontier's control bits
+    cw_pairs: np.ndarray,  # (B, 1) uint16: this level's control-bit corrections
+    scratch: np.ndarray,  # flat uint64, at least 2 * B * W words
+    children: np.ndarray,  # flat uint8, 32 * B * W bytes: the next frontier's seeds
+    child_ts: np.ndarray,  # (B, 2W) uint8: the next frontier's control bits
 ) -> None:
     """The batched :func:`repro.dpf.ggm.expand_level`, in one fused pass.
 
-    One cipher call, then six ufunc calls that write the corrected,
-    interleaved children straight into the next frontier (node ``j``'s
-    children are nodes ``2j`` and ``2j + 1``): no temporary but the
-    cipher's output, and nothing copied twice.
+    One cipher call, then five ufunc calls that write the corrected
+    children, interleaved (node ``j``'s children are nodes ``2j`` and
+    ``2j + 1``), and their control bits straight into the next
+    frontier.  Every operand is a plane over the ``B * W`` nodes — a
+    word of one side of the children, a byte of the child-bit pairs —
+    so each ufunc's innermost loop runs along the nodes, never along a
+    two-element word or side axis.
     """
     b, w = ts.shape
     blocks = prf.expand_pair_stacked(flat)  # left blocks, then right blocks
-    kids = blocks.view(np.uint64).reshape(2, b, w, 2)
-    np.multiply(cw_words[:, np.newaxis], ts[:, :, np.newaxis], corr)
-    np.bitwise_xor(kids[0], corr, children[:, :, 0])
-    np.bitwise_xor(kids[1], corr, children[:, :, 1])
+    # The correction ``t * CW`` as (word, key, node) planes, then XORed
+    # into both sides at once: (word, side, node) views of the cipher's
+    # output and of the interleaved children.
+    corr = scratch[: 2 * b * w]
+    np.multiply(cw_words.T[:, :, np.newaxis], ts, corr.reshape(2, b, w))
+    np.bitwise_xor(
+        blocks.view(np.uint64).T.reshape(2, 2, b * w),
+        corr.reshape(2, 1, b * w),
+        children.view(np.uint64).reshape(b * w, 2, 2).T,
+    )
     # A child's control bit is the low bit of its *uncorrected* block,
-    # flipped where the parent's bit selects the level's correction.
-    np.bitwise_and(ts[:, :, np.newaxis], cw_ts[:, np.newaxis], child_ts)
-    np.bitwise_xor(child_ts, blocks[:, 0].reshape(2, b, w).transpose(1, 2, 0), child_ts)
-    np.bitwise_and(child_ts, 1, child_ts)
+    # flipped where the parent's bit selects the level's correction:
+    # the correction pair onto each (left, right) byte pair as one
+    # uint16, the low bytes one side plane at a time, then the low bits.
+    pairs = child_ts.view(np.uint16)
+    np.multiply(ts, cw_pairs, pairs)
+    sides = child_ts.reshape(b * w, 2).T
+    np.bitwise_xor(sides, blocks[:, 0].reshape(2, b * w), sides)
+    np.bitwise_and(pairs, 0x0101, pairs)
 
 
 def _leaf_shares_batch(
@@ -272,18 +358,26 @@ def _leaf_shares_batch(
     ts: np.ndarray,  # (B, W)
     kb: KeyArena,
     out: np.ndarray,  # (B, W, 2) uint64
+    scratch: np.ndarray,  # flat uint64, at least B * W words
 ) -> np.ndarray:
     """Batched :func:`repro.dpf.ggm.leaf_values` (bit-identical math).
 
     Computes the leaves' ``(B, W, 2)`` uint64 words in place in ``out``
-    (any window of a share matrix) from a zero-copy view of the seeds.
+    (any window of a share matrix) from a zero-copy view of the seeds,
+    one ``(B, W)`` word plane at a time: ``t * CW_out`` into ``scratch``,
+    plus the seed's word into ``out``; then the whole window times ``1``
+    or ``-1`` (``2**64 - 1``) for the key's party.
     """
-    values = np.multiply(
-        ts[:, :, np.newaxis], kb.output_cws[:, np.newaxis, :], out=out
-    )
-    values += ggm.convert_to_u64(seeds)
-    np.negative(values, out=values, where=kb.negate[:, np.newaxis, np.newaxis])
-    return values
+    b, w = ts.shape
+    words = ggm.convert_to_u64(seeds)
+    product = scratch[: b * w].reshape(b, w)
+    for word in range(ggm.LEAF_WORDS):
+        np.multiply(ts, kb.output_cws[:, word : word + 1], product)
+        np.add(product, words[:, :, word], out[:, :, word])
+    sign = np.negative(kb.negate, dtype=np.uint64)  # 0 or 2**64 - 1
+    np.bitwise_or(sign, 1, sign)
+    np.multiply(out, sign[:, np.newaxis, np.newaxis], out)
+    return out
 
 
 def _expand_window(
@@ -291,12 +385,12 @@ def _expand_window(
     corrections: tuple[np.ndarray, np.ndarray],
     prf: Prf,
     meter: MemoryMeter,
+    workspace: ExpansionWorkspace,
     source: tuple[np.ndarray, np.ndarray],
     start: int,
     stop: int,
     lo: int,
     hi: int,
-    workspace: ExpansionWorkspace,
     slot: str,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Breadth-first from level ``start`` to ``stop`` inside a window.
@@ -310,61 +404,71 @@ def _expand_window(
     pruning done once for the whole ``(B, W, 16)`` frontier; for
     ``(lo, hi) = (0, 2**depth)`` the clip is a no-op and the walk is the
     textbook expansion.  ``corrections`` is :func:`_level_corrections`
-    of ``kb``.
+    of ``kb``.  With ``start == stop`` there is nothing to expand and
+    ``source`` itself is the result.
 
-    The frontier ping-pongs between the workspace's two flat buffer
-    pairs (slot ``slot``): a level reads one and writes its children
-    into the leading nodes of the other, an exact-shape contiguous view
+    The frontier ping-pongs between the two flat buffer pairs of the
+    workspace's slot ``slot``, each sized for the widest level it
+    takes: a level reads one and writes its children into the leading
+    nodes of the other, an exact-shape contiguous view
     (:func:`_expand_level`).  An unclipped frontier is therefore the
     cipher's input as it stands; only a window that lost a node off an
     end, with ``batch > 1``, is strided, and that level stages one
     contiguous copy of it in the workspace's staging buffer.  The meter
-    records the *live frontier* — the copied-in source, then parents
-    plus all freshly written children at each level, the clipped
-    children released right after — which is what :meth:`Strategy.cost`
-    counts.
+    records the *live frontier* — the source, then parents plus all
+    freshly written children at each level, the clipped children
+    released right after — which is what :meth:`Strategy.cost` counts.
     """
     b = kb.batch
-    cw_words, cw_ts = corrections
-    windows = _level_windows(kb.depth, start, stop, lo, hi)
-    node_lo, node_hi = windows[0]
-    width = node_hi - node_lo
-    # Every level writes both children of each parent before the clip.
-    cap = max([width] + [2 * (z - a) for a, z in windows[:-1]])
-    seeds_0, seeds_1, ts_0, ts_1, corr = workspace.frontier(slot, b * cap)
+    depth = kb.depth
+    shift = depth - start
+    node_lo = lo >> shift
+    width = ((hi - 1) >> shift) + 1 - node_lo
+    meter.alloc(NODE_BYTES * b * width)
+    if start == stop:
+        return source
+    cw_words, cw_pairs = corrections
+    # Buffer 0 takes the source, then buffers alternate level by level;
+    # children widen with depth, so each buffer's widest level is its last.
+    last = 2 * _window_width(depth, stop - 1, lo, hi)
+    other = 2 * _window_width(depth, stop - 2, lo, hi) if stop - start > 1 else width
+    sizes = (last, other) if (stop - start) % 2 == 0 else (other, last)
+    seeds_0, seeds_1, ts_0, ts_1 = workspace.frontier(slot, b * sizes[0], b * sizes[1])
+    scratch = workspace.scratch(b * last)  # two words per widest-level parent
     back_seeds, back_ts = (seeds_0, seeds_1), (ts_0, ts_1)
     seeds = seeds_0[: 16 * b * width].reshape(b, width, 16)
     ts = ts_0[: b * width].reshape(b, width)
     seeds[...] = source[0]
     ts[...] = source[1]
-    meter.alloc(NODE_BYTES * b * width)
-    for level, (keep_lo, keep_hi) in zip(range(start, stop), windows[1:]):
+    for level in range(start, stop):
+        shift -= 1
+        keep_lo = lo >> shift
+        kept = ((hi - 1) >> shift) + 1 - keep_lo
         side = (level - start + 1) % 2
         if seeds.flags.c_contiguous:
             flat = seeds.reshape(b * width, 16)
         else:
-            flat = workspace.stage(slot, b * width)
+            flat = workspace.stage(b * width)
             flat.reshape(b, width, 16)[...] = seeds
         children = back_seeds[side][: 32 * b * width]
-        child_ts = back_ts[side][: 2 * b * width].reshape(b, width, 2)
+        child_ts = back_ts[side][: 2 * b * width].reshape(b, 2 * width)
         _expand_level(
             prf,
             flat,
             ts,
             cw_words[:, level],
-            cw_ts[:, level],
-            corr[: 2 * b * width].reshape(b, width, 2),
-            children.view(np.uint64).reshape(b, width, 2, 2),
+            cw_pairs[:, level],
+            scratch,
+            children,
             child_ts,
         )
-        kept = keep_hi - keep_lo
         meter.alloc(NODE_BYTES * b * 2 * width)
         # The parents, and the children the clip drops.
-        meter.free(NODE_BYTES * b * (width + 2 * width - kept))
+        meter.free(NODE_BYTES * b * (3 * width - kept))
         # The children are nodes [2 * node_lo, 2 * node_lo + 2 * width).
         first = keep_lo - 2 * node_lo
         seeds = children.reshape(b, 2 * width, 16)[:, first : first + kept]
-        ts = child_ts.reshape(b, 2 * width)[:, first : first + kept]
+        ts = child_ts[:, first : first + kept]
         node_lo, width = keep_lo, kept
     return seeds, ts
 
@@ -376,26 +480,30 @@ def _walk_cost(
     domain_size: int,
     eval_range: tuple[int, int] | None,
     log_tile: int,
+    group_depth: int,
 ) -> StrategyCost:
     """:meth:`Strategy.cost`, computed (its cache key is the arguments)."""
     if domain_size <= 0:
         raise ValueError(f"domain_size must be positive, got {domain_size}")
     n = ggm.tree_depth(domain_size)
     lo, hi = ggm.leaf_window(*resolve_range(domain_size, eval_range))
-    t = min(log_tile, n)
+    t, a, g = _walk_shape(n, log_tile, group_depth)
     m = n - t
-    first_tile, end_tile = ggm.level_window(n, m, lo, hi)
-    tiles = end_tile - first_tile
-    # Only the two edge tiles can be clipped; every tile between them is
-    # whole, so three candidates bound the tile peak.
-    tile_peak = max(
-        _bfs_peak_bytes(batch_size, n, m, n, *_tile_window(tile, t, lo, hi))
-        for tile in {first_tile, min(first_tile + 1, end_tile - 1), end_tile - 1}
+    node = NODE_BYTES * batch_size
+    # A group holds its sub-roots while each of its tiles walks.
+    group_peak = max(
+        max(
+            _bfs_peak_bytes(batch_size, n, m, m + a, group_lo, group_hi),
+            node * _window_width(n, m + a, group_lo, group_hi)
+            + max(
+                _bfs_peak_bytes(batch_size, n, m + a, n, *tile)
+                for tile in _edge_chunks(group_lo, group_hi, t)
+            ),
+        )
+        for group_lo, group_hi in _edge_chunks(lo, hi, t + g)
     )
-    peak = max(
-        _bfs_peak_bytes(batch_size, n, 0, m, lo, hi),
-        NODE_BYTES * batch_size * tiles + tile_peak,
-    )
+    tiles = _window_width(n, m, lo, hi)
+    peak = max(_bfs_peak_bytes(batch_size, n, 0, m, lo, hi), node * tiles + group_peak)
     return StrategyCost(
         strategy=name,
         batch_size=batch_size,
@@ -437,13 +545,20 @@ class Strategy(abc.ABC):
         keeps the ping-pong frontier buffers alive across calls; the
         returned share matrix is never workspace-backed.
 
-        The walk is the same for every design.  The top of the tree is
-        expanded breadth-first (workspace slot ``"frontier"``) down to
-        the roots of tiles of ``T = 2**t`` leaves, ``t`` the smaller of
-        :data:`_LOG_TILE` and the tree's depth; then each tile is
-        expanded breadth-first in slot ``"tile"``, its leaves converted
-        in place into the tile's window and, with a reducer, reduced
-        before the next tile starts.
+        The walk is the same for every design, in three stages, each
+        breadth-first in its own workspace slot.  The top of the tree
+        is expanded (slot ``"frontier"``) down to the roots of tiles of
+        ``T = 2**t`` leaves, ``t`` the smaller of :data:`_LOG_TILE` and
+        the tree's depth.  Then groups of ``2**(t - 1 - a)`` consecutive
+        tiles expand their first ``a`` levels together (slot
+        ``"group"``, ``a`` = :data:`_GROUP_DEPTH` clamped to ``t - 1``),
+        down to ``T / 2`` nodes a key.  Last, each tile of the group
+        goes on alone from its ``2**a`` of those nodes (slot ``"tile"``);
+        its leaves are converted in place into the tile's window and,
+        with a reducer, reduced before the next tile starts.  Grouping
+        changes only how the cipher calls are cut, not the blocks: with
+        the default constants no unclipped call below the tile roots
+        carries fewer than ``2**a = 16`` nodes a key.
 
         ``eval_range=(lo, hi)`` returns the shares of table rows
         ``[lo, hi)`` only, bit-identical to columns ``lo:hi`` of the
@@ -485,52 +600,34 @@ class Strategy(abc.ABC):
             sink = _ShareMatrix(arena.batch, leaf_lo, leaf_hi)
         else:
             sink = _Reduction(reduce, arena.batch, lo, hi, workspace)
-        # Levels 0..m are above the tiles; a tile is t levels deep.
+        # Levels 0..m are above the tiles; a group of 2**g tiles expands
+        # levels m..m+a together, and each of its tiles the rest.
         n = arena.depth
-        t = min(_LOG_TILE, n)
+        t, a, g = _walk_shape(n, _LOG_TILE, _GROUP_DEPTH)
         m = n - t
         live = meter.current
         corrections = _level_corrections(arena)
+        expand = functools.partial(
+            _expand_window, arena, corrections, prf, meter, workspace
+        )
         try:
             roots = (arena.roots[:, np.newaxis, :], arena.root_ts[:, np.newaxis])
-            tops, top_ts = _expand_window(
-                arena,
-                corrections,
-                prf,
-                meter,
-                roots,
-                0,
-                m,
-                leaf_lo,
-                leaf_hi,
-                workspace,
-                "frontier",
-            )
-            first_tile, end_tile = ggm.level_window(n, m, leaf_lo, leaf_hi)
-            # The "tile" slot is reused for every tile and every level
-            # within a tile; it is distinct from the "frontier" slot
-            # because the tile roots stay live across the whole loop.
-            for index, tile in enumerate(range(first_tile, end_tile)):
-                tile_lo, tile_hi = _tile_window(tile, t, leaf_lo, leaf_hi)
-                seeds, ts = _expand_window(
-                    arena,
-                    corrections,
-                    prf,
-                    meter,
-                    (tops[:, index : index + 1], top_ts[:, index : index + 1]),
-                    m,
-                    n,
-                    tile_lo,
-                    tile_hi,
-                    workspace,
-                    "tile",
-                )
-                words = sink.window(tile_lo, tile_hi)
-                _leaf_shares_batch(seeds, ts, arena, out=words)
-                meter.free_arrays(seeds, ts)
-                if reduce is not None:
+            tops = expand(roots, 0, m, leaf_lo, leaf_hi, "frontier")
+            # Each stage has its own slot: its nodes stay live while the
+            # next stage walks under them.
+            groups = _split(tops, n, m, leaf_lo, leaf_hi, t + g)
+            for group_lo, group_hi, group in groups:
+                mids = expand(group, m, m + a, group_lo, group_hi, "group")
+                tiles = _split(mids, n, m + a, group_lo, group_hi, t)
+                for tile_lo, tile_hi, tile in tiles:
+                    seeds, ts = expand(tile, m + a, n, tile_lo, tile_hi, "tile")
+                    words = sink.window(tile_lo, tile_hi)
+                    scratch = workspace.scratch(ts.size)
+                    _leaf_shares_batch(seeds, ts, arena, words, scratch)
                     sink.commit(words, tile_lo, tile_hi)
-            meter.free_arrays(tops, top_ts)
+                    meter.free(NODE_BYTES * ts.size)
+                meter.free(NODE_BYTES * mids[1].size)
+            meter.free(NODE_BYTES * tops[1].size)
         except BaseException:
             # Whatever the walk still held when the PRF or the reducer
             # raised.  Not ``finally``: a walk that returns must have
@@ -560,11 +657,14 @@ class Strategy(abc.ABC):
         design would cost on a device is :meth:`plan`'s
         ``total_prf_blocks`` and ``peak_mem_bytes``.
 
-        Memoised on its integer arguments (and the walk's tile): every
-        dispatch prices its shape, and serving repeats a few shapes.
+        Memoised on its integer arguments (and the walk's tile and group
+        depth): every dispatch prices its shape, and serving repeats a
+        few shapes.
         """
         rows = None if eval_range is None else (int(eval_range[0]), int(eval_range[1]))
-        return _walk_cost(self.name, int(batch_size), int(domain_size), rows, _LOG_TILE)
+        return _walk_cost(
+            self.name, int(batch_size), int(domain_size), rows, _LOG_TILE, _GROUP_DEPTH
+        )
 
     @abc.abstractmethod
     def plan(

@@ -1,14 +1,23 @@
-"""The walk's fused level step against the reference ``ggm.expand_level``.
+"""The walk's planar level step and leaf conversion against the references.
 
 :func:`repro.gpu.strategies._expand_level` expands a whole ``(B, W)``
 frontier in one cipher pass and writes the corrected children, already
-interleaved, straight into the next frontier's buffers;
-:func:`repro.dpf.ggm.expand_level` is the one-key oracle it must equal,
-seeds and control bits, in natural order.  Three claims, for every
-registered PRF:
+interleaved, straight into the next frontier's buffers, computing on
+``(..., B * W)`` planes; :func:`repro.dpf.ggm.expand_level` is the
+one-key oracle it must equal, seeds and control bits, in natural order.
+:func:`repro.gpu.strategies._leaf_shares_batch` converts a leaf
+frontier one word plane at a time; :func:`repro.dpf.ggm.leaf_values` is
+its one-key oracle.  Four claims, for every registered PRF:
 
-* one step equals ``expand_level`` key by key, with a contiguous or a
-  strided (range-clipped) parent frontier;
+* one step equals ``expand_level`` key by key, with the correction rows
+  exactly as :func:`_level_corrections` yields them (``[:, level]``
+  slices of ``(B, n, ...)`` arrays) and a contiguous or a strided
+  (range-clipped) parent frontier, at ``B`` in {1, 3, 64} and ``W`` up
+  to 256;
+* the leaf conversion equals ``leaf_values`` key by key with both
+  parties' keys in one arena, into a strided window of a share matrix
+  (leaving the rest of the matrix alone) and into the reducer's
+  workspace window;
 * every level of a windowed walk (:func:`_expand_window`) equals the
   per-key reference walk clipped to the same node windows — unclipped,
   and clipped to windows with odd ends, where a parent frontier is
@@ -31,10 +40,13 @@ from repro.gpu.strategies import (
     NODE_BYTES,
     _expand_level,
     _expand_window,
+    _leaf_shares_batch,
     _level_corrections,
+    _ShareMatrix,
 )
 
 BATCHES = [1, 3, 64]
+WIDTHS = [1, 7, 256]
 ROWS = 64  # a depth-5 tree of 32 leaves
 DEPTH = ggm.tree_depth(ROWS)
 WINDOWS = [(0, 1 << DEPTH), (3, 29), (1, (1 << DEPTH) - 1), (5, 6)]
@@ -50,43 +62,85 @@ def _reference_step(prf, seeds, ts, cw_seed, cw_t):
     return np.stack([s for s, _ in steps]), np.stack([t for _, t in steps])
 
 
+def _arena(prf, batch, seed):
+    """``batch`` keys of both parties: root bits and signs take both values."""
+    rng = np.random.default_rng(seed)
+    alphas = rng.integers(0, ROWS, size=batch)
+    arenas = KeyArena.generate(alphas, ROWS, prf, rng)
+    return KeyArena.concat(arenas)[batch // 2 : batch // 2 + batch]
+
+
 @pytest.mark.parametrize("strided", [False, True])
+@pytest.mark.parametrize("width", WIDTHS)
 @pytest.mark.parametrize("batch", BATCHES)
 @pytest.mark.parametrize("prf_name", available_prfs())
-def test_one_step_equals_expand_level(prf_name, batch, strided):
+def test_one_step_equals_expand_level(prf_name, batch, width, strided):
     prf = get_prf(prf_name)
-    rng = np.random.default_rng([batch, int(strided)])
-    width = 5
+    rng = np.random.default_rng([batch, width, int(strided)])
+    arena = _arena(prf, batch, seed=width)
+    level = 2  # an inner row: a strided slice of every correction array
+    cw_words, cw_pairs = _level_corrections(arena)
     seeds = rng.integers(0, 256, size=(batch, width, 16), dtype=np.uint8)
     # A strided frontier: the middle of a wider one, as a clip leaves it.
     wide_ts = rng.integers(0, 2, size=(batch, width + 2), dtype=np.uint8)
     ts = wide_ts[:, 1:-1] if strided else np.ascontiguousarray(wide_ts[:, 1:-1])
-    cw_seed = rng.integers(0, 256, size=(batch, 16), dtype=np.uint8)
-    cw_t = rng.integers(0, 2, size=(batch, 2), dtype=np.uint8)
-    children = np.empty((batch, width, 2, 2), dtype=np.uint64)
-    child_ts = np.empty((batch, width, 2), dtype=np.uint8)
+    children = np.empty(32 * batch * width, dtype=np.uint8)
+    child_ts = np.empty((batch, 2 * width), dtype=np.uint8)
 
     _expand_level(
         prf,
         seeds.reshape(-1, 16),
         ts,
-        cw_seed.view(np.uint64),
-        cw_t,
-        np.empty((batch, width, 2), dtype=np.uint64),
+        cw_words[:, level],
+        cw_pairs[:, level],
+        np.empty(2 * batch * width, dtype=np.uint64),
         children,
         child_ts,
     )
-    want_seeds, want_ts = _reference_step(prf, seeds, ts, cw_seed, cw_t)
-    assert np.array_equal(children.view(np.uint8).reshape(batch, 2 * width, 16), want_seeds)
-    assert np.array_equal(child_ts.reshape(batch, 2 * width), want_ts)
+    cw_t = np.stack([arena.cw_t_left[:, level], arena.cw_t_right[:, level]], axis=1)
+    want_seeds, want_ts = _reference_step(prf, seeds, ts, arena.cw_seeds[:, level], cw_t)
+    assert np.array_equal(children.reshape(batch, 2 * width, 16), want_seeds)
+    assert np.array_equal(child_ts, want_ts)
 
 
-def _arena(prf, batch, seed):
-    rng = np.random.default_rng(seed)
-    alphas = rng.integers(0, ROWS, size=batch)
-    arenas = KeyArena.generate(alphas, ROWS, prf, rng)
-    # Both parties' keys: root control bits 0 and 1 take both branches.
-    return KeyArena.concat(arenas)[batch // 2 : batch // 2 + batch]
+def _reference_leaves(arena, seeds, ts):
+    """``ggm.leaf_values`` key by key: ``(B, W, 2)``."""
+    return np.stack(
+        [
+            ggm.leaf_values(
+                seeds[i], ts[i], tuple(arena.output_cws[i].tolist()), int(arena.negate[i])
+            )
+            for i in range(arena.batch)
+        ]
+    )
+
+
+@pytest.mark.parametrize("width", WIDTHS)
+@pytest.mark.parametrize("batch", BATCHES)
+def test_leaf_conversion_equals_leaf_values(batch, width):
+    arena = _arena(get_prf("siphash"), batch, seed=batch)
+    if batch > 1:
+        assert arena.negate.any() and not arena.negate.all()
+    rng = np.random.default_rng([batch, width])
+    # A clipped leaf window: a strided slice of a wider frontier.
+    seeds = rng.integers(0, 256, size=(batch, width + 3, 16), dtype=np.uint8)[:, 1:-2]
+    ts = rng.integers(0, 2, size=(batch, width + 3), dtype=np.uint8)[:, 1:-2]
+    want = _reference_leaves(arena, seeds, ts)
+    workspace = ExpansionWorkspace()
+
+    # Into a strided window of a share matrix: the rest stays untouched.
+    matrix = _ShareMatrix(batch, 10, 10 + 2 * width + 5)
+    matrix.words[...] = 7
+    window = matrix.window(13, 13 + width)
+    _leaf_shares_batch(seeds, ts, arena, window, workspace.scratch(ts.size))
+    assert np.array_equal(window, want)
+    assert (matrix.words[:, :3] == 7).all() and (matrix.words[:, 3 + width :] == 7).all()
+
+    # Into the reducer's window, through a scratch another step dirtied.
+    workspace.scratch(ts.size)[:] = 0xDEADBEEF
+    reduced = workspace.window(batch, width)
+    _leaf_shares_batch(seeds, ts, arena, reduced, workspace.scratch(ts.size))
+    assert np.array_equal(reduced, want)
 
 
 def _reference_levels(prf, arena, lo, hi):
@@ -121,7 +175,7 @@ def test_every_level_of_a_window_equals_the_reference(prf_name, batch, window):
         for workspace in (ExpansionWorkspace(), reused):
             meter = MemoryMeter()
             seeds, ts = _expand_window(
-                arena, corrections, prf, meter, roots, 0, stop, *window, workspace, "frontier"
+                arena, corrections, prf, meter, workspace, roots, 0, stop, *window, "frontier"
             )
             assert np.array_equal(seeds, want_seeds), stop
             assert np.array_equal(ts, want_ts), stop
