@@ -12,12 +12,12 @@ and SLO hints) and hands it to any :class:`ExecutionBackend`:
 * :meth:`ExecutionBackend.run` — the functional ``(B, L)`` share
   matrix plus the plan and merged cost, as an :class:`EvalResult`.
 
-The four adapters (:class:`SingleGpuBackend`, :class:`MultiGpuBackend`,
-:class:`SimulatedBackend`, :class:`MultiProcessBackend`) produce
-bit-identical answers; the PIR pipeline in :mod:`repro.pir` serves
-through whichever one it is handed.  :class:`PlanCache` adds the
-zero-dispatch steady-state path on top: memoized plans plus pinned
-workspaces per workload shape, with pow2 batch bucketing.
+The three adapters (:class:`SingleGpuBackend`, :class:`MultiGpuBackend`,
+:class:`SimulatedBackend`) produce bit-identical answers; the PIR
+pipeline in :mod:`repro.pir` serves through whichever one it is handed.
+:class:`PlanCache` adds the zero-dispatch steady-state path on top:
+memoized plans plus pinned workspaces per workload shape, with pow2
+batch bucketing.
 
 :mod:`repro.exec.select` is the hybrid-execution decision layer:
 :func:`select_backend` prices a request on every candidate and picks
@@ -35,7 +35,6 @@ from repro.exec.backend import (
     merged_cost,
 )
 from repro.exec.plan_cache import PlanCache, PlanCacheStats, batch_bucket
-from repro.exec.procpool import MultiProcessBackend, WorkerFailure
 from repro.exec.request import EvalRequest, EvalResult, ExecutionPlan
 from repro.exec.select import BackendChoice, HybridBackend, select_backend
 
@@ -46,13 +45,11 @@ __all__ = [
     "ExecutionBackend",
     "SingleGpuBackend",
     "MultiGpuBackend",
-    "MultiProcessBackend",
     "SimulatedBackend",
     "HybridBackend",
     "BackendChoice",
     "PlanCache",
     "PlanCacheStats",
-    "WorkerFailure",
     "batch_bucket",
     "select_backend",
     "merged_cost",

@@ -95,6 +95,17 @@ def merged_cost(
     )
 
 
+def backend_label(backend: ExecutionBackend, index: int) -> str:
+    """``index:`` and the backend's device name(s), else its ``name``."""
+    device = getattr(backend, "device", None)
+    if device is not None:
+        return f"{index}:{device.name}"
+    devices = getattr(backend, "devices", None)
+    if devices:
+        return f"{index}:" + "+".join(d.name for d in devices)
+    return f"{index}:{backend.name}"
+
+
 class ExecutionBackend(abc.ABC):
     """The request-oriented execution protocol.
 

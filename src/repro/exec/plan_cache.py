@@ -36,8 +36,7 @@ cache never exchange plans.  Eviction is LRU with a bounded entry
 count; each eviction also drops the pinned workspace.
 
 Not thread-safe: like the workspace it pins, use one cache per serving
-thread (or per worker process, as
-:class:`~repro.exec.procpool.MultiProcessBackend` does).
+thread.
 """
 
 from __future__ import annotations

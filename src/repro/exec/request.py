@@ -133,8 +133,7 @@ class EvalRequest:
 
         For the backends that materialise the whole ``(B, hi - lo)``
         matrix of :meth:`resolved_range` whatever the request says (the
-        reference walks, the worker pool): the reducer sees it as one
-        window.
+        reference walks): the reducer sees it as one window.
         """
         if self.reduce is None:
             return shares

@@ -35,24 +35,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.exec.backend import ExecutionBackend
+from repro.exec.backend import ExecutionBackend, backend_label
 from repro.exec.plan_cache import batch_bucket
 from repro.exec.request import EvalRequest, EvalResult, ExecutionPlan
 from repro.gpu.arena import ExpansionWorkspace
 
 CPU_CLASS = "cpu"
 GPU_CLASS = "gpu"
-
-
-def _label(backend: ExecutionBackend, index: int) -> str:
-    """Stable display name (mirrors the fleet router's labeling)."""
-    device = getattr(backend, "device", None)
-    if device is not None:
-        return f"{index}:{device.name}"
-    devices = getattr(backend, "devices", None)
-    if devices:
-        return f"{index}:" + "+".join(d.name for d in devices)
-    return f"{index}:{backend.name}"
 
 
 def _price(
@@ -127,7 +116,7 @@ def select_backend(
     arena = request.arena()
     priced = tuple(
         (
-            _label(backend, i),
+            backend_label(backend, i),
             _price(
                 backend,
                 arena.batch,
@@ -195,7 +184,7 @@ class HybridBackend(ExecutionBackend):
             )
         self.candidates = candidates
         self.max_crossover_bucket = max_crossover_bucket
-        self.labels = [_label(b, i) for i, b in enumerate(candidates)]
+        self.labels = [backend_label(b, i) for i, b in enumerate(candidates)]
         self.classes = [
             getattr(b, "device_class", GPU_CLASS) for b in candidates
         ]

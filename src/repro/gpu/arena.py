@@ -403,9 +403,9 @@ class KeyArena:
         The exact inverse of :meth:`from_wire` (and byte-identical to
         ``pack_keys(arena.to_keys())``), built as one ``(B, record)``
         uint8 matrix with column assignments — no per-key Python
-        objects.  This is how a multi-process backend ships a batch to
-        worker processes: wire bytes cross the pipe, not pickled arrays,
-        and the worker re-parses with the vectorized ``from_wire``.
+        objects.  This is how the PIR client frames a generated batch
+        for the wire; a server re-parses it with the vectorized
+        ``from_wire``.
         """
         b, depth = self.batch, self.depth
         seeds_end = _ROOT.stop + SEED_BYTES * depth

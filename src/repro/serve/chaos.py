@@ -189,7 +189,7 @@ class FlakyBackend(ExecutionBackend):
             entry_bytes=entry_bytes,
         )
 
-    def _dispatch(self) -> None:
+    def run(self, request: EvalRequest) -> EvalResult:
         """Count one dispatch; raise if the plan says this one dies."""
         self.runs += 1
         if self.fault_plan.should_fail(self.runs, self._rng):
@@ -197,36 +197,7 @@ class FlakyBackend(ExecutionBackend):
             raise BackendFault(
                 f"injected fault on {self.inner.name} run #{self.runs}"
             )
-
-    def run(self, request: EvalRequest) -> EvalResult:
-        self._dispatch()
         return self.inner.run(request)
-
-    def __getattr__(self, name: str):
-        """Mirror the inner backend's worker-pool seams.
-
-        ``__getattr__`` only fires when normal lookup misses, so
-        ``hasattr(flaky, "run_combined")`` is true exactly when the
-        *inner* backend supports it — a wrapper around a plain backend
-        never falsely advertises the combined fast path.  Table
-        installs delegate untouched (the control plane is not flaky);
-        ``run_combined`` is a dispatch like ``run``, so it shares the
-        same run counter and fault plan — a killed replica is killed on
-        whichever path the replica set routes through.
-        """
-        if name == "run_combined":
-            inner_combined = getattr(self.inner, "run_combined")
-
-            def run_combined(request: EvalRequest, epoch: int):
-                self._dispatch()
-                return inner_combined(request, epoch)
-
-            return run_combined
-        if name in ("install_table", "drop_table"):
-            return getattr(self.inner, name)
-        raise AttributeError(
-            f"{type(self).__name__!r} object has no attribute {name!r}"
-        )
 
 
 def flaky_fleet(

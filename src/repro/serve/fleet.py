@@ -25,19 +25,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from repro.exec.backend import ExecutionBackend
+from repro.exec.backend import ExecutionBackend, backend_label
 from repro.exec.request import EvalRequest, EvalResult, ExecutionPlan
-
-
-def _backend_label(backend: ExecutionBackend, index: int) -> str:
-    """A stable human-readable name: device name(s) when available."""
-    device = getattr(backend, "device", None)
-    if device is not None:
-        return f"{index}:{device.name}"
-    devices = getattr(backend, "devices", None)
-    if devices:
-        return f"{index}:" + "+".join(d.name for d in devices)
-    return f"{index}:{backend.name}"
 
 
 @dataclass(frozen=True)
@@ -80,7 +69,7 @@ class FleetScheduler:
             raise ValueError("need at least one backend")
         self.backends = list(backends)
         self.labels = [
-            _backend_label(backend, i) for i, backend in enumerate(self.backends)
+            backend_label(backend, i) for i, backend in enumerate(self.backends)
         ]
         self.route_counts = [0] * len(self.backends)
         self._busy_s = [0.0] * len(self.backends)

@@ -468,7 +468,7 @@ class AsyncPirServer:
         self.retry = retry if retry is not None else RetryPolicy()
         self.overlap = overlap
         self._executor: ThreadPoolExecutor | None = None
-        cache = getattr(server, "plan_cache", None)
+        cache = server.plan_cache
         self.stats = ServingStats(
             plan_cache_stats=cache.stats if cache is not None else None
         )
@@ -503,14 +503,14 @@ class AsyncPirServer:
     def _register_views(self, metrics: MetricsRegistry) -> None:
         """Absorb every reachable ad-hoc counter bundle as a view.
 
-        Duck-typed on purpose: the loop serves plain, sharded, pooled
-        and hybrid servers through one seam, so it discovers what the
+        Duck-typed on purpose: the loop serves plain, sharded and
+        hybrid servers through one seam, so it discovers what the
         wrapped stack can report rather than knowing its type.  Names
         are uniquified so two loops (the protocol's two parties) can
         share one registry.
         """
         metrics.register_view(metrics.unique_name("serving"), self.stats.as_dict)
-        cache = getattr(self.server, "plan_cache", None)
+        cache = self.server.plan_cache
         if cache is not None:
             metrics.register_view(
                 metrics.unique_name("plan_cache"), cache.stats.as_dict

@@ -329,10 +329,7 @@ class ReplicaSet:
         plan_cache: Optional :class:`~repro.exec.PlanCache` shared by
             this set's replicas: dispatches evaluate through it (the
             cache key carries the backend identity, so distinct devices
-            never exchange plans).  Backends that hold their *own*
-            worker-side caches and resident slices (duck-typed
-            ``run_combined`` — :class:`~repro.exec.MultiProcessBackend`)
-            bypass it on the combined fast path.
+            never exchange plans).
     """
 
     def __init__(
@@ -375,29 +372,16 @@ class ReplicaSet:
         return self.hi - self.lo
 
     def install_epoch(self, epoch: int, table_slice: np.ndarray) -> None:
-        """Install one epoch's ``(hi - lo,)`` slice (a zero-copy view).
-
-        Replica backends that expose ``install_table`` (the worker-pool
-        backend) additionally get the slice pushed into their workers,
-        enabling the combined fast path for this epoch.
-        """
+        """Install one epoch's ``(hi - lo,)`` slice (a zero-copy view)."""
         if table_slice.shape != (self.entries,):
             raise ValueError(
                 f"shard {self.shard_index} serves {self.entries} rows but "
                 f"the epoch-{epoch} slice carries {table_slice.shape}"
             )
         self._tables[epoch] = table_slice
-        for replica in self.replicas:
-            install = getattr(replica.backend, "install_table", None)
-            if callable(install):
-                install(epoch, self.lo, table_slice)
 
     def drop_epoch(self, epoch: int) -> None:
         self._tables.pop(epoch, None)
-        for replica in self.replicas:
-            drop = getattr(replica.backend, "drop_table", None)
-            if callable(drop):
-                drop(epoch)
 
     # -- health --------------------------------------------------------
 
@@ -462,19 +446,10 @@ class ReplicaSet:
             request.restrict(self.lo, self.hi),
             reduce=lambda shares, lo, hi: shares @ table[lo - self.lo : hi - self.lo],
         )
-        combined = getattr(replica.backend, "run_combined", None)
         attempts = 0
         while True:
             attempts += 1
             try:
-                if callable(combined):
-                    # Worker-pool fast path: the backend holds this
-                    # shard's resident slice per worker and returns the
-                    # (B,) partial directly — domain-parallel, tiny IPC.
-                    # A reducer cannot cross the pipe, so this probe
-                    # stays until ROADMAP's earn-or-delete item judges
-                    # the pool.
-                    return combined(restricted, epoch)
                 # Through the cache when there is one: memoized plan
                 # and pinned workspace, keyed per backend identity.
                 return (

@@ -17,7 +17,6 @@ from repro.exec import (
     EvalRequest,
     ExecutionBackend,
     MultiGpuBackend,
-    MultiProcessBackend,
     PlanCache,
     SimulatedBackend,
     SingleGpuBackend,
@@ -193,21 +192,6 @@ class TestRestrictedCost:
         for backend in (MultiGpuBackend([V100, V100]), SimulatedBackend()):
             full = backend.run(request).cost.prf_blocks
             assert backend.run(request.restrict(37, 151)).cost.prf_blocks < full
-
-    def test_worker_pool_partials_equal_the_restricted_dot(self, reference):
-        """``run_combined``: each worker re-restricts to its own rows of
-        the installed slice, so the pool's partial is the single-process
-        restricted answers dotted with that slice."""
-        keys, prf, expected = reference
-        table = np.random.default_rng(3).integers(
-            0, 1 << 64, size=DOMAIN, dtype=np.uint64
-        )
-        request = EvalRequest(keys=keys, prf_name=prf.name).restrict(37, 151)
-        with MultiProcessBackend(workers=2) as pool:
-            pool.install_table(0, 37, table[37:151])
-            partial = pool.run_combined(request, 0)
-            assert np.array_equal(pool.run(request).answers, expected[:, 37:151])
-        assert np.array_equal(partial, expected[:, 37:151] @ table[37:151])
 
 
 class TestMergedCost:

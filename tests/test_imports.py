@@ -7,6 +7,9 @@ each package exports must import and resolve.
 """
 
 import importlib
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -50,3 +53,14 @@ def test_every_exported_name_resolves(package):
     assert len(set(module.__all__)) == len(module.__all__)
     for name in module.__all__:
         assert getattr(module, name) is not None
+
+
+def test_the_package_loads_no_process_pool():
+    """Serving is in-process: a fresh interpreter that imports the stack
+    has not loaded ``multiprocessing``."""
+    probe = ("import sys, repro, repro.pir, repro.serve, repro.exec; "
+             "print('multiprocessing' in sys.modules)")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    run = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True)
+    assert (run.returncode, run.stdout.strip()) == (0, "False"), run.stderr
