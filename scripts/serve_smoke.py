@@ -2,16 +2,14 @@
 """CI serve-smoke: a short async serving session, checked bit-exact.
 
 Runs concurrent simulated clients against two SLO-aware aggregation
-loops (`repro.serve.AsyncPirServer`) backed by a mixed V100 + A100
-fleet, and asserts:
+loops (`repro.serve.AsyncPirServer`), each serving from one
+`SingleGpuBackend(V100)`, and asserts:
 
 * every reconstructed answer equals the table row (bit-exact through
-  batch aggregation, fleet routing, and demultiplexing),
-* the loops actually aggregated (fused batches larger than one query),
-* the fleet router used the model (at least one batch on each party's
-  fastest device).
+  batch aggregation and demultiplexing),
+* the loops actually aggregated (fused batches larger than one query).
 
-With ``--chaos`` the session additionally kills one fleet backend on
+With ``--chaos`` the session additionally kills each party's backend on
 its first dispatch (`FlakyBackend` + `FaultPlan.nth(1)` — the
 mid-session backend-kill scenario) and asserts the control plane's
 fault-tolerance claim end to end: the failed fused batch is un-merged
@@ -20,7 +18,7 @@ bit-exact.
 
 With ``--shards N`` the session serves from a sharded, replicated
 front-end (`repro.serve.ShardedPirServer`, N contiguous sub-ranges
-with two replicas each) instead of a fleet, asserting the shard
+with two replicas each) instead, asserting the shard
 partials recombine bit-exact through the aggregation loop.  Combined
 with ``--chaos``, replica 0 of *every* shard is killed permanently on
 its first dispatch mid-session: the replica sets must eject the dead
@@ -42,22 +40,11 @@ plan/workspace pair was reused across flushes) and
 ``overlap_flushes > 0`` (at least one flush hid ingest work) — on top
 of the usual bit-exactness checks.
 
-With ``--hybrid`` the session exercises hybrid CPU/GPU execution end
-to end, in two parts.  First, both parties serve through a
-:class:`repro.exec.HybridBackend` (AES-NI CPU baseline + V100 model)
-across one session fusing batches *below* the shape's modeled
-crossover and one fusing batches *at or above* it, asserting every
-answer is bit-exact and the routing counters are nonzero on **both**
-sides — the cost model demonstrably moved real traffic across the
-crossover.  Second, a mixed CPU+GPU :class:`repro.serve.FleetScheduler`
-session asserts both the GPU member and the CPU member actually served
-fused batches (virtual-clock spillover), still bit-exact.
-
 With ``--trace`` the smoke turns the observability stack on and runs
 two chaos sessions under one live :class:`repro.obs.Tracer` + shared
-:class:`repro.obs.MetricsRegistry`: the mixed-fleet backend-kill
-session (both devices die on their first dispatch, every query must be
-retried to an answer) and the sharded replica-kill session (replica 0
+:class:`repro.obs.MetricsRegistry`: the backend-kill session (each
+party's V100 dies on its first dispatch, every query must be retried
+to an answer) and the sharded replica-kill session (replica 0
 of every shard dies permanently, in-flight batches fail over to the
 surviving siblings).  On top of the usual bit-exactness checks it
 asserts *every* answered query carries a complete, orphan-free span
@@ -75,7 +62,6 @@ step with only numpy installed:
     PYTHONPATH=src python scripts/serve_smoke.py --shards 3
     PYTHONPATH=src python scripts/serve_smoke.py --shards 3 --chaos
     PYTHONPATH=src python scripts/serve_smoke.py --steady
-    PYTHONPATH=src python scripts/serve_smoke.py --hybrid
     PYTHONPATH=src python scripts/serve_smoke.py --trace
 """
 
@@ -90,9 +76,8 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import numpy as np  # noqa: E402
 
-from repro.baselines import CpuBackend  # noqa: E402
 from repro.crypto import get_prf  # noqa: E402
-from repro.exec import HybridBackend, PlanCache, SingleGpuBackend  # noqa: E402
+from repro.exec import PlanCache, SingleGpuBackend  # noqa: E402
 from repro.obs import (  # noqa: E402
     MetricsRegistry,
     Tracer,
@@ -106,11 +91,9 @@ from repro.serve import (  # noqa: E402
     EJECTED,
     FaultPlan,
     FlakyBackend,
-    FleetScheduler,
     RetryPolicy,
     ShardedPirServer,
     SloConfig,
-    flaky_fleet,
     generate_load,
 )
 
@@ -330,127 +313,6 @@ def run_steady() -> int:
     return 0
 
 
-def run_hybrid() -> int:
-    """The hybrid-routing session: real traffic on both crossover sides.
-
-    aes128 at a 1024-entry table puts the modeled CPU/GPU crossover
-    inside serveable batch sizes, so a session fusing small batches
-    must route CPU-side and a burst fusing the full batch must route
-    GPU-side — the counters prove the cost model moved the traffic.
-    """
-    entries = 1 << 10
-    prf = "aes128"
-    rng = np.random.default_rng(2024)
-    table = rng.integers(0, 1 << 64, size=entries, dtype=np.uint64)
-    hybrids = [
-        HybridBackend([CpuBackend(), SingleGpuBackend(V100)]) for _ in range(2)
-    ]
-    crossover = hybrids[0].crossover_bucket(entries, prf)
-    assert crossover is not None and 2 < crossover <= 64, (
-        f"aes128 @ 2^10 crossover bucket {crossover} left the serveable "
-        "range — the calibration moved; pick a shape with both sides"
-    )
-
-    for label, clients, max_batch in (
-        ("below-crossover", 6, 2),
-        ("above-crossover", 64, 64),
-    ):
-        indices = rng.integers(0, entries, size=clients).tolist()
-        client = PirClient(entries, prf, rng=np.random.default_rng(7))
-
-        async def session():
-            loops = [
-                AsyncPirServer(
-                    PirServer(table, backend=hybrid, prf_name=prf),
-                    slo=SloConfig(max_batch=max_batch, max_wait_s=20e-3),
-                    retry=RetryPolicy(max_attempts=3),
-                )
-                for hybrid in hybrids
-            ]
-            async with loops[0], loops[1]:
-                report = await generate_load(client, loops, indices)
-            return report, loops
-
-        report, loops = asyncio.run(session())
-        assert report.shed == 0, f"{label}: shed {report.shed} queries"
-        assert report.answered == clients, (
-            f"{label}: answered {report.answered} of {clients}"
-        )
-        assert np.array_equal(report.answers, table[np.array(report.indices)]), (
-            f"{label}: hybrid answers diverged from the table — routing "
-            "changed the computation, not just its cost"
-        )
-        for party, loop in enumerate(loops):
-            assert loop.stats.failed == 0, (
-                f"{label}: party {party} failed {loop.stats.failed} queries"
-            )
-        print(
-            f"{label}: {report.answered} answers bit-exact "
-            f"(fused up to {max(l.stats.largest_batch for l in loops)}), "
-            f"p99={report.p99_ms:.2f}ms"
-        )
-
-    counts = {
-        side: sum(h.class_counts().get(side, 0) for h in hybrids)
-        for side in ("cpu", "gpu")
-    }
-    routes = {}
-    for hybrid in hybrids:
-        for name, count in hybrid.routing_counts().items():
-            routes[name] = routes.get(name, 0) + count
-    assert counts["cpu"] > 0, (
-        f"no batch routed to the CPU side below the crossover: {routes}"
-    )
-    assert counts["gpu"] > 0, (
-        f"no batch routed to the GPU side at the crossover: {routes}"
-    )
-    print(
-        f"hybrid routing ok: crossover bucket {crossover}, "
-        f"class_counts={counts}, routes={routes}"
-    )
-
-    # Part two: the CPU baseline as a *fleet member* — virtual clocks
-    # spill fused batches onto it alongside the GPU, answers bit-exact.
-    indices = rng.integers(0, TABLE_ENTRIES, size=CLIENTS).tolist()
-    small_table = table[:TABLE_ENTRIES]
-    client = PirClient(TABLE_ENTRIES, prf, rng=np.random.default_rng(9))
-
-    async def fleet_session():
-        loops = [
-            AsyncPirServer(
-                PirServer(small_table, prf_name=prf),
-                slo=SloConfig(max_batch=2, max_wait_s=5e-3),
-                fleet=FleetScheduler([SingleGpuBackend(V100), CpuBackend()]),
-                retry=RetryPolicy(max_attempts=3),
-            )
-            for _ in range(2)
-        ]
-        async with loops[0], loops[1]:
-            report = await generate_load(client, loops, indices)
-        return report, loops
-
-    report, loops = asyncio.run(fleet_session())
-    assert report.shed == 0 and report.answered == CLIENTS
-    assert np.array_equal(
-        report.answers, small_table[np.array(report.indices)]
-    ), "mixed-fleet answers diverged from the table"
-    fleet_routes: dict[str, int] = {}
-    for loop in loops:
-        for name, count in loop.stats.routes.items():
-            fleet_routes[name] = fleet_routes.get(name, 0) + count
-    assert any("V100" in name for name in fleet_routes), (
-        f"the GPU fleet member never served: {fleet_routes}"
-    )
-    assert any("xeon" in name for name in fleet_routes), (
-        f"the CPU fleet member never served: {fleet_routes}"
-    )
-    print(
-        f"serve-smoke (hybrid) ok: mixed CPU+GPU fleet served "
-        f"{report.answered} answers bit-exact across {fleet_routes}"
-    )
-    return 0
-
-
 def run_traced(export_path: str = "obs_smoke.jsonl") -> int:
     """The traced chaos sessions: every answer must have a span chain.
 
@@ -464,24 +326,22 @@ def run_traced(export_path: str = "obs_smoke.jsonl") -> int:
     tracer = Tracer(metrics=registry)
     all_traces = []
 
-    # -- part one: mixed V100+A100 fleet, both devices killed on their
-    #    first dispatch, every query retried to a bit-exact answer.
+    # -- part one: each party's V100 killed on its first dispatch,
+    #    every query retried to a bit-exact answer.
     rng = np.random.default_rng(2024)
     table = rng.integers(0, 1 << 64, size=TABLE_ENTRIES, dtype=np.uint64)
     indices = rng.integers(0, TABLE_ENTRIES, size=CLIENTS).tolist()
     client = PirClient(TABLE_ENTRIES, PRF, rng=np.random.default_rng(7))
 
-    async def fleet_session():
+    async def chaos_session():
         loops = [
             AsyncPirServer(
-                PirServer(table, prf_name=PRF),
-                slo=SloConfig(max_batch=8, max_wait_s=5e-3),
-                fleet=FleetScheduler(
-                    flaky_fleet(
-                        [SingleGpuBackend(V100), SingleGpuBackend(A100)],
-                        [FaultPlan.nth(1), FaultPlan.nth(1)],
-                    )
+                PirServer(
+                    table,
+                    backend=FlakyBackend(SingleGpuBackend(V100), FaultPlan.nth(1)),
+                    prf_name=PRF,
                 ),
+                slo=SloConfig(max_batch=8, max_wait_s=5e-3),
                 retry=RetryPolicy(max_attempts=3),
                 tracer=tracer,
                 metrics=registry,
@@ -493,7 +353,7 @@ def run_traced(export_path: str = "obs_smoke.jsonl") -> int:
             report = await generate_load(client, loops, indices)
         return report, loops
 
-    report, loops = asyncio.run(fleet_session())
+    report, loops = asyncio.run(chaos_session())
     assert report.shed == 0, f"admission control shed {report.shed} queries"
     assert report.answered == CLIENTS, (
         f"answered {report.answered} of {CLIENTS} queries"
@@ -518,7 +378,7 @@ def run_traced(export_path: str = "obs_smoke.jsonl") -> int:
     )
     all_traces.extend(traces)
     print(
-        f"traced fleet chaos ok: {len(answered)} complete span chains, "
+        f"traced chaos ok: {len(answered)} complete span chains, "
         f"{len(retried_traces)} with retry events "
         f"(stats.retried={total_retried})"
     )
@@ -605,21 +465,14 @@ def main(
     chaos: bool = False,
     shards: int = 0,
     steady: bool = False,
-    hybrid: bool = False,
     traced: bool = False,
 ) -> int:
     if traced:
-        if chaos or shards or steady or hybrid:
+        if chaos or shards or steady:
             raise SystemExit(
                 "--trace does not combine with other session flags"
             )
         return run_traced()
-    if hybrid:
-        if chaos or shards or steady:
-            raise SystemExit(
-                "--hybrid does not combine with --chaos/--shards/--steady"
-            )
-        return run_hybrid()
     if steady:
         if chaos or shards:
             raise SystemExit("--steady does not combine with --chaos/--shards")
@@ -631,23 +484,18 @@ def main(
     indices = rng.integers(0, TABLE_ENTRIES, size=CLIENTS).tolist()
     client = PirClient(TABLE_ENTRIES, PRF, rng=np.random.default_rng(7))
 
-    def fleet_backends():
-        backends = [SingleGpuBackend(V100), SingleGpuBackend(A100)]
+    def backend():
         if chaos:
-            # Both devices die on their first dispatch, so the kill
-            # lands wherever the router sends the first fused batch;
-            # every retry finds a recovered device.
-            backends = flaky_fleet(
-                backends, [FaultPlan.nth(1), FaultPlan.nth(1)]
-            )
-        return backends
+            # The first fused batch dies; every retry finds the
+            # backend recovered.
+            return FlakyBackend(SingleGpuBackend(V100), FaultPlan.nth(1))
+        return SingleGpuBackend(V100)
 
     async def session():
         loops = [
             AsyncPirServer(
-                PirServer(table, prf_name=PRF),
+                PirServer(table, backend=backend(), prf_name=PRF),
                 slo=SloConfig(max_batch=8, max_wait_s=5e-3),
-                fleet=FleetScheduler(fleet_backends()),
                 retry=RetryPolicy(max_attempts=3),
             )
             for _ in range(2)
@@ -672,9 +520,6 @@ def main(
             f"for {CLIENTS} queries"
         )
         assert stats.largest_batch > 1, f"party {party} fused no batch"
-        assert any("A100" in label for label in stats.routes), (
-            f"party {party} never routed to the modeled A100: {stats.routes}"
-        )
         if chaos:
             assert stats.retried > 0, (
                 f"party {party} saw no retries — the injected fault "
@@ -691,8 +536,7 @@ def main(
         print(
             f"party {party}: {stats.answered} queries in {stats.batches} "
             f"batches (largest {stats.largest_batch}, mean "
-            f"{stats.mean_batch:.1f}), flushes={stats.flushes}, "
-            f"routes={stats.routes}"
+            f"{stats.mean_batch:.1f}), flushes={stats.flushes}"
             + (
                 f", retried={stats.retried}, failures={stats.failures}"
                 if chaos
@@ -727,7 +571,6 @@ if __name__ == "__main__":
             chaos="--chaos" in sys.argv[1:],
             shards=_parse_shards(sys.argv[1:]),
             steady="--steady" in sys.argv[1:],
-            hybrid="--hybrid" in sys.argv[1:],
             traced="--trace" in sys.argv[1:],
         )
     )

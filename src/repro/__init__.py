@@ -18,7 +18,7 @@ Layers, bottom to top:
   execution backend.
 * :mod:`repro.serve` — the SLO-aware async serving layer: batch
   aggregation under latency deadlines, bounded-queue admission
-  control, and model-priced fleet routing.
+  control, retries, and sharded replicated serving.
 
 See ``docs/architecture.md`` for the layer diagram and a PIR
 quickstart.

@@ -18,13 +18,6 @@ pipeline in :mod:`repro.pir` serves through whichever one it is handed.
 :class:`PlanCache` adds the zero-dispatch steady-state path on top:
 memoized plans plus pinned workspaces per workload shape, with pow2
 batch bucketing.
-
-:mod:`repro.exec.select` is the hybrid-execution decision layer:
-:func:`select_backend` prices a request on every candidate and picks
-the cheapest, and :class:`HybridBackend` packages that rule as a
-backend of its own — per-shape crossover buckets route small batches
-to a CPU baseline and large ones to the GPUs (Figure 10's argument as
-a dispatch policy).
 """
 
 from repro.exec.backend import (
@@ -36,7 +29,6 @@ from repro.exec.backend import (
 )
 from repro.exec.plan_cache import PlanCache, PlanCacheStats, batch_bucket
 from repro.exec.request import EvalRequest, EvalResult, ExecutionPlan
-from repro.exec.select import BackendChoice, HybridBackend, select_backend
 
 __all__ = [
     "EvalRequest",
@@ -46,11 +38,8 @@ __all__ = [
     "SingleGpuBackend",
     "MultiGpuBackend",
     "SimulatedBackend",
-    "HybridBackend",
-    "BackendChoice",
     "PlanCache",
     "PlanCacheStats",
     "batch_bucket",
-    "select_backend",
     "merged_cost",
 ]

@@ -95,17 +95,6 @@ def merged_cost(
     )
 
 
-def backend_label(backend: ExecutionBackend, index: int) -> str:
-    """``index:`` and the backend's device name(s), else its ``name``."""
-    device = getattr(backend, "device", None)
-    if device is not None:
-        return f"{index}:{device.name}"
-    devices = getattr(backend, "devices", None)
-    if devices:
-        return f"{index}:" + "+".join(d.name for d in devices)
-    return f"{index}:{backend.name}"
-
-
 class ExecutionBackend(abc.ABC):
     """The request-oriented execution protocol.
 
@@ -126,13 +115,6 @@ class ExecutionBackend(abc.ABC):
     """
 
     name: str = "abstract"
-
-    device_class: str = "gpu"
-    """Coarse hardware class for hybrid routing: the CPU baseline
-    overrides this to ``"cpu"``; everything modeled on a
-    :class:`~repro.gpu.device.DeviceSpec` is ``"gpu"``.
-    :class:`~repro.exec.select.HybridBackend` splits its candidate pool
-    on this attribute when locating a shape's crossover batch."""
 
     @abc.abstractmethod
     def plan(self, request: EvalRequest) -> ExecutionPlan:

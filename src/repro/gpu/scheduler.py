@@ -181,10 +181,9 @@ class Scheduler:
 
         The direct cost probe next to :meth:`throughput_qps`: the same
         number a backend's :meth:`~repro.exec.ExecutionBackend.plan`
-        reports as :attr:`~repro.exec.ExecutionPlan.latency_s` (which
-        is what :class:`~repro.serve.FleetScheduler` ranks routing
-        candidates by), exposed here for callers that want to price a
-        shape without building an :class:`~repro.exec.EvalRequest`.
+        reports as :attr:`~repro.exec.ExecutionPlan.latency_s`, exposed
+        here for callers that want to price a shape without building
+        an :class:`~repro.exec.EvalRequest`.
         Memoized per shape like every ``select`` result.
         """
         return self.select(

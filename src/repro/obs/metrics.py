@@ -1,8 +1,8 @@
 """Unified metrics registry: counters, gauges, fixed-bucket histograms.
 
 The serving stack accumulated one ad-hoc counter bundle per subsystem
-(``ServingStats``, ``PlanCacheStats``, ``HybridBackend`` routing
-tallies, ``ReplicaSet`` health counts).  Each keeps its attribute API
+(``ServingStats``, ``PlanCacheStats``, ``ReplicaSet`` health
+counts).  Each keeps its attribute API
 — call sites and tests are untouched — but a
 :class:`MetricsRegistry` now absorbs them all as **registered views**:
 zero-argument callables sampled at snapshot time, so one

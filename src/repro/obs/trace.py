@@ -1,9 +1,9 @@
 """Span-based request tracing for the serving stack.
 
 Nine PRs of serving machinery — admission, QoS queues, batch fusion,
-plan caching, fleet/hybrid routing, shard fan-out, replica failover —
-grew counters everywhere but could not answer the one question a
-latency investigation starts with: *where did this query's time go?*
+plan caching, shard fan-out, replica failover — grew counters
+everywhere but could not answer the one question a latency
+investigation starts with: *where did this query's time go?*
 This module answers it with per-query **span chains**: every submitted
 query gets a :class:`TraceContext`, and the serving loop opens and
 closes one :class:`Span` per pipeline stage as the query moves through
@@ -55,9 +55,9 @@ STAGE_MERGE = "merge"
 """Span: fusing the taken requests into one merged ``EvalRequest``."""
 
 STAGE_PLAN = "plan"
-"""Span: the routing/planning decision for the fused batch (fleet
-routing when a scheduler is attached; the trivial own-backend decision
-otherwise)."""
+"""Span: the planning step between merge and dispatch.  A server runs
+every batch on its one backend, so today this span brackets no work;
+it stays because the benchmark's per-stage metrics read it."""
 
 STAGE_DISPATCH = "dispatch"
 """Span: the backend evaluation of the fused batch (including the
@@ -118,7 +118,7 @@ class Span:
             A *closed* trace with an open span is an orphan — the bug
             class :func:`chain_problems` exists to catch.
         annotations: Stage-scoped key/values recorded at ``end`` time
-            (flush reason, routed backend label, error type, ...).
+            (flush reason, error type, ...).
     """
 
     name: str

@@ -207,7 +207,6 @@ class PirServer:
         self,
         request: EvalRequest,
         epoch: int = 0,
-        backend: ExecutionBackend | None = None,
         sizes: Sequence[int] | None = None,
     ) -> np.ndarray:
         """Answer one validated request against ``epoch``'s table.
@@ -221,9 +220,6 @@ class PirServer:
             request: A request this server validated
                 (:meth:`build_request` / :meth:`ingest_query`).
             epoch: The table epoch the querying client pinned.
-            backend: Run on this backend instead of the server's own
-                (the fleet-routing hook); answers are bit-identical
-                either way.
             sizes: When ``request`` is a fused merge, its constituents'
                 batch sizes (what :meth:`~repro.exec.EvalRequest.merge`
                 returned).  Ignored here — a single backend runs the
@@ -235,14 +231,13 @@ class PirServer:
             ``(B,)`` uint64 answer shares in request key order.
         """
         self.check_epoch(epoch)
-        backend = backend if backend is not None else self.backend
         # Looked up per dispatch, not at construction: a subclass or an
         # instrumenting wrapper that replaces ``combine`` is honoured.
         request = replace(request, reduce=self.combine)
         return (
-            self.plan_cache.run(backend, request)
+            self.plan_cache.run(self.backend, request)
             if self.plan_cache is not None
-            else backend.run(request)
+            else self.backend.run(request)
         ).answers
 
     def handle(self, request_bytes: bytes) -> bytes:

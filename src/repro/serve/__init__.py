@@ -17,15 +17,11 @@ can absorb heavy concurrent traffic and survive backend failures:
   :class:`QosPolicy` / :class:`TenantSpec` (per-tenant token buckets,
   :data:`INTERACTIVE`-over-:data:`BATCH` priority with anti-starvation),
   and :class:`DrainTimeModel` (queue drain priced via the performance
-  model, fleet-aware).
+  model of the server's one backend).
 * :mod:`repro.serve.chaos` — deterministic fault injection:
   :class:`FlakyBackend` + :class:`FaultPlan` fail chosen dispatches
   with :class:`BackendFault` so tests and the smoke session can kill
   a backend mid-batch on demand.
-* :mod:`repro.serve.fleet` — :class:`FleetScheduler`, routing merged
-  batches across heterogeneous backends (e.g. a mixed V100 + A100
-  fleet) by predicted completion time from each backend's
-  :class:`~repro.exec.ExecutionPlan`.
 * :mod:`repro.serve.load` — :func:`generate_load`, the concurrent
   client population that drives the loop in tests and the CI
   serve-smoke session, with latency and retry accounting.
@@ -43,7 +39,7 @@ concurrency level, and every injected fault short of retry-budget
 exhaustion (``tests/serve/``).
 """
 
-from repro.serve.chaos import BackendFault, FaultPlan, FlakyBackend, flaky_fleet
+from repro.serve.chaos import BackendFault, FaultPlan, FlakyBackend
 from repro.serve.control import (
     BATCH,
     INTERACTIVE,
@@ -57,7 +53,6 @@ from repro.serve.control import (
     TenantSpec,
     TokenBucket,
 )
-from repro.serve.fleet import FleetScheduler, RoutingDecision
 from repro.serve.load import LoadReport, generate_load
 from repro.serve.shard import (
     EJECTED,
@@ -107,9 +102,6 @@ __all__ = [
     "BackendFault",
     "FaultPlan",
     "FlakyBackend",
-    "flaky_fleet",
-    "FleetScheduler",
-    "RoutingDecision",
     "LoadReport",
     "generate_load",
     "FLUSH_MAX_BATCH",

@@ -23,14 +23,12 @@ bug replays it exactly:
 
 ``plan`` and the cost hooks always delegate — the *model* of the
 hardware is intact, only the execution is flaky, which mirrors a real
-transient fault (and keeps fleet routing and drain-time admission
-working mid-outage).  Used by ``tests/serve/test_chaos.py`` and
+transient fault (and keeps drain-time admission working
+mid-outage).  Used by ``tests/serve/test_chaos.py`` and
 ``scripts/serve_smoke.py --chaos``.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
@@ -159,16 +157,6 @@ class FlakyBackend(ExecutionBackend):
         self.faults = 0
         self._rng = plan.stream()
 
-    @property
-    def device(self):
-        """Delegate device identity so fleet route labels still name
-        the real hardware, not the chaos wrapper."""
-        return getattr(self.inner, "device", None)
-
-    @property
-    def devices(self):
-        return getattr(self.inner, "devices", None)
-
     def plan(self, request: EvalRequest) -> ExecutionPlan:
         """Pricing never faults: the model is intact, the device flaky."""
         return self.inner.plan(request)
@@ -198,22 +186,3 @@ class FlakyBackend(ExecutionBackend):
                 f"injected fault on {self.inner.name} run #{self.runs}"
             )
         return self.inner.run(request)
-
-
-def flaky_fleet(
-    backends: Sequence[ExecutionBackend], plans: Sequence[FaultPlan | None]
-) -> list[ExecutionBackend]:
-    """Wrap a fleet's backends in :class:`FlakyBackend` per plan.
-
-    ``plans[i] is None`` leaves ``backends[i]`` healthy — the common
-    chaos shape is one flaky device in an otherwise healthy fleet.
-    """
-    if len(backends) != len(plans):
-        raise ValueError(
-            f"need one plan per backend, got {len(plans)} plans "
-            f"for {len(backends)} backends"
-        )
-    return [
-        backend if plan is None else FlakyBackend(backend, plan)
-        for backend, plan in zip(backends, plans)
-    ]

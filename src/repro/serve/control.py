@@ -19,8 +19,7 @@ is independently testable and composable:
 * :class:`DrainTimeModel` — predicted time to drain the pending queue,
   priced through the same performance model everything else uses
   (:meth:`~repro.exec.ExecutionBackend.model_latency_s`, which bottoms
-  out in :meth:`repro.gpu.scheduler.Scheduler.latency_s`; fleet-aware
-  when a :class:`~repro.serve.fleet.FleetScheduler` is attached).  The
+  out in :meth:`repro.gpu.scheduler.Scheduler.latency_s`).  The
   loop sheds when the modeled drain time exceeds a budget — "will this
   query make it inside the SLO", not "how long is the line" — which is
   the default admission policy; raw ``max_pending`` depth remains the
@@ -239,67 +238,47 @@ class DrainTimeModel:
     The question admission control should ask is not "how deep is the
     queue" but "can the queue drain inside the latency budget".  This
     model answers it with the same analytic performance model the
-    scheduler and fleet router already trust: the backend (or, fleet-
-    aware, the *sum* of fleet backends) prices a ``max_batch``-sized
-    flush via :meth:`~repro.exec.ExecutionBackend.model_latency_s`, and
-    the drain time is ``pending_queries / modeled_qps``.
+    scheduler already trusts: the server's one backend prices a
+    ``max_batch``-sized flush via
+    :meth:`~repro.exec.ExecutionBackend.model_latency_s`, and the drain
+    time is ``pending_queries / modeled_qps``.
 
     Modeled QPS is memoized per workload shape (the underlying
     :class:`~repro.gpu.scheduler.Scheduler` memoizes too), so the
-    per-submission cost is a dict lookup.  A backend without a model
-    (``model_latency_s`` returning ``None``) yields ``inf`` QPS, which
+    per-submission cost is a dict lookup.  The model fails open: a
+    backend without a model (``model_latency_s`` returning ``None``)
+    and a shape its model cannot run (``ValueError``, e.g. no feasible
+    GPU strategy at ``flush_batch``) both yield ``inf`` QPS, which
     disables drain shedding rather than guessing.
-
-    ``ValueError`` from a backend's model means something different
-    from ``None``: the shape is genuinely *infeasible* there (e.g. no
-    feasible GPU strategy at ``flush_batch``), so that backend
-    contributes zero QPS while the rest of the fleet still prices the
-    shape honestly.  Only when **no** backend can price it — every
-    model raises — does the drain model fail open with ``inf``.  A
-    fleet containing a :class:`~repro.baselines.cpu.CpuBackend` (which
-    prices every shape) therefore never takes the fail-open path.
     """
 
-    def __init__(self, backends, flush_batch: int, entry_bytes: int = 8):
+    def __init__(self, backend, flush_batch: int):
         if flush_batch <= 0:
             raise ValueError(f"flush_batch must be positive, got {flush_batch}")
-        self.backends = list(backends)
+        self.backend = backend
         self.flush_batch = flush_batch
-        self.entry_bytes = entry_bytes
         self._qps: dict[tuple[int, str, bool], float] = {}
 
     def modeled_qps(
         self, table_entries: int, prf_name: str, resident: bool
     ) -> float:
-        """Aggregate modeled serving throughput for one table shape."""
+        """Modeled serving throughput for one table shape."""
         key = (table_entries, prf_name, resident)
         qps = self._qps.get(key)
         if qps is None:
-            qps = 0.0
-            priced_any = False
-            for backend in self.backends:
-                try:
-                    latency = backend.model_latency_s(
-                        self.flush_batch,
-                        table_entries,
-                        prf_name=prf_name,
-                        resident=resident,
-                        entry_bytes=self.entry_bytes,
-                    )
-                except ValueError:
-                    # Genuinely infeasible on this backend (no feasible
-                    # plan at flush_batch): zero QPS from it, but the
-                    # rest of the fleet still prices the shape.
-                    continue
-                if latency is None or latency <= 0:
-                    # No model at all: fail open — admit rather than
-                    # shed on a guess.
-                    priced_any = False
-                    break
-                qps += self.flush_batch / latency
-                priced_any = True
-            if not priced_any:
+            try:
+                latency = self.backend.model_latency_s(
+                    self.flush_batch,
+                    table_entries,
+                    prf_name=prf_name,
+                    resident=resident,
+                )
+            except ValueError:
+                latency = None
+            if latency is None or latency <= 0:
                 qps = math.inf
+            else:
+                qps = self.flush_batch / latency
             self._qps[key] = qps
         return qps
 

@@ -27,9 +27,8 @@ asyncio request loop that does exactly that:
   retry backoff or a snapshot is pending.  Interactive-class requests
   are taken into fused batches ahead of batch-class ones, bounded by an
   anti-starvation age (see :class:`~repro.serve.control.QosPolicy`).
-* **Dispatch** — the merged batch runs on the wrapped server's backend
-  or, when a :class:`~repro.serve.fleet.FleetScheduler` is attached, on
-  whichever fleet backend the model predicts finishes earliest.
+* **Dispatch** — the merged batch runs on the wrapped server's one
+  backend (:meth:`~repro.pir.PirServer.answer_request`).
 * **Failure containment** — a fused batch concentrates risk: one
   backend exception would fail *every* query in it.  Instead, the loop
   un-merges a failed batch (:meth:`~repro.exec.EvalRequest.unmerge`)
@@ -47,8 +46,8 @@ asyncio request loop that does exactly that:
 
 Admission control is two-layered.  The default policy sheds by
 *predicted drain time*: queue depth divided by the modeled throughput
-of a flush (:class:`~repro.serve.control.DrainTimeModel`, fleet-aware
-when a fleet is attached) against ``drain_budget_s`` — "will this
+of a flush (:class:`~repro.serve.control.DrainTimeModel`, priced on
+the server's backend) against ``drain_budget_s`` — "will this
 query make it out inside the budget", not "how long is the line".
 Behind it, ``max_pending`` remains a hard depth cap.  Shed queries get
 :class:`PirServerOverloaded` immediately; rate-limited tenants get
@@ -95,7 +94,7 @@ from repro.serve.control import (
     QosPolicy,
     RetryPolicy,
 )
-from repro.serve.fleet import FleetScheduler
+from repro.serve.shard import ShardedPirServer
 
 FLUSH_MAX_BATCH = "max_batch"
 """Flush reason: the pending queue reached ``max_batch`` queries."""
@@ -245,9 +244,9 @@ class AdmissionConfig:
         drain_budget_s: Drain-time policy (the default shedding layer):
             shed when the *modeled* time to drain the queue including
             the new query — pending queries over the modeled throughput
-            of a ``max_batch`` flush, fleet-aware — would exceed this
-            budget.  ``None`` disables the drain layer, reverting to
-            depth-only shedding.
+            of a ``max_batch`` flush on the server's backend — would
+            exceed this budget.  ``None`` disables the drain layer,
+            reverting to depth-only shedding.
     """
 
     max_pending: int = 1024
@@ -290,8 +289,6 @@ class ServingStats:
         flushes: Successful dispatch counts keyed by flush reason
             (:data:`FLUSH_MAX_BATCH` / :data:`FLUSH_ARENA_BYTES` /
             :data:`FLUSH_DEADLINE` / :data:`FLUSH_DRAIN`).
-        routes: Dispatch counts keyed by fleet backend label (only
-            populated when a fleet scheduler is attached).
         plan_cache_stats: The wrapped server's live
             :class:`~repro.exec.plan_cache.PlanCacheStats` (bound at
             loop construction when the server carries a cache; ``None``
@@ -315,7 +312,6 @@ class ServingStats:
     batches: int = 0
     largest_batch: int = 0
     flushes: dict[str, int] = field(default_factory=dict)
-    routes: dict[str, int] = field(default_factory=dict)
     plan_cache_stats: "PlanCacheStats | None" = field(
         default=None, repr=False, compare=False
     )
@@ -356,7 +352,6 @@ class ServingStats:
             "largest_batch": self.largest_batch,
             "mean_batch": self.mean_batch,
             "flushes": dict(self.flushes),
-            "routes": dict(self.routes),
             "plan_cache_hits": self.plan_cache_hits,
             "plan_cache_misses": self.plan_cache_misses,
             "overlap_flushes": self.overlap_flushes,
@@ -394,10 +389,6 @@ class AsyncPirServer:
         slo: Batching/latency knobs; see :class:`SloConfig`.
         admission: Drain-budget + bounded-queue policy; see
             :class:`AdmissionConfig`.
-        fleet: Optional :class:`FleetScheduler`; when given, merged
-            batches are routed across its backends by predicted cost
-            instead of running on ``server.backend``, and drain-time
-            admission prices against the whole fleet's throughput.
         qos: Optional :class:`~repro.serve.control.QosPolicy` — per-
             tenant token buckets and priority classes.  ``None`` treats
             all traffic as one unlimited interactive tenant.
@@ -429,9 +420,9 @@ class AsyncPirServer:
         metrics: Optional :class:`~repro.obs.metrics.MetricsRegistry`.
             When given, the loop registers every subsystem it can see
             as a view — its own :class:`ServingStats`, the server's
-            plan cache and shard totals (duck-typed), the hybrid
-            backend's routing counts, fleet routes, QoS bucket levels —
-            so one ``metrics.snapshot()`` is the whole system's state.
+            plan cache, a sharded server's shard totals, QoS bucket
+            levels — so one ``metrics.snapshot()`` is the whole
+            system's state.
             Pair it with the tracer (``Tracer(metrics=registry)``) to
             get per-stage latency histograms too.
         snapshot_every_s: Optional period for recording registry
@@ -451,7 +442,6 @@ class AsyncPirServer:
         server: PirServer,
         slo: SloConfig | None = None,
         admission: AdmissionConfig | None = None,
-        fleet: FleetScheduler | None = None,
         qos: QosPolicy | None = None,
         retry: RetryPolicy | None = None,
         overlap: bool = False,
@@ -463,7 +453,6 @@ class AsyncPirServer:
         self.server = server
         self.slo = slo if slo is not None else SloConfig()
         self.admission = admission if admission is not None else AdmissionConfig()
-        self.fleet = fleet
         self.qos = qos
         self.retry = retry if retry is not None else RetryPolicy()
         self.overlap = overlap
@@ -486,8 +475,7 @@ class AsyncPirServer:
             self._register_views(metrics)
         self._clock = clock
         self._drain_model = DrainTimeModel(
-            [fleet if fleet is not None else server.backend],
-            flush_batch=self.slo.max_batch,
+            server.backend, flush_batch=self.slo.max_batch
         )
         self._queues: dict[str, deque[_Pending]] = {
             qos_class: deque() for qos_class in QOS_CLASSES
@@ -503,11 +491,8 @@ class AsyncPirServer:
     def _register_views(self, metrics: MetricsRegistry) -> None:
         """Absorb every reachable ad-hoc counter bundle as a view.
 
-        Duck-typed on purpose: the loop serves plain, sharded and
-        hybrid servers through one seam, so it discovers what the
-        wrapped stack can report rather than knowing its type.  Names
-        are uniquified so two loops (the protocol's two parties) can
-        share one registry.
+        Names are uniquified so two loops (the protocol's two parties)
+        can share one registry.
         """
         metrics.register_view(metrics.unique_name("serving"), self.stats.as_dict)
         cache = self.server.plan_cache
@@ -515,17 +500,11 @@ class AsyncPirServer:
             metrics.register_view(
                 metrics.unique_name("plan_cache"), cache.stats.as_dict
             )
-        totals = getattr(self.server, "stats_totals", None)
-        if callable(totals):
+        if isinstance(self.server, ShardedPirServer):
+            totals = self.server.stats_totals
             metrics.register_view(
                 metrics.unique_name("shards"), lambda: totals().as_dict()
             )
-        backend = getattr(self.server, "backend", None)
-        snapshot = getattr(backend, "snapshot", None)
-        if callable(snapshot) and hasattr(backend, "routing_counts"):
-            metrics.register_view(metrics.unique_name("hybrid"), snapshot)
-        if self.fleet is not None:
-            metrics.register_view(metrics.unique_name("fleet"), self.fleet.snapshot)
         if self.qos is not None:
             metrics.register_view(metrics.unique_name("qos"), self.qos.bucket_levels)
 
@@ -915,7 +894,6 @@ class AsyncPirServer:
             return
         merged = None
         sizes: tuple[int, ...] = ()
-        decision = None
         epoch = taken[0].query.epoch
         # Stage spans open in lockstep across the batch: every taken
         # query is in the same stage at the same time, so `open_spans`
@@ -931,25 +909,14 @@ class AsyncPirServer:
             # One answer_request for the whole fused batch (the server's
             # overridable serving seam — a sharded server fans out and
             # recombines inside it), then per-request slicing: the
-            # demux is row offsets, nothing recomputed.  Fleet routing
-            # stays on the loop thread (it reads mutable queue state);
-            # only the dispatch itself may move to the overlap thread.
-            open_spans = [(p, p.ctx.begin(STAGE_PLAN)) for p in taken]
-            if self.fleet is not None:
-                decision = self.fleet.route(merged)
-                backend = self.fleet.backends[decision.backend_index]
-                for pending, span in open_spans:
-                    pending.ctx.end(span, backend=decision.backend_label)
-            else:
-                backend = None
-                for pending, span in open_spans:
-                    pending.ctx.end(span)
+            # demux is row offsets, nothing recomputed.  The plan span
+            # brackets no work since the server's one backend needs no
+            # routing; it stays because the benchmark's per-stage
+            # metrics read it.
+            for pending in taken:
+                pending.ctx.end(pending.ctx.begin(STAGE_PLAN))
 
             def dispatch() -> np.ndarray:
-                if backend is not None:
-                    return self.server.answer_request(
-                        merged, epoch=epoch, backend=backend, sizes=sizes
-                    )
                 return self.server.answer_request(merged, epoch=epoch, sizes=sizes)
 
             open_spans = [(p, p.ctx.begin(STAGE_DISPATCH)) for p in taken]
@@ -980,10 +947,6 @@ class AsyncPirServer:
         self.stats.batches += 1
         self.stats.largest_batch = max(self.stats.largest_batch, int(answers.size))
         self.stats.flushes[reason] = self.stats.flushes.get(reason, 0) + 1
-        if decision is not None:
-            self.stats.routes[decision.backend_label] = (
-                self.stats.routes.get(decision.backend_label, 0) + 1
-            )
         offset = 0
         for pending, size in zip(taken, sizes):
             span = pending.ctx.begin(STAGE_DEMUX)

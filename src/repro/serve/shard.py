@@ -575,8 +575,8 @@ class ShardedPirServer(PirServer):
             the pre-flip epoch alive through each flip).
         prf_name, resident, max_batch: As on :class:`PirServer`.
         plan_cache: Optional :class:`~repro.exec.PlanCache` shared by
-            every replica set (keys carry backend identity, so mixed
-            fleets stay safe).  Enables the zero-dispatch steady state
+            every replica set (keys carry backend identity, so
+            replicas on different devices stay safe).  Enables the zero-dispatch steady state
             across shards.
     """
 
@@ -781,7 +781,6 @@ class ShardedPirServer(PirServer):
         self,
         request: EvalRequest,
         epoch: int = 0,
-        backend: ExecutionBackend | None = None,
         sizes: Sequence[int] | None = None,
     ) -> np.ndarray:
         """Fan the batch across shards; sum partials mod 2^64.
@@ -799,11 +798,6 @@ class ShardedPirServer(PirServer):
                 every answer share wrong, so there is no partial
                 success to return).
         """
-        if backend is not None:
-            raise ValueError(
-                "a sharded server routes across its own replicas; "
-                "external backend routing (fleet=) is unsupported"
-            )
         self.check_epoch(epoch)
         total = np.zeros(request.arena().batch, dtype=np.uint64)
         for shard in self.shards:

@@ -1,33 +1,17 @@
-"""The AES-NI CPU baseline: cost model calibration and backend contract.
+"""The AES-NI CPU baseline: cost model calibration.
 
-Claims: the model prices *every* shape (the property drain-time
-admission now leans on), its terms order the PRFs by their ``cpu_cost``
-metadata, its calibration reproduces the paper's Figure 10 anchors
-against the V100 model (GPU wins large batch by roughly an order of
-magnitude; CPU wins single-query batches at small tables), and
-``CpuBackend`` satisfies the full ExecutionBackend contract including
-plan-cache reuse.  Bit-identity to the reference evaluator is pinned by
-the shared equivalence suites (``tests/exec/test_backends.py`` et al.)
-through ``BACKEND_FACTORIES``.
+Claims: the model prices *every* shape, its terms order the PRFs by
+their ``cpu_cost`` metadata, and its calibration reproduces the paper's
+Figure 10 anchors against the V100 model (GPU wins large batch by
+roughly an order of magnitude; CPU wins single-query batches at small
+tables; the cheaper side flips once, from CPU to GPU, as batches grow).
 """
 
 import numpy as np
 import pytest
 
-from repro.baselines import CPU_BASELINE, CpuBackend, CpuCostModel, CpuSpec
-from repro.crypto import get_prf
-from repro.dpf import gen
-from repro.exec import EvalRequest, PlanCache, SingleGpuBackend
+from repro.baselines import CpuCostModel
 from repro.gpu import Scheduler, V100
-
-
-def _keys(batch, domain, prf_name="aes128", seed=7):
-    prf = get_prf(prf_name)
-    rng = np.random.default_rng(seed)
-    return [
-        gen(int(rng.integers(0, domain)), domain, prf, rng, beta=i + 1)[i % 2]
-        for i in range(batch)
-    ]
 
 
 class TestCpuCostModel:
@@ -102,53 +86,20 @@ class TestFigure10Calibration:
         ]
         assert wins[0] and not wins[-1]
 
-
-class TestCpuBackend:
-    def test_plan_is_one_cpu_shard(self):
-        keys = _keys(4, 200)
-        plan = CpuBackend().plan(EvalRequest(keys=keys, prf_name="aes128"))
-        assert plan.backend == "cpu"
-        assert plan.feasible
-        assert plan.strategies == ("cpu_reference",)
-        [shard] = plan.stats.shards
-        assert shard.device_name == CPU_BASELINE.name
-        assert shard.batch_size == 4
-
-    def test_model_latency_is_the_plan_latency(self):
-        """The metadata-only hook and the keyed planner agree — fleet
-        routing and drain pricing share one CPU model."""
-        keys = _keys(8, 1 << 10)
-        backend = CpuBackend()
-        plan = backend.plan(EvalRequest(keys=keys, prf_name="aes128"))
-        assert plan.latency_s == backend.model_latency_s(8, 1 << 10, "aes128")
-
-    def test_plan_key_is_the_spec_identity(self):
-        assert CpuBackend().plan_key == CpuBackend().plan_key
-        other = CpuBackend(
-            CpuSpec(
-                name="epyc-aesni",
-                aes_rate=3e8,
-                mem_bandwidth=150e9,
-                parse_bandwidth=2e9,
-                batch_overhead_s=20e-6,
-                per_query_overhead_s=1e-6,
-                threads=64,
-            )
-        )
-        assert other.plan_key != CpuBackend().plan_key
-
-    def test_device_class_splits_cpu_from_gpu(self):
-        assert CpuBackend().device_class == "cpu"
-        assert SingleGpuBackend().device_class == "gpu"
-
-    def test_serves_through_a_plan_cache(self):
-        keys = _keys(5, 200)
-        backend, cache = CpuBackend(), PlanCache()
-        request = EvalRequest(keys=keys, prf_name="aes128")
-        first = cache.run(backend, request)
-        second = cache.run(backend, EvalRequest(keys=keys, prf_name="aes128"))
-        assert np.array_equal(first.answers, second.answers)
-        assert cache.stats.hits == 1 and cache.stats.misses == 1
-        # The cached plan is priced at the pow2 bucket, per cache policy.
-        assert first.plan.batch_size == 8
-        assert first.cost.strategy == "cpu_reference"
+    @pytest.mark.parametrize("prf_name", ["aes128", "sha256"])
+    @pytest.mark.parametrize("log_domain", [8, 10, 14])
+    def test_once_gpu_always_gpu(self, prf_name, log_domain):
+        """Scanning pow2 batches of one shape, the cheaper side is a
+        step function: CPU below the crossover, GPU at and above it."""
+        cpu, gpu = CpuCostModel(), Scheduler(V100)
+        table = 1 << log_domain
+        flipped = False
+        for batch in (1, 2, 4, 8, 16, 32, 64, 128, 256, 512, 1024):
+            gpu_s = gpu.latency_s(batch, table, prf_name)
+            gpu_wins = gpu_s <= cpu.latency_s(batch, table, prf_name)
+            if flipped:
+                assert gpu_wins, (
+                    f"the CPU won back batch {batch} "
+                    f"for {prf_name} @ 2^{log_domain}"
+                )
+            flipped = flipped or gpu_wins

@@ -16,6 +16,7 @@ import pytest
 
 from repro.crypto import get_prf
 from repro.dpf import gen
+from repro.exec import EvalRequest, SingleGpuBackend
 from repro.gpu import (
     A100,
     GpuSimulator,
@@ -332,3 +333,21 @@ class TestResidentKeys:
         assert all(
             s.selection.plan.host_bytes_in == 0 for s in resident.shards
         )
+
+
+class TestSchedulerCostHook:
+    def test_latency_s_is_the_winning_plans_latency(self):
+        scheduler = Scheduler(V100)
+        for batch, table in ((1, 1 << 10), (64, 1 << 14), (256, 1 << 16)):
+            selection = scheduler.select(batch, table)
+            assert scheduler.latency_s(batch, table) == selection.stats.latency_s > 0
+
+    def test_single_gpu_plan_prices_through_the_hook(self):
+        """A backend's plan latency IS the scheduler hook's number, so
+        drain-time admission and the strategy scheduler share one model."""
+        prf = get_prf("siphash")
+        rng = np.random.default_rng(0)
+        keys = [gen(int(rng.integers(0, 128)), 128, prf, rng)[0] for _ in range(8)]
+        plan = SingleGpuBackend(A100).plan(EvalRequest(keys=keys, prf_name="siphash"))
+        hook = Scheduler(A100).latency_s(8, 128, prf_name="siphash")
+        assert plan.latency_s == hook

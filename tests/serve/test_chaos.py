@@ -7,8 +7,7 @@ A fused batch concentrates risk — one exception would fail every query
 in it — so these tests kill dispatches with :class:`FlakyBackend` and
 assert that the retry/requeue path un-merges the batch, retries the
 survivors, and produces byte-for-byte the same reply frames a healthy
-sequential server would, across every backend and with or without a
-fleet.  Only a request whose retry budget is exhausted may fail, and it
+sequential server would, across every backend.  Only a request whose retry budget is exhausted may fail, and it
 fails *individually*.
 
 Every fault here is deterministic (:class:`FaultPlan`), so a failing
@@ -28,11 +27,9 @@ from repro.serve import (
     AsyncPirServer,
     BackendFault,
     FaultPlan,
-    FleetScheduler,
     FlakyBackend,
     RetryPolicy,
     SloConfig,
-    flaky_fleet,
 )
 
 from tests.strategies import BACKEND_FACTORIES, domain_sizes, fast_prf_names
@@ -42,7 +39,7 @@ NEVER = 30.0
 
 CHAOS_SETTINGS = settings(max_examples=5, deadline=None)
 """Each example runs a full serving session plus a sequential oracle
-per (backend, fleet) cell, so the grid stays affordable."""
+per backend, so the grid stays affordable."""
 
 
 def _fixture(domain=32, prf="siphash", seed=0, backend=None):
@@ -79,39 +76,24 @@ def chaos_cases(draw):
 
 
 @pytest.mark.parametrize("backend_name", sorted(BACKEND_FACTORIES))
-@pytest.mark.parametrize("with_fleet", (False, True), ids=("direct", "fleet"))
 class TestFaultsPreserveBitExactness:
     """The acceptance property: a fault in >= 1 fused batch, every
     non-shed reply still byte-identical to the sequential oracle."""
 
     @given(case=chaos_cases())
     @CHAOS_SETTINGS
-    def test_replies_survive_an_injected_batch_failure(
-        self, backend_name, with_fleet, case
-    ):
+    def test_replies_survive_an_injected_batch_failure(self, backend_name, case):
         factory = BACKEND_FACTORIES[backend_name]
         rng = np.random.default_rng(case["table_seed"])
         table = rng.integers(0, 1 << 64, size=case["domain"], dtype=np.uint64)
         # The oracle server runs on its own healthy backend: handle()
         # consumes backend runs, which must not perturb the fault plan.
         oracle = PirServer(table, backend=factory(), prf_name=case["prf"])
-        if with_fleet:
-            # Both fleet members fail their first run, so the fault
-            # lands no matter where the router sends the first batch.
-            fleet = FleetScheduler(
-                flaky_fleet(
-                    [factory(), factory()],
-                    [FaultPlan.nth(1), FaultPlan.nth(1)],
-                )
-            )
-            server = PirServer(table, backend=factory(), prf_name=case["prf"])
-        else:
-            fleet = None
-            server = PirServer(
-                table,
-                backend=FlakyBackend(factory(), FaultPlan.nth(1)),
-                prf_name=case["prf"],
-            )
+        server = PirServer(
+            table,
+            backend=FlakyBackend(factory(), FaultPlan.nth(1)),
+            prf_name=case["prf"],
+        )
         client = PirClient(
             case["domain"],
             case["prf"],
@@ -127,7 +109,6 @@ class TestFaultsPreserveBitExactness:
             loop = AsyncPirServer(
                 server,
                 slo=SloConfig(max_batch=case["max_batch"], max_wait_s=0.02),
-                fleet=fleet,
             )
             async with loop:
                 return loop, await asyncio.gather(
@@ -370,8 +351,8 @@ class TestSharedRandomPlans:
 class TestFlakyBackend:
     def test_model_hooks_delegate_while_run_faults(self):
         """The *model* of a flaky device is intact — planning and
-        pricing answer exactly like the inner backend, so fleet routing
-        and drain-time admission keep working mid-outage."""
+        pricing answer exactly like the inner backend, so drain-time
+        admission keeps working mid-outage."""
         inner = BACKEND_FACTORIES["single_gpu"]()
         flaky = FlakyBackend(inner, FaultPlan.always())
         table, server, client = _fixture()
@@ -381,11 +362,3 @@ class TestFlakyBackend:
         with pytest.raises(BackendFault, match="run #1"):
             flaky.run(request)
         assert flaky.runs == 1 and flaky.faults == 1
-
-    def test_flaky_fleet_wraps_per_plan(self):
-        backends = [BACKEND_FACTORIES["single_gpu"]() for _ in range(2)]
-        wrapped = flaky_fleet(backends, [FaultPlan.nth(1), None])
-        assert isinstance(wrapped[0], FlakyBackend)
-        assert wrapped[1] is backends[1]  # None leaves it healthy
-        with pytest.raises(ValueError, match="one plan per backend"):
-            flaky_fleet(backends, [None])

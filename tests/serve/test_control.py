@@ -15,8 +15,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.baselines import CpuBackend
-from repro.exec import SingleGpuBackend
+from repro.exec import MultiGpuBackend, SingleGpuBackend
+from repro.gpu import V100
 from repro.pir import PirClient, PirServer
 from repro.serve import (
     BATCH,
@@ -27,7 +27,6 @@ from repro.serve import (
     AdmissionConfig,
     AsyncPirServer,
     DrainTimeModel,
-    FleetScheduler,
     PirServerOverloaded,
     QosPolicy,
     RetryPolicy,
@@ -166,65 +165,42 @@ class _RejectingBackend(SingleGpuBackend):
 class TestDrainTimeModel:
     def test_prices_through_the_analytic_model(self):
         backend = SingleGpuBackend()
-        model = DrainTimeModel([backend], flush_batch=8)
+        model = DrainTimeModel(backend, flush_batch=8)
         latency = backend.model_latency_s(8, 64, prf_name="siphash")
         qps = model.modeled_qps(64, "siphash", False)
         assert qps == pytest.approx(8 / latency)
         assert model.drain_s(16, 64, "siphash", False) == pytest.approx(16 / qps)
         assert model.drain_s(0, 64, "siphash", False) == 0.0
 
-    def test_fleet_of_two_drains_twice_as_fast(self):
-        single = DrainTimeModel([SingleGpuBackend()], flush_batch=8)
-        dual = DrainTimeModel(
-            [SingleGpuBackend(), SingleGpuBackend()], flush_batch=8
-        )
-        assert dual.modeled_qps(64, "siphash", False) == pytest.approx(
-            2 * single.modeled_qps(64, "siphash", False)
-        )
+    def test_prices_a_multi_gpu_backend_as_one_backend(self):
+        """A two-GPU backend is still one backend: the model prices its
+        sharded plan, which drains faster than one GPU's."""
+        backend = MultiGpuBackend([V100, V100])
+        model = DrainTimeModel(backend, flush_batch=8)
+        latency = backend.model_latency_s(8, 64, prf_name="siphash")
+        qps = model.modeled_qps(64, "siphash", False)
+        assert qps == pytest.approx(8 / latency)
+        single = DrainTimeModel(SingleGpuBackend(), flush_batch=8)
+        assert qps > single.modeled_qps(64, "siphash", False)
 
     def test_unpriced_backend_fails_open(self):
         """No cost model means infinite modeled QPS — drain shedding
         disables itself rather than shedding on a guess."""
-        model = DrainTimeModel([_UnpricedBackend()], flush_batch=8)
+        model = DrainTimeModel(_UnpricedBackend(), flush_batch=8)
         assert math.isinf(model.modeled_qps(64, "siphash", False))
         assert model.drain_s(10**9, 64, "siphash", False) == 0.0
 
-    def test_infeasible_member_contributes_zero_qps(self):
-        """A fleet member raising ValueError on an infeasible shape
-        drops out of the aggregate — the rest of the fleet still prices
-        the shape honestly instead of failing open."""
-        priced = SingleGpuBackend()
-        model = DrainTimeModel([priced, _RejectingBackend()], flush_batch=8)
-        qps = model.modeled_qps(64, "siphash", False)
-        assert qps == pytest.approx(8 / priced.model_latency_s(8, 64, "siphash"))
-        assert math.isfinite(model.drain_s(10**9, 64, "siphash", False))
-
-    def test_fails_open_only_when_no_member_prices(self):
-        """Every member rejecting the shape is the one remaining
-        fail-open case: admit rather than shed on a guess (and never
-        crash the admission path)."""
-        model = DrainTimeModel(
-            [_RejectingBackend(), _RejectingBackend()], flush_batch=8
-        )
+    def test_infeasible_shape_fails_open(self):
+        """A model that rejects the shape (ValueError) also fails open:
+        admit rather than shed on a guess, and never crash the
+        admission path."""
+        model = DrainTimeModel(_RejectingBackend(), flush_batch=8)
         assert math.isinf(model.modeled_qps(64, "siphash", False))
         assert model.drain_s(10**9, 64, "siphash", False) == 0.0
-
-    def test_cpu_entry_closes_the_fail_open_path(self):
-        """With a CpuBackend in the fleet, shapes the GPU model rejects
-        are still priced — drain admission never takes the fail-open
-        ValueError path (the ISSUE 9 regression)."""
-        model = DrainTimeModel(
-            [_RejectingBackend(), CpuBackend()], flush_batch=8
-        )
-        qps = model.modeled_qps(64, "siphash", False)
-        assert math.isfinite(qps) and qps > 0
-        cpu = CpuBackend()
-        assert qps == pytest.approx(8 / cpu.model_latency_s(8, 64, "siphash"))
-        assert model.drain_s(100, 64, "siphash", False) > 0.0
 
     def test_validation(self):
         with pytest.raises(ValueError, match="flush_batch"):
-            DrainTimeModel([SingleGpuBackend()], flush_batch=0)
+            DrainTimeModel(SingleGpuBackend(), flush_batch=0)
 
 
 class TestTenantRateLimiting:
@@ -271,11 +247,13 @@ class TestDrainTimeAdmission:
     """The acceptance scenario: drain-time admission sheds earlier than
     depth-only against a slow (modeled) backend."""
 
-    def _shed_profile(self, drain_budget_s, offered=8, fleet=None):
+    def _shed_profile(self, drain_budget_s, offered=8, backend=None):
         """Submit `offered` queries under a roomy depth cap; return the
         loop and how many were shed (everything is deterministic: the
         drain model prices through the analytic cost model)."""
         table, server, client = _fixture()
+        if backend is not None:
+            server = PirServer(table, backend=backend, prf_name="siphash")
         frames = [
             b.requests[0] for b in client.query_many(list(range(offered)))
         ]
@@ -287,7 +265,6 @@ class TestDrainTimeAdmission:
                 admission=AdmissionConfig(
                     max_pending=1024, drain_budget_s=drain_budget_s
                 ),
-                fleet=fleet,
             )
             tasks = []
             for frame in frames:
@@ -310,7 +287,7 @@ class TestDrainTimeAdmission:
         """Pin the cutoff: a budget worth 6 queries of modeled drain
         admits exactly 6 of 8 and sheds 2 with SHED_DRAIN, while
         depth-only admission (same depth cap) accepts all 8."""
-        model = DrainTimeModel([SingleGpuBackend()], flush_batch=4)
+        model = DrainTimeModel(SingleGpuBackend(), flush_batch=4)
         per_query_s = 1.0 / model.modeled_qps(32, "siphash", False)
         budget = 6.5 * per_query_s  # 6 queries fit, the 7th would not
 
@@ -325,20 +302,21 @@ class TestDrainTimeAdmission:
         assert not shed_d
         assert depth_only.stats.shed == 0
 
-    def test_fleet_capacity_raises_the_admission_cutoff(self):
-        """Drain admission is fleet-aware: the same budget that sheds
-        on one backend admits everything when a two-backend fleet
-        halves the modeled drain time."""
-        model = DrainTimeModel([SingleGpuBackend()], flush_batch=4)
+    def test_multi_gpu_capacity_raises_the_admission_cutoff(self):
+        """Drain admission prices the server's own backend: the budget
+        that sheds 2 of 8 on one V100 admits all 8 on two, whose sharded
+        plan drains a query in about three quarters of the time."""
+        model = DrainTimeModel(SingleGpuBackend(), flush_batch=4)
         per_query_s = 1.0 / model.modeled_qps(32, "siphash", False)
         budget = 6.5 * per_query_s
 
         _, shed_single, _ = self._shed_profile(budget)
         assert len(shed_single) == 2
 
-        fleet = FleetScheduler([SingleGpuBackend(), SingleGpuBackend()])
-        loop, shed_fleet, answered = self._shed_profile(budget, fleet=fleet)
-        assert not shed_fleet  # 8 * per_query / 2 = 4 "queries" < 6.5
+        loop, shed_multi, answered = self._shed_profile(
+            budget, backend=MultiGpuBackend([V100, V100])
+        )
+        assert not shed_multi
         assert len(answered) == 8
         assert loop.stats.shed == 0
 

@@ -7,17 +7,13 @@ that implements only the abstract ``plan`` / ``run`` serves a sharded
 server byte-identically to the unsharded one; installing and dropping an
 epoch's slice is bookkeeping on the set and never reaches a backend; the
 partial a replica returns is ``shares[:, lo:hi] @ table[lo:hi]`` for
-every key ingest form and batch shape; :class:`FlakyBackend` forwards
-the contract and nothing else; and one label function names a backend
-for the fleet router and the hybrid selector alike.
+every key ingest form and batch shape; and :class:`FlakyBackend`
+forwards the contract and nothing else.
 """
 
 import numpy as np
 import pytest
 
-import repro.exec.backend
-import repro.exec.select
-import repro.serve.fleet
 from repro.crypto import get_prf
 from repro.dpf import eval_full, gen, pack_keys
 from repro.exec import (
@@ -25,10 +21,8 @@ from repro.exec import (
     ExecutionBackend,
     MultiGpuBackend,
     PlanCache,
-    SimulatedBackend,
     SingleGpuBackend,
 )
-from repro.exec.backend import backend_label
 from repro.gpu import V100, KeyArena
 from repro.pir import PirClient, PirServer
 from repro.serve import FaultPlan, FlakyBackend, ReplicaSet, ShardedPirServer
@@ -225,16 +219,11 @@ class TestFlakyBackendSurface:
     def test_forwards_no_attribute_beyond_the_contract(self):
         assert "__getattr__" not in vars(FlakyBackend)
         flaky = FlakyBackend(SingleGpuBackend(), FaultPlan.always())
-        for name in ("install_table", "drop_table", "run_combined", "_scheduler"):
+        for name in (
+            "install_table", "drop_table", "run_combined", "_scheduler",
+            "device", "devices",
+        ):
             assert not hasattr(flaky, name)
-
-    # Every backend modeled on devices; a device-less one (the hybrid
-    # selector) is labelled by the wrapper's own name.
-    @pytest.mark.parametrize("backend_name", ["cpu", "multi_gpu", "simulated", "single_gpu"])
-    def test_label_names_the_wrapped_hardware(self, backend_name):
-        inner = BACKEND_FACTORIES[backend_name]()
-        flaky = FlakyBackend(inner, FaultPlan.always())
-        assert backend_label(flaky, 3) == backend_label(inner, 3)
 
     def test_pricing_never_faults(self):
         keys, _ = _keys(2)
@@ -248,23 +237,18 @@ class TestFlakyBackendSurface:
             flaky.run(_request(keys))
         assert (flaky.runs, flaky.faults) == (1, 1)
 
-
-class TestOneLabel:
-    def test_router_and_selector_share_one_function(self):
-        assert repro.serve.fleet.backend_label is repro.exec.backend.backend_label
-        assert repro.exec.select.backend_label is repro.exec.backend.backend_label
-        assert not hasattr(repro.serve.fleet, "_backend_label")
-        assert not hasattr(repro.exec.select, "_label")
-
-    @pytest.mark.parametrize(
-        "backend, label",
-        [
-            (SingleGpuBackend(), "0:V100-SXM2-16GB"),
-            (SimulatedBackend(), "0:V100-SXM2-16GB"),
-            (MultiGpuBackend([V100, V100]), "0:V100-SXM2-16GB+V100-SXM2-16GB"),
-            (_ContractOnly(), "0:contract_only"),
-        ],
-        ids=["device", "simulated", "devices", "name"],
-    )
-    def test_label_forms(self, backend, label):
-        assert backend_label(backend, 0) == label
+    @pytest.mark.parametrize("backend_name", sorted(BACKEND_FACTORIES))
+    def test_healthy_runs_are_the_wrapped_backends(self, backend_name):
+        """Until its fault fires, the wrapper is invisible: it plans,
+        prices and answers exactly as the backend it wraps."""
+        keys, shares = _keys(3)
+        inner = BACKEND_FACTORIES[backend_name]()
+        flaky = FlakyBackend(BACKEND_FACTORIES[backend_name](), FaultPlan.nth(2))
+        assert flaky.plan(_request(keys)) == inner.plan(_request(keys))
+        assert flaky.model_latency_s(3, DOMAIN, PRF) == inner.model_latency_s(
+            3, DOMAIN, PRF
+        )
+        np.testing.assert_array_equal(flaky.run(_request(keys)).answers, shares)
+        with pytest.raises(BackendFault):
+            flaky.run(_request(keys))
+        assert (flaky.runs, flaky.faults) == (2, 1)

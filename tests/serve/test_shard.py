@@ -530,14 +530,6 @@ class TestServerSurface:
         with pytest.raises(ValueError, match="non-empty"):
             ShardedPirServer(np.zeros(0, dtype=np.uint64))
 
-    def test_fleet_routing_rejected(self):
-        server = ShardedPirServer(_table(), shards=2, replicas=1, prf_name=PRF)
-        request = server.parse_query(_client().query([1]).requests[0])[1]
-        with pytest.raises(ValueError, match="routes across its own replicas"):
-            server.answer_request(
-                request, epoch=0, backend=BACKEND_FACTORIES["single_gpu"]()
-            )
-
     def test_epoch_table_oracle_hook(self):
         table = _table()
         server = ShardedPirServer(table, shards=2, replicas=1, prf_name=PRF)

@@ -32,7 +32,6 @@ from repro.serve import (
     AsyncPirServer,
     FaultPlan,
     FlakyBackend,
-    FleetScheduler,
     PirServerOverloaded,
     RetryPolicy,
     ShardedPirServer,
@@ -149,25 +148,6 @@ class TestRetryKeepsChainsWhole:
             dispatch_spans = [s for s in trace.spans if s.name == "dispatch"]
             assert dispatch_spans[0].annotations.get("error") == "BackendFault"
             assert "error" not in dispatch_spans[1].annotations
-
-    def test_fleet_failure_keeps_chains_whole(self):
-        table, _, client = _fixture()
-        server = PirServer(table, prf_name="siphash")
-        oracle = PirServer(table, prf_name="siphash")
-        fleet = FleetScheduler(
-            [FlakyBackend(SingleGpuBackend(), FaultPlan.nth(1)), SingleGpuBackend()]
-        )
-        frames = [b.requests[0] for b in client.query_many([2, 4, 6])]
-        tracer = Tracer()
-        _, replies = _serve(
-            server,
-            frames,
-            tracer=tracer,
-            fleet=fleet,
-            retry=RetryPolicy(max_attempts=3),
-        )
-        assert replies == [oracle.handle(f) for f in frames]
-        _assert_complete(tracer.drain(), len(frames))
 
 
 class TestFailoverAnnotations:
@@ -310,14 +290,11 @@ class TestMetricsIntegration:
         table, _, client = _fixture()
         registry = MetricsRegistry()
         server = PirServer(table, prf_name="siphash", plan_cache=PlanCache())
-        fleet = FleetScheduler([SingleGpuBackend(), SingleGpuBackend()])
         frames = [b.requests[0] for b in client.query_many([3, 7])]
         tracer = Tracer(metrics=registry)
-        loop, _ = _serve(
-            server, frames, tracer=tracer, fleet=fleet, metrics=registry
-        )
+        loop, _ = _serve(server, frames, tracer=tracer, metrics=registry)
         snap = registry.snapshot()
-        assert {"serving", "plan_cache", "fleet"} <= set(snap["views"])
+        assert {"serving", "plan_cache"} <= set(snap["views"])
         assert snap["views"]["serving"]["answered"] == len(frames)
         assert snap["views"]["serving"]["plan_cache_hits"] == (
             loop.stats.plan_cache_hits
@@ -326,6 +303,20 @@ class TestMetricsIntegration:
         assert set(registry.histograms("stage.")) == {
             f"stage.{stage}" for stage in REQUIRED_STAGES
         }
+
+    def test_only_a_sharded_server_gets_a_shards_view(self):
+        table, plain, client = _fixture()
+        sharded = ShardedPirServer(table, shards=2, prf_name="siphash")
+        frames = [b.requests[0] for b in client.query_many([5, 9])]
+        views = {}
+        for name, server in (("plain", plain), ("sharded", sharded)):
+            registry = MetricsRegistry()
+            _serve(server, frames, metrics=registry)
+            views[name] = registry.snapshot()["views"]
+        assert set(views["plain"]) == {"serving"}
+        assert set(views["sharded"]) == {"serving", "shards"}
+        assert views["sharded"]["shards"] == sharded.stats_totals().as_dict()
+        assert views["sharded"]["shards"]["batches"] > 0
 
     def test_two_loops_share_one_registry_under_unique_names(self):
         table, _, client = _fixture()
