@@ -111,7 +111,7 @@ def counted_blocks(prf_name: str):
     """Count the cipher blocks computed through ``prf_name`` while active.
 
     Wraps the PRF class's two cipher entry points, so the count is what
-    the backends really ran, whatever their ``EvalResult.cost`` claims.
+    the backends really ran, whatever ``Strategy.cost`` predicts.
     """
     cls = type(get_prf(prf_name))
     pair, single = cls.expand_pair_stacked, cls.expand

@@ -8,11 +8,11 @@ Layers, bottom to top:
 * :mod:`repro.dpf` — the Boyle--Gilboa--Ishai distributed point
   function: key generation, full-domain evaluation, serialization.
 * :mod:`repro.gpu` — the paper's acceleration story: parallelization
-  strategies, a calibrated V100 performance model, batch/table-aware
-  strategy scheduling, and multi-GPU sharding.
+  strategies, a calibrated V100 performance model, and batch/table-aware
+  strategy scheduling.
 * :mod:`repro.exec` — the unified execution layer: one request-oriented
   :class:`~repro.exec.ExecutionBackend` protocol over the substrate
-  (single-GPU, multi-GPU, simulated oracle).
+  (single-GPU, simulated oracle).
 * :mod:`repro.pir` — the end-to-end two-server PIR pipeline: client
   query generation, wire framing, and table serving through any
   execution backend.

@@ -1,20 +1,20 @@
 """Request-oriented types shared by every execution backend.
 
-The execution substrate underneath (:mod:`repro.gpu`) grew four entry
+The execution substrate underneath (:mod:`repro.gpu`) has three entry
 points with slightly different conventions — ``Strategy.eval_batch``,
-``Scheduler.select``, ``MultiGpuExecutor.execute`` and the raw
-``GpuSimulator``.  The :mod:`repro.exec` layer folds them behind one
-request/plan/result vocabulary:
+``Scheduler.select`` and the raw ``GpuSimulator``.  The
+:mod:`repro.exec` layer folds them behind one request/plan/result
+vocabulary:
 
 * :class:`EvalRequest` — what a caller wants evaluated: key material in
   any accepted form (:data:`~repro.gpu.arena.KeySource`), the table
   spec, and residency/SLO hints.
 * :class:`ExecutionPlan` — what a backend would do for the request and
-  what the performance model predicts for it, expressed as per-device
-  shards (a single-device backend emits one shard).
+  what the performance model predicts for it: one device's scheduler
+  :class:`~repro.gpu.scheduler.Selection`.
 * :class:`EvalResult` — the evaluated ``(B, L)`` share matrix (or, for
   a request that carries a reducer, the ``(B,)`` reduced answers) plus
-  the plan it ran under and the merged functional cost.
+  the plan it ran under.
 """
 
 from __future__ import annotations
@@ -25,8 +25,8 @@ from typing import Sequence
 import numpy as np
 
 from repro.gpu.arena import KeyArena, KeySource
-from repro.gpu.multigpu import MultiGpuStats
-from repro.gpu.strategies import Reducer, StrategyCost, resolve_range
+from repro.gpu.scheduler import Selection
+from repro.gpu.strategies import Reducer, resolve_range
 
 
 @dataclass
@@ -60,10 +60,11 @@ class EvalRequest:
             Every backend computes it with a walk pruned to the range
             (:meth:`Strategy.eval_batch <repro.gpu.strategies.Strategy
             .eval_batch>`'s node window, or the per-key reference
-            :func:`repro.dpf.dpf.eval_range`), and ``EvalResult.cost``
-            counts the pruned walk.  ``plan`` — strategy selection and
-            the modeled ``KernelPlan`` latency — still prices the full
-            tree: a range-aware device model is future work.
+            :func:`repro.dpf.dpf.eval_range`), whose work
+            :meth:`Strategy.cost <repro.gpu.strategies.Strategy.cost>`
+            counts.  ``plan`` — strategy selection and the modeled
+            ``KernelPlan`` latency — still prices the full tree: a
+            range-aware device model is future work.
         reduce: Optional reducer (:data:`~repro.gpu.strategies.Reducer`,
             ``reduce(shares, lo, hi)`` — for a PIR server
             ``shares @ table[lo:hi]``).  When set, ``run`` hands it the
@@ -72,8 +73,8 @@ class EvalRequest:
             returned, ``(B,)`` or ``(B, W)``, instead of the matrix; see
             :meth:`Strategy.eval_batch <repro.gpu.strategies.Strategy
             .eval_batch>` for who reduces when.  Its presence is the
-            only switch: planning, pricing and ``EvalResult.cost`` do
-            not look at it.  Row indices are the table's, so
+            only switch: planning and pricing do not look at it.  Row
+            indices are the table's, so
             :meth:`restrict`, :meth:`padded`, :meth:`merge` and
             :meth:`unmerge` carry it along unchanged.  Excluded from
             ``repr``/comparison, like ``traces``.
@@ -338,41 +339,34 @@ class ExecutionPlan:
     Attributes:
         backend: Name of the backend that produced the plan.
         resident: Whether the plan assumes a device-resident key arena.
-        stats: Per-shard selections and merged timing, in the
-            :class:`~repro.gpu.multigpu.MultiGpuStats` shape regardless
-            of backend — a single-device backend emits exactly one
-            shard, so callers never branch on the backend type.
+        selection: The device scheduler's decision — the winning
+            strategy, its kernel plan and its simulated statistics.
     """
 
     backend: str
     resident: bool
-    stats: MultiGpuStats
+    selection: Selection
 
     @property
     def batch_size(self) -> int:
-        return self.stats.batch_size
+        return self.selection.plan.batch_size
 
     @property
     def table_entries(self) -> int:
-        return self.stats.table_entries
+        return self.selection.plan.table_entries
 
     @property
     def latency_s(self) -> float:
-        return self.stats.latency_s
+        return self.selection.stats.latency_s
 
     @property
     def throughput_qps(self) -> float:
-        return self.stats.throughput_qps
+        return self.selection.stats.throughput_qps
 
     @property
-    def strategies(self) -> tuple[str, ...]:
-        """Winning strategy name per shard, in device order."""
-        return tuple(s.selection.strategy for s in self.stats.shards)
-
-    @property
-    def feasible(self) -> bool:
-        """Whether every shard's winning plan fits its device."""
-        return all(s.selection.stats.feasible for s in self.stats.shards)
+    def strategies(self) -> tuple[str]:
+        """The winning strategy's name, as a one-tuple."""
+        return (self.selection.strategy,)
 
     def meets_slo(self, slo_latency_s: float | None) -> bool:
         """Whether the modeled latency honors ``slo_latency_s``.
@@ -385,7 +379,7 @@ class ExecutionPlan:
 
 @dataclass(frozen=True)
 class EvalResult:
-    """Answers plus the accounting for one executed request.
+    """Answers plus the plan for one executed request.
 
     Attributes:
         answers: ``(B, L)`` uint64 share matrix in request key order;
@@ -393,16 +387,10 @@ class EvalResult:
             scaled one-hot rows.  For a request with a reducer, the
             ``(B,)`` (or ``(B, W)``) sum of the reducer's partials.
         plan: The :class:`ExecutionPlan` the batch ran under.
-        cost: Merged functional :class:`StrategyCost` across shards —
-            ``prf_blocks``/``parallel_width`` sum over shards and
-            ``peak_mem_bytes`` is the fleet-wide footprint (shards run
-            on distinct devices concurrently).  ``strategy`` is the
-            single shared name, or ``"mixed"`` when shards diverge.
     """
 
     answers: np.ndarray
     plan: ExecutionPlan
-    cost: StrategyCost
 
     @property
     def batch_size(self) -> int:

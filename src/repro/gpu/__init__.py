@@ -12,15 +12,17 @@ package substitutes that hardware with two tightly-coupled layers
 * **Performance model** — a wave-level simulator of a SIMT device
   (:mod:`repro.gpu.sim`) with occupancy, shared-memory, bandwidth, and
   launch-overhead effects, calibrated against the paper's published
-  V100 numbers (Tables 4 and 5).  It produces the latency, throughput,
-  and utilization series behind Figures 8, 9, 13, 14 and 15.
+  V100 numbers (Tables 4 and 5).  It prices what
+  ``scripts/paper_figures.py`` prints: Tables 4 and 5 and Figures 8/9,
+  10 and 13/14 (Figure 6's peak memory comes from the kernel plans
+  alone).
 
 The scheduler (:mod:`repro.gpu.scheduler`) reproduces the paper's
 batch- and table-size-aware strategy selection (Section 3.2.5).
 
 :mod:`repro.gpu.arena` holds the serving-path data layer: a persistent
 :class:`KeyArena` built from key objects or straight from wire bytes
-(zero per-key Python objects), zero-copy sharding, a reusable
+(zero per-key Python objects), zero-copy slicing, a reusable
 :class:`ExpansionWorkspace`, and — through the plans' resident-keys
 mode — amortization of the per-batch PCIe key upload.
 """
@@ -40,7 +42,6 @@ from repro.gpu.strategies import (
     available_strategies,
     get_strategy,
 )
-from repro.gpu.multigpu import MultiGpuExecutor
 
 __all__ = [
     "DeviceSpec",
@@ -62,5 +63,4 @@ __all__ = [
     "get_strategy",
     "Scheduler",
     "select_strategy",
-    "MultiGpuExecutor",
 ]

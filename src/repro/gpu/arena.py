@@ -2,7 +2,7 @@
 
 A server answering a stream of PIR batches spends its constant factors
 *around* the cryptography: re-packing `DpfKey` objects into stacked
-arrays on every ``eval_batch`` call, re-stacking per multi-GPU shard,
+arrays on every ``eval_batch`` call, re-stacking per fused batch,
 and — worst of all — building one Python object per wire key before any
 vectorized work can start.  :class:`KeyArena` removes all three:
 
@@ -16,9 +16,9 @@ vectorized work can start.  :class:`KeyArena` removes all three:
   records (:func:`repro.dpf.keys.pack_keys`) with one ``np.frombuffer``,
   a fixed-stride reshape and one ``np.unpackbits`` of the packed
   control bits — zero per-key Python object construction.
-* Slicing (``arena[a:b]``) returns *views*, so
-  :class:`~repro.gpu.multigpu.MultiGpuExecutor` shards a batch without
-  copying a byte.
+* Slicing (``arena[a:b]``) returns *views*, so a fused batch splits
+  back into its requests (:meth:`repro.exec.EvalRequest.unmerge`)
+  without copying a byte.
 
 On the modeled device the arena is what stays resident in global memory
 between batches (the kernel plans' ``resident_bytes``), which is what
@@ -270,9 +270,8 @@ class KeyArena:
         """Normalize any accepted key source into a non-empty arena.
 
         This is the one batch-entry point the execution stack shares:
-        strategies, the multi-GPU executor, and the
-        :mod:`repro.exec` backends all route their ``keys`` argument
-        through it instead of each re-implementing the
+        strategies and the :mod:`repro.exec` backends all route their
+        ``keys`` argument through it instead of each re-implementing the
         arena/objects/wire dispatch.
 
         Args:
@@ -540,8 +539,7 @@ class ExpansionWorkspace:
     The returned share matrices are *never* workspace-backed — results
     stay valid after the next call.
 
-    Not thread-safe: use one workspace per serving thread (or per
-    device, as :class:`~repro.gpu.multigpu.MultiGpuExecutor` does).
+    Not thread-safe: use one workspace per serving thread.
     """
 
     def __init__(self):

@@ -14,7 +14,7 @@ and answers key batches in two forms:
   :class:`~repro.pir.wire.PirReply` bytes out.
 
 Evaluation flows through whatever :class:`ExecutionBackend` the server
-was built with — single-GPU, multi-GPU, or the simulated oracle — so
+was built with — single-GPU or the simulated oracle — so
 the serving code is identical across deployment shapes; only the
 backend object changes.  The answer share for key ``k`` is the table
 dot product ``sum_i share_k[i] * table[i] (mod 2^64)``: the O(L) pass

@@ -1,10 +1,10 @@
-"""The unified execution layer: one request API, three backends.
+"""The unified execution layer: one request API, two backends.
 
 Claims: every backend's ``run`` is bit-identical to the reference
 evaluator for every accepted key-source form (objects, arena, wire
-bytes) in both streaming and resident modes; ``plan`` exposes the
-scheduler's decision in one per-shard shape regardless of backend; and
-the request normalizes/ingests key material exactly once.
+bytes) in both streaming and resident modes; ``plan`` exposes one
+device's scheduler decision in the same shape regardless of backend;
+and the request normalizes/ingests key material exactly once.
 """
 
 import numpy as np
@@ -16,13 +16,11 @@ from repro.dpf import eval_full, gen, pack_keys
 from repro.exec import (
     EvalRequest,
     ExecutionBackend,
-    MultiGpuBackend,
     PlanCache,
     SimulatedBackend,
     SingleGpuBackend,
-    merged_cost,
 )
-from repro.gpu import KeyArena, V100, get_strategy
+from repro.gpu import KeyArena, get_strategy
 
 from tests.strategies import BACKEND_FACTORIES
 
@@ -90,9 +88,7 @@ class TestPlan:
         assert plan.table_entries == DOMAIN
         assert plan.latency_s > 0
         assert plan.throughput_qps > 0
-        assert plan.feasible
-        assert len(plan.strategies) == len(plan.stats.shards) >= 1
-        assert sum(s.batch_size for s in plan.stats.shards) == BATCH
+        assert plan.strategies == (plan.selection.strategy,)
 
     def test_resident_plans_amortize_the_key_upload(self, backend_name, reference):
         keys, prf, _ = reference
@@ -100,12 +96,8 @@ class TestPlan:
         resident = backend.plan(
             EvalRequest(keys=keys, prf_name=prf.name, resident=True)
         )
-        assert all(
-            s.selection.plan.host_bytes_in == 0 for s in resident.stats.shards
-        )
-        assert all(
-            s.selection.plan.resident_bytes > 0 for s in resident.stats.shards
-        )
+        assert resident.selection.plan.host_bytes_in == 0
+        assert resident.selection.plan.resident_bytes > 0
         streaming = backend.plan(EvalRequest(keys=keys, prf_name=prf.name))
         assert resident.throughput_qps > streaming.throughput_qps
 
@@ -170,51 +162,53 @@ class TestRangeRestriction:
                 request.restrict(lo, hi)
 
 
-class TestRestrictedCost:
-    """A restricted run reports the work it did, not the full tree's."""
+class TestRestrictedWork:
+    """A restricted run computes the pruned walk, not the full tree."""
+
+    @staticmethod
+    def _counted_run(backend, request, monkeypatch):
+        counting = CountingPrf(get_prf(PRF_NAME))
+        monkeypatch.setattr("repro.exec.backend.get_prf", lambda name: counting)
+        backend.run(request)
+        return counting.blocks
 
     @pytest.mark.parametrize("lo,hi", [(0, 67), (37, 151), (199, 200)])
-    def test_single_gpu_cost_is_the_pruned_count(self, lo, hi, reference):
+    def test_single_gpu_runs_the_pruned_count(self, lo, hi, reference, monkeypatch):
         keys, prf, _ = reference
         request = EvalRequest(keys=keys, prf_name=prf.name)
         backend = SingleGpuBackend()
-        full = backend.run(request).cost
-        restricted = backend.run(request.restrict(lo, hi)).cost
-        strategy = get_strategy(restricted.strategy)
-        counting = CountingPrf(prf)
-        strategy.eval_batch(keys, counting, eval_range=(lo, hi))
-        assert restricted.prf_blocks == counting.blocks < full.prf_blocks
-        assert restricted.peak_mem_bytes <= full.peak_mem_bytes
+        full = self._counted_run(backend, request, monkeypatch)
+        restricted = self._counted_run(backend, request.restrict(lo, hi), monkeypatch)
+        strategy = get_strategy(backend.plan(request).selection.strategy)
+        assert restricted == strategy.cost(BATCH, DOMAIN, (lo, hi)).prf_blocks
+        assert restricted < full == strategy.cost(BATCH, DOMAIN).prf_blocks
 
-    def test_multi_gpu_and_simulated_cost_the_range_too(self, reference):
+    @pytest.mark.parametrize("lo,hi", [(0, 67), (37, 151), (199, 200)])
+    def test_simulated_prunes_the_range_too(self, lo, hi, reference, monkeypatch):
         keys, prf, _ = reference
         request = EvalRequest(keys=keys, prf_name=prf.name)
-        for backend in (MultiGpuBackend([V100, V100]), SimulatedBackend()):
-            full = backend.run(request).cost.prf_blocks
-            assert backend.run(request.restrict(37, 151)).cost.prf_blocks < full
+        backend = SimulatedBackend()
+        full = self._counted_run(backend, request, monkeypatch)
+        assert self._counted_run(backend, request.restrict(lo, hi), monkeypatch) < full
 
 
-class TestMergedCost:
-    def test_merged_cost_sums_over_shards(self, reference):
-        keys, prf, _ = reference
-        plan = MultiGpuBackend([V100, V100]).plan(
-            EvalRequest(keys=keys, prf_name=prf.name)
-        )
-        cost = merged_cost(plan.stats)
-        shard_costs = [
-            get_strategy(s.selection.strategy).cost(s.batch_size, DOMAIN)
-            for s in plan.stats.shards
+class TestBatchSlices:
+    """Arena slices of one batch, run one after another on one backend,
+    answer like the whole batch: the slice is a view, and the backend's
+    reused workspace leaks nothing between runs."""
+
+    @pytest.mark.parametrize("lo,hi", [(0, DOMAIN), (37, 151), (199, 200)])
+    def test_slices_run_like_the_whole_batch(self, lo, hi, reference):
+        keys, prf, expected = reference
+        arena = KeyArena.from_wire(pack_keys(keys))
+        backend = SingleGpuBackend()
+        parts = [
+            backend.run(
+                EvalRequest(keys=arena[a:z], prf_name=prf.name).restrict(lo, hi)
+            ).answers
+            for a, z in ((0, 2), (2, 3), (3, BATCH))
         ]
-        assert cost.prf_blocks == sum(c.prf_blocks for c in shard_costs) > 0
-        assert cost.peak_mem_bytes == sum(c.peak_mem_bytes for c in shard_costs)
-        assert cost.parallel_width == sum(c.parallel_width for c in shard_costs)
-        assert cost.batch_size == BATCH
-        assert cost.domain_size == DOMAIN
-
-    def test_uniform_shards_keep_the_strategy_name(self, reference):
-        keys, prf, _ = reference
-        result = SingleGpuBackend().run(EvalRequest(keys=keys, prf_name=prf.name))
-        assert result.cost.strategy == result.plan.strategies[0]
+        assert np.array_equal(np.vstack(parts), expected[:, lo:hi])
 
 
 class TestEvalRequest:
@@ -252,7 +246,7 @@ class TestEvalRequest:
 
 class TestCustomStrategyPool:
     """A tuned candidate pool changes what is modeled, not what runs:
-    the plan moves, the answers and ``EvalResult.cost`` do not."""
+    the plan moves, the answers do not."""
 
     @pytest.mark.parametrize("backend_class", [SingleGpuBackend, SimulatedBackend])
     def test_a_tuned_pool_changes_only_the_plan(self, backend_class, reference):
@@ -262,14 +256,11 @@ class TestCustomStrategyPool:
         request = EvalRequest(keys=keys, prf_name=prf.name)
         default = backend_class(strategies=[MemoryBoundedTree()])
         tuned = backend_class(strategies=[MemoryBoundedTree(log_subtrees=1)])
-        plans = [backend.plan(request).stats.shards[0].selection for backend in (default, tuned)]
+        plans = [backend.plan(request).selection for backend in (default, tuned)]
         assert [p.strategy for p in plans] == ["memory_bounded"] * 2
         assert plans[0].plan != plans[1].plan
-        results = [backend.run(request) for backend in (default, tuned)]
-        for result in results:
-            assert np.array_equal(result.answers, expected)
-            assert result.cost == get_strategy("memory_bounded").cost(BATCH, DOMAIN)
-        assert results[0].cost == results[1].cost
+        for backend in (default, tuned):
+            assert np.array_equal(backend.run(request).answers, expected)
 
 
 class TestProtocol:
@@ -278,14 +269,3 @@ class TestProtocol:
             assert isinstance(factory(), ExecutionBackend)
         with pytest.raises(TypeError):
             ExecutionBackend()
-
-    def test_multi_backend_accepts_a_bare_device(self, reference):
-        keys, prf, expected = reference
-        backend = MultiGpuBackend(V100)
-        result = backend.run(EvalRequest(keys=keys, prf_name=prf.name))
-        assert np.array_equal(result.answers, expected)
-        assert len(result.plan.stats.shards) == 1
-
-    def test_multi_backend_rejects_empty_fleet(self):
-        with pytest.raises(ValueError, match="at least one device"):
-            MultiGpuBackend([])

@@ -22,6 +22,7 @@ from repro.exec import (
     batch_bucket,
 )
 from repro.gpu import KeyArena
+from tests.strategies import BACKEND_FACTORIES
 
 PRF_NAME = "chacha20"
 DOMAIN = 200
@@ -83,7 +84,7 @@ class TestBitExactness:
                 return super().plan(request)
 
             def run_with_plan(self, request, plan, workspace=None):
-                self.ran.append((request.arena().batch, plan.stats.batch_size))
+                self.ran.append((request.arena().batch, plan.batch_size))
                 return super().run_with_plan(request, plan, workspace)
 
         backend = Recording()
@@ -93,7 +94,7 @@ class TestBitExactness:
         assert backend.planned == [8]
         assert backend.ran == [(5, 8)]
         assert result.answers.shape[0] == 5
-        assert result.plan.stats.batch_size == 8
+        assert result.plan.batch_size == 8
         np.testing.assert_array_equal(result.answers, expected)
         # A second size in the same bucket reuses the plan unchanged
         # and still runs at its own exact batch.
@@ -166,8 +167,9 @@ class TestCacheKey:
         cache = PlanCache()
         cache.run(SimulatedBackend(), request)
         cache.run(SimulatedBackend(), request)
-        # SimulatedBackend keys on the modeled device, so these *do*
-        # share; SingleGpuBackend with a private pool must not.
+        # SimulatedBackend keys on the modeled device and the (default)
+        # pool, so these *do* share; SingleGpuBackend with a private
+        # pool must not.
         assert cache.stats.hits == 1
         from repro.gpu import get_strategy
 
@@ -177,6 +179,37 @@ class TestCacheKey:
         cache2.run(a, request)
         cache2.run(b, request)
         assert cache2.stats.misses == 2
+
+    def test_a_simulated_backend_keys_on_its_strategy_pool(self):
+        # Two pools price two different plans at the same shape, so the
+        # second backend must not be served the first one's plan.
+        from repro.gpu import MemoryBoundedTree
+
+        request, _ = _make_request(5)
+        default = SimulatedBackend(strategies=[MemoryBoundedTree()])
+        tuned = SimulatedBackend(strategies=[MemoryBoundedTree(log_subtrees=1)])
+        assert default.plan_key != tuned.plan_key
+        cache = PlanCache()
+        cache.run(default, request)
+        result = cache.run(tuned, request)
+        assert cache.stats.misses == 2
+        assert result.plan == tuned.plan(request.padded(batch_bucket(5)))
+
+    @pytest.mark.parametrize("backend_name", sorted(BACKEND_FACTORIES))
+    def test_a_shared_cache_hands_each_pool_backend_its_own_plan(self, backend_name):
+        # One cache in front of the whole pool: every backend misses
+        # once, and its later hit is the plan it prices itself.
+        request, expected = _make_request(5)
+        pool = {name: factory() for name, factory in BACKEND_FACTORIES.items()}
+        cache = PlanCache()
+        for backend in pool.values():
+            cache.run(backend, request)
+        assert cache.stats.misses == len(pool) == len(cache)
+        backend = pool[backend_name]
+        result = cache.run(backend, request)
+        assert cache.stats.hits == 1
+        assert result.plan == backend.plan(request.padded(batch_bucket(5)))
+        np.testing.assert_array_equal(result.answers, expected)
 
 
 class TestEviction:

@@ -14,14 +14,7 @@ from hypothesis import given
 from repro.crypto import get_prf
 from repro.crypto.prf import CountingPrf
 from repro.dpf import eval_full, gen, pack_keys
-from repro.gpu import (
-    V100,
-    ExpansionWorkspace,
-    KeyArena,
-    MemoryMeter,
-    MultiGpuExecutor,
-    get_strategy,
-)
+from repro.gpu import ExpansionWorkspace, KeyArena, MemoryMeter, get_strategy
 
 from tests.strategies import (
     STANDARD_SETTINGS,
@@ -213,8 +206,6 @@ class TestSlicing:
         assert len(empty) == 0
         with pytest.raises(ValueError, match="at least one"):
             get_strategy("memory_bounded").eval_batch(empty, PRF)
-        with pytest.raises(ValueError, match="at least one"):
-            MultiGpuExecutor([V100]).eval_batch(empty, PRF)
 
     def test_sliced_arena_evaluates_like_sliced_keys(self, tile):
         keys = _make_keys()
@@ -247,16 +238,6 @@ class TestArenaEvaluation:
         assert counting.blocks == cost.prf_blocks
         assert meter.peak == cost.peak_mem_bytes
         assert meter.current == 0
-
-    def test_multigpu_shards_arena_bit_identically(self):
-        keys = _make_keys(batch=5, domain=300)
-        arena = KeyArena.from_wire(pack_keys(keys))
-        expected = np.stack([eval_full(k, PRF) for k in keys])
-        executor = MultiGpuExecutor([V100, V100])
-        assert np.array_equal(executor.eval_batch(arena, PRF), expected)
-        assert np.array_equal(executor.eval_batch(keys, PRF), expected)
-        # Repeated calls reuse the executor's per-device workspaces.
-        assert np.array_equal(executor.eval_batch(arena, PRF), expected)
 
 
 class TestWorkspaceReuse:

@@ -20,14 +20,7 @@ from repro.crypto import get_prf
 from repro.crypto.prf import CountingPrf
 from repro.dpf import eval_full, gen, pack_keys
 from repro.dpf.ggm import leaf_window, level_window, tree_depth
-from repro.gpu import (
-    ExpansionWorkspace,
-    KeyArena,
-    MemoryMeter,
-    MultiGpuExecutor,
-    V100,
-    get_strategy,
-)
+from repro.gpu import ExpansionWorkspace, KeyArena, MemoryMeter, get_strategy
 from repro.serve import shard_ranges
 
 from tests.strategies import STANDARD_SETTINGS, key_ranges, rng_seeds, tile_rules, tiled
@@ -108,12 +101,6 @@ class TestRangeBitIdentity:
                 WALK.eval_batch(keys, PRF, eval_range=bad)
             with pytest.raises(ValueError, match="sub-range"):
                 WALK.cost(BATCH, 100, bad)
-
-    def test_multigpu_executor_prunes_per_device_shard(self):
-        keys = _keys(300, batch=5)
-        executor = MultiGpuExecutor([V100, V100])
-        got = executor.eval_batch(keys, PRF, eval_range=(37, 211))
-        assert np.array_equal(got, _reference(keys)[:, 37:211])
 
 
 # (domain, lo, hi): whole, halves, one row, straddling a four-leaf

@@ -5,8 +5,7 @@ for AES-128 over a 1M-entry table — plus the sanity properties any
 roofline model must satisfy: monotonicity in bandwidth and compute
 rate, OOM and unlaunchable block shapes reported infeasible,
 utilization that grows with batch size (Figures 8b/9), batch- and
-table-size-aware strategy selection (Section 3.2.5), and near-linear
-multi-GPU scaling.
+table-size-aware strategy selection (Section 3.2.5).
 """
 
 import dataclasses
@@ -20,7 +19,6 @@ from repro.exec import EvalRequest, SingleGpuBackend
 from repro.gpu import (
     A100,
     GpuSimulator,
-    MultiGpuExecutor,
     Scheduler,
     V100,
     get_strategy,
@@ -200,44 +198,6 @@ class TestHostParseOverlap:
             )
 
 
-class TestMultiGpu:
-    def test_two_identical_gpus_double_throughput(self):
-        single = select_strategy(512, MILLION, device=V100).stats.throughput_qps
-        pair = MultiGpuExecutor([V100, V100]).execute(1024, MILLION)
-        ratio = pair.throughput_qps / single
-        assert 1.9 < ratio < 2.1
-        assert len(pair.shards) == 2
-        assert sum(s.batch_size for s in pair.shards) == 1024
-
-    def test_heterogeneous_fleet_balances_by_throughput(self):
-        stats = MultiGpuExecutor([V100, A100]).execute(1024, MILLION)
-        shards = {s.device_name: s.batch_size for s in stats.shards}
-        # The A100's calibrated rate is higher, so it takes the larger shard.
-        assert shards[A100.name] > shards[V100.name]
-        solo_v100 = select_strategy(1024, MILLION, device=V100).stats.throughput_qps
-        assert stats.throughput_qps > solo_v100
-
-    def test_small_batches_skip_idle_devices(self):
-        stats = MultiGpuExecutor([V100] * 8).execute(3, 1 << 16)
-        assert sum(s.batch_size for s in stats.shards) == 3
-        assert all(s.batch_size > 0 for s in stats.shards)
-        assert len(stats.shards) <= 3
-
-    def test_functional_sharded_eval_matches_reference(self):
-        prf = get_prf("chacha20")
-        rng = np.random.default_rng(11)
-        domain = 300
-        keys = []
-        for i in range(5):
-            k0, k1 = gen((7 * i) % domain, domain, prf, rng)
-            keys.append(k0 if i % 2 else k1)
-        from repro.dpf import eval_full
-
-        expected = np.stack([eval_full(k, prf) for k in keys])
-        got = MultiGpuExecutor([V100, V100]).eval_batch(keys, prf)
-        assert np.array_equal(got, expected)
-
-
 class TestThroughputQps:
     """`Scheduler.throughput_qps` is exactly the winning plan's rate."""
 
@@ -324,15 +284,6 @@ class TestResidentKeys:
         assert resident is scheduler.select(512, MILLION, resident_keys=True)
         assert resident.plan.host_bytes_in == 0
         assert resident.stats.throughput_qps > base.stats.throughput_qps
-
-    def test_multigpu_resident_serving_is_faster(self):
-        executor = MultiGpuExecutor([V100, V100])
-        base = executor.execute(1024, MILLION)
-        resident = executor.execute(1024, MILLION, resident_keys=True)
-        assert resident.throughput_qps > base.throughput_qps
-        assert all(
-            s.selection.plan.host_bytes_in == 0 for s in resident.shards
-        )
 
 
 class TestSchedulerCostHook:

@@ -3,11 +3,11 @@
 The tentpole property: for random tables and random index sets,
 ``client -> wire -> two servers -> reconstruction`` returns *exactly*
 the table entries — under both object ingestion and wire ingestion, in
-streaming and resident-keys modes, on the single-GPU, multi-GPU, and
-simulated backends.  Each (backend, ingest) pair runs the full
-Hypothesis property with residency and shapes drawn per example, so the
-whole {object, wire} x {streaming, resident} x {SingleGpu, MultiGpu,
-Simulated} cube is exercised.
+streaming and resident-keys modes, on every backend of the shared pool
+(single-GPU on a V100 and an A100, and the simulated oracle).  Each
+(backend, ingest) pair runs the full Hypothesis property with residency
+and shapes drawn per example, so the whole {object, wire} x {streaming,
+resident} x backend cube is exercised.
 """
 
 import hashlib

@@ -15,8 +15,8 @@ import math
 import numpy as np
 import pytest
 
-from repro.exec import MultiGpuBackend, SingleGpuBackend
-from repro.gpu import V100
+from repro.exec import SingleGpuBackend
+from repro.gpu import A100, V100
 from repro.pir import PirClient, PirServer
 from repro.serve import (
     BATCH,
@@ -172,17 +172,6 @@ class TestDrainTimeModel:
         assert model.drain_s(16, 64, "siphash", False) == pytest.approx(16 / qps)
         assert model.drain_s(0, 64, "siphash", False) == 0.0
 
-    def test_prices_a_multi_gpu_backend_as_one_backend(self):
-        """A two-GPU backend is still one backend: the model prices its
-        sharded plan, which drains faster than one GPU's."""
-        backend = MultiGpuBackend([V100, V100])
-        model = DrainTimeModel(backend, flush_batch=8)
-        latency = backend.model_latency_s(8, 64, prf_name="siphash")
-        qps = model.modeled_qps(64, "siphash", False)
-        assert qps == pytest.approx(8 / latency)
-        single = DrainTimeModel(SingleGpuBackend(), flush_batch=8)
-        assert qps > single.modeled_qps(64, "siphash", False)
-
     def test_unpriced_backend_fails_open(self):
         """No cost model means infinite modeled QPS — drain shedding
         disables itself rather than shedding on a guess."""
@@ -302,21 +291,27 @@ class TestDrainTimeAdmission:
         assert not shed_d
         assert depth_only.stats.shed == 0
 
-    def test_multi_gpu_capacity_raises_the_admission_cutoff(self):
-        """Drain admission prices the server's own backend: the budget
-        that sheds 2 of 8 on one V100 admits all 8 on two, whose sharded
-        plan drains a query in about three quarters of the time."""
-        model = DrainTimeModel(SingleGpuBackend(), flush_batch=4)
-        per_query_s = 1.0 / model.modeled_qps(32, "siphash", False)
-        budget = 6.5 * per_query_s
+    def test_a_faster_device_raises_the_admission_cutoff(self):
+        """Drain admission prices the server's own backend: a budget
+        halfway between 8 queries' modeled drain on an A100 and on a
+        V100 (whose flush is about 10 % slower) admits all 8 on the
+        A100 and sheds the 8th on the V100."""
 
-        _, shed_single, _ = self._shed_profile(budget)
-        assert len(shed_single) == 2
+        def per_query_s(device):
+            model = DrainTimeModel(SingleGpuBackend(device), flush_batch=4)
+            return 1.0 / model.modeled_qps(32, "siphash", False)
 
-        loop, shed_multi, answered = self._shed_profile(
-            budget, backend=MultiGpuBackend([V100, V100])
+        v100, a100 = per_query_s(V100), per_query_s(A100)
+        assert a100 < v100
+        budget = 8 * (v100 + a100) / 2
+
+        _, shed_v100, _ = self._shed_profile(budget, backend=SingleGpuBackend(V100))
+        assert len(shed_v100) == 1
+
+        loop, shed_a100, answered = self._shed_profile(
+            budget, backend=SingleGpuBackend(A100)
         )
-        assert not shed_multi
+        assert not shed_a100
         assert len(answered) == 8
         assert loop.stats.shed == 0
 

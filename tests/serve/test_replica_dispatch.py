@@ -19,11 +19,10 @@ from repro.dpf import eval_full, gen, pack_keys
 from repro.exec import (
     EvalRequest,
     ExecutionBackend,
-    MultiGpuBackend,
     PlanCache,
     SingleGpuBackend,
 )
-from repro.gpu import V100, KeyArena
+from repro.gpu import KeyArena
 from repro.pir import PirClient, PirServer
 from repro.serve import FaultPlan, FlakyBackend, ReplicaSet, ShardedPirServer
 from repro.serve.chaos import BackendFault
@@ -151,7 +150,7 @@ class TestOneDispatchPath:
     @pytest.mark.parametrize("batch", [1, 2, 3, 7])
     def test_any_batch_shape(self, batch):
         keys, shares = _keys(batch, seed=batch)
-        replicas, table = _set([MultiGpuBackend([V100, V100])], PlanCache())
+        replicas, table = _set([SingleGpuBackend()], PlanCache())
         np.testing.assert_array_equal(
             replicas.answer(_request(keys), 0), shares[:, LO:HI] @ table[LO:HI]
         )

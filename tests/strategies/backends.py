@@ -8,8 +8,8 @@ once instead of silently missing a copy-pasted dict.
 
 from __future__ import annotations
 
-from repro.exec import MultiGpuBackend, SimulatedBackend, SingleGpuBackend
-from repro.gpu import A100, V100
+from repro.exec import SimulatedBackend, SingleGpuBackend
+from repro.gpu import A100, get_strategy
 
 
 def _named(backend, name):
@@ -22,20 +22,22 @@ def _named(backend, name):
     return backend
 
 
+def _pinned(strategy_name):
+    """A single-GPU backend whose scheduler may only choose one design."""
+    name = f"single_gpu_{strategy_name}"
+    return _named(SingleGpuBackend(strategies=[get_strategy(strategy_name)]), name)
+
+
 BACKEND_FACTORIES = {
     "single_gpu": lambda: SingleGpuBackend(),
-    "multi_gpu": lambda: MultiGpuBackend([V100, V100]),
     "simulated": lambda: SimulatedBackend(),
     # Another device model: the scheduler prices (and may pick) a
     # different strategy, and the answers must not notice.
     "single_gpu_a100": lambda: _named(SingleGpuBackend(A100), "single_gpu_a100"),
-    # A mixed fleet shards unevenly by modeled throughput; a small batch
-    # can leave a device with a zero share, which eval_batch must skip.
-    "multi_gpu_mixed": lambda: _named(
-        MultiGpuBackend([V100, A100]), "multi_gpu_mixed"
-    ),
-    # Three shards: largest-remainder splits that do not divide evenly.
-    "multi_gpu_3": lambda: _named(
-        MultiGpuBackend([V100, V100, V100]), "multi_gpu_3"
-    ),
+    # On the suites' small tables the default pool picks
+    # cooperative_groups; pinning each other design prices, plans and
+    # serves it through the same seam, and the answers must not notice.
+    "single_gpu_branch_parallel": lambda: _pinned("branch_parallel"),
+    "single_gpu_level_by_level": lambda: _pinned("level_by_level"),
+    "single_gpu_memory_bounded": lambda: _pinned("memory_bounded"),
 }
