@@ -37,9 +37,8 @@ tables stay resident in a per-core L2 at any call size, which is what
 keeps ns/block flat from a few thousand blocks to millions; the DPF
 expansion calls the cipher once per tree level with geometrically
 growing batches, so both ends of that range are on the serving path.
-The scratch is thread-*local* because overlapped serving
-(``AsyncPirServer(overlap=True)``) runs each party's dispatch on its
-own executor thread and two concurrent expansions must not share round
+The scratch is thread-*local* because any caller may expand on two
+threads at once, and two concurrent expansions must not share round
 state.  The first AddRoundKey is a parameter (*whitening*): the MMO
 tweak of :class:`Aes128` is folded into it, so the fused PRG encrypts
 both tweaked copies of its seeds without ever materialising them.

@@ -19,7 +19,8 @@ therefore allocates its result and nothing else, and ns/block is flat
 from a few thousand seeds to millions — the DPF expansion calls the PRG
 once per tree level with geometrically growing batches, so both ends of
 that range are on the serving path (as for :mod:`repro.crypto.aes`,
-whose ``_Scratch`` this mirrors, thread-local for the same reason).
+whose ``_Scratch`` this mirrors, thread-local for the same reason:
+any caller may expand on two threads at once).
 The allocating, functional :func:`_sipround` is kept for the scalar
 :func:`siphash24`, which the tests hold the in-place path against.
 """

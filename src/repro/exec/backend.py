@@ -100,28 +100,6 @@ class ExecutionBackend(abc.ABC):
         del plan, workspace
         return self.run(request)
 
-    def model_latency_s(
-        self,
-        batch_size: int,
-        table_entries: int,
-        prf_name: str = "aes128",
-        resident: bool = False,
-        entry_bytes: int = 8,
-    ) -> float | None:
-        """Modeled batch latency for a workload *shape* — no keys needed.
-
-        The metadata-only pricing hook drain-time admission builds on
-        (:class:`repro.serve.control.DrainTimeModel`): the same number
-        :meth:`plan` would report as
-        :attr:`~repro.exec.request.ExecutionPlan.latency_s`, but priced
-        from ``(batch, table, prf, residency)`` alone so a serving loop
-        can ask "how fast would a flush of B queries drain" without
-        synthesizing key material.  Returns ``None`` when the backend
-        has no performance model (callers must then skip model-based
-        policies rather than guess).
-        """
-        return None
-
 
 class SingleGpuBackend(ExecutionBackend):
     """Scheduler-driven execution on one modeled device.
@@ -161,18 +139,6 @@ class SingleGpuBackend(ExecutionBackend):
         )
         return ExecutionPlan(
             backend=self.name, resident=request.resident, selection=selection
-        )
-
-    def model_latency_s(
-        self,
-        batch_size: int,
-        table_entries: int,
-        prf_name: str = "aes128",
-        resident: bool = False,
-        entry_bytes: int = 8,
-    ) -> float | None:
-        return self._scheduler(entry_bytes).latency_s(
-            batch_size, table_entries, prf_name, resident
         )
 
     @property
@@ -217,22 +183,6 @@ class SimulatedBackend(ExecutionBackend):
 
     def plan(self, request: EvalRequest) -> ExecutionPlan:
         return dataclasses.replace(self._single.plan(request), backend=self.name)
-
-    def model_latency_s(
-        self,
-        batch_size: int,
-        table_entries: int,
-        prf_name: str = "aes128",
-        resident: bool = False,
-        entry_bytes: int = 8,
-    ) -> float | None:
-        return self._single.model_latency_s(
-            batch_size,
-            table_entries,
-            prf_name=prf_name,
-            resident=resident,
-            entry_bytes=entry_bytes,
-        )
 
     @property
     def plan_key(self) -> tuple:

@@ -60,8 +60,7 @@ every batch on its one backend, so today this span brackets no work;
 it stays because the benchmark's per-stage metrics read it."""
 
 STAGE_DISPATCH = "dispatch"
-"""Span: the backend evaluation of the fused batch (including the
-executor hop when ingest is double-buffered)."""
+"""Span: the backend evaluation of the fused batch."""
 
 STAGE_DEMUX = "demux"
 """Span: slicing this query's rows off the merged answers and framing
@@ -189,8 +188,8 @@ class TraceContext:
     def event(self, name: str, **fields) -> None:
         """Record a zero-duration annotation (retry, failover, ...).
 
-        Safe to call from the dispatch thread: appending to a list is
-        atomic under the GIL, and events carry their own timestamps.
+        Safe to call from any thread: appending to a list is atomic
+        under the GIL, and events carry their own timestamps.
         """
         self.events.append({"name": name, "t": self._tracer.clock(), **fields})
 

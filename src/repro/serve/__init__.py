@@ -8,16 +8,15 @@ can absorb heavy concurrent traffic and survive backend failures:
 * :mod:`repro.serve.loop` — :class:`AsyncPirServer`, the asyncio
   request loop: framed queries in, per-request futures out, with batch
   aggregation under a latency SLO (flush on max-batch, arena-bytes
-  budget, or max-wait deadline), two-layer admission control (modeled
-  drain time as the default policy, ``max_pending`` as the hard cap),
-  and retry/requeue on backend failure (a failed fused batch is
-  un-merged and its survivors retried individually).
+  budget, or max-wait deadline), admission control (a ``max_pending``
+  depth cap plus the tenant's QoS bucket), and retry/requeue on backend
+  failure (a failed fused batch is un-merged and its survivors retried
+  individually).
 * :mod:`repro.serve.control` — the control-plane policies the loop
   consults: :class:`RetryPolicy` (bounded retries, backoff budgets),
-  :class:`QosPolicy` / :class:`TenantSpec` (per-tenant token buckets,
-  :data:`INTERACTIVE`-over-:data:`BATCH` priority with anti-starvation),
-  and :class:`DrainTimeModel` (queue drain priced via the performance
-  model of the server's one backend).
+  :class:`QosPolicy` / :class:`TenantSpec` (per-tenant token buckets
+  and :data:`INTERACTIVE`-over-:data:`BATCH` priority with
+  anti-starvation).
 * :mod:`repro.serve.chaos` — deterministic fault injection:
   :class:`FlakyBackend` + :class:`FaultPlan` fail chosen dispatches
   with :class:`BackendFault` so tests and the smoke session can kill
@@ -45,9 +44,7 @@ from repro.serve.control import (
     INTERACTIVE,
     QOS_CLASSES,
     SHED_DEPTH,
-    SHED_DRAIN,
     SHED_RATE_LIMIT,
-    DrainTimeModel,
     QosPolicy,
     RetryPolicy,
     TenantSpec,
@@ -92,12 +89,10 @@ __all__ = [
     "QosPolicy",
     "TenantSpec",
     "TokenBucket",
-    "DrainTimeModel",
     "INTERACTIVE",
     "BATCH",
     "QOS_CLASSES",
     "SHED_DEPTH",
-    "SHED_DRAIN",
     "SHED_RATE_LIMIT",
     "BackendFault",
     "FaultPlan",

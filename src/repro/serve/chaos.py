@@ -21,10 +21,9 @@ bug replays it exactly:
   so whether backend A's 3rd run faults never depends on how its calls
   interleave with backend B's — multi-replica chaos replays exactly.
 
-``plan`` and the cost hooks always delegate — the *model* of the
-hardware is intact, only the execution is flaky, which mirrors a real
-transient fault (and keeps drain-time admission working
-mid-outage).  Used by ``tests/serve/test_chaos.py`` and
+``plan`` always delegates — the *model* of the hardware is intact,
+only the execution is flaky, which mirrors a real transient fault.
+Used by ``tests/serve/test_chaos.py`` and
 ``scripts/serve_smoke.py --chaos``.
 """
 
@@ -160,22 +159,6 @@ class FlakyBackend(ExecutionBackend):
     def plan(self, request: EvalRequest) -> ExecutionPlan:
         """Pricing never faults: the model is intact, the device flaky."""
         return self.inner.plan(request)
-
-    def model_latency_s(
-        self,
-        batch_size: int,
-        table_entries: int,
-        prf_name: str = "aes128",
-        resident: bool = False,
-        entry_bytes: int = 8,
-    ) -> float | None:
-        return self.inner.model_latency_s(
-            batch_size,
-            table_entries,
-            prf_name=prf_name,
-            resident=resident,
-            entry_bytes=entry_bytes,
-        )
 
     def run(self, request: EvalRequest) -> EvalResult:
         """Count one dispatch; raise if the plan says this one dies."""

@@ -1,4 +1,4 @@
-"""Control-plane policies for the serving loop: QoS, retries, drain.
+"""Control-plane policies for the serving loop: QoS and retries.
 
 PR 5's :class:`~repro.serve.loop.AsyncPirServer` shipped with the
 bluntest possible policies — shed on raw queue depth, no retries, one
@@ -16,18 +16,9 @@ is independently testable and composable:
   rate limiting plus a priority class (:data:`INTERACTIVE` ahead of
   :data:`BATCH` in the take order) with an anti-starvation age bound so
   batch traffic is delayed, never starved.
-* :class:`DrainTimeModel` — predicted time to drain the pending queue,
-  priced through the same performance model everything else uses
-  (:meth:`~repro.exec.ExecutionBackend.model_latency_s`, which bottoms
-  out in :meth:`repro.gpu.scheduler.Scheduler.latency_s`).  The
-  loop sheds when the modeled drain time exceeds a budget — "will this
-  query make it inside the SLO", not "how long is the line" — which is
-  the default admission policy; raw ``max_pending`` depth remains the
-  hard cap behind it.
 
 All policies are deterministic: buckets refill from the loop's
-injected clock and the drain model is a pure function of queue state
-and the analytic cost model, so tests pin exact shed decisions.
+injected clock, so tests pin exact shed decisions.
 """
 
 from __future__ import annotations
@@ -47,9 +38,6 @@ QOS_CLASSES = (INTERACTIVE, BATCH)
 
 SHED_DEPTH = "depth"
 """Shed reason: the ``max_pending`` hard cap (queue depth) was hit."""
-
-SHED_DRAIN = "drain"
-"""Shed reason: modeled queue drain time exceeded the drain budget."""
 
 SHED_RATE_LIMIT = "rate_limit"
 """Shed reason: the submitting tenant's token bucket was empty."""
@@ -231,66 +219,3 @@ class QosPolicy:
             for tenant, bucket in self._buckets.items()
         }
 
-
-class DrainTimeModel:
-    """Predicted time to drain a pending queue, from the cost model.
-
-    The question admission control should ask is not "how deep is the
-    queue" but "can the queue drain inside the latency budget".  This
-    model answers it with the same analytic performance model the
-    scheduler already trusts: the server's one backend prices a
-    ``max_batch``-sized flush via
-    :meth:`~repro.exec.ExecutionBackend.model_latency_s`, and the drain
-    time is ``pending_queries / modeled_qps``.
-
-    Modeled QPS is memoized per workload shape (the underlying
-    :class:`~repro.gpu.scheduler.Scheduler` memoizes too), so the
-    per-submission cost is a dict lookup.  The model fails open: a
-    backend without a model (``model_latency_s`` returning ``None``)
-    and a shape its model cannot run (``ValueError``, e.g. no feasible
-    GPU strategy at ``flush_batch``) both yield ``inf`` QPS, which
-    disables drain shedding rather than guessing.
-    """
-
-    def __init__(self, backend, flush_batch: int):
-        if flush_batch <= 0:
-            raise ValueError(f"flush_batch must be positive, got {flush_batch}")
-        self.backend = backend
-        self.flush_batch = flush_batch
-        self._qps: dict[tuple[int, str, bool], float] = {}
-
-    def modeled_qps(
-        self, table_entries: int, prf_name: str, resident: bool
-    ) -> float:
-        """Modeled serving throughput for one table shape."""
-        key = (table_entries, prf_name, resident)
-        qps = self._qps.get(key)
-        if qps is None:
-            try:
-                latency = self.backend.model_latency_s(
-                    self.flush_batch,
-                    table_entries,
-                    prf_name=prf_name,
-                    resident=resident,
-                )
-            except ValueError:
-                latency = None
-            if latency is None or latency <= 0:
-                qps = math.inf
-            else:
-                qps = self.flush_batch / latency
-            self._qps[key] = qps
-        return qps
-
-    def drain_s(
-        self,
-        pending_queries: int,
-        table_entries: int,
-        prf_name: str,
-        resident: bool,
-    ) -> float:
-        """Modeled seconds to evaluate ``pending_queries`` queued queries."""
-        if pending_queries <= 0:
-            return 0.0
-        qps = self.modeled_qps(table_entries, prf_name, resident)
-        return 0.0 if math.isinf(qps) else pending_queries / qps

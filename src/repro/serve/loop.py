@@ -44,24 +44,19 @@ asyncio request loop that does exactly that:
   property that holds *through* injected backend faults
   (``tests/serve/test_chaos.py``).
 
-Admission control is two-layered.  The default policy sheds by
-*predicted drain time*: queue depth divided by the modeled throughput
-of a flush (:class:`~repro.serve.control.DrainTimeModel`, priced on
-the server's backend) against ``drain_budget_s`` — "will this
-query make it out inside the budget", not "how long is the line".
-Behind it, ``max_pending`` remains a hard depth cap.  Shed queries get
-:class:`PirServerOverloaded` immediately; rate-limited tenants get
-:class:`TenantRateLimited` so clients can tell "server full" from
-"you specifically are over quota".
+Admission control is the ``max_pending`` depth cap plus the
+submitting tenant's QoS bucket; nothing is priced on a device model.
+Shed queries get :class:`PirServerOverloaded` immediately;
+rate-limited tenants get :class:`TenantRateLimited` so clients can
+tell "server full" from "you specifically are over quota".  Every
+flush runs on the event loop, one at a time.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
-import weakref
 from collections import deque
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -88,9 +83,7 @@ from repro.pir.wire import PirQuery, PirReply
 from repro.serve.control import (
     QOS_CLASSES,
     SHED_DEPTH,
-    SHED_DRAIN,
     SHED_RATE_LIMIT,
-    DrainTimeModel,
     QosPolicy,
     RetryPolicy,
 )
@@ -110,56 +103,6 @@ FLUSH_DRAIN = "drain"
 """Flush reason: the loop is stopping and drained its queue."""
 
 
-_DISPATCH_EXECUTORS: (
-    "weakref.WeakKeyDictionary[asyncio.AbstractEventLoop, list]"
-) = weakref.WeakKeyDictionary()
-"""Per-event-loop shared dispatch executor, as ``[executor, refcount]``."""
-
-
-def _acquire_dispatch_executor(
-    loop: asyncio.AbstractEventLoop,
-) -> ThreadPoolExecutor:
-    """The event loop's single shared dispatch thread (refcounted).
-
-    Every overlapped serving loop on one event loop dispatches through
-    the *same* one-thread executor.  One thread is the point: the two
-    parties of the protocol normally run in one process, and giving
-    each its own dispatch thread would run their expansions
-    concurrently — which is not what double-buffering means (the
-    pipeline overlaps *ingest* with expansion, never expansion with
-    expansion) and, on a host without spare cores, actively loses
-    throughput to GIL convoying between the two kernels.  Sharing one
-    thread serializes every expansion in FIFO order while each loop
-    still keeps at most one dispatch in flight, so replies stay
-    bit-identical to sequential serving.
-    """
-    entry = _DISPATCH_EXECUTORS.get(loop)
-    if entry is None:
-        entry = [
-            ThreadPoolExecutor(max_workers=1, thread_name_prefix="pir-dispatch"),
-            0,
-        ]
-        _DISPATCH_EXECUTORS[loop] = entry
-    entry[1] += 1
-    return entry[0]
-
-
-def _release_dispatch_executor(
-    loop: asyncio.AbstractEventLoop, executor: ThreadPoolExecutor
-) -> None:
-    """Drop one reference; the last holder shuts the executor down."""
-    entry = _DISPATCH_EXECUTORS.get(loop)
-    if entry is None or entry[0] is not executor:
-        # Not (or no longer) the loop's shared executor — orphaned, so
-        # shutting it down affects only the caller.
-        executor.shutdown(wait=True)
-        return
-    entry[1] -= 1
-    if entry[1] <= 0:
-        del _DISPATCH_EXECUTORS[loop]
-        executor.shutdown(wait=True)
-
-
 class PirServerOverloaded(RuntimeError):
     """The query was shed by admission control, not served.
 
@@ -170,7 +113,6 @@ class PirServerOverloaded(RuntimeError):
     Attributes:
         reason: Which admission layer shed
             (:data:`~repro.serve.control.SHED_DEPTH` /
-            :data:`~repro.serve.control.SHED_DRAIN` /
             :data:`~repro.serve.control.SHED_RATE_LIMIT`).
     """
 
@@ -241,24 +183,13 @@ class AdmissionConfig:
         max_pending: Hard cap — maximum queries (keys, not requests)
             queued or awaiting retry at once; a submission that would
             exceed it is shed with :class:`PirServerOverloaded`.
-        drain_budget_s: Drain-time policy (the default shedding layer):
-            shed when the *modeled* time to drain the queue including
-            the new query — pending queries over the modeled throughput
-            of a ``max_batch`` flush on the server's backend — would
-            exceed this budget.  ``None`` disables the drain layer,
-            reverting to depth-only shedding.
     """
 
     max_pending: int = 1024
-    drain_budget_s: float | None = 0.25
 
     def __post_init__(self):
         if self.max_pending <= 0:
             raise ValueError(f"max_pending must be positive, got {self.max_pending}")
-        if self.drain_budget_s is not None and self.drain_budget_s <= 0:
-            raise ValueError(
-                f"drain_budget_s must be positive or None, got {self.drain_budget_s}"
-            )
 
 
 @dataclass
@@ -273,7 +204,6 @@ class ServingStats:
         shed: Queries rejected by admission control, all layers.
         shed_reasons: Shed counts keyed by admission layer
             (:data:`~repro.serve.control.SHED_DEPTH` /
-            :data:`~repro.serve.control.SHED_DRAIN` /
             :data:`~repro.serve.control.SHED_RATE_LIMIT`).
         retried: Queries requeued after a failed batch dispatch.
         failed: Queries whose future received a backend failure after
@@ -295,10 +225,6 @@ class ServingStats:
             otherwise).  ``plan_cache_hits`` / ``plan_cache_misses``
             read *through* this binding, so they are live at any
             instant — not a mirror synced after each flush.
-        overlap_flushes: Flushes whose expansion overlapped with new
-            submissions — at least one query was parsed/enqueued while
-            the batch ran in the dispatch thread.  Nonzero proves the
-            double-buffered pipeline actually pipelined.
     """
 
     submitted: int = 0
@@ -315,7 +241,6 @@ class ServingStats:
     plan_cache_stats: "PlanCacheStats | None" = field(
         default=None, repr=False, compare=False
     )
-    overlap_flushes: int = 0
 
     @property
     def plan_cache_hits(self) -> int:
@@ -354,7 +279,6 @@ class ServingStats:
             "flushes": dict(self.flushes),
             "plan_cache_hits": self.plan_cache_hits,
             "plan_cache_misses": self.plan_cache_misses,
-            "overlap_flushes": self.overlap_flushes,
         }
 
 
@@ -387,27 +311,13 @@ class AsyncPirServer:
     Args:
         server: The wrapped server (table, PRF, backend, residency).
         slo: Batching/latency knobs; see :class:`SloConfig`.
-        admission: Drain-budget + bounded-queue policy; see
-            :class:`AdmissionConfig`.
+        admission: Bounded-queue policy; see :class:`AdmissionConfig`.
         qos: Optional :class:`~repro.serve.control.QosPolicy` — per-
             tenant token buckets and priority classes.  ``None`` treats
             all traffic as one unlimited interactive tenant.
         retry: Batch-failure :class:`~repro.serve.control.RetryPolicy`
             (default: up to 3 attempts, immediate).  Pass
             ``RetryPolicy(max_attempts=1)`` to disable retries.
-        overlap: Double-buffered ingest.  When on, each fused batch's
-            expansion runs on the event loop's shared dispatch thread
-            (one thread per event loop, shared by every overlapped
-            serving loop on it) while the event loop keeps accepting
-            submissions — wire-parse of batch N+1 (`KeyArena.from_wire`
-            inside ``submit``) overlaps expansion of batch N, the
-            classic two-slot pipeline.  Expansions never overlap each
-            other: the shared thread serializes both parties' kernels
-            in FIFO order, and each loop keeps at most one dispatch in
-            flight, so answers stay bit-identical to sequential
-            serving; the win is fuller fused batches and hidden parse
-            time.  Off by default: deterministic tests drive the loop
-            with fake clocks and expect strictly sequential dispatch.
         clock: Monotonic time source (injectable for tests).
         tracer: Optional :class:`~repro.obs.trace.Tracer`.  When given,
             every submitted query gets a trace context whose spans
@@ -444,7 +354,6 @@ class AsyncPirServer:
         admission: AdmissionConfig | None = None,
         qos: QosPolicy | None = None,
         retry: RetryPolicy | None = None,
-        overlap: bool = False,
         clock: Callable[[], float] = time.monotonic,
         tracer=None,
         metrics: MetricsRegistry | None = None,
@@ -455,8 +364,6 @@ class AsyncPirServer:
         self.admission = admission if admission is not None else AdmissionConfig()
         self.qos = qos
         self.retry = retry if retry is not None else RetryPolicy()
-        self.overlap = overlap
-        self._executor: ThreadPoolExecutor | None = None
         cache = server.plan_cache
         self.stats = ServingStats(
             plan_cache_stats=cache.stats if cache is not None else None
@@ -474,9 +381,6 @@ class AsyncPirServer:
         if metrics is not None:
             self._register_views(metrics)
         self._clock = clock
-        self._drain_model = DrainTimeModel(
-            server.backend, flush_batch=self.slo.max_batch
-        )
         self._queues: dict[str, deque[_Pending]] = {
             qos_class: deque() for qos_class in QOS_CLASSES
         }
@@ -516,8 +420,6 @@ class AsyncPirServer:
             return
         self._stopping = False
         self._wake = asyncio.Event()
-        if self.overlap and self._executor is None:
-            self._executor = _acquire_dispatch_executor(asyncio.get_running_loop())
         if self.snapshot_every_s is not None:
             self._next_snapshot_s = self._clock() + self.snapshot_every_s
         self._task = asyncio.create_task(self._run())
@@ -530,9 +432,6 @@ class AsyncPirServer:
         self._wake.set()
         await self._task
         self._task = None
-        if self._executor is not None:
-            _release_dispatch_executor(asyncio.get_running_loop(), self._executor)
-            self._executor = None
 
     async def __aenter__(self) -> "AsyncPirServer":
         await self.start()
@@ -580,24 +479,6 @@ class AsyncPirServer:
                 ),
                 query.count,
             )
-        if self.admission.drain_budget_s is not None:
-            drain = self._drain_model.drain_s(
-                self.pending_queries + query.count,
-                self.server.table_entries,
-                self.server.prf_name,
-                self.server.resident,
-            )
-            if drain > self.admission.drain_budget_s:
-                self._shed(
-                    PirServerOverloaded(
-                        f"admitting {query.count} queries would put modeled "
-                        f"queue drain at {drain:.4f}s, over the "
-                        f"drain_budget_s={self.admission.drain_budget_s:g} "
-                        f"(depth {self.pending_queries})",
-                        reason=SHED_DRAIN,
-                    ),
-                    query.count,
-                )
 
     async def submit(self, request_bytes: bytes, tenant: str | None = None) -> bytes:
         """Serve one framed query through the aggregation loop.
@@ -611,7 +492,7 @@ class AsyncPirServer:
         racing with) :meth:`stop` raises instead of enqueueing a query
         no flush would ever answer.
 
-        Admission (depth cap, tenant bucket, drain budget) is checked
+        Admission (depth cap, tenant bucket) is checked
         on the frame header *before* key ingestion, so shedding stays
         O(header) under overload — the regime it exists for.  (A query
         that is both shed-worthy and malformed therefore sheds rather
@@ -626,7 +507,7 @@ class AsyncPirServer:
             ValueError: Synchronously, on a malformed/mismatched/
                 oversized query (never enters the queue).
             PirServerOverloaded: Synchronously, when admission control
-                sheds the query (depth cap or drain budget).
+                sheds the query (depth cap).
             TenantRateLimited: Synchronously, when the tenant's token
                 bucket is empty (the server itself has capacity).
             RuntimeError: Synchronously, when the loop is stopped.
@@ -738,7 +619,7 @@ class AsyncPirServer:
                 await asyncio.sleep(0)
                 reason = self._flush_reason()
             if reason is not None:
-                await self._flush(reason)
+                self._flush(reason)
                 await self._settle()
                 continue
             self._wake.clear()
@@ -754,7 +635,7 @@ class AsyncPirServer:
         # each failed dispatch consumes a bounded retry attempt.
         while self._retrying or any(self._queues.values()):
             self._promote_retries(force=True)
-            await self._flush(FLUSH_DRAIN)
+            self._flush(FLUSH_DRAIN)
             await self._settle()
         if self._next_snapshot_s is not None:
             # Terminal snapshot: the export always carries the drained
@@ -888,7 +769,7 @@ class AsyncPirServer:
         self._queued_queries -= count
         return taken
 
-    async def _flush(self, reason: str) -> None:
+    def _flush(self, reason: str) -> None:
         taken = self._take_batch()
         if not taken:  # everything pending had been cancelled
             return
@@ -915,25 +796,8 @@ class AsyncPirServer:
             # metrics read it.
             for pending in taken:
                 pending.ctx.end(pending.ctx.begin(STAGE_PLAN))
-
-            def dispatch() -> np.ndarray:
-                return self.server.answer_request(merged, epoch=epoch, sizes=sizes)
-
             open_spans = [(p, p.ctx.begin(STAGE_DISPATCH)) for p in taken]
-            if self.overlap and self._executor is not None:
-                # Two-slot pipeline: while this batch expands on the
-                # dispatch thread, the event loop keeps parsing and
-                # enqueueing the next batch's queries.  Exactly one
-                # dispatch is ever in flight, so answers are
-                # bit-identical to the sequential path.
-                submitted_before = self.stats.submitted
-                answers = await asyncio.get_running_loop().run_in_executor(
-                    self._executor, dispatch
-                )
-                if self.stats.submitted > submitted_before:
-                    self.stats.overlap_flushes += 1
-            else:
-                answers = dispatch()
+            answers = self.server.answer_request(merged, epoch=epoch, sizes=sizes)
             for pending, span in open_spans:
                 pending.ctx.end(span)
             open_spans = []

@@ -138,14 +138,14 @@ class TestAesPrf:
 
 class TestThreadSafety:
     def test_concurrent_encryption_is_bit_exact(self):
-        # The chunk scratch is thread-local: overlapped serving runs
-        # each party's dispatch on its own executor thread, so two
-        # expansions encrypt concurrently in one process.  Shared
-        # scratch let those scribble over each other's round state
-        # (every answer of a two-party overlapped burst came back
-        # wrong); per-thread buffers must keep every concurrent call
-        # bit-exact.  5,000 and 9,000 blocks cross one and two chunk
-        # boundaries, so a thread is switched out between chunks too.
+        # The chunk scratch is thread-local: any caller may expand on
+        # two threads, so two expansions can encrypt concurrently in
+        # one process.  Shared scratch let those scribble over each
+        # other's round state (every answer of a two-threaded aes128
+        # burst came back wrong); per-thread buffers must keep every
+        # concurrent call bit-exact.  5,000 and 9,000 blocks cross one
+        # and two chunk boundaries, so a thread is switched out between
+        # chunks too.
         import sys
         import threading
 

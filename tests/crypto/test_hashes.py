@@ -182,9 +182,9 @@ class TestSipHash:
 
     def test_concurrent_expansion_is_bit_exact(self):
         # The round scratch is thread-local for the reason AES's is:
-        # overlapped serving runs each party's dispatch on its own
-        # thread.  5,000 and 9,000 seeds cross one and two chunk seams,
-        # so a thread is switched out between chunks too.
+        # any caller may expand on two threads.  5,000 and 9,000 seeds
+        # cross one and two chunk seams, so a thread is switched out
+        # between chunks too.
         import sys
         import threading
 

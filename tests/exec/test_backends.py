@@ -269,3 +269,16 @@ class TestProtocol:
             assert isinstance(factory(), ExecutionBackend)
         with pytest.raises(TypeError):
             ExecutionBackend()
+
+    @pytest.mark.parametrize("backend_name", sorted(BACKEND_FACTORIES))
+    def test_the_protocol_is_plan_run_run_with_plan_plan_key(self, backend_name):
+        """A backend answers for requests and nothing else: no shape-
+        pricing hook rides along for a serving policy to read."""
+        backend = BACKEND_FACTORIES[backend_name]()
+        methods = {
+            name
+            for name in dir(backend)
+            if not name.startswith("_") and callable(getattr(backend, name))
+        }
+        assert methods == {"plan", "run", "run_with_plan"}
+        assert hash(backend.plan_key) == hash(backend.plan_key)

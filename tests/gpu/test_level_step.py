@@ -23,8 +23,8 @@ its one-key oracle.  Four claims, for every registered PRF:
   and clipped to windows with odd ends, where a parent frontier is
   strided and is staged — through a fresh and through a reused
   workspace;
-* two threads with a workspace each (``AsyncPirServer(overlap=True)``
-  runs each party's dispatch on its own thread) stay bit-exact.
+* two threads with a workspace each (any caller may expand on two
+  threads) stay bit-exact.
 """
 
 import sys

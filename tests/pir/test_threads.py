@@ -1,0 +1,64 @@
+"""The two parties may answer on several threads of one process.
+
+The cipher scratch (``crypto/aes.py``, ``crypto/siphash.py``) is
+thread-local because any caller may expand on two threads at once.
+Here each of four threads — two per party, more than a small host has
+cores — builds its own :class:`~repro.pir.PirServer` (its own backend
+and workspace) and answers every query, all released together, and
+every reply must equal the sequential one (which reconstructs to the
+table rows).
+"""
+
+import sys
+import threading
+
+import numpy as np
+import pytest
+
+from repro.crypto import available_prfs
+from repro.pir import PirClient, PirServer
+
+DOMAIN = 1024
+ROUNDS = 4
+
+
+@pytest.mark.parametrize("prf_name", sorted(available_prfs()))
+def test_parties_on_four_threads_answer_bit_exact(prf_name):
+    rng = np.random.default_rng(21)
+    table = rng.integers(0, 1 << 64, size=DOMAIN, dtype=np.uint64)
+    client = PirClient(DOMAIN, prf_name, rng=np.random.default_rng(22))
+    # 1-key and 16-key requests: small and batched cipher calls.
+    batches = [client.query(rng.integers(0, DOMAIN, size=n)) for n in (1, 16)]
+    # The sequential answers, then the table rows they reconstruct to.
+    expected = [
+        [PirServer(table, prf_name=prf_name).handle(b.requests[p]) for b in batches]
+        for p in (0, 1)
+    ]
+    for i, batch in enumerate(batches):
+        got = client.reconstruct(batch, expected[0][i], expected[1][i])
+        assert np.array_equal(got, table[list(batch.indices)])
+
+    failures = []
+    parties = (0, 1, 0, 1)
+    barrier = threading.Barrier(len(parties))
+
+    def party(p):
+        server = PirServer(table, prf_name=prf_name)
+        barrier.wait()  # every thread expands at the same time
+        for _ in range(ROUNDS):
+            for i, batch in enumerate(batches):
+                if server.handle(batch.requests[p]) != expected[p][i]:
+                    failures.append((p, i))
+
+    threads = [threading.Thread(target=party, args=(p,)) for p in parties]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert not failures, f"(party, batch) {failures} answered differently"

@@ -350,15 +350,13 @@ class TestSharedRandomPlans:
 
 class TestFlakyBackend:
     def test_model_hooks_delegate_while_run_faults(self):
-        """The *model* of a flaky device is intact — planning and
-        pricing answer exactly like the inner backend, so drain-time
-        admission keeps working mid-outage."""
+        """The *model* of a flaky device is intact — planning answers
+        exactly like the inner backend while every run faults."""
         inner = BACKEND_FACTORIES["single_gpu"]()
         flaky = FlakyBackend(inner, FaultPlan.always())
         table, server, client = _fixture()
         request = server.parse_query(client.query([1]).requests[0])[1]
         assert flaky.plan(request) == inner.plan(request)
-        assert flaky.model_latency_s(8, 32) == inner.model_latency_s(8, 32)
         with pytest.raises(BackendFault, match="run #1"):
             flaky.run(request)
         assert flaky.runs == 1 and flaky.faults == 1

@@ -1,12 +1,9 @@
-"""Control-plane policies: QoS priority, tenant buckets, drain admission.
+"""Control-plane policies: QoS priority, tenant buckets, retries.
 
 The policies are deterministic by construction — buckets refill from an
-injected clock and the drain model prices through the analytic cost
-model — so every test here pins an *exact* decision: which submission
-sheds, with which reason, and in which order queries leave the queue.
-The drain-vs-depth comparison is the PR's acceptance scenario: against
-a slow (modeled) backend, drain-time admission sheds queries that
-depth-only admission would happily queue past their latency budget.
+injected clock — so every test here pins an *exact* decision: which
+submission sheds, with which reason, and in which order queries leave
+the queue.
 """
 
 import asyncio
@@ -15,18 +12,12 @@ import math
 import numpy as np
 import pytest
 
-from repro.exec import SingleGpuBackend
-from repro.gpu import A100, V100
 from repro.pir import PirClient, PirServer
 from repro.serve import (
     BATCH,
     INTERACTIVE,
-    SHED_DEPTH,
-    SHED_DRAIN,
     SHED_RATE_LIMIT,
-    AdmissionConfig,
     AsyncPirServer,
-    DrainTimeModel,
     PirServerOverloaded,
     QosPolicy,
     RetryPolicy,
@@ -148,50 +139,6 @@ class TestRetryPolicy:
             RetryPolicy(backoff_budget_s=-1.0)
 
 
-class _UnpricedBackend(SingleGpuBackend):
-    """A backend whose cost model is unavailable."""
-
-    def model_latency_s(self, *args, **kwargs):
-        return None
-
-
-class _RejectingBackend(SingleGpuBackend):
-    """A backend whose cost model rejects every shape as infeasible."""
-
-    def model_latency_s(self, *args, **kwargs):
-        raise ValueError("no feasible plan at this shape")
-
-
-class TestDrainTimeModel:
-    def test_prices_through_the_analytic_model(self):
-        backend = SingleGpuBackend()
-        model = DrainTimeModel(backend, flush_batch=8)
-        latency = backend.model_latency_s(8, 64, prf_name="siphash")
-        qps = model.modeled_qps(64, "siphash", False)
-        assert qps == pytest.approx(8 / latency)
-        assert model.drain_s(16, 64, "siphash", False) == pytest.approx(16 / qps)
-        assert model.drain_s(0, 64, "siphash", False) == 0.0
-
-    def test_unpriced_backend_fails_open(self):
-        """No cost model means infinite modeled QPS — drain shedding
-        disables itself rather than shedding on a guess."""
-        model = DrainTimeModel(_UnpricedBackend(), flush_batch=8)
-        assert math.isinf(model.modeled_qps(64, "siphash", False))
-        assert model.drain_s(10**9, 64, "siphash", False) == 0.0
-
-    def test_infeasible_shape_fails_open(self):
-        """A model that rejects the shape (ValueError) also fails open:
-        admit rather than shed on a guess, and never crash the
-        admission path."""
-        model = DrainTimeModel(_RejectingBackend(), flush_batch=8)
-        assert math.isinf(model.modeled_qps(64, "siphash", False))
-        assert model.drain_s(10**9, 64, "siphash", False) == 0.0
-
-    def test_validation(self):
-        with pytest.raises(ValueError, match="flush_batch"):
-            DrainTimeModel(SingleGpuBackend(), flush_batch=0)
-
-
 class TestTenantRateLimiting:
     def test_over_quota_tenant_sheds_with_rate_limit_reason(self):
         """A limited tenant's burst is admitted, the next query sheds
@@ -230,115 +177,6 @@ class TestTenantRateLimiting:
     def test_rate_limited_is_catchable_as_overloaded(self):
         assert issubclass(TenantRateLimited, PirServerOverloaded)
         assert TenantRateLimited("m").reason == SHED_RATE_LIMIT
-
-
-class TestDrainTimeAdmission:
-    """The acceptance scenario: drain-time admission sheds earlier than
-    depth-only against a slow (modeled) backend."""
-
-    def _shed_profile(self, drain_budget_s, offered=8, backend=None):
-        """Submit `offered` queries under a roomy depth cap; return the
-        loop and how many were shed (everything is deterministic: the
-        drain model prices through the analytic cost model)."""
-        table, server, client = _fixture()
-        if backend is not None:
-            server = PirServer(table, backend=backend, prf_name="siphash")
-        frames = [
-            b.requests[0] for b in client.query_many(list(range(offered)))
-        ]
-
-        async def run():
-            loop = AsyncPirServer(
-                server,
-                slo=SloConfig(max_batch=4, max_wait_s=NEVER),
-                admission=AdmissionConfig(
-                    max_pending=1024, drain_budget_s=drain_budget_s
-                ),
-            )
-            tasks = []
-            for frame in frames:
-                # Sequential submits (the aggregation task is not
-                # running yet), so the k-th admission decision sees
-                # exactly the k-1 previously admitted queries.
-                tasks.append(asyncio.ensure_future(loop.submit(frame)))
-                await asyncio.sleep(0)
-            await loop.start()
-            await loop.stop()
-            results = await asyncio.gather(*tasks, return_exceptions=True)
-            return loop, results
-
-        loop, results = asyncio.run(run())
-        shed = [r for r in results if isinstance(r, PirServerOverloaded)]
-        answered = [r for r in results if isinstance(r, bytes)]
-        return loop, shed, answered
-
-    def test_drain_budget_sheds_what_depth_only_accepts(self):
-        """Pin the cutoff: a budget worth 6 queries of modeled drain
-        admits exactly 6 of 8 and sheds 2 with SHED_DRAIN, while
-        depth-only admission (same depth cap) accepts all 8."""
-        model = DrainTimeModel(SingleGpuBackend(), flush_batch=4)
-        per_query_s = 1.0 / model.modeled_qps(32, "siphash", False)
-        budget = 6.5 * per_query_s  # 6 queries fit, the 7th would not
-
-        loop, shed, answered = self._shed_profile(budget)
-        assert len(answered) == 6
-        assert len(shed) == 2
-        assert all(exc.reason == SHED_DRAIN for exc in shed)
-        assert loop.stats.shed_reasons == {SHED_DRAIN: 2}
-
-        depth_only, shed_d, answered_d = self._shed_profile(None)
-        assert len(answered_d) == 8
-        assert not shed_d
-        assert depth_only.stats.shed == 0
-
-    def test_a_faster_device_raises_the_admission_cutoff(self):
-        """Drain admission prices the server's own backend: a budget
-        halfway between 8 queries' modeled drain on an A100 and on a
-        V100 (whose flush is about 10 % slower) admits all 8 on the
-        A100 and sheds the 8th on the V100."""
-
-        def per_query_s(device):
-            model = DrainTimeModel(SingleGpuBackend(device), flush_batch=4)
-            return 1.0 / model.modeled_qps(32, "siphash", False)
-
-        v100, a100 = per_query_s(V100), per_query_s(A100)
-        assert a100 < v100
-        budget = 8 * (v100 + a100) / 2
-
-        _, shed_v100, _ = self._shed_profile(budget, backend=SingleGpuBackend(V100))
-        assert len(shed_v100) == 1
-
-        loop, shed_a100, answered = self._shed_profile(
-            budget, backend=SingleGpuBackend(A100)
-        )
-        assert not shed_a100
-        assert len(answered) == 8
-        assert loop.stats.shed == 0
-
-    def test_depth_cap_still_backstops_the_drain_layer(self):
-        """An unpriceable backend disables drain shedding, but the
-        max_pending hard cap still sheds — the layers are independent."""
-        table, _, client = _fixture()
-        server = PirServer(table, backend=_UnpricedBackend(), prf_name="siphash")
-        frames = [b.requests[0] for b in client.query_many([1, 2, 3])]
-
-        async def run():
-            loop = AsyncPirServer(
-                server,
-                slo=SloConfig(max_batch=1024, max_wait_s=NEVER),
-                admission=AdmissionConfig(max_pending=2, drain_budget_s=1e-12),
-            )
-            tasks = await _backlog(loop, frames[:2])
-            with pytest.raises(PirServerOverloaded) as excinfo:
-                await loop.submit(frames[2])
-            await loop.start()
-            await loop.stop()
-            await asyncio.gather(*tasks)
-            return loop, excinfo.value
-
-        loop, exc = asyncio.run(run())
-        assert exc.reason == SHED_DEPTH
-        assert loop.stats.shed_reasons == {SHED_DEPTH: 1}
 
 
 class TestQosPriority:

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.exec import PlanCache, SingleGpuBackend
 from repro.pir import PirClient, PirServer
 from repro.serve import AsyncPirServer, SloConfig, generate_load
 
@@ -163,6 +164,53 @@ class TestEndToEndReconstruction:
         assert got == sequential
 
 
+class TestPlanCacheMirroring:
+    """``ServingStats`` reads the server's plan-cache counters live."""
+
+    def _serve(self, seed, plan_cache=None):
+        """Ten 3-key requests, all submitted at once, through a default
+        loop with ``max_batch=4`` (one request per flush); returns the
+        loop's stats after checking every reply."""
+        rng = np.random.default_rng(seed)
+        table = rng.integers(0, 1 << 63, size=256, dtype=np.uint64)
+        client = PirClient(256, "chacha20", rng=rng)
+        frames = [
+            b.requests[0]
+            for b in client.query_many(rng.integers(0, 256, size=30), 3)
+        ]
+        server = PirServer(
+            table,
+            backend=SingleGpuBackend(),
+            prf_name="chacha20",
+            plan_cache=plan_cache,
+        )
+
+        async def run():
+            loop = AsyncPirServer(server, slo=SloConfig(max_batch=4))
+            async with loop:
+                replies = await asyncio.gather(*[loop.submit(f) for f in frames])
+            return replies, loop.stats
+
+        replies, stats = asyncio.run(run())
+        oracle = PirServer(table, prf_name="chacha20")
+        assert replies == [oracle.handle(f) for f in frames]
+        return stats
+
+    def test_stats_mirror_the_caches_counters(self):
+        cache = PlanCache()
+        stats = self._serve(seed=7, plan_cache=cache)
+        assert stats.plan_cache_misses == cache.stats.misses
+        assert stats.plan_cache_hits == cache.stats.hits
+        assert cache.stats.lookups == stats.batches
+        # Steady state: every batch after the first warm one hits.
+        assert stats.plan_cache_hits > 0
+
+    def test_no_cache_leaves_counters_zero(self):
+        stats = self._serve(seed=8)
+        assert stats.plan_cache_hits == 0
+        assert stats.plan_cache_misses == 0
+
+
 class TestSubmitValidation:
     def test_malformed_frames_fail_synchronously(self):
         """Bad queries raise at submit and never enter the queue."""
@@ -244,9 +292,6 @@ class TestCancellation:
 
             def plan(self, request):
                 return self.inner.plan(request)
-
-            def model_latency_s(self, *args, **kwargs):
-                return self.inner.model_latency_s(*args, **kwargs)
 
             def run(self, request):
                 if victim_task:

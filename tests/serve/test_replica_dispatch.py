@@ -220,7 +220,7 @@ class TestFlakyBackendSurface:
         flaky = FlakyBackend(SingleGpuBackend(), FaultPlan.always())
         for name in (
             "install_table", "drop_table", "run_combined", "_scheduler",
-            "device", "devices",
+            "device", "devices", "model_latency_s",
         ):
             assert not hasattr(flaky, name)
 
@@ -229,9 +229,6 @@ class TestFlakyBackendSurface:
         inner = SingleGpuBackend()
         flaky = FlakyBackend(inner, FaultPlan.always())
         assert flaky.plan(_request(keys)) == inner.plan(_request(keys))
-        assert flaky.model_latency_s(2, DOMAIN, PRF) == inner.model_latency_s(
-            2, DOMAIN, PRF
-        )
         with pytest.raises(BackendFault):
             flaky.run(_request(keys))
         assert (flaky.runs, flaky.faults) == (1, 1)
@@ -244,9 +241,6 @@ class TestFlakyBackendSurface:
         inner = BACKEND_FACTORIES[backend_name]()
         flaky = FlakyBackend(BACKEND_FACTORIES[backend_name](), FaultPlan.nth(2))
         assert flaky.plan(_request(keys)) == inner.plan(_request(keys))
-        assert flaky.model_latency_s(3, DOMAIN, PRF) == inner.model_latency_s(
-            3, DOMAIN, PRF
-        )
         np.testing.assert_array_equal(flaky.run(_request(keys)).answers, shares)
         with pytest.raises(BackendFault):
             flaky.run(_request(keys))

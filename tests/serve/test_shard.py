@@ -180,9 +180,6 @@ class TestReplicaFailover:
             def plan(self, request):
                 return self.inner.plan(request)
 
-            def model_latency_s(self, *args, **kwargs):
-                return self.inner.model_latency_s(*args, **kwargs)
-
             def run(self, request):
                 self.batch_sizes.append(request.arena().batch)
                 return self.inner.run(request)

@@ -9,12 +9,14 @@ is exact, not racy.
 """
 
 import asyncio
+import dataclasses
 import threading
 
 import numpy as np
 import pytest
 
 import repro.serve
+import repro.serve.control
 import repro.serve.loop
 from repro.pir import PirClient, PirServer
 from repro.serve import (
@@ -25,6 +27,7 @@ from repro.serve import (
     AdmissionConfig,
     AsyncPirServer,
     PirServerOverloaded,
+    ServingStats,
     ShardedPirServer,
     SloConfig,
 )
@@ -271,6 +274,34 @@ class TestAdmissionControl:
         assert loop.stats.shed == 1
         assert replies == [server.handle(big)]
 
+    def test_depth_cap_alone_bounds_a_large_table(self):
+        """At L = 2^20 a queue of 400 one-key queries is admitted in full
+        under ``max_pending=400``: no device model prices the queue, so
+        the table's size does not lower the cap."""
+        domain = 1 << 20
+        table = np.zeros(domain, dtype=np.uint64)
+        server = PirServer(table, prf_name="aes128")
+        client = PirClient(domain, "aes128", rng=np.random.default_rng(0))
+        frames = [b.requests[0] for b in client.query_many(range(400))]
+
+        async def run():
+            loop = AsyncPirServer(server, admission=AdmissionConfig(max_pending=400))
+            tasks = [asyncio.ensure_future(loop.submit(f)) for f in frames]
+            # Every submit runs to its await before the loop starts.
+            await asyncio.sleep(0)
+            shed = [t.exception() for t in tasks if t.done()]
+            admitted = loop.pending_queries
+            for task in tasks:
+                task.cancel()
+            await asyncio.gather(*tasks, return_exceptions=True)
+            return loop, shed, admitted
+
+        loop, shed, admitted = asyncio.run(run())
+        assert shed == []
+        assert admitted == 400
+        assert loop.stats.submitted == 400
+        assert loop.stats.shed == 0
+
 
 class TestLifecycle:
     def test_submit_after_stop_raises_instead_of_hanging(self):
@@ -304,6 +335,75 @@ class TestConfigValidation:
     def test_admission_rejects_nonsense(self):
         with pytest.raises(ValueError, match="max_pending"):
             AdmissionConfig(max_pending=0)
+
+    def test_admission_is_the_depth_cap_alone(self):
+        """No modeled drain budget: the queue bound is one number."""
+        fields = [f.name for f in dataclasses.fields(AdmissionConfig)]
+        assert fields == ["max_pending"]
+        with pytest.raises(TypeError):
+            AdmissionConfig(drain_budget_s=0.25)
+
+    def test_the_loop_has_no_dispatch_thread_knob(self):
+        table, server, _ = _fixture()
+        with pytest.raises(TypeError):
+            AsyncPirServer(server, overlap=True)
+
+    def test_shed_reasons_are_depth_and_rate_limit(self):
+        expected = {"SHED_DEPTH": "depth", "SHED_RATE_LIMIT": "rate_limit"}
+        for module in (repro.serve, repro.serve.control):
+            exported = {
+                name: getattr(module, name)
+                for name in dir(module)
+                if name.startswith("SHED_")
+            }
+            assert exported == expected
+
+    def test_serving_view_keys(self):
+        """The metrics-registry view carries the loop's counters and
+        the live plan-cache pair, nothing else."""
+        assert list(ServingStats().as_dict()) == [
+            "submitted",
+            "answered",
+            "shed",
+            "shed_reasons",
+            "retried",
+            "failed",
+            "failures",
+            "cancelled",
+            "batches",
+            "largest_batch",
+            "mean_batch",
+            "flushes",
+            "plan_cache_hits",
+            "plan_cache_misses",
+        ]
+
+
+class TestInlineDispatch:
+    """Every flush runs on the event loop's own thread."""
+
+    @pytest.mark.parametrize("sharded", [False, True], ids=["plain", "sharded"])
+    def test_dispatch_runs_on_the_event_loop_thread(self, sharded):
+        table, _, client = _fixture()
+        threads = []
+
+        class Recording(ShardedPirServer if sharded else PirServer):
+            def answer_request(self, *args, **kwargs):
+                threads.append(threading.get_ident())
+                return super().answer_request(*args, **kwargs)
+
+        server = Recording(table, prf_name="siphash")
+        frames = [b.requests[0] for b in client.query_many([1, 2, 3])]
+
+        async def run():
+            loop = AsyncPirServer(server, slo=SloConfig(max_batch=1))
+            async with loop:
+                return await asyncio.gather(*[loop.submit(f) for f in frames])
+
+        replies = asyncio.run(run())
+        assert threads == [threading.get_ident()] * len(frames)
+        oracle = PirServer(table, prf_name="siphash")
+        assert replies == [oracle.handle(f) for f in frames]
 
 
 class TestRestartLifecycle:
@@ -403,21 +503,6 @@ def _frozen_clock() -> float:
     return 0.0
 
 
-class _GatedServer(PirServer):
-    """A server whose first dispatch blocks until the test releases it,
-    so submissions can land while a batch is provably in flight."""
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self.dispatching = threading.Event()
-        self.release = threading.Event()
-
-    def answer_request(self, *args, **kwargs):
-        self.dispatching.set()
-        self.release.wait(timeout=10)
-        return super().answer_request(*args, **kwargs)
-
-
 class TestWorkConserving:
     """The default zero linger: an idle loop dispatches whatever is
     queued as soon as it runs, after one yield that fuses every
@@ -504,39 +589,6 @@ class TestWorkConserving:
         idle_before, idle_after, expected = asyncio.run(run())
         assert idle_before == expected
         assert idle_after == expected
-
-    def test_overlap_submission_during_dispatch_joins_the_next_flush(self):
-        """Under ``overlap=True`` the event loop keeps admitting while a
-        batch expands on the dispatch thread; what arrived meanwhile is
-        exactly the next flush."""
-        rng = np.random.default_rng(0)
-        table = rng.integers(0, 1 << 64, size=32, dtype=np.uint64)
-        server = _GatedServer(table, prf_name="siphash")
-        client = PirClient(32, "siphash", rng=np.random.default_rng(1))
-        frames = [b.requests[0] for b in client.query_many([1, 2, 3])]
-
-        async def run():
-            loop = AsyncPirServer(
-                server, slo=SloConfig(), overlap=True, clock=_frozen_clock
-            )
-            async with loop:
-                first = asyncio.create_task(loop.submit(frames[0]))
-                assert await asyncio.to_thread(server.dispatching.wait, 10)
-                assert loop.stats.batches == 0  # batch one is in flight
-                later = [asyncio.create_task(loop.submit(f)) for f in frames[1:]]
-                while loop.pending_queries < 2:
-                    await asyncio.sleep(0)
-                server.release.set()
-                replies = await asyncio.wait_for(asyncio.gather(first, *later), 10)
-            return loop, replies
-
-        loop, replies = asyncio.run(run())
-        assert loop.stats.batches == 2
-        assert loop.stats.largest_batch == 2
-        assert loop.stats.overlap_flushes == 1
-        assert loop.stats.flushes == {FLUSH_DEADLINE: 2}
-        oracle = PirServer(table, prf_name="siphash")
-        assert replies == [oracle.handle(f) for f in frames]
 
 
 def _lockstep(servers, client, table, batches, rounds):

@@ -209,7 +209,7 @@ class TestTerminalStatuses:
             loop = AsyncPirServer(
                 server,
                 slo=SloConfig(max_batch=4, max_wait_s=30.0),
-                admission=AdmissionConfig(max_pending=3, drain_budget_s=None),
+                admission=AdmissionConfig(max_pending=3),
                 tracer=tracer,
             )
             tasks = [asyncio.create_task(loop.submit(f)) for f in frames[:3]]
