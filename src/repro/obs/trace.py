@@ -150,7 +150,7 @@ class TraceContext:
 
     Attributes:
         trace_id: Monotonic id unique within the owning tracer.
-        meta: Submission-time identity (request id, tenant, ...).
+        meta: Submission-time identity (request id, query count, epoch).
         spans: Stage spans in begin order.
         events: Zero-duration annotations (retries, failovers, sheds)
             as ``{"name", "t", ...fields}`` dicts, in record order.
@@ -261,7 +261,8 @@ class Tracer:
 
     def trace(self, **meta) -> TraceContext:
         """Open a fresh trace whose ``meta`` records the submission
-        identity (request id, tenant, whatever the caller knows)."""
+        identity (request id, query count, epoch: whatever the caller
+        knows)."""
         return TraceContext(
             trace_id=next(self._ids),
             meta=meta,

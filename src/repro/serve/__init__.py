@@ -1,4 +1,4 @@
-"""SLO-aware async serving: batching, admission, QoS, fault tolerance.
+"""SLO-aware async serving: batching, admission, fault tolerance.
 
 This package is the serving layer the ROADMAP's throughput and
 control-plane items asked for — the piece that turns the synchronous,
@@ -8,15 +8,12 @@ can absorb heavy concurrent traffic and survive backend failures:
 * :mod:`repro.serve.loop` — :class:`AsyncPirServer`, the asyncio
   request loop: framed queries in, per-request futures out, with batch
   aggregation under a latency SLO (flush on max-batch, arena-bytes
-  budget, or max-wait deadline), admission control (a ``max_pending``
-  depth cap plus the tenant's QoS bucket), and retry/requeue on backend
+  budget, or max-wait deadline) from one FIFO queue, admission control
+  (the ``max_pending`` depth cap alone), and retry/requeue on backend
   failure (a failed fused batch is un-merged and its survivors retried
-  individually).
-* :mod:`repro.serve.control` — the control-plane policies the loop
-  consults: :class:`RetryPolicy` (bounded retries, backoff budgets),
-  :class:`QosPolicy` / :class:`TenantSpec` (per-tenant token buckets
-  and :data:`INTERACTIVE`-over-:data:`BATCH` priority with
-  anti-starvation).
+  individually, ahead of newer traffic).
+* :mod:`repro.serve.control` — the control-plane policy the loop
+  consults: :class:`RetryPolicy` (bounded retries, backoff budgets).
 * :mod:`repro.serve.chaos` — deterministic fault injection:
   :class:`FlakyBackend` + :class:`FaultPlan` fail chosen dispatches
   with :class:`BackendFault` so tests and the smoke session can kill
@@ -39,17 +36,7 @@ exhaustion (``tests/serve/``).
 """
 
 from repro.serve.chaos import BackendFault, FaultPlan, FlakyBackend
-from repro.serve.control import (
-    BATCH,
-    INTERACTIVE,
-    QOS_CLASSES,
-    SHED_DEPTH,
-    SHED_RATE_LIMIT,
-    QosPolicy,
-    RetryPolicy,
-    TenantSpec,
-    TokenBucket,
-)
+from repro.serve.control import SHED_DEPTH, RetryPolicy
 from repro.serve.load import LoadReport, generate_load
 from repro.serve.shard import (
     EJECTED,
@@ -75,7 +62,6 @@ from repro.serve.loop import (
     PirServerOverloaded,
     ServingStats,
     SloConfig,
-    TenantRateLimited,
 )
 
 __all__ = [
@@ -84,16 +70,8 @@ __all__ = [
     "AdmissionConfig",
     "ServingStats",
     "PirServerOverloaded",
-    "TenantRateLimited",
     "RetryPolicy",
-    "QosPolicy",
-    "TenantSpec",
-    "TokenBucket",
-    "INTERACTIVE",
-    "BATCH",
-    "QOS_CLASSES",
     "SHED_DEPTH",
-    "SHED_RATE_LIMIT",
     "BackendFault",
     "FaultPlan",
     "FlakyBackend",

@@ -10,9 +10,9 @@ asyncio request loop that does exactly that:
 * **Submission** — :meth:`AsyncPirServer.submit` takes one framed
   :class:`~repro.pir.wire.PirQuery` buffer, validates it end to end
   (malformed, mismatched, or oversized queries fail *synchronously*,
-  before entering the queue), applies admission control and the
-  submitting tenant's QoS policy, enqueues the validated request under
-  its priority class, and awaits a per-request future.
+  before entering the queue), applies admission control, appends the
+  validated request to the one FIFO pending queue, and awaits a
+  per-request future.
 * **Aggregation** — a background task merges pending requests into one
   fused :class:`~repro.exec.EvalRequest` and flushes when any SLO
   trigger fires: the batch reached ``max_batch`` queries, the pending
@@ -24,16 +24,15 @@ asyncio request loop that does exactly that:
   running.  Before it takes a non-full batch the loop yields once, so
   every submission already runnable in this event-loop turn fuses into
   that batch; while idle it arms no timer unless a positive linger, a
-  retry backoff or a snapshot is pending.  Interactive-class requests
-  are taken into fused batches ahead of batch-class ones, bounded by an
-  anti-starvation age (see :class:`~repro.serve.control.QosPolicy`).
+  retry backoff or a snapshot is pending.  Requests are taken into
+  fused batches in arrival order.
 * **Dispatch** — the merged batch runs on the wrapped server's one
   backend (:meth:`~repro.pir.PirServer.answer_request`).
 * **Failure containment** — a fused batch concentrates risk: one
   backend exception would fail *every* query in it.  Instead, the loop
   un-merges a failed batch (:meth:`~repro.exec.EvalRequest.unmerge`)
-  and requeues its surviving requests under the
-  :class:`~repro.serve.control.RetryPolicy` (bounded attempts,
+  and requeues its surviving requests at the front of the queue under
+  the :class:`~repro.serve.control.RetryPolicy` (bounded attempts,
   exponential backoff charged against a per-request budget); only a
   request whose retry budget is exhausted fails, individually.
 * **Demultiplexing** — the merged ``(B, L)`` share matrix is combined
@@ -44,12 +43,10 @@ asyncio request loop that does exactly that:
   property that holds *through* injected backend faults
   (``tests/serve/test_chaos.py``).
 
-Admission control is the ``max_pending`` depth cap plus the
-submitting tenant's QoS bucket; nothing is priced on a device model.
-Shed queries get :class:`PirServerOverloaded` immediately;
-rate-limited tenants get :class:`TenantRateLimited` so clients can
-tell "server full" from "you specifically are over quota".  Every
-flush runs on the event loop, one at a time.
+Admission control is the ``max_pending`` depth cap alone; nothing is
+priced on a device model.  Shed queries get
+:class:`PirServerOverloaded` immediately.  Every flush runs on the
+event loop, one at a time.
 """
 
 from __future__ import annotations
@@ -80,13 +77,7 @@ from repro.obs.trace import (
 )
 from repro.pir.server import PirServer
 from repro.pir.wire import PirQuery, PirReply
-from repro.serve.control import (
-    QOS_CLASSES,
-    SHED_DEPTH,
-    SHED_RATE_LIMIT,
-    QosPolicy,
-    RetryPolicy,
-)
+from repro.serve.control import SHED_DEPTH, RetryPolicy
 from repro.serve.shard import ShardedPirServer
 
 FLUSH_MAX_BATCH = "max_batch"
@@ -108,30 +99,10 @@ class PirServerOverloaded(RuntimeError):
 
     Raised to the submitter *synchronously* so a client can back off or
     retry elsewhere — under overload an immediate error is kinder than
-    an unbounded queue whose tail latency grows without limit.
-
-    Attributes:
-        reason: Which admission layer shed
-            (:data:`~repro.serve.control.SHED_DEPTH` /
-            :data:`~repro.serve.control.SHED_RATE_LIMIT`).
+    an unbounded queue whose tail latency grows without limit.  The
+    only cause is the ``max_pending`` depth cap
+    (:data:`~repro.serve.control.SHED_DEPTH`).
     """
-
-    def __init__(self, message: str, reason: str = SHED_DEPTH):
-        super().__init__(message)
-        self.reason = reason
-
-
-class TenantRateLimited(PirServerOverloaded):
-    """The submitting tenant's token bucket was empty.
-
-    A subclass of :class:`PirServerOverloaded` so existing shed
-    handling catches it, but distinguishable: the *server* has
-    capacity — this tenant is over its own quota and should back off
-    without failing over to a replica.
-    """
-
-    def __init__(self, message: str):
-        super().__init__(message, reason=SHED_RATE_LIMIT)
 
 
 @dataclass(frozen=True)
@@ -201,10 +172,7 @@ class ServingStats:
         answered: Queries whose reply future actually received its
             result (a caller that cancelled mid-queue is counted under
             ``cancelled``, never here).
-        shed: Queries rejected by admission control, all layers.
-        shed_reasons: Shed counts keyed by admission layer
-            (:data:`~repro.serve.control.SHED_DEPTH` /
-            :data:`~repro.serve.control.SHED_RATE_LIMIT`).
+        shed: Queries rejected by the ``max_pending`` depth cap.
         retried: Queries requeued after a failed batch dispatch.
         failed: Queries whose future received a backend failure after
             the retry budget was exhausted.
@@ -230,7 +198,6 @@ class ServingStats:
     submitted: int = 0
     answered: int = 0
     shed: int = 0
-    shed_reasons: dict[str, int] = field(default_factory=dict)
     retried: int = 0
     failed: int = 0
     failures: dict[str, int] = field(default_factory=dict)
@@ -268,7 +235,6 @@ class ServingStats:
             "submitted": self.submitted,
             "answered": self.answered,
             "shed": self.shed,
-            "shed_reasons": dict(self.shed_reasons),
             "retried": self.retried,
             "failed": self.failed,
             "failures": dict(self.failures),
@@ -287,15 +253,13 @@ class _Pending:
     """One admitted query awaiting its batch (or its retry slot).
 
     Identity equality (``eq=False``): pendings are tracked through
-    queues and the retry pen as objects, and field equality would
+    the queue and the retry pen as objects, and field equality would
     recurse into numpy-backed requests."""
 
     query: PirQuery
     request: EvalRequest
     future: asyncio.Future
     enqueued_at: float
-    tenant: str | None = None
-    qos: str = QOS_CLASSES[0]
     attempts: int = 0
     backoff_used_s: float = 0.0
     not_before: float = 0.0
@@ -312,9 +276,6 @@ class AsyncPirServer:
         server: The wrapped server (table, PRF, backend, residency).
         slo: Batching/latency knobs; see :class:`SloConfig`.
         admission: Bounded-queue policy; see :class:`AdmissionConfig`.
-        qos: Optional :class:`~repro.serve.control.QosPolicy` — per-
-            tenant token buckets and priority classes.  ``None`` treats
-            all traffic as one unlimited interactive tenant.
         retry: Batch-failure :class:`~repro.serve.control.RetryPolicy`
             (default: up to 3 attempts, immediate).  Pass
             ``RetryPolicy(max_attempts=1)`` to disable retries.
@@ -330,9 +291,8 @@ class AsyncPirServer:
         metrics: Optional :class:`~repro.obs.metrics.MetricsRegistry`.
             When given, the loop registers every subsystem it can see
             as a view — its own :class:`ServingStats`, the server's
-            plan cache, a sharded server's shard totals, QoS bucket
-            levels — so one ``metrics.snapshot()`` is the whole
-            system's state.
+            plan cache, a sharded server's shard totals — so one
+            ``metrics.snapshot()`` is the whole system's state.
             Pair it with the tracer (``Tracer(metrics=registry)``) to
             get per-stage latency histograms too.
         snapshot_every_s: Optional period for recording registry
@@ -352,7 +312,6 @@ class AsyncPirServer:
         server: PirServer,
         slo: SloConfig | None = None,
         admission: AdmissionConfig | None = None,
-        qos: QosPolicy | None = None,
         retry: RetryPolicy | None = None,
         clock: Callable[[], float] = time.monotonic,
         tracer=None,
@@ -362,7 +321,6 @@ class AsyncPirServer:
         self.server = server
         self.slo = slo if slo is not None else SloConfig()
         self.admission = admission if admission is not None else AdmissionConfig()
-        self.qos = qos
         self.retry = retry if retry is not None else RetryPolicy()
         cache = server.plan_cache
         self.stats = ServingStats(
@@ -381,9 +339,7 @@ class AsyncPirServer:
         if metrics is not None:
             self._register_views(metrics)
         self._clock = clock
-        self._queues: dict[str, deque[_Pending]] = {
-            qos_class: deque() for qos_class in QOS_CLASSES
-        }
+        self._queue: deque[_Pending] = deque()
         self._retrying: list[_Pending] = []
         self._queued_queries = 0
         self._queued_arena_bytes = 0
@@ -409,8 +365,6 @@ class AsyncPirServer:
             metrics.register_view(
                 metrics.unique_name("shards"), lambda: totals().as_dict()
             )
-        if self.qos is not None:
-            metrics.register_view(metrics.unique_name("qos"), self.qos.bucket_levels)
 
     # -- lifecycle -----------------------------------------------------
 
@@ -447,40 +401,22 @@ class AsyncPirServer:
         """Queries queued or awaiting retry (what admission bounds)."""
         return self._queued_queries + self._retry_queries
 
-    def _shed(self, exc: PirServerOverloaded, count: int) -> None:
-        self.stats.shed += count
-        self.stats.shed_reasons[exc.reason] = (
-            self.stats.shed_reasons.get(exc.reason, 0) + count
-        )
-        raise exc
-
-    def _admit(self, query: PirQuery, tenant: str | None, now: float) -> None:
-        """All admission layers, cheapest first; raises to shed.
+    def _admit(self, query: PirQuery) -> None:
+        """The ``max_pending`` depth cap; raises to shed.
 
         Consulted on the frame header only — no key material has been
         ingested yet, so shedding stays O(header) under overload (the
         regime admission control exists for).
         """
         if self.pending_queries + query.count > self.admission.max_pending:
-            self._shed(
-                PirServerOverloaded(
-                    f"queue holds {self.pending_queries} queries; admitting "
-                    f"{query.count} more would exceed max_pending="
-                    f"{self.admission.max_pending}",
-                    reason=SHED_DEPTH,
-                ),
-                query.count,
-            )
-        if self.qos is not None and not self.qos.admit(tenant, query.count, now):
-            self._shed(
-                TenantRateLimited(
-                    f"tenant {tenant!r} is over its admission rate "
-                    f"({self.qos.spec(tenant).rate_qps:g} qps)"
-                ),
-                query.count,
+            self.stats.shed += query.count
+            raise PirServerOverloaded(
+                f"queue holds {self.pending_queries} queries; admitting "
+                f"{query.count} more would exceed max_pending="
+                f"{self.admission.max_pending}"
             )
 
-    async def submit(self, request_bytes: bytes, tenant: str | None = None) -> bytes:
+    async def submit(self, request_bytes: bytes) -> bytes:
         """Serve one framed query through the aggregation loop.
 
         Returns the framed reply, bit-identical to what a sequential
@@ -492,24 +428,20 @@ class AsyncPirServer:
         racing with) :meth:`stop` raises instead of enqueueing a query
         no flush would ever answer.
 
-        Admission (depth cap, tenant bucket) is checked
-        on the frame header *before* key ingestion, so shedding stays
-        O(header) under overload — the regime it exists for.  (A query
-        that is both shed-worthy and malformed therefore sheds rather
-        than reporting its bad keys.)
+        Admission (the depth cap) is checked on the frame header
+        *before* key ingestion, so shedding stays O(header) under
+        overload — the regime it exists for.  (A query that is both
+        shed-worthy and malformed therefore sheds rather than reporting
+        its bad keys.)
 
         Args:
             request_bytes: One framed :class:`~repro.pir.wire.PirQuery`.
-            tenant: Submitting tenant id for QoS (rate limit + priority
-                class); ``None`` is the anonymous default tenant.
 
         Raises:
             ValueError: Synchronously, on a malformed/mismatched/
                 oversized query (never enters the queue).
             PirServerOverloaded: Synchronously, when admission control
                 sheds the query (depth cap).
-            TenantRateLimited: Synchronously, when the tenant's token
-                bucket is empty (the server itself has capacity).
             RuntimeError: Synchronously, when the loop is stopped.
         """
         if self._stopping:
@@ -517,18 +449,15 @@ class AsyncPirServer:
         query = PirQuery.from_bytes(request_bytes)
         now = self._clock()
         ctx = self.tracer.trace(
-            request_id=query.request_id,
-            tenant=tenant,
-            count=query.count,
-            epoch=query.epoch,
+            request_id=query.request_id, count=query.count, epoch=query.epoch
         )
         admit_span = ctx.begin(STAGE_ADMIT)
         try:
-            self._admit(query, tenant, now)
+            self._admit(query)
             request = self.server.ingest_query(query)
-        except PirServerOverloaded as exc:
-            ctx.end(admit_span, shed=exc.reason)
-            ctx.event("shed", reason=exc.reason)
+        except PirServerOverloaded:
+            ctx.end(admit_span, shed=SHED_DEPTH)
+            ctx.event("shed", reason=SHED_DEPTH)
             ctx.close(STATUS_SHED)
             raise
         except ValueError as exc:
@@ -540,19 +469,11 @@ class AsyncPirServer:
             # Thread the context through the request so fusion, shard
             # fan-out and failover can annotate exactly this query.
             request.traces = (ctx,)
-        qos_class = self.qos.qos_class(tenant) if self.qos is not None else QOS_CLASSES[0]
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         pending = _Pending(
-            query,
-            request,
-            future,
-            now,
-            tenant=tenant,
-            qos=qos_class,
-            ctx=ctx,
-            queue_span=ctx.begin(STAGE_QUEUE),
+            query, request, future, now, ctx=ctx, queue_span=ctx.begin(STAGE_QUEUE)
         )
-        self._queues[qos_class].append(pending)
+        self._queue.append(pending)
         self._queued_queries += query.count
         self._queued_arena_bytes += request.arena().nbytes
         self.stats.submitted += query.count
@@ -563,9 +484,9 @@ class AsyncPirServer:
     # -- aggregation ---------------------------------------------------
 
     def _oldest_head(self) -> _Pending | None:
-        """The oldest front-of-queue request across priority classes."""
-        heads = [queue[0] for queue in self._queues.values() if queue]
-        return min(heads, key=lambda p: p.enqueued_at) if heads else None
+        """The front of the queue: its oldest request (a retry keeps
+        its original ``enqueued_at`` and goes back to the front)."""
+        return self._queue[0] if self._queue else None
 
     def _flush_reason(self) -> str | None:
         """The SLO trigger that fires *now*, or None to keep waiting."""
@@ -633,7 +554,7 @@ class AsyncPirServer:
         # pointless when the loop is going away) and flush until empty.
         # Terminates even against an always-failing backend because
         # each failed dispatch consumes a bounded retry attempt.
-        while self._retrying or any(self._queues.values()):
+        while self._retrying or self._queue:
             self._promote_retries(force=True)
             self._flush(FLUSH_DRAIN)
             await self._settle()
@@ -661,8 +582,8 @@ class AsyncPirServer:
             await asyncio.sleep(0)
 
     def _promote_retries(self, force: bool = False) -> None:
-        """Move retry-eligible requests back to the *front* of their
-        class queue (they keep their original ``enqueued_at``, so the
+        """Move retry-eligible requests back to the *front* of the
+        queue (they keep their original ``enqueued_at``, so the
         deadline trigger treats a retried request as the old request it
         is, not as fresh traffic)."""
         if not self._retrying:
@@ -674,8 +595,10 @@ class AsyncPirServer:
         self._retrying = [p for p in self._retrying if p not in eligible]
         # appendleft in newest-first order leaves the oldest at the
         # very front — seniority survives the round trip through retry.
-        for pending in sorted(eligible, key=lambda p: p.enqueued_at, reverse=True):
-            self._queues[pending.qos].appendleft(pending)
+        # Reversing a stable ascending sort (unlike reverse=True) also
+        # keeps equal-time retries in the order they were taken.
+        for pending in reversed(sorted(eligible, key=lambda p: p.enqueued_at)):
+            self._queue.appendleft(pending)
             self._retry_queries -= pending.query.count
             self._queued_queries += pending.query.count
             self._queued_arena_bytes += pending.request.arena().nbytes
@@ -684,18 +607,17 @@ class AsyncPirServer:
         """Drop pendings whose caller cancelled the awaited future, so
         a client-side timeout neither evaluates nor counts — the
         cancelled-future leak fix."""
-        for qos_class, queue in self._queues.items():
-            if any(p.future.done() for p in queue):
-                kept: deque[_Pending] = deque()
-                for pending in queue:
-                    if pending.future.done():
-                        self.stats.cancelled += pending.query.count
-                        self._queued_queries -= pending.query.count
-                        self._queued_arena_bytes -= pending.request.arena().nbytes
-                        self._close_cancelled(pending)
-                    else:
-                        kept.append(pending)
-                self._queues[qos_class] = kept
+        if any(p.future.done() for p in self._queue):
+            kept: deque[_Pending] = deque()
+            for pending in self._queue:
+                if pending.future.done():
+                    self.stats.cancelled += pending.query.count
+                    self._queued_queries -= pending.query.count
+                    self._queued_arena_bytes -= pending.request.arena().nbytes
+                    self._close_cancelled(pending)
+                else:
+                    kept.append(pending)
+            self._queue = kept
         cancelled_retries = [p for p in self._retrying if p.future.done()]
         for pending in cancelled_retries:
             self.stats.cancelled += pending.query.count
@@ -712,20 +634,6 @@ class AsyncPirServer:
             pending.queue_span = None
         pending.ctx.close(STATUS_CANCELLED)
 
-    def _take_order(self) -> list[str]:
-        """Priority order for this batch: interactive first, unless the
-        oldest waiting batch-class request has starved past the QoS
-        policy's ``starvation_s`` bound."""
-        order = list(QOS_CLASSES)
-        if self.qos is None:
-            return order
-        batch_queue = self._queues[QOS_CLASSES[1]]
-        if batch_queue and (
-            self._clock() - batch_queue[0].enqueued_at >= self.qos.starvation_s
-        ):
-            order.reverse()
-        return order
-
     def _take_batch(self) -> list[_Pending]:
         """Pop whole requests until adding the next would exceed
         ``max_batch`` queries or the ``max_arena_bytes`` budget (always
@@ -737,35 +645,33 @@ class AsyncPirServer:
         A batch is single-epoch: queries pinned to different table
         epochs must run against different table versions, so a queue
         that spans an epoch flip splits at the flip boundary — the
-        head's epoch defines the batch and a mismatched head ends that
-        queue's take (the next flush picks the other epoch up)."""
+        head's epoch defines the batch and a mismatched head ends the
+        take (the next flush picks the other epoch up)."""
         self._purge_cancelled()
         taken: list[_Pending] = []
         epoch: int | None = None
         count = 0
         taken_bytes = 0
         budget = self.slo.max_arena_bytes
-        for qos_class in self._take_order():
-            queue = self._queues[qos_class]
-            while queue:
-                nxt = queue[0]
-                if epoch is not None and nxt.query.epoch != epoch:
-                    break
-                nxt_bytes = nxt.request.arena().nbytes
-                if taken and (
-                    count + nxt.query.count > self.slo.max_batch
-                    or (budget is not None and taken_bytes + nxt_bytes > budget)
-                ):
-                    self._queued_queries -= count
-                    return taken
-                taken.append(queue.popleft())
-                if nxt.queue_span is not None:
-                    nxt.ctx.end(nxt.queue_span, qos=nxt.qos)
-                    nxt.queue_span = None
-                epoch = nxt.query.epoch
-                count += nxt.query.count
-                taken_bytes += nxt_bytes
-                self._queued_arena_bytes -= nxt_bytes
+        queue = self._queue
+        while queue:
+            nxt = queue[0]
+            if epoch is not None and nxt.query.epoch != epoch:
+                break
+            nxt_bytes = nxt.request.arena().nbytes
+            if taken and (
+                count + nxt.query.count > self.slo.max_batch
+                or (budget is not None and taken_bytes + nxt_bytes > budget)
+            ):
+                break
+            taken.append(queue.popleft())
+            if nxt.queue_span is not None:
+                nxt.ctx.end(nxt.queue_span)
+                nxt.queue_span = None
+            epoch = nxt.query.epoch
+            count += nxt.query.count
+            taken_bytes += nxt_bytes
+            self._queued_arena_bytes -= nxt_bytes
         self._queued_queries -= count
         return taken
 

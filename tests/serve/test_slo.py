@@ -348,8 +348,8 @@ class TestConfigValidation:
         with pytest.raises(TypeError):
             AsyncPirServer(server, overlap=True)
 
-    def test_shed_reasons_are_depth_and_rate_limit(self):
-        expected = {"SHED_DEPTH": "depth", "SHED_RATE_LIMIT": "rate_limit"}
+    def test_depth_is_the_only_shed_reason(self):
+        expected = {"SHED_DEPTH": "depth"}
         for module in (repro.serve, repro.serve.control):
             exported = {
                 name: getattr(module, name)
@@ -365,7 +365,6 @@ class TestConfigValidation:
             "submitted",
             "answered",
             "shed",
-            "shed_reasons",
             "retried",
             "failed",
             "failures",

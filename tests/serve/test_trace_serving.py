@@ -208,7 +208,7 @@ class TestTerminalStatuses:
         async def run():
             loop = AsyncPirServer(
                 server,
-                slo=SloConfig(max_batch=4, max_wait_s=30.0),
+                slo=SloConfig(max_batch=4),
                 admission=AdmissionConfig(max_pending=3),
                 tracer=tracer,
             )
