@@ -88,7 +88,6 @@ from repro.serve import (  # noqa: E402
     EJECTED,
     FaultPlan,
     FlakyBackend,
-    RetryPolicy,
     ShardedPirServer,
     SloConfig,
     generate_load,
@@ -151,7 +150,6 @@ def run_sharded(chaos: bool, shards: int) -> int:
             shards=shards,
             replicas=2,
             backend_factory=replica_backend,
-            retry=RetryPolicy(max_attempts=2),
             rejoin_after=None,  # a killed replica stays dead; no rejoin noise
             prf_name=PRF,
         )
@@ -163,7 +161,6 @@ def run_sharded(chaos: bool, shards: int) -> int:
             AsyncPirServer(
                 server,
                 slo=SloConfig(max_batch=8, max_wait_s=5e-3),
-                retry=RetryPolicy(max_attempts=3),
             )
             for server in servers
         ]
@@ -255,7 +252,6 @@ def run_steady() -> int:
                     plan_cache=PlanCache(),
                 ),
                 slo=SloConfig(max_batch=8, max_wait_s=5e-3),
-                retry=RetryPolicy(max_attempts=3),
             )
             for _ in range(2)
         ]
@@ -332,7 +328,6 @@ def run_traced(export_path: str = "obs_smoke.jsonl") -> int:
                     prf_name=PRF,
                 ),
                 slo=SloConfig(max_batch=8, max_wait_s=5e-3),
-                retry=RetryPolicy(max_attempts=3),
                 tracer=tracer,
                 metrics=registry,
                 snapshot_every_s=2e-3,
@@ -391,7 +386,6 @@ def run_traced(export_path: str = "obs_smoke.jsonl") -> int:
             shards=shards,
             replicas=2,
             backend_factory=replica_backend,
-            retry=RetryPolicy(max_attempts=2),
             rejoin_after=None,
             prf_name=PRF,
         )
@@ -403,7 +397,6 @@ def run_traced(export_path: str = "obs_smoke.jsonl") -> int:
             AsyncPirServer(
                 server,
                 slo=SloConfig(max_batch=8, max_wait_s=5e-3),
-                retry=RetryPolicy(max_attempts=3),
                 tracer=tracer,
                 metrics=registry,
                 snapshot_every_s=2e-3,
@@ -486,7 +479,6 @@ def main(
             AsyncPirServer(
                 PirServer(table, backend=backend(), prf_name=PRF),
                 slo=SloConfig(max_batch=8, max_wait_s=5e-3),
-                retry=RetryPolicy(max_attempts=3),
             )
             for _ in range(2)
         ]

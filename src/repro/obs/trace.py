@@ -49,7 +49,8 @@ STAGE_ADMIT = "admit"
 """Span: admission control + key ingestion inside ``submit``."""
 
 STAGE_QUEUE = "queue"
-"""Span: waiting in a QoS class queue (or the retry pen) for a batch."""
+"""Span: waiting in the FIFO queue for a batch (once per dispatch
+attempt: a retried query opens a fresh one)."""
 
 STAGE_MERGE = "merge"
 """Span: fusing the taken requests into one merged ``EvalRequest``."""

@@ -146,10 +146,11 @@ class PirServer:
 
         ``keys`` may be an arena, key objects, or concatenated wire
         bytes; the wire form is the serving hot path (one vectorized
-        parse, zero per-key objects).
+        parse, zero per-key objects).  Answered against the current
+        epoch through :meth:`answer_request`, the one dispatch path, so
+        a sharded server fans out and fails over here too.
         """
-        request = replace(self.build_request(keys), reduce=self.combine)
-        return self.backend.run(request).answers
+        return self.answer_request(self.build_request(keys), epoch=self.epoch)
 
     def ingest_query(self, query: PirQuery) -> EvalRequest:
         """Ingest and validate one parsed query's key payload.

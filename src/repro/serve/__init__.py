@@ -9,11 +9,10 @@ can absorb heavy concurrent traffic and survive backend failures:
   request loop: framed queries in, per-request futures out, with batch
   aggregation under a latency SLO (flush on max-batch, arena-bytes
   budget, or max-wait deadline) from one FIFO queue, admission control
-  (the ``max_pending`` depth cap alone), and retry/requeue on backend
-  failure (a failed fused batch is un-merged and its survivors retried
-  individually, ahead of newer traffic).
-* :mod:`repro.serve.control` — the control-plane policy the loop
-  consults: :class:`RetryPolicy` (bounded retries, backoff budgets).
+  (the ``max_pending`` depth cap alone), and retry on backend failure
+  (a failed fused batch is un-merged and its survivors go back to the
+  front of the queue, up to ``max_attempts`` dispatches each).  The
+  loop is the one place a failed dispatch is retried.
 * :mod:`repro.serve.chaos` — deterministic fault injection:
   :class:`FlakyBackend` + :class:`FaultPlan` fail chosen dispatches
   with :class:`BackendFault` so tests and the smoke session can kill
@@ -24,31 +23,29 @@ can absorb heavy concurrent traffic and survive backend failures:
 * :mod:`repro.serve.shard` — :class:`ShardedPirServer`, the sharded,
   replicated front-end: contiguous domain sub-ranges evaluated via the
   range-restricted DPF walk, partials recombined mod 2^64, replica
-  health with ejection/failover/probation (:class:`ReplicaSet`), and
-  epoch-versioned online table updates (:class:`EpochRegistry`) with
-  typed :class:`ShardUnavailable` / :class:`EpochRetired` failures.
+  health with ejection, failover and rejoin (:class:`ReplicaSet`; a set
+  never retries, and hands its last replica's fault up to the loop),
+  and epoch-versioned online table updates (:class:`EpochRegistry`)
+  with the typed :class:`EpochRetired` failure.
 
 The invariant everything above preserves: answers served through the
 aggregation loop are *bit-identical* to sequential
 ``PirServer.handle`` for the same queries, across every backend, every
-concurrency level, and every injected fault short of retry-budget
-exhaustion (``tests/serve/``).
+concurrency level, and every injected fault short of a request using
+up its ``max_attempts`` (``tests/serve/``).
 """
 
 from repro.serve.chaos import BackendFault, FaultPlan, FlakyBackend
-from repro.serve.control import SHED_DEPTH, RetryPolicy
 from repro.serve.load import LoadReport, generate_load
 from repro.serve.shard import (
     EJECTED,
     HEALTHY,
-    PROBATION,
     REPLICA_STATES,
     EpochRegistry,
     EpochRetired,
     ReplicaSet,
     ShardReplica,
     ShardStats,
-    ShardUnavailable,
     ShardedPirServer,
     shard_ranges,
 )
@@ -57,6 +54,7 @@ from repro.serve.loop import (
     FLUSH_DEADLINE,
     FLUSH_DRAIN,
     FLUSH_MAX_BATCH,
+    SHED_DEPTH,
     AdmissionConfig,
     AsyncPirServer,
     PirServerOverloaded,
@@ -70,7 +68,6 @@ __all__ = [
     "AdmissionConfig",
     "ServingStats",
     "PirServerOverloaded",
-    "RetryPolicy",
     "SHED_DEPTH",
     "BackendFault",
     "FaultPlan",
@@ -87,10 +84,8 @@ __all__ = [
     "ShardStats",
     "EpochRegistry",
     "EpochRetired",
-    "ShardUnavailable",
     "shard_ranges",
     "HEALTHY",
-    "PROBATION",
     "EJECTED",
     "REPLICA_STATES",
 ]

@@ -23,18 +23,19 @@ asyncio request loop that does exactly that:
   ``max_batch`` because arrivals pile up behind the dispatch that is
   running.  Before it takes a non-full batch the loop yields once, so
   every submission already runnable in this event-loop turn fuses into
-  that batch; while idle it arms no timer unless a positive linger, a
-  retry backoff or a snapshot is pending.  Requests are taken into
-  fused batches in arrival order.
+  that batch; while idle it arms no timer unless a positive linger or a
+  snapshot is pending.  Requests are taken into fused batches in
+  arrival order.
 * **Dispatch** — the merged batch runs on the wrapped server's one
   backend (:meth:`~repro.pir.PirServer.answer_request`).
 * **Failure containment** — a fused batch concentrates risk: one
   backend exception would fail *every* query in it.  Instead, the loop
   un-merges a failed batch (:meth:`~repro.exec.EvalRequest.unmerge`)
-  and requeues its surviving requests at the front of the queue under
-  the :class:`~repro.serve.control.RetryPolicy` (bounded attempts,
-  exponential backoff charged against a per-request budget); only a
-  request whose retry budget is exhausted fails, individually.
+  and puts its surviving requests straight back at the front of the
+  queue, oldest first; only a request that has used up its
+  ``max_attempts`` dispatches fails, individually.  This is the one
+  place a failed dispatch is retried: a sharded server's replica sets
+  only fail over (:mod:`repro.serve.shard`).
 * **Demultiplexing** — the merged ``(B, L)`` share matrix is combined
   against the table *once* and the ``(B,)`` answer vector sliced back
   per request; each caller's future resolves to its own framed
@@ -77,7 +78,6 @@ from repro.obs.trace import (
 )
 from repro.pir.server import PirServer
 from repro.pir.wire import PirQuery, PirReply
-from repro.serve.control import SHED_DEPTH, RetryPolicy
 from repro.serve.shard import ShardedPirServer
 
 FLUSH_MAX_BATCH = "max_batch"
@@ -93,6 +93,9 @@ FLUSH_DEADLINE = "deadline"
 FLUSH_DRAIN = "drain"
 """Flush reason: the loop is stopping and drained its queue."""
 
+SHED_DEPTH = "depth"
+"""Shed reason: the ``max_pending`` hard cap (queue depth) was hit."""
+
 
 class PirServerOverloaded(RuntimeError):
     """The query was shed by admission control, not served.
@@ -100,8 +103,7 @@ class PirServerOverloaded(RuntimeError):
     Raised to the submitter *synchronously* so a client can back off or
     retry elsewhere — under overload an immediate error is kinder than
     an unbounded queue whose tail latency grows without limit.  The
-    only cause is the ``max_pending`` depth cap
-    (:data:`~repro.serve.control.SHED_DEPTH`).
+    only cause is the ``max_pending`` depth cap (:data:`SHED_DEPTH`).
     """
 
 
@@ -152,7 +154,7 @@ class AdmissionConfig:
 
     Attributes:
         max_pending: Hard cap — maximum queries (keys, not requests)
-            queued or awaiting retry at once; a submission that would
+            queued at once, retries included; a submission that would
             exceed it is shed with :class:`PirServerOverloaded`.
     """
 
@@ -175,7 +177,7 @@ class ServingStats:
         shed: Queries rejected by the ``max_pending`` depth cap.
         retried: Queries requeued after a failed batch dispatch.
         failed: Queries whose future received a backend failure after
-            the retry budget was exhausted.
+            their ``max_attempts`` dispatches were used up.
         failures: Failed batch *dispatches* keyed by exception type
             name (one entry per failed flush, however many queries it
             carried).
@@ -250,19 +252,17 @@ class ServingStats:
 
 @dataclass(eq=False)
 class _Pending:
-    """One admitted query awaiting its batch (or its retry slot).
+    """One admitted query awaiting its batch.
 
     Identity equality (``eq=False``): pendings are tracked through
-    the queue and the retry pen as objects, and field equality would
-    recurse into numpy-backed requests."""
+    the queue as objects, and field equality would recurse into
+    numpy-backed requests."""
 
     query: PirQuery
     request: EvalRequest
     future: asyncio.Future
     enqueued_at: float
     attempts: int = 0
-    backoff_used_s: float = 0.0
-    not_before: float = 0.0
     # Tracing: the query's trace context (a no-op singleton when
     # tracing is off) and its currently-open queue-wait span.
     ctx: TraceContext = field(default_factory=NULL_TRACER.trace)
@@ -276,9 +276,9 @@ class AsyncPirServer:
         server: The wrapped server (table, PRF, backend, residency).
         slo: Batching/latency knobs; see :class:`SloConfig`.
         admission: Bounded-queue policy; see :class:`AdmissionConfig`.
-        retry: Batch-failure :class:`~repro.serve.control.RetryPolicy`
-            (default: up to 3 attempts, immediate).  Pass
-            ``RetryPolicy(max_attempts=1)`` to disable retries.
+        max_attempts: Dispatches each request may take, the first
+            included (default 3; 1 disables retries).  A failed batch's
+            survivors go straight back to the front of the queue.
         clock: Monotonic time source (injectable for tests).
         tracer: Optional :class:`~repro.obs.trace.Tracer`.  When given,
             every submitted query gets a trace context whose spans
@@ -312,7 +312,7 @@ class AsyncPirServer:
         server: PirServer,
         slo: SloConfig | None = None,
         admission: AdmissionConfig | None = None,
-        retry: RetryPolicy | None = None,
+        max_attempts: int = 3,
         clock: Callable[[], float] = time.monotonic,
         tracer=None,
         metrics: MetricsRegistry | None = None,
@@ -321,7 +321,9 @@ class AsyncPirServer:
         self.server = server
         self.slo = slo if slo is not None else SloConfig()
         self.admission = admission if admission is not None else AdmissionConfig()
-        self.retry = retry if retry is not None else RetryPolicy()
+        if max_attempts < 1:
+            raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
+        self.max_attempts = max_attempts
         cache = server.plan_cache
         self.stats = ServingStats(
             plan_cache_stats=cache.stats if cache is not None else None
@@ -340,10 +342,8 @@ class AsyncPirServer:
             self._register_views(metrics)
         self._clock = clock
         self._queue: deque[_Pending] = deque()
-        self._retrying: list[_Pending] = []
         self._queued_queries = 0
         self._queued_arena_bytes = 0
-        self._retry_queries = 0
         self._wake: asyncio.Event | None = None
         self._task: asyncio.Task | None = None
         self._stopping = False
@@ -398,8 +398,8 @@ class AsyncPirServer:
 
     @property
     def pending_queries(self) -> int:
-        """Queries queued or awaiting retry (what admission bounds)."""
-        return self._queued_queries + self._retry_queries
+        """Queries queued, retries included (what admission bounds)."""
+        return self._queued_queries
 
     def _admit(self, query: PirQuery) -> None:
         """The ``max_pending`` depth cap; raises to shed.
@@ -505,14 +505,12 @@ class AsyncPirServer:
         return None
 
     def _wait_timeout(self) -> float | None:
-        """Seconds until the next time-based event (deadline or retry
-        eligibility), or None when only a wake can create work."""
+        """Seconds until the next time-based event (deadline or
+        snapshot), or None when only a wake can create work."""
         candidates = []
         oldest = self._oldest_head()
         if oldest is not None:
             candidates.append(oldest.enqueued_at + self.slo.max_wait_s)
-        if self._retrying:
-            candidates.append(min(p.not_before for p in self._retrying))
         if self._next_snapshot_s is not None:
             candidates.append(self._next_snapshot_s)
         if not candidates:
@@ -530,7 +528,6 @@ class AsyncPirServer:
 
     async def _run(self) -> None:
         while not self._stopping:
-            self._promote_retries()
             self._maybe_snapshot()
             reason = self._flush_reason()
             if reason == FLUSH_DEADLINE:
@@ -550,12 +547,10 @@ class AsyncPirServer:
                 await asyncio.wait_for(self._wake.wait(), self._wait_timeout())
             except asyncio.TimeoutError:
                 pass
-        # Drain: requeue every in-flight retry immediately (backoff is
-        # pointless when the loop is going away) and flush until empty.
-        # Terminates even against an always-failing backend because
-        # each failed dispatch consumes a bounded retry attempt.
-        while self._retrying or self._queue:
-            self._promote_retries(force=True)
+        # Drain: flush until empty.  Terminates even against an
+        # always-failing backend because each failed dispatch consumes
+        # one of a request's bounded attempts.
+        while self._queue:
             self._flush(FLUSH_DRAIN)
             await self._settle()
         if self._next_snapshot_s is not None:
@@ -581,50 +576,22 @@ class AsyncPirServer:
         for _ in range(3):
             await asyncio.sleep(0)
 
-    def _promote_retries(self, force: bool = False) -> None:
-        """Move retry-eligible requests back to the *front* of the
-        queue (they keep their original ``enqueued_at``, so the
-        deadline trigger treats a retried request as the old request it
-        is, not as fresh traffic)."""
-        if not self._retrying:
-            return
-        now = self._clock()
-        eligible = [p for p in self._retrying if force or p.not_before <= now]
-        if not eligible:
-            return
-        self._retrying = [p for p in self._retrying if p not in eligible]
-        # appendleft in newest-first order leaves the oldest at the
-        # very front — seniority survives the round trip through retry.
-        # Reversing a stable ascending sort (unlike reverse=True) also
-        # keeps equal-time retries in the order they were taken.
-        for pending in reversed(sorted(eligible, key=lambda p: p.enqueued_at)):
-            self._queue.appendleft(pending)
-            self._retry_queries -= pending.query.count
-            self._queued_queries += pending.query.count
-            self._queued_arena_bytes += pending.request.arena().nbytes
-
     def _purge_cancelled(self) -> None:
         """Drop pendings whose caller cancelled the awaited future, so
         a client-side timeout neither evaluates nor counts — the
         cancelled-future leak fix."""
-        if any(p.future.done() for p in self._queue):
-            kept: deque[_Pending] = deque()
-            for pending in self._queue:
-                if pending.future.done():
-                    self.stats.cancelled += pending.query.count
-                    self._queued_queries -= pending.query.count
-                    self._queued_arena_bytes -= pending.request.arena().nbytes
-                    self._close_cancelled(pending)
-                else:
-                    kept.append(pending)
-            self._queue = kept
-        cancelled_retries = [p for p in self._retrying if p.future.done()]
-        for pending in cancelled_retries:
-            self.stats.cancelled += pending.query.count
-            self._retry_queries -= pending.query.count
-            self._close_cancelled(pending)
-        if cancelled_retries:
-            self._retrying = [p for p in self._retrying if not p.future.done()]
+        if not any(p.future.done() for p in self._queue):
+            return
+        kept: deque[_Pending] = deque()
+        for pending in self._queue:
+            if pending.future.done():
+                self.stats.cancelled += pending.query.count
+                self._queued_queries -= pending.query.count
+                self._queued_arena_bytes -= pending.request.arena().nbytes
+                self._close_cancelled(pending)
+            else:
+                kept.append(pending)
+        self._queue = kept
 
     @staticmethod
     def _close_cancelled(pending: _Pending) -> None:
@@ -745,9 +712,9 @@ class AsyncPirServer:
         sizes: tuple[int, ...],
         exc: Exception,
     ) -> None:
-        """Contain a failed batch dispatch: un-merge, requeue survivors
-        within their retry budget, fail the rest *individually*."""
-        now = self._clock()
+        """Contain a failed batch dispatch: un-merge, put survivors
+        under their attempt cap back at the queue's front, fail the rest
+        *individually*."""
         reason = type(exc).__name__
         self.stats.failures[reason] = self.stats.failures.get(reason, 0) + 1
         # Each survivor retries on a zero-copy slice of the merged
@@ -757,33 +724,30 @@ class AsyncPirServer:
             requests = EvalRequest.unmerge(merged, sizes)
         else:
             requests = [p.request for p in taken]
+        retries: list[_Pending] = []
         for pending, request in zip(taken, requests):
             if pending.future.done():
                 self.stats.cancelled += pending.query.count
                 pending.ctx.close(STATUS_CANCELLED)
                 continue
             pending.attempts += 1
-            if self.retry.allows_retry(pending.attempts, pending.backoff_used_s):
-                backoff = self.retry.next_backoff_s(pending.attempts)
-                pending.backoff_used_s += backoff
-                pending.not_before = now + backoff
+            if pending.attempts < self.max_attempts:
                 pending.request = request
-                pending.ctx.event(
-                    "retry",
-                    attempt=pending.attempts,
-                    error=reason,
-                    backoff_s=backoff,
-                )
-                # The retry pen is a queue too: a fresh queue-wait span
-                # opens now and ends when the retry is re-taken, so the
-                # chain repeats the queue→merge→plan→dispatch group once
-                # per dispatch attempt.
+                pending.ctx.event("retry", attempt=pending.attempts, error=reason)
+                # A fresh queue-wait span opens now and ends when the
+                # retry is re-taken, so the chain repeats the
+                # queue→merge→plan→dispatch group once per attempt.
                 pending.queue_span = pending.ctx.begin(STAGE_QUEUE)
-                self._retrying.append(pending)
-                self._retry_queries += pending.query.count
+                retries.append(pending)
+                self._queued_queries += pending.query.count
+                self._queued_arena_bytes += request.arena().nbytes
                 self.stats.retried += pending.query.count
             else:
                 pending.future.set_exception(exc)
                 pending.ctx.event("failed", error=reason)
                 pending.ctx.close(STATUS_FAILED)
                 self.stats.failed += pending.query.count
+        # They were taken from the front in queue order; extendleft
+        # reverses, so reversing first keeps the oldest at the very
+        # front — seniority survives the round trip through retry.
+        self._queue.extendleft(reversed(retries))

@@ -22,21 +22,20 @@ real deployment needs (ROADMAP: scale-out serving):
   bit-identity to ``PirServer.handle`` for every shard count.
 
 * **Replication + failover** — each shard runs R replicas behind a
-  :class:`ReplicaSet` with health tracking.  A replica whose injected
-  faults (:class:`~repro.serve.chaos.FlakyBackend`) exhaust the
-  :class:`~repro.serve.control.RetryPolicy` is **ejected** and the
-  in-flight batch fails over to a sibling: the fused request is
+  :class:`ReplicaSet` with health tracking.  A set never retries: a
+  replica that raises (say, an injected
+  :class:`~repro.serve.chaos.FlakyBackend` fault) is **ejected** and
+  the in-flight batch fails over to a sibling — the fused request is
   un-merged (:meth:`~repro.exec.EvalRequest.unmerge`) and the
   constituents re-dispatched *in original order*, so survivors keep
   their seniority and a second mid-failover death resumes from the
   first unanswered constituent (completed partials are deterministic,
-  hence safe to keep).  An ejected replica rejoins on **probation**
-  after the set answers ``rejoin_after`` batches without it, carries
-  real traffic there, and is promoted back to healthy after
-  ``probation_successes`` consecutive successes — one fault on
-  probation re-ejects immediately, no retries.  A shard with every
-  replica ejected raises the typed :exc:`ShardUnavailable` (never a
-  hang).
+  hence safe to keep).  The last replica in rotation is never ejected:
+  its exception goes up to the caller, which for served traffic is
+  the serving loop, the one place a failed batch is retried.  So a
+  set cannot go dark.  An ejected replica rejoins the rotation,
+  healthy, after the set's next ``rejoin_after`` dispatches, answered
+  or failed.
 
 * **Epoch-versioned online updates** — an :class:`EpochRegistry`
   serves epoch E while epoch E+1 ingests shard by shard
@@ -51,8 +50,8 @@ real deployment needs (ROADMAP: scale-out serving):
   registry retains the last ``retain_epochs`` versions; older pins get
   the typed :exc:`EpochRetired`.
 
-Everything is deterministic — health transitions count batches, not
-wall-clock seconds — so every chaos scenario in
+Everything is deterministic — health transitions count dispatches,
+not wall-clock seconds — so every chaos scenario in
 ``tests/serve/test_shard.py`` replays exactly.
 """
 
@@ -68,42 +67,14 @@ from repro.exec.plan_cache import PlanCache
 from repro.exec.request import EvalRequest
 from repro.obs.trace import annotate_request
 from repro.pir.server import PirServer
-from repro.serve.control import RetryPolicy
 
 HEALTHY = "healthy"
-"""Replica state: in the rotation, full retry budget."""
-
-PROBATION = "probation"
-"""Replica state: back in the rotation after ejection, zero retry
-budget — one fault re-ejects immediately."""
+"""Replica state: in the rotation."""
 
 EJECTED = "ejected"
 """Replica state: out of the rotation, waiting out its rejoin count."""
 
-REPLICA_STATES = (HEALTHY, PROBATION, EJECTED)
-
-
-class ShardUnavailable(RuntimeError):
-    """Every replica of one shard is ejected; the batch cannot be served.
-
-    Typed so the serving loop's retry/requeue path and clients can tell
-    "a table sub-range is dark" from a generic backend fault.  Raised
-    synchronously — an all-replicas-down shard fails fast, it never
-    hangs a caller.
-
-    Attributes:
-        shard_index: Which shard went dark.
-        lo, hi: The table rows ``[lo, hi)`` nobody can answer.
-    """
-
-    def __init__(self, shard_index: int, lo: int, hi: int):
-        super().__init__(
-            f"shard {shard_index} (table rows [{lo}, {hi})) has no "
-            f"serving replicas: all ejected"
-        )
-        self.shard_index = shard_index
-        self.lo = lo
-        self.hi = hi
+REPLICA_STATES = (HEALTHY, EJECTED)
 
 
 class EpochRetired(ValueError):
@@ -257,22 +228,14 @@ class ShardReplica:
         backend: The execution backend this replica evaluates on
             (wrap in :class:`~repro.serve.chaos.FlakyBackend` to
             torture it).
-        state: :data:`HEALTHY` / :data:`PROBATION` / :data:`EJECTED`.
-        ejections: Times this replica has been ejected.
-        probation_streak: Consecutive probation successes so far.
-        idle_batches: Set-level batches answered since this replica's
-            ejection (the rejoin countdown).
+        state: :data:`HEALTHY` / :data:`EJECTED`.
+        idle_dispatches: Set-level dispatches, answered or failed,
+            since this replica's ejection (the rejoin countdown).
     """
 
     backend: ExecutionBackend
     state: str = HEALTHY
-    ejections: int = 0
-    probation_streak: int = 0
-    idle_batches: int = 0
-
-
-class _ReplicaExhausted(Exception):
-    """Internal: one replica's retry budget is spent (carries cause)."""
+    idle_dispatches: int = 0
 
 
 @dataclass
@@ -281,13 +244,13 @@ class ShardStats:
 
     Attributes:
         batches: Set-level answers completed (fused batches, not keys).
-        retries: Same-replica retry attempts after a fault.
-        ejections: Replica ejections (retry budget exhausted, or one
-            probation fault).
+        retries: Faults of the last replica in rotation, handed up to
+            the caller to retry (the serving loop re-dispatches the
+            batch).
+        ejections: Replicas taken out of the rotation after a fault.
         failovers: Batches (or un-merged constituents) re-dispatched to
             a sibling after an ejection.
-        rejoins: Ejected replicas re-entering the rotation on probation.
-        recoveries: Probation replicas promoted back to healthy.
+        rejoins: Ejected replicas back in the rotation.
     """
 
     batches: int = 0
@@ -295,7 +258,6 @@ class ShardStats:
     ejections: int = 0
     failovers: int = 0
     rejoins: int = 0
-    recoveries: int = 0
 
     def as_dict(self) -> dict:
         """JSON-ready counters — the metrics-registry view shape."""
@@ -305,27 +267,23 @@ class ShardStats:
             "ejections": self.ejections,
             "failovers": self.failovers,
             "rejoins": self.rejoins,
-            "recoveries": self.recoveries,
         }
 
 
 class ReplicaSet:
-    """R replicas of one shard: routing, health, retries, failover.
+    """R replicas of one shard: routing, health, failover.
 
-    All state transitions count *batches*, not seconds, so a replayed
+    All state transitions count *dispatches*, not seconds, so a replayed
     request sequence produces the identical ejection/rejoin history.
 
     Args:
         shard_index: Position of this shard in the front-end's order.
         lo, hi: The table rows ``[lo, hi)`` this shard serves.
         backends: One backend per replica (>= 1).
-        retry: Same-replica retry budget before ejection (defaults to
-            the serving loop's default policy).
-        rejoin_after: Set-level batches an ejected replica sits out
-            before rejoining on probation.  ``None`` disables rejoin
-            (an ejected replica stays dead).
-        probation_successes: Consecutive successes that promote a
-            probation replica back to healthy.
+        rejoin_after: Set-level dispatches, answered or failed, an
+            ejected replica sits out before it rejoins, healthy (the
+            dispatch that ejected it counts).  ``None`` disables rejoin
+            (an ejected replica stays out).
         plan_cache: Optional :class:`~repro.exec.PlanCache` shared by
             this set's replicas: dispatches evaluate through it (the
             cache key carries the backend identity, so distinct devices
@@ -338,9 +296,7 @@ class ReplicaSet:
         lo: int,
         hi: int,
         backends: Sequence[ExecutionBackend],
-        retry: RetryPolicy | None = None,
         rejoin_after: int | None = 3,
-        probation_successes: int = 2,
         plan_cache: "PlanCache | None" = None,
     ):
         if not backends:
@@ -349,17 +305,11 @@ class ReplicaSet:
             raise ValueError(f"invalid shard range [{lo}, {hi})")
         if rejoin_after is not None and rejoin_after < 1:
             raise ValueError(f"rejoin_after must be >= 1 or None, got {rejoin_after}")
-        if probation_successes < 1:
-            raise ValueError(
-                f"probation_successes must be >= 1, got {probation_successes}"
-            )
         self.shard_index = shard_index
         self.lo = lo
         self.hi = hi
         self.replicas = [ShardReplica(backend) for backend in backends]
-        self.retry = retry if retry is not None else RetryPolicy()
         self.rejoin_after = rejoin_after
-        self.probation_successes = probation_successes
         self.plan_cache = plan_cache
         self.stats = ShardStats()
         self._cursor = 0
@@ -389,89 +339,51 @@ class ReplicaSet:
         """Each replica's current state, in replica order."""
         return tuple(replica.state for replica in self.replicas)
 
-    def _pick(self) -> ShardReplica | None:
+    def _rotation(self) -> list[ShardReplica]:
+        """The replicas in rotation; never empty, because the last one
+        is never ejected."""
+        return [r for r in self.replicas if r.state != EJECTED]
+
+    def _pick(self) -> ShardReplica:
         """Next serving replica: deterministic round-robin over the
-        non-ejected, so load spreads and probation replicas carry real
-        traffic (how they prove themselves)."""
-        eligible = [r for r in self.replicas if r.state != EJECTED]
-        if not eligible:
-            return None
-        replica = eligible[self._cursor % len(eligible)]
+        rotation."""
+        rotation = self._rotation()
+        replica = rotation[self._cursor % len(rotation)]
         self._cursor += 1
         return replica
 
-    def _eject(self, replica: ShardReplica) -> None:
-        replica.state = EJECTED
-        replica.idle_batches = 0
-        replica.probation_streak = 0
-        self.stats.ejections += 1
-
-    def _record_success(self, replica: ShardReplica) -> None:
-        if replica.state == PROBATION:
-            replica.probation_streak += 1
-            if replica.probation_streak >= self.probation_successes:
-                replica.state = HEALTHY
-                replica.probation_streak = 0
-                self.stats.recoveries += 1
-
-    def _finish_batch(self) -> None:
+    def _tick(self) -> None:
         """Advance every ejected replica's rejoin countdown by one
-        completed set-level batch; promote the ones that served their
-        time to probation."""
-        self.stats.batches += 1
+        set-level dispatch; rejoin the ones that served their time."""
         if self.rejoin_after is None:
             return
         for replica in self.replicas:
             if replica.state != EJECTED:
                 continue
-            replica.idle_batches += 1
-            if replica.idle_batches >= self.rejoin_after:
-                replica.state = PROBATION
-                replica.probation_streak = 0
-                replica.idle_batches = 0
+            replica.idle_dispatches += 1
+            if replica.idle_dispatches >= self.rejoin_after:
+                replica.state = HEALTHY
                 self.stats.rejoins += 1
 
     # -- serving -------------------------------------------------------
 
-    def _run_once(
-        self, replica: ShardReplica, request: EvalRequest, epoch: int
+    def _run(
+        self, replica: ShardReplica, request: EvalRequest, table: np.ndarray
     ) -> np.ndarray:
-        """One replica attempt under its retry budget; the ``(B,)``
-        partial dot product on success, :class:`_ReplicaExhausted` when
-        the budget is spent (probation replicas have none)."""
-        table = self._tables[epoch]
+        """One replica's ``(B,)`` partial dot product over ``[lo, hi)``."""
         # The partial sum the front-end adds up: the walk over rows
         # [lo, hi) dots each window of shares with this shard's slice.
         restricted = replace(
             request.restrict(self.lo, self.hi),
             reduce=lambda shares, lo, hi: shares @ table[lo - self.lo : hi - self.lo],
         )
-        attempts = 0
-        while True:
-            attempts += 1
-            try:
-                # Through the cache when there is one: memoized plan
-                # and pinned workspace, keyed per backend identity.
-                return (
-                    self.plan_cache.run(replica.backend, restricted)
-                    if self.plan_cache is not None
-                    else replica.backend.run(restricted)
-                ).answers
-            except Exception as exc:
-                if replica.state == PROBATION or not self.retry.allows_retry(
-                    attempts, 0.0
-                ):
-                    raise _ReplicaExhausted() from exc
-                self.stats.retries += 1
-                # Annotate every query the faulted attempt carried
-                # (the restricted view shares the request's traces).
-                annotate_request(
-                    restricted,
-                    "shard_retry",
-                    shard=self.shard_index,
-                    attempt=attempts,
-                    error=type(exc).__name__,
-                )
+        # Through the cache when there is one: memoized plan and pinned
+        # workspace, keyed per backend identity.
+        return (
+            self.plan_cache.run(replica.backend, restricted)
+            if self.plan_cache is not None
+            else replica.backend.run(restricted)
+        ).answers
 
     def answer(
         self,
@@ -481,61 +393,56 @@ class ReplicaSet:
     ) -> np.ndarray:
         """Answer the fused batch's partial shares for this shard.
 
-        Fast path: one replica runs the merged batch whole.  On that
-        replica's ejection the batch fails over un-merged: ``sizes``
-        (when given) splits it back into its constituents, each
-        re-dispatched in original order to the surviving rotation —
-        seniority is preserved, and because partial shares are
-        deterministic, constituents completed before a *second* death
-        are kept rather than recomputed.
+        Fast path: one replica runs the merged batch whole.  When a
+        replica raises and a sibling is still in rotation, the replica
+        is ejected and the batch fails over un-merged: ``sizes`` (when
+        given) splits it back into its constituents, each re-dispatched
+        in original order to the surviving rotation — seniority is
+        preserved, and because partial shares are deterministic,
+        constituents completed before a *second* death are kept rather
+        than recomputed.  Every call advances the rejoin countdown,
+        whether it answers or raises.
 
         Returns:
             ``(B,)`` uint64 partial shares over rows ``[lo, hi)``.
 
         Raises:
-            ShardUnavailable: Every replica is ejected.
+            Exception: Whatever the last replica in rotation raised; it
+                stays in rotation, and the caller may retry.
             KeyError: ``epoch``'s slice was never installed (a control-
                 plane bug — :class:`ShardedPirServer` validates epochs
                 before dispatch).
         """
-        replica = self._pick()
-        if replica is None:
-            raise ShardUnavailable(self.shard_index, self.lo, self.hi)
-        try:
-            partial = self._run_once(replica, request, epoch)
-            self._record_success(replica)
-            self._finish_batch()
-            return partial
-        except _ReplicaExhausted as exhausted:
-            self._eject(replica)
-            cause = exhausted.__cause__
-        # Failover: un-merge so each constituent survives independently.
-        if sizes is not None and len(sizes) > 1:
-            parts = EvalRequest.unmerge(request, sizes)
-        else:
-            parts = [request]
+        table = self._tables[epoch]
+        parts = [request]
         partials: list[np.ndarray] = []
+        failed_over = False
         replica = self._pick()
-        while len(partials) < len(parts):
-            if replica is None:
-                raise ShardUnavailable(
-                    self.shard_index, self.lo, self.hi
-                ) from cause
-            self.stats.failovers += 1
-            # Mark the queries in the re-dispatched constituent: an
-            # un-merged part carries exactly its own trace slot, so the
-            # annotation lands on the queries that actually failed over.
-            annotate_request(
-                parts[len(partials)], "failover", shard=self.shard_index
-            )
-            try:
-                partials.append(self._run_once(replica, parts[len(partials)], epoch))
-                self._record_success(replica)
-            except _ReplicaExhausted as exhausted:
-                self._eject(replica)
-                cause = exhausted.__cause__
-                replica = self._pick()
-        self._finish_batch()
+        try:
+            while len(partials) < len(parts):
+                part = parts[len(partials)]
+                if failed_over:
+                    self.stats.failovers += 1
+                    # An un-merged part carries exactly its own trace
+                    # slots, so the annotation lands on the queries
+                    # that actually failed over.
+                    annotate_request(part, "failover", shard=self.shard_index)
+                try:
+                    partials.append(self._run(replica, part, table))
+                except Exception:
+                    if len(self._rotation()) == 1:
+                        self.stats.retries += 1
+                        raise
+                    replica.state = EJECTED
+                    replica.idle_dispatches = 0
+                    self.stats.ejections += 1
+                    if not failed_over and sizes is not None and len(sizes) > 1:
+                        parts = EvalRequest.unmerge(request, sizes)
+                    failed_over = True
+                    replica = self._pick()
+        finally:
+            self._tick()
+        self.stats.batches += 1
         return partials[0] if len(partials) == 1 else np.concatenate(partials)
 
 
@@ -566,11 +473,8 @@ class ShardedPirServer(PirServer):
             a fresh :class:`~repro.exec.SingleGpuBackend` each (wrap
             with :class:`~repro.serve.chaos.FlakyBackend` here to
             inject faults per replica).
-        retry: Same-replica retry budget before ejection.
-        rejoin_after: Batches an ejected replica sits out before
-            probation (``None``: ejection is permanent).
-        probation_successes: Consecutive successes promoting probation
-            back to healthy.
+        rejoin_after: Set-level dispatches an ejected replica sits out
+            before it rejoins (``None``: ejection is permanent).
         retain_epochs: Published epochs kept answerable (>= 1; 2 keeps
             the pre-flip epoch alive through each flip).
         prf_name, resident, max_batch: As on :class:`PirServer`.
@@ -586,9 +490,7 @@ class ShardedPirServer(PirServer):
         shards: int = 2,
         replicas: int = 1,
         backend_factory: BackendFactory | None = None,
-        retry: RetryPolicy | None = None,
         rejoin_after: int | None = 3,
-        probation_successes: int = 2,
         retain_epochs: int = 2,
         prf_name: str = "aes128",
         resident: bool = False,
@@ -602,7 +504,6 @@ class ShardedPirServer(PirServer):
             if backend_factory is not None
             else lambda shard, replica: SingleGpuBackend()
         )
-        retry = retry if retry is not None else RetryPolicy()
         table = np.ascontiguousarray(np.asarray(table, dtype=np.uint64))
         if table.ndim != 1 or table.size == 0:
             raise ValueError("table must be a non-empty 1-D array of uint64 entries")
@@ -613,15 +514,14 @@ class ShardedPirServer(PirServer):
                 lo,
                 hi,
                 [factory(index, replica) for replica in range(replicas)],
-                retry=retry,
                 rejoin_after=rejoin_after,
-                probation_successes=probation_successes,
                 plan_cache=plan_cache,
             )
             for index, (lo, hi) in enumerate(ranges)
         ]
-        # The inherited backend is the drain-model/pricing
-        # representative only; answer_request never runs it directly.
+        # The inherited backend is never run: answer_request (which
+        # answer_shares and handle both go through) fans out across
+        # the replica sets instead.
         super().__init__(
             table,
             backend=self.shards[0].replicas[0].backend,
@@ -660,7 +560,6 @@ class ShardedPirServer(PirServer):
             total.ejections += shard.stats.ejections
             total.failovers += shard.stats.failovers
             total.rejoins += shard.stats.rejoins
-            total.recoveries += shard.stats.recoveries
         return total
 
     # -- epoch control plane -------------------------------------------
@@ -786,20 +685,33 @@ class ShardedPirServer(PirServer):
         """Fan the batch across shards; sum partials mod 2^64.
 
         Each shard contributes ``sum_{i in [lo, hi)} share[i] *
-        table_epoch[i]`` from whichever replica serves it (retry,
-        eject, fail over as needed); the shard ranges partition the
+        table_epoch[i]`` from whichever replica serves it (ejecting and
+        failing over as needed); the shard ranges partition the
         domain, so the uint64 wrap-around sum of the partials is
         bit-identical to the unsharded dot product.
 
+        Every shard is dispatched even after one raises, so one call
+        absorbs one fault per shard: the attempts a caller needs do not
+        grow with the shard count.
+
         Raises:
             EpochRetired / ValueError: Epoch not answerable.
-            ShardUnavailable: Some shard has no serving replicas (the
-                whole batch fails typed — a missing sub-range makes
-                every answer share wrong, so there is no partial
-                success to return).
+            Exception: The first fault a shard's last replica in rotation
+                raised (the whole batch fails — a missing sub-range
+                makes every answer share wrong, so there is no partial
+                success to return); the caller may retry.
         """
         self.check_epoch(epoch)
         total = np.zeros(request.arena().batch, dtype=np.uint64)
+        fault: Exception | None = None
         for shard in self.shards:
-            np.add(total, shard.answer(request, epoch, sizes=sizes), out=total)
+            try:
+                partial = shard.answer(request, epoch, sizes=sizes)
+            except Exception as exc:
+                if fault is None:
+                    fault = exc
+                continue
+            np.add(total, partial, out=total)
+        if fault is not None:
+            raise fault
         return total

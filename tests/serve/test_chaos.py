@@ -7,8 +7,9 @@ A fused batch concentrates risk — one exception would fail every query
 in it — so these tests kill dispatches with :class:`FlakyBackend` and
 assert that the retry/requeue path un-merges the batch, retries the
 survivors, and produces byte-for-byte the same reply frames a healthy
-sequential server would, across every backend.  Only a request whose retry budget is exhausted may fail, and it
-fails *individually*.
+sequential server would, across every backend.  Only a request that
+has used up its ``max_attempts`` dispatches may fail, and it fails
+*individually*.
 
 Every fault here is deterministic (:class:`FaultPlan`), so a failing
 example replays exactly.
@@ -28,7 +29,6 @@ from repro.serve import (
     BackendFault,
     FaultPlan,
     FlakyBackend,
-    RetryPolicy,
     SloConfig,
 )
 
@@ -200,7 +200,7 @@ class TestRetryExhaustion:
             loop = AsyncPirServer(
                 server,
                 slo=SloConfig(max_batch=4, max_wait_s=NEVER),
-                retry=RetryPolicy(max_attempts=3),
+                max_attempts=3,
             )
             tasks = await _backlog(loop, frames)
             await loop.start()
@@ -229,7 +229,7 @@ class TestRetryExhaustion:
             loop = AsyncPirServer(
                 server,
                 slo=SloConfig(max_batch=2, max_wait_s=NEVER),
-                retry=RetryPolicy(max_attempts=1),
+                max_attempts=1,
             )
             tasks = await _backlog(loop, frames)
             async with loop:
@@ -240,33 +240,6 @@ class TestRetryExhaustion:
         assert loop.stats.retried == 0
         assert loop.stats.failed == 2
         assert flaky.runs == 1
-
-    def test_backoff_budget_exhaustion_fails_instead_of_waiting(self):
-        """A retry whose backoff would blow the budget fails the
-        request even though attempts remain — SLO time is the real
-        constraint, not the attempt count."""
-        flaky = FlakyBackend(
-            BACKEND_FACTORIES["single_gpu"](), FaultPlan.nth(1)
-        )
-        table, server, client = _fixture(backend=flaky)
-        frame = client.query([5]).requests[0]
-
-        async def run():
-            loop = AsyncPirServer(
-                server,
-                slo=SloConfig(max_batch=1, max_wait_s=NEVER),
-                retry=RetryPolicy(
-                    max_attempts=5, backoff_s=10.0, backoff_budget_s=1.0
-                ),
-            )
-            tasks = await _backlog(loop, [frame])
-            async with loop:
-                return loop, await asyncio.gather(*tasks, return_exceptions=True)
-
-        loop, outcomes = asyncio.run(run())
-        assert isinstance(outcomes[0], BackendFault)
-        assert loop.stats.retried == 0  # the 10s first backoff > 1s budget
-        assert loop.stats.failed == 1
 
 
 class TestFaultPlan:

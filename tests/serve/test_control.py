@@ -2,7 +2,7 @@
 
 The loop serves requests in arrival order from a single queue, sheds
 on the ``max_pending`` depth cap alone, and puts a failed request back
-at the queue's front.  Backlogs are built before the aggregation task
+at the queue's front, up to ``max_attempts`` dispatches.  Backlogs are built before the aggregation task
 starts and completion order is observed through future resolution, so
 every test here pins an *exact* order.
 """
@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import repro.serve
-import repro.serve.control
+import repro.serve.loop
 from repro.exec import SingleGpuBackend
 from repro.obs import Tracer
 from repro.pir import PirClient, PirServer
@@ -22,7 +22,6 @@ from repro.serve import (
     FaultPlan,
     FlakyBackend,
     PirServerOverloaded,
-    RetryPolicy,
     ShardedPirServer,
     SloConfig,
 )
@@ -84,26 +83,16 @@ def _completion_order(server, frames, cancel=(), **loop_kwargs):
     return loop, replies, order
 
 
-class TestRetryPolicy:
-    def test_backoff_doubles_per_attempt(self):
-        policy = RetryPolicy(max_attempts=4, backoff_s=0.1)
-        assert policy.next_backoff_s(1) == pytest.approx(0.1)
-        assert policy.next_backoff_s(2) == pytest.approx(0.2)
-        assert policy.next_backoff_s(3) == pytest.approx(0.4)
-
-    def test_allows_retry_bounds_attempts_and_budget(self):
-        policy = RetryPolicy(max_attempts=3, backoff_s=1.0, backoff_budget_s=2.5)
-        assert policy.allows_retry(1, 0.0)  # next backoff 1.0 fits
-        assert not policy.allows_retry(3, 0.0)  # attempts exhausted
-        assert not policy.allows_retry(2, 1.0)  # 1.0 + 2.0 > 2.5
-
+class TestMaxAttempts:
     def test_validation(self):
+        table, _ = _frames(1)
         with pytest.raises(ValueError, match="max_attempts"):
-            RetryPolicy(max_attempts=0)
-        with pytest.raises(ValueError, match="backoff_s"):
-            RetryPolicy(backoff_s=-1.0)
-        with pytest.raises(ValueError, match="backoff_budget_s"):
-            RetryPolicy(backoff_budget_s=-1.0)
+            AsyncPirServer(_server("plain", table), max_attempts=0)
+
+    def test_the_loop_takes_no_retry_policy(self):
+        table, _ = _frames(1)
+        with pytest.raises(TypeError):
+            AsyncPirServer(_server("plain", table), retry=None)
 
 
 class TestFifoService:
@@ -169,7 +158,7 @@ class TestNoTenants:
 
     @pytest.mark.parametrize("name", DELETED_NAMES)
     def test_the_package_exports_no_tenant_name(self, name):
-        for module in (repro.serve, repro.serve.control):
+        for module in (repro.serve, repro.serve.loop):
             assert not hasattr(module, name)
         assert name not in repro.serve.__all__
 

@@ -322,33 +322,36 @@ class TestCancellation:
         assert loop.stats.answered == 1
         assert loop.stats.largest_batch == 2  # it *was* fused — too late
 
-    def test_cancelled_retry_is_purged_from_the_retry_pen(self):
-        """A query parked for its retry backoff can still be cancelled;
-        the next flush purges it instead of re-dispatching it."""
-        from repro.serve import FaultPlan, FlakyBackend, RetryPolicy
+    def test_cancelled_retry_is_purged_before_it_is_taken_again(self):
+        """A failed batch's query goes straight back to the queue; when
+        its caller cancels before the next flush takes it, that flush
+        purges it: it is neither evaluated again nor counted answered."""
+        from repro.serve import FaultPlan, FlakyBackend
 
         table, server, client = self._fixture()
-        server.backend = FlakyBackend(server.backend, FaultPlan.nth(1))
+        flaky = FlakyBackend(server.backend, FaultPlan.nth(1))
+        server.backend = flaky
         frames = [b.requests[0] for b in client.query_many([1, 2])]
 
         async def run():
-            loop = AsyncPirServer(
-                server,
-                slo=SloConfig(max_batch=1, max_wait_s=0.005),
-                retry=RetryPolicy(max_attempts=3, backoff_s=10.0),
-            )
+            loop = AsyncPirServer(server, slo=SloConfig(max_batch=1))
             async with loop:
                 first = asyncio.create_task(loop.submit(frames[0]))
-                # Wait for the injected fault to park it in the pen.
+                # Wait for the injected fault to requeue it.
                 while loop.stats.retried < 1:
                     await asyncio.sleep(0)
+                requeued = loop.pending_queries
                 first.cancel()
                 second = await loop.submit(frames[1])
             with pytest.raises(asyncio.CancelledError):
                 await first
-            return loop, second
+            return loop, requeued, second, flaky.runs
 
-        loop, second = asyncio.run(run())
+        loop, requeued, second, runs = asyncio.run(run())
+        assert requeued == 1  # back in the queue, not yet taken again
+        # The faulted dispatch, then frames[1] alone: the requeued
+        # query never reached the backend a second time.
+        assert runs == 2
         assert second == server.handle(frames[1])
         assert loop.stats.retried == 1
         assert loop.stats.cancelled == 1

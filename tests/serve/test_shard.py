@@ -4,14 +4,16 @@ The acceptance property of the sharding layer: a
 :class:`ShardedPirServer`'s reply frames are *byte-identical* to the
 unsharded ``PirServer.handle`` for every shard count, replication
 factor, and backend — with and without injected replica faults, across
-replica kills mid-batch, kills during an epoch flip, and probation
-rejoins.  An all-replicas-down shard fails with the typed
-:class:`ShardUnavailable` (never a hang, never a wrong answer); a
-query pinned to a retired epoch fails with the typed
-:class:`EpochRetired`.
+replica kills mid-batch, kills during an epoch flip, and rejoins.  A
+replica set never retries and never ejects its last replica in
+rotation: that replica's fault goes up to the caller typed as the
+backend raised it (never a hang, never a wrong answer, never a shard
+gone dark for good), and the serving loop retries the batch.  A query
+pinned to a retired epoch fails with the typed :class:`EpochRetired`.
 
 Every fault here is deterministic (:class:`FaultPlan`), and every
-health transition counts batches, so failing scenarios replay exactly.
+health transition counts dispatches, so failing scenarios replay
+exactly.
 """
 
 import asyncio
@@ -19,19 +21,17 @@ import asyncio
 import numpy as np
 import pytest
 
-from repro.pir import PirClient, PirReply, PirServer
+from repro.pir import PirClient, PirQuery, PirReply, PirServer
 from repro.serve import (
     EJECTED,
     AsyncPirServer,
+    BackendFault,
     EpochRegistry,
     EpochRetired,
     FaultPlan,
     FlakyBackend,
     HEALTHY,
-    PROBATION,
     ReplicaSet,
-    RetryPolicy,
-    ShardUnavailable,
     ShardedPirServer,
     SloConfig,
     shard_ranges,
@@ -121,19 +121,24 @@ class TestBitIdenticalToUnsharded:
             backend = BACKEND_FACTORIES[backend_name]()
             if faulty and replica == 0:
                 # Replica 0 of every shard dies on its first run and
-                # recovers: a same-replica retry (replicas=1) or a
-                # sibling (replicas=2) must absorb it either way.
+                # recovers: a sibling (replicas=2) absorbs it, or the
+                # lone replica hands it up (replicas=1).
                 return FlakyBackend(backend, FaultPlan.nth(1))
             return backend
 
         sharded = _pair(table, factory, shards=shards, replicas=replicas)
         client = _client()
-        for indices in ([0], [5, 60, 17], [33, 33, 2, 50]):
+        for round_, indices in enumerate(([0], [5, 60, 17], [33, 33, 2, 50])):
             batch = client.query(indices)
             for party in range(2):
-                assert sharded[party].handle(batch.requests[party]) == plain[
-                    party
-                ].handle(batch.requests[party])
+                frame = batch.requests[party]
+                if faulty and replicas == 1 and round_ == 0:
+                    # One dispatch takes every shard's one fault, so a
+                    # single retry answers, whatever the shard count.
+                    with pytest.raises(BackendFault):
+                        sharded[party].handle(frame)
+                    assert sharded[party].stats_totals().retries == shards
+                assert sharded[party].handle(frame) == plain[party].handle(frame)
         if faulty:
             for server in sharded:
                 stats = server.stats_totals()
@@ -142,8 +147,8 @@ class TestBitIdenticalToUnsharded:
 
 class TestReplicaFailover:
     def test_persistent_fault_ejects_and_fails_over(self):
-        """A replica dead from run 1 exhausts its retry budget, is
-        ejected, and the sibling answers — bit-exact."""
+        """A replica dead from run 1 is ejected on its first fault, with
+        no retry of its own, and the sibling answers — bit-exact."""
 
         def factory(shard, replica):
             inner = BACKEND_FACTORIES["single_gpu"]()
@@ -211,7 +216,10 @@ class TestReplicaFailover:
         expected = server.combine(BACKEND_FACTORIES["single_gpu"]().run(merged).answers)
         assert np.array_equal(answers, expected)
 
-    def test_all_replicas_down_raises_shard_unavailable(self):
+    def test_all_replicas_down_raises_the_backend_fault(self):
+        """Every replica dead: the set ejects all but its last replica,
+        which stays in rotation and hands its own fault up, typed."""
+
         def dead(shard, replica):
             return FlakyBackend(BACKEND_FACTORIES["single_gpu"](), FaultPlan.always())
 
@@ -220,17 +228,15 @@ class TestReplicaFailover:
             table, shards=3, replicas=2, backend_factory=dead, prf_name=PRF
         )
         client = _client()
-        with pytest.raises(ShardUnavailable) as excinfo:
+        with pytest.raises(BackendFault):
             server.handle(client.query([7]).requests[0])
-        assert 0 <= excinfo.value.shard_index < 3
-        assert excinfo.value.lo < excinfo.value.hi
+        # Every shard was dispatched before the first fault went up:
+        # one ejection and one hand-up each.
+        assert server.replica_states() == [(EJECTED, HEALTHY)] * 3
+        stats = server.stats_totals()
+        assert (stats.ejections, stats.retries, stats.batches) == (3, 3, 0)
 
-    def test_probation_rejoin_then_recovery(self):
-        """Eject on a transient burst, sit out rejoin_after batches,
-        carry probation traffic, recover to healthy — deterministic."""
-        # Fails runs 1-3 (exhausting the 3-attempt budget within one
-        # batch), healthy forever after.
-        flaky = FlakyBackend(BACKEND_FACTORIES["single_gpu"](), FaultPlan.nth(1, 2, 3))
+    def _two_replicas(self, flaky, **kwargs):
         grid = {(0, 0): flaky, (0, 1): BACKEND_FACTORIES["single_gpu"]()}
         table = _table(domain=16)
         server = ShardedPirServer(
@@ -239,58 +245,164 @@ class TestReplicaFailover:
             replicas=2,
             backend_factory=lambda s, r: grid[(s, r)],
             prf_name=PRF,
-            rejoin_after=2,
-            probation_successes=2,
+            **kwargs,
         )
-        client = _client(domain=16)
         oracle = PirServer(
             table, backend=BACKEND_FACTORIES["single_gpu"](), prf_name=PRF
         )
+        return server, oracle, _client(domain=16)
+
+    def test_ejected_replica_rejoins_healthy_after_rejoin_after_dispatches(self):
+        """Eject on one fault, sit out rejoin_after dispatches (the
+        ejecting one counts), rejoin straight to healthy and carry
+        traffic again — deterministic."""
+        flaky = FlakyBackend(BACKEND_FACTORIES["single_gpu"](), FaultPlan.nth(1))
+        server, oracle, client = self._two_replicas(flaky, rejoin_after=2)
 
         def serve_one(i):
             batch = client.query([i % 16])
             assert server.handle(batch.requests[0]) == oracle.handle(batch.requests[0])
 
-        serve_one(0)  # batch 1: replica 0 exhausts retries, ejected
+        serve_one(0)  # dispatch 1: replica 0 faults once, ejected
         assert server.replica_states()[0] == (EJECTED, HEALTHY)
-        serve_one(1)  # batch 2: sibling serves; rejoin countdown done
-        assert server.replica_states()[0][0] == PROBATION
-        # Round-robin hands the probation replica real traffic; two
-        # consecutive successes promote it back to healthy.
-        while server.replica_states()[0][0] == PROBATION:
-            serve_one(2)
-        assert server.replica_states()[0][0] == HEALTHY
+        assert flaky.runs == 1  # no same-replica retry
+        serve_one(1)  # dispatch 2: sibling serves; countdown done
+        assert server.replica_states()[0] == (HEALTHY, HEALTHY)
+        runs = flaky.runs
+        serve_one(2)
+        serve_one(3)
+        assert flaky.runs == runs + 1  # round-robin hands it traffic
         stats = server.stats_totals()
-        assert stats.ejections == 1
-        assert stats.rejoins == 1
-        assert stats.recoveries == 1
+        assert (stats.ejections, stats.rejoins, stats.failovers) == (1, 1, 1)
 
-    def test_probation_fault_re_ejects_without_retries(self):
+    def test_rejoined_replica_that_faults_is_ejected_again(self):
         always_dead = FlakyBackend(BACKEND_FACTORIES["single_gpu"](), FaultPlan.always())
-        grid = {(0, 0): always_dead, (0, 1): BACKEND_FACTORIES["single_gpu"]()}
-        table = _table(domain=16)
+        server, oracle, client = self._two_replicas(always_dead, rejoin_after=2)
+        server.handle(client.query([1]).requests[0])  # eject
+        assert server.replica_states()[0][0] == EJECTED
+        server.handle(client.query([2]).requests[0])  # rejoin countdown
+        assert server.replica_states()[0][0] == HEALTHY
+        runs_before = always_dead.runs
+        while always_dead.runs == runs_before:
+            batch = client.query([3])
+            assert server.handle(batch.requests[0]) == oracle.handle(batch.requests[0])
+        # One run, no retry loop: re-ejected, and the batch failed over.
+        assert always_dead.runs == runs_before + 1
+        assert server.replica_states()[0][0] == EJECTED
+        assert server.stats_totals().ejections == 2
+
+    def test_failed_dispatch_advances_the_rejoin_countdown(self):
+        """Both replicas fault on one dispatch: replica 0 is ejected,
+        replica 1 hands the fault up — and that failed dispatch still
+        counts toward replica 0's rejoin."""
+        grid = {
+            (0, r): FlakyBackend(BACKEND_FACTORIES["single_gpu"](), FaultPlan.nth(1))
+            for r in range(2)
+        }
         server = ShardedPirServer(
-            table,
+            _table(domain=16),
             shards=1,
             replicas=2,
             backend_factory=lambda s, r: grid[(s, r)],
             prf_name=PRF,
-            rejoin_after=2,
-            probation_successes=2,
+            rejoin_after=1,
         )
-        client = _client(domain=16)
-        server.handle(client.query([1]).requests[0])  # eject
-        assert server.replica_states()[0][0] == EJECTED
-        server.handle(client.query([2]).requests[0])  # rejoin countdown
-        assert server.replica_states()[0][0] == PROBATION
-        runs_before = always_dead.runs
-        while always_dead.runs == runs_before:
-            server.handle(client.query([3]).requests[0])
-        # The probation trial consumed exactly one run — no retry loop
-        # — and re-ejected immediately.
-        assert always_dead.runs == runs_before + 1
-        assert server.replica_states()[0][0] == EJECTED
-        assert server.stats_totals().ejections == 2
+        with pytest.raises(BackendFault):
+            server.handle(_client(domain=16).query([5]).requests[0])
+        assert server.replica_states()[0] == (HEALTHY, HEALTHY)
+        stats = server.stats_totals()
+        assert (stats.ejections, stats.retries, stats.rejoins) == (1, 1, 1)
+
+
+class TestNoDarkShard:
+    """The benchmark's sharded shape (two shards, one replica each)
+    through a burst of faults on one shard: the lone replica is never
+    ejected, so the shard answers again as soon as the burst ends."""
+
+    def _server(self):
+        flaky = FlakyBackend(BACKEND_FACTORIES["single_gpu"](), FaultPlan.nth(1, 2, 3))
+        table = _table()
+        server = ShardedPirServer(
+            table,
+            shards=2,
+            replicas=1,
+            backend_factory=lambda s, r: (
+                flaky if s == 0 else BACKEND_FACTORIES["single_gpu"]()
+            ),
+            prf_name=PRF,
+        )
+        oracle = PirServer(
+            table, backend=BACKEND_FACTORIES["single_gpu"](), prf_name=PRF
+        )
+        return server, oracle
+
+    def test_lone_replica_hands_faults_up_and_stays_healthy(self):
+        server, oracle = self._server()
+        client = _client()
+        frames = [client.query([i, 60 - i]).requests[0] for i in range(8)]
+        for frame in frames[:3]:
+            with pytest.raises(BackendFault):
+                server.handle(frame)
+        for frame in frames[3:]:
+            assert server.handle(frame) == oracle.handle(frame)
+        assert server.replica_states() == [(HEALTHY,), (HEALTHY,)]
+        stats = server.stats_totals()
+        assert (stats.retries, stats.ejections) == (3, 0)
+
+    def test_default_loop_ends_every_query_answered_or_faulted(self):
+        server, oracle = self._server()
+        client = _client()
+        frames = [client.query([i]).requests[0] for i in range(6)]
+
+        async def run():
+            loop = AsyncPirServer(server, slo=SloConfig(max_batch=2, max_wait_s=NEVER))
+            tasks = await _backlog(loop, frames, queries=6)
+            async with loop:
+                pass
+            outcomes = await asyncio.wait_for(
+                asyncio.gather(*tasks, return_exceptions=True), timeout=30
+            )
+            return loop, outcomes
+
+        loop, outcomes = asyncio.run(run())
+        # The first batch takes the whole burst on its three attempts;
+        # every later batch answers.
+        assert all(isinstance(o, BackendFault) for o in outcomes[:2])
+        assert outcomes[2:] == [oracle.handle(frame) for frame in frames[2:]]
+        assert (loop.stats.failed, loop.stats.answered) == (2, 4)
+        assert server.replica_states() == [(HEALTHY,), (HEALTHY,)]
+
+    def test_one_fault_per_shard_costs_one_loop_attempt(self):
+        """Three shards, one replica each, each faulting once: the first
+        dispatch takes all three faults, so the default loop answers
+        every query on its second attempt."""
+        table = _table()
+        server = ShardedPirServer(
+            table,
+            shards=3,
+            replicas=1,
+            backend_factory=lambda s, r: FlakyBackend(
+                BACKEND_FACTORIES["single_gpu"](), FaultPlan.nth(1)
+            ),
+            prf_name=PRF,
+        )
+        oracle = PirServer(
+            table, backend=BACKEND_FACTORIES["single_gpu"](), prf_name=PRF
+        )
+        client = _client()
+        frames = [client.query([i, 60 - i]).requests[0] for i in range(4)]
+
+        async def run():
+            loop = AsyncPirServer(server, slo=SloConfig(max_batch=4, max_wait_s=NEVER))
+            tasks = await _backlog(loop, frames, queries=4)
+            async with loop:
+                pass
+            return loop, await asyncio.wait_for(asyncio.gather(*tasks), timeout=30)
+
+        loop, outcomes = asyncio.run(run())
+        assert outcomes == [oracle.handle(frame) for frame in frames]
+        assert (loop.stats.failed, loop.stats.answered) == (0, 8)
+        assert server.stats_totals().retries == 3
 
 
 class TestEpochUpdates:
@@ -492,6 +604,8 @@ class TestAsyncIntegration:
             assert reply == new_oracle.handle(batch.requests[0])
 
     def test_all_replicas_down_fails_typed_not_hung(self):
+        """Every query ends with the backend's own typed fault after
+        its attempts, and the drain terminates."""
         def dead(shard, replica):
             return FlakyBackend(BACKEND_FACTORIES["single_gpu"](), FaultPlan.always())
 
@@ -506,7 +620,7 @@ class TestAsyncIntegration:
             loop = AsyncPirServer(
                 server,
                 slo=SloConfig(max_batch=3, max_wait_s=NEVER),
-                retry=RetryPolicy(max_attempts=2),
+                max_attempts=2,
             )
             tasks = await _backlog(loop, frames, queries=3)
             async with loop:
@@ -515,7 +629,8 @@ class TestAsyncIntegration:
 
         outcomes = asyncio.run(run())
         assert len(outcomes) == 3
-        assert all(isinstance(o, ShardUnavailable) for o in outcomes)
+        assert all(isinstance(o, BackendFault) for o in outcomes)
+        assert server.replica_states() == [(HEALTHY,), (HEALTHY,)]
 
 
 class TestServerSurface:
@@ -535,6 +650,25 @@ class TestServerSurface:
         assert np.array_equal(server.epoch_table(0), table)
         assert np.array_equal(server.epoch_table(1), new_table)
         assert server.epoch == 1
+
+    def test_answer_shares_goes_through_the_shards(self):
+        """The unframed entry point dispatches like ``handle``: across
+        the shards, with failover — not on the inherited backend, which
+        is shard 0's replica 0."""
+        flaky = FlakyBackend(BACKEND_FACTORIES["single_gpu"](), FaultPlan.nth(1))
+        server = ShardedPirServer(
+            _table(),
+            shards=2,
+            replicas=2,
+            backend_factory=lambda s, r: (
+                flaky if (s, r) == (0, 0) else BACKEND_FACTORIES["single_gpu"]()
+            ),
+            prf_name=PRF,
+        )
+        frame = _client().query([4, 19, 44]).requests[0]
+        shares = server.answer_shares(PirQuery.from_bytes(frame).key_bytes)
+        assert server.replica_states()[0][0] == EJECTED
+        assert np.array_equal(shares, PirReply.from_bytes(server.handle(frame)).answers)
 
     def test_replica_set_without_an_epoch_fails_typed(self):
         """A set nobody installed a slice on answers with the KeyError

@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 import repro.serve
-import repro.serve.control
 import repro.serve.loop
 from repro.pir import PirClient, PirServer
 from repro.serve import (
@@ -350,7 +349,7 @@ class TestConfigValidation:
 
     def test_depth_is_the_only_shed_reason(self):
         expected = {"SHED_DEPTH": "depth"}
-        for module in (repro.serve, repro.serve.control):
+        for module in (repro.serve, repro.serve.loop):
             exported = {
                 name: getattr(module, name)
                 for name in dir(module)

@@ -33,7 +33,6 @@ from repro.serve import (
     FaultPlan,
     FlakyBackend,
     PirServerOverloaded,
-    RetryPolicy,
     ShardedPirServer,
     SloConfig,
 )
@@ -134,7 +133,7 @@ class TestRetryKeepsChainsWhole:
             frames,
             tracer=tracer,
             slo=SloConfig(max_batch=4, max_wait_s=0.02),
-            retry=RetryPolicy(max_attempts=3),
+            max_attempts=3,
         )
         assert replies == [oracle.handle(f) for f in frames]
         assert loop.stats.retried == len(frames)
@@ -169,7 +168,6 @@ class TestFailoverAnnotations:
             shards=2,
             replicas=2,
             backend_factory=factory,
-            retry=RetryPolicy(max_attempts=2),
             rejoin_after=None,
             prf_name="siphash",
         )
@@ -183,7 +181,7 @@ class TestFailoverAnnotations:
             frames,
             tracer=tracer,
             slo=SloConfig(max_batch=4, max_wait_s=0.02),
-            retry=RetryPolicy(max_attempts=3),
+            max_attempts=3,
         )
         assert replies == [oracle.handle(f) for f in frames]
         assert server.stats_totals().failovers >= 1
@@ -240,7 +238,7 @@ class TestTerminalStatuses:
             loop = AsyncPirServer(
                 server,
                 slo=SloConfig(max_batch=2, max_wait_s=0.02),
-                retry=RetryPolicy(max_attempts=2),
+                max_attempts=2,
                 tracer=tracer,
             )
             async with loop:

@@ -23,6 +23,7 @@ from tests.strategies.serving import (
     SLO_CONFIGS,
     cancel_turns,
     clock_steps,
+    fault_patterns,
     picks,
     request_indices,
 )
@@ -45,6 +46,7 @@ __all__ = [
     "domain_sizes",
     "dpf_cases",
     "fast_prf_names",
+    "fault_patterns",
     "key_ranges",
     "picks",
     "prf_names",

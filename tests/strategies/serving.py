@@ -2,10 +2,11 @@
 
 The stateful tests drive one :class:`~repro.serve.AsyncPirServer`
 through submit, cancel, clock-advance and stop rules on an injected
-clock.  These strategies draw each rule's arguments: which rows a
-request asks for, how many event-loop turns a caller lets pass before
-it cancels, which waiting caller a cancel hits, and how far the clock
-moves.  Clock steps are multiples of :data:`LINGER_S`, the linger of
+clock, and one :class:`~repro.serve.ReplicaSet` through dispatches
+under drawn faults.  These strategies draw each rule's arguments:
+which rows a request asks for, how many event-loop turns a caller lets
+pass before it cancels, which waiting caller a cancel hits, how far
+the clock moves, and which replicas fault during one dispatch.  Clock steps are multiples of :data:`LINGER_S`, the linger of
 the lingering configuration in :data:`SLO_CONFIGS`, so a drawn step
 lands before, on and past a deadline.
 """
@@ -48,3 +49,11 @@ def picks() -> st.SearchStrategy[int]:
 def clock_steps() -> st.SearchStrategy[float]:
     """How far one rule moves the injected clock."""
     return st.sampled_from((0.0, LINGER_S / 2, LINGER_S, 2 * LINGER_S))
+
+
+def fault_patterns(replicas: int) -> st.SearchStrategy[tuple[int | None, ...]]:
+    """One dispatch's faults, one entry per replica: ``None`` (it
+    answers) or the run of this dispatch from which it faults (1: its
+    first run; 2 or 3: after answering one or two constituents of a
+    failed-over batch)."""
+    return st.tuples(*[st.none() | st.integers(1, 3)] * replicas)
