@@ -2,14 +2,13 @@
 """Render an observability report from a JSONL trace/metric export.
 
 Usage:
-    python scripts/obs_report.py obs_smoke.jsonl [--top N] [--out FILE]
+    python scripts/obs_report.py EXPORT.jsonl [--top N] [--out FILE] [--strict]
 
 Reads the export written by ``repro.obs.export.write_jsonl`` (for
-example by ``scripts/serve_smoke.py --trace``) and prints the session's
+example by a traced serving session) and prints the session's
 per-stage latency breakdown, chain-integrity census, top-N slowest
 traces, and the final registry snapshot's histogram percentiles.  With
-``--out`` the same rendering is additionally written to a file (the CI
-artifact path).
+``--out`` the same rendering is additionally written to a file.
 """
 
 from __future__ import annotations

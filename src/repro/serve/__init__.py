@@ -13,13 +13,6 @@ can absorb heavy concurrent traffic and survive backend failures:
   (a failed fused batch is un-merged and its survivors go back to the
   front of the queue, up to ``max_attempts`` dispatches each).  The
   loop is the one place a failed dispatch is retried.
-* :mod:`repro.serve.chaos` — deterministic fault injection:
-  :class:`FlakyBackend` + :class:`FaultPlan` fail chosen dispatches
-  with :class:`BackendFault` so tests and the smoke session can kill
-  a backend mid-batch on demand.
-* :mod:`repro.serve.load` — :func:`generate_load`, the concurrent
-  client population that drives the loop in tests and the CI
-  serve-smoke session, with latency and retry accounting.
 * :mod:`repro.serve.shard` — :class:`ShardedPirServer`, the sharded,
   replicated front-end: contiguous domain sub-ranges evaluated via the
   range-restricted DPF walk, partials recombined mod 2^64, replica
@@ -35,8 +28,6 @@ concurrency level, and every injected fault short of a request using
 up its ``max_attempts`` (``tests/serve/``).
 """
 
-from repro.serve.chaos import BackendFault, FaultPlan, FlakyBackend
-from repro.serve.load import LoadReport, generate_load
 from repro.serve.shard import (
     EJECTED,
     HEALTHY,
@@ -69,11 +60,6 @@ __all__ = [
     "ServingStats",
     "PirServerOverloaded",
     "SHED_DEPTH",
-    "BackendFault",
-    "FaultPlan",
-    "FlakyBackend",
-    "LoadReport",
-    "generate_load",
     "FLUSH_MAX_BATCH",
     "FLUSH_ARENA_BYTES",
     "FLUSH_DEADLINE",

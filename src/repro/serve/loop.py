@@ -23,9 +23,8 @@ asyncio request loop that does exactly that:
   ``max_batch`` because arrivals pile up behind the dispatch that is
   running.  Before it takes a non-full batch the loop yields once, so
   every submission already runnable in this event-loop turn fuses into
-  that batch; while idle it arms no timer unless a positive linger or a
-  snapshot is pending.  Requests are taken into fused batches in
-  arrival order.
+  that batch; while idle it arms no timer unless a positive linger is
+  pending.  Requests are taken into fused batches in arrival order.
 * **Dispatch** — the merged batch runs on the wrapped server's one
   backend (:meth:`~repro.pir.PirServer.answer_request`).
 * **Failure containment** — a fused batch concentrates risk: one
@@ -294,11 +293,9 @@ class AsyncPirServer:
             plan cache, a sharded server's shard totals — so one
             ``metrics.snapshot()`` is the whole system's state.
             Pair it with the tracer (``Tracer(metrics=registry)``) to
-            get per-stage latency histograms too.
-        snapshot_every_s: Optional period for recording registry
-            snapshots from the aggregation task (requires ``metrics``);
-            a final snapshot is recorded at drain.  ``None`` (default)
-            records only on demand.
+            get per-stage latency histograms too.  Snapshots are
+            the caller's: ``metrics.record_snapshot()``, or
+            ``write_jsonl(registry=metrics)`` at export.
 
     Use as an async context manager, or call :meth:`start` /
     :meth:`stop` explicitly::
@@ -316,7 +313,6 @@ class AsyncPirServer:
         clock: Callable[[], float] = time.monotonic,
         tracer=None,
         metrics: MetricsRegistry | None = None,
-        snapshot_every_s: float | None = None,
     ):
         self.server = server
         self.slo = slo if slo is not None else SloConfig()
@@ -330,14 +326,6 @@ class AsyncPirServer:
         )
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics
-        if snapshot_every_s is not None and snapshot_every_s <= 0:
-            raise ValueError(
-                f"snapshot_every_s must be positive or None, got {snapshot_every_s}"
-            )
-        if snapshot_every_s is not None and metrics is None:
-            raise ValueError("snapshot_every_s requires a metrics registry")
-        self.snapshot_every_s = snapshot_every_s
-        self._next_snapshot_s: float | None = None
         if metrics is not None:
             self._register_views(metrics)
         self._clock = clock
@@ -374,8 +362,6 @@ class AsyncPirServer:
             return
         self._stopping = False
         self._wake = asyncio.Event()
-        if self.snapshot_every_s is not None:
-            self._next_snapshot_s = self._clock() + self.snapshot_every_s
         self._task = asyncio.create_task(self._run())
 
     async def stop(self) -> None:
@@ -505,30 +491,15 @@ class AsyncPirServer:
         return None
 
     def _wait_timeout(self) -> float | None:
-        """Seconds until the next time-based event (deadline or
-        snapshot), or None when only a wake can create work."""
-        candidates = []
+        """Seconds until the oldest request's deadline, or None when
+        only a wake can create work."""
         oldest = self._oldest_head()
-        if oldest is not None:
-            candidates.append(oldest.enqueued_at + self.slo.max_wait_s)
-        if self._next_snapshot_s is not None:
-            candidates.append(self._next_snapshot_s)
-        if not candidates:
+        if oldest is None:
             return None
-        return max(0.0, min(candidates) - self._clock())
-
-    def _maybe_snapshot(self) -> None:
-        """Record a periodic registry snapshot when its time arrived."""
-        if self._next_snapshot_s is None:
-            return
-        now = self._clock()
-        if now >= self._next_snapshot_s:
-            self.metrics.record_snapshot()
-            self._next_snapshot_s = now + self.snapshot_every_s
+        return max(0.0, oldest.enqueued_at + self.slo.max_wait_s - self._clock())
 
     async def _run(self) -> None:
         while not self._stopping:
-            self._maybe_snapshot()
             reason = self._flush_reason()
             if reason == FLUSH_DEADLINE:
                 # A non-full batch: yield once, so every submission
@@ -553,11 +524,6 @@ class AsyncPirServer:
         while self._queue:
             self._flush(FLUSH_DRAIN)
             await self._settle()
-        if self._next_snapshot_s is not None:
-            # Terminal snapshot: the export always carries the drained
-            # end state, however the period fell against the session.
-            self.metrics.record_snapshot()
-            self._next_snapshot_s = None
 
     async def _settle(self) -> None:
         """Let answered callers resume before the next dispatch.

@@ -23,8 +23,8 @@ real deployment needs (ROADMAP: scale-out serving):
 
 * **Replication + failover** — each shard runs R replicas behind a
   :class:`ReplicaSet` with health tracking.  A set never retries: a
-  replica that raises (say, an injected
-  :class:`~repro.serve.chaos.FlakyBackend` fault) is **ejected** and
+  replica that raises (say, a fault the tests inject with
+  ``tests.strategies.FlakyBackend``) is **ejected** and
   the in-flight batch fails over to a sibling — the fused request is
   un-merged (:meth:`~repro.exec.EvalRequest.unmerge`) and the
   constituents re-dispatched *in original order*, so survivors keep
@@ -226,7 +226,7 @@ class ShardReplica:
 
     Attributes:
         backend: The execution backend this replica evaluates on
-            (wrap in :class:`~repro.serve.chaos.FlakyBackend` to
+            (the tests wrap it in ``tests.strategies.FlakyBackend`` to
             torture it).
         state: :data:`HEALTHY` / :data:`EJECTED`.
         idle_dispatches: Set-level dispatches, answered or failed,
@@ -470,8 +470,8 @@ class ShardedPirServer(PirServer):
         shards: Contiguous sub-ranges to split the domain into.
         replicas: Replicas per shard.
         backend_factory: ``(shard, replica) -> backend``; default makes
-            a fresh :class:`~repro.exec.SingleGpuBackend` each (wrap
-            with :class:`~repro.serve.chaos.FlakyBackend` here to
+            a fresh :class:`~repro.exec.SingleGpuBackend` each (the
+            tests wrap one in ``tests.strategies.FlakyBackend`` here to
             inject faults per replica).
         rejoin_after: Set-level dispatches an ejected replica sits out
             before it rejoins (``None``: ejection is permanent).

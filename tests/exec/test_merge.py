@@ -291,7 +291,7 @@ class TestBucketedPadding:
         from repro.crypto import get_prf as _get_prf
         from repro.dpf import eval_full
         from repro.exec import PlanCache
-        from repro.serve.chaos import FaultPlan, FlakyBackend
+        from tests.strategies import FaultPlan, FlakyBackend
         from repro.serve.shard import ShardedPirServer
 
         rng = np.random.default_rng(17)
@@ -300,7 +300,7 @@ class TestBucketedPadding:
 
         def factory(shard, replica):
             if shard == 0 and replica == 0:
-                return FlakyBackend(SingleGpuBackend(), FaultPlan.always())
+                return FlakyBackend(SingleGpuBackend(), FaultPlan.after(1))
             return SingleGpuBackend()
 
         server = ShardedPirServer(

@@ -163,18 +163,21 @@ class TestExactRangeCost:
         tile is the whole 2^10-row tree, so the walk makes one cipher
         call per level, ``tree_depth(L) = 9``: a key costs two blocks
         per inner node of the 2^9-leaf tree, and the ``(0, 512)`` shard
-        two per node above its 2^8 leaves.  Two half-range calls cost
-        one tree plus at most two blocks per level."""
+        two per node above its 2^8 leaves.  Two or three shard calls
+        cost one tree plus at most two blocks per level per shard
+        boundary."""
         keys = _keys(1024, batch=batch)
         counting = CountingPrf(PRF)
         WALK.eval_batch(keys, counting, eval_range=eval_range)
         per_key = 2 * (2**9 - 1) if eval_range is None else 2 * (1 + 2**8 - 1)
         assert (counting.calls, counting.blocks) == (tree_depth(1024), batch * per_key)
-        halves = CountingPrf(PRF)
-        for half in shard_ranges(1024, 2):
-            WALK.eval_batch(keys, halves, eval_range=half)
         one_tree = batch * 2 * (2**9 - 1)
-        assert one_tree <= halves.blocks <= one_tree + batch * 2 * 9
+        for shards in (2, 3):
+            parts = CountingPrf(PRF)
+            for part in shard_ranges(1024, shards):
+                WALK.eval_batch(keys, parts, eval_range=part)
+            boundaries = shards - 1
+            assert one_tree <= parts.blocks <= one_tree + boundaries * batch * 2 * 9
 
     def test_two_half_shards_cost_about_one_tree(self, tile):
         """The headline: halves of a 2^10 domain together cost one

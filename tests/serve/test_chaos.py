@@ -23,16 +23,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.pir import PirClient, PirServer
-from repro.serve import (
-    FLUSH_DRAIN,
-    AsyncPirServer,
+from repro.serve import FLUSH_DRAIN, AsyncPirServer, SloConfig
+
+from tests.strategies import (
+    BACKEND_FACTORIES,
     BackendFault,
     FaultPlan,
     FlakyBackend,
-    SloConfig,
+    domain_sizes,
+    fast_prf_names,
 )
-
-from tests.strategies import BACKEND_FACTORIES, domain_sizes, fast_prf_names
 
 NEVER = 30.0
 """A max_wait_s no test waits out (see tests/serve/test_slo.py)."""
@@ -191,7 +191,7 @@ class TestRetryExhaustion:
         with its own exception, after its own retry budget, never as a
         collective batch error — and the drain still terminates."""
         flaky = FlakyBackend(
-            BACKEND_FACTORIES["single_gpu"](), FaultPlan.always()
+            BACKEND_FACTORIES["single_gpu"](), FaultPlan.after(1)
         )
         table, server, client = _fixture(backend=flaky)
         frames = [b.requests[0] for b in client.query_many([1, 2, 3])]
@@ -249,15 +249,12 @@ class TestFaultPlan:
             False, True, False, True, False,
         ]
 
-    def test_always_fails_every_run(self):
-        plan = FaultPlan.always()
-        assert all(plan.should_fail(n) for n in range(1, 10))
-
     def test_after_is_dead_from_run_n(self):
         plan = FaultPlan.after(3)
         assert [plan.should_fail(n) for n in range(1, 6)] == [
             False, False, True, True, True,
         ]
+        assert all(FaultPlan.after(1).should_fail(n) for n in range(1, 10))
         with pytest.raises(ValueError, match=">= 1"):
             FaultPlan.after(0)
 
@@ -326,7 +323,7 @@ class TestFlakyBackend:
         """The *model* of a flaky device is intact — planning answers
         exactly like the inner backend while every run faults."""
         inner = BACKEND_FACTORIES["single_gpu"]()
-        flaky = FlakyBackend(inner, FaultPlan.always())
+        flaky = FlakyBackend(inner, FaultPlan.after(1))
         table, server, client = _fixture()
         request = server.parse_query(client.query([1]).requests[0])[1]
         assert flaky.plan(request) == inner.plan(request)

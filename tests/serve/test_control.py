@@ -19,12 +19,12 @@ from repro.obs import Tracer
 from repro.pir import PirClient, PirServer
 from repro.serve import (
     AsyncPirServer,
-    FaultPlan,
-    FlakyBackend,
     PirServerOverloaded,
     ShardedPirServer,
     SloConfig,
 )
+
+from tests.strategies import FaultPlan, FlakyBackend
 
 DELETED_NAMES = (
     "QosPolicy",

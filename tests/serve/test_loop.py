@@ -18,9 +18,15 @@ from hypothesis import strategies as st
 
 from repro.exec import PlanCache, SingleGpuBackend
 from repro.pir import PirClient, PirServer
-from repro.serve import AsyncPirServer, SloConfig, generate_load
+from repro.serve import AsyncPirServer, SloConfig
 
-from tests.strategies import BACKEND_FACTORIES, domain_sizes, fast_prf_names
+from tests.strategies import (
+    BACKEND_FACTORIES,
+    FaultPlan,
+    FlakyBackend,
+    domain_sizes,
+    fast_prf_names,
+)
 
 CONCURRENCY_LEVELS = (2, 5, 9)
 """Concurrent client counts for the equivalence property (>= 3 levels
@@ -97,6 +103,7 @@ class TestEndToEndReconstruction:
         table = rng.integers(0, 1 << 64, size=100, dtype=np.uint64)
         indices = rng.integers(0, 100, size=12).tolist()
         client = PirClient(100, "siphash", rng=np.random.default_rng(6))
+        batches = client.query_many(indices)
 
         async def run():
             loops = [
@@ -111,43 +118,28 @@ class TestEndToEndReconstruction:
                 for _ in range(2)
             ]
             async with loops[0], loops[1]:
-                report = await generate_load(client, loops, indices)
-            return report, loops
-
-        report, loops = asyncio.run(run())
-        assert report.shed == 0
-        assert np.array_equal(report.answers, table[np.array(report.indices)])
-        # The loop actually aggregated: fewer dispatches than queries.
-        assert loops[0].stats.batches < len(indices)
-        assert loops[0].stats.largest_batch > 1
-
-    def test_load_report_counts_queries_not_requests(self):
-        """`answered` and `shed` share the query unit, so they always
-        sum to what was offered."""
-        rng = np.random.default_rng(21)
-        table = rng.integers(0, 1 << 64, size=32, dtype=np.uint64)
-        client = PirClient(32, "siphash", rng=np.random.default_rng(22))
-        indices = rng.integers(0, 32, size=8).tolist()
-
-        async def run():
-            loops = [
-                AsyncPirServer(
-                    PirServer(table, prf_name="siphash"),
-                    slo=SloConfig(max_batch=4, max_wait_s=0.005),
+                replies = await asyncio.gather(
+                    *[
+                        loop.submit(batch.requests[party])
+                        for batch in batches
+                        for party, loop in enumerate(loops)
+                    ]
                 )
-                for _ in range(2)
+            return replies, loops
+
+        replies, loops = asyncio.run(run())
+        answers = np.concatenate(
+            [
+                client.reconstruct(batch, *replies[2 * i : 2 * i + 2])
+                for i, batch in enumerate(batches)
             ]
-            async with loops[0], loops[1]:
-                return await generate_load(
-                    client, loops, indices, queries_per_request=2
-                )
-
-        report = asyncio.run(run())
-        assert report.shed == 0
-        assert report.answered == 8  # queries, not the 4 requests
-        assert report.answered_requests == 4
-        assert len(report.latencies_s) == 4
-        assert np.array_equal(report.answers, table[np.array(report.indices)])
+        )
+        assert np.array_equal(answers, table[indices])
+        # The loops actually aggregated: fewer dispatches than queries.
+        for loop in loops:
+            assert loop.stats.shed == 0
+            assert loop.stats.batches < len(indices)
+            assert loop.stats.largest_batch > 1
 
     def test_multi_query_requests_demux_in_order(self):
         """Requests of different sizes fuse and slice back correctly."""
@@ -326,8 +318,6 @@ class TestCancellation:
         """A failed batch's query goes straight back to the queue; when
         its caller cancels before the next flush takes it, that flush
         purges it: it is neither evaluated again nor counted answered."""
-        from repro.serve import FaultPlan, FlakyBackend
-
         table, server, client = self._fixture()
         flaky = FlakyBackend(server.backend, FaultPlan.nth(1))
         server.backend = flaky

@@ -31,7 +31,6 @@ import asyncio
 
 import numpy as np
 import pytest
-from hypothesis import settings
 from hypothesis.stateful import (
     RuleBasedStateMachine,
     initialize,
@@ -47,8 +46,8 @@ from repro.obs.trace import STAGE_MERGE, STATUS_ANSWERED, chain_problems
 from repro.pir import PirClient, PirQuery, PirReply, PirServer
 from repro.serve import AsyncPirServer, PirServerOverloaded
 from tests.strategies import (
-    DETERMINISM_SETTINGS,
     SLO_CONFIGS,
+    STATEFUL_SETTINGS,
     cancel_turns,
     clock_steps,
     picks,
@@ -285,8 +284,6 @@ class ServingLoopMachine(RuleBasedStateMachine):
 class LingeringLoopMachine(ServingLoopMachine):
     slo_name = "linger"
 
-
-STATEFUL_SETTINGS = settings(DETERMINISM_SETTINGS, stateful_step_count=30)
 
 TestZeroLingerLoop = ServingLoopMachine.TestCase
 TestZeroLingerLoop.settings = STATEFUL_SETTINGS

@@ -24,10 +24,9 @@ from repro.exec import (
 )
 from repro.gpu import KeyArena
 from repro.pir import PirClient, PirServer
-from repro.serve import FaultPlan, FlakyBackend, ReplicaSet, ShardedPirServer
-from repro.serve.chaos import BackendFault
+from repro.serve import ReplicaSet, ShardedPirServer
 
-from tests.strategies import BACKEND_FACTORIES
+from tests.strategies import BACKEND_FACTORIES, BackendFault, FaultPlan, FlakyBackend
 
 PRF = "siphash"
 DOMAIN = 61
@@ -217,7 +216,7 @@ class TestEpochSlices:
 class TestFlakyBackendSurface:
     def test_forwards_no_attribute_beyond_the_contract(self):
         assert "__getattr__" not in vars(FlakyBackend)
-        flaky = FlakyBackend(SingleGpuBackend(), FaultPlan.always())
+        flaky = FlakyBackend(SingleGpuBackend(), FaultPlan.after(1))
         for name in (
             "install_table", "drop_table", "run_combined", "_scheduler",
             "device", "devices", "model_latency_s",
@@ -227,7 +226,7 @@ class TestFlakyBackendSurface:
     def test_pricing_never_faults(self):
         keys, _ = _keys(2)
         inner = SingleGpuBackend()
-        flaky = FlakyBackend(inner, FaultPlan.always())
+        flaky = FlakyBackend(inner, FaultPlan.after(1))
         assert flaky.plan(_request(keys)) == inner.plan(_request(keys))
         with pytest.raises(BackendFault):
             flaky.run(_request(keys))

@@ -22,17 +22,20 @@ After every step:
 from __future__ import annotations
 
 import numpy as np
-from hypothesis import settings, strategies as st
+from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from repro.crypto import get_prf
 from repro.dpf import DpfKey, eval_full, split_wire
 from repro.exec import EvalRequest
 from repro.pir import PirClient, PirQuery, PirServer
-from repro.serve import EJECTED, BackendFault, FaultPlan, FlakyBackend, ReplicaSet
+from repro.serve import EJECTED, ReplicaSet
 from tests.strategies import (
     BACKEND_FACTORIES,
-    DETERMINISM_SETTINGS,
+    STATEFUL_SETTINGS,
+    BackendFault,
+    FaultPlan,
+    FlakyBackend,
     fault_patterns,
     picks,
 )
@@ -151,4 +154,4 @@ class ReplicaHealthMachine(RuleBasedStateMachine):
 
 
 TestReplicaHealth = ReplicaHealthMachine.TestCase
-TestReplicaHealth.settings = settings(DETERMINISM_SETTINGS, stateful_step_count=30)
+TestReplicaHealth.settings = STATEFUL_SETTINGS

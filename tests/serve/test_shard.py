@@ -25,11 +25,8 @@ from repro.pir import PirClient, PirQuery, PirReply, PirServer
 from repro.serve import (
     EJECTED,
     AsyncPirServer,
-    BackendFault,
     EpochRegistry,
     EpochRetired,
-    FaultPlan,
-    FlakyBackend,
     HEALTHY,
     ReplicaSet,
     ShardedPirServer,
@@ -37,7 +34,7 @@ from repro.serve import (
     shard_ranges,
 )
 
-from tests.strategies import BACKEND_FACTORIES
+from tests.strategies import BACKEND_FACTORIES, BackendFault, FaultPlan, FlakyBackend
 
 DOMAIN = 61
 PRF = "siphash"
@@ -191,7 +188,7 @@ class TestReplicaFailover:
 
         sibling = CountingBackend(BACKEND_FACTORIES["single_gpu"]())
         grid = {
-            (0, 0): FlakyBackend(BACKEND_FACTORIES["single_gpu"](), FaultPlan.always()),
+            (0, 0): FlakyBackend(BACKEND_FACTORIES["single_gpu"](), FaultPlan.after(1)),
             (0, 1): sibling,
         }
         table = _table(domain=16)
@@ -221,7 +218,7 @@ class TestReplicaFailover:
         which stays in rotation and hands its own fault up, typed."""
 
         def dead(shard, replica):
-            return FlakyBackend(BACKEND_FACTORIES["single_gpu"](), FaultPlan.always())
+            return FlakyBackend(BACKEND_FACTORIES["single_gpu"](), FaultPlan.after(1))
 
         table = _table()
         server = ShardedPirServer(
@@ -276,7 +273,7 @@ class TestReplicaFailover:
         assert (stats.ejections, stats.rejoins, stats.failovers) == (1, 1, 1)
 
     def test_rejoined_replica_that_faults_is_ejected_again(self):
-        always_dead = FlakyBackend(BACKEND_FACTORIES["single_gpu"](), FaultPlan.always())
+        always_dead = FlakyBackend(BACKEND_FACTORIES["single_gpu"](), FaultPlan.after(1))
         server, oracle, client = self._two_replicas(always_dead, rejoin_after=2)
         server.handle(client.query([1]).requests[0])  # eject
         assert server.replica_states()[0][0] == EJECTED
@@ -454,7 +451,7 @@ class TestEpochUpdates:
             server.ingest_shard(0)
         # Kill the replica mid-update: dead from its next run onward.
         for wrapped in killable:
-            wrapped.fault_plan = FaultPlan.always()
+            wrapped.fault_plan = FaultPlan.after(1)
         mid = client.query([10, 40])
         assert np.array_equal(_reconstruct(client, mid, servers), table[[10, 40]])
         for server in servers:
@@ -607,7 +604,7 @@ class TestAsyncIntegration:
         """Every query ends with the backend's own typed fault after
         its attempts, and the drain terminates."""
         def dead(shard, replica):
-            return FlakyBackend(BACKEND_FACTORIES["single_gpu"](), FaultPlan.always())
+            return FlakyBackend(BACKEND_FACTORIES["single_gpu"](), FaultPlan.after(1))
 
         table = _table()
         server = ShardedPirServer(

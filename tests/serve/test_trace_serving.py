@@ -12,6 +12,8 @@ matching status rather than leaking open contexts.
 """
 
 import asyncio
+import importlib.util
+import pathlib
 
 import numpy as np
 import pytest
@@ -25,23 +27,27 @@ from repro.obs import (
     MetricsRegistry,
     Tracer,
     chain_problems,
+    read_jsonl,
+    write_jsonl,
 )
 from repro.pir import PirClient, PirServer
 from repro.serve import (
+    EJECTED,
+    HEALTHY,
     AdmissionConfig,
     AsyncPirServer,
-    FaultPlan,
-    FlakyBackend,
     PirServerOverloaded,
     ShardedPirServer,
     SloConfig,
 )
 
-from tests.strategies import domain_sizes, fast_prf_names
+from tests.strategies import FaultPlan, FlakyBackend, domain_sizes, fast_prf_names
 
 TRACE_SETTINGS = settings(max_examples=5, deadline=None)
 """Each example runs a traced serving session, an untraced one, and a
 sequential oracle, so the property stays affordable."""
+
+_OBS_REPORT = pathlib.Path(__file__).resolve().parents[2] / "scripts" / "obs_report.py"
 
 
 def _fixture(domain=32, prf="siphash", seed=0, backend=None, **server_kwargs):
@@ -185,6 +191,8 @@ class TestFailoverAnnotations:
         )
         assert replies == [oracle.handle(f) for f in frames]
         assert server.stats_totals().failovers >= 1
+        # Every shard's killed replica is out for good, its sibling serving.
+        assert server.replica_states() == [(EJECTED, HEALTHY)] * 2
         answered = _assert_complete(tracer.drain(), len(frames))
         failed_over = [t for t in answered if "failover" in t.event_names()]
         assert failed_over, "no trace carries the shard layer's annotation"
@@ -229,7 +237,7 @@ class TestTerminalStatuses:
 
     def test_exhausted_retries_close_the_trace_as_failed(self):
         table, server, client = _fixture(
-            backend=FlakyBackend(SingleGpuBackend(), FaultPlan.always())
+            backend=FlakyBackend(SingleGpuBackend(), FaultPlan.after(1))
         )
         frames = [b.requests[0] for b in client.query_many([1, 2])]
         tracer = Tracer()
@@ -337,35 +345,47 @@ class TestMetricsIntegration:
         assert views["serving"]["answered"] == len(frames)
         assert views["serving.2"]["answered"] == len(frames)
 
-    def test_periodic_snapshots_record_and_finish_at_drain(self):
-        table, server, client = _fixture()
+
+class TestExportReport:
+    def test_traced_fault_sessions_render_strict_clean(self, tmp_path, capsys):
+        """A retried session and a sharded replica-kill session under
+        one tracer and registry export one JSONL file that
+        ``scripts/obs_report.py --strict`` renders with every chain
+        whole, its traces carrying the retry and failover events."""
         registry = MetricsRegistry()
-        frames = [b.requests[0] for b in client.query_many([1, 2, 3])]
+        tracer = Tracer(metrics=registry)
+        table, server, client = _fixture(
+            backend=FlakyBackend(SingleGpuBackend(), FaultPlan.nth(1))
+        )
+        frames = [b.requests[0] for b in client.query_many([1, 5, 9, 13])]
+        _serve(server, frames, tracer=tracer, metrics=registry)
+        sharded = ShardedPirServer(
+            table,
+            shards=2,
+            replicas=2,
+            backend_factory=lambda shard, replica: (
+                FlakyBackend(SingleGpuBackend(), FaultPlan.after(1))
+                if replica == 0
+                else SingleGpuBackend()
+            ),
+            rejoin_after=None,
+            prf_name="siphash",
+        )
+        frames = [b.requests[0] for b in client.query_many([2, 17, 30])]
+        _serve(sharded, frames, tracer=tracer, metrics=registry)
+        path = tmp_path / "obs.jsonl"
+        write_jsonl(path, traces=tracer.drain(), registry=registry)
 
-        async def run():
-            loop = AsyncPirServer(
-                server,
-                slo=SloConfig(max_batch=1, max_wait_s=0.005),
-                metrics=registry,
-                snapshot_every_s=1e-4,
-            )
-            async with loop:
-                for frame in frames:
-                    await loop.submit(frame)
-
-        asyncio.run(run())
-        assert registry.snapshots, "no periodic/terminal snapshot recorded"
-        final = registry.snapshots[-1]
-        assert final["views"]["serving"]["answered"] == len(frames)
-
-    def test_snapshot_knob_validation(self):
-        _, server, _ = _fixture()
-        with pytest.raises(ValueError, match="requires a metrics registry"):
-            AsyncPirServer(server, snapshot_every_s=1.0)
-        with pytest.raises(ValueError, match="must be positive"):
-            AsyncPirServer(
-                server, metrics=MetricsRegistry(), snapshot_every_s=0.0
-            )
+        spec = importlib.util.spec_from_file_location("obs_report_cli", _OBS_REPORT)
+        obs_report = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(obs_report)
+        assert obs_report.main([str(path), "--strict"]) == 0
+        assert "chain integrity: OK" in capsys.readouterr().out
+        traces, snapshots = read_jsonl(path)
+        assert len(traces) == 7 and snapshots
+        events = [{event["name"] for event in t["events"]} for t in traces]
+        assert any("retry" in names for names in events)
+        assert any("failover" in names for names in events)
 
 
 class TestDisabledModeDefault:

@@ -19,6 +19,7 @@ from tests.strategies.dpf import (
     prf_names,
     rng_seeds,
 )
+from tests.strategies.faults import BackendFault, FaultPlan, FlakyBackend
 from tests.strategies.serving import (
     SLO_CONFIGS,
     cancel_turns,
@@ -27,7 +28,11 @@ from tests.strategies.serving import (
     picks,
     request_indices,
 )
-from tests.strategies.settings import DETERMINISM_SETTINGS, STANDARD_SETTINGS
+from tests.strategies.settings import (
+    DETERMINISM_SETTINGS,
+    STANDARD_SETTINGS,
+    STATEFUL_SETTINGS,
+)
 from tests.strategies.tiles import TILES, tile_rules, tiled
 
 __all__ = [
@@ -35,8 +40,12 @@ __all__ = [
     "DETERMINISM_SETTINGS",
     "SLO_CONFIGS",
     "STANDARD_SETTINGS",
+    "STATEFUL_SETTINGS",
     "TILES",
+    "BackendFault",
     "DpfCase",
+    "FaultPlan",
+    "FlakyBackend",
     "alphas_for_domain",
     "awkward_domain_sizes",
     "batch_sizes",

@@ -10,10 +10,10 @@ bug replays it exactly:
 
 * :meth:`FaultPlan.nth` — fail specific run invocations (``nth(1)`` is
   fail-once-then-recover, the mid-session backend-kill scenario).
-* :meth:`FaultPlan.always` — a dead backend; every dispatch fails.
 * :meth:`FaultPlan.after` — healthy until run N, dead from then on:
   the replica-kill scenario (the failure persists until the replica is
-  ejected, unlike ``nth``'s transient blip).
+  ejected, unlike ``nth``'s transient blip); ``after(1)`` is a dead
+  backend, every dispatch fails.
 * :meth:`FaultPlan.random` — seeded Bernoulli faults for property
   tests that want coverage without choreography.  One plan may be
   shared across several :class:`FlakyBackend` wrappers: each wrapper
@@ -23,8 +23,8 @@ bug replays it exactly:
 
 ``plan`` always delegates — the *model* of the hardware is intact,
 only the execution is flaky, which mirrors a real transient fault.
-Used by ``tests/serve/test_chaos.py`` and
-``scripts/serve_smoke.py --chaos``.
+Nothing under ``src/`` raises or catches :class:`BackendFault`: the
+serving loop and the replica sets handle whatever a backend raises.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ class BackendFault(RuntimeError):
 class FaultPlan:
     """Decides, per ``run`` invocation, whether to inject a fault.
 
-    Construct through the factories (:meth:`nth` / :meth:`always` /
+    Construct through the factories (:meth:`nth` / :meth:`after` /
     :meth:`random`); the plan is consulted with the 1-indexed run
     number and answers the same way on every replay.
     """
@@ -50,13 +50,11 @@ class FaultPlan:
     def __init__(
         self,
         fail_runs: frozenset[int] = frozenset(),
-        always: bool = False,
         dead_from: int | None = None,
         rate: float = 0.0,
         seed: int = 0,
     ):
         self.fail_runs = fail_runs
-        self.always = always
         self.dead_from = dead_from
         self.rate = rate
         self.seed = seed
@@ -79,17 +77,12 @@ class FaultPlan:
         return cls(fail_runs=frozenset(runs))
 
     @classmethod
-    def always(cls) -> "FaultPlan":
-        """Fail every run — a permanently dead backend."""
-        return cls(always=True)
-
-    @classmethod
     def after(cls, run: int) -> "FaultPlan":
         """Healthy for runs ``1..run-1``, dead from run ``run`` onward.
 
         The replica-kill scenario: unlike :meth:`nth`'s transient blip,
-        the failure persists, so retries against the same replica keep
-        failing and the replica set must eject and fail over.
+        the failure persists, so the replica set must eject the replica
+        and fail over (``after(1)`` is a backend dead from the start).
         """
         if run < 1:
             raise ValueError(f"run must be >= 1, got {run}")
@@ -125,7 +118,7 @@ class FaultPlan:
                 fine for a plan consulted by exactly one backend, wrong
                 for a shared plan (draws would interleave).
         """
-        if self.always or run_number in self.fail_runs:
+        if run_number in self.fail_runs:
             return True
         if self.dead_from is not None and run_number >= self.dead_from:
             return True

@@ -64,3 +64,19 @@ def test_the_package_loads_no_process_pool():
     run = subprocess.run([sys.executable, "-c", probe], env=env,
                          capture_output=True, text=True)
     assert (run.returncode, run.stdout.strip()) == (0, "False"), run.stderr
+
+
+def test_the_serving_package_ships_no_test_tools():
+    """Fault injection lives in ``tests.strategies`` and the benchmark
+    is the one load generator: a fresh ``import repro.serve`` loads no
+    ``chaos`` or ``load`` module, and the package exports neither."""
+    probe = ("import sys, repro.serve; print(sorted(m for m in sys.modules "
+             "if m in ('repro.serve.chaos', 'repro.serve.load')))")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    run = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True)
+    assert (run.returncode, run.stdout.strip()) == (0, "[]"), run.stderr
+    import repro.serve
+
+    gone = {"FlakyBackend", "FaultPlan", "BackendFault", "generate_load", "LoadReport"}
+    assert not gone & (set(repro.serve.__all__) | set(vars(repro.serve)))
