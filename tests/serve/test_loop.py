@@ -141,6 +141,23 @@ class TestEndToEndReconstruction:
             assert loop.stats.batches < len(indices)
             assert loop.stats.largest_batch > 1
 
+    def test_stats_count_queries_not_requests(self):
+        """``submitted`` and ``answered`` share the query unit: four
+        two-query requests count eight of each."""
+        server = PirServer(np.arange(32, dtype=np.uint64), prf_name="siphash")
+        client = PirClient(32, "siphash", rng=np.random.default_rng(22))
+        frames = [client.query([i, 31 - i]).requests[0] for i in range(4)]
+
+        async def run():
+            loop = AsyncPirServer(server, slo=SloConfig(max_batch=4))
+            async with loop:
+                return loop, await asyncio.gather(*[loop.submit(f) for f in frames])
+
+        loop, replies = asyncio.run(run())
+        assert replies == [server.handle(f) for f in frames]
+        assert loop.stats.submitted == loop.stats.answered == 8
+        assert loop.stats.shed == 0
+
     def test_multi_query_requests_demux_in_order(self):
         """Requests of different sizes fuse and slice back correctly."""
         rng = np.random.default_rng(8)

@@ -345,6 +345,31 @@ class TestMetricsIntegration:
         assert views["serving"]["answered"] == len(frames)
         assert views["serving.2"]["answered"] == len(frames)
 
+    def test_the_loop_takes_no_snapshot_timer(self):
+        """Snapshots are the registry's and the export's business: the
+        loop takes no ``snapshot_every_s`` and records none itself."""
+        table, server, client = _fixture()
+        with pytest.raises(TypeError):
+            AsyncPirServer(server, metrics=MetricsRegistry(), snapshot_every_s=1.0)
+        registry = MetricsRegistry()
+        frames = [b.requests[0] for b in client.query_many([1, 2, 3])]
+        _serve(server, frames, metrics=registry)
+        assert registry.snapshots == []
+
+    def test_export_ends_with_the_drained_loops_terminal_state(self, tmp_path):
+        """``write_jsonl(registry=...)`` takes the terminal snapshot the
+        loop no longer takes at drain: the export's last snapshot counts
+        every query the drained loop answered."""
+        table, server, client = _fixture()
+        registry = MetricsRegistry()
+        frames = [b.requests[0] for b in client.query_many([1, 2, 3])]
+        _serve(server, frames, slo=SloConfig(max_batch=1), metrics=registry)
+        path = tmp_path / "metrics.jsonl"
+        write_jsonl(path, registry=registry)
+        traces, snapshots = read_jsonl(path)
+        assert traces == [] and len(snapshots) == 1
+        assert snapshots[-1]["views"]["serving"]["answered"] == len(frames)
+
 
 class TestExportReport:
     def test_traced_fault_sessions_render_strict_clean(self, tmp_path, capsys):
