@@ -39,7 +39,10 @@ expansion calls the cipher once per tree level with geometrically
 growing batches, so both ends of that range are on the serving path.
 The scratch is thread-*local* because any caller may expand on two
 threads at once, and two concurrent expansions must not share round
-state.  The first AddRoundKey is a parameter (*whitening*): the MMO
+state.  Both are built on first use: the scratch on a thread's first
+encryption, the round tables (:func:`_round_tables`, 768 KiB) on the
+process's first, so a process that only ever runs another PRF holds
+neither.  The first AddRoundKey is a parameter (*whitening*): the MMO
 tweak of :class:`Aes128` is folded into it, so the fused PRG encrypts
 both tweaked copies of its seeds without ever materialising them.
 
@@ -54,6 +57,7 @@ permutation in Matyas--Meyer--Oseas mode and never needs to decrypt.
 
 from __future__ import annotations
 
+import functools
 import threading
 
 import numpy as np
@@ -122,25 +126,22 @@ def _build_t_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     return t0, _rotl32(t0, 8), _rotl32(t0, 16), _rotl32(t0, 24)
 
 
-T0, T1, T2, T3 = _build_t_tables()
-
-
-def _build_pair_tables() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+@functools.cache
+def _round_tables() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """The (low-pair, high-pair) gather tables of each of the ten rounds.
 
     Rounds 1-9 fuse the T-tables pairwise over 16-bit byte-pair indices.
     The final round has no MixColumns: both its gathers read one table
-    of paired S-box bytes.
+    of paired S-box bytes.  Built on the first T-table encryption, so a
+    process that never runs AES never holds the 768 KiB.
     """
+    t0, t1, t2, t3 = _build_t_tables()
     pair = np.arange(65536)
     lo, hi = pair & 0xFF, pair >> 8
     s = SBOX.astype(np.uint32)
     fs = s[lo] | (s[hi] << np.uint32(8))
-    mix = (T0[lo] ^ T1[hi], T2[lo] ^ T3[hi])
+    mix = (t0[lo] ^ t1[hi], t2[lo] ^ t3[hi])
     return (mix,) * 9 + ((fs, fs),)
-
-
-_ROUND_TABLES = _build_pair_tables()
 
 _EVEN_BYTES = np.uint32(0x00FF00FF)
 _ODD_BYTES = np.uint32(0xFF00FF00)
@@ -163,7 +164,8 @@ class _Scratch(threading.local):
     ``[:, :k]`` slice of a 2-D buffer is not, and ``ndarray.take``
     copies through a temporary for a non-contiguous ``out``).
     Allocated on a thread's first encryption, so a thread (or a
-    process) that never runs AES pays nothing.
+    process) that never runs AES pays nothing, for the scratch or, in a
+    process, for the round tables.
     """
 
     buffers: tuple[np.ndarray, ...] | None = None
@@ -274,6 +276,7 @@ def _encrypt_columns(rk: np.ndarray, cols: np.ndarray, whitening: np.ndarray) ->
     total = whitening.shape[0] * n
     out = np.empty((total, 4), dtype="<u4")
     state, pairs, index, low, high = _SCRATCH.get()
+    tables = _round_tables()
     # Every numpy call below is a ufunc or an ndarray method with ``out``
     # passed positionally: the ``np.take`` / ``np.copyto`` wrappers and
     # keyword parsing cost more than the work at small chunks.
@@ -296,7 +299,7 @@ def _encrypt_columns(rk: np.ndarray, cols: np.ndarray, whitening: np.ndarray) ->
             m = min(n - row, k - pos)
             xor(cols[row : row + m].T, whitening[part], s03[:, pos : pos + m])
             pos += m
-        for rnd, (low_table, high_table) in enumerate(_ROUND_TABLES, 1):
+        for rnd, (low_table, high_table) in enumerate(tables, 1):
             s4[...] = s0
             and_(s03, _EVEN_BYTES, w)
             and_(s14, _ODD_BYTES, lo)

@@ -528,10 +528,9 @@ class ExpansionWorkspace:
     a workspace those buffers are reallocated on every call; a server
     evaluating batch after batch against the same arena passes one
     workspace instead and the buffers persist, growing monotonically to
-    the largest shape seen.  A call with a reducer also takes its leaf windows from here
-    (:meth:`window`): one buffer the size of the largest window (a tile),
-    reused for every window of every call, in place of a share matrix
-    per call.
+    the largest shape seen.  A call with a reducer takes nothing more:
+    each tile's leaves are converted in place, in the words of the
+    tile's own seeds, so no share matrix and no separate window exists.
 
     Buffers are handed out as prefix views, and every expansion loop
     fully overwrites a view before reading it, so reuse cannot leak
@@ -546,13 +545,12 @@ class ExpansionWorkspace:
         self._frontiers: dict[str, tuple[np.ndarray, ...]] = {}
         self._scratch = np.empty(0, dtype=np.uint64)
         self._stage = np.empty((0, 16), dtype=np.uint8)
-        self._window = np.empty(0, dtype=np.uint64)
 
     @property
     def nbytes(self) -> int:
         """Total bytes currently retained across all slots."""
         total = sum(sum(a.nbytes for a in bufs) for bufs in self._frontiers.values())
-        return total + self._scratch.nbytes + self._stage.nbytes + self._window.nbytes
+        return total + self._scratch.nbytes + self._stage.nbytes
 
     def frontier(self, name: str, even: int, odd: int) -> tuple[np.ndarray, ...]:
         """Flat ping-pong buffers for one expansion loop.
@@ -603,14 +601,3 @@ class ExpansionWorkspace:
         if self._stage.shape[0] < rows:
             self._stage = np.empty((rows, 16), dtype=np.uint8)
         return self._stage[:rows]
-
-    def window(self, batch: int, leaves: int) -> np.ndarray:
-        """A contiguous ``(batch, leaves, 2)`` uint64 leaf-word window.
-
-        Every call returns a view of the same flat buffer: a window is
-        dead once the next one is asked for.
-        """
-        size = batch * leaves * LEAF_WORDS
-        if self._window.size < size:
-            self._window = np.empty(size, dtype=np.uint64)
-        return self._window[:size].reshape(batch, leaves, LEAF_WORDS)

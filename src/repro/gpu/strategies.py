@@ -166,27 +166,17 @@ class _ShareMatrix:
 class _Reduction:
     """Where leaves go with a reducer: into its running sum mod 2^64.
 
-    Windows are views of the workspace's one reusable buffer, so a walk
-    that commits each window before asking for the next holds
-    ``O(B * window)`` share bytes however large the table is.
+    A tile's leaves are converted in place, in the words of its own
+    seeds (dead once read), and reduced before the next tile walks, so
+    the walk holds no share bytes beyond its tile frontier however large
+    the table is.
     """
 
-    def __init__(
-        self,
-        reduce: Reducer,
-        batch: int,
-        row_lo: int,
-        row_hi: int,
-        workspace: ExpansionWorkspace,
-    ):
+    def __init__(self, reduce: Reducer, batch: int, row_lo: int, row_hi: int):
         self._reduce = reduce
         self._batch = batch
         self._rows = (row_lo, row_hi)
-        self._workspace = workspace
         self.total: np.ndarray | None = None
-
-    def window(self, lo: int, hi: int) -> np.ndarray:
-        return self._workspace.window(self._batch, hi - lo)
 
     def commit(self, words: np.ndarray, lo: int, hi: int) -> None:
         """Reduce the rows of leaves ``[lo, hi)`` that were asked for.
@@ -404,8 +394,11 @@ def _expand_window(
     pruning done once for the whole ``(B, W, 16)`` frontier; for
     ``(lo, hi) = (0, 2**depth)`` the clip is a no-op and the walk is the
     textbook expansion.  ``corrections`` is :func:`_level_corrections`
-    of ``kb``.  With ``start == stop`` there is nothing to expand and
-    ``source`` itself is the result.
+    of ``kb``.  With ``start == stop`` there is nothing to expand and the
+    result is the slot's copy of ``source``: whatever the depth, the
+    caller owns the nodes it gets back, and the walk converts a tile's
+    leaves in place (never into an arena's roots or another slot's
+    nodes).
 
     The frontier ping-pongs between the two flat buffer pairs of the
     workspace's slot ``slot``, each sized for the widest level it
@@ -425,14 +418,15 @@ def _expand_window(
     node_lo = lo >> shift
     width = ((hi - 1) >> shift) + 1 - node_lo
     meter.alloc(NODE_BYTES * b * width)
-    if start == stop:
-        return source
     cw_words, cw_pairs = corrections
     # Buffer 0 takes the source, then buffers alternate level by level;
     # children widen with depth, so each buffer's widest level is its last.
-    last = 2 * _window_width(depth, stop - 1, lo, hi)
-    other = 2 * _window_width(depth, stop - 2, lo, hi) if stop - start > 1 else width
-    sizes = (last, other) if (stop - start) % 2 == 0 else (other, last)
+    if start == stop:
+        sizes, last = (width, 0), 0
+    else:
+        last = 2 * _window_width(depth, stop - 1, lo, hi)
+        other = 2 * _window_width(depth, stop - 2, lo, hi) if stop - start > 1 else width
+        sizes = (last, other) if (stop - start) % 2 == 0 else (other, last)
     seeds_0, seeds_1, ts_0, ts_1 = workspace.frontier(slot, b * sizes[0], b * sizes[1])
     scratch = workspace.scratch(b * last)  # two words per widest-level parent
     back_seeds, back_ts = (seeds_0, seeds_1), (ts_0, ts_1)
@@ -554,8 +548,9 @@ class Strategy(abc.ABC):
         ``"group"``, ``a`` = :data:`_GROUP_DEPTH` clamped to ``t - 1``),
         down to ``T / 2`` nodes a key.  Last, each tile of the group
         goes on alone from its ``2**a`` of those nodes (slot ``"tile"``);
-        its leaves are converted in place into the tile's window and,
-        with a reducer, reduced before the next tile starts.  Grouping
+        its leaves are converted into the tile's window of the share
+        matrix or, with a reducer, in place in the tile slot's own seed
+        words, and reduced before the next tile starts.  Grouping
         changes only how the cipher calls are cut, not the blocks: with
         the default constants no unclipped call below the tile roots
         carries fewer than ``2**a = 16`` nodes a key.
@@ -579,8 +574,8 @@ class Strategy(abc.ABC):
         partition ``[lo, hi)`` — and the call returns the sum mod 2^64
         of what it gave back, ``(B,)`` or ``(B, W)``, instead of the
         matrix.  It is the same walk, cipher call for cipher call, but
-        it never holds more than one tile of shares, out of one window
-        buffer that every tile reuses.
+        it never holds more than one tile of shares, and those are the
+        tile's converted seeds, a view of the workspace's tile slot.
 
         All device-side expansion buffers are reported to ``meter``; the
         meter's ``current`` is back where it was before this method
@@ -599,7 +594,7 @@ class Strategy(abc.ABC):
         if reduce is None:
             sink = _ShareMatrix(arena.batch, leaf_lo, leaf_hi)
         else:
-            sink = _Reduction(reduce, arena.batch, lo, hi, workspace)
+            sink = _Reduction(reduce, arena.batch, lo, hi)
         # Levels 0..m are above the tiles; a group of 2**g tiles expands
         # levels m..m+a together, and each of its tiles the rest.
         n = arena.depth
@@ -621,7 +616,10 @@ class Strategy(abc.ABC):
                 tiles = _split(mids, n, m + a, group_lo, group_hi, t)
                 for tile_lo, tile_hi, tile in tiles:
                     seeds, ts = expand(tile, m + a, n, tile_lo, tile_hi, "tile")
-                    words = sink.window(tile_lo, tile_hi)
+                    if reduce is None:
+                        words = sink.window(tile_lo, tile_hi)
+                    else:  # the tile slot's seeds are dead once converted
+                        words = ggm.convert_to_u64(seeds)
                     scratch = workspace.scratch(ts.size)
                     _leaf_shares_batch(seeds, ts, arena, words, scratch)
                     sink.commit(words, tile_lo, tile_hi)

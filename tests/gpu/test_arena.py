@@ -276,6 +276,35 @@ class TestWorkspaceReuse:
             assert np.array_equal(WALK.eval_batch(keys, prf, workspace=workspace), want)
             assert np.array_equal(WALK.eval_batch(keys, prf, workspace=workspace), want)
 
+    @pytest.mark.parametrize("domain", [1, 2, 3, 4, 1024])
+    def test_reducing_walk_leaves_a_writeable_arena_alone(self, tile, domain):
+        """A reducing walk converts each tile's leaves in place, in the
+        tile's seed words, so those must be the workspace's: below a
+        zero-level tile (one leaf, or L <= 2) they would be the arena's
+        roots or another slot's nodes."""
+        keys = _make_keys(batch=4, domain=domain, seed=domain)
+        arena = KeyArena.from_keys(keys)
+        assert arena.roots.flags.writeable and arena.root_ts.flags.writeable
+        roots, root_ts = arena.roots.tobytes(), arena.root_ts.tobytes()
+        oracle = np.stack([eval_full(key, PRF) for key in keys])
+        rng = np.random.default_rng(domain)
+        table = rng.integers(0, 1 << 64, size=domain, dtype=np.uint64)
+        ranges = {(0, domain), (0, (domain + 1) // 2), (domain // 2, domain)}
+        ranges |= {(1, domain - 1)} if domain > 2 else set()
+        workspace = ExpansionWorkspace()
+        for lo, hi in sorted(ranges):
+            for _ in range(2):
+                got = WALK.eval_batch(
+                    arena,
+                    PRF,
+                    workspace=workspace,
+                    eval_range=(lo, hi),
+                    reduce=lambda shares, a, z: shares @ table[a:z],
+                )
+                assert np.array_equal(got, oracle[:, lo:hi] @ table[lo:hi]), (lo, hi)
+                assert arena.roots.tobytes() == roots, (lo, hi)
+                assert arena.root_ts.tobytes() == root_ts, (lo, hi)
+
     def test_workspace_grows_monotonically(self):
         workspace = ExpansionWorkspace()
         get_strategy("level_by_level").eval_batch(

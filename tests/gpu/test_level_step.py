@@ -16,8 +16,8 @@ its one-key oracle.  Four claims, for every registered PRF:
   to 256;
 * the leaf conversion equals ``leaf_values`` key by key with both
   parties' keys in one arena, into a strided window of a share matrix
-  (leaving the rest of the matrix alone) and into the reducer's
-  workspace window;
+  (leaving the rest of the matrix alone) and in place, in the words of
+  the seeds themselves, as the reducing walk converts a tile;
 * every level of a windowed walk (:func:`_expand_window`) equals the
   per-key reference walk clipped to the same node windows — unclipped,
   and clipped to windows with odd ends, where a parent frontier is
@@ -136,11 +136,17 @@ def test_leaf_conversion_equals_leaf_values(batch, width):
     assert np.array_equal(window, want)
     assert (matrix.words[:, :3] == 7).all() and (matrix.words[:, 3 + width :] == 7).all()
 
-    # Into the reducer's window, through a scratch another step dirtied.
-    workspace.scratch(ts.size)[:] = 0xDEADBEEF
-    reduced = workspace.window(batch, width)
-    _leaf_shares_batch(seeds, ts, arena, reduced, workspace.scratch(ts.size))
-    assert np.array_equal(reduced, want)
+    # In place, in the seeds' own words (the reducing walk), through a
+    # scratch another step dirtied: a contiguous copy of the seeds, and
+    # a strided one inside a wider frontier, like a clipped tile's.
+    padded = np.full((batch, width + 3, 16), 7, dtype=np.uint8)
+    padded[:, 1:-2] = seeds
+    for own in (np.ascontiguousarray(seeds), padded[:, 1:-2]):
+        workspace.scratch(ts.size)[:] = 0xDEADBEEF
+        in_place = ggm.convert_to_u64(own)
+        _leaf_shares_batch(own, ts, arena, in_place, workspace.scratch(ts.size))
+        assert np.array_equal(in_place, want)
+    assert (padded[:, :1] == 7).all() and (padded[:, -2:] == 7).all()
 
 
 def _reference_levels(prf, arena, lo, hi):

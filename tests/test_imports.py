@@ -80,3 +80,40 @@ def test_the_serving_package_ships_no_test_tools():
 
     gone = {"FlakyBackend", "FaultPlan", "BackendFault", "generate_load", "LoadReport"}
     assert not gone & (set(repro.serve.__all__) | set(vars(repro.serve)))
+
+
+_AES_ON_FIRST_USE = """
+import numpy as np
+import repro
+from repro.crypto import aes
+from repro.pir import PirClient, PirServer
+
+def round_trip(prf_name):
+    rows = 1 << 12
+    rng = np.random.default_rng(12)
+    table = rng.integers(0, 1 << 64, size=rows, dtype=np.uint64)
+    client = PirClient(rows, prf_name, rng=np.random.default_rng(13))
+    indices = [0, 1, rows - 1, int(rng.integers(rows))]
+    (batch,) = client.query_many(indices, len(indices))
+    replies = [PirServer(table, prf_name=prf_name).handle(batch.requests[p]) for p in (0, 1)]
+    return bool(np.array_equal(client.reconstruct(batch, *replies), table[indices]))
+
+exact = round_trip("siphash")
+built = aes._round_tables.cache_info()
+print(exact, built.currsize)
+exact = round_trip("aes128")
+built = aes._round_tables.cache_info()
+print(exact, built.currsize, built.misses)
+"""
+
+
+def test_aes_tables_are_built_on_first_use():
+    """A process that serves SipHash never builds AES's 768 KiB round
+    tables: a fresh ``import repro`` plus a SipHash round trip leaves the
+    builder empty, and a following aes128 round trip builds them once
+    and answers bit-exact."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    run = subprocess.run([sys.executable, "-c", _AES_ON_FIRST_USE], env=env,
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split("\n")[:2] == ["True 0", "True 1 1"], run.stdout
