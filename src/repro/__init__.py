@@ -16,9 +16,9 @@ Layers, bottom to top:
 * :mod:`repro.pir` — the end-to-end two-server PIR pipeline: client
   query generation, wire framing, and table serving through any
   execution backend.
-* :mod:`repro.serve` — the SLO-aware async serving layer: batch
-  aggregation under latency deadlines, bounded-queue admission
-  control, retries, and sharded replicated serving.
+* :mod:`repro.serve` — the async serving layer: work-conserving batch
+  aggregation, bounded-queue admission control, retries, and sharded
+  replicated serving.
 
 See ``docs/architecture.md`` for the layer diagram and a PIR
 quickstart.

@@ -1,4 +1,4 @@
-"""SLO-aware async serving: batching, admission, fault tolerance.
+"""Async serving: batching, admission, fault tolerance.
 
 This package is the serving layer the ROADMAP's throughput and
 control-plane items asked for — the piece that turns the synchronous,
@@ -6,13 +6,14 @@ one-caller-at-a-time :class:`~repro.pir.PirServer` into a system that
 can absorb heavy concurrent traffic and survive backend failures:
 
 * :mod:`repro.serve.loop` — :class:`AsyncPirServer`, the asyncio
-  request loop: framed queries in, per-request futures out, with batch
-  aggregation under a latency SLO (flush on max-batch, arena-bytes
-  budget, or max-wait deadline) from one FIFO queue, admission control
-  (the ``max_pending`` depth cap alone), and retry on backend failure
-  (a failed fused batch is un-merged and its survivors go back to the
-  front of the queue, up to ``max_attempts`` dispatches each).  The
-  loop is the one place a failed dispatch is retried.
+  request loop: framed queries in, per-request futures out, with
+  work-conserving batch aggregation from one FIFO queue (a full
+  ``max_batch`` batch, or whatever is runnable, dispatched at once),
+  admission control (the ``max_pending`` depth cap alone), and retry
+  on backend failure (a failed fused batch is un-merged and its
+  survivors go back to the front of the queue, up to ``max_attempts``
+  dispatches each).  The loop is the one place a failed dispatch is
+  retried.
 * :mod:`repro.serve.shard` — :class:`ShardedPirServer`, the sharded,
   replicated front-end: contiguous domain sub-ranges evaluated via the
   range-restricted DPF walk, partials recombined mod 2^64, replica
@@ -46,17 +47,13 @@ from repro.serve.loop import (
     FLUSH_DRAIN,
     FLUSH_MAX_BATCH,
     SHED_DEPTH,
-    AdmissionConfig,
     AsyncPirServer,
     PirServerOverloaded,
     ServingStats,
-    SloConfig,
 )
 
 __all__ = [
     "AsyncPirServer",
-    "SloConfig",
-    "AdmissionConfig",
     "ServingStats",
     "PirServerOverloaded",
     "SHED_DEPTH",

@@ -1,9 +1,10 @@
-"""The SLO-aware async serving loop: aggregate, dispatch, demultiplex.
+"""The async serving loop: aggregate, dispatch, demultiplex.
 
 This is the throughput engine the paper's serving claim rests on:
 GPU PIR is fast *because* many concurrent clients' DPF keys run as one
 fused expansion, so a server must aggregate live traffic into
-kernel-sized batches without blowing each caller's latency budget.
+kernel-sized batches without making any caller wait for traffic that
+has not arrived.
 :class:`AsyncPirServer` wraps one :class:`~repro.pir.PirServer` in an
 asyncio request loop that does exactly that:
 
@@ -14,17 +15,15 @@ asyncio request loop that does exactly that:
   validated request to the one FIFO pending queue, and awaits a
   per-request future.
 * **Aggregation** — a background task merges pending requests into one
-  fused :class:`~repro.exec.EvalRequest` and flushes when any SLO
-  trigger fires: the batch reached ``max_batch`` queries, the pending
-  key material reached ``max_arena_bytes``, or the *oldest* request's
-  ``max_wait_s`` deadline arrived.  The loop is work-conserving:
-  ``max_wait_s`` defaults to 0, so an idle loop dispatches whatever is
-  queued as soon as it runs, and under load batches still fill to
-  ``max_batch`` because arrivals pile up behind the dispatch that is
-  running.  Before it takes a non-full batch the loop yields once, so
-  every submission already runnable in this event-loop turn fuses into
-  that batch; while idle it arms no timer unless a positive linger is
-  pending.  Requests are taken into fused batches in arrival order.
+  fused :class:`~repro.exec.EvalRequest` and dispatches it at once: a
+  full ``max_batch`` batch as soon as one is queued, anything less after
+  one yield, so every submission already runnable in this event-loop
+  turn fuses into it.  The loop is work-conserving — it never lingers
+  for arrivals that are not yet runnable — and under load batches still
+  fill to ``max_batch`` because arrivals pile up behind the dispatch
+  that is running.  While idle it awaits its wake event and arms no
+  timer.  Requests are taken into fused batches in arrival order, and a
+  batch never spans a table-epoch flip.
 * **Dispatch** — the merged batch runs on the wrapped server's one
   backend (:meth:`~repro.pir.PirServer.answer_request`).
 * **Failure containment** — a fused batch concentrates risk: one
@@ -52,10 +51,8 @@ event loop, one at a time.
 from __future__ import annotations
 
 import asyncio
-import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Callable
 
 from repro.exec.request import EvalRequest
 from repro.obs.metrics import MetricsRegistry
@@ -83,11 +80,13 @@ FLUSH_MAX_BATCH = "max_batch"
 """Flush reason: the pending queue reached ``max_batch`` queries."""
 
 FLUSH_ARENA_BYTES = "arena_bytes"
-"""Flush reason: pending key material reached ``max_arena_bytes``."""
+"""Flush reason the loop never returns any more: the key-material budget
+it named is gone.  Kept only because ``benchmark/layers.py`` imports and
+indexes all four ``FLUSH_*`` names; ROADMAP slice 1a deletes it."""
 
 FLUSH_DEADLINE = "deadline"
-"""Flush reason: the oldest request's ``max_wait_s`` deadline arrived
-(under the default zero linger: a non-full batch dispatched at once)."""
+"""Flush reason: a non-full batch, dispatched at once.  The name is the
+deleted linger deadline's; ROADMAP slice 1a may rename it."""
 
 FLUSH_DRAIN = "drain"
 """Flush reason: the loop is stopping and drained its queue."""
@@ -104,64 +103,6 @@ class PirServerOverloaded(RuntimeError):
     an unbounded queue whose tail latency grows without limit.  The
     only cause is the ``max_pending`` depth cap (:data:`SHED_DEPTH`).
     """
-
-
-@dataclass(frozen=True)
-class SloConfig:
-    """The serving loop's latency/batching knobs.
-
-    Attributes:
-        max_batch: Flush once this many queries are pending; also the
-            cap on queries fused into one merged batch (a flush takes
-            whole requests until adding the next would exceed it).
-        max_wait_s: Deadline trigger — no admitted query waits longer
-            than this for its batch to *start*, however light the
-            traffic.  The default 0 is work-conserving: a non-full batch
-            dispatches as soon as the loop runs (after one yield that
-            fuses every submission already runnable), and batches still
-            fill under load because arrivals queue behind the running
-            dispatch.  A positive linger holds a non-full batch open for
-            arrivals that are *not yet* runnable; it buys larger batches
-            only when spare capacity would otherwise go unused anyway —
-            e.g. a backend whose per-batch cost barely grows with batch
-            size — and costs up to this much latency per query.
-        max_arena_bytes: Optional key-material budget — flush once the
-            pending arenas reach this many bytes, and cap each merged
-            batch's arena footprint (its device-upload cost) at the
-            same budget (a single over-budget request still flushes,
-            alone).  ``None`` disables both.
-    """
-
-    max_batch: int = 64
-    max_wait_s: float = 0.0
-    max_arena_bytes: int | None = None
-
-    def __post_init__(self):
-        if self.max_batch <= 0:
-            raise ValueError(f"max_batch must be positive, got {self.max_batch}")
-        if self.max_wait_s < 0:
-            raise ValueError(f"max_wait_s must be >= 0, got {self.max_wait_s}")
-        if self.max_arena_bytes is not None and self.max_arena_bytes <= 0:
-            raise ValueError(
-                f"max_arena_bytes must be positive or None, got {self.max_arena_bytes}"
-            )
-
-
-@dataclass(frozen=True)
-class AdmissionConfig:
-    """Backpressure policy for the bounded request queue.
-
-    Attributes:
-        max_pending: Hard cap — maximum queries (keys, not requests)
-            queued at once, retries included; a submission that would
-            exceed it is shed with :class:`PirServerOverloaded`.
-    """
-
-    max_pending: int = 1024
-
-    def __post_init__(self):
-        if self.max_pending <= 0:
-            raise ValueError(f"max_pending must be positive, got {self.max_pending}")
 
 
 @dataclass
@@ -185,15 +126,11 @@ class ServingStats:
             at demux when the cancel raced the dispatch.
         batches: Merged batches dispatched successfully.
         largest_batch: Most queries fused into one dispatched batch.
-        flushes: Successful dispatch counts keyed by flush reason
-            (:data:`FLUSH_MAX_BATCH` / :data:`FLUSH_ARENA_BYTES` /
-            :data:`FLUSH_DEADLINE` / :data:`FLUSH_DRAIN`).
-        plan_cache_stats: The wrapped server's live
-            :class:`~repro.exec.plan_cache.PlanCacheStats` (bound at
-            loop construction when the server carries a cache; ``None``
-            otherwise).  ``plan_cache_hits`` / ``plan_cache_misses``
-            read *through* this binding, so they are live at any
-            instant — not a mirror synced after each flush.
+        flushes: Successful dispatch counts keyed by flush reason:
+            :data:`FLUSH_MAX_BATCH` (a full batch),
+            :data:`FLUSH_DEADLINE` (a non-full batch, dispatched at
+            once) or :data:`FLUSH_DRAIN` (the loop is stopping).  The
+            plan cache's counters are its own ``plan_cache`` view.
     """
 
     submitted: int = 0
@@ -206,24 +143,6 @@ class ServingStats:
     batches: int = 0
     largest_batch: int = 0
     flushes: dict[str, int] = field(default_factory=dict)
-    plan_cache_stats: "PlanCacheStats | None" = field(
-        default=None, repr=False, compare=False
-    )
-
-    @property
-    def plan_cache_hits(self) -> int:
-        """Live plan-cache hits (0 when no cache is attached).
-
-        Reads the cache's own counter at access time, so the value is
-        current even mid-flush — the stale-between-flushes mirror this
-        replaced only updated after each dispatch.
-        """
-        return self.plan_cache_stats.hits if self.plan_cache_stats is not None else 0
-
-    @property
-    def plan_cache_misses(self) -> int:
-        """Live plan-cache misses (0 when no cache is attached)."""
-        return self.plan_cache_stats.misses if self.plan_cache_stats is not None else 0
 
     @property
     def mean_batch(self) -> float:
@@ -244,8 +163,6 @@ class ServingStats:
             "largest_batch": self.largest_batch,
             "mean_batch": self.mean_batch,
             "flushes": dict(self.flushes),
-            "plan_cache_hits": self.plan_cache_hits,
-            "plan_cache_misses": self.plan_cache_misses,
         }
 
 
@@ -260,7 +177,6 @@ class _Pending:
     query: PirQuery
     request: EvalRequest
     future: asyncio.Future
-    enqueued_at: float
     attempts: int = 0
     # Tracing: the query's trace context (a no-op singleton when
     # tracing is off) and its currently-open queue-wait span.
@@ -273,12 +189,17 @@ class AsyncPirServer:
 
     Args:
         server: The wrapped server (table, PRF, backend, residency).
-        slo: Batching/latency knobs; see :class:`SloConfig`.
-        admission: Bounded-queue policy; see :class:`AdmissionConfig`.
+        max_batch: The most queries fused into one batch (a flush takes
+            whole requests until the next would exceed it; a single
+            larger request still flushes, alone).  A full batch
+            dispatches at once with reason :data:`FLUSH_MAX_BATCH`.
+        max_pending: Admission's hard cap: the most queries (keys, not
+            requests) queued at once, retries included; a submission
+            that would exceed it is shed with
+            :class:`PirServerOverloaded`.
         max_attempts: Dispatches each request may take, the first
             included (default 3; 1 disables retries).  A failed batch's
             survivors go straight back to the front of the queue.
-        clock: Monotonic time source (injectable for tests).
         tracer: Optional :class:`~repro.obs.trace.Tracer`.  When given,
             every submitted query gets a trace context whose spans
             (admit → queue → merge → plan → dispatch → demux) follow it
@@ -307,31 +228,29 @@ class AsyncPirServer:
     def __init__(
         self,
         server: PirServer,
-        slo: SloConfig | None = None,
-        admission: AdmissionConfig | None = None,
+        max_batch: int = 64,
+        max_pending: int = 1024,
         max_attempts: int = 3,
-        clock: Callable[[], float] = time.monotonic,
         tracer=None,
         metrics: MetricsRegistry | None = None,
     ):
-        self.server = server
-        self.slo = slo if slo is not None else SloConfig()
-        self.admission = admission if admission is not None else AdmissionConfig()
+        if max_batch <= 0:
+            raise ValueError(f"max_batch must be positive, got {max_batch}")
+        if max_pending <= 0:
+            raise ValueError(f"max_pending must be positive, got {max_pending}")
         if max_attempts < 1:
             raise ValueError(f"max_attempts must be >= 1, got {max_attempts}")
+        self.server = server
+        self.max_batch = max_batch
+        self.max_pending = max_pending
         self.max_attempts = max_attempts
-        cache = server.plan_cache
-        self.stats = ServingStats(
-            plan_cache_stats=cache.stats if cache is not None else None
-        )
+        self.stats = ServingStats()
         self.tracer = tracer if tracer is not None else NULL_TRACER
         self.metrics = metrics
         if metrics is not None:
             self._register_views(metrics)
-        self._clock = clock
         self._queue: deque[_Pending] = deque()
         self._queued_queries = 0
-        self._queued_arena_bytes = 0
         self._wake: asyncio.Event | None = None
         self._task: asyncio.Task | None = None
         self._stopping = False
@@ -394,12 +313,12 @@ class AsyncPirServer:
         ingested yet, so shedding stays O(header) under overload (the
         regime admission control exists for).
         """
-        if self.pending_queries + query.count > self.admission.max_pending:
+        if self.pending_queries + query.count > self.max_pending:
             self.stats.shed += query.count
             raise PirServerOverloaded(
                 f"queue holds {self.pending_queries} queries; admitting "
                 f"{query.count} more would exceed max_pending="
-                f"{self.admission.max_pending}"
+                f"{self.max_pending}"
             )
 
     async def submit(self, request_bytes: bytes) -> bytes:
@@ -433,7 +352,6 @@ class AsyncPirServer:
         if self._stopping:
             raise RuntimeError("serving loop is stopped; no flush would answer this")
         query = PirQuery.from_bytes(request_bytes)
-        now = self._clock()
         ctx = self.tracer.trace(
             request_id=query.request_id, count=query.count, epoch=query.epoch
         )
@@ -457,11 +375,10 @@ class AsyncPirServer:
             request.traces = (ctx,)
         future: asyncio.Future = asyncio.get_running_loop().create_future()
         pending = _Pending(
-            query, request, future, now, ctx=ctx, queue_span=ctx.begin(STAGE_QUEUE)
+            query, request, future, ctx=ctx, queue_span=ctx.begin(STAGE_QUEUE)
         )
         self._queue.append(pending)
         self._queued_queries += query.count
-        self._queued_arena_bytes += request.arena().nbytes
         self.stats.submitted += query.count
         if self._wake is not None:
             self._wake.set()
@@ -469,34 +386,13 @@ class AsyncPirServer:
 
     # -- aggregation ---------------------------------------------------
 
-    def _oldest_head(self) -> _Pending | None:
-        """The front of the queue: its oldest request (a retry keeps
-        its original ``enqueued_at`` and goes back to the front)."""
-        return self._queue[0] if self._queue else None
-
     def _flush_reason(self) -> str | None:
-        """The SLO trigger that fires *now*, or None to keep waiting."""
-        oldest = self._oldest_head()
-        if oldest is None:
+        """Why to flush now, or None when nothing is queued."""
+        if not self._queue:
             return None
-        if self._queued_queries >= self.slo.max_batch:
+        if self._queued_queries >= self.max_batch:
             return FLUSH_MAX_BATCH
-        if (
-            self.slo.max_arena_bytes is not None
-            and self._queued_arena_bytes >= self.slo.max_arena_bytes
-        ):
-            return FLUSH_ARENA_BYTES
-        if self._clock() - oldest.enqueued_at >= self.slo.max_wait_s:
-            return FLUSH_DEADLINE
-        return None
-
-    def _wait_timeout(self) -> float | None:
-        """Seconds until the oldest request's deadline, or None when
-        only a wake can create work."""
-        oldest = self._oldest_head()
-        if oldest is None:
-            return None
-        return max(0.0, oldest.enqueued_at + self.slo.max_wait_s - self._clock())
+        return FLUSH_DEADLINE
 
     async def _run(self) -> None:
         while not self._stopping:
@@ -512,12 +408,7 @@ class AsyncPirServer:
                 await self._settle()
                 continue
             self._wake.clear()
-            try:
-                # With no timeout (nothing time-based pending) wait_for
-                # awaits the event directly: no timer, no helper Task.
-                await asyncio.wait_for(self._wake.wait(), self._wait_timeout())
-            except asyncio.TimeoutError:
-                pass
+            await self._wake.wait()
         # Drain: flush until empty.  Terminates even against an
         # always-failing backend because each failed dispatch consumes
         # one of a request's bounded attempts.
@@ -553,7 +444,6 @@ class AsyncPirServer:
             if pending.future.done():
                 self.stats.cancelled += pending.query.count
                 self._queued_queries -= pending.query.count
-                self._queued_arena_bytes -= pending.request.arena().nbytes
                 self._close_cancelled(pending)
             else:
                 kept.append(pending)
@@ -569,9 +459,9 @@ class AsyncPirServer:
 
     def _take_batch(self) -> list[_Pending]:
         """Pop whole requests until adding the next would exceed
-        ``max_batch`` queries or the ``max_arena_bytes`` budget (always
-        at least one, so a single request larger than either cap —
-        legal unless the server caps it — still flushes alone).
+        ``max_batch`` queries (always at least one, so a single request
+        larger than the cap — legal unless the server caps it — still
+        flushes alone).
         Cancelled requests are purged first, so they are never merged
         into the fused batch.
 
@@ -584,18 +474,12 @@ class AsyncPirServer:
         taken: list[_Pending] = []
         epoch: int | None = None
         count = 0
-        taken_bytes = 0
-        budget = self.slo.max_arena_bytes
         queue = self._queue
         while queue:
             nxt = queue[0]
             if epoch is not None and nxt.query.epoch != epoch:
                 break
-            nxt_bytes = nxt.request.arena().nbytes
-            if taken and (
-                count + nxt.query.count > self.slo.max_batch
-                or (budget is not None and taken_bytes + nxt_bytes > budget)
-            ):
+            if taken and count + nxt.query.count > self.max_batch:
                 break
             taken.append(queue.popleft())
             if nxt.queue_span is not None:
@@ -603,8 +487,6 @@ class AsyncPirServer:
                 nxt.queue_span = None
             epoch = nxt.query.epoch
             count += nxt.query.count
-            taken_bytes += nxt_bytes
-            self._queued_arena_bytes -= nxt_bytes
         self._queued_queries -= count
         return taken
 
@@ -706,7 +588,6 @@ class AsyncPirServer:
                 pending.queue_span = pending.ctx.begin(STAGE_QUEUE)
                 retries.append(pending)
                 self._queued_queries += pending.query.count
-                self._queued_arena_bytes += request.arena().nbytes
                 self.stats.retried += pending.query.count
             else:
                 pending.future.set_exception(exc)

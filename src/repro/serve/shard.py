@@ -548,7 +548,8 @@ class ShardedPirServer(PirServer):
         return len(self.shards[0].replicas)
 
     def replica_states(self) -> list[tuple[str, ...]]:
-        """Per-shard replica states, for tests and the smoke script."""
+        """Each shard's replica states (``HEALTHY`` / ``EJECTED``), one
+        tuple per shard with its replicas in order."""
         return [shard.states() for shard in self.shards]
 
     def stats_totals(self) -> ShardStats:

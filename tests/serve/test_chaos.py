@@ -23,7 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.pir import PirClient, PirServer
-from repro.serve import FLUSH_DRAIN, AsyncPirServer, SloConfig
+from repro.serve import FLUSH_DRAIN, AsyncPirServer
 
 from tests.strategies import (
     BACKEND_FACTORIES,
@@ -33,9 +33,6 @@ from tests.strategies import (
     domain_sizes,
     fast_prf_names,
 )
-
-NEVER = 30.0
-"""A max_wait_s no test waits out (see tests/serve/test_slo.py)."""
 
 CHAOS_SETTINGS = settings(max_examples=5, deadline=None)
 """Each example runs a full serving session plus a sequential oracle
@@ -106,10 +103,7 @@ class TestFaultsPreserveBitExactness:
         sequential = [oracle.handle(frame) for frame in frames]
 
         async def run():
-            loop = AsyncPirServer(
-                server,
-                slo=SloConfig(max_batch=case["max_batch"], max_wait_s=0.02),
-            )
+            loop = AsyncPirServer(server, max_batch=case["max_batch"])
             async with loop:
                 return loop, await asyncio.gather(
                     *[loop.submit(f) for f in frames]
@@ -138,9 +132,7 @@ class TestFailOnceThenRecover:
         frames = [b.requests[0] for b in client.query_many([1, 2, 3, 4])]
 
         async def run():
-            loop = AsyncPirServer(
-                server, slo=SloConfig(max_batch=4, max_wait_s=NEVER)
-            )
+            loop = AsyncPirServer(server, max_batch=4)
             tasks = await _backlog(loop, frames)
             async with loop:
                 return loop, await asyncio.gather(*tasks)
@@ -171,9 +163,7 @@ class TestFailOnceThenRecover:
         frames = [b.requests[0] for b in batches]
 
         async def run():
-            loop = AsyncPirServer(
-                server, slo=SloConfig(max_batch=64, max_wait_s=0.01)
-            )
+            loop = AsyncPirServer(server, max_batch=64)
             async with loop:
                 return loop, await asyncio.gather(
                     *[loop.submit(f) for f in frames]
@@ -197,11 +187,7 @@ class TestRetryExhaustion:
         frames = [b.requests[0] for b in client.query_many([1, 2, 3])]
 
         async def run():
-            loop = AsyncPirServer(
-                server,
-                slo=SloConfig(max_batch=4, max_wait_s=NEVER),
-                max_attempts=3,
-            )
+            loop = AsyncPirServer(server, max_batch=4, max_attempts=3)
             tasks = await _backlog(loop, frames)
             await loop.start()
             await loop.stop()
@@ -226,11 +212,7 @@ class TestRetryExhaustion:
         frames = [b.requests[0] for b in client.query_many([1, 2])]
 
         async def run():
-            loop = AsyncPirServer(
-                server,
-                slo=SloConfig(max_batch=2, max_wait_s=NEVER),
-                max_attempts=1,
-            )
+            loop = AsyncPirServer(server, max_batch=2, max_attempts=1)
             tasks = await _backlog(loop, frames)
             async with loop:
                 return loop, await asyncio.gather(*tasks, return_exceptions=True)

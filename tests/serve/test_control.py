@@ -2,9 +2,10 @@
 
 The loop serves requests in arrival order from a single queue, sheds
 on the ``max_pending`` depth cap alone, and puts a failed request back
-at the queue's front, up to ``max_attempts`` dispatches.  Backlogs are built before the aggregation task
-starts and completion order is observed through future resolution, so
-every test here pins an *exact* order.
+at the queue's front, up to ``max_attempts`` dispatches.  Backlogs are
+built before the aggregation task starts and completion order is
+observed through future resolution, so every test here pins an *exact*
+order.
 """
 
 import asyncio
@@ -21,7 +22,6 @@ from repro.serve import (
     AsyncPirServer,
     PirServerOverloaded,
     ShardedPirServer,
-    SloConfig,
 )
 
 from tests.strategies import FaultPlan, FlakyBackend
@@ -52,7 +52,7 @@ def _frames(count, domain=32, prf="siphash", seed=0):
     return table, [b.requests[0] for b in client.query_many(list(range(count)))]
 
 
-def _completion_order(server, frames, cancel=(), **loop_kwargs):
+def _completion_order(server, frames, cancel=()):
     """Submit every frame before ``start()`` and serve them through
     ``max_batch=2`` flushes; returns (loop, replies by index, indices in
     completion order).  ``set_result`` order is flush order, so the
@@ -66,7 +66,7 @@ def _completion_order(server, frames, cancel=(), **loop_kwargs):
         return reply
 
     async def run():
-        loop = AsyncPirServer(server, slo=SloConfig(max_batch=2), **loop_kwargs)
+        loop = AsyncPirServer(server, max_batch=2)
         tasks = []
         for i in range(len(frames)):
             tasks.append(asyncio.create_task(tracked(loop, i)))
@@ -119,19 +119,14 @@ class TestFifoService:
 
 
 class TestRetrySeniority:
-    @pytest.mark.parametrize(
-        "clock", [None, lambda: 0.0], ids=["monotonic", "frozen"]
-    )
-    def test_failed_batch_is_retried_ahead_of_later_requests(self, clock):
+    def test_failed_batch_is_retried_ahead_of_later_requests(self):
         """The first dispatch ([0, 1]) fails once; both requests go back
         to the queue's front, oldest first, and are taken ahead of the
-        requests submitted after them — also when every request was
-        enqueued at the same clock reading."""
+        requests submitted after them."""
         table, frames = _frames(4)
         backend = FlakyBackend(SingleGpuBackend(), FaultPlan.nth(1))
         server = _server("plain", table, backend=backend)
-        kwargs = {"clock": clock} if clock is not None else {}
-        loop, replies, order = _completion_order(server, frames, **kwargs)
+        loop, replies, order = _completion_order(server, frames)
         assert backend.faults == 1
         assert loop.stats.retried == 2
         assert order == [0, 1, 2, 3]

@@ -3,8 +3,8 @@
 Answers served through the async batch-aggregation loop must be
 *bit-identical* to sequential ``PirServer.handle`` for the same
 queries — per reply frame, byte for byte — across every backend, at
-every concurrency level, under whatever batch fusion the SLO knobs
-produce.  The property draws random tables, indices, and flush
+every concurrency level, under whatever batch fusion ``max_batch``
+produces.  The property draws random tables, indices, and flush
 configurations, so single-query batches, partially fused batches, and
 fully fused batches are all exercised against the same oracle.
 """
@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from repro.exec import PlanCache, SingleGpuBackend
 from repro.pir import PirClient, PirServer
-from repro.serve import AsyncPirServer, SloConfig
+from repro.serve import AsyncPirServer
 
 from tests.strategies import (
     BACKEND_FACTORIES,
@@ -46,18 +46,18 @@ def serve_cases(draw):
         "prf": draw(fast_prf_names),
         "table_seed": draw(st.integers(0, 2**32 - 1)),
         "key_seed": draw(st.integers(0, 2**32 - 1)),
-        # Drawn so flushes happen on max_batch sometimes and on the
-        # deadline otherwise; equivalence must hold either way.
+        # Drawn so flushes are full max_batch batches sometimes and
+        # non-full ones otherwise; equivalence must hold either way.
         "max_batch": draw(st.sampled_from((1, 2, 64))),
         "resident": draw(st.booleans()),
     }
 
 
-def _serve_concurrently(server, frames, slo):
+def _serve_concurrently(server, frames, max_batch):
     """All frames submitted at once through one aggregation loop."""
 
     async def run():
-        loop = AsyncPirServer(server, slo=slo)
+        loop = AsyncPirServer(server, max_batch=max_batch)
         async with loop:
             return await asyncio.gather(*[loop.submit(f) for f in frames])
 
@@ -89,8 +89,7 @@ class TestAsyncMatchesSequential:
         ]
 
         sequential = [server.handle(frame) for frame in frames]
-        slo = SloConfig(max_batch=case["max_batch"], max_wait_s=0.02)
-        concurrent = _serve_concurrently(server, frames, slo)
+        concurrent = _serve_concurrently(server, frames, case["max_batch"])
 
         assert concurrent == sequential  # whole reply frames, byte for byte
 
@@ -113,7 +112,7 @@ class TestEndToEndReconstruction:
                         backend=BACKEND_FACTORIES[backend_name](),
                         prf_name="siphash",
                     ),
-                    slo=SloConfig(max_batch=4, max_wait_s=0.005),
+                    max_batch=4,
                 )
                 for _ in range(2)
             ]
@@ -149,7 +148,7 @@ class TestEndToEndReconstruction:
         frames = [client.query([i, 31 - i]).requests[0] for i in range(4)]
 
         async def run():
-            loop = AsyncPirServer(server, slo=SloConfig(max_batch=4))
+            loop = AsyncPirServer(server, max_batch=4)
             async with loop:
                 return loop, await asyncio.gather(*[loop.submit(f) for f in frames])
 
@@ -167,35 +166,31 @@ class TestEndToEndReconstruction:
         batches = [client.query([1, 2, 3]), client.query([40]), client.query([7, 7])]
         frames = [b.requests[0] for b in batches]
         sequential = [server.handle(f) for f in frames]
-        got = _serve_concurrently(
-            server, frames, SloConfig(max_batch=64, max_wait_s=0.01)
-        )
+        got = _serve_concurrently(server, frames, max_batch=64)
         assert got == sequential
 
 
-class TestPlanCacheMirroring:
-    """``ServingStats`` reads the server's plan-cache counters live."""
-
-    def _serve(self, seed, plan_cache=None):
-        """Ten 3-key requests, all submitted at once, through a default
-        loop with ``max_batch=4`` (one request per flush); returns the
-        loop's stats after checking every reply."""
-        rng = np.random.default_rng(seed)
+class TestPlanCacheThroughTheLoop:
+    def test_one_lookup_per_flush_and_steady_state_hits(self):
+        """Ten 3-key requests, all submitted at once, through a loop
+        with ``max_batch=4`` (one request per flush): the server's plan
+        cache sees one lookup per flush, and every flush after the
+        first warm one hits.  The counters are the cache's own (its
+        ``plan_cache`` metrics view); the loop keeps no copy."""
+        rng = np.random.default_rng(7)
         table = rng.integers(0, 1 << 63, size=256, dtype=np.uint64)
         client = PirClient(256, "chacha20", rng=rng)
         frames = [
             b.requests[0]
             for b in client.query_many(rng.integers(0, 256, size=30), 3)
         ]
+        cache = PlanCache()
         server = PirServer(
-            table,
-            backend=SingleGpuBackend(),
-            prf_name="chacha20",
-            plan_cache=plan_cache,
+            table, backend=SingleGpuBackend(), prf_name="chacha20", plan_cache=cache
         )
 
         async def run():
-            loop = AsyncPirServer(server, slo=SloConfig(max_batch=4))
+            loop = AsyncPirServer(server, max_batch=4)
             async with loop:
                 replies = await asyncio.gather(*[loop.submit(f) for f in frames])
             return replies, loop.stats
@@ -203,21 +198,8 @@ class TestPlanCacheMirroring:
         replies, stats = asyncio.run(run())
         oracle = PirServer(table, prf_name="chacha20")
         assert replies == [oracle.handle(f) for f in frames]
-        return stats
-
-    def test_stats_mirror_the_caches_counters(self):
-        cache = PlanCache()
-        stats = self._serve(seed=7, plan_cache=cache)
-        assert stats.plan_cache_misses == cache.stats.misses
-        assert stats.plan_cache_hits == cache.stats.hits
-        assert cache.stats.lookups == stats.batches
-        # Steady state: every batch after the first warm one hits.
-        assert stats.plan_cache_hits > 0
-
-    def test_no_cache_leaves_counters_zero(self):
-        stats = self._serve(seed=8)
-        assert stats.plan_cache_hits == 0
-        assert stats.plan_cache_misses == 0
+        assert cache.stats.lookups == stats.batches == 10
+        assert cache.stats.hits > 0
 
 
 class TestSubmitValidation:
@@ -260,9 +242,7 @@ class TestCancellation:
         frames = [b.requests[0] for b in client.query_many([1, 2, 3])]
 
         async def run():
-            loop = AsyncPirServer(
-                server, slo=SloConfig(max_batch=1024, max_wait_s=30.0)
-            )
+            loop = AsyncPirServer(server, max_batch=1024)
             tasks = [
                 asyncio.create_task(loop.submit(frame)) for frame in frames
             ]
@@ -310,9 +290,7 @@ class TestCancellation:
         server.backend = CancelDuringRun(server.backend)
 
         async def run():
-            loop = AsyncPirServer(
-                server, slo=SloConfig(max_batch=2, max_wait_s=30.0)
-            )
+            loop = AsyncPirServer(server, max_batch=2)
             tasks = [
                 asyncio.create_task(loop.submit(frame)) for frame in frames
             ]
@@ -341,7 +319,7 @@ class TestCancellation:
         frames = [b.requests[0] for b in client.query_many([1, 2])]
 
         async def run():
-            loop = AsyncPirServer(server, slo=SloConfig(max_batch=1))
+            loop = AsyncPirServer(server, max_batch=1)
             async with loop:
                 first = asyncio.create_task(loop.submit(frames[0]))
                 # Wait for the injected fault to requeue it.

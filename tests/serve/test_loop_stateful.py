@@ -4,13 +4,14 @@ A Hypothesis :class:`RuleBasedStateMachine` drives one
 :class:`~repro.serve.AsyncPirServer` through random interleavings of
 four rules — submit a request (optionally cancelling it a few
 event-loop turns later), cancel a waiting caller, advance the clock,
-and stop (drain) then restart — under the default work-conserving
-``SloConfig()`` and under a lingering configuration.
+and stop (drain) then restart — on the default loop and on one with
+``max_batch=4``, where max-batch splits and cancellations of queued
+callers happen within a few steps.
 
-Time is one injected clock shared by the loop, its tracer *and* the
-event loop itself (:class:`_ManualClockLoop`), so a linger deadline is
-a timer on that clock: nothing fires until a rule advances it, and a
-failing interleaving replays exactly from its seed.
+Time is one injected clock shared by the tracer *and* the event loop
+itself (:class:`_ManualClockLoop`), so a timer fires only when a rule
+advances it and a failing interleaving replays exactly from its seed.
+The loop waits on nothing timed, so it never arms one.
 
 After every step:
 
@@ -18,6 +19,7 @@ After every step:
   walk (``eval_full`` of each key dotted with the table), a typed
   failure, or the cancellation the machine itself issued;
 * no flush fused more than ``max_batch`` queries;
+* no timer was ever armed on the event loop;
 * the loop's counters balance: every admitted query is answered,
   cancelled, failed or still pending, exactly once.
 
@@ -30,7 +32,6 @@ from __future__ import annotations
 import asyncio
 
 import numpy as np
-import pytest
 from hypothesis.stateful import (
     RuleBasedStateMachine,
     initialize,
@@ -46,7 +47,6 @@ from repro.obs.trace import STAGE_MERGE, STATUS_ANSWERED, chain_problems
 from repro.pir import PirClient, PirQuery, PirReply, PirServer
 from repro.serve import AsyncPirServer, PirServerOverloaded
 from tests.strategies import (
-    SLO_CONFIGS,
     STATEFUL_SETTINGS,
     cancel_turns,
     clock_steps,
@@ -72,15 +72,22 @@ class _ManualClock:
 
 
 class _ManualClockLoop(asyncio.SelectorEventLoop):
-    """An event loop whose timers run on the manual clock, so a linger
-    deadline fires exactly when a rule advances past it."""
+    """An event loop whose timers run on the manual clock, so a timer
+    fires exactly when a rule advances past it; it counts every timer
+    armed on it (``call_later`` and ``asyncio.sleep(delay > 0)`` arm
+    theirs through ``call_at``)."""
 
     def __init__(self, clock: _ManualClock):
         super().__init__()
         self._manual_clock = clock
+        self.timers_armed = 0
 
     def time(self) -> float:
         return self._manual_clock()
+
+    def call_at(self, when, callback, *args, **kwargs):
+        self.timers_armed += 1
+        return super().call_at(when, callback, *args, **kwargs)
 
 
 def _reference_answers(table: np.ndarray, frame: bytes) -> np.ndarray:
@@ -110,9 +117,10 @@ class _Caller:
 
 
 class ServingLoopMachine(RuleBasedStateMachine):
-    """One serving loop on a manual clock; subclasses pick the SLO."""
+    """One serving loop on a manual clock: the default loop, or what a
+    subclass's ``loop_kwargs`` make of it."""
 
-    slo_name = "zero_linger"
+    loop_kwargs: dict = {}
 
     def __init__(self):
         super().__init__()
@@ -121,13 +129,11 @@ class ServingLoopMachine(RuleBasedStateMachine):
         rng = np.random.default_rng(0)
         self.table = rng.integers(0, 1 << 64, size=DOMAIN, dtype=np.uint64)
         self.client = PirClient(DOMAIN, PRF, rng=np.random.default_rng(1))
-        self.slo = SLO_CONFIGS[self.slo_name]
         self.tracer = Tracer(clock=self.clock)
         self.server = AsyncPirServer(
             PirServer(self.table, prf_name=PRF),
-            slo=self.slo,
-            clock=self.clock,
             tracer=self.tracer,
+            **self.loop_kwargs,
         )
         self.callers: list[_Caller] = []
         self.cancellers: list[asyncio.Task] = []
@@ -201,7 +207,14 @@ class ServingLoopMachine(RuleBasedStateMachine):
         self.loop.run_until_complete(self.server.start())
 
     def _drain(self) -> None:
-        self.loop.run_until_complete(self.server.stop())
+        stopping = self.loop.create_task(self.server.stop())
+        while not stopping.done():
+            self._turns()
+            if self.loop.timers_armed:
+                # Only a timer (which no_timer_is_armed reports) can hold
+                # the drain on the manual clock: fire it, do not hang.
+                self.clock.now += 3600.0
+        stopping.result()
         self._turns()
         assert self.server.pending_queries == 0
         for caller in self.callers:
@@ -254,11 +267,17 @@ class ServingLoopMachine(RuleBasedStateMachine):
 
     @invariant()
     def no_flush_exceeds_max_batch(self):
-        assert self.server.stats.largest_batch <= self.slo.max_batch
+        assert self.server.stats.largest_batch <= self.server.max_batch
         for trace in self.traces + self.tracer.finished:
             for span in trace.spans:
                 if span.name == STAGE_MERGE:
-                    assert span.annotations["queries"] <= self.slo.max_batch
+                    assert span.annotations["queries"] <= self.server.max_batch
+
+    @invariant()
+    def no_timer_is_armed(self):
+        """Idle or busy, the loop waits on its wake event and yields
+        with ``sleep(0)``: nothing it does is timed."""
+        assert self.loop.timers_armed == 0
 
     @invariant()
     def counters_balance(self):
@@ -281,29 +300,29 @@ class ServingLoopMachine(RuleBasedStateMachine):
         assert answered_keys <= stats.answered <= answered_keys + cancelled_keys
 
 
-class LingeringLoopMachine(ServingLoopMachine):
-    slo_name = "linger"
+class SmallBatchLoopMachine(ServingLoopMachine):
+    loop_kwargs = {"max_batch": 4}
 
 
-TestZeroLingerLoop = ServingLoopMachine.TestCase
-TestZeroLingerLoop.settings = STATEFUL_SETTINGS
-TestLingeringLoop = LingeringLoopMachine.TestCase
-TestLingeringLoop.settings = STATEFUL_SETTINGS
+TestDefaultLoop = ServingLoopMachine.TestCase
+TestDefaultLoop.settings = STATEFUL_SETTINGS
+TestSmallBatchLoop = SmallBatchLoopMachine.TestCase
+TestSmallBatchLoop.settings = STATEFUL_SETTINGS
 
 
-@pytest.mark.parametrize("slo_name", sorted(SLO_CONFIGS))
-def test_manual_clock_holds_a_linger_until_advanced(slo_name):
-    """The harness itself: a lone query under a positive linger waits
-    for the clock, and under the default it does not."""
-    machine = type("M", (ServingLoopMachine,), {"slo_name": slo_name})()
+def test_the_harness_counts_the_timers_it_is_given():
+    """The no-timer invariant is not vacuous: a lone query is answered
+    on a clock that never moves with no timer armed, and one
+    ``call_later`` on the same event loop is counted."""
+    machine = ServingLoopMachine()
     try:
         machine.start()
         machine.submit([3], None)
         (caller,) = machine.callers
-        lingers = machine.slo.max_wait_s > 0
-        assert caller.task.done() is not lingers
-        machine.advance(machine.slo.max_wait_s)
         assert caller.task.done()
         assert caller.outcomes[0][0] == "answered"
+        assert machine.loop.timers_armed == 0
+        machine.loop.call_later(0.002, lambda: None)
+        assert machine.loop.timers_armed == 1
     finally:
         machine.teardown()

@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.pir import FRAME_HEADER_BYTES, PirClient, PirQuery, PirReply, PirServer
-from repro.serve import AsyncPirServer, SloConfig
+from repro.serve import AsyncPirServer
 
 from tests.dpf.test_keys_wire import _dpf2_record
 
@@ -38,7 +38,7 @@ def _serve(servers, frames_per_party):
 
     async def run():
         loops = [
-            AsyncPirServer(server, slo=SloConfig(max_batch=8, max_wait_s=1e-3))
+            AsyncPirServer(server, max_batch=8)
             for server in servers
         ]
         async with loops[0], loops[1]:
@@ -110,7 +110,7 @@ class TestRootTSevenIsRefused:
         good = client.query([99])
 
         async def run():
-            loop = AsyncPirServer(servers[0], slo=SloConfig(max_batch=4, max_wait_s=1e-3))
+            loop = AsyncPirServer(servers[0], max_batch=4)
             async with loop:
                 for frame, match in hostile:
                     with pytest.raises(ValueError, match=match):

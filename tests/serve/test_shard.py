@@ -30,7 +30,6 @@ from repro.serve import (
     HEALTHY,
     ReplicaSet,
     ShardedPirServer,
-    SloConfig,
     shard_ranges,
 )
 
@@ -38,9 +37,6 @@ from tests.strategies import BACKEND_FACTORIES, BackendFault, FaultPlan, FlakyBa
 
 DOMAIN = 61
 PRF = "siphash"
-
-NEVER = 30.0
-"""A max_wait_s no test waits out (see tests/serve/test_slo.py)."""
 
 
 def _table(seed=0, domain=DOMAIN):
@@ -352,7 +348,7 @@ class TestNoDarkShard:
         frames = [client.query([i]).requests[0] for i in range(6)]
 
         async def run():
-            loop = AsyncPirServer(server, slo=SloConfig(max_batch=2, max_wait_s=NEVER))
+            loop = AsyncPirServer(server, max_batch=2)
             tasks = await _backlog(loop, frames, queries=6)
             async with loop:
                 pass
@@ -390,7 +386,7 @@ class TestNoDarkShard:
         frames = [client.query([i, 60 - i]).requests[0] for i in range(4)]
 
         async def run():
-            loop = AsyncPirServer(server, slo=SloConfig(max_batch=4, max_wait_s=NEVER))
+            loop = AsyncPirServer(server, max_batch=4)
             tasks = await _backlog(loop, frames, queries=4)
             async with loop:
                 pass
@@ -555,7 +551,7 @@ class TestAsyncIntegration:
         frames = [client.query([i, (i * 7) % DOMAIN]).requests[0] for i in range(8)]
 
         async def run():
-            loop = AsyncPirServer(server, slo=SloConfig(max_batch=4, max_wait_s=NEVER))
+            loop = AsyncPirServer(server, max_batch=4)
             tasks = await _backlog(loop, frames, queries=16)
             async with loop:
                 pass  # drain-on-stop flushes the whole backlog
@@ -581,7 +577,7 @@ class TestAsyncIntegration:
         frames = [b.requests[0] for b in old_batches + new_batches]
 
         async def run():
-            loop = AsyncPirServer(server, slo=SloConfig(max_batch=64, max_wait_s=NEVER))
+            loop = AsyncPirServer(server, max_batch=64)
             tasks = await _backlog(loop, frames, queries=6)
             async with loop:
                 pass
@@ -614,11 +610,7 @@ class TestAsyncIntegration:
         frames = [client.query([i]).requests[0] for i in range(3)]
 
         async def run():
-            loop = AsyncPirServer(
-                server,
-                slo=SloConfig(max_batch=3, max_wait_s=NEVER),
-                max_attempts=2,
-            )
+            loop = AsyncPirServer(server, max_batch=3, max_attempts=2)
             tasks = await _backlog(loop, frames, queries=3)
             async with loop:
                 pass

@@ -1,15 +1,14 @@
-"""SLO triggers, admission control, and drain behavior.
+"""Flush reasons, admission control, and drain behavior.
 
-Each flush trigger — max-batch, arena-bytes budget, max-wait deadline —
-gets a test constructed so *only* that trigger can fire (the others are
-parked at unreachable values), asserted through the loop's observable
-flush-reason counters.  Backpressure tests build deterministic
-backlogs by submitting before the aggregation task starts, so shedding
-is exact, not racy.
+A flush is a full ``max_batch`` batch, a non-full batch dispatched at
+once (reason ``deadline``), or the drain of a stopping loop; each gets a
+test asserted through the loop's observable flush-reason counters.
+Backpressure tests build deterministic backlogs by submitting before the
+aggregation task starts, so shedding is exact, not racy.
 """
 
 import asyncio
-import dataclasses
+import inspect
 import threading
 
 import numpy as np
@@ -19,21 +18,19 @@ import repro.serve
 import repro.serve.loop
 from repro.pir import PirClient, PirServer
 from repro.serve import (
-    FLUSH_ARENA_BYTES,
     FLUSH_DEADLINE,
     FLUSH_DRAIN,
     FLUSH_MAX_BATCH,
-    AdmissionConfig,
     AsyncPirServer,
     PirServerOverloaded,
     ServingStats,
     ShardedPirServer,
-    SloConfig,
 )
 
-NEVER = 30.0
-"""A max_wait_s no test waits out — if a flush depended on it, the
-test would time out instead of passing."""
+TURNS = 12
+"""Event-loop turns that suffice for a submission to be admitted,
+fused, dispatched and delivered to its caller when nothing waits on
+time."""
 
 
 def _fixture(domain=32, prf="siphash", seed=0):
@@ -57,15 +54,12 @@ async def _backlog(loop, frames, queries=None):
 
 class TestFlushTriggers:
     def test_max_batch_flushes_without_waiting(self):
-        """Exactly max_batch queries flush immediately — max_wait is
-        parked so high that reaching the deadline would hang the test."""
+        """Exactly max_batch queries flush at once as one full batch."""
         table, server, client = _fixture()
         frames = [b.requests[0] for b in client.query_many([1, 2, 3, 4])]
 
         async def run():
-            loop = AsyncPirServer(
-                server, slo=SloConfig(max_batch=4, max_wait_s=NEVER)
-            )
+            loop = AsyncPirServer(server, max_batch=4)
             tasks = await _backlog(loop, frames)
             async with loop:
                 replies = await asyncio.gather(*tasks)
@@ -77,15 +71,13 @@ class TestFlushTriggers:
         assert replies == [server.handle(f) for f in frames]
 
     def test_deadline_flushes_a_lone_query(self):
-        """One query under a huge max_batch is answered by the max-wait
-        deadline — the only trigger that can fire."""
+        """A lone query on the default loop is a non-full batch,
+        dispatched at once with reason ``deadline``."""
         table, server, client = _fixture()
         frame = client.query([5]).requests[0]
 
         async def run():
-            loop = AsyncPirServer(
-                server, slo=SloConfig(max_batch=1024, max_wait_s=0.02)
-            )
+            loop = AsyncPirServer(server)
             async with loop:
                 return loop, await loop.submit(frame)
 
@@ -93,61 +85,13 @@ class TestFlushTriggers:
         assert loop.stats.flushes == {FLUSH_DEADLINE: 1}
         assert reply == server.handle(frame)
 
-    def test_arena_bytes_budget_flushes(self):
-        """A 1-byte budget trips on any pending key material."""
-        table, server, client = _fixture()
-        frame = client.query([5]).requests[0]
-
-        async def run():
-            loop = AsyncPirServer(
-                server,
-                slo=SloConfig(
-                    max_batch=1024, max_wait_s=NEVER, max_arena_bytes=1
-                ),
-            )
-            async with loop:
-                return loop, await loop.submit(frame)
-
-        loop, reply = asyncio.run(run())
-        assert loop.stats.flushes == {FLUSH_ARENA_BYTES: 1}
-        assert reply == server.handle(frame)
-
-    def test_arena_budget_caps_the_merged_batch_too(self):
-        """The bytes budget bounds each fused batch's arena footprint,
-        not just when to flush: 4 one-key requests under a 2-key budget
-        dispatch as 2+2, never as one 4-key batch."""
-        table, server, client = _fixture()
-        frames = [b.requests[0] for b in client.query_many([1, 2, 3, 4])]
-        per_request = server.parse_query(frames[0])[1].arena().nbytes
-
-        async def run():
-            loop = AsyncPirServer(
-                server,
-                slo=SloConfig(
-                    max_batch=1024,
-                    max_wait_s=NEVER,
-                    max_arena_bytes=2 * per_request,
-                ),
-            )
-            tasks = await _backlog(loop, frames)
-            async with loop:
-                return loop, await asyncio.gather(*tasks)
-
-        loop, replies = asyncio.run(run())
-        assert loop.stats.flushes == {FLUSH_ARENA_BYTES: 2}
-        assert loop.stats.batches == 2
-        assert loop.stats.largest_batch == 2
-        assert replies == [server.handle(f) for f in frames]
-
     def test_stop_drains_pending_queries(self):
         """Stopping the loop answers the backlog (reason: drain)."""
         table, server, client = _fixture()
         frames = [b.requests[0] for b in client.query_many([1, 2])]
 
         async def run():
-            loop = AsyncPirServer(
-                server, slo=SloConfig(max_batch=1024, max_wait_s=NEVER)
-            )
+            loop = AsyncPirServer(server, max_batch=1024)
             tasks = await _backlog(loop, frames)
             await loop.start()
             await loop.stop()
@@ -163,9 +107,7 @@ class TestFlushTriggers:
         frames = [b.requests[0] for b in client.query_many(list(range(8)))]
 
         async def run():
-            loop = AsyncPirServer(
-                server, slo=SloConfig(max_batch=3, max_wait_s=0.02)
-            )
+            loop = AsyncPirServer(server, max_batch=3)
             tasks = await _backlog(loop, frames)
             async with loop:
                 return loop, await asyncio.gather(*tasks)
@@ -184,11 +126,7 @@ class TestAdmissionControl:
         frames = [b.requests[0] for b in client.query_many([1, 2, 3, 4])]
 
         async def run():
-            loop = AsyncPirServer(
-                server,
-                slo=SloConfig(max_batch=1024, max_wait_s=NEVER),
-                admission=AdmissionConfig(max_pending=3),
-            )
+            loop = AsyncPirServer(server, max_batch=1024, max_pending=3)
             admitted = await _backlog(loop, frames[:3])
             with pytest.raises(PirServerOverloaded, match="max_pending=3"):
                 await loop.submit(frames[3])
@@ -208,11 +146,7 @@ class TestAdmissionControl:
         frames = [b.requests[0] for b in client.query_many([1, 2, 3])]
 
         async def run():
-            loop = AsyncPirServer(
-                server,
-                slo=SloConfig(max_batch=2, max_wait_s=0.01),
-                admission=AdmissionConfig(max_pending=2),
-            )
+            loop = AsyncPirServer(server, max_batch=2, max_pending=2)
             tasks = await _backlog(loop, frames[:2])
             async with loop:
                 await asyncio.gather(*tasks)
@@ -237,9 +171,7 @@ class TestAdmissionControl:
         ).to_bytes()
 
         async def run():
-            loop = AsyncPirServer(
-                server, admission=AdmissionConfig(max_pending=8)
-            )
+            loop = AsyncPirServer(server, max_pending=8)
             async with loop:
                 with pytest.raises(PirServerOverloaded):
                     await loop.submit(flood)
@@ -257,11 +189,7 @@ class TestAdmissionControl:
         small = client.query([4]).requests[0]
 
         async def run():
-            loop = AsyncPirServer(
-                server,
-                slo=SloConfig(max_batch=1024, max_wait_s=NEVER),
-                admission=AdmissionConfig(max_pending=3),
-            )
+            loop = AsyncPirServer(server, max_batch=1024, max_pending=3)
             tasks = await _backlog(loop, [big], queries=3)
             with pytest.raises(PirServerOverloaded):
                 await loop.submit(small)
@@ -284,7 +212,7 @@ class TestAdmissionControl:
         frames = [b.requests[0] for b in client.query_many(range(400))]
 
         async def run():
-            loop = AsyncPirServer(server, admission=AdmissionConfig(max_pending=400))
+            loop = AsyncPirServer(server, max_pending=400)
             tasks = [asyncio.ensure_future(loop.submit(f)) for f in frames]
             # Every submit runs to its await before the loop starts.
             await asyncio.sleep(0)
@@ -323,24 +251,35 @@ class TestLifecycle:
 
 
 class TestConfigValidation:
-    def test_slo_rejects_nonsense(self):
-        with pytest.raises(ValueError, match="max_batch"):
-            SloConfig(max_batch=0)
-        with pytest.raises(ValueError, match="max_wait_s"):
-            SloConfig(max_wait_s=-1.0)
-        with pytest.raises(ValueError, match="max_arena_bytes"):
-            SloConfig(max_arena_bytes=0)
+    def test_the_constructor_takes_three_integers(self):
+        """Batch cap, depth cap and attempts are the loop's only knobs:
+        no config objects, no linger, no byte budget, no clock."""
+        assert list(inspect.signature(AsyncPirServer).parameters) == [
+            "server",
+            "max_batch",
+            "max_pending",
+            "max_attempts",
+            "tracer",
+            "metrics",
+        ]
+        table, server, _ = _fixture()
+        for name in (
+            "slo",
+            "admission",
+            "clock",
+            "max_wait_s",
+            "max_arena_bytes",
+            "drain_budget_s",
+        ):
+            with pytest.raises(TypeError):
+                AsyncPirServer(server, **{name: None})
 
-    def test_admission_rejects_nonsense(self):
-        with pytest.raises(ValueError, match="max_pending"):
-            AdmissionConfig(max_pending=0)
-
-    def test_admission_is_the_depth_cap_alone(self):
-        """No modeled drain budget: the queue bound is one number."""
-        fields = [f.name for f in dataclasses.fields(AdmissionConfig)]
-        assert fields == ["max_pending"]
-        with pytest.raises(TypeError):
-            AdmissionConfig(drain_budget_s=0.25)
+    @pytest.mark.parametrize("knob", ["max_batch", "max_pending"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_caps_must_be_positive(self, knob, value):
+        table, server, _ = _fixture()
+        with pytest.raises(ValueError, match=f"{knob} must be positive, got {value}"):
+            AsyncPirServer(server, **{knob: value})
 
     def test_the_loop_has_no_dispatch_thread_knob(self):
         table, server, _ = _fixture()
@@ -358,8 +297,8 @@ class TestConfigValidation:
             assert exported == expected
 
     def test_serving_view_keys(self):
-        """The metrics-registry view carries the loop's counters and
-        the live plan-cache pair, nothing else."""
+        """The metrics-registry view carries the loop's own counters,
+        nothing else (the plan cache has its own view)."""
         assert list(ServingStats().as_dict()) == [
             "submitted",
             "answered",
@@ -372,8 +311,6 @@ class TestConfigValidation:
             "largest_batch",
             "mean_batch",
             "flushes",
-            "plan_cache_hits",
-            "plan_cache_misses",
         ]
 
 
@@ -394,7 +331,7 @@ class TestInlineDispatch:
         frames = [b.requests[0] for b in client.query_many([1, 2, 3])]
 
         async def run():
-            loop = AsyncPirServer(server, slo=SloConfig(max_batch=1))
+            loop = AsyncPirServer(server, max_batch=1)
             async with loop:
                 return await asyncio.gather(*[loop.submit(f) for f in frames])
 
@@ -406,7 +343,8 @@ class TestInlineDispatch:
 
 class TestRestartLifecycle:
     """Stop → start is a supported cycle: stats persist, the queue
-    re-opens, and drain flushes obey the same SLO caps as live ones."""
+    re-opens, and drain flushes obey the same ``max_batch`` cap as live
+    ones."""
 
     def test_submit_during_stop_raises(self):
         """A submission racing an in-progress stop() is refused — it
@@ -431,9 +369,7 @@ class TestRestartLifecycle:
         frames = [b.requests[0] for b in client.query_many([1, 2])]
 
         async def run():
-            loop = AsyncPirServer(
-                server, slo=SloConfig(max_batch=1, max_wait_s=NEVER)
-            )
+            loop = AsyncPirServer(server, max_batch=1)
             async with loop:
                 first = await loop.submit(frames[0])
             async with loop:
@@ -452,9 +388,7 @@ class TestRestartLifecycle:
         frames = [b.requests[0] for b in client.query_many(list(range(8)))]
 
         async def run():
-            loop = AsyncPirServer(
-                server, slo=SloConfig(max_batch=3, max_wait_s=NEVER)
-            )
+            loop = AsyncPirServer(server, max_batch=3)
             tasks = await _backlog(loop, frames)
             await loop.start()
             await loop.stop()
@@ -469,54 +403,26 @@ class TestRestartLifecycle:
         assert loop.stats.largest_batch == 3
         assert loop.stats.flushes.get(FLUSH_DRAIN, 0) >= 1
 
-    def test_drain_respects_arena_bytes_budget(self):
-        """The arena-bytes cap bounds drain flushes too."""
-        table, server, client = _fixture()
-        frames = [b.requests[0] for b in client.query_many([1, 2, 3, 4])]
-        per_request = server.parse_query(frames[0])[1].arena().nbytes
-
-        async def run():
-            loop = AsyncPirServer(
-                server,
-                slo=SloConfig(
-                    max_batch=1024,
-                    max_wait_s=NEVER,
-                    max_arena_bytes=2 * per_request,
-                ),
-            )
-            tasks = await _backlog(loop, frames)
-            await loop.start()
-            await loop.stop()
-            return loop, await asyncio.gather(*tasks)
-
-        loop, replies = asyncio.run(run())
-        assert replies == [server.handle(f) for f in frames]
-        assert loop.stats.batches == 2
-        assert loop.stats.largest_batch == 2
-
-
-def _frozen_clock() -> float:
-    """An injected clock that never advances: a flush that waited for
-    time to pass would hang (and time out) instead of passing."""
-    return 0.0
-
 
 class TestWorkConserving:
-    """The default zero linger: an idle loop dispatches whatever is
-    queued as soon as it runs, after one yield that fuses every
-    submission already runnable in that event-loop turn."""
+    """An idle loop dispatches whatever is queued as soon as it runs,
+    after one yield that fuses every submission already runnable in that
+    event-loop turn."""
 
-    def test_default_linger_is_zero(self):
-        assert SloConfig().max_wait_s == 0.0
-
-    def test_lone_query_is_answered_without_the_clock_advancing(self):
+    def test_lone_query_is_answered_within_a_few_turns(self):
+        """Nothing waits on time: the reply lands within a few
+        event-loop turns, long before any timer could fire."""
         table, server, client = _fixture()
         frame = client.query([5]).requests[0]
 
         async def run():
-            loop = AsyncPirServer(server, slo=SloConfig(), clock=_frozen_clock)
+            loop = AsyncPirServer(server)
             async with loop:
-                return loop, await asyncio.wait_for(loop.submit(frame), 10)
+                task = asyncio.create_task(loop.submit(frame))
+                for _ in range(TURNS):
+                    await asyncio.sleep(0)
+                assert task.done()
+                return loop, task.result()
 
         loop, reply = asyncio.run(run())
         assert loop.stats.flushes == {FLUSH_DEADLINE: 1}
@@ -528,7 +434,7 @@ class TestWorkConserving:
         frames = [b.requests[0] for b in client.query_many([i % 32 for i in range(k)])]
 
         async def run():
-            loop = AsyncPirServer(server, slo=SloConfig(), clock=_frozen_clock)
+            loop = AsyncPirServer(server)
             async with loop:
                 replies = await asyncio.wait_for(
                     asyncio.gather(*(loop.submit(f) for f in frames)), 10
@@ -536,7 +442,7 @@ class TestWorkConserving:
             return loop, replies
 
         loop, replies = asyncio.run(run())
-        reason = FLUSH_MAX_BATCH if k == SloConfig().max_batch else FLUSH_DEADLINE
+        reason = FLUSH_MAX_BATCH if k == loop.max_batch else FLUSH_DEADLINE
         assert loop.stats.flushes == {reason: 1}
         assert loop.stats.largest_batch == k
         assert replies == [server.handle(f) for f in frames]
@@ -549,7 +455,7 @@ class TestWorkConserving:
         frames = [b.requests[0] for b in client.query_many([1, 2, 3, 4])]
 
         async def run():
-            loop = AsyncPirServer(server, slo=SloConfig(), clock=_frozen_clock)
+            loop = AsyncPirServer(server)
             async with loop:
                 await asyncio.sleep(0)  # the loop is idle, waiting
                 first = asyncio.create_task(loop.submit(frames[0]))
@@ -566,13 +472,13 @@ class TestWorkConserving:
         assert replies == [server.handle(f) for f in frames]
 
     def test_idle_loop_holds_no_helper_task(self):
-        """Idle with nothing time-based pending, the loop waits on its
-        wake event directly: no ``wait_for`` Task beside its own."""
+        """Idle, the loop waits on its wake event directly: no
+        ``wait_for`` Task beside its own."""
         table, server, client = _fixture()
         frame = client.query([7]).requests[0]
 
         async def run():
-            loop = AsyncPirServer(server, slo=SloConfig(), clock=_frozen_clock)
+            loop = AsyncPirServer(server)
             async with loop:
                 for _ in range(5):
                     await asyncio.sleep(0)

@@ -34,11 +34,9 @@ from repro.pir import PirClient, PirServer
 from repro.serve import (
     EJECTED,
     HEALTHY,
-    AdmissionConfig,
     AsyncPirServer,
     PirServerOverloaded,
     ShardedPirServer,
-    SloConfig,
 )
 
 from tests.strategies import FaultPlan, FlakyBackend, domain_sizes, fast_prf_names
@@ -58,13 +56,10 @@ def _fixture(domain=32, prf="siphash", seed=0, backend=None, **server_kwargs):
     return table, server, client
 
 
-def _serve(server, frames, tracer=None, slo=None, **loop_kwargs):
+def _serve(server, frames, tracer=None, max_batch=4, **loop_kwargs):
     async def run():
         loop = AsyncPirServer(
-            server,
-            slo=slo if slo is not None else SloConfig(max_batch=4, max_wait_s=0.02),
-            tracer=tracer,
-            **loop_kwargs,
+            server, max_batch=max_batch, tracer=tracer, **loop_kwargs
         )
         async with loop:
             return loop, await asyncio.gather(*[loop.submit(f) for f in frames])
@@ -109,12 +104,12 @@ class TestTracingChangesNothing:
             0, case["domain"], size=case["concurrency"]
         ).tolist()
         frames = [b.requests[0] for b in client.query_many(indices)]
-        slo = SloConfig(max_batch=case["max_batch"], max_wait_s=0.02)
+        max_batch = case["max_batch"]
 
         sequential = [server.handle(f) for f in frames]
-        _, untraced = _serve(server, frames, slo=slo)
+        _, untraced = _serve(server, frames, max_batch=max_batch)
         tracer = Tracer()
-        _, traced = _serve(server, frames, tracer=tracer, slo=slo)
+        _, traced = _serve(server, frames, tracer=tracer, max_batch=max_batch)
 
         assert traced == untraced == sequential
         answered = _assert_complete(tracer.drain(), len(frames))
@@ -138,7 +133,7 @@ class TestRetryKeepsChainsWhole:
             server,
             frames,
             tracer=tracer,
-            slo=SloConfig(max_batch=4, max_wait_s=0.02),
+            max_batch=4,
             max_attempts=3,
         )
         assert replies == [oracle.handle(f) for f in frames]
@@ -186,7 +181,7 @@ class TestFailoverAnnotations:
             server,
             frames,
             tracer=tracer,
-            slo=SloConfig(max_batch=4, max_wait_s=0.02),
+            max_batch=4,
             max_attempts=3,
         )
         assert replies == [oracle.handle(f) for f in frames]
@@ -214,8 +209,8 @@ class TestTerminalStatuses:
         async def run():
             loop = AsyncPirServer(
                 server,
-                slo=SloConfig(max_batch=4),
-                admission=AdmissionConfig(max_pending=3),
+                max_batch=4,
+                max_pending=3,
                 tracer=tracer,
             )
             tasks = [asyncio.create_task(loop.submit(f)) for f in frames[:3]]
@@ -245,7 +240,7 @@ class TestTerminalStatuses:
         async def run():
             loop = AsyncPirServer(
                 server,
-                slo=SloConfig(max_batch=2, max_wait_s=0.02),
+                max_batch=2,
                 max_attempts=2,
                 tracer=tracer,
             )
@@ -301,10 +296,12 @@ class TestMetricsIntegration:
         loop, _ = _serve(server, frames, tracer=tracer, metrics=registry)
         snap = registry.snapshot()
         assert {"serving", "plan_cache"} <= set(snap["views"])
+        assert snap["views"]["serving"] == loop.stats.as_dict()
         assert snap["views"]["serving"]["answered"] == len(frames)
-        assert snap["views"]["serving"]["plan_cache_hits"] == (
-            loop.stats.plan_cache_hits
-        )
+        # The cache's counters are its own view, read live, one lookup
+        # per flush; the serving view does not mirror them.
+        assert snap["views"]["plan_cache"] == server.plan_cache.stats.as_dict()
+        assert snap["views"]["plan_cache"]["lookups"] == loop.stats.batches
         # Per-stage histograms landed via the tracer.
         assert set(registry.histograms("stage.")) == {
             f"stage.{stage}" for stage in REQUIRED_STAGES
@@ -363,7 +360,7 @@ class TestMetricsIntegration:
         table, server, client = _fixture()
         registry = MetricsRegistry()
         frames = [b.requests[0] for b in client.query_many([1, 2, 3])]
-        _serve(server, frames, slo=SloConfig(max_batch=1), metrics=registry)
+        _serve(server, frames, max_batch=1, metrics=registry)
         path = tmp_path / "metrics.jsonl"
         write_jsonl(path, registry=registry)
         traces, snapshots = read_jsonl(path)

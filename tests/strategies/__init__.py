@@ -21,7 +21,6 @@ from tests.strategies.dpf import (
 )
 from tests.strategies.faults import BackendFault, FaultPlan, FlakyBackend
 from tests.strategies.serving import (
-    SLO_CONFIGS,
     cancel_turns,
     clock_steps,
     fault_patterns,
@@ -38,7 +37,6 @@ from tests.strategies.tiles import TILES, tile_rules, tiled
 __all__ = [
     "BACKEND_FACTORIES",
     "DETERMINISM_SETTINGS",
-    "SLO_CONFIGS",
     "STANDARD_SETTINGS",
     "STATEFUL_SETTINGS",
     "TILES",

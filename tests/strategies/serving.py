@@ -6,26 +6,12 @@ clock, and one :class:`~repro.serve.ReplicaSet` through dispatches
 under drawn faults.  These strategies draw each rule's arguments:
 which rows a request asks for, how many event-loop turns a caller lets
 pass before it cancels, which waiting caller a cancel hits, how far
-the clock moves, and which replicas fault during one dispatch.  Clock steps are multiples of :data:`LINGER_S`, the linger of
-the lingering configuration in :data:`SLO_CONFIGS`, so a drawn step
-lands before, on and past a deadline.
+the clock moves, and which replicas fault during one dispatch.
 """
 
 from __future__ import annotations
 
 from hypothesis import strategies as st
-
-from repro.serve import SloConfig
-
-LINGER_S = 0.01
-
-SLO_CONFIGS = {
-    # The default: work-conserving, every non-full batch flushes at once.
-    "zero_linger": SloConfig(),
-    # Small batches that linger: deadlines, max-batch splits and
-    # cancellations of queued callers all happen within a few steps.
-    "linger": SloConfig(max_batch=4, max_wait_s=LINGER_S),
-}
 
 
 def request_indices(domain: int, max_keys: int = 3) -> st.SearchStrategy[list[int]]:
@@ -47,8 +33,9 @@ def picks() -> st.SearchStrategy[int]:
 
 
 def clock_steps() -> st.SearchStrategy[float]:
-    """How far one rule moves the injected clock."""
-    return st.sampled_from((0.0, LINGER_S / 2, LINGER_S, 2 * LINGER_S))
+    """How far one rule moves the injected clock.  The serving loop
+    waits on nothing timed, so no step may change what it does."""
+    return st.sampled_from((0.0, 0.002, 0.01, 0.02))
 
 
 def fault_patterns(replicas: int) -> st.SearchStrategy[tuple[int | None, ...]]:

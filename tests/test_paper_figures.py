@@ -5,12 +5,15 @@ Table 5 throughput ratio to AES lies within 10 % of the paper's; the
 Figure 10 GPU lead at 2^20 rows is 12-15x while the CPU still wins
 single-query batches on small tables; every block prints with every
 computed column headed ``modeled``; and two runs print byte-identical
-output.  Every printed row is the modeled API it names, shared points
-agree across figures, and each figure's trend holds.
+output, whose digest is pinned.  Every printed row is the modeled API
+it names, shared points agree across figures, and each figure's trend
+holds.
 """
 
+import hashlib
 import importlib.util
 import itertools
+import os
 import pathlib
 import subprocess
 import sys
@@ -260,3 +263,19 @@ def test_script_prints_main_output_with_no_arguments(paper_figures, capsys):
     expected = capsys.readouterr().out
     run = subprocess.run([sys.executable, str(_SCRIPT)], capture_output=True, text=True)
     assert run.returncode == 0 and run.stdout == expected
+
+
+MODELED_FIGURES_SHA256 = "15c3a470014f67fca1c9f1e7ceb89a3a7d98746461addffac346ee8499531e0f"
+"""SHA-256 of ``python scripts/paper_figures.py`` stdout.  A change that
+moves any modeled number must update this digest and say why."""
+
+
+@pytest.mark.parametrize("hash_seed", [None, "7"], ids=["default", "hashseed7"])
+def test_the_modeled_figures_bytes_are_pinned(hash_seed):
+    env = dict(os.environ)
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = hash_seed
+    run = subprocess.run(
+        [sys.executable, str(_SCRIPT)], capture_output=True, env=env, check=True
+    )
+    assert hashlib.sha256(run.stdout).hexdigest() == MODELED_FIGURES_SHA256
