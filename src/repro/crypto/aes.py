@@ -134,13 +134,15 @@ def _round_tables() -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     The final round has no MixColumns: both its gathers read one table
     of paired S-box bytes.  Built on the first T-table encryption, so a
     process that never runs AES never holds the 768 KiB.
+
+    Entry ``p = lo | hi << 8`` of a table is ``T0[lo] ^ T1[hi]`` (and
+    ``T2[lo] ^ T3[hi]``, ``S[lo] | S[hi] << 8``): row ``hi``, column
+    ``lo`` of an outer product, so no index array is built.
     """
     t0, t1, t2, t3 = _build_t_tables()
-    pair = np.arange(65536)
-    lo, hi = pair & 0xFF, pair >> 8
     s = SBOX.astype(np.uint32)
-    fs = s[lo] | (s[hi] << np.uint32(8))
-    mix = (t0[lo] ^ t1[hi], t2[lo] ^ t3[hi])
+    fs = np.bitwise_or.outer(s << np.uint32(8), s).ravel()
+    mix = (np.bitwise_xor.outer(t1, t0).ravel(), np.bitwise_xor.outer(t3, t2).ravel())
     return (mix,) * 9 + ((fs, fs),)
 
 _EVEN_BYTES = np.uint32(0x00FF00FF)

@@ -16,8 +16,7 @@ The two adapters (:class:`SingleGpuBackend`, :class:`SimulatedBackend`)
 produce bit-identical answers; the PIR pipeline in :mod:`repro.pir`
 serves through whichever one it is handed.
 :class:`PlanCache` adds the zero-dispatch steady-state path on top:
-memoized plans plus pinned workspaces per workload shape, with pow2
-batch bucketing.
+memoized plans per workload shape, with pow2 batch bucketing.
 """
 
 from repro.exec.backend import ExecutionBackend, SimulatedBackend, SingleGpuBackend

@@ -10,7 +10,8 @@ plus the plan).  Two adapters reuse the existing substrate rather than
 duplicating it:
 
 * :class:`SingleGpuBackend` — one device; scheduler-selected strategy,
-  persistent :class:`~repro.gpu.arena.ExpansionWorkspace`.
+  walked in the calling thread's
+  :func:`~repro.gpu.arena.thread_workspace`.
 * :class:`SimulatedBackend` — answers from the *reference* evaluator
   (:func:`repro.dpf.dpf.eval_full`), timing from the performance model
   only.  Slow but kernel-free: the oracle backend for end-to-end tests
@@ -31,7 +32,6 @@ import numpy as np
 from repro.crypto.prf import get_prf
 from repro.dpf.dpf import eval_full, eval_range
 from repro.exec.request import EvalRequest, EvalResult, ExecutionPlan
-from repro.gpu.arena import ExpansionWorkspace
 from repro.gpu.device import DeviceSpec, V100
 from repro.gpu.scheduler import Scheduler
 from repro.gpu.strategies import get_strategy
@@ -71,8 +71,8 @@ class ExecutionBackend(abc.ABC):
         """Hashable identity for shared plan caches.
 
         Two backends with equal ``plan_key`` must produce
-        interchangeable :class:`ExecutionPlan`/workspace pairs for the
-        same request shape.  The base implementation is deliberately
+        interchangeable :class:`ExecutionPlan` objects for the same
+        request shape.  The base implementation is deliberately
         conservative — unique per instance — so an unknown backend (or
         a fault-injecting wrapper) never shares cache entries it did
         not prove it can share.  Concrete backends override this with
@@ -80,24 +80,18 @@ class ExecutionBackend(abc.ABC):
         """
         return (self.name, id(self))
 
-    def run_with_plan(
-        self,
-        request: EvalRequest,
-        plan: ExecutionPlan,
-        workspace: ExpansionWorkspace | None = None,
-    ) -> EvalResult:
-        """Evaluate under an already-priced plan, reusing ``workspace``.
+    def run_with_plan(self, request: EvalRequest, plan: ExecutionPlan) -> EvalResult:
+        """Evaluate under an already-priced plan.
 
         The zero-dispatch hot path a :class:`~repro.exec.plan_cache
-        .PlanCache` drives: the cache supplies the memoized plan and the
-        pinned scratch workspace, so the steady state skips strategy
-        re-selection and workspace churn entirely.  The default
-        implementation falls back to :meth:`run` (ignoring both hints),
+        .PlanCache` drives: the cache supplies the memoized plan, so the
+        steady state skips strategy re-selection entirely.  The default
+        implementation falls back to :meth:`run` (ignoring the plan),
         which keeps wrappers — fault injectors especially — correct
         without their own override: their ``run`` still sees every
         dispatch.
         """
-        del plan, workspace
+        del plan
         return self.run(request)
 
 
@@ -118,7 +112,6 @@ class SingleGpuBackend(ExecutionBackend):
         self.device = device
         self._strategies = strategies
         self._schedulers: dict[int, Scheduler] = {}
-        self._workspace = ExpansionWorkspace()
 
     def _scheduler(self, entry_bytes: int) -> Scheduler:
         scheduler = self._schedulers.get(entry_bytes)
@@ -148,16 +141,10 @@ class SingleGpuBackend(ExecutionBackend):
     def run(self, request: EvalRequest) -> EvalResult:
         return self.run_with_plan(request, self.plan(request))
 
-    def run_with_plan(
-        self,
-        request: EvalRequest,
-        plan: ExecutionPlan,
-        workspace: ExpansionWorkspace | None = None,
-    ) -> EvalResult:
+    def run_with_plan(self, request: EvalRequest, plan: ExecutionPlan) -> EvalResult:
         answers = get_strategy(plan.selection.strategy).eval_batch(
             request.arena(),
             get_prf(request.resolved_prf_name),
-            workspace=workspace if workspace is not None else self._workspace,
             eval_range=request.resolved_range(),
             reduce=request.reduce,
         )
@@ -193,15 +180,9 @@ class SimulatedBackend(ExecutionBackend):
     def run(self, request: EvalRequest) -> EvalResult:
         return self.run_with_plan(request, self.plan(request))
 
-    def run_with_plan(
-        self,
-        request: EvalRequest,
-        plan: ExecutionPlan,
-        workspace: ExpansionWorkspace | None = None,
-    ) -> EvalResult:
-        # The reference walk allocates per key and wants no workspace;
-        # reusing the cached plan skips only the modeled re-pricing.
-        del workspace
+    def run_with_plan(self, request: EvalRequest, plan: ExecutionPlan) -> EvalResult:
+        # The reference walk allocates per key; reusing the cached plan
+        # skips only the modeled re-pricing.
         prf = get_prf(request.resolved_prf_name)
         lo, hi = request.resolved_range()
         if (lo, hi) == (0, request.arena().domain_size):

@@ -1,15 +1,14 @@
-"""Plan/workspace cache: the zero-dispatch steady-state serving path.
+"""Plan cache: the zero-dispatch steady-state serving path.
 
 The paper's headline numbers come from a persistent kernel that never
 re-plans between batches; the Python-side analogue of that persistence
 is this cache.  Without it, every flush of the serving loop pays
-strategy re-selection (simulating every candidate plan) and workspace
-reallocation even though steady-state traffic repeats the same handful
-of batch shapes forever.  :class:`PlanCache` memoizes the
-:class:`~repro.exec.request.ExecutionPlan` *and* pins one long-lived
-:class:`~repro.gpu.arena.ExpansionWorkspace` per workload shape, so the
-hot path becomes: look up, expand, done — zero re-planning, zero
-scratch churn.
+strategy re-selection (simulating every candidate plan) even though
+steady-state traffic repeats the same handful of batch shapes forever.
+:class:`PlanCache` memoizes the :class:`~repro.exec.request.ExecutionPlan`
+per workload shape, so the hot path becomes: look up, expand, done —
+zero re-planning.  The walk's scratch is the thread's
+(:func:`~repro.gpu.arena.thread_workspace`), not the cache's.
 
 **Bucketing.**  Real traffic rarely repeats exact batch sizes (a flush
 of 13, then 14, then 12 ...), so exact-shape memoization would miss
@@ -21,22 +20,18 @@ honest device cost of serving any batch in the bucket — but the kernel
 executes the *exact* batch under that plan's strategy.  Strategy
 choice never changes answers (every backend is pinned bit-identical
 across strategies and against the reference evaluator), so no padding
-work is executed and no pad rows exist to slice off; the pinned
-workspace's buffers converge to the bucket's shape instead of
-thrashing through every size.  What bucketing trades away is
-selection exactness: the bucket plan's strategy may differ from what
-exact-size selection would pick — a modeled-cost approximation bounded
-by the < 2x shape gap, never a correctness risk.
+work is executed and no pad rows exist to slice off.  What bucketing
+trades away is selection exactness: the bucket plan's strategy may
+differ from what exact-size selection would pick — a modeled-cost
+approximation bounded by the < 2x shape gap, never a correctness risk.
 
 **Cache key.**  ``(backend.plan_key, prf, domain_size, resident,
 entry_bytes, bucket)`` — every axis that changes either the winning
 strategy or the modeled plan.  ``backend.plan_key`` is the backend's
 modeled-device identity, so a V100 and an A100 backend sharing one
-cache never exchange plans.  Eviction is LRU with a bounded entry
-count; each eviction also drops the pinned workspace.
+cache never exchange plans.  Eviction is LRU with a bounded entry count.
 
-Not thread-safe: like the workspace it pins, use one cache per serving
-thread.
+Not thread-safe: use one cache per serving thread.
 """
 
 from __future__ import annotations
@@ -46,7 +41,6 @@ from dataclasses import dataclass
 
 from repro.exec.backend import ExecutionBackend
 from repro.exec.request import EvalRequest, EvalResult, ExecutionPlan
-from repro.gpu.arena import ExpansionWorkspace
 
 
 def batch_bucket(batch: int) -> int:
@@ -66,7 +60,7 @@ class PlanCacheStats:
 
     Attributes:
         hits: Lookups served from a memoized entry.
-        misses: Lookups that had to plan (and pin a fresh workspace).
+        misses: Lookups that had to plan.
         evictions: Entries dropped by the LRU bound.
     """
 
@@ -94,19 +88,11 @@ class PlanCacheStats:
         }
 
 
-@dataclass
-class _Entry:
-    plan: ExecutionPlan
-    workspace: ExpansionWorkspace
-
-
 class PlanCache:
-    """LRU cache of (plan, pinned workspace) per workload shape.
+    """LRU cache of the plan per workload shape.
 
     Args:
-        max_entries: LRU bound on distinct shapes.  Each entry pins a
-            grow-on-demand workspace, so the bound also caps retained
-            scratch memory.
+        max_entries: LRU bound on distinct shapes.
 
     Attributes:
         stats: Lifetime :class:`PlanCacheStats`.
@@ -117,13 +103,13 @@ class PlanCache:
             raise ValueError(f"max_entries must be positive, got {max_entries}")
         self.max_entries = max_entries
         self.stats = PlanCacheStats()
-        self._entries: "OrderedDict[tuple, _Entry]" = OrderedDict()
+        self._entries: "OrderedDict[tuple, ExecutionPlan]" = OrderedDict()
 
     def __len__(self) -> int:
         return len(self._entries)
 
     def clear(self) -> None:
-        """Drop every entry (and its pinned workspace); stats persist."""
+        """Drop every entry; stats persist."""
         self._entries.clear()
 
     def key_for(self, backend: ExecutionBackend, request: EvalRequest) -> tuple:
@@ -143,8 +129,8 @@ class PlanCache:
 
         On a hit the backend's :meth:`~repro.exec.backend
         .ExecutionBackend.run_with_plan` executes the request under the
-        memoized plan and pinned workspace — no re-planning.  On a miss
-        the plan is priced once at the bucket size (via
+        memoized plan — no re-planning.  On a miss the plan is priced
+        once at the bucket size (via
         :meth:`~repro.exec.request.EvalRequest.padded`, so it describes
         the full bucket-shaped launch) and the entry cached for every
         future batch that rounds to the same bucket.  The kernel always
@@ -156,11 +142,10 @@ class PlanCache:
         """
         arena = request.arena()
         key = self.key_for(backend, request)
-        entry = self._entries.get(key)
-        if entry is None:
-            padded = request.padded(batch_bucket(arena.batch))
-            entry = _Entry(plan=backend.plan(padded), workspace=ExpansionWorkspace())
-            self._entries[key] = entry
+        plan = self._entries.get(key)
+        if plan is None:
+            plan = backend.plan(request.padded(batch_bucket(arena.batch)))
+            self._entries[key] = plan
             self.stats.misses += 1
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
@@ -168,4 +153,4 @@ class PlanCache:
         else:
             self._entries.move_to_end(key)
             self.stats.hits += 1
-        return backend.run_with_plan(request, entry.plan, entry.workspace)
+        return backend.run_with_plan(request, plan)

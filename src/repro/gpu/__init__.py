@@ -22,12 +22,13 @@ batch- and table-size-aware strategy selection (Section 3.2.5).
 
 :mod:`repro.gpu.arena` holds the serving-path data layer: a persistent
 :class:`KeyArena` built from key objects or straight from wire bytes
-(zero per-key Python objects), zero-copy slicing, a reusable
-:class:`ExpansionWorkspace`, and — through the plans' resident-keys
-mode — amortization of the per-batch PCIe key upload.
+(zero per-key Python objects), zero-copy slicing, the reusable
+:class:`ExpansionWorkspace` (one per thread, :func:`thread_workspace`),
+and — through the plans' resident-keys mode — amortization of the
+per-batch PCIe key upload.
 """
 
-from repro.gpu.arena import ExpansionWorkspace, KeyArena
+from repro.gpu.arena import ExpansionWorkspace, KeyArena, thread_workspace
 from repro.gpu.device import A100, DeviceSpec, V100
 from repro.gpu.kernel import KernelPhase, KernelPlan, KernelStats
 from repro.gpu.memory import MemoryMeter
@@ -49,6 +50,7 @@ __all__ = [
     "A100",
     "KeyArena",
     "ExpansionWorkspace",
+    "thread_workspace",
     "MemoryMeter",
     "KernelPhase",
     "KernelPlan",

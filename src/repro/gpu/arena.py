@@ -28,12 +28,14 @@ lets the resident-keys serving mode amortize ``host_bytes_in`` to zero.
 ping-pong frontier and tile buffers (and the cipher staging copy) that
 the expansion loops would otherwise reallocate per call, kept alive and
 grown on demand across repeated ``eval_batch`` invocations — PR 2's AES
-scratch workspace, lifted to the expansion loop.
+scratch workspace, lifted to the expansion loop.  A thread walks in one
+(:func:`thread_workspace`), whatever servers, shards and replicas it serves.
 """
 
 from __future__ import annotations
 
 import struct
+import threading
 from dataclasses import dataclass
 from typing import Sequence, Union
 
@@ -535,10 +537,11 @@ class ExpansionWorkspace:
     Buffers are handed out as prefix views, and every expansion loop
     fully overwrites a view before reading it, so reuse cannot leak
     state between calls (``test_workspace_reuse_is_bit_identical``).
-    The returned share matrices are *never* workspace-backed — results
-    stay valid after the next call.
-
-    Not thread-safe: use one workspace per serving thread.
+    The returned shares are *never* workspace-backed, so results stay
+    valid after the next call.  One walk runs at a time on a workspace,
+    so each thread walks in its own (:func:`thread_workspace`), and a
+    reducer must not start another walk on its thread: its ``shares``
+    are the workspace's.
     """
 
     def __init__(self):
@@ -601,3 +604,14 @@ class ExpansionWorkspace:
         if self._stage.shape[0] < rows:
             self._stage = np.empty((rows, 16), dtype=np.uint8)
         return self._stage[:rows]
+
+
+_THREAD = threading.local()
+
+
+def thread_workspace() -> ExpansionWorkspace:
+    """The calling thread's workspace, built on its first walk: what
+    ``Strategy.eval_batch`` walks in when it is handed none."""
+    if not hasattr(_THREAD, "workspace"):
+        _THREAD.workspace = ExpansionWorkspace()
+    return _THREAD.workspace

@@ -64,7 +64,7 @@ import numpy as np
 from repro.crypto.prf import Prf, get_prf
 from repro.dpf import ggm
 from repro.dpf.keys import key_size_bytes
-from repro.gpu.arena import ExpansionWorkspace, KeyArena, KeySource
+from repro.gpu.arena import ExpansionWorkspace, KeyArena, KeySource, thread_workspace
 from repro.gpu.kernel import KernelPhase, KernelPlan
 from repro.gpu.memory import MemoryMeter
 
@@ -535,9 +535,12 @@ class Strategy(abc.ABC):
         ``keys`` is anything :meth:`KeyArena.ingest` accepts — an
         already-built arena (the serving hot path, where stacking or the
         vectorized wire parse happened once upstream), a list of key
-        objects, or concatenated wire bytes.  ``workspace``, when given,
-        keeps the ping-pong frontier buffers alive across calls; the
-        returned share matrix is never workspace-backed.
+        objects, or concatenated wire bytes.  The walk runs in
+        ``workspace``, by default the calling thread's
+        (:func:`~repro.gpu.arena.thread_workspace`): one walk at a time
+        per thread, a result never backed by it, and ``reduce`` must not
+        start another walk on its thread (its ``shares`` are the
+        workspace's).
 
         The walk is the same for every design, in three stages, each
         breadth-first in its own workspace slot.  The top of the tree
@@ -590,7 +593,7 @@ class Strategy(abc.ABC):
         lo, hi = resolve_range(arena.domain_size, eval_range)
         leaf_lo, leaf_hi = ggm.leaf_window(lo, hi)
         meter = meter if meter is not None else MemoryMeter()
-        workspace = workspace if workspace is not None else ExpansionWorkspace()
+        workspace = workspace if workspace is not None else thread_workspace()
         if reduce is None:
             sink = _ShareMatrix(arena.batch, leaf_lo, leaf_hi)
         else:

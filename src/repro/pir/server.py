@@ -64,8 +64,8 @@ class PirServer:
             of the serving loop's admission control.
         plan_cache: Optional :class:`~repro.exec.PlanCache`.  When set,
             :meth:`answer_request` evaluates through it — memoized
-            plans, pinned workspaces, pow2 batch bucketing — instead of
-            re-planning per batch.  Answers are bit-identical either
+            plans, pow2 batch bucketing — instead of re-planning per
+            batch.  Answers are bit-identical either
             way; steady-state serving skips all Python-side re-setup.
     """
 

@@ -377,8 +377,8 @@ class ReplicaSet:
             request.restrict(self.lo, self.hi),
             reduce=lambda shares, lo, hi: shares @ table[lo - self.lo : hi - self.lo],
         )
-        # Through the cache when there is one: memoized plan and pinned
-        # workspace, keyed per backend identity.
+        # Through the cache when there is one: the memoized plan, keyed
+        # per backend identity.
         return (
             self.plan_cache.run(replica.backend, restricted)
             if self.plan_cache is not None

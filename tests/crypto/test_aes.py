@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.crypto import aes
 from repro.crypto.aes import (
     SBOX,
     SHIFT_ROWS_PERM,
@@ -56,6 +57,25 @@ class TestSboxProperties:
 
     def test_shift_rows_is_a_permutation(self):
         assert sorted(SHIFT_ROWS_PERM.tolist()) == list(range(16))
+
+
+class TestRoundTables:
+    def test_every_pair_entry_follows_the_index_formula(self):
+        """Entry ``p = lo | hi << 8`` of each table, all 65,536 of them."""
+        t0, t1, t2, t3 = aes._build_t_tables()
+        s = SBOX.astype(np.uint32)
+        pair = np.arange(65536)
+        lo, hi = pair & 0xFF, pair >> 8
+        want = (t0[lo] ^ t1[hi], t2[lo] ^ t3[hi])
+        final = s[lo] | (s[hi] << np.uint32(8))
+        tables = aes._round_tables()
+        assert len(tables) == 10
+        for mix in tables[:9]:
+            for got, ref in zip(mix, want):
+                assert got.dtype == np.uint32 and got.shape == (65536,)
+                assert np.array_equal(got, ref)
+        for got in tables[9]:
+            assert got.dtype == np.uint32 and np.array_equal(got, final)
 
 
 class TestKeySchedule:

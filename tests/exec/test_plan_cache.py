@@ -1,4 +1,4 @@
-"""The plan/workspace cache: memoized steady-state dispatch.
+"""The plan cache: memoized steady-state dispatch.
 
 Claims: cached-path answers are bit-identical to uncached
 ``backend.run`` for every batch size and eval range; plans are priced
@@ -83,9 +83,9 @@ class TestBitExactness:
                 self.planned.append(request.arena().batch)
                 return super().plan(request)
 
-            def run_with_plan(self, request, plan, workspace=None):
+            def run_with_plan(self, request, plan):
                 self.ran.append((request.arena().batch, plan.batch_size))
-                return super().run_with_plan(request, plan, workspace)
+                return super().run_with_plan(request, plan)
 
         backend = Recording()
         cache = PlanCache()

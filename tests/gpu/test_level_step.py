@@ -35,7 +35,13 @@ import pytest
 
 from repro.crypto import available_prfs, get_prf
 from repro.dpf import ggm
-from repro.gpu import ExpansionWorkspace, KeyArena, MemoryMeter, get_strategy
+from repro.gpu import (
+    ExpansionWorkspace,
+    KeyArena,
+    MemoryMeter,
+    get_strategy,
+    thread_workspace,
+)
 from repro.gpu.strategies import (
     NODE_BYTES,
     _expand_level,
@@ -188,23 +194,27 @@ def test_every_level_of_a_window_equals_the_reference(prf_name, batch, window):
             assert meter.current == NODE_BYTES * batch * want_ts.shape[1]
 
 
-def test_threads_with_a_workspace_each_stay_bit_exact():
+def _threads_stay_bit_exact(own_workspace):
+    """Two threads walk at once, each in the workspace ``own_workspace``
+    gives it (``None``: the walk's default); returns the workspaces."""
     prf = get_prf("aes128")  # the one shared instance, as served
     walk = get_strategy("cooperative_groups")
     jobs = [(_arena(prf, 3, seed=1), (7, 61)), (_arena(prf, 64, seed=2), None)]
     expected = [walk.eval_batch(arena, prf, eval_range=rows) for arena, rows in jobs]
     failures = []
+    used = [None] * len(jobs)
     barrier = threading.Barrier(len(jobs))
 
     def worker(index):
         arena, rows = jobs[index]
-        workspace = ExpansionWorkspace()
+        workspace = own_workspace()
         barrier.wait()  # maximize real overlap between threads
         for _ in range(30):
             got = walk.eval_batch(arena, prf, None, workspace, rows)
             if not np.array_equal(got, expected[index]):
                 failures.append(index)
                 return
+        used[index] = workspace if workspace is not None else thread_workspace()
 
     threads = [threading.Thread(target=worker, args=(i,)) for i in range(len(jobs))]
     interval = sys.getswitchinterval()
@@ -218,3 +228,17 @@ def test_threads_with_a_workspace_each_stay_bit_exact():
         sys.setswitchinterval(interval)
     assert not any(thread.is_alive() for thread in threads)
     assert not failures, f"threads {failures} saw corrupted shares"
+    return used
+
+
+def test_threads_with_a_workspace_each_stay_bit_exact():
+    _threads_stay_bit_exact(ExpansionWorkspace)
+
+
+def test_threads_on_their_own_default_workspace_stay_bit_exact():
+    """With no ``workspace`` argument each thread walks in its own
+    thread workspace: distinct per thread, and not the main thread's."""
+    used = _threads_stay_bit_exact(lambda: None)
+    assert used[0] is not used[1]
+    assert thread_workspace() not in used
+    assert all(workspace.nbytes > 0 for workspace in used)

@@ -74,9 +74,9 @@ class _Recording(ExecutionBackend):
         self.calls.append("run")
         return self.inner.run(request)
 
-    def run_with_plan(self, request, plan, workspace=None):
+    def run_with_plan(self, request, plan):
         self.calls.append("run_with_plan")
-        return self.inner.run_with_plan(request, plan, workspace)
+        return self.inner.run_with_plan(request, plan)
 
 
 class _ContractOnly(ExecutionBackend):

@@ -95,6 +95,13 @@ ROWS = (
         r"|_wait_timeout|plan_cache_stats|plan_cache_hits|enqueued_at",
         ("src", "scripts"),
     ),
+    Deleted(
+        "thread_workspace",
+        "a per-backend or per-plan walk workspace, or the AES table index array",
+        r"self\._workspace|entry\.workspace|workspace=ExpansionWorkspace\(\)"
+        r"|np\.arange\(65536\)",
+        ("src/repro/exec", "src/repro/crypto"),
+    ),
 )
 
 
