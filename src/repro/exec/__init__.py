@@ -1,16 +1,13 @@
 """Unified execution layer: one request-oriented API over the substrate.
 
-Before this layer, callers had to know which of three entry points to
-drive — ``Strategy.eval_batch``, ``Scheduler.select`` or the raw
-``GpuSimulator`` — each with its own key/arena/residency conventions.
-Here a caller builds one :class:`EvalRequest` (keys in any accepted
-form, table spec, residency and SLO hints) and hands it to any
+A caller builds one :class:`EvalRequest` (keys in any accepted form,
+an optional row range and an optional reducer) and hands it to any
 :class:`ExecutionBackend`:
 
 * :meth:`ExecutionBackend.plan` — scheduler-driven strategy selection
-  plus modeled timing on one device, as an :class:`ExecutionPlan`.
-* :meth:`ExecutionBackend.run` — the functional ``(B, L)`` share
-  matrix plus the plan, as an :class:`EvalResult`.
+  plus modeled timing on the V100, as an :class:`ExecutionPlan`.
+* :meth:`ExecutionBackend.run` — the answers as one array: the
+  ``(B, L)`` share matrix, or the ``(B,)`` reduced answers.
 
 The two adapters (:class:`SingleGpuBackend`, :class:`SimulatedBackend`)
 produce bit-identical answers; the PIR pipeline in :mod:`repro.pir`
@@ -21,11 +18,10 @@ memoized plans per workload shape, with pow2 batch bucketing.
 
 from repro.exec.backend import ExecutionBackend, SimulatedBackend, SingleGpuBackend
 from repro.exec.plan_cache import PlanCache, PlanCacheStats, batch_bucket
-from repro.exec.request import EvalRequest, EvalResult, ExecutionPlan
+from repro.exec.request import EvalRequest, ExecutionPlan
 
 __all__ = [
     "EvalRequest",
-    "EvalResult",
     "ExecutionPlan",
     "ExecutionBackend",
     "SingleGpuBackend",

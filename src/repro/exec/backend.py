@@ -5,21 +5,20 @@ An :class:`ExecutionBackend` answers two questions about an
 like* (:meth:`~ExecutionBackend.plan` — strategy selection plus modeled
 timing on one device) and *what are the answers*
 (:meth:`~ExecutionBackend.run` — the functional ``(B, L)`` share
-matrix, or the reduced answers of a request that carries a reducer,
-plus the plan).  Two adapters reuse the existing substrate rather than
-duplicating it:
+matrix, or the reduced answers of a request that carries a reducer).
+Two adapters reuse the existing substrate rather than duplicating it:
 
 * :class:`SingleGpuBackend` — one device; scheduler-selected strategy,
   walked in the calling thread's
   :func:`~repro.gpu.arena.thread_workspace`.
 * :class:`SimulatedBackend` — answers from the *reference* evaluator
   (:func:`repro.dpf.dpf.eval_full`), timing from the performance model
-  only.  Slow but kernel-free: the oracle backend for end-to-end tests
-  and what-if pricing of devices that are not attached.
+  only.  Slow but kernel-free: the oracle backend for end-to-end tests.
 
-Both produce bit-identical answers for the same keys; tests pin that
-across the object/wire ingestion forms and the streaming/resident
-modes.
+Both price on one :class:`~repro.gpu.scheduler.Scheduler` over the
+calibrated V100 and every registered design, so neither takes an
+argument.  Both produce bit-identical answers for the same keys; tests
+pin that across the object and wire ingestion forms.
 """
 
 from __future__ import annotations
@@ -31,8 +30,8 @@ import numpy as np
 
 from repro.crypto.prf import get_prf
 from repro.dpf.dpf import eval_full, eval_range
-from repro.exec.request import EvalRequest, EvalResult, ExecutionPlan
-from repro.gpu.device import DeviceSpec, V100
+from repro.exec.request import EvalRequest, ExecutionPlan
+from repro.gpu.device import V100
 from repro.gpu.scheduler import Scheduler
 from repro.gpu.strategies import get_strategy
 
@@ -63,8 +62,12 @@ class ExecutionBackend(abc.ABC):
         """Price the request: strategy selection plus modeled timing."""
 
     @abc.abstractmethod
-    def run(self, request: EvalRequest) -> EvalResult:
-        """Evaluate the request's keys over its ``resolved_range()``."""
+    def run(self, request: EvalRequest) -> np.ndarray:
+        """Evaluate the request's keys over its ``resolved_range()``.
+
+        Returns the ``(B, hi - lo)`` uint64 share matrix, or, for a
+        request with a reducer, the ``(B,)`` (or ``(B, W)``) answers.
+        """
 
     @property
     def plan_key(self) -> tuple:
@@ -75,12 +78,12 @@ class ExecutionBackend(abc.ABC):
         request shape.  The base implementation is deliberately
         conservative — unique per instance — so an unknown backend (or
         a fault-injecting wrapper) never shares cache entries it did
-        not prove it can share.  Concrete backends override this with
-        their modeled-device identity.
+        not prove it can share.  The concrete backends below price
+        alike on every instance, so they override this with their name.
         """
         return (self.name, id(self))
 
-    def run_with_plan(self, request: EvalRequest, plan: ExecutionPlan) -> EvalResult:
+    def run_with_plan(self, request: EvalRequest, plan: ExecutionPlan) -> np.ndarray:
         """Evaluate under an already-priced plan.
 
         The zero-dispatch hot path a :class:`~repro.exec.plan_cache
@@ -96,59 +99,38 @@ class ExecutionBackend(abc.ABC):
 
 
 class SingleGpuBackend(ExecutionBackend):
-    """Scheduler-driven execution on one modeled device.
+    """Scheduler-driven execution on the calibrated V100.
 
-    Args:
-        device: Target device model.
-        strategies: Candidate strategy pool shared across decisions
-            (default: every registered strategy, default parameters).
-            It shapes :meth:`plan` only: every design runs the same
-            walk, so the answers and their cost do not move.
+    :meth:`plan` names a design; every design runs the same walk, so the
+    answers and their cost do not depend on which one it names.
     """
 
     name = "single_gpu"
 
-    def __init__(self, device: DeviceSpec = V100, strategies: list | None = None):
-        self.device = device
-        self._strategies = strategies
-        self._schedulers: dict[int, Scheduler] = {}
-
-    def _scheduler(self, entry_bytes: int) -> Scheduler:
-        scheduler = self._schedulers.get(entry_bytes)
-        if scheduler is None:
-            scheduler = Scheduler(
-                self.device, entry_bytes=entry_bytes, strategies=self._strategies
-            )
-            self._schedulers[entry_bytes] = scheduler
-        return scheduler
+    def __init__(self):
+        self._scheduler = Scheduler(V100)
 
     def plan(self, request: EvalRequest) -> ExecutionPlan:
         arena = request.arena()
-        selection = self._scheduler(request.entry_bytes).select(
-            arena.batch,
-            arena.domain_size,
-            prf_name=request.resolved_prf_name,
-            resident_keys=request.resident,
+        selection = self._scheduler.select(
+            arena.batch, arena.domain_size, prf_name=request.resolved_prf_name
         )
-        return ExecutionPlan(
-            backend=self.name, resident=request.resident, selection=selection
-        )
+        return ExecutionPlan(backend=self.name, selection=selection)
 
     @property
     def plan_key(self) -> tuple:
-        return (self.name, self.device.name, id(self._strategies))
+        return (self.name,)
 
-    def run(self, request: EvalRequest) -> EvalResult:
+    def run(self, request: EvalRequest) -> np.ndarray:
         return self.run_with_plan(request, self.plan(request))
 
-    def run_with_plan(self, request: EvalRequest, plan: ExecutionPlan) -> EvalResult:
-        answers = get_strategy(plan.selection.strategy).eval_batch(
+    def run_with_plan(self, request: EvalRequest, plan: ExecutionPlan) -> np.ndarray:
+        return get_strategy(plan.selection.strategy).eval_batch(
             request.arena(),
             get_prf(request.resolved_prf_name),
             eval_range=request.resolved_range(),
             reduce=request.reduce,
         )
-        return EvalResult(answers=answers, plan=plan)
 
 
 class SimulatedBackend(ExecutionBackend):
@@ -158,29 +140,25 @@ class SimulatedBackend(ExecutionBackend):
     walk (:func:`repro.dpf.dpf.eval_full`) — a per-key Python loop, so
     O(B) slower than the vectorized kernels but independent of them,
     which is exactly what an end-to-end oracle wants.  ``plan`` prices
-    the request on the modeled device like :class:`SingleGpuBackend`,
-    so what-if pricing of unattached hardware still works.
+    the request on the modeled device like :class:`SingleGpuBackend`.
     """
 
     name = "simulated"
 
-    def __init__(self, device: DeviceSpec = V100, strategies: list | None = None):
-        self.device = device
-        self._single = SingleGpuBackend(device, strategies=strategies)
+    def __init__(self):
+        self._single = SingleGpuBackend()
 
     def plan(self, request: EvalRequest) -> ExecutionPlan:
         return dataclasses.replace(self._single.plan(request), backend=self.name)
 
     @property
     def plan_key(self) -> tuple:
-        # The inner backend's key names the device and the strategy pool,
-        # both of which shape the plan.
-        return (self.name, self._single.plan_key)
+        return (self.name,)
 
-    def run(self, request: EvalRequest) -> EvalResult:
+    def run(self, request: EvalRequest) -> np.ndarray:
         return self.run_with_plan(request, self.plan(request))
 
-    def run_with_plan(self, request: EvalRequest, plan: ExecutionPlan) -> EvalResult:
+    def run_with_plan(self, request: EvalRequest, plan: ExecutionPlan) -> np.ndarray:
         # The reference walk allocates per key; reusing the cached plan
         # skips only the modeled re-pricing.
         prf = get_prf(request.resolved_prf_name)
@@ -192,4 +170,4 @@ class SimulatedBackend(ExecutionBackend):
             rows = [
                 eval_range(key, prf, lo, hi) for key in request.arena().to_keys()
             ]
-        return EvalResult(answers=request.reduced(np.stack(rows)), plan=plan)
+        return request.reduced(np.stack(rows))

@@ -25,11 +25,12 @@ trades away is selection exactness: the bucket plan's strategy may
 differ from what exact-size selection would pick — a modeled-cost
 approximation bounded by the < 2x shape gap, never a correctness risk.
 
-**Cache key.**  ``(backend.plan_key, prf, domain_size, resident,
-entry_bytes, bucket)`` — every axis that changes either the winning
-strategy or the modeled plan.  ``backend.plan_key`` is the backend's
-modeled-device identity, so a V100 and an A100 backend sharing one
-cache never exchange plans.  Eviction is LRU with a bounded entry count.
+**Cache key.**  ``(backend.plan_key, prf, domain_size, bucket)`` —
+every axis that changes either the winning strategy or the modeled
+plan.  ``backend.plan_key`` names what prices the plan: one name per
+built-in backend class, one identity per instance for anything else,
+so a fault-injecting wrapper never shares an entry.  Eviction is LRU
+with a bounded entry count.
 
 Not thread-safe: use one cache per serving thread.
 """
@@ -39,8 +40,10 @@ from __future__ import annotations
 from collections import OrderedDict
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.exec.backend import ExecutionBackend
-from repro.exec.request import EvalRequest, EvalResult, ExecutionPlan
+from repro.exec.request import EvalRequest, ExecutionPlan
 
 
 def batch_bucket(batch: int) -> int:
@@ -119,12 +122,10 @@ class PlanCache:
             backend.plan_key,
             request.resolved_prf_name,
             arena.domain_size,
-            request.resident,
-            request.entry_bytes,
             batch_bucket(arena.batch),
         )
 
-    def run(self, backend: ExecutionBackend, request: EvalRequest) -> EvalResult:
+    def run(self, backend: ExecutionBackend, request: EvalRequest) -> np.ndarray:
         """Evaluate through the cache: look up, expand, done.
 
         On a hit the backend's :meth:`~repro.exec.backend
@@ -135,10 +136,8 @@ class PlanCache:
         the full bucket-shaped launch) and the entry cached for every
         future batch that rounds to the same bucket.  The kernel always
         runs the *exact* request — padding is a pricing artifact, not
-        executed work — so the result's ``answers`` have exactly
-        ``batch`` rows while its ``plan`` is the bucket plan (its
-        ``batch_size`` is the bucket, by design: it is the plan the
-        request ran under).
+        executed work — so the answers have exactly ``batch`` rows while
+        the memoized plan's ``batch_size`` is the bucket.
         """
         arena = request.arena()
         key = self.key_for(backend, request)

@@ -1,20 +1,13 @@
 """Request-oriented types shared by every execution backend.
 
-The execution substrate underneath (:mod:`repro.gpu`) has three entry
-points with slightly different conventions — ``Strategy.eval_batch``,
-``Scheduler.select`` and the raw ``GpuSimulator``.  The
-:mod:`repro.exec` layer folds them behind one request/plan/result
-vocabulary:
-
 * :class:`EvalRequest` — what a caller wants evaluated: key material in
-  any accepted form (:data:`~repro.gpu.arena.KeySource`), the table
-  spec, and residency/SLO hints.
+  any accepted form (:data:`~repro.gpu.arena.KeySource`), an optional
+  row range and an optional reducer.  A backend's ``run`` returns its
+  answers as one array: the ``(B, hi - lo)`` share matrix, or, for a
+  request that carries a reducer, the ``(B,)`` reduced answers.
 * :class:`ExecutionPlan` — what a backend would do for the request and
   what the performance model predicts for it: one device's scheduler
   :class:`~repro.gpu.scheduler.Selection`.
-* :class:`EvalResult` — the evaluated ``(B, L)`` share matrix (or, for
-  a request that carries a reducer, the ``(B,)`` reduced answers) plus
-  the plan it ran under.
 """
 
 from __future__ import annotations
@@ -42,15 +35,6 @@ class EvalRequest:
         prf_name: PRF the evaluator must use.  ``None`` means "whatever
             the keys were generated for"; a non-``None`` value that
             mismatches the keys raises at ingestion.
-        entry_bytes: Bytes per table entry (the table spec the planner
-            prices MAC work and transfers against).
-        resident: Residency hint — plan and price the batch as served
-            from a key arena already uploaded to the device
-            (``host_bytes_in`` amortized to zero, arena charged against
-            device capacity).  Functional answers are bit-identical
-            either way.
-        slo_latency_s: Optional latency SLO; :meth:`ExecutionPlan
-            .meets_slo` reports whether the modeled latency honors it.
         eval_range: Optional ``(lo, hi)`` sub-domain restriction — the
             sharded-serving hook.  When set, ``run`` returns a
             ``(B, hi - lo)`` share matrix covering table rows
@@ -68,9 +52,9 @@ class EvalRequest:
         reduce: Optional reducer (:data:`~repro.gpu.strategies.Reducer`,
             ``reduce(shares, lo, hi)`` — for a PIR server
             ``shares @ table[lo:hi]``).  When set, ``run`` hands it the
-            shares of rows ``[lo, hi)`` window by window and
-            ``EvalResult.answers`` is the sum mod 2^64 of what it
-            returned, ``(B,)`` or ``(B, W)``, instead of the matrix; see
+            shares of rows ``[lo, hi)`` window by window and returns
+            the sum mod 2^64 of what it returned, ``(B,)`` or
+            ``(B, W)``, instead of the matrix; see
             :meth:`Strategy.eval_batch <repro.gpu.strategies.Strategy
             .eval_batch>` for who reduces when.  Its presence is the
             only switch: planning and pricing do not look at it.  Row
@@ -94,9 +78,6 @@ class EvalRequest:
 
     keys: KeySource
     prf_name: str | None = None
-    entry_bytes: int = 8
-    resident: bool = False
-    slo_latency_s: float | None = None
     eval_range: tuple[int, int] | None = None
     reduce: Reducer | None = field(default=None, repr=False, compare=False)
     traces: tuple | None = field(default=None, repr=False, compare=False)
@@ -151,9 +132,6 @@ class EvalRequest:
         request = EvalRequest(
             keys=self.arena(),
             prf_name=self.prf_name,
-            entry_bytes=self.entry_bytes,
-            resident=self.resident,
-            slo_latency_s=self.slo_latency_s,
             eval_range=(lo, hi),
             reduce=self.reduce,
             traces=self.traces,
@@ -182,9 +160,6 @@ class EvalRequest:
         return EvalRequest(
             keys=grown,
             prf_name=self.prf_name,
-            entry_bytes=self.entry_bytes,
-            resident=self.resident,
-            slo_latency_s=self.slo_latency_s,
             eval_range=self.eval_range,
             reduce=self.reduce,
             traces=self.traces,
@@ -201,17 +176,11 @@ class EvalRequest:
         fused expansion the paper's serving throughput comes from: the
         requests' arenas concatenate in order
         (:meth:`KeyArena.concat`), so row ranges of the merged answers
-        map back to the original requests by offset —
-        :meth:`EvalResult.split` does exactly that slicing.
-
-        The merged request keeps the shared ``entry_bytes``/``resident``
-        settings and the *tightest* latency SLO of any constituent (the
-        batch must honor every caller's deadline).
+        map back to the original requests by offset.
 
         Args:
             requests: Non-empty sequence of requests over the same
-                domain/PRF with identical ``entry_bytes`` and
-                ``resident`` settings.
+                domain, PRF, ``eval_range`` and reducer.
 
         Returns:
             ``(merged, sizes)`` — the fused request plus each
@@ -220,20 +189,13 @@ class EvalRequest:
 
         Raises:
             ValueError: On an empty sequence, mismatched
-                ``entry_bytes``/``resident``/PRF/``eval_range``/
-                ``reduce`` settings, or arenas whose domains disagree.
+                PRF/``eval_range``/``reduce`` settings, or arenas whose
+                domains disagree.
         """
         if not requests:
             raise ValueError("need at least one request to merge")
         first = requests[0]
         for request in requests[1:]:
-            if request.entry_bytes != first.entry_bytes:
-                raise ValueError(
-                    "cannot merge requests with different entry_bytes "
-                    f"({request.entry_bytes} vs {first.entry_bytes})"
-                )
-            if request.resident != first.resident:
-                raise ValueError("cannot merge resident and streaming requests")
             if request.resolved_prf_name != first.resolved_prf_name:
                 raise ValueError(
                     "cannot merge requests with different PRFs "
@@ -247,7 +209,6 @@ class EvalRequest:
             if request.reduce != first.reduce:
                 raise ValueError("cannot merge requests with different reducers")
         arenas = [request.arena() for request in requests]
-        slos = [r.slo_latency_s for r in requests if r.slo_latency_s is not None]
         # One trace slot per constituent: a single-query request
         # contributes its context, anything else (untraced, or itself
         # already merged) contributes None — never misattributed.
@@ -260,9 +221,6 @@ class EvalRequest:
         merged = cls(
             keys=KeyArena.concat(arenas),
             prf_name=first.prf_name,
-            entry_bytes=first.entry_bytes,
-            resident=first.resident,
-            slo_latency_s=min(slos) if slos else None,
             eval_range=first.eval_range,
             reduce=first.reduce,
             traces=trace_slots if any(t is not None for t in trace_slots) else None,
@@ -280,9 +238,8 @@ class EvalRequest:
         is individually retryable, so the serving loop un-merges the
         batch and requeues the survivors.  Each returned request wraps
         a zero-copy slice of the merged arena (ingestion is never
-        repeated) and inherits the merged ``entry_bytes`` / ``resident``
-        / SLO settings — re-merging the pieces reproduces the original
-        batch bit for bit.
+        repeated) and inherits the merged PRF, range and reducer —
+        re-merging the pieces reproduces the original batch bit for bit.
 
         Args:
             merged: A request produced by :meth:`merge` (or any request
@@ -320,9 +277,6 @@ class EvalRequest:
                 cls(
                     keys=arena[offset : offset + size],
                     prf_name=merged.prf_name,
-                    entry_bytes=merged.entry_bytes,
-                    resident=merged.resident,
-                    slo_latency_s=merged.slo_latency_s,
                     eval_range=merged.eval_range,
                     reduce=merged.reduce,
                     traces=(slot,) if slot is not None else None,
@@ -338,13 +292,11 @@ class ExecutionPlan:
 
     Attributes:
         backend: Name of the backend that produced the plan.
-        resident: Whether the plan assumes a device-resident key arena.
         selection: The device scheduler's decision — the winning
             strategy, its kernel plan and its simulated statistics.
     """
 
     backend: str
-    resident: bool
     selection: Selection
 
     @property
@@ -367,59 +319,3 @@ class ExecutionPlan:
     def strategies(self) -> tuple[str]:
         """The winning strategy's name, as a one-tuple."""
         return (self.selection.strategy,)
-
-    def meets_slo(self, slo_latency_s: float | None) -> bool:
-        """Whether the modeled latency honors ``slo_latency_s``.
-
-        ``None`` (no SLO) always holds, matching a request without the
-        hint.
-        """
-        return slo_latency_s is None or self.latency_s <= slo_latency_s
-
-
-@dataclass(frozen=True)
-class EvalResult:
-    """Answers plus the plan for one executed request.
-
-    Attributes:
-        answers: ``(B, L)`` uint64 share matrix in request key order;
-            adding both parties' matrices mod 2^64 reconstructs the
-            scaled one-hot rows.  For a request with a reducer, the
-            ``(B,)`` (or ``(B, W)``) sum of the reducer's partials.
-        plan: The :class:`ExecutionPlan` the batch ran under.
-    """
-
-    answers: np.ndarray
-    plan: ExecutionPlan
-
-    @property
-    def batch_size(self) -> int:
-        return int(self.answers.shape[0])
-
-    def split(self, sizes: Sequence[int]) -> list[np.ndarray]:
-        """Slice the answers back into per-request share matrices.
-
-        The demultiplexing half of :meth:`EvalRequest.merge`: given the
-        ``sizes`` that call returned, slice the merged ``(B, L)`` answer
-        matrix into one zero-copy view per constituent request, in
-        merge order.
-
-        Raises:
-            ValueError: If ``sizes`` is empty, contains a non-positive
-                size, or does not sum to this result's batch size.
-        """
-        if not sizes:
-            raise ValueError("need at least one slice size")
-        if any(size <= 0 for size in sizes):
-            raise ValueError(f"slice sizes must be positive, got {tuple(sizes)}")
-        if sum(sizes) != self.batch_size:
-            raise ValueError(
-                f"slice sizes sum to {sum(sizes)} but the result carries "
-                f"{self.batch_size} answer rows"
-            )
-        views = []
-        offset = 0
-        for size in sizes:
-            views.append(self.answers[offset : offset + size])
-            offset += size
-        return views

@@ -10,8 +10,6 @@ trusting the formula.
 
 from __future__ import annotations
 
-import numpy as np
-
 
 class MemoryMeter:
     """Tracks current and peak live bytes across explicit alloc/free calls."""
@@ -40,23 +38,6 @@ class MemoryMeter:
                 f"freeing {nbytes} bytes but only {self.current} live"
             )
         self.current -= nbytes
-
-    def alloc_array(self, arr: np.ndarray) -> np.ndarray:
-        """Record an array's storage and pass the array through."""
-        self.alloc(arr.nbytes)
-        return arr
-
-    def free_array(self, arr: np.ndarray) -> None:
-        """Record release of an array's storage."""
-        self.free(arr.nbytes)
-
-    def alloc_arrays(self, *arrays: np.ndarray) -> None:
-        """Record several arrays' storage as one allocation event."""
-        self.alloc(sum(arr.nbytes for arr in arrays))
-
-    def free_arrays(self, *arrays: np.ndarray) -> None:
-        """Record release of several arrays' storage at once."""
-        self.free(sum(arr.nbytes for arr in arrays))
 
     def reset(self) -> None:
         self.current = 0

@@ -13,12 +13,12 @@ This package connects the substrate into the protocol of Figure 2:
 
 The round trip is bit-exact: for any table and any index set,
 ``client -> wire -> two servers -> reconstruct`` returns exactly the
-table rows, under object and wire ingestion, streaming and resident
-modes, on every backend (``tests/pir/test_roundtrip.py``).
+table rows, under object and wire ingestion, on every backend
+(``tests/pir/test_roundtrip.py``).
 """
 
 from repro.pir.client import PirClient, QueryBatch
-from repro.pir.server import ENTRY_BYTES, PirServer
+from repro.pir.server import PirServer
 from repro.pir.wire import (
     FRAME_HEADER_BYTES,
     KIND_QUERY,
@@ -32,7 +32,6 @@ __all__ = [
     "PirClient",
     "QueryBatch",
     "PirServer",
-    "ENTRY_BYTES",
     "PirQuery",
     "PirReply",
     "WIRE_VERSION",

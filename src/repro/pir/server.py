@@ -41,10 +41,6 @@ from repro.exec import (
 from repro.gpu.arena import KeySource
 from repro.pir.wire import PirQuery, PirReply
 
-ENTRY_BYTES = 8
-"""Bytes per table entry; the table is a uint64 row vector."""
-
-
 class PirServer:
     """One party's server: table, backend, and the serving entry points.
 
@@ -55,9 +51,6 @@ class PirServer:
             :class:`SingleGpuBackend` on the calibrated V100).
         prf_name: PRF the clients' keys must have been generated for;
             mismatching batches are rejected at ingestion.
-        resident: Serve in resident-keys mode — batches are planned and
-            priced as evaluated from a key arena already uploaded to
-            the device.  Answers are bit-identical either way.
         max_batch: Upper bound on keys per request (``None`` =
             unlimited).  An oversized batch is rejected at ingestion,
             before any O(B*L) evaluation — the synchronous counterpart
@@ -74,7 +67,6 @@ class PirServer:
         table: np.ndarray | Sequence[int],
         backend: ExecutionBackend | None = None,
         prf_name: str = "aes128",
-        resident: bool = False,
         max_batch: int | None = None,
         plan_cache: "PlanCache | None" = None,
     ):
@@ -86,7 +78,6 @@ class PirServer:
         self.table = table
         self.backend = backend if backend is not None else SingleGpuBackend()
         self.prf_name = prf_name
-        self.resident = resident
         self.max_batch = max_batch
         self.plan_cache = plan_cache
         self.epoch = 0
@@ -112,12 +103,7 @@ class PirServer:
             ValueError: On malformed keys, a domain/table mismatch, a
                 PRF mismatch, or a batch larger than ``max_batch``.
         """
-        request = EvalRequest(
-            keys=keys,
-            prf_name=self.prf_name,
-            entry_bytes=ENTRY_BYTES,
-            resident=self.resident,
-        )
+        request = EvalRequest(keys=keys, prf_name=self.prf_name)
         if request.arena().domain_size != self.table_entries:
             raise ValueError(
                 f"query keys address a domain of {request.arena().domain_size} "
@@ -235,11 +221,9 @@ class PirServer:
         # Looked up per dispatch, not at construction: a subclass or an
         # instrumenting wrapper that replaces ``combine`` is honoured.
         request = replace(request, reduce=self.combine)
-        return (
-            self.plan_cache.run(self.backend, request)
-            if self.plan_cache is not None
-            else self.backend.run(request)
-        ).answers
+        if self.plan_cache is not None:
+            return self.plan_cache.run(self.backend, request)
+        return self.backend.run(request)
 
     def handle(self, request_bytes: bytes) -> bytes:
         """Serve one framed request: query frame in, reply frame out.

@@ -188,7 +188,7 @@ class AsyncPirServer:
     """Async batch-aggregation front end for one :class:`PirServer`.
 
     Args:
-        server: The wrapped server (table, PRF, backend, residency).
+        server: The wrapped server (table, PRF, backend).
         max_batch: The most queries fused into one batch (a flush takes
             whole requests until the next would exceed it; a single
             larger request still flushes, alone).  A full batch

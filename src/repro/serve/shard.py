@@ -379,11 +379,9 @@ class ReplicaSet:
         )
         # Through the cache when there is one: the memoized plan, keyed
         # per backend identity.
-        return (
-            self.plan_cache.run(replica.backend, restricted)
-            if self.plan_cache is not None
-            else replica.backend.run(restricted)
-        ).answers
+        if self.plan_cache is not None:
+            return self.plan_cache.run(replica.backend, restricted)
+        return replica.backend.run(restricted)
 
     def answer(
         self,
@@ -477,11 +475,11 @@ class ShardedPirServer(PirServer):
             before it rejoins (``None``: ejection is permanent).
         retain_epochs: Published epochs kept answerable (>= 1; 2 keeps
             the pre-flip epoch alive through each flip).
-        prf_name, resident, max_batch: As on :class:`PirServer`.
+        prf_name, max_batch: As on :class:`PirServer`.
         plan_cache: Optional :class:`~repro.exec.PlanCache` shared by
-            every replica set (keys carry backend identity, so
-            replicas on different devices stay safe).  Enables the zero-dispatch steady state
-            across shards.
+            every replica set (keys carry backend identity, so a
+            fault-injecting replica never shares an entry).  Enables the
+            zero-dispatch steady state across shards.
     """
 
     def __init__(
@@ -493,7 +491,6 @@ class ShardedPirServer(PirServer):
         rejoin_after: int | None = 3,
         retain_epochs: int = 2,
         prf_name: str = "aes128",
-        resident: bool = False,
         max_batch: int | None = None,
         plan_cache: PlanCache | None = None,
     ):
@@ -526,7 +523,6 @@ class ShardedPirServer(PirServer):
             table,
             backend=self.shards[0].replicas[0].backend,
             prf_name=prf_name,
-            resident=resident,
             max_batch=max_batch,
             plan_cache=plan_cache,
         )
@@ -538,14 +534,6 @@ class ShardedPirServer(PirServer):
             shard.install_epoch(0, self.table[shard.lo : shard.hi])
 
     # -- introspection -------------------------------------------------
-
-    @property
-    def shard_count(self) -> int:
-        return len(self.shards)
-
-    @property
-    def replica_count(self) -> int:
-        return len(self.shards[0].replicas)
 
     def replica_states(self) -> list[tuple[str, ...]]:
         """Each shard's replica states (``HEALTHY`` / ``EJECTED``), one

@@ -1,9 +1,10 @@
 """Batch merge and per-request demux on the execution layer.
 
-`EvalRequest.merge` fuses many requests into one kernel-sized batch and
-`EvalResult.split` slices the answers back; together they must be a
-lossless round trip — running the merged request yields exactly the
-per-request answer rows, bit for bit, on every backend.  `KeyArena
+`EvalRequest.merge` fuses many requests into one kernel-sized batch
+and slicing the answers by the sizes it returned gives each request
+its rows back; together they must be a lossless round trip — running
+the merged request yields exactly the per-request answer rows, bit for
+bit, on every backend.  `KeyArena
 .concat` underneath must agree with stacking the combined key list
 directly.
 """
@@ -28,6 +29,11 @@ def _keys(batch, domain=32, prf="siphash", seed=0, party=0):
     ]
 
 
+def _split(answers, sizes):
+    """The merged answers' rows, one block per constituent, in order."""
+    return np.split(answers, np.cumsum(sizes)[:-1])
+
+
 class TestMergeRun:
     @pytest.mark.parametrize("backend_name", sorted(BACKEND_FACTORIES))
     def test_merged_run_equals_individual_runs(self, backend_name):
@@ -36,41 +42,16 @@ class TestMergeRun:
             EvalRequest(keys=_keys(batch, seed=batch), prf_name="siphash")
             for batch in (1, 3, 2)
         ]
-        individual = [backend.run(r).answers for r in requests]
+        individual = [backend.run(r) for r in requests]
         merged, sizes = EvalRequest.merge(requests)
         assert sizes == (1, 3, 2)
-        result = backend.run(merged)
-        assert result.batch_size == 6
-        for got, want in zip(result.split(sizes), individual):
+        answers = backend.run(merged)
+        assert answers.shape[0] == 6
+        for got, want in zip(_split(answers, sizes), individual):
             assert np.array_equal(got, want)
-
-    def test_merge_takes_the_tightest_slo(self):
-        requests = [
-            EvalRequest(keys=_keys(1, seed=s), prf_name="siphash", slo_latency_s=slo)
-            for s, slo in ((0, 0.5), (1, None), (2, 0.125))
-        ]
-        merged, _ = EvalRequest.merge(requests)
-        assert merged.slo_latency_s == 0.125
-        no_slo, _ = EvalRequest.merge(
-            [EvalRequest(keys=_keys(1), prf_name="siphash")]
-        )
-        assert no_slo.slo_latency_s is None
-
-    def test_merge_preserves_residency_and_entry_bytes(self):
-        requests = [
-            EvalRequest(keys=_keys(2, seed=s), resident=True, entry_bytes=16)
-            for s in (0, 1)
-        ]
-        merged, sizes = EvalRequest.merge(requests)
-        assert merged.resident and merged.entry_bytes == 16
-        assert sizes == (2, 2)
 
     def test_merge_rejects_mismatched_settings(self):
         base = EvalRequest(keys=_keys(1, seed=0))
-        with pytest.raises(ValueError, match="entry_bytes"):
-            EvalRequest.merge([base, EvalRequest(keys=_keys(1, seed=1), entry_bytes=4)])
-        with pytest.raises(ValueError, match="resident"):
-            EvalRequest.merge([base, EvalRequest(keys=_keys(1, seed=1), resident=True)])
         with pytest.raises(ValueError, match="PRF"):
             EvalRequest.merge(
                 [base, EvalRequest(keys=_keys(1, seed=1, prf="chacha20"))]
@@ -86,28 +67,6 @@ class TestMergeRun:
                     EvalRequest(keys=_keys(1, domain=64)),
                 ]
             )
-
-
-class TestSplit:
-    def test_split_is_zero_copy_and_ordered(self):
-        backend = SingleGpuBackend()
-        merged, sizes = EvalRequest.merge(
-            [EvalRequest(keys=_keys(b, seed=b), prf_name="siphash") for b in (2, 3)]
-        )
-        result = backend.run(merged)
-        views = result.split(sizes)
-        assert [v.shape[0] for v in views] == [2, 3]
-        for view in views:
-            assert view.base is not None  # views, not copies
-
-    def test_split_validates_sizes(self):
-        result = SingleGpuBackend().run(EvalRequest(keys=_keys(4)))
-        with pytest.raises(ValueError, match="sum to 3"):
-            result.split((1, 2))
-        with pytest.raises(ValueError, match="positive"):
-            result.split((4, 0))
-        with pytest.raises(ValueError, match="at least one"):
-            result.split(())
 
 
 class TestArenaConcat:
@@ -169,8 +128,8 @@ class TestMergeEvalRange:
         merged, _ = EvalRequest.merge(
             [EvalRequest(keys=_keys(b, seed=b), prf_name="siphash") for b in (2, 3)]
         )
-        full = backend.run(merged).answers
-        restricted = backend.run(merged.restrict(7, 25)).answers
+        full = backend.run(merged)
+        restricted = backend.run(merged.restrict(7, 25))
         assert np.array_equal(restricted, full[:, 7:25])
 
 
@@ -179,10 +138,9 @@ class TestUnmerge:
     request must carry exactly its constituent's keys, as a zero-copy
     slice of the merged arena."""
 
-    def _merged(self, sizes=(1, 3, 2), **kwargs):
+    def _merged(self, sizes=(1, 3, 2)):
         requests = [
-            EvalRequest(keys=_keys(b, seed=b), prf_name="siphash", **kwargs)
-            for b in sizes
+            EvalRequest(keys=_keys(b, seed=b), prf_name="siphash") for b in sizes
         ]
         merged, got_sizes = EvalRequest.merge(requests)
         assert got_sizes == sizes
@@ -211,17 +169,13 @@ class TestUnmerge:
         batch produced — what bit-exact retry rests on."""
         backend = SingleGpuBackend()
         _, merged, sizes = self._merged()
-        merged_rows = backend.run(merged).split(sizes)
+        merged_rows = _split(backend.run(merged), sizes)
         for piece, rows in zip(EvalRequest.unmerge(merged, sizes), merged_rows):
-            assert np.array_equal(backend.run(piece).answers, rows)
+            assert np.array_equal(backend.run(piece), rows)
 
     def test_inherits_merged_settings(self):
-        _, merged, sizes = self._merged(
-            resident=True, entry_bytes=16, slo_latency_s=0.25
-        )
+        _, merged, sizes = self._merged()
         for piece in EvalRequest.unmerge(merged, sizes):
-            assert piece.resident and piece.entry_bytes == 16
-            assert piece.slo_latency_s == 0.25
             assert piece.prf_name == "siphash"
 
     def test_validates_sizes(self):
@@ -257,15 +211,15 @@ class TestBucketedPadding:
 
         backend = SingleGpuBackend()
         requests = self._requests(sizes=(3, 2))
-        individual = [backend.run(r).answers for r in requests]
+        individual = [backend.run(r) for r in requests]
         merged, sizes = EvalRequest.merge(requests)
         # Merged batch 5 is keyed at bucket 8 inside the cache: the
         # slices handed back per constituent must align exactly.
         cache = PlanCache()
-        result = cache.run(backend, merged)
-        assert result.answers.shape[0] == 5
+        answers = cache.run(backend, merged)
+        assert answers.shape[0] == 5
         assert cache.stats.misses == 1
-        for got, want in zip(result.split(sizes), individual):
+        for got, want in zip(_split(answers, sizes), individual):
             assert np.array_equal(got, want)
 
     def test_unmerged_pieces_key_to_their_own_buckets(self):
@@ -276,9 +230,9 @@ class TestBucketedPadding:
         merged, sizes = EvalRequest.merge(requests)
         cache = PlanCache()
         for piece, original in zip(EvalRequest.unmerge(merged, sizes), requests):
-            got = cache.run(backend, piece).answers
+            got = cache.run(backend, piece)
             assert got.shape[0] == piece.arena().batch
-            assert np.array_equal(got, backend.run(original).answers)
+            assert np.array_equal(got, backend.run(original))
         # Two distinct buckets (3 -> 4, 2 -> 2) were populated.
         assert {batch_bucket(s) for s in sizes} == {4, 2}
         assert cache.stats.misses == 2

@@ -4,8 +4,8 @@ Claims: cached-path answers are bit-identical to uncached
 ``backend.run`` for every batch size and eval range; plans are priced
 once at the pow2 bucket while the kernel executes the exact batch (no
 padding work on the execution path); the cache keys on everything that
-changes the plan (backend, PRF, domain, residency, entry width, batch
-bucket) and on nothing else; and LRU eviction is bounded by
+changes the plan (backend, PRF, domain, batch bucket) and on nothing
+else; and LRU eviction is bounded by
 ``max_entries``.
 """
 
@@ -14,33 +14,22 @@ import pytest
 
 from repro.crypto import get_prf
 from repro.dpf import eval_full, gen
-from repro.exec import (
-    EvalRequest,
-    PlanCache,
-    SimulatedBackend,
-    SingleGpuBackend,
-    batch_bucket,
-)
+from repro.exec import EvalRequest, PlanCache, SingleGpuBackend, batch_bucket
 from repro.gpu import KeyArena
-from tests.strategies import BACKEND_FACTORIES
+from tests.strategies import BACKEND_FACTORIES, FaultPlan, FlakyBackend
 
 PRF_NAME = "chacha20"
 DOMAIN = 200
 
 
-def _make_request(batch, domain=DOMAIN, seed=7, resident=False, entry_bytes=8):
+def _make_request(batch, domain=DOMAIN, seed=7):
     prf = get_prf(PRF_NAME)
     rng = np.random.default_rng(seed)
     keys = []
     for i in range(batch):
         k0, k1 = gen(int(rng.integers(0, domain)), domain, prf, rng, beta=i + 1)
         keys.append(k0 if i % 2 else k1)
-    request = EvalRequest(
-        keys=keys,
-        prf_name=PRF_NAME,
-        entry_bytes=entry_bytes,
-        resident=resident,
-    )
+    request = EvalRequest(keys=keys, prf_name=PRF_NAME)
     expected = np.stack([eval_full(k, prf) for k in keys])
     return request, expected
 
@@ -65,9 +54,9 @@ class TestBitExactness:
         request, expected = _make_request(batch)
         backend = SingleGpuBackend()
         cache = PlanCache()
-        result = cache.run(backend, request)
-        np.testing.assert_array_equal(result.answers, expected)
-        np.testing.assert_array_equal(result.answers, backend.run(request).answers)
+        answers = cache.run(backend, request)
+        np.testing.assert_array_equal(answers, expected)
+        np.testing.assert_array_equal(answers, backend.run(request))
 
     def test_plan_priced_at_bucket_kernel_runs_exact(self):
         # Batch 5 is keyed (and priced) at bucket 8, but the kernel
@@ -90,38 +79,32 @@ class TestBitExactness:
         backend = Recording()
         cache = PlanCache()
         request, expected = _make_request(5)
-        result = cache.run(backend, request)
+        answers = cache.run(backend, request)
         assert backend.planned == [8]
         assert backend.ran == [(5, 8)]
-        assert result.answers.shape[0] == 5
-        assert result.plan.batch_size == 8
-        np.testing.assert_array_equal(result.answers, expected)
+        assert answers.shape[0] == 5
+        np.testing.assert_array_equal(answers, expected)
         # A second size in the same bucket reuses the plan unchanged
         # and still runs at its own exact batch.
         second, second_expected = _make_request(7, seed=9)
         got = cache.run(backend, second)
         assert backend.planned == [8]
         assert backend.ran == [(5, 8), (7, 8)]
-        np.testing.assert_array_equal(got.answers, second_expected)
+        np.testing.assert_array_equal(got, second_expected)
 
     def test_eval_range_restriction_survives_the_cache(self):
         request, expected = _make_request(6)
         restricted = request.restrict(50, 150)
-        result = PlanCache().run(SingleGpuBackend(), restricted)
-        assert result.answers.shape == (6, 100)
-        np.testing.assert_array_equal(result.answers, expected[:, 50:150])
-
-    def test_resident_mode_matches(self):
-        request, expected = _make_request(5, resident=True)
-        result = PlanCache().run(SingleGpuBackend(), request)
-        np.testing.assert_array_equal(result.answers, expected)
+        answers = PlanCache().run(SingleGpuBackend(), restricted)
+        assert answers.shape == (6, 100)
+        np.testing.assert_array_equal(answers, expected[:, 50:150])
 
     def test_repeated_hits_stay_bit_exact(self):
         cache = PlanCache()
         backend = SingleGpuBackend()
         for seed in (1, 2, 3):
             request, expected = _make_request(5, seed=seed)
-            np.testing.assert_array_equal(cache.run(backend, request).answers, expected)
+            np.testing.assert_array_equal(cache.run(backend, request), expected)
         assert cache.stats.hits == 2
         assert cache.stats.misses == 1
 
@@ -144,59 +127,24 @@ class TestCacheKey:
         assert cache.stats.misses == 2
         assert len(cache) == 2
 
-    def test_residency_splits_the_key(self):
-        backend = SingleGpuBackend()
-        request, _ = _make_request(5)
-        resident, _ = _make_request(5, resident=True)
-        cache = PlanCache()
-        cache.run(backend, request)
-        cache.run(backend, resident)
-        assert cache.stats.misses == 2
-
-    def test_entry_bytes_splits_the_key(self):
-        backend = SingleGpuBackend()
-        cache = PlanCache()
-        cache.run(backend, _make_request(5, entry_bytes=8)[0])
-        cache.run(backend, _make_request(5, entry_bytes=32)[0])
-        assert cache.stats.misses == 2
-
     def test_distinct_backend_instances_never_share(self):
         # Two wrapped/unknown backends must not collide even if they
-        # model the same device: the base plan_key is per-instance.
+        # wrap the same device: the base plan_key is per-instance.
         request, _ = _make_request(5)
         cache = PlanCache()
-        cache.run(SimulatedBackend(), request)
-        cache.run(SimulatedBackend(), request)
-        # SimulatedBackend keys on the modeled device and the (default)
-        # pool, so these *do* share; SingleGpuBackend with a private
-        # pool must not.
-        assert cache.stats.hits == 1
-        from repro.gpu import get_strategy
-
-        a = SingleGpuBackend(strategies=[get_strategy("level_by_level")])
-        b = SingleGpuBackend(strategies=[get_strategy("level_by_level")])
-        cache2 = PlanCache()
-        cache2.run(a, request)
-        cache2.run(b, request)
-        assert cache2.stats.misses == 2
-
-    def test_a_simulated_backend_keys_on_its_strategy_pool(self):
-        # Two pools price two different plans at the same shape, so the
-        # second backend must not be served the first one's plan.
-        from repro.gpu import MemoryBoundedTree
-
-        request, _ = _make_request(5)
-        default = SimulatedBackend(strategies=[MemoryBoundedTree()])
-        tuned = SimulatedBackend(strategies=[MemoryBoundedTree(log_subtrees=1)])
-        assert default.plan_key != tuned.plan_key
-        cache = PlanCache()
-        cache.run(default, request)
-        result = cache.run(tuned, request)
+        for _ in range(2):
+            cache.run(FlakyBackend(SingleGpuBackend(), FaultPlan()), request)
         assert cache.stats.misses == 2
-        assert result.plan == tuned.plan(request.padded(batch_bucket(5)))
+        # Every plain SingleGpuBackend prices alike, so these *do* share.
+        plain = PlanCache()
+        plain.run(SingleGpuBackend(), request)
+        plain.run(SingleGpuBackend(), request)
+        assert (plain.stats.misses, plain.stats.hits) == (1, 1)
 
     @pytest.mark.parametrize("backend_name", sorted(BACKEND_FACTORIES))
-    def test_a_shared_cache_hands_each_pool_backend_its_own_plan(self, backend_name):
+    def test_a_shared_cache_hands_each_pool_backend_its_own_plan(
+        self, backend_name, monkeypatch
+    ):
         # One cache in front of the whole pool: every backend misses
         # once, and its later hit is the plan it prices itself.
         request, expected = _make_request(5)
@@ -206,10 +154,17 @@ class TestCacheKey:
             cache.run(backend, request)
         assert cache.stats.misses == len(pool) == len(cache)
         backend = pool[backend_name]
-        result = cache.run(backend, request)
+        plans = []
+        run_with_plan = backend.run_with_plan
+        monkeypatch.setattr(
+            backend,
+            "run_with_plan",
+            lambda request, plan: plans.append(plan) or run_with_plan(request, plan),
+        )
+        answers = cache.run(backend, request)
         assert cache.stats.hits == 1
-        assert result.plan == backend.plan(request.padded(batch_bucket(5)))
-        np.testing.assert_array_equal(result.answers, expected)
+        assert plans == [backend.plan(request.padded(batch_bucket(5)))]
+        np.testing.assert_array_equal(answers, expected)
 
 
 class TestEviction:

@@ -17,7 +17,6 @@ from repro.crypto import get_prf
 from repro.dpf import gen
 from repro.exec import EvalRequest, SingleGpuBackend
 from repro.gpu import (
-    A100,
     GpuSimulator,
     Scheduler,
     V100,
@@ -299,6 +298,6 @@ class TestSchedulerCostHook:
         prf = get_prf("siphash")
         rng = np.random.default_rng(0)
         keys = [gen(int(rng.integers(0, 128)), 128, prf, rng)[0] for _ in range(8)]
-        plan = SingleGpuBackend(A100).plan(EvalRequest(keys=keys, prf_name="siphash"))
-        hook = Scheduler(A100).latency_s(8, 128, prf_name="siphash")
+        plan = SingleGpuBackend().plan(EvalRequest(keys=keys, prf_name="siphash"))
+        hook = Scheduler(V100).latency_s(8, 128, prf_name="siphash")
         assert plan.latency_s == hook

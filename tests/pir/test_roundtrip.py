@@ -2,12 +2,11 @@
 
 The tentpole property: for random tables and random index sets,
 ``client -> wire -> two servers -> reconstruction`` returns *exactly*
-the table entries — under both object ingestion and wire ingestion, in
-streaming and resident-keys modes, on every backend of the shared pool
-(single-GPU on a V100 and an A100, and the simulated oracle).  Each
-(backend, ingest) pair runs the full Hypothesis property with residency
-and shapes drawn per example, so the whole {object, wire} x {streaming,
-resident} x backend cube is exercised.
+the table entries — under both object ingestion and wire ingestion, on
+every backend of the shared pool (single-GPU and the simulated
+oracle).  Each (backend, ingest) pair runs the full Hypothesis property
+with shapes drawn per example, so the whole {object, wire} x backend
+grid is exercised.
 """
 
 import hashlib
@@ -41,7 +40,6 @@ def pir_cases(draw):
         "prf": draw(fast_prf_names),
         "table_seed": draw(st.integers(0, 2**32 - 1)),
         "key_seed": draw(st.integers(0, 2**32 - 1)),
-        "resident": draw(st.booleans()),
     }
 
 
@@ -50,10 +48,7 @@ def _setup(case, backend_name):
     table = rng.integers(0, 1 << 64, size=case["domain"], dtype=np.uint64)
     servers = [
         PirServer(
-            table,
-            backend=BACKEND_FACTORIES[backend_name](),
-            prf_name=case["prf"],
-            resident=case["resident"],
+            table, backend=BACKEND_FACTORIES[backend_name](), prf_name=case["prf"]
         )
         for _ in range(2)
     ]
@@ -97,9 +92,7 @@ class TestRoundTripExamples:
         domain, indices = 1000, [0, 999, 512, 31, 31, 700, 3, 255]
         rng = np.random.default_rng(42)
         table = rng.integers(0, 1 << 64, size=domain, dtype=np.uint64)
-        servers = [
-            PirServer(table, prf_name="chacha20", resident=True) for _ in range(2)
-        ]
+        servers = [PirServer(table, prf_name="chacha20") for _ in range(2)]
         client = PirClient(domain, "chacha20", rng=np.random.default_rng(43))
         batch = client.query(indices)
         got = client.reconstruct(

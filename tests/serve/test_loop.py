@@ -49,7 +49,6 @@ def serve_cases(draw):
         # Drawn so flushes are full max_batch batches sometimes and
         # non-full ones otherwise; equivalence must hold either way.
         "max_batch": draw(st.sampled_from((1, 2, 64))),
-        "resident": draw(st.booleans()),
     }
 
 
@@ -75,10 +74,7 @@ class TestAsyncMatchesSequential:
         rng = np.random.default_rng(case["table_seed"])
         table = rng.integers(0, 1 << 64, size=case["domain"], dtype=np.uint64)
         server = PirServer(
-            table,
-            backend=BACKEND_FACTORIES[backend_name](),
-            prf_name=case["prf"],
-            resident=case["resident"],
+            table, backend=BACKEND_FACTORIES[backend_name](), prf_name=case["prf"]
         )
         client = PirClient(
             case["domain"], case["prf"], rng=np.random.default_rng(case["key_seed"])

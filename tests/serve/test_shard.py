@@ -206,7 +206,7 @@ class TestReplicaFailover:
         answers = server.answer_request(merged, epoch=0, sizes=sizes)
         # The survivor served the constituents individually, in order.
         assert sibling.batch_sizes == [2, 1, 3]
-        expected = server.combine(BACKEND_FACTORIES["single_gpu"]().run(merged).answers)
+        expected = server.combine(BACKEND_FACTORIES["single_gpu"]().run(merged))
         assert np.array_equal(answers, expected)
 
     def test_all_replicas_down_raises_the_backend_fault(self):

@@ -32,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exec.backend import ExecutionBackend
-from repro.exec.request import EvalRequest, EvalResult, ExecutionPlan
+from repro.exec.request import EvalRequest, ExecutionPlan
 
 
 class BackendFault(RuntimeError):
@@ -153,7 +153,7 @@ class FlakyBackend(ExecutionBackend):
         """Pricing never faults: the model is intact, the device flaky."""
         return self.inner.plan(request)
 
-    def run(self, request: EvalRequest) -> EvalResult:
+    def run(self, request: EvalRequest) -> np.ndarray:
         """Count one dispatch; raise if the plan says this one dies."""
         self.runs += 1
         if self.fault_plan.should_fail(self.runs, self._rng):

@@ -102,6 +102,18 @@ ROWS = (
         r"|np\.arange\(65536\)",
         ("src/repro/exec", "src/repro/crypto"),
     ),
+    Deleted(
+        "request_hints",
+        "a pricing hint, a backend knob, EvalResult or an uncalled accessor",
+        r"EvalResult|slo_latency_s|meets_slo|resident=|\.resident\b|_schedulers\b"
+        r"|alloc_arrays?\b|free_arrays?\b|def shard_count|def replica_count",
+        (
+            "src/repro/exec",
+            "src/repro/pir",
+            "src/repro/serve",
+            "src/repro/gpu/memory.py",
+        ),
+    ),
 )
 
 
