@@ -41,6 +41,7 @@ from repro.exec import (
 from repro.gpu.arena import KeySource
 from repro.pir.wire import PirQuery, PirReply
 
+
 class PirServer:
     """One party's server: table, backend, and the serving entry points.
 
