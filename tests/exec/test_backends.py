@@ -1,11 +1,13 @@
 """The unified execution layer: one request API, two backends.
 
-Claims: every backend's ``run`` is bit-identical to the reference
-evaluator for every accepted key-source form (objects, arena, wire
-bytes); ``plan`` exposes one
-device's scheduler decision in the same shape regardless of backend;
-and the request normalizes/ingests key material exactly once.
+Claims: every backend's ``run`` and ``run_with_plan`` are bit-identical
+to the reference evaluator for every accepted key-source form (objects,
+arena, wire bytes) and return the answers array itself; ``plan``
+exposes one device's scheduler decision in the same shape regardless of
+backend; and the request normalizes/ingests key material exactly once.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -20,7 +22,7 @@ from repro.exec import (
     SimulatedBackend,
     SingleGpuBackend,
 )
-from repro.gpu import KeyArena, get_strategy
+from repro.gpu import V100, KeyArena, get_strategy
 
 from tests.strategies import BACKEND_FACTORIES
 
@@ -60,6 +62,20 @@ class TestRunBitIdentity:
         answers = backend.run(EvalRequest(keys=source, prf_name=prf.name))
         assert np.array_equal(answers, expected)
 
+    @pytest.mark.parametrize("source_form", ["objects", "arena", "wire"])
+    def test_run_with_plan_matches_reference(self, backend_name, source_form, reference):
+        """The plan-cache hot path answers like ``run`` for every form."""
+        keys, prf, expected = reference
+        source = {
+            "objects": keys,
+            "arena": KeyArena.from_keys(keys),
+            "wire": pack_keys(keys),
+        }[source_form]
+        backend = BACKEND_FACTORIES[backend_name]()
+        request = EvalRequest(keys=source, prf_name=prf.name)
+        answers = backend.run_with_plan(request, backend.plan(request))
+        assert np.array_equal(answers, expected)
+
     def test_repeated_runs_reuse_backend_state(self, backend_name, reference):
         """A serving loop over one backend stays bit-identical (the
         persistent workspace/scheduler caches must not leak state)."""
@@ -68,6 +84,32 @@ class TestRunBitIdentity:
         for _ in range(3):
             answers = backend.run(EvalRequest(keys=keys, prf_name=prf.name))
             assert np.array_equal(answers, expected)
+
+
+@pytest.mark.parametrize("backend_name", sorted(BACKEND_FACTORIES))
+class TestAnswersArray:
+    """``run`` returns the answers themselves, not a wrapper around them."""
+
+    def test_run_returns_the_share_matrix(self, backend_name, reference):
+        keys, prf, _ = reference
+        answers = BACKEND_FACTORIES[backend_name]().run(
+            EvalRequest(keys=keys, prf_name=prf.name)
+        )
+        assert type(answers) is np.ndarray
+        assert answers.dtype == np.uint64 and answers.shape == (BATCH, DOMAIN)
+
+    def test_a_reduced_run_returns_the_answers(self, backend_name, reference):
+        keys, prf, expected = reference
+        table = np.random.default_rng(11).integers(
+            0, 1 << 64, size=DOMAIN, dtype=np.uint64
+        )
+        request = EvalRequest(
+            keys=keys, prf_name=prf.name, reduce=lambda s, lo, hi: s @ table[lo:hi]
+        )
+        answers = BACKEND_FACTORIES[backend_name]().run(request)
+        assert type(answers) is np.ndarray
+        assert answers.dtype == np.uint64 and answers.shape == (BATCH,)
+        assert np.array_equal(answers, expected @ table)
 
 
 @pytest.mark.parametrize("backend_name", sorted(BACKEND_FACTORIES))
@@ -83,6 +125,42 @@ class TestPlan:
         assert plan.latency_s > 0
         assert plan.throughput_qps > 0
         assert plan.strategies == (plan.selection.strategy,)
+
+    def test_instances_share_a_plan_cache_entry(self, backend_name, reference):
+        """Every instance of a pool entry prices alike, so a second one
+        hits the first one's cached plan."""
+        keys, prf, expected = reference
+        first, second = (BACKEND_FACTORIES[backend_name]() for _ in range(2))
+        assert first.plan_key == second.plan_key
+        cache = PlanCache()
+        request = EvalRequest(keys=keys, prf_name=prf.name)
+        for backend in (first, second):
+            assert np.array_equal(cache.run(backend, request), expected)
+        assert (cache.stats.misses, cache.stats.hits) == (1, 1)
+
+
+class TestPool:
+    """Each shared pool entry plans what its name says: the pinned
+    entries would otherwise quietly serve the default V100 plan and the
+    equivalence suites would test one plan six times."""
+
+    @pytest.mark.parametrize(
+        "design", ["branch_parallel", "level_by_level", "memory_bounded"]
+    )
+    def test_a_pinned_entry_plans_its_design(self, design, reference):
+        keys, prf, _ = reference
+        request = EvalRequest(keys=keys, prf_name=prf.name)
+        default = SingleGpuBackend().plan(request).selection.strategy
+        plan = BACKEND_FACTORIES[f"single_gpu_{design}"]().plan(request)
+        assert plan.selection.strategy == design != default
+        assert [name for name, _ in plan.selection.rankings] == [design]
+
+    def test_the_a100_entry_prices_on_another_device(self, reference):
+        keys, prf, _ = reference
+        request = EvalRequest(keys=keys, prf_name=prf.name)
+        v100 = SingleGpuBackend().plan(request)
+        a100 = BACKEND_FACTORIES["single_gpu_a100"]().plan(request)
+        assert a100.latency_s != v100.latency_s
 
 
 @pytest.mark.parametrize("backend_name", sorted(BACKEND_FACTORIES))
@@ -184,6 +262,12 @@ class TestBatchSlices:
 
 
 class TestEvalRequest:
+    def test_a_request_is_keys_a_range_and_a_reducer(self):
+        public = [
+            f.name for f in dataclasses.fields(EvalRequest) if not f.name.startswith("_")
+        ]
+        assert public == ["keys", "prf_name", "eval_range", "reduce", "traces"]
+
     def test_arena_is_ingested_once(self):
         keys, prf = _make_keys()
         request = EvalRequest(keys=pack_keys(keys), prf_name=prf.name)
@@ -217,6 +301,12 @@ class TestEvalRequest:
 
 
 class TestProtocol:
+    @pytest.mark.parametrize("backend_class", [SingleGpuBackend, SimulatedBackend])
+    def test_backends_take_no_arguments(self, backend_class):
+        """Both price on the calibrated V100 over every design."""
+        with pytest.raises(TypeError):
+            backend_class(V100)
+
     def test_backends_implement_the_abstract_protocol(self):
         for factory in BACKEND_FACTORIES.values():
             assert isinstance(factory(), ExecutionBackend)
