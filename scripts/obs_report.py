@@ -1,14 +1,14 @@
 #!/usr/bin/env python
-"""Render an observability report from a JSONL trace/metric export.
+"""Render an observability report from a JSONL trace export.
 
 Usage:
     python scripts/obs_report.py EXPORT.jsonl [--top N] [--out FILE] [--strict]
 
 Reads the export written by ``repro.obs.export.write_jsonl`` (for
 example by a traced serving session) and prints the session's
-per-stage latency breakdown, chain-integrity census, top-N slowest
-traces, and the final registry snapshot's histogram percentiles.  With
-``--out`` the same rendering is additionally written to a file.
+per-stage latency breakdown, chain-integrity census and top-N slowest
+traces.  With ``--out`` the same rendering is additionally written to a
+file.
 """
 
 from __future__ import annotations
@@ -38,8 +38,8 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    traces, snapshots = read_jsonl(args.export)
-    report = render_report(traces, snapshots, top=args.top)
+    traces = read_jsonl(args.export)
+    report = render_report(traces, top=args.top)
     print(report, end="")
     if args.out:
         with open(args.out, "w", encoding="utf-8") as handle:

@@ -14,16 +14,14 @@ zero re-planning.  The walk's scratch is the thread's
 of 13, then 14, then 12 ...), so exact-shape memoization would miss
 constantly.  Cache keys therefore round the batch up to a power-of-two
 bucket (:func:`batch_bucket`): batches 9..16 all share one bucket-16
-entry.  The entry's plan is priced *at the bucket* — the fixed grid a
-persistent GPU kernel would launch, so its modeled latency is the
-honest device cost of serving any batch in the bucket — but the kernel
-executes the *exact* batch under that plan's strategy.  Strategy
-choice never changes answers (every backend is pinned bit-identical
-across strategies and against the reference evaluator), so no padding
-work is executed and no pad rows exist to slice off.  What bucketing
-trades away is selection exactness: the bucket plan's strategy may
-differ from what exact-size selection would pick — a modeled-cost
-approximation bounded by the < 2x shape gap, never a correctness risk.
+entry.  A miss plans the request it has, and that plan serves every
+later batch in the bucket: the kernel always executes the exact batch
+under the cached plan's strategy.  Strategy choice never changes
+answers (every backend is pinned bit-identical across strategies and
+against the reference evaluator), so what bucketing trades away is
+selection exactness: the cached strategy may differ from what
+exact-size selection would pick — a modeled-cost approximation bounded
+by the < 2x shape gap, never a correctness risk.
 
 **Cache key.**  ``(backend.plan_key, prf, domain_size, bucket)`` —
 every axis that changes either the winning strategy or the modeled
@@ -47,7 +45,7 @@ from repro.exec.request import EvalRequest, ExecutionPlan
 
 
 def batch_bucket(batch: int) -> int:
-    """The power-of-two bucket a batch size pads up to.
+    """The power-of-two bucket a batch size rounds up to.
 
     Raises:
         ValueError: If ``batch`` is not positive.
@@ -79,16 +77,6 @@ class PlanCacheStats:
     def hit_rate(self) -> float:
         """Hits over lookups; 0.0 before any lookup."""
         return self.hits / self.lookups if self.lookups else 0.0
-
-    def as_dict(self) -> dict:
-        """JSON-ready counters — the metrics-registry view shape."""
-        return {
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "lookups": self.lookups,
-            "hit_rate": self.hit_rate,
-        }
 
 
 class PlanCache:
@@ -130,20 +118,14 @@ class PlanCache:
 
         On a hit the backend's :meth:`~repro.exec.backend
         .ExecutionBackend.run_with_plan` executes the request under the
-        memoized plan — no re-planning.  On a miss the plan is priced
-        once at the bucket size (via
-        :meth:`~repro.exec.request.EvalRequest.padded`, so it describes
-        the full bucket-shaped launch) and the entry cached for every
-        future batch that rounds to the same bucket.  The kernel always
-        runs the *exact* request — padding is a pricing artifact, not
-        executed work — so the answers have exactly ``batch`` rows while
-        the memoized plan's ``batch_size`` is the bucket.
+        memoized plan — no re-planning.  On a miss the request is
+        planned as it is and the entry cached for every future batch
+        that rounds to the same bucket.
         """
-        arena = request.arena()
         key = self.key_for(backend, request)
         plan = self._entries.get(key)
         if plan is None:
-            plan = backend.plan(request.padded(batch_bucket(arena.batch)))
+            plan = backend.plan(request)
             self._entries[key] = plan
             self.stats.misses += 1
             while len(self._entries) > self.max_entries:

@@ -58,10 +58,9 @@ class EvalRequest:
             :meth:`Strategy.eval_batch <repro.gpu.strategies.Strategy
             .eval_batch>` for who reduces when.  Its presence is the
             only switch: planning and pricing do not look at it.  Row
-            indices are the table's, so
-            :meth:`restrict`, :meth:`padded`, :meth:`merge` and
-            :meth:`unmerge` carry it along unchanged.  Excluded from
-            ``repr``/comparison, like ``traces``.
+            indices are the table's, so :meth:`restrict`,
+            :meth:`merge` and :meth:`unmerge` carry it along unchanged.
+            Excluded from ``repr``/comparison, like ``traces``.
         traces: Optional per-constituent trace contexts
             (:class:`repro.obs.trace.TraceContext`), one slot per
             merge constituent — ``None`` (the default, and the
@@ -139,32 +138,6 @@ class EvalRequest:
         )
         request.resolved_range()
         return request
-
-    def padded(self, total: int) -> "EvalRequest":
-        """A copy of this request padded to ``total`` keys.
-
-        The pad half of the plan cache's pad-and-slice bucketing: the
-        arena grows to ``total`` rows by repeating its last key
-        (:meth:`KeyArena.pad_to`), every other setting — including any
-        ``eval_range`` restriction — is preserved, and the caller slices
-        the padded tail back off the answers (``answers[:batch]``).  A
-        ``total`` equal to the current batch returns ``self`` unchanged.
-
-        Raises:
-            ValueError: If ``total`` is smaller than the current batch.
-        """
-        arena = self.arena()
-        if total == arena.batch:
-            return self
-        grown = arena.pad_to(total)
-        return EvalRequest(
-            keys=grown,
-            prf_name=self.prf_name,
-            eval_range=self.eval_range,
-            reduce=self.reduce,
-            traces=self.traces,
-            _arena=grown,
-        )
 
     @classmethod
     def merge(
@@ -298,22 +271,6 @@ class ExecutionPlan:
 
     backend: str
     selection: Selection
-
-    @property
-    def batch_size(self) -> int:
-        return self.selection.plan.batch_size
-
-    @property
-    def table_entries(self) -> int:
-        return self.selection.plan.table_entries
-
-    @property
-    def latency_s(self) -> float:
-        return self.selection.stats.latency_s
-
-    @property
-    def throughput_qps(self) -> float:
-        return self.selection.stats.throughput_qps
 
     @property
     def strategies(self) -> tuple[str]:

@@ -352,50 +352,6 @@ class KeyArena:
             negate=np.concatenate([a.negate for a in arenas]),
         )
 
-    def pad_to(self, total: int) -> "KeyArena":
-        """Pad to ``total`` rows by repeating the last key.
-
-        This is the pad half of the plan cache's pad-and-slice batch
-        bucketing: a batch of 13 runs at the pow2 bucket of 16, with the
-        last key duplicated into the 3 tail rows so every row is a
-        well-formed key for the same domain and PRF.  Callers slice the
-        answers back to the true batch (``answers[:batch]``), so the
-        padded rows can never reach a client — duplicating a *real* key
-        keeps the tail bit-exact-evaluable without inventing key
-        material.
-
-        Args:
-            total: Target batch size, ``>= batch``.  Equal sizes return
-                ``self`` (no copy).
-
-        Raises:
-            ValueError: If ``total`` is smaller than the current batch.
-        """
-        if total < self.batch:
-            raise ValueError(
-                f"cannot pad a batch of {self.batch} down to {total} rows"
-            )
-        if total == self.batch:
-            return self
-        pad = total - self.batch
-
-        def padded(field: np.ndarray) -> np.ndarray:
-            return np.concatenate([field, np.repeat(field[-1:], pad, axis=0)])
-
-        return KeyArena(
-            batch=total,
-            depth=self.depth,
-            domain_size=self.domain_size,
-            prf_name=self.prf_name,
-            roots=padded(self.roots),
-            root_ts=padded(self.root_ts),
-            cw_seeds=padded(self.cw_seeds),
-            cw_t_left=padded(self.cw_t_left),
-            cw_t_right=padded(self.cw_t_right),
-            output_cws=padded(self.output_cws),
-            negate=padded(self.negate),
-        )
-
     # -- views and round trips -----------------------------------------
 
     def to_wire(self) -> bytes:

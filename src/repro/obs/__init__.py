@@ -1,24 +1,16 @@
-"""repro.obs — end-to-end request tracing + unified metrics registry.
+"""repro.obs — end-to-end request tracing.
 
 The observability substrate for the serving stack: span-based per-query
 tracing that survives batch fusion, retry, shard fan-out, and replica
-failover (:mod:`repro.obs.trace`); a registry of counters, gauges, and
-fixed-bucket latency histograms that absorbs every subsystem's ad-hoc
-stats as registered views (:mod:`repro.obs.metrics`); JSONL export
+failover (:mod:`repro.obs.trace`); JSONL export of finished traces
 (:mod:`repro.obs.export`) and report rendering
-(:mod:`repro.obs.report`).  The disabled-mode default
+(:mod:`repro.obs.report`).  Counters stay with the component that
+keeps them: the loop's ``stats``, the plan cache's ``stats`` and a
+sharded server's ``stats_totals()``.  The disabled-mode default
 (:data:`NULL_TRACER`) costs a handful of no-op calls per query.
 """
 
-from .export import metrics_record, read_jsonl, trace_record, write_jsonl
-from .metrics import (
-    DEFAULT_LATENCY_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    default_latency_buckets,
-)
+from .export import read_jsonl, trace_record, write_jsonl
 from .report import render_report, slowest_traces, stage_breakdown
 from .trace import (
     NULL_TRACER,
@@ -41,11 +33,6 @@ from .trace import (
 )
 
 __all__ = [
-    "Counter",
-    "DEFAULT_LATENCY_BUCKETS",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
     "NULL_TRACER",
     "NullTracer",
     "REQUIRED_STAGES",
@@ -63,8 +50,6 @@ __all__ = [
     "Tracer",
     "annotate_request",
     "chain_problems",
-    "default_latency_buckets",
-    "metrics_record",
     "read_jsonl",
     "render_report",
     "slowest_traces",

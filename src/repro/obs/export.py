@@ -1,9 +1,8 @@
-"""JSONL export for traces and metric snapshots.
+"""JSONL export for finished traces.
 
-One record per line, each tagged ``{"kind": "trace" | "metrics", ...}``
-so a single file can interleave finished traces with periodic registry
-snapshots from the same session.  ``scripts/obs_report.py`` renders
-these files; :func:`read_jsonl` is the matching loader.
+One record per line, each tagged ``{"kind": "trace", ...}``.
+``scripts/obs_report.py`` renders these files; :func:`read_jsonl` is
+the matching loader.
 """
 
 from __future__ import annotations
@@ -11,11 +10,9 @@ from __future__ import annotations
 import json
 from typing import IO, Iterable
 
-from .metrics import MetricsRegistry
 from .trace import TraceContext
 
 KIND_TRACE = "trace"
-KIND_METRICS = "metrics"
 
 
 def trace_record(trace: TraceContext | dict) -> dict:
@@ -24,28 +21,9 @@ def trace_record(trace: TraceContext | dict) -> dict:
     return {"kind": KIND_TRACE, **body}
 
 
-def metrics_record(snapshot: dict) -> dict:
-    """The JSONL line payload for one registry snapshot."""
-    return {"kind": KIND_METRICS, "snapshot": snapshot}
-
-
-def write_jsonl(
-    path_or_handle,
-    traces: Iterable[TraceContext | dict] = (),
-    snapshots: Iterable[dict] = (),
-    registry: MetricsRegistry | None = None,
-) -> int:
-    """Write traces + snapshots as JSONL; returns the record count.
-
-    ``registry`` is a convenience: when given, its recorded snapshots
-    are appended after ``snapshots`` and a final live snapshot is taken
-    so the export always ends with the registry's terminal state.
-    """
+def write_jsonl(path_or_handle, traces: Iterable[TraceContext | dict]) -> int:
+    """Write traces as JSONL; returns the record count."""
     records = [trace_record(t) for t in traces]
-    records.extend(metrics_record(s) for s in snapshots)
-    if registry is not None:
-        records.extend(metrics_record(s) for s in registry.snapshots)
-        records.append(metrics_record(registry.snapshot()))
     if hasattr(path_or_handle, "write"):
         _write_records(path_or_handle, records)
     else:
@@ -54,12 +32,12 @@ def write_jsonl(
     return len(records)
 
 
-def read_jsonl(path_or_handle) -> tuple[list[dict], list[dict]]:
-    """Load a JSONL export; returns ``(traces, snapshots)`` as dicts.
+def read_jsonl(path_or_handle) -> list[dict]:
+    """Load a JSONL export; returns its traces as dicts.
 
-    Unknown ``kind`` tags are skipped (forward compatibility); a
-    malformed line raises — a truncated export should fail loudly,
-    not silently drop the tail.
+    Records of any other ``kind`` are skipped, so older exports that
+    also carry ``metrics`` lines still load; a malformed line raises —
+    a truncated export should fail loudly, not silently drop the tail.
     """
     if hasattr(path_or_handle, "read"):
         lines = path_or_handle.read().splitlines()
@@ -67,7 +45,6 @@ def read_jsonl(path_or_handle) -> tuple[list[dict], list[dict]]:
         with open(path_or_handle, "r", encoding="utf-8") as handle:
             lines = handle.read().splitlines()
     traces: list[dict] = []
-    snapshots: list[dict] = []
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -75,13 +52,10 @@ def read_jsonl(path_or_handle) -> tuple[list[dict], list[dict]]:
             record = json.loads(line)
         except json.JSONDecodeError as exc:
             raise ValueError(f"malformed JSONL at line {lineno}: {exc}") from exc
-        kind = record.get("kind")
-        if kind == KIND_TRACE:
+        if record.get("kind") == KIND_TRACE:
             record.pop("kind")
             traces.append(record)
-        elif kind == KIND_METRICS:
-            snapshots.append(record["snapshot"])
-    return traces, snapshots
+    return traces
 
 
 def _write_records(handle: IO[str], records: list[dict]) -> None:

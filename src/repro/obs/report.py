@@ -81,13 +81,11 @@ def slowest_traces(traces, top: int = 10) -> list[dict]:
     return rows[:top]
 
 
-def render_report(traces, snapshots=(), top: int = 10) -> str:
+def render_report(traces, top: int = 10) -> str:
     """The human-readable session report as one string.
 
     Sections: trace census (statuses + chain-integrity check),
-    per-stage breakdown table, top-N slowest traces, and — when
-    snapshots are given — the final registry snapshot's histogram
-    percentiles.
+    per-stage breakdown table and the top-N slowest traces.
     """
     traces = _as_dicts(traces)
     lines: list[str] = []
@@ -136,20 +134,4 @@ def render_report(traces, snapshots=(), top: int = 10) -> str:
             )
         lines.append("")
 
-    snapshots = list(snapshots)
-    if snapshots:
-        final = snapshots[-1]
-        hists = final.get("histograms", {})
-        if hists:
-            lines.append("final snapshot histograms:")
-            lines.append(
-                f"  {'name':<24} {'count':>7} {'p50_ms':>9} {'p99_ms':>9} {'p999_ms':>9}"
-            )
-            for name in sorted(hists):
-                hist = hists[name]
-                lines.append(
-                    f"  {name:<24} {hist['count']:>7} {hist['p50'] * 1e3:>9.4f} "
-                    f"{hist['p99'] * 1e3:>9.4f} {hist['p999'] * 1e3:>9.4f}"
-                )
-            lines.append("")
     return "\n".join(lines).rstrip() + "\n"

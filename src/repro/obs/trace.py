@@ -177,14 +177,12 @@ class TraceContext:
         return span
 
     def end(self, span: Span, **annotations) -> None:
-        """Close ``span`` now, attach ``annotations``, feed the stage
-        histogram when the tracer carries a metrics registry."""
+        """Close ``span`` now and attach ``annotations``."""
         if span.end_s is not None:
             return
         span.end_s = self._tracer.clock()
         if annotations:
             span.annotations.update(annotations)
-        self._tracer._observe_stage(span.name, span.end_s - span.start_s)
 
     def event(self, name: str, **fields) -> None:
         """Record a zero-duration annotation (retry, failover, ...).
@@ -234,12 +232,7 @@ class Tracer:
 
     Args:
         clock: Monotonic time source; inject a fake for deterministic
-            span timings (the same pattern the serving loop uses).
-        metrics: Optional :class:`~repro.obs.metrics.MetricsRegistry`;
-            when given, every ended span feeds a fixed-bucket latency
-            histogram named ``stage.<name>`` — per-stage p50/p99
-            without retaining samples, which is what registry
-            snapshots and ``scripts/obs_report.py`` report.
+            span timings.
 
     Attributes:
         enabled: ``True`` — the serving loop attaches contexts to
@@ -250,13 +243,8 @@ class Tracer:
 
     enabled = True
 
-    def __init__(
-        self,
-        clock: Callable[[], float] = time.monotonic,
-        metrics=None,
-    ):
+    def __init__(self, clock: Callable[[], float] = time.monotonic):
         self.clock = clock
-        self.metrics = metrics
         self.finished: list[TraceContext] = []
         self._ids = itertools.count()
 
@@ -280,10 +268,6 @@ class Tracer:
 
     def _finish(self, ctx: TraceContext) -> None:
         self.finished.append(ctx)
-
-    def _observe_stage(self, stage: str, duration_s: float) -> None:
-        if self.metrics is not None:
-            self.metrics.histogram(f"stage.{stage}").observe(duration_s)
 
 
 class _NullSpan(Span):

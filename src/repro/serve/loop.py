@@ -55,7 +55,6 @@ from collections import deque
 from dataclasses import dataclass, field
 
 from repro.exec.request import EvalRequest
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import (
     NULL_TRACER,
     STAGE_ADMIT,
@@ -74,7 +73,6 @@ from repro.obs.trace import (
 )
 from repro.pir.server import PirServer
 from repro.pir.wire import PirQuery, PirReply
-from repro.serve.shard import ShardedPirServer
 
 FLUSH_MAX_BATCH = "max_batch"
 """Flush reason: the pending queue reached ``max_batch`` queries."""
@@ -130,7 +128,8 @@ class ServingStats:
             :data:`FLUSH_MAX_BATCH` (a full batch),
             :data:`FLUSH_DEADLINE` (a non-full batch, dispatched at
             once) or :data:`FLUSH_DRAIN` (the loop is stopping).  The
-            plan cache's counters are its own ``plan_cache`` view.
+            plan cache counts its own lookups
+            (``server.plan_cache.stats``).
     """
 
     submitted: int = 0
@@ -148,22 +147,6 @@ class ServingStats:
     def mean_batch(self) -> float:
         """Average fused-batch size — the aggregation win in one number."""
         return self.answered / self.batches if self.batches else 0.0
-
-    def as_dict(self) -> dict:
-        """JSON-ready counters — the metrics-registry view shape."""
-        return {
-            "submitted": self.submitted,
-            "answered": self.answered,
-            "shed": self.shed,
-            "retried": self.retried,
-            "failed": self.failed,
-            "failures": dict(self.failures),
-            "cancelled": self.cancelled,
-            "batches": self.batches,
-            "largest_batch": self.largest_batch,
-            "mean_batch": self.mean_batch,
-            "flushes": dict(self.flushes),
-        }
 
 
 @dataclass(eq=False)
@@ -208,15 +191,6 @@ class AsyncPirServer:
             is the no-op :data:`~repro.obs.trace.NULL_TRACER` — a
             handful of empty method calls per query, nothing allocated,
             nothing attached to requests.
-        metrics: Optional :class:`~repro.obs.metrics.MetricsRegistry`.
-            When given, the loop registers every subsystem it can see
-            as a view — its own :class:`ServingStats`, the server's
-            plan cache, a sharded server's shard totals — so one
-            ``metrics.snapshot()`` is the whole system's state.
-            Pair it with the tracer (``Tracer(metrics=registry)``) to
-            get per-stage latency histograms too.  Snapshots are
-            the caller's: ``metrics.record_snapshot()``, or
-            ``write_jsonl(registry=metrics)`` at export.
 
     Use as an async context manager, or call :meth:`start` /
     :meth:`stop` explicitly::
@@ -232,7 +206,6 @@ class AsyncPirServer:
         max_pending: int = 1024,
         max_attempts: int = 3,
         tracer=None,
-        metrics: MetricsRegistry | None = None,
     ):
         if max_batch <= 0:
             raise ValueError(f"max_batch must be positive, got {max_batch}")
@@ -246,32 +219,11 @@ class AsyncPirServer:
         self.max_attempts = max_attempts
         self.stats = ServingStats()
         self.tracer = tracer if tracer is not None else NULL_TRACER
-        self.metrics = metrics
-        if metrics is not None:
-            self._register_views(metrics)
         self._queue: deque[_Pending] = deque()
         self._queued_queries = 0
         self._wake: asyncio.Event | None = None
         self._task: asyncio.Task | None = None
         self._stopping = False
-
-    def _register_views(self, metrics: MetricsRegistry) -> None:
-        """Absorb every reachable ad-hoc counter bundle as a view.
-
-        Names are uniquified so two loops (the protocol's two parties)
-        can share one registry.
-        """
-        metrics.register_view(metrics.unique_name("serving"), self.stats.as_dict)
-        cache = self.server.plan_cache
-        if cache is not None:
-            metrics.register_view(
-                metrics.unique_name("plan_cache"), cache.stats.as_dict
-            )
-        if isinstance(self.server, ShardedPirServer):
-            totals = self.server.stats_totals
-            metrics.register_view(
-                metrics.unique_name("shards"), lambda: totals().as_dict()
-            )
 
     # -- lifecycle -----------------------------------------------------
 

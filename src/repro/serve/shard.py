@@ -259,16 +259,6 @@ class ShardStats:
     failovers: int = 0
     rejoins: int = 0
 
-    def as_dict(self) -> dict:
-        """JSON-ready counters — the metrics-registry view shape."""
-        return {
-            "batches": self.batches,
-            "retries": self.retries,
-            "ejections": self.ejections,
-            "failovers": self.failovers,
-            "rejoins": self.rejoins,
-        }
-
 
 class ReplicaSet:
     """R replicas of one shard: routing, health, failover.

@@ -18,6 +18,7 @@ from repro.dpf import eval_full, gen, pack_keys
 from repro.exec import (
     EvalRequest,
     ExecutionBackend,
+    ExecutionPlan,
     PlanCache,
     SimulatedBackend,
     SingleGpuBackend,
@@ -120,10 +121,10 @@ class TestPlan:
             EvalRequest(keys=keys, prf_name=prf.name)
         )
         assert plan.backend == backend_name
-        assert plan.batch_size == BATCH
-        assert plan.table_entries == DOMAIN
-        assert plan.latency_s > 0
-        assert plan.throughput_qps > 0
+        assert plan.selection.plan.batch_size == BATCH
+        assert plan.selection.plan.table_entries == DOMAIN
+        assert plan.selection.stats.latency_s > 0
+        assert plan.selection.stats.throughput_qps > 0
         assert plan.strategies == (plan.selection.strategy,)
 
     def test_instances_share_a_plan_cache_entry(self, backend_name, reference):
@@ -137,6 +138,17 @@ class TestPlan:
         for backend in (first, second):
             assert np.array_equal(cache.run(backend, request), expected)
         assert (cache.stats.misses, cache.stats.hits) == (1, 1)
+
+
+def test_a_plan_is_a_backend_name_and_a_selection():
+    """The per-plan copies of the selection's numbers are gone: a plan's
+    batch, table, latency and rate are read through ``selection``."""
+    assert [f.name for f in dataclasses.fields(ExecutionPlan)] == [
+        "backend",
+        "selection",
+    ]
+    for name in ("batch_size", "table_entries", "latency_s", "throughput_qps"):
+        assert not hasattr(ExecutionPlan, name)
 
 
 class TestPool:
@@ -160,7 +172,7 @@ class TestPool:
         request = EvalRequest(keys=keys, prf_name=prf.name)
         v100 = SingleGpuBackend().plan(request)
         a100 = BACKEND_FACTORIES["single_gpu_a100"]().plan(request)
-        assert a100.latency_s != v100.latency_s
+        assert a100.selection.stats.latency_s != v100.selection.stats.latency_s
 
 
 @pytest.mark.parametrize("backend_name", sorted(BACKEND_FACTORIES))

@@ -1,12 +1,11 @@
 """The plan cache: memoized steady-state dispatch.
 
 Claims: cached-path answers are bit-identical to uncached
-``backend.run`` for every batch size and eval range; plans are priced
-once at the pow2 bucket while the kernel executes the exact batch (no
-padding work on the execution path); the cache keys on everything that
-changes the plan (backend, PRF, domain, batch bucket) and on nothing
-else; and LRU eviction is bounded by
-``max_entries``.
+``backend.run`` for every batch size and eval range; a miss plans the
+request it has, and that plan serves every later batch in its pow2
+bucket, each run at its own exact size; the cache keys on everything
+that changes the plan (backend, PRF, domain, batch bucket) and on
+nothing else; and LRU eviction is bounded by ``max_entries``.
 """
 
 import numpy as np
@@ -58,10 +57,9 @@ class TestBitExactness:
         np.testing.assert_array_equal(answers, expected)
         np.testing.assert_array_equal(answers, backend.run(request))
 
-    def test_plan_priced_at_bucket_kernel_runs_exact(self):
-        # Batch 5 is keyed (and priced) at bucket 8, but the kernel
-        # must execute the exact 5-row request — padding is a pricing
-        # artifact, never executed work.
+    def test_a_miss_plans_the_exact_batch(self):
+        # Batch 5 is keyed at bucket 8 but planned as the 5-row request
+        # it is, and the kernel executes exactly those 5 rows.
         class Recording(SingleGpuBackend):
             def __init__(self):
                 super().__init__()
@@ -73,23 +71,23 @@ class TestBitExactness:
                 return super().plan(request)
 
             def run_with_plan(self, request, plan):
-                self.ran.append((request.arena().batch, plan.batch_size))
+                self.ran.append((request.arena().batch, plan.selection.plan.batch_size))
                 return super().run_with_plan(request, plan)
 
         backend = Recording()
         cache = PlanCache()
         request, expected = _make_request(5)
         answers = cache.run(backend, request)
-        assert backend.planned == [8]
-        assert backend.ran == [(5, 8)]
+        assert backend.planned == [5]
+        assert backend.ran == [(5, 5)]
         assert answers.shape[0] == 5
         np.testing.assert_array_equal(answers, expected)
         # A second size in the same bucket reuses the plan unchanged
         # and still runs at its own exact batch.
         second, second_expected = _make_request(7, seed=9)
         got = cache.run(backend, second)
-        assert backend.planned == [8]
-        assert backend.ran == [(5, 8), (7, 8)]
+        assert backend.planned == [5]
+        assert backend.ran == [(5, 5), (7, 5)]
         np.testing.assert_array_equal(got, second_expected)
 
     def test_eval_range_restriction_survives_the_cache(self):
@@ -163,7 +161,30 @@ class TestCacheKey:
         )
         answers = cache.run(backend, request)
         assert cache.stats.hits == 1
-        assert plans == [backend.plan(request.padded(batch_bucket(5)))]
+        assert plans == [backend.plan(request)]
+        np.testing.assert_array_equal(answers, expected)
+
+    @pytest.mark.parametrize("backend_name", sorted(BACKEND_FACTORIES))
+    @pytest.mark.parametrize("first,second", [(5, 7), (7, 5)])
+    def test_a_bucket_serves_the_plan_of_the_batch_that_missed_first(
+        self, backend_name, first, second, monkeypatch
+    ):
+        backend = BACKEND_FACTORIES[backend_name]()
+        missed, _ = _make_request(first)
+        later, expected = _make_request(second, seed=9)
+        cache = PlanCache()
+        cache.run(backend, missed)
+        plans = []
+        run_with_plan = backend.run_with_plan
+        monkeypatch.setattr(
+            backend,
+            "run_with_plan",
+            lambda request, plan: plans.append(plan) or run_with_plan(request, plan),
+        )
+        answers = cache.run(backend, later)
+        assert (cache.stats.misses, cache.stats.hits) == (1, 1)
+        assert plans == [backend.plan(missed)] != [backend.plan(later)]
+        assert plans[0].selection.plan.batch_size == first
         np.testing.assert_array_equal(answers, expected)
 
 

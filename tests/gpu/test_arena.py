@@ -151,37 +151,6 @@ class TestWireEquivalence:
         assert arena[2:5].to_wire() == pack_keys(keys[2:5])
 
 
-class TestPadding:
-    def test_pad_to_repeats_the_last_row(self):
-        keys = _make_keys(batch=5)
-        arena = KeyArena.from_keys(keys)
-        padded = arena.pad_to(8)
-        assert padded.batch == 8
-        _assert_arena_equal(padded[0:5], arena)
-        for row in range(5, 8):
-            _assert_arena_equal(padded[row : row + 1], arena[4:5])
-
-    def test_pad_to_same_size_is_identity(self):
-        arena = KeyArena.from_keys(_make_keys(batch=4))
-        assert arena.pad_to(4) is arena
-
-    def test_pad_to_rejects_shrinking(self):
-        arena = KeyArena.from_keys(_make_keys(batch=4))
-        with pytest.raises(ValueError, match="cannot pad"):
-            arena.pad_to(3)
-
-    def test_padded_rows_are_valid_keys(self):
-        # Every padded row is a *copy of a real key*, so a padded arena
-        # round-trips the wire format and evaluates like the repeated
-        # key — the property the plan cache's pad-and-slice rests on.
-        keys = _make_keys(batch=3)
-        padded = KeyArena.from_keys(keys).pad_to(4)
-        assert KeyArena.from_wire(padded.to_wire()) == padded
-        expected = np.stack([eval_full(k, PRF) for k in keys + [keys[-1]]])
-        got = WALK.eval_batch(padded, PRF)
-        assert np.array_equal(got, expected)
-
-
 class TestSlicing:
     def test_slices_are_views(self):
         arena = KeyArena.from_keys(_make_keys())

@@ -232,8 +232,8 @@ def test_every_backend_reduces_to_its_own_matrix_times_the_table(
     backend_name, shape, batch, prf_name, seed, cached
 ):
     """``run(request with a reducer)`` is ``run(request) @ table[lo:hi]``:
-    restricted, through a ``PlanCache`` (whose bucket plan is priced on
-    a padded batch), and merged from one-key requests and split again."""
+    restricted, through a ``PlanCache`` (whose bucket plan may be another
+    batch's), and merged from one-key requests and split again."""
     domain, lo, hi = shape
     prf = get_prf(prf_name)
     rng = np.random.default_rng(seed)
@@ -251,9 +251,9 @@ def test_every_backend_reduces_to_its_own_matrix_times_the_table(
     plain = EvalRequest(keys=pack_keys(keys), prf_name=prf_name).restrict(lo, hi)
     expected = run(plain) @ table[lo:hi]
     assert np.array_equal(run(replace(plain, reduce=reduce)), expected)
-    # The reducer survives restrict(), padded() and merge()/unmerge().
+    # The reducer survives restrict() and merge()/unmerge().
     whole = EvalRequest(keys=keys, prf_name=prf_name, reduce=reduce)
-    assert np.array_equal(run(whole.restrict(lo, hi).padded(batch + 2))[:batch], expected)
+    assert np.array_equal(run(whole.restrict(lo, hi)), expected)
     singles = EvalRequest.unmerge(whole.restrict(lo, hi), [1] * batch)
     merged, sizes = EvalRequest.merge(singles)
     pieces = np.split(run(merged), np.cumsum(sizes)[:-1])

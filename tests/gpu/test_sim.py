@@ -300,4 +300,4 @@ class TestSchedulerCostHook:
         keys = [gen(int(rng.integers(0, 128)), 128, prf, rng)[0] for _ in range(8)]
         plan = SingleGpuBackend().plan(EvalRequest(keys=keys, prf_name="siphash"))
         hook = Scheduler(V100).latency_s(8, 128, prf_name="siphash")
-        assert plan.latency_s == hook
+        assert plan.selection.stats.latency_s == hook

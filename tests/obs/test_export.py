@@ -7,13 +7,13 @@ must raise, never silently drop the tail.
 """
 
 import io
+import json
 
 import pytest
 
 from repro.obs import (
     STAGE_ADMIT,
     STAGE_DEMUX,
-    MetricsRegistry,
     Tracer,
     chain_problems,
     read_jsonl,
@@ -24,18 +24,15 @@ from tests.obs.test_trace import FakeClock, _complete_chain
 
 
 class TestRoundTrip:
-    def test_traces_and_snapshots_round_trip(self, tmp_path):
+    def test_traces_round_trip(self, tmp_path):
         tracer = Tracer(clock=FakeClock())
         finished = [_complete_chain(tracer) for _ in range(3)]
         path = tmp_path / "session.jsonl"
-        count = write_jsonl(
-            path, traces=tracer.drain(), snapshots=[{"counters": {"served": 3}}]
-        )
-        assert count == 4
-        traces, snapshots = read_jsonl(path)
+        count = write_jsonl(path, traces=tracer.drain())
+        assert count == 3
+        traces = read_jsonl(path)
         assert [t["trace_id"] for t in traces] == [c.trace_id for c in finished]
         assert traces == [c.to_dict() for c in finished]
-        assert snapshots == [{"counters": {"served": 3}}]
 
     def test_chain_checker_runs_on_reloaded_dicts(self, tmp_path):
         tracer = Tracer(clock=FakeClock())
@@ -46,21 +43,10 @@ class TestRoundTrip:
         broken.close("answered")
         path = tmp_path / "session.jsonl"
         write_jsonl(path, traces=tracer.drain())
-        traces, _ = read_jsonl(path)
+        traces = read_jsonl(path)
         assert chain_problems(traces[0]) == []
         assert whole.trace_id == traces[0]["trace_id"]
         assert chain_problems(traces[1])  # the orphan survives the trip
-
-    def test_registry_appends_recorded_then_final_snapshot(self, tmp_path):
-        registry = MetricsRegistry()
-        registry.counter("served").inc(1)
-        registry.record_snapshot()
-        registry.counter("served").inc(1)
-        path = tmp_path / "session.jsonl"
-        count = write_jsonl(path, registry=registry)
-        assert count == 2  # one recorded + one final live snapshot
-        _, snapshots = read_jsonl(path)
-        assert [s["counters"]["served"] for s in snapshots] == [1, 2]
 
     def test_write_and_read_accept_open_handles(self):
         tracer = Tracer(clock=FakeClock())
@@ -68,15 +54,13 @@ class TestRoundTrip:
         buffer = io.StringIO()
         write_jsonl(buffer, traces=tracer.drain())
         buffer.seek(0)
-        traces, snapshots = read_jsonl(buffer)
-        assert len(traces) == 1 and snapshots == []
+        assert len(read_jsonl(buffer)) == 1
 
     def test_trace_dicts_pass_through_unchanged(self, tmp_path):
         trace = _complete_chain(Tracer(clock=FakeClock())).to_dict()
         path = tmp_path / "session.jsonl"
         write_jsonl(path, traces=[trace])
-        traces, _ = read_jsonl(path)
-        assert traces == [trace]
+        assert read_jsonl(path) == [trace]
 
 
 class TestFailureModes:
@@ -88,16 +72,25 @@ class TestFailureModes:
 
     def test_unknown_kinds_are_skipped_for_forward_compat(self, tmp_path):
         path = tmp_path / "mixed.jsonl"
-        path.write_text(
-            '{"kind": "profile", "data": 1}\n'
-            '{"kind": "metrics", "snapshot": {"counters": {}}}\n'
-        )
-        traces, snapshots = read_jsonl(path)
-        assert traces == []
-        assert snapshots == [{"counters": {}}]
+        path.write_text('{"kind": "profile", "data": 1}\n')
+        assert read_jsonl(path) == []
 
     def test_blank_lines_are_ignored(self, tmp_path):
+        trace = _complete_chain(Tracer(clock=FakeClock())).to_dict()
         path = tmp_path / "gaps.jsonl"
-        path.write_text('\n{"kind": "metrics", "snapshot": {}}\n\n')
-        _, snapshots = read_jsonl(path)
-        assert snapshots == [{}]
+        path.write_text("\n" + json.dumps({"kind": "trace", **trace}) + "\n\n")
+        assert read_jsonl(path) == [trace]
+
+    def test_an_export_with_metrics_lines_loads_its_traces(self, tmp_path):
+        # Exports once interleaved registry snapshots with the traces;
+        # such a file still loads, its metrics lines skipped.
+        tracer = Tracer(clock=FakeClock())
+        finished = [_complete_chain(tracer) for _ in range(2)]
+        snapshot = {"counters": {}, "gauges": {}, "histograms": {}, "views": {}}
+        lines = [json.dumps({"kind": "trace", **finished[0].to_dict()})]
+        lines.append(json.dumps({"kind": "metrics", "snapshot": snapshot}))
+        lines.append(json.dumps({"kind": "trace", **finished[1].to_dict()}))
+        lines.append(json.dumps({"kind": "metrics", "snapshot": snapshot}))
+        path = tmp_path / "older.jsonl"
+        path.write_text("\n".join(lines) + "\n")
+        assert read_jsonl(path) == [c.to_dict() for c in finished]

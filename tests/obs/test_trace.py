@@ -34,7 +34,6 @@ from repro.obs import (
     STAGE_PLAN,
     STAGE_QUEUE,
     TRACE_OPS_PER_QUERY,
-    MetricsRegistry,
     Tracer,
     annotate_request,
     chain_problems,
@@ -140,15 +139,6 @@ class TestSpanLifecycle:
         tracer = Tracer(clock=FakeClock())
         ids = [tracer.trace().trace_id for _ in range(5)]
         assert ids == sorted(set(ids))
-
-    def test_ended_spans_feed_the_stage_histograms(self):
-        registry = MetricsRegistry()
-        tracer = Tracer(clock=FakeClock(step=0.5), metrics=registry)
-        ctx = tracer.trace()
-        ctx.end(ctx.begin(STAGE_DISPATCH))
-        hist = registry.histogram("stage.dispatch")
-        assert hist.count == 1
-        assert hist.total == pytest.approx(0.5)
 
     def test_to_dict_round_trips_through_chain_problems(self):
         tracer = Tracer(clock=FakeClock())
@@ -334,10 +324,8 @@ class TestRequestTraceThreading:
         pieces = EvalRequest.unmerge(merged, (1, 2, 1))
         assert all(p.traces is None for p in pieces)
 
-    def test_restrict_and_padded_share_the_trace_tuple(self):
+    def test_restrict_shares_the_trace_tuple(self):
         tracer = Tracer(clock=FakeClock())
         ctx = tracer.trace()
         request = self._traced(2, 0, ctx)
         assert request.restrict(0, 16).traces == (ctx,)
-        padded = request.padded(4)
-        assert padded.traces == (ctx,)

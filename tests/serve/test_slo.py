@@ -23,7 +23,6 @@ from repro.serve import (
     FLUSH_MAX_BATCH,
     AsyncPirServer,
     PirServerOverloaded,
-    ServingStats,
     ShardedPirServer,
 )
 
@@ -260,7 +259,6 @@ class TestConfigValidation:
             "max_pending",
             "max_attempts",
             "tracer",
-            "metrics",
         ]
         table, server, _ = _fixture()
         for name in (
@@ -270,6 +268,7 @@ class TestConfigValidation:
             "max_wait_s",
             "max_arena_bytes",
             "drain_budget_s",
+            "metrics",
         ):
             with pytest.raises(TypeError):
                 AsyncPirServer(server, **{name: None})
@@ -295,23 +294,6 @@ class TestConfigValidation:
                 if name.startswith("SHED_")
             }
             assert exported == expected
-
-    def test_serving_view_keys(self):
-        """The metrics-registry view carries the loop's own counters,
-        nothing else (the plan cache has its own view)."""
-        assert list(ServingStats().as_dict()) == [
-            "submitted",
-            "answered",
-            "shed",
-            "retried",
-            "failed",
-            "failures",
-            "cancelled",
-            "batches",
-            "largest_batch",
-            "mean_batch",
-            "flushes",
-        ]
 
 
 class TestInlineDispatch:

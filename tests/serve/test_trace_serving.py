@@ -20,11 +20,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.exec import PlanCache, SingleGpuBackend
+from repro.exec import SingleGpuBackend
 from repro.obs import (
     NULL_TRACER,
     REQUIRED_STAGES,
-    MetricsRegistry,
     Tracer,
     chain_problems,
     read_jsonl,
@@ -286,101 +285,33 @@ class TestTerminalStatuses:
         assert trace.open_spans() == []
 
 
-class TestMetricsIntegration:
-    def test_views_absorb_every_visible_subsystem(self):
-        table, _, client = _fixture()
-        registry = MetricsRegistry()
-        server = PirServer(table, prf_name="siphash", plan_cache=PlanCache())
-        frames = [b.requests[0] for b in client.query_many([3, 7])]
-        tracer = Tracer(metrics=registry)
-        loop, _ = _serve(server, frames, tracer=tracer, metrics=registry)
-        snap = registry.snapshot()
-        assert {"serving", "plan_cache"} <= set(snap["views"])
-        assert snap["views"]["serving"] == loop.stats.as_dict()
-        assert snap["views"]["serving"]["answered"] == len(frames)
-        # The cache's counters are its own view, read live, one lookup
-        # per flush; the serving view does not mirror them.
-        assert snap["views"]["plan_cache"] == server.plan_cache.stats.as_dict()
-        assert snap["views"]["plan_cache"]["lookups"] == loop.stats.batches
-        # Per-stage histograms landed via the tracer.
-        assert set(registry.histograms("stage.")) == {
-            f"stage.{stage}" for stage in REQUIRED_STAGES
-        }
-
-    def test_only_a_sharded_server_gets_a_shards_view(self):
-        table, plain, client = _fixture()
-        sharded = ShardedPirServer(table, shards=2, prf_name="siphash")
-        frames = [b.requests[0] for b in client.query_many([5, 9])]
-        views = {}
-        for name, server in (("plain", plain), ("sharded", sharded)):
-            registry = MetricsRegistry()
-            _serve(server, frames, metrics=registry)
-            views[name] = registry.snapshot()["views"]
-        assert set(views["plain"]) == {"serving"}
-        assert set(views["sharded"]) == {"serving", "shards"}
-        assert views["sharded"]["shards"] == sharded.stats_totals().as_dict()
-        assert views["sharded"]["shards"]["batches"] > 0
-
-    def test_two_loops_share_one_registry_under_unique_names(self):
-        table, _, client = _fixture()
-        registry = MetricsRegistry()
-        servers = [PirServer(table, prf_name="siphash") for _ in range(2)]
-        frames = [b.requests[0] for b in client.query_many([1, 2])]
-
-        async def run():
-            loops = [
-                AsyncPirServer(server, metrics=registry) for server in servers
-            ]
-            async with loops[0], loops[1]:
-                await asyncio.gather(
-                    *[loop.submit(f) for loop in loops for f in frames]
-                )
-
-        asyncio.run(run())
-        views = registry.snapshot()["views"]
-        assert {"serving", "serving.2"} <= set(views)
-        assert views["serving"]["answered"] == len(frames)
-        assert views["serving.2"]["answered"] == len(frames)
-
+class TestNoRegistry:
     def test_the_loop_takes_no_snapshot_timer(self):
-        """Snapshots are the registry's and the export's business: the
-        loop takes no ``snapshot_every_s`` and records none itself."""
+        """The loop and the tracer take no snapshot timer and no
+        metrics registry: the counters are read off their owners."""
         table, server, client = _fixture()
+        for knobs in ({"snapshot_every_s": 1.0}, {"metrics": None}):
+            with pytest.raises(TypeError):
+                AsyncPirServer(server, **knobs)
         with pytest.raises(TypeError):
-            AsyncPirServer(server, metrics=MetricsRegistry(), snapshot_every_s=1.0)
-        registry = MetricsRegistry()
+            Tracer(metrics=None)
         frames = [b.requests[0] for b in client.query_many([1, 2, 3])]
-        _serve(server, frames, metrics=registry)
-        assert registry.snapshots == []
-
-    def test_export_ends_with_the_drained_loops_terminal_state(self, tmp_path):
-        """``write_jsonl(registry=...)`` takes the terminal snapshot the
-        loop no longer takes at drain: the export's last snapshot counts
-        every query the drained loop answered."""
-        table, server, client = _fixture()
-        registry = MetricsRegistry()
-        frames = [b.requests[0] for b in client.query_many([1, 2, 3])]
-        _serve(server, frames, max_batch=1, metrics=registry)
-        path = tmp_path / "metrics.jsonl"
-        write_jsonl(path, registry=registry)
-        traces, snapshots = read_jsonl(path)
-        assert traces == [] and len(snapshots) == 1
-        assert snapshots[-1]["views"]["serving"]["answered"] == len(frames)
+        loop, _ = _serve(server, frames)
+        assert loop.stats.answered == len(frames)
 
 
 class TestExportReport:
     def test_traced_fault_sessions_render_strict_clean(self, tmp_path, capsys):
         """A retried session and a sharded replica-kill session under
-        one tracer and registry export one JSONL file that
+        one tracer export one JSONL file that
         ``scripts/obs_report.py --strict`` renders with every chain
         whole, its traces carrying the retry and failover events."""
-        registry = MetricsRegistry()
-        tracer = Tracer(metrics=registry)
+        tracer = Tracer()
         table, server, client = _fixture(
             backend=FlakyBackend(SingleGpuBackend(), FaultPlan.nth(1))
         )
         frames = [b.requests[0] for b in client.query_many([1, 5, 9, 13])]
-        _serve(server, frames, tracer=tracer, metrics=registry)
+        _serve(server, frames, tracer=tracer)
         sharded = ShardedPirServer(
             table,
             shards=2,
@@ -394,17 +325,17 @@ class TestExportReport:
             prf_name="siphash",
         )
         frames = [b.requests[0] for b in client.query_many([2, 17, 30])]
-        _serve(sharded, frames, tracer=tracer, metrics=registry)
+        _serve(sharded, frames, tracer=tracer)
         path = tmp_path / "obs.jsonl"
-        write_jsonl(path, traces=tracer.drain(), registry=registry)
+        write_jsonl(path, traces=tracer.drain())
 
         spec = importlib.util.spec_from_file_location("obs_report_cli", _OBS_REPORT)
         obs_report = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(obs_report)
         assert obs_report.main([str(path), "--strict"]) == 0
         assert "chain integrity: OK" in capsys.readouterr().out
-        traces, snapshots = read_jsonl(path)
-        assert len(traces) == 7 and snapshots
+        traces = read_jsonl(path)
+        assert len(traces) == 7
         events = [{event["name"] for event in t["events"]} for t in traces]
         assert any("retry" in names for names in events)
         assert any("failover" in names for names in events)

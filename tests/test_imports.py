@@ -91,6 +91,26 @@ def test_the_serving_package_ships_no_test_tools():
     assert not gone & (set(repro.serve.__all__) | set(vars(repro.serve)))
 
 
+def test_the_metrics_registry_is_gone():
+    """Counters are read off the components that keep them: there is no
+    ``repro.obs.metrics`` module and ``repro.obs`` exports none of its
+    names."""
+    with pytest.raises(ModuleNotFoundError):
+        importlib.import_module("repro.obs.metrics")
+    import repro.obs
+
+    gone = {
+        "MetricsRegistry",
+        "Counter",
+        "Gauge",
+        "Histogram",
+        "DEFAULT_LATENCY_BUCKETS",
+        "default_latency_buckets",
+        "metrics_record",
+    }
+    assert not gone & (set(repro.obs.__all__) | set(vars(repro.obs)))
+
+
 _AES_ON_FIRST_USE = """
 import numpy as np
 import repro
