@@ -1,7 +1,7 @@
 """Span-based request tracing for the serving stack.
 
-Nine PRs of serving machinery — admission, QoS queues, batch fusion,
-plan caching, shard fan-out, replica failover — grew counters
+Nine PRs of serving machinery — admission, batch fusion, plan
+caching, shard fan-out, replica failover — grew counters
 everywhere but could not answer the one question a latency
 investigation starts with: *where did this query's time go?*
 This module answers it with per-query **span chains**: every submitted

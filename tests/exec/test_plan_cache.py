@@ -14,7 +14,6 @@ import pytest
 from repro.crypto import get_prf
 from repro.dpf import eval_full, gen
 from repro.exec import EvalRequest, PlanCache, SingleGpuBackend, batch_bucket
-from repro.gpu import KeyArena
 from tests.strategies import BACKEND_FACTORIES, FaultPlan, FlakyBackend
 
 PRF_NAME = "chacha20"

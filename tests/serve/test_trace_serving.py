@@ -287,12 +287,11 @@ class TestTerminalStatuses:
 
 class TestNoRegistry:
     def test_the_loop_takes_no_snapshot_timer(self):
-        """The loop and the tracer take no snapshot timer and no
-        metrics registry: the counters are read off their owners."""
+        """The loop takes no snapshot timer and the tracer no metrics
+        registry: the counters are read off their owners."""
         table, server, client = _fixture()
-        for knobs in ({"snapshot_every_s": 1.0}, {"metrics": None}):
-            with pytest.raises(TypeError):
-                AsyncPirServer(server, **knobs)
+        with pytest.raises(TypeError):
+            AsyncPirServer(server, snapshot_every_s=1.0)
         with pytest.raises(TypeError):
             Tracer(metrics=None)
         frames = [b.requests[0] for b in client.query_many([1, 2, 3])]
