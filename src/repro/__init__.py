@@ -11,8 +11,8 @@ Layers, bottom to top:
   strategies, a calibrated V100 performance model, and batch/table-aware
   strategy scheduling.
 * :mod:`repro.exec` — the unified execution layer: one request-oriented
-  :class:`~repro.exec.ExecutionBackend` protocol over the substrate
-  (single-GPU, simulated oracle).
+  :class:`~repro.exec.ExecutionBackend` protocol over the substrate,
+  whose ``run`` walks without asking the model for a plan.
 * :mod:`repro.pir` — the end-to-end two-server PIR pipeline: client
   query generation, wire framing, and table serving through any
   execution backend.

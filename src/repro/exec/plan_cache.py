@@ -1,33 +1,24 @@
-"""Plan cache: the zero-dispatch steady-state serving path.
+"""Plan cache: the modeled plan per workload shape, counted beside the walk.
 
-The paper's headline numbers come from a persistent kernel that never
-re-plans between batches; the Python-side analogue of that persistence
-is this cache.  Without it, every flush of the serving loop pays
-strategy re-selection (simulating every candidate plan) even though
-steady-state traffic repeats the same handful of batch shapes forever.
-:class:`PlanCache` memoizes the :class:`~repro.exec.request.ExecutionPlan`
-per workload shape, so the hot path becomes: look up, expand, done —
-zero re-planning.  The walk's scratch is the thread's
-(:func:`~repro.gpu.arena.thread_workspace`), not the cache's.
+:meth:`PlanCache.run` looks the shape's plan up (planning it on a
+miss), counts the lookup, and then hands the request to
+:meth:`ExecutionBackend.run <repro.exec.backend.ExecutionBackend.run>`,
+which walks without asking for a plan: every design runs the same
+walk, so a cached plan never decides what runs.  The class stays only
+because the benchmark wraps :meth:`PlanCache.run` and reads
+:attr:`PlanCache.stats`; it goes once the benchmark stops naming it.
 
-**Bucketing.**  Real traffic rarely repeats exact batch sizes (a flush
-of 13, then 14, then 12 ...), so exact-shape memoization would miss
-constantly.  Cache keys therefore round the batch up to a power-of-two
-bucket (:func:`batch_bucket`): batches 9..16 all share one bucket-16
-entry.  A miss plans the request it has, and that plan serves every
-later batch in the bucket: the kernel always executes the exact batch
-under the cached plan's strategy.  Strategy choice never changes
-answers (every backend is pinned bit-identical across strategies and
-against the reference evaluator), so what bucketing trades away is
-selection exactness: the cached strategy may differ from what
-exact-size selection would pick — a modeled-cost approximation bounded
-by the < 2x shape gap, never a correctness risk.
+**Bucketing.**  Cache keys round the batch up to a power-of-two bucket
+(:func:`batch_bucket`): batches 9..16 all share one bucket-16 entry.  A
+miss plans the request it has, and that plan stands for every later
+batch in the bucket; each batch is still walked at its own exact size.
 
 **Cache key.**  ``(backend.plan_key, prf, domain_size, bucket)`` —
 every axis that changes either the winning strategy or the modeled
-plan.  ``backend.plan_key`` names what prices the plan: one name per
-built-in backend class, one identity per instance for anything else,
-so a fault-injecting wrapper never shares an entry.  Eviction is LRU
+plan.  ``backend.plan_key`` names what prices the plan: the name of
+:class:`~repro.exec.backend.SingleGpuBackend`, one identity per
+instance for anything else, so a fault-injecting wrapper never shares
+an entry.  Eviction is LRU
 with a bounded entry count.
 
 Not thread-safe: use one cache per serving thread.
@@ -114,24 +105,20 @@ class PlanCache:
         )
 
     def run(self, backend: ExecutionBackend, request: EvalRequest) -> np.ndarray:
-        """Evaluate through the cache: look up, expand, done.
+        """Count the shape's plan lookup, then evaluate through ``backend.run``.
 
-        On a hit the backend's :meth:`~repro.exec.backend
-        .ExecutionBackend.run_with_plan` executes the request under the
-        memoized plan — no re-planning.  On a miss the request is
-        planned as it is and the entry cached for every future batch
-        that rounds to the same bucket.
+        On a miss the request is planned as it is and the entry cached
+        for every future batch that rounds to the same bucket; a hit
+        plans nothing.  Either way the answers are ``backend.run``'s.
         """
         key = self.key_for(backend, request)
-        plan = self._entries.get(key)
-        if plan is None:
-            plan = backend.plan(request)
-            self._entries[key] = plan
+        if key in self._entries:
+            self._entries.move_to_end(key)
+            self.stats.hits += 1
+        else:
+            self._entries[key] = backend.plan(request)
             self.stats.misses += 1
             while len(self._entries) > self.max_entries:
                 self._entries.popitem(last=False)
                 self.stats.evictions += 1
-        else:
-            self._entries.move_to_end(key)
-            self.stats.hits += 1
-        return backend.run_with_plan(request, plan)
+        return backend.run(request)

@@ -5,17 +5,16 @@
   row range and an optional reducer.  A backend's ``run`` returns its
   answers as one array: the ``(B, hi - lo)`` share matrix, or, for a
   request that carries a reducer, the ``(B,)`` reduced answers.
-* :class:`ExecutionPlan` — what a backend would do for the request and
-  what the performance model predicts for it: one device's scheduler
-  :class:`~repro.gpu.scheduler.Selection`.
+* :class:`ExecutionPlan` — the design the modeled device would choose
+  for the request and what the performance model predicts for it: one
+  device's scheduler :class:`~repro.gpu.scheduler.Selection`.  ``run``
+  never reads one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Sequence
-
-import numpy as np
 
 from repro.gpu.arena import KeyArena, KeySource
 from repro.gpu.scheduler import Selection
@@ -41,14 +40,14 @@ class EvalRequest:
             ``[lo, hi)`` only, bit-identical to columns ``lo:hi`` of
             the unrestricted expansion; a shard server holding rows
             ``[lo, hi)`` dots that directly with its table slice.
-            Every backend computes it with a walk pruned to the range
+            ``run`` computes it with a walk pruned to the range
             (:meth:`Strategy.eval_batch <repro.gpu.strategies.Strategy
-            .eval_batch>`'s node window, or the per-key reference
-            :func:`repro.dpf.dpf.eval_range`), whose work
+            .eval_batch>`'s node window), whose work
             :meth:`Strategy.cost <repro.gpu.strategies.Strategy.cost>`
             counts.  ``plan`` — strategy selection and the modeled
-            ``KernelPlan`` latency — still prices the full tree: a
-            range-aware device model is future work.
+            ``KernelPlan`` latency — still prices the full tree (a
+            range-aware device model is future work), and ``run``
+            never reads it.
         reduce: Optional reducer (:data:`~repro.gpu.strategies.Reducer`,
             ``reduce(shares, lo, hi)`` — for a PIR server
             ``shares @ table[lo:hi]``).  When set, ``run`` hands it the
@@ -108,17 +107,6 @@ class EvalRequest:
                 outside the keys' domain.
         """
         return resolve_range(self.arena().domain_size, self.eval_range)
-
-    def reduced(self, shares: np.ndarray) -> np.ndarray:
-        """``shares`` as this request's answers: reduced once, if asked.
-
-        For the backends that materialise the whole ``(B, hi - lo)``
-        matrix of :meth:`resolved_range` whatever the request says (the
-        reference walks): the reducer sees it as one window.
-        """
-        if self.reduce is None:
-            return shares
-        return self.reduce(shares, *self.resolved_range())
 
     def restrict(self, lo: int, hi: int) -> "EvalRequest":
         """A copy of this request restricted to table rows ``[lo, hi)``.

@@ -14,9 +14,8 @@ and answers key batches in two forms:
   :class:`~repro.pir.wire.PirReply` bytes out.
 
 Evaluation flows through whatever :class:`ExecutionBackend` the server
-was built with — single-GPU or the simulated oracle — so
-the serving code is identical across deployment shapes; only the
-backend object changes.  The answer share for key ``k`` is the table
+was built with: the tests swap in their reference oracle and the
+serving code is unchanged.  The answer share for key ``k`` is the table
 dot product ``sum_i share_k[i] * table[i] (mod 2^64)``: the O(L) pass
 over every row that keeps the query oblivious.  The server never sees
 the ``(B, L)`` share matrix: it sends :meth:`PirServer.combine` down
@@ -42,6 +41,20 @@ from repro.gpu.arena import KeySource
 from repro.pir.wire import PirQuery, PirReply
 
 
+def as_table(table: np.ndarray | Sequence[int]) -> np.ndarray:
+    """``table`` as the contiguous ``(L,)`` uint64 array a server holds.
+
+    Values are taken mod 2^64.
+
+    Raises:
+        ValueError: If it is not a non-empty 1-D array.
+    """
+    table = np.ascontiguousarray(np.asarray(table, dtype=np.uint64))
+    if table.ndim != 1 or table.size == 0:
+        raise ValueError("table must be a non-empty 1-D array of uint64 entries")
+    return table
+
+
 class PirServer:
     """One party's server: table, backend, and the serving entry points.
 
@@ -57,10 +70,11 @@ class PirServer:
             before any O(B*L) evaluation — the synchronous counterpart
             of the serving loop's admission control.
         plan_cache: Optional :class:`~repro.exec.PlanCache`.  When set,
-            :meth:`answer_request` evaluates through it — memoized
-            plans, pow2 batch bucketing — instead of re-planning per
-            batch.  Answers are bit-identical either
-            way; steady-state serving skips all Python-side re-setup.
+            :meth:`answer_request` evaluates through it: it counts one
+            plan lookup per dispatch (planning on a miss, pow2 batch
+            bucketing) and then runs the request as ``backend.run``
+            would.  Without one, nothing plans.  Answers are
+            bit-identical either way.
     """
 
     def __init__(
@@ -71,9 +85,7 @@ class PirServer:
         max_batch: int | None = None,
         plan_cache: "PlanCache | None" = None,
     ):
-        table = np.ascontiguousarray(np.asarray(table, dtype=np.uint64))
-        if table.ndim != 1 or table.size == 0:
-            raise ValueError("table must be a non-empty 1-D array of uint64 entries")
+        table = as_table(table)
         if max_batch is not None and max_batch <= 0:
             raise ValueError(f"max_batch must be positive or None, got {max_batch}")
         self.table = table

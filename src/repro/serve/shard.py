@@ -66,7 +66,7 @@ from repro.exec.backend import ExecutionBackend, SingleGpuBackend
 from repro.exec.plan_cache import PlanCache
 from repro.exec.request import EvalRequest
 from repro.obs.trace import annotate_request
-from repro.pir.server import PirServer
+from repro.pir.server import PirServer, as_table
 
 HEALTHY = "healthy"
 """Replica state: in the rotation."""
@@ -276,8 +276,8 @@ class ReplicaSet:
             (an ejected replica stays out).
         plan_cache: Optional :class:`~repro.exec.PlanCache` shared by
             this set's replicas: dispatches evaluate through it (the
-            cache key carries the backend identity, so distinct devices
-            never exchange plans).
+            cache key carries the backend identity, so distinct
+            backends never exchange plans).
     """
 
     def __init__(
@@ -367,8 +367,8 @@ class ReplicaSet:
             request.restrict(self.lo, self.hi),
             reduce=lambda shares, lo, hi: shares @ table[lo - self.lo : hi - self.lo],
         )
-        # Through the cache when there is one: the memoized plan, keyed
-        # per backend identity.
+        # Through the cache when there is one: it counts the lookup,
+        # keyed per backend identity, and then runs the backend.
         if self.plan_cache is not None:
             return self.plan_cache.run(replica.backend, restricted)
         return replica.backend.run(restricted)
@@ -468,8 +468,8 @@ class ShardedPirServer(PirServer):
         prf_name, max_batch: As on :class:`PirServer`.
         plan_cache: Optional :class:`~repro.exec.PlanCache` shared by
             every replica set (keys carry backend identity, so a
-            fault-injecting replica never shares an entry).  Enables the
-            zero-dispatch steady state across shards.
+            fault-injecting replica never shares an entry).  It counts
+            plan lookups; no plan changes what runs.
     """
 
     def __init__(
@@ -491,9 +491,7 @@ class ShardedPirServer(PirServer):
             if backend_factory is not None
             else lambda shard, replica: SingleGpuBackend()
         )
-        table = np.ascontiguousarray(np.asarray(table, dtype=np.uint64))
-        if table.ndim != 1 or table.size == 0:
-            raise ValueError("table must be a non-empty 1-D array of uint64 entries")
+        table = as_table(table)
         ranges = shard_ranges(int(table.size), shards)
         self.shards = [
             ReplicaSet(
@@ -550,13 +548,14 @@ class ShardedPirServer(PirServer):
         while the staged epoch ingests.
 
         Raises:
-            ValueError: If an update is already in flight, or the new
-                table's size differs from the current one (clients'
-                keys address a fixed domain; resizing is a redeploy,
-                not an epoch).
+            ValueError: If the new table is not a non-empty 1-D array
+                (:func:`~repro.pir.server.as_table`), its size differs
+                from the current one (clients' keys address a fixed
+                domain; resizing is a redeploy, not an epoch), or an
+                update is already in flight.
         """
-        new_table = np.ascontiguousarray(np.asarray(new_table, dtype=np.uint64))
-        if new_table.shape != (self.table_entries,):
+        new_table = as_table(new_table)
+        if new_table.size != self.table_entries:
             raise ValueError(
                 f"epoch updates must keep the table size: current is "
                 f"{self.table_entries} rows, new table has {new_table.shape}"

@@ -1,10 +1,12 @@
-"""The unified execution layer: one request API, two backends.
+"""The unified execution layer: one request API, the backend and its oracle.
 
-Claims: every backend's ``run`` and ``run_with_plan`` are bit-identical
-to the reference evaluator for every accepted key-source form (objects,
-arena, wire bytes) and return the answers array itself; ``plan``
-exposes one device's scheduler decision in the same shape regardless of
-backend; and the request normalizes/ingests key material exactly once.
+Claims: every backend's ``run``, alone or through a plan cache, is
+bit-identical to the reference evaluator for every accepted key-source
+form (objects, arena, wire bytes) and returns the answers array itself;
+``plan`` exposes one device's scheduler decision in the same shape
+regardless of backend; the protocol is ``plan``, ``run`` and
+``plan_key`` and nothing else; and the request normalizes/ingests key
+material exactly once.
 """
 
 import dataclasses
@@ -20,12 +22,12 @@ from repro.exec import (
     ExecutionBackend,
     ExecutionPlan,
     PlanCache,
-    SimulatedBackend,
     SingleGpuBackend,
 )
 from repro.gpu import V100, KeyArena, get_strategy
 
 from tests.strategies import BACKEND_FACTORIES
+from tests.strategies.backends import SimulatedBackend
 
 PRF_NAME = "chacha20"
 DOMAIN = 200
@@ -65,7 +67,9 @@ class TestRunBitIdentity:
 
     @pytest.mark.parametrize("source_form", ["objects", "arena", "wire"])
     def test_run_with_plan_matches_reference(self, backend_name, source_form, reference):
-        """The plan-cache hot path answers like ``run`` for every form."""
+        """The plan cache answers like ``run`` for every form, on a miss
+        and on a hit: it looks a plan up, and the backend walks without
+        it."""
         keys, prf, expected = reference
         source = {
             "objects": keys,
@@ -74,8 +78,10 @@ class TestRunBitIdentity:
         }[source_form]
         backend = BACKEND_FACTORIES[backend_name]()
         request = EvalRequest(keys=source, prf_name=prf.name)
-        answers = backend.run_with_plan(request, backend.plan(request))
-        assert np.array_equal(answers, expected)
+        cache = PlanCache()
+        for _ in range(2):
+            assert np.array_equal(cache.run(backend, request), expected)
+        assert (cache.stats.misses, cache.stats.hits) == (1, 1)
 
     def test_repeated_runs_reuse_backend_state(self, backend_name, reference):
         """A serving loop over one backend stays bit-identical (the
@@ -153,8 +159,8 @@ def test_a_plan_is_a_backend_name_and_a_selection():
 
 class TestPool:
     """Each shared pool entry plans what its name says: the pinned
-    entries would otherwise quietly serve the default V100 plan and the
-    equivalence suites would test one plan six times."""
+    entries would otherwise quietly plan the default V100 design, and
+    the suites would price one plan six times."""
 
     @pytest.mark.parametrize(
         "design", ["branch_parallel", "level_by_level", "memory_bounded"]
@@ -230,7 +236,8 @@ class TestRestrictedWork:
     @staticmethod
     def _counted_run(backend, request, monkeypatch):
         counting = CountingPrf(get_prf(PRF_NAME))
-        monkeypatch.setattr("repro.exec.backend.get_prf", lambda name: counting)
+        module = type(backend).__module__
+        monkeypatch.setattr(f"{module}.get_prf", lambda name: counting)
         backend.run(request)
         return counting.blocks
 
@@ -315,7 +322,8 @@ class TestEvalRequest:
 class TestProtocol:
     @pytest.mark.parametrize("backend_class", [SingleGpuBackend, SimulatedBackend])
     def test_backends_take_no_arguments(self, backend_class):
-        """Both price on the calibrated V100 over every design."""
+        """The backend and the tests' oracle both price on the
+        calibrated V100 over every design."""
         with pytest.raises(TypeError):
             backend_class(V100)
 
@@ -328,12 +336,13 @@ class TestProtocol:
     @pytest.mark.parametrize("backend_name", sorted(BACKEND_FACTORIES))
     def test_the_protocol_is_plan_run_run_with_plan_plan_key(self, backend_name):
         """A backend answers for requests and nothing else: no shape-
-        pricing hook rides along for a serving policy to read."""
+        pricing hook rides along for a serving policy to read, and no
+        second entry point runs a request under a plan."""
         backend = BACKEND_FACTORIES[backend_name]()
         methods = {
             name
             for name in dir(backend)
             if not name.startswith("_") and callable(getattr(backend, name))
         }
-        assert methods == {"plan", "run", "run_with_plan"}
+        assert methods == {"plan", "run"}
         assert hash(backend.plan_key) == hash(backend.plan_key)

@@ -1,11 +1,12 @@
-"""The plan cache: memoized steady-state dispatch.
+"""The plan cache: one plan lookup per dispatch, beside the walk.
 
 Claims: cached-path answers are bit-identical to uncached
-``backend.run`` for every batch size and eval range; a miss plans the
-request it has, and that plan serves every later batch in its pow2
-bucket, each run at its own exact size; the cache keys on everything
-that changes the plan (backend, PRF, domain, batch bucket) and on
-nothing else; and LRU eviction is bounded by ``max_entries``.
+``backend.run`` for every batch size and eval range, because the cache
+hands every request to ``backend.run`` at its own exact size; a miss
+plans the request it has, a hit plans nothing, and the missed plan
+stands for every later batch in its pow2 bucket; the cache keys on
+everything that changes the plan (backend, PRF, domain, batch bucket)
+and on nothing else; and LRU eviction is bounded by ``max_entries``.
 """
 
 import numpy as np
@@ -58,7 +59,7 @@ class TestBitExactness:
 
     def test_a_miss_plans_the_exact_batch(self):
         # Batch 5 is keyed at bucket 8 but planned as the 5-row request
-        # it is, and the kernel executes exactly those 5 rows.
+        # it is, and the walk runs exactly those 5 rows.
         class Recording(SingleGpuBackend):
             def __init__(self):
                 super().__init__()
@@ -69,24 +70,24 @@ class TestBitExactness:
                 self.planned.append(request.arena().batch)
                 return super().plan(request)
 
-            def run_with_plan(self, request, plan):
-                self.ran.append((request.arena().batch, plan.selection.plan.batch_size))
-                return super().run_with_plan(request, plan)
+            def run(self, request):
+                self.ran.append(request.arena().batch)
+                return super().run(request)
 
         backend = Recording()
         cache = PlanCache()
         request, expected = _make_request(5)
         answers = cache.run(backend, request)
         assert backend.planned == [5]
-        assert backend.ran == [(5, 5)]
+        assert backend.ran == [5]
         assert answers.shape[0] == 5
         np.testing.assert_array_equal(answers, expected)
-        # A second size in the same bucket reuses the plan unchanged
-        # and still runs at its own exact batch.
+        # A second size in the same bucket plans nothing and still runs
+        # at its own exact batch.
         second, second_expected = _make_request(7, seed=9)
         got = cache.run(backend, second)
         assert backend.planned == [5]
-        assert backend.ran == [(5, 5), (7, 5)]
+        assert backend.ran == [5, 7]
         np.testing.assert_array_equal(got, second_expected)
 
     def test_eval_range_restriction_survives_the_cache(self):
@@ -143,7 +144,8 @@ class TestCacheKey:
         self, backend_name, monkeypatch
     ):
         # One cache in front of the whole pool: every backend misses
-        # once, and its later hit is the plan it prices itself.
+        # once, its entry is the plan it prices itself, and its later
+        # hit plans nothing.
         request, expected = _make_request(5)
         pool = {name: factory() for name, factory in BACKEND_FACTORIES.items()}
         cache = PlanCache()
@@ -151,16 +153,18 @@ class TestCacheKey:
             cache.run(backend, request)
         assert cache.stats.misses == len(pool) == len(cache)
         backend = pool[backend_name]
-        plans = []
-        run_with_plan = backend.run_with_plan
+        own = backend.plan(request)
+        planned = []
+        plan = backend.plan
         monkeypatch.setattr(
             backend,
-            "run_with_plan",
-            lambda request, plan: plans.append(plan) or run_with_plan(request, plan),
+            "plan",
+            lambda request: planned.append(request.arena().batch) or plan(request),
         )
         answers = cache.run(backend, request)
         assert cache.stats.hits == 1
-        assert plans == [backend.plan(request)]
+        assert planned == []
+        assert cache._entries[cache.key_for(backend, request)] == own
         np.testing.assert_array_equal(answers, expected)
 
     @pytest.mark.parametrize("backend_name", sorted(BACKEND_FACTORIES))
@@ -171,19 +175,21 @@ class TestCacheKey:
         backend = BACKEND_FACTORIES[backend_name]()
         missed, _ = _make_request(first)
         later, expected = _make_request(second, seed=9)
-        cache = PlanCache()
-        cache.run(backend, missed)
-        plans = []
-        run_with_plan = backend.run_with_plan
+        planned = []
+        plan = backend.plan
         monkeypatch.setattr(
             backend,
-            "run_with_plan",
-            lambda request, plan: plans.append(plan) or run_with_plan(request, plan),
+            "plan",
+            lambda request: planned.append(request.arena().batch) or plan(request),
         )
+        cache = PlanCache()
+        cache.run(backend, missed)
         answers = cache.run(backend, later)
         assert (cache.stats.misses, cache.stats.hits) == (1, 1)
-        assert plans == [backend.plan(missed)] != [backend.plan(later)]
-        assert plans[0].selection.plan.batch_size == first
+        assert planned == [first]
+        (entry,) = cache._entries.values()
+        assert entry == plan(missed) != plan(later)
+        assert entry.selection.plan.batch_size == first
         np.testing.assert_array_equal(answers, expected)
 
 

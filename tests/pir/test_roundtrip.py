@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro.crypto import available_prfs, get_prf
 from repro.dpf import gen
 from repro.pir import PirClient, PirQuery, PirServer
+from repro.serve import ShardedPirServer
 
 from tests.strategies import BACKEND_FACTORIES, domain_sizes, fast_prf_names
 
@@ -248,10 +249,15 @@ class TestServerValidation:
             server.handle(lying.to_bytes())
 
     def test_malformed_tables_rejected(self):
-        with pytest.raises(ValueError, match="non-empty 1-D"):
-            PirServer(np.zeros((2, 2), dtype=np.uint64))
-        with pytest.raises(ValueError, match="non-empty 1-D"):
-            PirServer(np.zeros(0, dtype=np.uint64))
+        """One check guards both constructors and a sharded update."""
+        for bad in (np.zeros((2, 2), dtype=np.uint64), np.zeros(0, dtype=np.uint64)):
+            with pytest.raises(ValueError, match="non-empty 1-D"):
+                PirServer(bad)
+            with pytest.raises(ValueError, match="non-empty 1-D"):
+                ShardedPirServer(bad, shards=2)
+            sharded = ShardedPirServer(np.zeros(4, dtype=np.uint64), shards=2)
+            with pytest.raises(ValueError, match="non-empty 1-D"):
+                sharded.begin_update(bad)
 
     def test_empty_index_batch_rejected_client_side(self):
         client = PirClient(16, "siphash")

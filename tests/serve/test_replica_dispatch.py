@@ -74,10 +74,6 @@ class _Recording(ExecutionBackend):
         self.calls.append("run")
         return self.inner.run(request)
 
-    def run_with_plan(self, request, plan):
-        self.calls.append("run_with_plan")
-        return self.inner.run_with_plan(request, plan)
-
 
 class _ContractOnly(ExecutionBackend):
     """The two abstract methods and nothing else."""
@@ -129,8 +125,8 @@ class TestOneDispatchPath:
         replicas, _ = _set([backend], cache)
         for _ in range(3):
             replicas.answer(_request(keys), 0)
-        # Priced once on the miss, then run under the memoized plan.
-        assert backend.calls == ["plan"] + ["run_with_plan"] * 3
+        # Priced once on the miss; every attempt, hit or miss, is a run.
+        assert backend.calls == ["plan"] + ["run"] * 3
         assert (cache.stats.misses, cache.stats.hits) == (1, 2)
 
     @pytest.mark.parametrize("source_form", ["objects", "arena", "wire"])

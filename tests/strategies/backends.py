@@ -4,18 +4,68 @@ Every suite that asserts "bit-identical across backends" — the exec
 layer, the PIR round trip, the serving loop — parametrizes over this
 one mapping, so adding a backend extends every equivalence property at
 once instead of silently missing a copy-pasted dict.  Each key is its
-backend's ``name``.  Every registered design runs the same walk
-(``tests/gpu/test_strategies.py::TestOneWalk``); the ``single_gpu_*``
-entries serve the same stack under the plans the V100 scheduler would
-not make on the suites' small tables, so a plan can never leak into
-the answers (``tests/exec/test_backends.py::TestPool`` pins that each
-entry plans what its name says).
+backend's ``name``.
+
+* ``single_gpu`` is what serves.
+* ``simulated`` is the oracle, :class:`SimulatedBackend`: answers from
+  the per-key reference walk, independent of the tiled one.
+* The ``single_gpu_*`` entries pin planning only: each plans what the
+  V100 scheduler would not choose on the suites' small tables
+  (``tests/exec/test_backends.py::TestPool`` pins that each entry plans
+  what its name says), but ``run`` never asks for a plan, so their
+  serving ids run ``single_gpu``'s walk again.  They go once planning
+  leaves the program; deleting them first would shed tests that still
+  pass.
 """
 
 from __future__ import annotations
 
-from repro.exec import SimulatedBackend, SingleGpuBackend
+import dataclasses
+
+import numpy as np
+
+from repro.crypto.prf import get_prf
+from repro.dpf.dpf import eval_full, eval_range
+from repro.exec import EvalRequest, ExecutionBackend, ExecutionPlan, SingleGpuBackend
 from repro.gpu import A100, Scheduler, get_strategy
+
+
+class SimulatedBackend(ExecutionBackend):
+    """Model-only backend: reference answers, simulated timing.
+
+    ``run`` evaluates every key through the reference level-by-level
+    walk (:func:`repro.dpf.dpf.eval_full`, or
+    :func:`repro.dpf.dpf.eval_range` for a restricted request) — a
+    per-key Python loop, so O(B) slower than the tiled walk but
+    independent of it, which is exactly what an end-to-end oracle
+    wants.  A reducer sees the whole matrix as one window.  ``plan``
+    prices the request on the modeled device like
+    :class:`SingleGpuBackend`.
+    """
+
+    name = "simulated"
+
+    def __init__(self):
+        self._single = SingleGpuBackend()
+
+    def plan(self, request: EvalRequest) -> ExecutionPlan:
+        return dataclasses.replace(self._single.plan(request), backend=self.name)
+
+    @property
+    def plan_key(self) -> tuple:
+        return (self.name,)
+
+    def run(self, request: EvalRequest) -> np.ndarray:
+        prf = get_prf(request.resolved_prf_name)
+        lo, hi = request.resolved_range()
+        keys = request.arena().to_keys()
+        if (lo, hi) == (0, request.arena().domain_size):
+            shares = np.stack([eval_full(key, prf) for key in keys])
+        else:
+            shares = np.stack([eval_range(key, prf, lo, hi) for key in keys])
+        if request.reduce is None:
+            return shares
+        return request.reduce(shares, lo, hi)
 
 
 def _repriced(name, scheduler):
@@ -43,11 +93,11 @@ BACKEND_FACTORIES = {
     "single_gpu": SingleGpuBackend,
     "simulated": SimulatedBackend,
     # Another device model: the scheduler prices (and may pick) a
-    # different strategy, and the answers must not notice.
+    # different strategy; the answers come from the same walk.
     "single_gpu_a100": lambda: _repriced("single_gpu_a100", Scheduler(A100)),
     # On the suites' small tables the default pool picks
-    # cooperative_groups; pinning each other design prices, plans and
-    # serves it through the same seam, and the answers must not notice.
+    # cooperative_groups; pinning each other design makes the plan
+    # name it, while the walk stays the same.
     "single_gpu_branch_parallel": lambda: _pinned("branch_parallel"),
     "single_gpu_level_by_level": lambda: _pinned("level_by_level"),
     "single_gpu_memory_bounded": lambda: _pinned("memory_bounded"),
