@@ -31,8 +31,8 @@ _WALK = get_strategy("memory_bounded")
 """The design whose ``eval_batch`` every :meth:`SingleGpuBackend.run`
 calls: the paper's headline kernel.  Every design runs the same walk
 (``tests/gpu/test_strategies.py::TestOneWalk``), so the instance only
-labels the ``gpu.eval_batch`` call; it holds no state, and threads
-share it."""
+labels the ``gpu.eval_batch`` span the benchmark records around the
+call; it holds no state, and threads share it."""
 
 
 class ExecutionBackend(abc.ABC):
